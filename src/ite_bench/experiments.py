@@ -38,10 +38,21 @@ RECORD_SCHEMA_VERSION = "1"
 SWEEPABLE_SECTIONS = ("model", "train")
 
 
+def _finite_or_null(doc):
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {key: _finite_or_null(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite_or_null(value) for value in doc]
+    return doc
+
+
 def write_json_atomic(path, doc) -> None:
+    """Strict JSON: a NaN or infinite float is written as null."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(doc), fh, indent=2, sort_keys=True, allow_nan=False)
     os.replace(tmp, path)
 
 
@@ -452,6 +463,10 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1) -> dict:
             "overrides": winner["overrides"],
             "mean_val_mse": winner["mean_val_mse"],
             "test_sqrt_pehe": winner_record.aggregate["sqrt_pehe"],
+            # per repeat; null when the sweep is not zero-shot
+            "head_z_trained": [
+                r.zero_shot["head_z_trained"] if r.zero_shot else None for r in reports
+            ],
         },
         "test_truth_reads_before_selection": audit_reads,
         "wall_clock_s": time.perf_counter() - t0,
@@ -483,55 +498,51 @@ def render_eval_report(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def _grouped_roots(records: list[RunRecord]) -> dict[str, dict[str, list[float]]]:
+def _report_rows(records: list[RunRecord]) -> list[tuple[str, dict, dict | None, int]]:
+    """(label, sqrt_pehe aggregate, zero-shot aggregate or None, number of
+    seeds whose zero-shot score came from an untrained head z), ascending by
+    mean sqrt_pehe."""
     ks = {report.k for rec in records for report in rec.per_seed}
     if len(ks) > 1:
         raise DataError(
             f"records disagree on the number of treatments k={sorted(ks)}; "
             "refusing to aggregate"
         )
-    grouped: dict[str, dict[str, list[float]]] = {}
+    grouped: dict[str, list[EvalReport]] = {}
     for rec in records:
-        row = grouped.setdefault(rec.label, {"sqrt_pehe": [], "sqrt_pehe_zs": []})
-        for report in rec.per_seed:
-            row["sqrt_pehe"].append(report.sqrt_pehe)
-            if report.zero_shot is not None:
-                row["sqrt_pehe_zs"].append(report.zero_shot["sqrt_pehe_zs"])
-    return grouped
+        grouped.setdefault(rec.label, []).extend(rec.per_seed)
+    rows = []
+    for label, reports in grouped.items():
+        agg = _aggregate([r.sqrt_pehe for r in reports])
+        zero_shot = [r.zero_shot for r in reports if r.zero_shot is not None]
+        zs = _aggregate([z["sqrt_pehe_zs"] for z in zero_shot]) if zero_shot else None
+        untrained = sum(z.get("head_z_trained") is False for z in zero_shot)
+        rows.append((label, agg, zs, untrained))
+    rows.sort(key=lambda r: (r[1]["mean"], r[0]))
+    return rows
 
 
 def render_report_table(records: list[RunRecord]) -> str:
     """One row per label: mean +/- population std of test sqrt_pehe."""
-    grouped = _grouped_roots(records)
-    rows = []
-    for label, vals in grouped.items():
-        agg = _aggregate(vals["sqrt_pehe"])
-        zs = _aggregate(vals["sqrt_pehe_zs"]) if vals["sqrt_pehe_zs"] else None
-        rows.append((agg["mean"], label, agg, zs))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    width = max(len("method"), max((len(r[1]) for r in rows), default=0))
+    rows = _report_rows(records)
+    width = max(len("method"), max((len(r[0]) for r in rows), default=0))
     lines = [f"{'method':<{width}}  sqrt_pehe (mean +/- std over n)"]
-    for _, label, agg, zs in rows:
+    for label, agg, zs, untrained in rows:
         line = f"{label:<{width}}  {agg['mean']:.2f} +/- {agg['std']:.2f} (n={agg['n']})"
         if zs is not None:
             line += f"   zero-shot {zs['mean']:.2f} +/- {zs['std']:.2f}"
+        if untrained:
+            line += f"   [head z untrained in {untrained} of {zs['n']} seeds]"
         lines.append(line)
     return "\n".join(lines)
 
 
 def report_table_csv(records: list[RunRecord]) -> str:
-    grouped = _grouped_roots(records)
-    lines = ["label,n,sqrt_pehe_mean,sqrt_pehe_std,sqrt_pehe_zs_mean,sqrt_pehe_zs_std"]
-    rows = []
-    for label, vals in grouped.items():
-        agg = _aggregate(vals["sqrt_pehe"])
-        zs = _aggregate(vals["sqrt_pehe_zs"]) if vals["sqrt_pehe_zs"] else None
-        rows.append((agg["mean"], label, agg, zs))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    for _, label, agg, zs in rows:
-        zs_mean = f"{zs['mean']!r}" if zs else ""
-        zs_std = f"{zs['std']!r}" if zs else ""
-        lines.append(
-            f"{label},{agg['n']},{agg['mean']!r},{agg['std']!r},{zs_mean},{zs_std}"
-        )
+    lines = [
+        "label,n,sqrt_pehe_mean,sqrt_pehe_std,sqrt_pehe_zs_mean,sqrt_pehe_zs_std,"
+        "zs_head_untrained_n"
+    ]
+    for label, agg, zs, untrained in _report_rows(records):
+        zs_cols = f"{zs['mean']!r},{zs['std']!r},{untrained}" if zs else ",,"
+        lines.append(f"{label},{agg['n']},{agg['mean']!r},{agg['std']!r},{zs_cols}")
     return "\n".join(lines) + "\n"

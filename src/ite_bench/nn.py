@@ -15,7 +15,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -310,12 +309,3 @@ def params_from_dict(doc: dict) -> MlpParams:
         raise ConfigError(f"malformed network checkpoint: {exc}") from exc
     return params.validate()
 
-
-def save_params(path, params: MlpParams) -> None:
-    with open(path, "w") as fh:
-        json.dump(params_to_dict(params), fh)
-
-
-def load_params(path) -> MlpParams:
-    with open(path) as fh:
-        return params_from_dict(json.load(fh))

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,6 +155,23 @@ def test_write_json_atomic_leaves_no_temp_file(tmp_path):
     assert os.listdir(tmp_path) == ["doc.json"]
 
 
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_write_json_atomic_writes_non_finite_floats_as_null(tmp_path):
+    finite = {"b": [0.1, 1e-300, -2.5, 3], "a": {"x": (1.0, 2.0), "y": None}}
+    path = tmp_path / "finite.json"
+    write_json_atomic(path, finite)
+    assert path.read_text() == json.dumps(finite, indent=2, sort_keys=True)
+    non_finite = {"v": [math.inf, -math.inf, math.nan, 1.5], "w": np.float64(math.inf)}
+    write_json_atomic(path, non_finite)
+    assert strict_json(path.read_text()) == {"v": [None, None, None, 1.5], "w": None}
+
+
 # --- experiments ---
 
 
@@ -203,6 +222,35 @@ def test_run_sweep_selects_on_validation_only(tmp_path):
         assert len(record["checkpoints"]) == 2
     assert (out / "datasets" / "rep0" / "manifest.json").exists()
     assert json.loads((out / "summary.json").read_text())["winner"] == summary["winner"]
+    assert summary["winner"]["head_z_trained"] == [None, None]
+
+
+def test_zero_shot_sweep_summary_lists_head_z_trained_per_repeat(tmp_path):
+    spec = sweep_spec()
+    spec = SweepSpec(replace(spec.base, zero_shot=0), spec.grid).validate()
+    summary = run_sweep(spec, tmp_path / "sweep", threads=1)
+    # the held-out head never sees a sample, in either repeat
+    assert summary["winner"]["head_z_trained"] == [False, False]
+    on_disk = json.loads((tmp_path / "sweep" / "summary.json").read_text())
+    assert on_disk["winner"]["head_z_trained"] == [False, False]
+
+
+def test_sweep_artifacts_are_strict_json_without_validation(tmp_path):
+    # epochs_max=0 selects no epoch, so every trial's val_mse is infinite
+    spec = sweep_spec()
+    spec = SweepSpec(
+        replace(spec.base, train=replace(spec.base.train, epochs_max=0)), spec.grid
+    ).validate()
+    out = tmp_path / "sweep"
+    summary = run_sweep(spec, out, threads=1)
+    assert summary["winner"]["mean_val_mse"] == math.inf
+    record = strict_json((out / "trials" / "trial_0000" / "record.json").read_text())
+    assert record["status"] == "ok"
+    assert record["val_mse"] == [None, None]
+    assert record["mean_val_mse"] is None
+    on_disk = strict_json((out / "summary.json").read_text())
+    assert on_disk["winner"]["mean_val_mse"] is None
+    assert all(t["mean_val_mse"] is None for t in on_disk["trials"])
 
 
 def test_run_sweep_parallel_matches_serial(tmp_path):
@@ -288,3 +336,40 @@ def test_report_table_csv_format():
     lines = csv.strip().splitlines()
     assert lines[0].startswith("label,n,sqrt_pehe_mean")
     assert lines[1].startswith("joint,2,2.0,1.0")
+
+
+def zero_shot_record(label, trained_flags):
+    reports = [
+        synthetic_report(1.0, zs={
+            "z": 1, "epsilon_zs": 0.25, "sqrt_pehe_zs": 0.5, "head_z_trained": flag,
+        })
+        for flag in trained_flags
+    ]
+    return RunRecord(
+        label=label, config_hash="", config={}, per_seed=reports,
+        aggregate={"sqrt_pehe": {"mean": 1.0, "std": 0.0, "n": len(reports)}},
+        wall_clock_s=0.0,
+    ).validate()
+
+
+def test_report_tables_mark_untrained_zero_shot_heads():
+    records = [
+        zero_shot_record("held-out", [False, True, False]),
+        zero_shot_record("trained", [True, None]),
+        make_labeled_record("plain", [2.0]),
+    ]
+    rows = {line.split()[0]: line for line in render_report_table(records).splitlines()}
+    assert "zero-shot 0.50 +/- 0.00" in rows["held-out"]
+    assert rows["held-out"].endswith("[head z untrained in 2 of 3 seeds]")
+    assert "untrained" not in rows["trained"]
+    assert "untrained" not in rows["plain"]
+
+    lines = report_table_csv(records).strip().splitlines()
+    assert lines[0] == (
+        "label,n,sqrt_pehe_mean,sqrt_pehe_std,sqrt_pehe_zs_mean,sqrt_pehe_zs_std,"
+        "zs_head_untrained_n"
+    )
+    by_label = {line.split(",")[0]: line.split(",") for line in lines[1:]}
+    assert by_label["held-out"][4:] == ["0.5", "0.0", "2"]
+    assert by_label["trained"][4:] == ["0.5", "0.0", "0"]
+    assert by_label["plain"][4:] == ["", "", ""]

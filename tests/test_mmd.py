@@ -98,6 +98,17 @@ def test_median_heuristic_values():
         median_heuristic([[1.0]])
 
 
+def test_median_heuristic_even_pair_count():
+    # pairwise distances of {0, 1, 3, 7} are {1, 2, 3, 4, 6, 7} -> median 3.5
+    assert median_heuristic([0.0, 1.0, 3.0, 7.0]) == 3.5
+    rng = np.random.default_rng(4)
+    for n in (5, 6, 40):
+        x = rng.normal(size=(n, 3))
+        rows, cols = np.triu_indices(n, k=1)
+        expected = np.median(np.linalg.norm(x[rows] - x[cols], axis=1))
+        assert median_heuristic(x) == pytest.approx(expected, rel=1e-12)
+
+
 def test_gradient_two_singletons_closed_form():
     ga, gb = mmd2_gradient([[0.0]], [[1.0]], UNIT_BW)
     expected = 2.0 * math.exp(-0.5)
@@ -232,3 +243,106 @@ def test_regularization_rejects_mixed_dimensions_and_nonfinite():
         treatment_regularization_loss(
             {0: np.array([[np.inf]]), 1: np.zeros((2, 1))}, UNIT_BW
         )
+
+
+# --- the one-Gram estimator against the pair-by-pair formula ---
+
+
+def three_gram_reference(groups, bandwidth=None):
+    """Mean MMD^2 over pairs of non-empty groups, and its gradients, from
+    three Gram matrices per pair with distances taken from differences."""
+    keys = [key for key in sorted(groups) if len(groups[key])]
+    z = np.vstack([groups[key] for key in keys])
+    if bandwidth is None:
+        rows, cols = np.triu_indices(len(z), k=1)
+        dist = np.sqrt(np.sum((z[rows] - z[cols]) ** 2, axis=1))
+        bandwidth = float(np.median(dist))
+    s2 = bandwidth * bandwidth
+
+    def gram(a, b):
+        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+        return np.exp(-d2 / (2.0 * s2))
+
+    grads = {key: np.zeros_like(groups[key]) for key in groups}
+    pairs = [(p, q) for i, p in enumerate(keys) for q in keys[i + 1 :]]
+    total = 0.0
+    for p, q in pairs:
+        a, b = groups[p], groups[q]
+        m, n = len(a), len(b)
+        kaa, kbb, kab = gram(a, a), gram(b, b), gram(a, b)
+        value = kaa.mean() + kbb.mean() - 2.0 * kab.mean()
+        if value <= 0.0:
+            continue
+        total += value
+        grads[p] += (2.0 / (m * m * s2)) * (kaa @ a - kaa.sum(axis=1)[:, None] * a)
+        grads[p] -= (2.0 / (m * n * s2)) * (kab @ b - kab.sum(axis=1)[:, None] * a)
+        grads[q] += (2.0 / (n * n * s2)) * (kbb @ b - kbb.sum(axis=1)[:, None] * b)
+        grads[q] -= (2.0 / (m * n * s2)) * (kab.T @ a - kab.sum(axis=0)[:, None] * b)
+    return total / len(pairs), {key: g / len(pairs) for key, g in grads.items()}
+
+
+def random_layout(rng, sizes, dim=5):
+    return {
+        key: rng.normal(size=(size, dim)) + 0.3 * key for key, size in sizes.items()
+    }
+
+
+def batch_layout(rng, batch, k, dim=5):
+    labels = rng.integers(0, k, size=batch)
+    z = rng.normal(size=(batch, dim))
+    return {t: z[labels == t] + 0.2 * t for t in range(k)}
+
+
+LAYOUTS = {
+    "singletons": lambda rng: random_layout(rng, {0: 1, 1: 1, 2: 1}),
+    "empty-group": lambda rng: random_layout(rng, {0: 5, 1: 0, 2: 7}),
+    "unequal-sparse-keys": lambda rng: random_layout(rng, {1: 3, 4: 10, 9: 6, 12: 2}),
+    "B128-k4": lambda rng: batch_layout(rng, 128, 4),
+    "B256-k8": lambda rng: batch_layout(rng, 256, 8),
+}
+
+
+@pytest.mark.parametrize("bandwidth", [1.7, None])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_regularization_matches_three_gram_reference(layout, bandwidth):
+    groups = LAYOUTS[layout](np.random.default_rng(len(layout)))
+    loss, grads = treatment_regularization_loss(groups, KernelSpec(bandwidth))
+    ref_loss, ref_grads = three_gram_reference(groups, bandwidth)
+    assert ref_loss > 0.0
+    assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+    assert set(grads) == set(groups)
+    for key in groups:
+        assert grads[key].shape == groups[key].shape
+        np.testing.assert_allclose(grads[key], ref_grads[key], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bandwidth", [0.7, None])
+@pytest.mark.parametrize("size", [1, 7, 40])
+def test_clamped_pairs_contribute_no_loss_and_no_gradient(size, bandwidth):
+    spec = KernelSpec(bandwidth)
+    rng = np.random.default_rng(size)
+    x = rng.normal(size=(size, 3))
+    for y in (x.copy(), x[rng.permutation(size)]):
+        assert mmd2_biased(x, y, spec) == 0.0
+        for g in mmd2_gradient(x, y, spec):
+            assert not g.any()
+        loss, grads = treatment_regularization_loss({0: x, 1: y, 2: x.copy()}, spec)
+        assert loss == 0.0
+        for g in grads.values():
+            assert not g.any()
+
+
+def test_clamped_pair_drops_out_of_a_larger_batch():
+    # groups 0 and 1 hold the same samples: their pair adds nothing, while
+    # the pair count still includes it
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(6, 2))
+    far = rng.normal(size=(4, 2)) + 1.5
+    groups = {0: x, 1: x[::-1].copy(), 2: far}
+    spec = KernelSpec(1.2)
+    loss, grads = treatment_regularization_loss(groups, spec)
+    assert loss == pytest.approx(2.0 * mmd2_biased(x, far, spec) / 3.0, rel=1e-12)
+    ga, gb = mmd2_gradient(x, far, spec)
+    np.testing.assert_allclose(grads[0], ga / 3.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(grads[1], ga[::-1] / 3.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(grads[2], 2.0 * gb / 3.0, rtol=0, atol=1e-14)
