@@ -42,7 +42,6 @@ from .model import (
     build_model,
     load_checkpoint,
     predict_all_outcomes,
-    predict_outcome,
     save_checkpoint,
     train,
 )

@@ -162,7 +162,7 @@ def cmd_sweep(args) -> int:
         spec.max_trials = args.max_trials
     spec.validate()
     threads = args.threads if args.threads is not None else _default_threads()
-    summary = run_sweep(spec, args.out, threads=threads)
+    summary = run_sweep(spec, args.out, threads=threads, force=args.force)
     winner = summary["winner"]
     print(
         f"ran {summary['n_trials']} trials; winner trial {winner['trial']} "
@@ -262,6 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid search selected on validation MSE")
     p.add_argument("--config", required=True, help="sweep config JSON with 'base' and 'grid'")
     p.add_argument("--out", required=True)
+    p.add_argument("--force", action="store_true",
+                   help="reuse a non-empty directory; its datasets are rewritten")
     p.add_argument("--max-trials", type=int, dest="max_trials",
                    help="random subsample of the grid (deterministic in --seed)")
     p.add_argument("--threads", type=int,

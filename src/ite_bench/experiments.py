@@ -199,6 +199,10 @@ def make_record(
     ).validate()
 
 
+def _repeat_sim(base: ExperimentConfig, r: int) -> SimConfig:
+    return replace(base.sim, seed=base.sim.seed + r)
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     datasets: list[Dataset] | None = None,
@@ -220,7 +224,7 @@ def run_experiment(
         if datasets is not None:
             ds = datasets[r]
         else:
-            ds = simulate_dataset(replace(cfg.sim, seed=cfg.sim.seed + r))
+            ds = simulate_dataset(_repeat_sim(cfg, r))
         train_cfg = replace(cfg.train, seed=cfg.train.seed + r)
         if cfg.zero_shot is not None:
             report, trained = run_zero_shot_protocol(
@@ -385,27 +389,37 @@ def _trial_worker(payload: tuple) -> dict:
     base = ExperimentConfig.from_dict(base_doc)
     cfg = apply_overrides(base, overrides)
     datasets = [_load_dataset_cached(p) for p in dataset_dirs]
+    for r, (path, ds) in enumerate(zip(dataset_dirs, datasets)):
+        if ds.config != _repeat_sim(base, r):
+            raise DataError(
+                f"{path} was simulated from a different config than repeat {r} "
+                "of this sweep"
+            )
     return _run_trial(trial_index, cfg, overrides, datasets, trial_dir)
 
 
-def run_sweep(spec: SweepSpec, out_dir, threads: int = 1) -> dict:
+def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -> dict:
     """Grid search ranked by validation MSE; test truth is read only for the
     winner, after selection. Returns the summary document (also written to
-    out_dir/summary.json)."""
+    out_dir/summary.json). A non-empty out_dir is refused unless force is
+    set; the datasets are always written anew."""
     spec.validate()
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
+    if os.listdir(out_dir) and not force:
+        raise DataError(
+            f"output directory {out_dir} is not empty; pass force=True/--force to overwrite"
+        )
 
     # one dataset per repeat, shared by every trial
     datasets: list[Dataset] = []
     dataset_dirs: list[str] = []
     for r in range(spec.base.repeats):
         ds_dir = os.path.join(out_dir, "datasets", f"rep{r}")
-        ds = simulate_dataset(replace(spec.base.sim, seed=spec.base.sim.seed + r))
-        if not os.path.exists(os.path.join(ds_dir, "manifest.json")):
-            save_dataset(ds, ds_dir, force=True)
+        ds = simulate_dataset(_repeat_sim(spec.base, r))
+        save_dataset(ds, ds_dir, force=True)
         datasets.append(ds)
         dataset_dirs.append(ds_dir)
 

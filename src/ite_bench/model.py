@@ -21,15 +21,17 @@ baseline.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
+import hashlib
+import io
 import json
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, TrainingDiverged
+from .errors import ConfigError, DataError, NumericError, ShapeError, TrainingDiverged
 from .mmd import KernelSpec, treatment_regularization_loss
 from .nn import (
     ACTIVATIONS,
@@ -42,11 +44,12 @@ from .nn import (
     mlp_forward,
     params_from_dict,
     params_to_dict,
+    params_vector,
     sgd_step,
 )
 from .simulate import Dataset
 
-CHECKPOINT_SCHEMA_VERSION = "1"
+CHECKPOINT_SCHEMA_VERSION = "2"
 VARIANTS = ("joint", "tarnet")
 
 
@@ -297,36 +300,6 @@ def _spawn_rngs(dropout_seed: int | None, count: int) -> list[np.random.Generato
         return [None] * count
     children = np.random.SeedSequence(dropout_seed).spawn(count)
     return [np.random.default_rng(c) for c in children]
-
-
-def predict_outcome(
-    model: OutcomeModel,
-    x: np.ndarray,
-    t_feature: np.ndarray,
-    t: int,
-    rng: np.random.Generator | None = None,
-) -> float | np.ndarray:
-    """Predicted outcome under treatment t for one user or a batch.
-
-    The baseline variant ignores t_feature entirely. rng enables dropout
-    (train-mode prediction); None is deterministic eval mode.
-    """
-    if not 0 <= t < model.k:
-        raise ConfigError(f"treatment index {t} out of range 0..{model.k - 1}")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    cov_out, _ = mlp_forward(model.cov_net, xb, rng)
-    if model.variant == "joint":
-        feat = np.asarray(t_feature, dtype=np.float64)
-        if feat.ndim == 1:
-            feat = np.broadcast_to(feat, (xb.shape[0], feat.shape[0]))
-        treat_out, _ = mlp_forward(model.treat_net, feat, rng)
-        head_in = np.concatenate([cov_out, treat_out], axis=1)
-    else:
-        head_in = cov_out
-    out, _ = mlp_forward(model.heads[t], head_in, rng)
-    return float(out[0, 0]) if single else out[:, 0]
 
 
 def batch_loss(
@@ -623,7 +596,26 @@ def train(
     )
 
 
-def checkpoint_dict(trained: TrainedModel) -> dict:
+def params_path(path) -> str:
+    """The .npy sidecar that holds the parameter vector of the checkpoint
+    whose JSON header is at path."""
+    path = os.fspath(path)
+    if path.endswith(".npy"):
+        raise ConfigError(
+            f"checkpoint path {path} ends in .npy, the extension of its parameter file"
+        )
+    return os.path.splitext(path)[0] + ".npy"
+
+
+def _networks(model: OutcomeModel) -> list[MlpParams]:
+    """Every network in the parameter vector's order: cov, treat, then heads."""
+    treat = [model.treat_net] if model.treat_net is not None else []
+    return [model.cov_net, *treat, *model.heads]
+
+
+def checkpoint_dict(trained: TrainedModel, params_sha256: str) -> dict:
+    """The checkpoint header. It names no file, so identical runs under
+    different paths write identical headers."""
     model = trained.model
     return {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
@@ -638,6 +630,7 @@ def checkpoint_dict(trained: TrainedModel) -> dict:
             params_to_dict(model.treat_net) if model.treat_net is not None else None
         ),
         "heads": [params_to_dict(h) for h in model.heads],
+        "params_sha256": params_sha256,
         "head_updates": (
             list(model.head_updates) if model.head_updates is not None else None
         ),
@@ -649,28 +642,71 @@ def checkpoint_dict(trained: TrainedModel) -> dict:
 
 
 def save_checkpoint(path, trained: TrainedModel) -> None:
+    """Write the flat float64 parameter vector to params_path(path), then the
+    JSON header, which records the vector's sha256, to path."""
+    sidecar = params_path(path)
+    buf = io.BytesIO()
+    np.save(buf, np.concatenate([params_vector(net) for net in _networks(trained.model)]))
+    data = buf.getvalue()
+    doc = checkpoint_dict(trained, hashlib.sha256(data).hexdigest())
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"checkpoint header: {exc}") from exc
+    with open(sidecar, "wb") as fh:
+        fh.write(data)
     with open(path, "w") as fh:
-        json.dump(checkpoint_dict(trained), fh, indent=2, sort_keys=True)
+        fh.write(text)
+
+
+def _load_params(sidecar: str, doc: dict) -> np.ndarray:
+    if not os.path.exists(sidecar):
+        raise DataError(
+            f"checkpoint parameter file missing: {sidecar}; copy it together "
+            "with its header"
+        )
+    with open(sidecar, "rb") as fh:
+        data = fh.read()
+    if hashlib.sha256(data).hexdigest() != doc.get("params_sha256"):
+        raise ConfigError(f"{sidecar} does not match the sha256 its header records")
+    try:
+        vec = np.load(io.BytesIO(data), allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ConfigError(f"malformed checkpoint parameter file {sidecar}: {exc}") from exc
+    if vec.dtype != np.float64 or vec.ndim != 1:
+        raise ConfigError(
+            f"{sidecar} holds {vec.dtype} {vec.shape}, not a float64 vector"
+        )
+    return vec
 
 
 def load_checkpoint(path) -> TrainedModel:
+    sidecar = params_path(path)
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ConfigError(
-            f"unsupported checkpoint schema_version {doc.get('schema_version')!r}"
+            f"unsupported checkpoint schema_version {doc.get('schema_version')!r} "
+            f"(this version reads {CHECKPOINT_SCHEMA_VERSION!r}); re-run `ite-bench train`"
         )
+    vec = _load_params(sidecar, doc)
     try:
+        treat = [doc["treat_net"]] if doc["treat_net"] is not None else []
+        nets = []
+        offset = 0
+        for net_doc in [doc["cov_net"], *treat, *doc["heads"]]:
+            nets.append(params_from_dict(net_doc, vec[offset:]))
+            offset += nets[-1].n_params
+        if offset != vec.size:
+            raise ConfigError(
+                f"parameter vector holds {vec.size} values, the networks need {offset}"
+            )
         model = OutcomeModel(
-            cov_net=params_from_dict(doc["cov_net"]),
-            treat_net=(
-                params_from_dict(doc["treat_net"])
-                if doc.get("treat_net") is not None
-                else None
-            ),
-            heads=tuple(params_from_dict(h) for h in doc["heads"]),
+            cov_net=nets[0],
+            treat_net=nets[1] if treat else None,
+            heads=tuple(nets[1 + len(treat) :]),
             variant=doc["variant"],
-            # absent from checkpoints written before the record existed
+            # null, or absent, for a model that carries no record
             head_updates=(
                 tuple(int(n) for n in doc["head_updates"])
                 if doc.get("head_updates") is not None
@@ -692,7 +728,3 @@ def load_checkpoint(path) -> TrainedModel:
         shape=shape,
         variant=model.variant,
     )
-
-
-def clone_model(model: OutcomeModel) -> OutcomeModel:
-    return copy.deepcopy(model)

@@ -287,25 +287,40 @@ def lr_at(state: OptimState, epoch: int) -> float:
 
 
 def params_to_dict(params: MlpParams) -> dict:
-    """JSON-ready dict; nested lists keep the [out x in] row-major layout."""
+    """JSON-ready description: activation, dropout and each layer's [out, in]
+    weight shape. The values go to params_vector; the bias of a layer has
+    the weight's out size."""
     return {
-        "layers": [{"w": w.tolist(), "b": b.tolist()} for w, b in params.layers],
+        "layers": [list(w.shape) for w, _ in params.layers],
         "activation": params.hidden_activation,
         "dropout_rate": params.dropout_rate,
     }
 
 
-def params_from_dict(doc: dict) -> MlpParams:
-    try:
-        layers = tuple(
-            (
-                np.asarray(layer["w"], dtype=np.float64),
-                np.asarray(layer["b"], dtype=np.float64),
-            )
-            for layer in doc["layers"]
-        )
-        params = MlpParams(layers, doc["activation"], float(doc["dropout_rate"]))
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed network checkpoint: {exc}") from exc
-    return params.validate()
+def params_vector(params: MlpParams) -> np.ndarray:
+    """Every layer's weight (row-major) then bias, input layer first."""
+    return np.concatenate([a.ravel() for layer in params.layers for a in layer])
 
+
+def params_from_dict(doc: dict, values: np.ndarray) -> MlpParams:
+    """Rebuild a network from params_to_dict's description, reading its
+    parameters from the front of the flat float64 vector values (the layout
+    of params_vector); values may run on into the next network's."""
+    try:
+        shapes = [(int(out), int(inp)) for out, inp in doc["layers"]]
+        activation, dropout_rate = doc["activation"], float(doc["dropout_rate"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed network checkpoint: {exc}") from exc
+    needed = sum(out * inp + out for out, inp in shapes)
+    if values.size < needed:
+        raise ConfigError(
+            f"parameter vector holds {values.size} values, network needs {needed}"
+        )
+    layers = []
+    offset = 0
+    for out, inp in shapes:
+        w = values[offset : offset + out * inp].reshape(out, inp)
+        offset += out * inp
+        layers.append((w, values[offset : offset + out]))
+        offset += out
+    return MlpParams(tuple(layers), activation, dropout_rate).validate()

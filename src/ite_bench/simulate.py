@@ -13,7 +13,7 @@ ytilde with mu_t. Observed treatments are drawn from a per-user softmax
 over kappa_t * y_i^t, so larger kappa skews assignment toward treatments
 with larger sampled outcomes.
 
-Datasets round-trip through a directory of CSV files plus a JSON manifest.
+Datasets round-trip through a directory of .npy arrays plus a JSON manifest.
 """
 
 from __future__ import annotations
@@ -33,20 +33,24 @@ from .errors import (
     ShapeError,
 )
 
-DATASET_SCHEMA_VERSION = "1"
+DATASET_SCHEMA_VERSION = "2"
 SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.7, 0.15)  # train, val; test takes the remainder
 SIGMA_FLOOR = 1e-3
 
-_DATASET_FILES = {
-    "covariates": "covariates.csv",
-    "centroids": "centroids.csv",
-    "treatment_embeddings": "treatment_embeddings.csv",
-    "mu_sigma": "mu_sigma.csv",
-    "y_sampled": "y_sampled.csv",
-    "y_expected": "y_expected.csv",
-    "assignments": "assignments.csv",
-}
+
+def _dataset_layout(n: int, d: int, k: int) -> dict[str, tuple[str, type, tuple]]:
+    """name -> (file, dtype, shape) of every array in a dataset directory."""
+    return {
+        "covariates": ("covariates.npy", np.float64, (n, d)),
+        "centroids": ("centroids.npy", np.float64, (k + 1, d)),
+        "treatment_embeddings": ("treatment_embeddings.npy", np.float64, (k, d)),
+        "mu_sigma": ("mu_sigma.npy", np.float64, (k, 2)),
+        "y_sampled": ("y_sampled.npy", np.float64, (n, k)),
+        "y_expected": ("y_expected.npy", np.float64, (n, k)),
+        "t_obs": ("t_obs.npy", np.int64, (n,)),
+        "y_factual": ("y_factual.npy", np.float64, (n,)),
+    }
 
 
 @dataclass(frozen=True)
@@ -512,38 +516,15 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
 
 
 def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
-    """Write the dataset directory: manifest.json plus CSV matrices.
-
-    Floats are written with 17 significant digits, which round-trips
-    float64 exactly.
-    """
+    """Write the dataset directory: one .npy file per array, then
+    manifest.json, so a directory without a manifest was never completed."""
     os.makedirs(out_dir, exist_ok=True)
     existing = set(os.listdir(out_dir))
     if existing and not force:
         raise DataError(
             f"output directory {out_dir} is not empty; pass force=True/--force to overwrite"
         )
-    fmt = "%.17g"
-
-    def path(name):
-        return os.path.join(out_dir, _DATASET_FILES[name])
-
-    np.savetxt(path("covariates"), ds.X, delimiter=",", fmt=fmt)
-    np.savetxt(path("centroids"), ds.Z, delimiter=",", fmt=fmt)
-    np.savetxt(path("treatment_embeddings"), ds.T_emb, delimiter=",", fmt=fmt)
-    np.savetxt(
-        path("mu_sigma"), np.column_stack([ds.mu, ds.sigma]), delimiter=",", fmt=fmt
-    )
-    np.savetxt(path("y_sampled"), ds.Y_sampled, delimiter=",", fmt=fmt)
-    np.savetxt(path("y_expected"), ds.Y_expected, delimiter=",", fmt=fmt)
-    np.savetxt(
-        os.path.join(out_dir, _DATASET_FILES["assignments"]),
-        np.column_stack(
-            [np.arange(ds.n).astype(np.float64), ds.t_obs.astype(np.float64), ds.y_factual]
-        ),
-        delimiter=",",
-        fmt=["%d", "%d", fmt],
-    )
+    layout = _dataset_layout(ds.n, ds.d, ds.k)
     manifest = {
         "schema_version": DATASET_SCHEMA_VERSION,
         "n": ds.n,
@@ -551,13 +532,31 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
         "k": ds.k,
         "config": ds.config.to_dict() if ds.config else None,
         "splits": {name: ds.splits[name].tolist() for name in SPLIT_NAMES},
-        "files": dict(_DATASET_FILES),
+        "files": {name: fname for name, (fname, _, _) in layout.items()},
     }
+    try:
+        text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"dataset manifest: {exc}") from exc
+    arrays = {
+        "covariates": ds.X,
+        "centroids": ds.Z,
+        "treatment_embeddings": ds.T_emb,
+        "mu_sigma": np.column_stack([ds.mu, ds.sigma]),
+        "y_sampled": ds.Y_sampled,
+        "y_expected": ds.Y_expected,
+        "t_obs": ds.t_obs,
+        "y_factual": ds.y_factual,
+    }
+    for name, (fname, dtype, _) in layout.items():
+        np.save(os.path.join(out_dir, fname), np.ascontiguousarray(arrays[name], dtype))
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write(text)
 
 
 def load_dataset(dataset_dir) -> Dataset:
+    """Read a dataset directory. Every array must have the dtype and shape
+    the manifest implies; nothing is unpickled."""
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise DataError(f"not a dataset directory (no manifest.json): {dataset_dir}")
@@ -565,25 +564,30 @@ def load_dataset(dataset_dir) -> Dataset:
         manifest = json.load(fh)
     if manifest.get("schema_version") != DATASET_SCHEMA_VERSION:
         raise DataError(
-            f"unsupported dataset schema_version {manifest.get('schema_version')!r}"
+            f"unsupported dataset schema_version {manifest.get('schema_version')!r} "
+            f"(this version reads {DATASET_SCHEMA_VERSION!r}, .npy arrays); "
+            "re-run `ite-bench simulate`"
         )
+    try:
+        n, d, k = (int(manifest[key]) for key in ("n", "d", "k"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"manifest needs integer n, d and k: {exc}") from exc
 
-    def load(name, **kw):
-        fpath = os.path.join(dataset_dir, _DATASET_FILES[name])
+    arrays = {}
+    for name, (fname, dtype, shape) in _dataset_layout(n, d, k).items():
+        fpath = os.path.join(dataset_dir, fname)
         if not os.path.exists(fpath):
             raise DataError(f"dataset file missing: {fpath}")
         try:
-            return np.loadtxt(fpath, delimiter=",", ndmin=2, dtype=np.float64, **kw)
-        except ValueError as exc:
+            arr = np.load(fpath, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
             raise DataError(f"malformed dataset file {fpath}: {exc}") from exc
-
-    x = load("covariates")
-    z = load("centroids")
-    t_emb = load("treatment_embeddings")
-    mu_sigma = load("mu_sigma")
-    y_sampled = load("y_sampled")
-    y_expected = load("y_expected")
-    assignments = load("assignments")
+        if arr.dtype != dtype or arr.shape != shape:
+            raise DataError(
+                f"{fpath} holds {arr.dtype} {arr.shape}; the manifest implies "
+                f"{np.dtype(dtype)} {shape}"
+            )
+        arrays[name] = arr
     cfg = (
         SimConfig.from_dict(manifest["config"], path="manifest.config")
         if manifest.get("config")
@@ -597,15 +601,15 @@ def load_dataset(dataset_dir) -> Dataset:
     except KeyError as exc:
         raise DataError(f"manifest is missing split {exc}") from exc
     ds = Dataset(
-        X=x,
-        Z=z,
-        T_emb=t_emb,
-        mu=mu_sigma[:, 0].copy(),
-        sigma=mu_sigma[:, 1].copy(),
-        Y_sampled=y_sampled,
-        Y_expected=y_expected,
-        t_obs=assignments[:, 1].astype(np.int64),
-        y_factual=assignments[:, 2].copy(),
+        X=arrays["covariates"],
+        Z=arrays["centroids"],
+        T_emb=arrays["treatment_embeddings"],
+        mu=arrays["mu_sigma"][:, 0].copy(),
+        sigma=arrays["mu_sigma"][:, 1].copy(),
+        Y_sampled=arrays["y_sampled"],
+        Y_expected=arrays["y_expected"],
+        t_obs=arrays["t_obs"],
+        y_factual=arrays["y_factual"],
         splits=splits,
         config=cfg,
     )

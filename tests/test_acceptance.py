@@ -518,7 +518,9 @@ def _pipeline_artifacts(base_dir, tag):
     rep = evaluate_model(trained.model, ds, split="test")
     rep_path = base_dir / f"report_{tag}.json"
     rep_path.write_text(json.dumps(rep.to_dict(), sort_keys=True))
+    params = base_dir / f"checkpoint_{tag}.npy"
     files = {ckpt.name.replace(f"_{tag}", ""): ckpt.read_bytes()}
+    files[params.name.replace(f"_{tag}", "")] = params.read_bytes()
     files[rep_path.name.replace(f"_{tag}", "")] = rep_path.read_bytes()
     for f in sorted(ds_dir.iterdir()):
         files[f"dataset/{f.name}"] = f.read_bytes()

@@ -50,7 +50,8 @@ ZERO_MODEL_CONFIG = {
 
 def test_simulate_writes_dataset(tmp_path, capsys):
     out = simulate_small(capsys, tmp_path / "ds")
-    for name in ("manifest.json", "covariates.csv", "y_expected.csv", "assignments.csv"):
+    for name in ("manifest.json", "covariates.npy", "y_expected.npy", "t_obs.npy",
+                 "y_factual.npy"):
         assert (out / name).exists()
     ds = load_dataset(out)
     assert (ds.n, ds.d, ds.k) == (80, 4, 3)
@@ -245,6 +246,37 @@ def test_evaluate_splits_differ(tmp_path, capsys):
     assert val["epsilon_pehe"] != test["epsilon_pehe"]
 
 
+def test_evaluate_refuses_tampered_or_missing_parameter_file(tmp_path, capsys):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    out = tmp_path / "run"
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "1"
+    )
+    assert code == 0, err
+    sidecar = out / "checkpoint.npy"
+    data = bytearray(sidecar.read_bytes())
+    data[-1] ^= 0x80
+    sidecar.write_bytes(bytes(data))
+    argv = ("evaluate", "--dataset", str(ds), "--checkpoint", str(out / "checkpoint.json"))
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "sha256" in err
+    sidecar.unlink()
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "checkpoint.npy" in err
+
+
+def test_schema_1_csv_dataset_is_refused(tmp_path, capsys):
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "manifest.json").write_text(json.dumps({"schema_version": "1"}))
+    (old / "assignments.csv").write_text("0,1,0.5\n")
+    code, _, err = run(capsys, "train", "--dataset", str(old), "--out", str(tmp_path / "run"))
+    assert code == 3
+    assert "re-run `ite-bench simulate`" in err
+
+
 def test_evaluate_zero_shot_out_of_range(tmp_path, capsys):
     ds = simulate_small(capsys, tmp_path / "ds")
     out = tmp_path / "run"
@@ -326,6 +358,18 @@ def test_sweep_cli_end_to_end(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_trials"] == 2
     assert (out / "winner_record.json").exists()
+
+
+def test_sweep_refuses_reused_out_without_force(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(sweep_config_doc()))
+    argv = ("sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "1")
+    assert run(capsys, *argv)[0] == 0
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "not empty" in err
+    code, _, err = run(capsys, *argv, "--force")
+    assert code == 0, err
 
 
 def test_sweep_env_thread_override_is_validated(tmp_path, capsys, monkeypatch):

@@ -21,10 +21,11 @@ from ite_bench.experiments import (
     render_report_table,
     report_table_csv,
     run_experiment,
+    _trial_worker,
     run_sweep,
     write_json_atomic,
 )
-from ite_bench.simulate import SimConfig
+from ite_bench.simulate import SimConfig, save_dataset, simulate_dataset
 
 
 def tiny_experiment(**kw):
@@ -264,6 +265,40 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
         serial["winner"]["test_sqrt_pehe"]["mean"]
         == parallel["winner"]["test_sqrt_pehe"]["mean"]
     )
+
+
+def test_reused_sweep_dir_is_refused_and_force_rewrites_datasets(tmp_path):
+    spec = sweep_spec()
+    out = tmp_path / "sweep"
+    run_sweep(spec, out, threads=2)
+    # the same directory with a new simulation seed: trials must not train on
+    # the datasets left there by the first sweep
+    sim = replace(spec.base.sim, seed=spec.base.sim.seed + 7)
+    reseeded = SweepSpec(replace(spec.base, sim=sim), spec.grid).validate()
+    with pytest.raises(DataError, match="not empty"):
+        run_sweep(reseeded, out, threads=2)
+    forced = run_sweep(reseeded, out, threads=2, force=True)
+    fresh = run_sweep(reseeded, tmp_path / "fresh", threads=2)
+    assert [t["mean_val_mse"] for t in forced["trials"]] == [
+        t["mean_val_mse"] for t in fresh["trials"]
+    ]
+    assert forced["winner"]["test_sqrt_pehe"] == fresh["winner"]["test_sqrt_pehe"]
+    manifest = json.loads((out / "datasets" / "rep0" / "manifest.json").read_text())
+    assert manifest["config"]["seed"] == sim.seed
+
+
+def test_trial_worker_refuses_dataset_from_another_config(tmp_path):
+    spec = sweep_spec()
+    ds_dir = tmp_path / "rep0"
+    save_dataset(simulate_dataset(spec.base.sim), ds_dir)
+    manifest_path = ds_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["seed"] += 1
+    manifest_path.write_text(json.dumps(manifest))
+    payload = (0, spec.base.to_dict(), {}, [str(ds_dir)], str(tmp_path / "trial"))
+    with pytest.raises(DataError, match="different config"):
+        _trial_worker(payload)
+    assert not (tmp_path / "trial" / "record.json").exists()
 
 
 def test_max_trials_subsample_is_deterministic(tmp_path):

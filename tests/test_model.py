@@ -1,10 +1,13 @@
 import dataclasses
+import hashlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from ite_bench.errors import ConfigError, ShapeError, TrainingDiverged
+from ite_bench.errors import ConfigError, DataError, ShapeError, TrainingDiverged
 from ite_bench.model import (
     Batch,
     ModelShape,
@@ -13,11 +16,9 @@ from ite_bench.model import (
     TrainHistory,
     batch_loss,
     build_model,
-    clone_model,
     factual_predictions,
     load_checkpoint,
     predict_all_outcomes,
-    predict_outcome,
     save_checkpoint,
     train,
 )
@@ -68,7 +69,8 @@ def quick_train_cfg(**kw):
 
 def test_identity_model_sums_inputs():
     model = identity_model(d=2, k=2)
-    value = predict_outcome(model, np.array([0.3, 0.7]), np.array([0.1, -0.2]), 0)
+    t_emb = np.array([[0.1, -0.2], [5.0, 5.0]])
+    value = predict_all_outcomes(model, np.array([[0.3, 0.7]]), t_emb)[0, 0]
     assert value == pytest.approx(0.9, abs=1e-15)
 
 
@@ -124,8 +126,8 @@ def test_no_record_or_no_trained_head_uses_every_head():
 def test_baseline_ignores_treatment_features():
     model = build_model(4, 3, small_shape(), "tarnet", rng=5)
     x = np.random.default_rng(2).normal(size=(6, 4))
-    a = predict_outcome(model, x, np.zeros(4), 1)
-    b = predict_outcome(model, x, np.full(4, 100.0), 1)
+    a = predict_all_outcomes(model, x, np.zeros((3, 4)))
+    b = predict_all_outcomes(model, x, np.full((3, 4), 100.0))
     np.testing.assert_array_equal(a, b)
     y1 = predict_all_outcomes(model, x, np.zeros((3, 4)))
     y2 = predict_all_outcomes(model, x, np.ones((3, 4)) * 9.0)
@@ -133,14 +135,6 @@ def test_baseline_ignores_treatment_features():
     # without treatment information every head sees the same input, but the
     # heads themselves differ
     assert not np.array_equal(y1[:, 0], y1[:, 1])
-
-
-def test_predict_outcome_range_check():
-    model = identity_model()
-    with pytest.raises(ConfigError):
-        predict_outcome(model, np.zeros(2), np.zeros(2), 2)
-    with pytest.raises(ConfigError):
-        predict_outcome(model, np.zeros(2), np.zeros(2), -1)
 
 
 def test_model_validation():
@@ -441,13 +435,6 @@ def test_factual_predictions_gather_from_full_matrix():
     )
 
 
-def test_clone_is_independent():
-    model = identity_model()
-    twin = clone_model(model)
-    object.__setattr__(twin.cov_net, "layers", ())
-    assert model.cov_net.layers
-
-
 # --- checkpointing ---
 
 
@@ -509,6 +496,91 @@ def test_checkpoint_rejects_unknown_schema(tmp_path):
     path.write_text(json.dumps({"schema_version": "99"}))
     with pytest.raises(ConfigError):
         load_checkpoint(path)
+
+
+def _saved_checkpoint(tmp_path, name="model.json"):
+    ds = small_dataset(n=120)
+    trained = train(ds, small_shape(), quick_train_cfg(epochs_max=1), "joint")
+    path = tmp_path / name
+    save_checkpoint(path, trained)
+    return trained, path, tmp_path / (path.stem + ".npy")
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_checkpoint_is_a_header_plus_a_parameter_vector(tmp_path):
+    trained, path, sidecar = _saved_checkpoint(tmp_path)
+    doc = _strict_json(path.read_text())
+    assert doc["schema_version"] == "2"
+    assert doc["params_sha256"] == hashlib.sha256(sidecar.read_bytes()).hexdigest()
+    # the header never names its sidecar, which is derived from its own path
+    assert "model.npy" not in path.read_text()
+    vec = np.load(sidecar, allow_pickle=False)
+    model = trained.model
+    nets = [model.cov_net, model.treat_net, *model.heads]
+    assert vec.dtype == np.float64
+    assert vec.shape == (sum(net.n_params for net in nets),)
+    assert doc["cov_net"]["layers"] == [list(w.shape) for w, _ in model.cov_net.layers]
+    # cov, treat, then heads; each layer's weight row-major, then its bias
+    w0, b0 = model.cov_net.layers[0]
+    np.testing.assert_array_equal(vec[: w0.size], w0.ravel())
+    np.testing.assert_array_equal(vec[w0.size : w0.size + b0.size], b0)
+    w_last, b_last = model.heads[-1].layers[-1]
+    np.testing.assert_array_equal(vec[-b_last.size - w_last.size : -b_last.size], w_last.ravel())
+    np.testing.assert_array_equal(vec[-b_last.size :], b_last)
+
+
+def test_checkpoint_rejects_a_tampered_parameter_file(tmp_path):
+    trained, path, sidecar = _saved_checkpoint(tmp_path)
+    good = sidecar.read_bytes()
+    flipped = bytearray(good)
+    flipped[-3] ^= 0x01
+    sidecar.write_bytes(bytes(flipped))
+    with pytest.raises(ConfigError, match="sha256"):
+        load_checkpoint(path)
+    sidecar.write_bytes(good[:-8])
+    with pytest.raises(ConfigError, match="sha256"):
+        load_checkpoint(path)
+    sidecar.unlink()
+    with pytest.raises(DataError, match="model.npy"):
+        load_checkpoint(path)
+    # a well-formed file one value short or long, recorded under its own sha256
+    doc = json.loads(path.read_text())
+    vec = np.load(io.BytesIO(good), allow_pickle=False)
+    for bad in (vec[:-1], np.append(vec, 0.0)):
+        np.save(sidecar, bad)
+        digest = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+        path.write_text(json.dumps({**doc, "params_sha256": digest}))
+        with pytest.raises(ConfigError, match="values"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_refuses_npy_header_path_and_old_schema(tmp_path):
+    trained, path, _ = _saved_checkpoint(tmp_path)
+    with pytest.raises(ConfigError, match=".npy"):
+        save_checkpoint(tmp_path / "other.npy", trained)
+    assert not (tmp_path / "other.npy").exists()
+    with pytest.raises(ConfigError, match=".npy"):
+        load_checkpoint(tmp_path / "model.npy")
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "schema_version": "1"}))
+    with pytest.raises(ConfigError, match="re-run"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_refuses_non_finite_values(tmp_path):
+    trained, _, _ = _saved_checkpoint(tmp_path)
+    bad = dataclasses.replace(trained, best_val_mse=math.nan)
+    with pytest.raises(ConfigError):
+        save_checkpoint(tmp_path / "bad.json", bad)
+    # nothing is written, not even the parameter file
+    assert not (tmp_path / "bad.json").exists()
+    assert not (tmp_path / "bad.npy").exists()
 
 
 # --- config validation ---

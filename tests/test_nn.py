@@ -15,6 +15,7 @@ from ite_bench.nn import (
     mlp_forward,
     params_from_dict,
     params_to_dict,
+    params_vector,
     sgd_step,
 )
 
@@ -295,9 +296,16 @@ def test_init_seed_reproducible():
 def test_checkpoint_round_trip_is_exact():
     params = init_mlp([5, 7, 3], "elu", dropout_rate=0.25, rng=8)
     doc = json.loads(json.dumps(params_to_dict(params)))
-    back = params_from_dict(doc)
+    assert doc["layers"] == [[7, 5], [3, 7]]
+    values = params_vector(params)
+    assert values.shape == (params.n_params,)
+    np.testing.assert_array_equal(values[:35], params.layers[0][0].ravel())
+    # reads its own values from the front of a longer vector
+    back = params_from_dict(doc, np.concatenate([values, [9.0, 9.0]]))
     assert back.hidden_activation == "elu"
     assert back.dropout_rate == 0.25
     for (w0, b0), (w1, b1) in zip(params.layers, back.layers):
         np.testing.assert_array_equal(w0, w1)
         np.testing.assert_array_equal(b0, b1)
+    with pytest.raises(ConfigError):
+        params_from_dict(doc, values[:-1])

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -352,6 +353,88 @@ def test_save_refuses_nonempty_dir_without_force(tmp_path):
 def test_load_rejects_non_dataset_dir(tmp_path):
     with pytest.raises(DataError):
         load_dataset(tmp_path)
+
+
+UNPICKLED = []
+
+
+def _record_unpickling():
+    UNPICKLED.append(True)
+    return 0.0
+
+
+class _Tripwire:
+    def __reduce__(self):
+        return (_record_unpickling, ())
+
+
+def test_dataset_directory_holds_npy_arrays(tmp_path):
+    ds = simulate_dataset(small_cfg(seed=2))
+    save_dataset(ds, tmp_path / "ds")
+    manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    assert manifest["schema_version"] == "2"
+    names = sorted(p.name for p in (tmp_path / "ds").iterdir())
+    assert names == sorted(["manifest.json", *manifest["files"].values()])
+    t_obs = np.load(tmp_path / "ds" / "t_obs.npy", allow_pickle=False)
+    assert t_obs.dtype == np.int64
+    np.testing.assert_array_equal(t_obs, ds.t_obs)
+    y = np.load(tmp_path / "ds" / "y_factual.npy", allow_pickle=False)
+    assert y.dtype == np.float64 and y.shape == (ds.n,)
+
+
+@pytest.mark.parametrize(
+    "fname, bad",
+    [
+        ("covariates.npy", "object"),
+        ("covariates.npy", "float32"),
+        ("t_obs.npy", "int32"),
+        ("y_factual.npy", "short"),
+        ("y_sampled.npy", "transposed"),
+        ("centroids.npy", "truncated"),
+        ("mu_sigma.npy", "missing"),
+    ],
+)
+def test_load_refuses_a_malformed_array(tmp_path, fname, bad):
+    ds = simulate_dataset(small_cfg(seed=2))
+    out = tmp_path / "ds"
+    save_dataset(ds, out)
+    path = out / fname
+    arr = np.load(path, allow_pickle=False)
+    if bad == "object":
+        UNPICKLED.clear()
+        np.save(path, np.array([_Tripwire()] * 3, dtype=object), allow_pickle=True)
+    elif bad in ("float32", "int32"):
+        np.save(path, arr.astype(bad))
+    elif bad == "short":
+        np.save(path, arr[:-1])
+    elif bad == "transposed":
+        np.save(path, np.ascontiguousarray(arr.T))
+    elif bad == "truncated":
+        path.write_bytes(path.read_bytes()[:-8])
+    else:
+        path.unlink()
+    with pytest.raises(DataError, match=fname):
+        load_dataset(out)
+    if bad == "object":
+        assert not UNPICKLED
+
+
+def test_load_refuses_schema_1_csv_directory(tmp_path):
+    out = tmp_path / "old"
+    out.mkdir()
+    (out / "covariates.csv").write_text("0.6,0.8\n")
+    (out / "manifest.json").write_text(json.dumps({"schema_version": "1", "n": 1}))
+    with pytest.raises(DataError, match="re-run"):
+        load_dataset(out)
+
+
+def test_manifest_refuses_non_finite_values(tmp_path):
+    # a config the simulator accepts but strict JSON cannot hold
+    ds = simulate_dataset(small_cfg(kmeans_tol=math.inf))
+    with pytest.raises(ConfigError):
+        save_dataset(ds, tmp_path / "ds")
+    # refused before anything is written
+    assert not list((tmp_path / "ds").iterdir())
 
 
 def test_truth_read_audit_counter():
