@@ -48,9 +48,7 @@ from .model import (
 from .nn import (
     Gradients,
     MlpParams,
-    OptimState,
     init_mlp,
-    lr_at,
     mlp_backward,
     mlp_forward,
     sgd_step,

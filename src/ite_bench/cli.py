@@ -8,11 +8,10 @@ Commands: simulate, train, evaluate, sweep, report. Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, load_json_object
 from .experiments import (
     ExperimentConfig,
     RunRecord,
@@ -50,11 +49,7 @@ def _default_threads() -> int:
 def _load_json(path) -> dict:
     if not os.path.exists(path):
         raise DataError(f"file not found: {path}")
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    return load_json_object(path, ConfigError)
 
 
 def _load_experiment_config(path) -> ExperimentConfig:

@@ -6,6 +6,8 @@ the most specific class that applies.
 
 from __future__ import annotations
 
+import json
+
 
 class ConfigError(ValueError):
     """Invalid configuration value, flag, or hyperparameter."""
@@ -41,3 +43,16 @@ class TrainingDiverged(NumericError):
         self.epoch = epoch
         self.batch_index = batch_index
         self.history = history
+
+
+def load_json_object(path, error: type[Exception]) -> dict:
+    """The JSON object in the file at path; invalid JSON or another value
+    raises error, the class whose exit code the CLI gives that file."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path} is not a JSON object")
+    return doc

@@ -31,20 +31,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeError, TrainingDiverged
+from .errors import (
+    ConfigError,
+    DataError,
+    NumericError,
+    ShapeError,
+    TrainingDiverged,
+    load_json_object,
+)
 from .mmd import KernelSpec, treatment_regularization_loss
 from .nn import (
     ACTIVATIONS,
     Gradients,
     MlpParams,
-    OptimState,
     init_mlp,
-    lr_at,
     mlp_backward,
     mlp_forward,
-    params_from_dict,
     params_to_dict,
-    params_vector,
     sgd_step,
 )
 from .simulate import Dataset
@@ -127,6 +130,12 @@ class ModelShape:
 class OutcomeModel:
     """Representation networks plus one regression head per treatment.
 
+    theta holds every parameter in one float64 vector: cov, treat, then the
+    heads, each layer's weight row-major and then its bias (the checkpoint's
+    parameter file). Construction copies the networks into a new theta and
+    makes their (weight, bias) pairs views of it, so no two models share
+    parameters and dataclasses.replace(model) is an independent copy.
+
     head_updates counts the SGD steps each head has received (None when
     unknown, e.g. a hand-built model or an older checkpoint). A head with
     zero updates still holds its random initialization.
@@ -137,6 +146,34 @@ class OutcomeModel:
     heads: tuple[MlpParams, ...]
     variant: str = "joint"
     head_updates: tuple[int, ...] | None = None
+    theta: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        nets = self._nets()
+        arrays = [np.ravel(a) for net in nets for layer in net.layers for a in layer]
+        self.theta = np.concatenate(arrays, dtype=np.float64)
+        views = self.views(self.theta)
+        nets = [dataclasses.replace(net, layers=v) for net, v in zip(nets, views)]
+        self.cov_net, self.heads = nets[0], tuple(nets[len(nets) - self.k :])
+        if self.treat_net is not None:
+            self.treat_net = nets[1]
+
+    def _nets(self) -> list[MlpParams]:
+        treat = [self.treat_net] if self.treat_net is not None else []
+        return [self.cov_net, *treat, *self.heads]
+
+    def views(self, vec: np.ndarray) -> list[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """Each network's (weight, bias) pairs as views of vec, a vector in
+        theta's layout: cov, treat (joint only), then the heads."""
+        nets, pos = [], 0
+        for net in self._nets():
+            layers = []
+            for w, b in net.layers:
+                mid, end = pos + w.size, pos + w.size + b.size
+                layers.append((vec[pos:mid].reshape(w.shape), vec[mid:end].reshape(b.shape)))
+                pos = end
+            nets.append(tuple(layers))
+        return nets
 
     @property
     def k(self) -> int:
@@ -240,10 +277,11 @@ class TrainConfig:
     def kernel(self) -> KernelSpec:
         return KernelSpec(self.bandwidth)
 
-    def optim_state(self) -> OptimState:
-        return OptimState(
-            self.base_lr, self.lr_decay, self.scheduler_step, self.weight_decay
-        )
+    def lr_at(self, epoch: int) -> float:
+        """Step-decay schedule: base_lr * lr_decay ** floor(epoch / scheduler_step)."""
+        if epoch < 0:
+            raise ConfigError("epoch must be >= 0")
+        return self.base_lr * self.lr_decay ** (epoch // self.scheduler_step)
 
     def validate(self) -> "TrainConfig":
         if self.alpha < 0.0 or self.beta < 0.0:
@@ -256,7 +294,14 @@ class TrainConfig:
             raise ConfigError("epochs_max must be >= 0")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
-        self.optim_state().validate()
+        if self.base_lr <= 0.0:
+            raise ConfigError("base_lr must be positive")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ConfigError("lr_decay must lie in (0, 1]")
+        if self.scheduler_step < 1:
+            raise ConfigError("scheduler_step must be >= 1")
+        if self.weight_decay < 0.0:
+            raise ConfigError("weight_decay must be >= 0")
         self.kernel.validate()
         return self
 
@@ -288,6 +333,8 @@ class BatchLossResult:
     total: float
     mse: float
     balance: float
+    grad: np.ndarray  # every parameter's gradient, in the layout of model.theta
+    # views into grad; None for a head without samples, whose gradient is 0
     cov_grads: Gradients
     treat_grads: Gradients | None
     head_grads: tuple[Gradients | None, ...]
@@ -308,12 +355,14 @@ def batch_loss(
     cfg: TrainConfig,
     *,
     dropout_seed: int | None = None,
+    out: np.ndarray | None = None,
 ) -> BatchLossResult:
     """Loss and exact parameter gradients for one mini-batch.
 
     dropout_seed=None disables dropout; the same seed reproduces the same
     masks, which is what makes finite-difference checks of this function
-    possible with dropout active.
+    possible with dropout active. The gradient goes into out, a vector
+    shaped like model.theta that is zeroed first, or into a new one.
     """
     xb = np.asarray(batch.x, dtype=np.float64)
     tb = np.asarray(batch.t)
@@ -327,6 +376,9 @@ def batch_loss(
         raise ShapeError(f"batch treatments must lie in 0..{model.k - 1}")
 
     joint = model.variant == "joint"
+    grad = np.empty_like(model.theta) if out is None else out
+    grad[:] = 0.0
+    grad_views = model.views(grad)  # the heads' are the last k
     rngs = _spawn_rngs(dropout_seed, 2 + model.k)
     cov_out, cov_cache = mlp_forward(model.cov_net, xb, rngs[0])
     if joint:
@@ -357,7 +409,7 @@ def batch_loss(
         if rows.size == 0:
             continue
         upstream = (cfg.alpha * d_yhat[rows])[:, None]
-        g = mlp_backward(model.heads[t], head_caches[t], upstream)
+        g = mlp_backward(model.heads[t], head_caches[t], upstream, grad_views[t - model.k])
         head_grads[t] = g
         d_head_in[rows] += g.input_gradient
 
@@ -373,11 +425,11 @@ def batch_loss(
                 d_head_in[rows] += cfg.beta * bal_grads[t]
 
     d_cov = d_head_in[:, : cov_out.shape[1]]
-    cov_grads = mlp_backward(model.cov_net, cov_cache, d_cov)
+    cov_grads = mlp_backward(model.cov_net, cov_cache, d_cov, grad_views[0])
     treat_grads = None
     if joint:
         d_treat = d_head_in[:, cov_out.shape[1] :]
-        treat_grads = mlp_backward(model.treat_net, treat_cache, d_treat)
+        treat_grads = mlp_backward(model.treat_net, treat_cache, d_treat, grad_views[1])
 
     total = cfg.alpha * mse + cfg.beta * balance
     if not np.isfinite(total):
@@ -386,6 +438,7 @@ def batch_loss(
         total=total,
         mse=mse,
         balance=balance,
+        grad=grad,
         cov_grads=cov_grads,
         treat_grads=treat_grads,
         head_grads=tuple(head_grads),
@@ -481,23 +534,6 @@ def factual_predictions(
     return yhat[np.arange(yhat.shape[0]), np.asarray(t_obs)]
 
 
-def _apply_step(
-    model: OutcomeModel, res: BatchLossResult, lr: float, weight_decay: float
-) -> OutcomeModel:
-    cov_net = sgd_step(model.cov_net, res.cov_grads, lr, weight_decay)
-    treat_net = model.treat_net
-    if res.treat_grads is not None:
-        treat_net = sgd_step(model.treat_net, res.treat_grads, lr, weight_decay)
-    heads = tuple(
-        sgd_step(head, g, lr, weight_decay) if g is not None else head
-        for head, g in zip(model.heads, res.head_grads)
-    )
-    head_updates = tuple(
-        n + (g is not None) for n, g in zip(model.head_updates, res.head_grads)
-    )
-    return OutcomeModel(cov_net, treat_net, heads, model.variant, head_updates)
-
-
 def train(
     dataset: Dataset,
     shape: ModelShape,
@@ -530,17 +566,19 @@ def train(
     )
     order_rng = np.random.default_rng(s_order)
     drop_rng = np.random.default_rng(s_drop)
-    optim = cfg.optim_state()
 
     history = TrainHistory()
-    best_model = model
+    # one gradient buffer per fit: a new one per batch raised peak RSS ~10% at
+    # search-grid width, where numpy backs large arrays with huge pages
+    grad = np.empty_like(model.theta)
+    best_model = dataclasses.replace(model)
     best_epoch: int | None = None
     best_val = np.inf
     epochs_since_best = 0
     n_tr = x_tr.shape[0]
 
     for epoch in range(cfg.epochs_max):
-        lr = lr_at(optim, epoch)
+        lr = cfg.lr_at(epoch)
         order = order_rng.permutation(n_tr)
         sums = np.zeros(3)
         head_norms = np.zeros(dataset.k)
@@ -551,16 +589,26 @@ def train(
             batch = Batch(x_tr[idx], t_tr[idx], t_emb[t_tr[idx]], y_tr[idx])
             seed = int(drop_rng.integers(2**63))
             try:
-                res = batch_loss(model, batch, cfg, dropout_seed=seed)
-                model = _apply_step(model, res, lr, cfg.weight_decay)
+                res = batch_loss(model, batch, cfg, dropout_seed=seed, out=grad)
+                # before the step, which overwrites the gradient
+                for t, g in enumerate(res.head_grads):
+                    if g is not None:
+                        head_norms[t] += _grad_norm(g)
+                pairs = [(model.cov_net, res.cov_grads), (model.treat_net, res.treat_grads)]
+                pairs += zip(model.heads, res.head_grads)
+                decayed = [
+                    (w, gw) for net, g in pairs if g is not None
+                    for (w, _), (gw, _) in zip(net.layers, g.layers)
+                ]
+                sgd_step(model.theta, res.grad, lr, cfg.weight_decay, decayed)
             except TrainingDiverged:
                 raise
             except NumericError as exc:
                 raise TrainingDiverged(epoch, batch_index, history) from exc
+            model.head_updates = tuple(
+                n + (g is not None) for n, g in zip(model.head_updates, res.head_grads)
+            )
             sums += (res.total, res.mse, res.balance)
-            for t, g in enumerate(res.head_grads):
-                if g is not None:
-                    head_norms[t] += _grad_norm(g)
             if variant == "joint" and res.n_balance_groups < 2:
                 degenerate += 1
             n_batches += 1
@@ -577,7 +625,7 @@ def train(
 
         if val_mse < best_val:
             best_val = val_mse
-            best_model = model
+            best_model = dataclasses.replace(model)
             best_epoch = epoch
             epochs_since_best = 0
         else:
@@ -607,10 +655,12 @@ def params_path(path) -> str:
     return os.path.splitext(path)[0] + ".npy"
 
 
-def _networks(model: OutcomeModel) -> list[MlpParams]:
-    """Every network in the parameter vector's order: cov, treat, then heads."""
-    treat = [model.treat_net] if model.treat_net is not None else []
-    return [model.cov_net, *treat, *model.heads]
+def _network_docs(model: OutcomeModel) -> dict:
+    return {
+        "cov_net": params_to_dict(model.cov_net),
+        "treat_net": params_to_dict(model.treat_net) if model.treat_net is not None else None,
+        "heads": [params_to_dict(h) for h in model.heads],
+    }
 
 
 def checkpoint_dict(trained: TrainedModel, params_sha256: str) -> dict:
@@ -625,11 +675,7 @@ def checkpoint_dict(trained: TrainedModel, params_sha256: str) -> dict:
         "treat_input_dim": (
             model.treat_net.input_dim if model.treat_net is not None else None
         ),
-        "cov_net": params_to_dict(model.cov_net),
-        "treat_net": (
-            params_to_dict(model.treat_net) if model.treat_net is not None else None
-        ),
-        "heads": [params_to_dict(h) for h in model.heads],
+        **_network_docs(model),
         "params_sha256": params_sha256,
         "head_updates": (
             list(model.head_updates) if model.head_updates is not None else None
@@ -642,11 +688,11 @@ def checkpoint_dict(trained: TrainedModel, params_sha256: str) -> dict:
 
 
 def save_checkpoint(path, trained: TrainedModel) -> None:
-    """Write the flat float64 parameter vector to params_path(path), then the
-    JSON header, which records the vector's sha256, to path."""
+    """Write the model's theta to params_path(path), then the JSON header,
+    which records the vector's sha256, to path."""
     sidecar = params_path(path)
     buf = io.BytesIO()
-    np.save(buf, np.concatenate([params_vector(net) for net in _networks(trained.model)]))
+    np.save(buf, trained.model.theta)
     data = buf.getvalue()
     doc = checkpoint_dict(trained, hashlib.sha256(data).hexdigest())
     try:
@@ -673,17 +719,14 @@ def _load_params(sidecar: str, doc: dict) -> np.ndarray:
         vec = np.load(io.BytesIO(data), allow_pickle=False)
     except (ValueError, EOFError) as exc:
         raise ConfigError(f"malformed checkpoint parameter file {sidecar}: {exc}") from exc
-    if vec.dtype != np.float64 or vec.ndim != 1:
-        raise ConfigError(
-            f"{sidecar} holds {vec.dtype} {vec.shape}, not a float64 vector"
-        )
     return vec
 
 
 def load_checkpoint(path) -> TrainedModel:
+    """Read a checkpoint into a model built from the header's shape, dims, k
+    and variant; the header's networks must agree with that model."""
     sidecar = params_path(path)
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = load_json_object(path, ConfigError)
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported checkpoint schema_version {doc.get('schema_version')!r} "
@@ -691,30 +734,25 @@ def load_checkpoint(path) -> TrainedModel:
         )
     vec = _load_params(sidecar, doc)
     try:
-        treat = [doc["treat_net"]] if doc["treat_net"] is not None else []
-        nets = []
-        offset = 0
-        for net_doc in [doc["cov_net"], *treat, *doc["heads"]]:
-            nets.append(params_from_dict(net_doc, vec[offset:]))
-            offset += nets[-1].n_params
-        if offset != vec.size:
-            raise ConfigError(
-                f"parameter vector holds {vec.size} values, the networks need {offset}"
-            )
-        model = OutcomeModel(
-            cov_net=nets[0],
-            treat_net=nets[1] if treat else None,
-            heads=tuple(nets[1 + len(treat) :]),
-            variant=doc["variant"],
-            # null, or absent, for a model that carries no record
-            head_updates=(
-                tuple(int(n) for n in doc["head_updates"])
-                if doc.get("head_updates") is not None
-                else None
-            ),
-        ).validate()
-        cfg = TrainConfig.from_dict(doc["train_config"], path="checkpoint.train_config")
         shape = ModelShape.from_dict(doc["shape"], path="checkpoint.shape")
+        model = build_model(
+            doc["input_dim"], doc["k"], shape, doc["variant"],
+            treat_input_dim=doc["treat_input_dim"], scheme="zeros",
+        )
+        for key, expect in _network_docs(model).items():
+            if doc[key] != expect:
+                raise ConfigError(f"checkpoint {key} disagrees with its shape: {expect}")
+        if vec.dtype != np.float64 or vec.shape != model.theta.shape:
+            raise ConfigError(
+                f"{sidecar} holds {vec.dtype} values of shape {vec.shape}; the model "
+                f"needs {model.theta.size} float64 values"
+            )
+        model.theta[:] = vec
+        # null, or absent, for a model that carries no record
+        counts = doc.get("head_updates")
+        model.head_updates = None if counts is None else tuple(int(n) for n in counts)
+        model.validate()
+        cfg = TrainConfig.from_dict(doc["train_config"], path="checkpoint.train_config")
     except KeyError as exc:
         raise ConfigError(f"malformed checkpoint: missing {exc}") from exc
     except (TypeError, ValueError) as exc:

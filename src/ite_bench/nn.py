@@ -1,10 +1,12 @@
 """Dense feedforward networks with exact backpropagation.
 
 Deliberately small engine: linear layers, tanh/ELU hidden activations,
-inverted dropout, plain SGD with weight decay (biases exempt), and a
-step-decay learning-rate schedule. Everything runs in float64 so analytic
-gradients can be checked against central finite differences to tight
-tolerances.
+inverted dropout, and plain SGD with weight decay (biases exempt).
+Everything runs in float64 so analytic gradients can be checked against
+central finite differences to tight tolerances.
+
+In a model the networks' arrays are views into one flat parameter vector
+(OutcomeModel.theta), and sgd_step updates that vector in place.
 
 Conventions:
   * a network with L layers applies the hidden activation (and dropout,
@@ -16,7 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,8 +46,9 @@ def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
 class MlpParams:
     """Parameters of one fully connected network.
 
-    layers holds (weight, bias) pairs ordered input -> output. The arrays
-    are treated as immutable: every update produces new ones.
+    layers holds (weight, bias) pairs ordered input -> output. Inside an
+    OutcomeModel they are views into the model's theta, which sgd_step
+    updates in place.
     """
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -97,28 +100,6 @@ class Gradients:
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     input_gradient: np.ndarray
-
-
-@dataclass(frozen=True)
-class OptimState:
-    """SGD hyperparameters with a step-decay schedule."""
-
-    base_lr: float
-    lr_decay: float = 1.0
-    scheduler_step: int = 10
-    weight_decay: float = 0.0
-    epoch: int = 0
-
-    def validate(self) -> "OptimState":
-        if self.base_lr <= 0.0:
-            raise ConfigError("base_lr must be positive")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ConfigError("lr_decay must lie in (0, 1]")
-        if self.scheduler_step < 1:
-            raise ConfigError("scheduler_step must be >= 1")
-        if self.weight_decay < 0.0:
-            raise ConfigError("weight_decay must be >= 0")
-        return self
 
 
 @dataclass
@@ -216,11 +197,14 @@ def mlp_backward(
     params: MlpParams,
     cache: ForwardCache,
     upstream_grad: np.ndarray,
+    out: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> Gradients:
     """Exact gradients of sum(upstream_grad * output) w.r.t. parameters and input.
 
     upstream_grad must match the forward output shape; for batched forwards
     it carries one row per sample and parameter gradients sum over rows.
+    Parameter gradients go into out, (dW, db) arrays shaped like
+    params.layers (views of a model's gradient vector), or new arrays.
     """
     n_layers = len(params.layers)
     if len(cache.inputs) != n_layers or len(cache.pre_activations) != n_layers:
@@ -235,12 +219,15 @@ def mlp_backward(
             f"({batch}, {params.output_dim})"
         )
 
-    grad_layers: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers  # type: ignore
+    if out is None:
+        out = [(np.empty_like(w), np.empty_like(b)) for w, b in params.layers]
     delta = g  # gradient w.r.t. the current layer's pre-activation
     d_input = None
     for l in range(n_layers - 1, -1, -1):
         w, _ = params.layers[l]
-        grad_layers[l] = (delta.T @ cache.inputs[l], delta.sum(axis=0))
+        gw, gb = out[l]
+        np.matmul(delta.T, cache.inputs[l], out=gw)
+        delta.sum(axis=0, out=gb)
         d_input = delta @ w
         if l > 0:
             mask = cache.dropout_masks[l - 1]
@@ -252,75 +239,41 @@ def mlp_backward(
     assert d_input is not None
     if cache.squeeze:
         d_input = d_input[0]
-    return Gradients(tuple(grad_layers), d_input)
+    return Gradients(tuple(out), d_input)
 
 
 def sgd_step(
-    params: MlpParams,
-    grads: Gradients,
+    theta: np.ndarray,
+    grad: np.ndarray,
     lr: float,
-    weight_decay: float = 0.0,
-) -> MlpParams:
-    """One SGD update: w <- w - lr*(g + weight_decay*w), b <- b - lr*g_b."""
+    weight_decay: float,
+    decayed: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """One in-place SGD update: theta -= lr * grad, after each (w, gw) pair of
+    weight views into theta and grad in decayed adds weight_decay * w to gw.
+    Biases never decay, and a zero gradient outside decayed leaves theta
+    bit-for-bit as it was. grad is overwritten; a non-finite gradient raises
+    NumericError before anything is written."""
     if lr < 0.0:
         raise ConfigError("lr must be >= 0")
     if weight_decay < 0.0:
         raise ConfigError("weight_decay must be >= 0")
-    if len(grads.layers) != len(params.layers):
-        raise ShapeError("gradient depth does not match network depth")
-    new_layers = []
-    for i, ((w, b), (gw, gb)) in enumerate(zip(params.layers, grads.layers)):
-        if gw.shape != w.shape or gb.shape != b.shape:
-            raise ShapeError(f"layer {i}: gradient shape does not match parameters")
-        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
-            raise NumericError(f"layer {i}: non-finite gradient")
-        new_layers.append((w - lr * (gw + weight_decay * w), b - lr * gb))
-    return replace(params, layers=tuple(new_layers))
-
-
-def lr_at(state: OptimState, epoch: int) -> float:
-    """Step-decay schedule: base_lr * lr_decay ** floor(epoch / scheduler_step)."""
-    if epoch < 0:
-        raise ConfigError("epoch must be >= 0")
-    state.validate()
-    return state.base_lr * state.lr_decay ** (epoch // state.scheduler_step)
+    if grad.shape != theta.shape:
+        raise ShapeError(f"gradient shape {grad.shape} does not match parameters {theta.shape}")
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient")
+    for w, gw in decayed:
+        gw += weight_decay * w
+    grad *= lr
+    theta -= grad
 
 
 def params_to_dict(params: MlpParams) -> dict:
     """JSON-ready description: activation, dropout and each layer's [out, in]
-    weight shape. The values go to params_vector; the bias of a layer has
-    the weight's out size."""
+    weight shape. The values live in the model's theta; the bias of a layer
+    has the weight's out size."""
     return {
         "layers": [list(w.shape) for w, _ in params.layers],
         "activation": params.hidden_activation,
         "dropout_rate": params.dropout_rate,
     }
-
-
-def params_vector(params: MlpParams) -> np.ndarray:
-    """Every layer's weight (row-major) then bias, input layer first."""
-    return np.concatenate([a.ravel() for layer in params.layers for a in layer])
-
-
-def params_from_dict(doc: dict, values: np.ndarray) -> MlpParams:
-    """Rebuild a network from params_to_dict's description, reading its
-    parameters from the front of the flat float64 vector values (the layout
-    of params_vector); values may run on into the next network's."""
-    try:
-        shapes = [(int(out), int(inp)) for out, inp in doc["layers"]]
-        activation, dropout_rate = doc["activation"], float(doc["dropout_rate"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed network checkpoint: {exc}") from exc
-    needed = sum(out * inp + out for out, inp in shapes)
-    if values.size < needed:
-        raise ConfigError(
-            f"parameter vector holds {values.size} values, network needs {needed}"
-        )
-    layers = []
-    offset = 0
-    for out, inp in shapes:
-        w = values[offset : offset + out * inp].reshape(out, inp)
-        offset += out * inp
-        layers.append((w, values[offset : offset + out]))
-        offset += out
-    return MlpParams(tuple(layers), activation, dropout_rate).validate()

@@ -31,6 +31,7 @@ from .errors import (
     InsufficientDataError,
     NumericError,
     ShapeError,
+    load_json_object,
 )
 
 DATASET_SCHEMA_VERSION = "2"
@@ -560,8 +561,7 @@ def load_dataset(dataset_dir) -> Dataset:
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise DataError(f"not a dataset directory (no manifest.json): {dataset_dir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = load_json_object(manifest_path, DataError)
     if manifest.get("schema_version") != DATASET_SCHEMA_VERSION:
         raise DataError(
             f"unsupported dataset schema_version {manifest.get('schema_version')!r} "

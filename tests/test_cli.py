@@ -267,6 +267,35 @@ def test_evaluate_refuses_tampered_or_missing_parameter_file(tmp_path, capsys):
     assert "checkpoint.npy" in err
 
 
+@pytest.mark.parametrize(
+    "header", ['{"schema_version": "2", ', "[]"], ids=["truncated", "not-an-object"]
+)
+def test_evaluate_malformed_checkpoint_header_exits_2(tmp_path, capsys, header):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    out = tmp_path / "run"
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "1"
+    )
+    assert code == 0, err
+    (out / "checkpoint.json").write_text(header)
+    code, _, err = run(
+        capsys, "evaluate", "--dataset", str(ds), "--checkpoint", str(out / "checkpoint.json")
+    )
+    assert code == 2
+    assert "checkpoint.json" in err
+
+
+@pytest.mark.parametrize(
+    "manifest", ['{"schema_version": ', "[1]"], ids=["truncated", "not-an-object"]
+)
+def test_train_malformed_manifest_exits_3(tmp_path, capsys, manifest):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    (ds / "manifest.json").write_text(manifest)
+    code, _, err = run(capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run"))
+    assert code == 3
+    assert "manifest.json" in err
+
+
 def test_schema_1_csv_dataset_is_refused(tmp_path, capsys):
     old = tmp_path / "old"
     old.mkdir()
@@ -458,6 +487,26 @@ def test_report_cli_accepts_eval_reports(tmp_path, capsys):
     assert code == 0
     assert "solo" in stdout  # labeled by file stem
     assert "(n=1)" in stdout
+
+
+def test_report_refuses_a_json_array(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    code, _, err = run(capsys, "report", str(path))
+    assert code == 2
+    assert "not a JSON object" in err
+
+
+def test_train_refuses_a_json_array_config(tmp_path, capsys):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[]")
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+        "--config", str(cfg_path),
+    )
+    assert code == 2
+    assert "not a JSON object" in err
 
 
 def test_report_cli_error_paths(tmp_path, capsys):

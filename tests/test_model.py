@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from ite_bench.errors import ConfigError, DataError, ShapeError, TrainingDiverged
+from ite_bench import model as model_module
+from ite_bench.errors import ConfigError, DataError, NumericError, ShapeError, TrainingDiverged
 from ite_bench.model import (
     Batch,
     ModelShape,
@@ -22,7 +23,7 @@ from ite_bench.model import (
     save_checkpoint,
     train,
 )
-from ite_bench.nn import MlpParams, mlp_forward
+from ite_bench.nn import MlpParams, init_mlp, mlp_forward, sgd_step
 from ite_bench.simulate import SimConfig, simulate_dataset
 
 from gradcheck import central_difference, flatten_grads, flatten_params, unflatten_params
@@ -135,6 +136,25 @@ def test_baseline_ignores_treatment_features():
     # without treatment information every head sees the same input, but the
     # heads themselves differ
     assert not np.array_equal(y1[:, 0], y1[:, 1])
+
+
+def test_model_copies_its_networks_and_theta_drives_predictions():
+    cov = init_mlp([2, 3], rng=1)
+    head = init_mlp([3, 1], rng=2)
+    w_in = cov.layers[0][0].copy()
+    # the same head object twice: each head gets its own slice of theta
+    model = OutcomeModel(cov, None, (head, head), "tarnet").validate()
+    assert not np.shares_memory(model.theta, cov.layers[0][0])
+    assert not np.shares_memory(model.heads[0].layers[0][0], model.heads[1].layers[0][0])
+    x, t_emb = np.array([[0.3, -0.7], [1.1, 0.4]]), np.zeros((2, 2))
+    before = predict_all_outcomes(model, x, t_emb)
+    model.theta[-1] += 1.0  # the bias of the last head's output layer
+    after = predict_all_outcomes(model, x, t_emb)
+    np.testing.assert_array_equal(after[:, 0], before[:, 0])
+    np.testing.assert_allclose(after[:, 1], before[:, 1] + 1.0, rtol=0, atol=1e-15)
+    model.theta[:] = 0.0
+    np.testing.assert_array_equal(cov.layers[0][0], w_in)
+    np.testing.assert_array_equal(predict_all_outcomes(model, x, t_emb), np.zeros((2, 2)))
 
 
 def test_model_validation():
@@ -331,6 +351,9 @@ def test_batch_loss_gradients_match_finite_differences(variant, activation, drop
 
     fd = central_difference(total_from, _flatten_model(model))
     np.testing.assert_allclose(_flatten_loss_grads(model, res), fd, rtol=1e-4, atol=1e-7)
+    # the gradient vector has theta's layout
+    np.testing.assert_array_equal(res.grad, _flatten_loss_grads(model, res))
+    np.testing.assert_array_equal(model.theta, _flatten_model(model))
 
 
 # --- training loop ---
@@ -353,6 +376,87 @@ def test_train_counts_updates_per_head_up_to_the_best_epoch():
     held_out = train(ds.without_treatment_in_fit(1), small_shape(), cfg)
     assert held_out.model.head_updates[1] == 0
     assert held_out.model.head_updates[0] > 0 and held_out.model.head_updates[2] > 0
+
+
+def _record_steps(monkeypatch):
+    """Record, per training step, the live model, which heads the batch
+    missed, and theta before and after the step."""
+    steps = []
+    real_loss, real_step = model_module.batch_loss, model_module.sgd_step
+
+    def loss(model, batch, cfg, **kw):
+        res = real_loss(model, batch, cfg, **kw)
+        steps.append([model, [g is None for g in res.head_grads], None, None])
+        return res
+
+    def step(theta, grad, *args):
+        before = theta.copy()
+        real_step(theta, grad, *args)
+        steps[-1][2:] = before, theta.copy()
+
+    monkeypatch.setattr(model_module, "batch_loss", loss)
+    monkeypatch.setattr(model_module, "sgd_step", step)
+    return steps
+
+
+def test_a_head_without_samples_is_untouched_by_the_step(monkeypatch):
+    # batches of 4 over 3 treatments often miss a head; weight decay is on
+    steps = _record_steps(monkeypatch)
+    train(small_dataset(n=120), small_shape(), quick_train_cfg(batch_size=4, weight_decay=0.1))
+    idle = 0
+    for model, missed, before, after in steps:
+        heads = zip(model.views(before)[-model.k :], model.views(after)[-model.k :])
+        for t, (old, new) in enumerate(heads):
+            old, new = (b"".join(a.tobytes() for layer in h for a in layer) for h in (old, new))
+            if missed[t]:
+                idle += 1
+                assert new == old  # bit for bit
+            else:
+                assert new != old
+    assert idle > 0
+
+
+def test_held_out_head_keeps_its_initialization():
+    ds = small_dataset(n=200).without_treatment_in_fit(1)
+    cfg = quick_train_cfg(weight_decay=0.1)
+    initial = train(ds, small_shape(), dataclasses.replace(cfg, epochs_max=0)).model
+    trained = train(ds, small_shape(), cfg).model
+    assert trained.head_updates[1] == 0
+    for (w0, b0), (w1, b1) in zip(initial.heads[1].layers, trained.heads[1].layers):
+        np.testing.assert_array_equal(w1, w0)
+        np.testing.assert_array_equal(b1, b0)
+    assert not np.array_equal(trained.heads[0].layers[0][0], initial.heads[0].layers[0][0])
+
+
+def test_best_epoch_snapshot_is_a_copy(monkeypatch):
+    steps = _record_steps(monkeypatch)
+    ds = small_dataset()
+    trained = train(ds, small_shape(), quick_train_cfg(base_lr=0.3, epochs_max=8, seed=2))
+    live = steps[-1][0]
+    assert trained.model is not live
+    assert not np.shares_memory(trained.model.theta, live.theta)
+    # a later epoch was worse, and the snapshot still scores the best one
+    assert trained.best_epoch < trained.history.n_epochs() - 1
+    x_val, t_val, y_val = ds.observed("val")
+    val_hat = factual_predictions(trained.model, x_val, t_val, ds.T_emb)
+    assert float(np.mean((val_hat - y_val) ** 2)) == trained.best_val_mse
+    live_hat = factual_predictions(live, x_val, t_val, ds.T_emb)
+    assert float(np.mean((live_hat - y_val) ** 2)) == trained.history.val_mse[-1]
+
+
+def test_sgd_step_leaves_theta_unchanged_on_a_non_finite_gradient():
+    model = build_model(3, 2, small_shape(), "joint", rng=3)
+    rng = np.random.default_rng(1)
+    x, t_feat, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 3)), rng.normal(size=6)
+    batch = Batch(x, np.array([0, 1] * 3), t_feat, y)
+    res = batch_loss(model, batch, TrainConfig(bandwidth=1.0))
+    before = model.theta.copy()
+    res.grad[-1] = np.inf
+    nets, grads = model.views(model.theta), model.views(res.grad)
+    decayed = [(w, gw) for a, b in zip(nets, grads) for (w, _), (gw, _) in zip(a, b)]
+    with pytest.raises(NumericError):
+        sgd_step(model.theta, res.grad, 0.1, 1e-4, decayed)
+    np.testing.assert_array_equal(model.theta, before)
 
 
 def test_history_composition_and_best_tracking():
@@ -525,6 +629,7 @@ def test_checkpoint_is_a_header_plus_a_parameter_vector(tmp_path):
     nets = [model.cov_net, model.treat_net, *model.heads]
     assert vec.dtype == np.float64
     assert vec.shape == (sum(net.n_params for net in nets),)
+    np.testing.assert_array_equal(vec, model.theta)
     assert doc["cov_net"]["layers"] == [list(w.shape) for w, _ in model.cov_net.layers]
     # cov, treat, then heads; each layer's weight row-major, then its bias
     w0, b0 = model.cov_net.layers[0]
@@ -549,14 +654,31 @@ def test_checkpoint_rejects_a_tampered_parameter_file(tmp_path):
     sidecar.unlink()
     with pytest.raises(DataError, match="model.npy"):
         load_checkpoint(path)
-    # a well-formed file one value short or long, recorded under its own sha256
+    # a well-formed file one value short or long, or float32, recorded under
+    # its own sha256
     doc = json.loads(path.read_text())
     vec = np.load(io.BytesIO(good), allow_pickle=False)
-    for bad in (vec[:-1], np.append(vec, 0.0)):
+    for bad in (vec[:-1], np.append(vec, 0.0), vec.astype(np.float32)):
         np.save(sidecar, bad)
         digest = hashlib.sha256(sidecar.read_bytes()).hexdigest()
         path.write_text(json.dumps({**doc, "params_sha256": digest}))
         with pytest.raises(ConfigError, match="values"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_networks_must_agree_with_its_shape(tmp_path):
+    _, path, _ = _saved_checkpoint(tmp_path)
+    doc = json.loads(path.read_text())
+    cov_wide = {**doc["cov_net"], "layers": [[9, 6], [4, 9]]}
+    head_elu = {**doc["heads"][0], "activation": "tanh"}
+    for bad in (
+        {**doc, "cov_net": cov_wide},
+        {**doc, "heads": doc["heads"][:-1]},
+        {**doc, "heads": [head_elu, *doc["heads"][1:]]},
+        {**doc, "shape": {**doc["shape"], "cov_width": 9}},
+    ):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ConfigError, match="disagrees"):
             load_checkpoint(path)
 
 

@@ -5,17 +5,13 @@ import numpy as np
 import pytest
 
 from ite_bench.errors import ConfigError, NumericError, ShapeError
+from ite_bench.model import OutcomeModel, TrainConfig
 from ite_bench.nn import (
-    Gradients,
     MlpParams,
-    OptimState,
     init_mlp,
-    lr_at,
     mlp_backward,
     mlp_forward,
-    params_from_dict,
     params_to_dict,
-    params_vector,
     sgd_step,
 )
 
@@ -221,58 +217,72 @@ def test_gradients_match_finite_differences_with_fixed_dropout():
     assert_grads_close(flatten_grads(grads), fd)
 
 
+def _flat(params):
+    """One network's theta (each layer's weight row-major, then its bias) and
+    the slices of its weights."""
+    slices, pos = [], 0
+    for w, b in params.layers:
+        slices.append(slice(pos, pos + w.size))
+        pos += w.size + b.size
+    return flatten_params(params), slices
+
+
+def _step(theta, grad, lr, weight_decay, weights):
+    sgd_step(theta, grad, lr, weight_decay, [(theta[s], grad[s]) for s in weights])
+
+
 def test_sgd_step_hand_case():
-    params = _params([([[1.0]], [0.5])])
-    grads = Gradients(((np.array([[0.0]]), np.array([0.25])),), np.zeros(1))
-    new = sgd_step(params, grads, lr=0.1, weight_decay=0.5)
+    theta = np.array([1.0, 0.5])  # weight [[1.0]], bias [0.5]
+    _step(theta, np.array([0.0, 0.25]), lr=0.1, weight_decay=0.5, weights=[slice(0, 1)])
     # weight decays even with zero gradient; bias never decays
-    assert new.layers[0][0][0, 0] == pytest.approx(0.95, abs=1e-15)
-    assert new.layers[0][1][0] == pytest.approx(0.5 - 0.1 * 0.25, abs=1e-15)
+    assert theta[0] == pytest.approx(0.95, abs=1e-15)
+    assert theta[1] == pytest.approx(0.5 - 0.1 * 0.25, abs=1e-15)
 
 
 def test_sgd_zero_lr_is_identity():
-    params = init_mlp([3, 4, 2], rng=0)
-    grads = Gradients(
-        tuple((np.ones_like(w), np.ones_like(b)) for w, b in params.layers),
-        np.zeros(3),
-    )
-    new = sgd_step(params, grads, lr=0.0, weight_decay=0.3)
-    for (w0, b0), (w1, b1) in zip(params.layers, new.layers):
-        np.testing.assert_array_equal(w0, w1)
-        np.testing.assert_array_equal(b0, b1)
+    theta, weights = _flat(init_mlp([3, 4, 2], rng=0))
+    before = theta.copy()
+    _step(theta, np.ones_like(theta), lr=0.0, weight_decay=0.3, weights=weights)
+    np.testing.assert_array_equal(theta, before)
 
 
 def test_weight_decay_strictly_shrinks_nonzero_weights():
-    params = init_mlp([4, 6, 3], rng=42)
-    zero_grads = Gradients(
-        tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in params.layers),
-        np.zeros(4),
-    )
-    new = sgd_step(params, zero_grads, lr=0.05, weight_decay=0.1)
-    for (w0, b0), (w1, b1) in zip(params.layers, new.layers):
-        nz = w0 != 0.0
-        assert np.all(np.abs(w1[nz]) < np.abs(w0[nz]))
-        np.testing.assert_array_equal(b0, b1)
+    theta, weights = _flat(init_mlp([4, 6, 3], rng=42))
+    is_weight = np.zeros(theta.size, dtype=bool)
+    for s in weights:
+        is_weight[s] = True
+    theta[~is_weight] = 0.3  # nonzero biases, which must not decay
+    before = theta.copy()
+    _step(theta, np.zeros_like(theta), lr=0.05, weight_decay=0.1, weights=weights)
+    nz = is_weight & (before != 0.0)
+    assert nz.sum() == 4 * 6 + 6 * 3
+    assert np.all(np.abs(theta[nz]) < np.abs(before[nz]))
+    np.testing.assert_array_equal(theta[~is_weight], before[~is_weight])
 
 
 def test_sgd_rejects_nonfinite_gradients():
-    params = init_mlp([2, 2], rng=0)
-    bad = Gradients(((np.array([[np.nan, 0.0], [0.0, 0.0]]), np.zeros(2)),), np.zeros(2))
+    theta, weights = _flat(init_mlp([2, 2], rng=0))
+    before = theta.copy()
+    bad = np.zeros_like(theta)
+    bad[0] = np.nan
     with pytest.raises(NumericError):
-        sgd_step(params, bad, lr=0.1)
+        _step(theta, bad, lr=0.1, weight_decay=0.0, weights=weights)
+    np.testing.assert_array_equal(theta, before)
 
 
 def test_lr_schedule():
-    state = OptimState(base_lr=0.1, lr_decay=0.1, scheduler_step=10)
-    assert lr_at(state, 0) == 0.1
-    assert lr_at(state, 9) == 0.1
-    assert lr_at(state, 10) == pytest.approx(0.01, rel=1e-15)
-    assert lr_at(OptimState(0.1, 0.1, 15), 31) == pytest.approx(0.001, rel=1e-12)
-    assert lr_at(OptimState(0.3, 1.0, 5), 1000) == 0.3
+    cfg = TrainConfig(base_lr=0.1, lr_decay=0.1, scheduler_step=10)
+    assert cfg.lr_at(0) == 0.1
+    assert cfg.lr_at(9) == 0.1
+    assert cfg.lr_at(10) == pytest.approx(0.01, rel=1e-15)
+    assert TrainConfig(base_lr=0.1, lr_decay=0.1, scheduler_step=15).lr_at(31) == pytest.approx(
+        0.001, rel=1e-12
+    )
+    assert TrainConfig(base_lr=0.3, lr_decay=1.0, scheduler_step=5).lr_at(1000) == 0.3
     with pytest.raises(ConfigError):
-        lr_at(state, -1)
+        cfg.lr_at(-1)
     with pytest.raises(ConfigError):
-        OptimState(base_lr=0.0).validate()
+        TrainConfig(base_lr=0.0).validate()
 
 
 def test_glorot_init_bounds_and_zero_biases():
@@ -295,17 +305,27 @@ def test_init_seed_reproducible():
 
 def test_checkpoint_round_trip_is_exact():
     params = init_mlp([5, 7, 3], "elu", dropout_rate=0.25, rng=8)
-    doc = json.loads(json.dumps(params_to_dict(params)))
-    assert doc["layers"] == [[7, 5], [3, 7]]
-    values = params_vector(params)
-    assert values.shape == (params.n_params,)
-    np.testing.assert_array_equal(values[:35], params.layers[0][0].ravel())
-    # reads its own values from the front of a longer vector
-    back = params_from_dict(doc, np.concatenate([values, [9.0, 9.0]]))
-    assert back.hidden_activation == "elu"
-    assert back.dropout_rate == 0.25
-    for (w0, b0), (w1, b1) in zip(params.layers, back.layers):
-        np.testing.assert_array_equal(w0, w1)
-        np.testing.assert_array_equal(b0, b1)
-    with pytest.raises(ConfigError):
-        params_from_dict(doc, values[:-1])
+    head = init_mlp([3, 1], rng=9)
+    model = OutcomeModel(params, None, (head,), "tarnet").validate()
+    doc = json.loads(json.dumps(params_to_dict(model.cov_net)))
+    assert doc == {"layers": [[7, 5], [3, 7]], "activation": "elu", "dropout_rate": 0.25}
+    # theta: cov then heads, each layer's weight row-major, then its bias
+    assert model.theta.shape == (params.n_params + head.n_params,)
+    np.testing.assert_array_equal(model.theta[:35], params.layers[0][0].ravel())
+    np.testing.assert_array_equal(
+        model.theta, np.concatenate([flatten_params(params), flatten_params(head)])
+    )
+    # a zero skeleton of the same layout takes the vector back exactly
+    skeleton = OutcomeModel(
+        init_mlp([5, 7, 3], "elu", dropout_rate=0.25, scheme="zeros"),
+        None,
+        (init_mlp([3, 1], scheme="zeros"),),
+        "tarnet",
+    )
+    skeleton.theta[:] = model.theta
+    assert skeleton.cov_net.hidden_activation == "elu"
+    assert skeleton.cov_net.dropout_rate == 0.25
+    for net, back in ((params, skeleton.cov_net), (head, skeleton.heads[0])):
+        for (w0, b0), (w1, b1) in zip(net.layers, back.layers):
+            np.testing.assert_array_equal(w0, w1)
+            np.testing.assert_array_equal(b0, b1)

@@ -1,0 +1,56 @@
+"""The benchmark's tracer wraps module-level names of ite_bench from outside
+(perfbench/tracing.py, BINDINGS). This guard fails when a wrapped name moves,
+which would crash a traced benchmark run, or when a call bypasses its module
+binding, which would make that layer's traced metrics read 0."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from ite_bench import model
+from ite_bench.simulate import SimConfig, simulate_dataset
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no bytecode cache under perfbench/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_tracer_wraps_every_binding_and_records_the_training_layers(tmp_path):
+    tracing = load_tracing()
+    ds = simulate_dataset(SimConfig(n=120, d=4, k=3, seed=2))
+    shape = model.ModelShape(cov_width=8, cov_out=4, treat_width=4, treat_out=3, head_width=4)
+    cfg = model.TrainConfig(batch_size=32, epochs_max=1, seed=0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name, (bindings, _) in tracing.BINDINGS.items():
+            for module_name, attr in bindings:
+                bound = getattr(importlib.import_module(module_name), attr)
+                assert hasattr(bound, "__wrapped__"), f"{name}: {module_name}.{attr}"
+        trained = model.train(ds, shape, cfg, "joint")
+        model.save_checkpoint(tmp_path / "checkpoint.json", trained)
+        model.load_checkpoint(tmp_path / "checkpoint.json")
+    finally:
+        tracer.uninstall()
+    assert not hasattr(model.train, "__wrapped__")
+
+    calls = {}
+    for span in tracer.spans:
+        calls[span.name] = calls.get(span.name, 0) + 1
+    for name in ("nn.forward", "nn.backward", "nn.sgd_step", "mmd.balance", "model.batch_loss"):
+        assert calls.get(name, 0) > 0, name
+    n_batches = -(-len(ds.splits["train"]) // cfg.batch_size)
+    assert calls["model.batch_loss"] == calls["nn.sgd_step"] == n_batches
+    assert calls["model.ckpt_save"] == calls["model.ckpt_load"] == 1
