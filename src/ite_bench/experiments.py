@@ -16,12 +16,14 @@ import json
 import math
 import os
 import random
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import blas
 from .errors import ConfigError, DataError, TrainingDiverged
 from .metrics import EvalReport, evaluate_model, run_zero_shot_protocol
 from .model import (
@@ -337,8 +339,10 @@ def _run_trial(
     overrides: dict,
     datasets: list[Dataset],
     trial_dir,
+    blas_threads: int | None = None,
 ) -> dict:
-    """Train one configuration on every repeat dataset; never touches test truth."""
+    """Train one configuration on every repeat dataset; never touches test truth.
+    blas_threads is the BLAS thread count the trial ran with, when capped."""
     os.makedirs(trial_dir, exist_ok=True)
     t0 = time.perf_counter()
     val_mse: list[float] = []
@@ -370,12 +374,39 @@ def _run_trial(
         "mean_val_mse": float(np.mean(val_mse)) if val_mse and status == "ok" else None,
         "checkpoints": checkpoints,
         "wall_clock_s": time.perf_counter() - t0,
+        "blas_threads": blas_threads,
     }
     write_json_atomic(os.path.join(trial_dir, "record.json"), record)
     return record
 
 
+def _print_progress(record: dict, done: int, total: int) -> None:
+    mse = record["mean_val_mse"]
+    print(
+        f"sweep: trial {record['trial']} {record['status']}, mean val mse "
+        f"{'-' if mse is None else f'{mse:.6g}'}, {record['wall_clock_s']:.2f} s "
+        f"({done} of {total} done)",
+        file=sys.stderr, flush=True,
+    )
+
+
+# set in each pool worker by _init_worker; the parent process keeps None
+_worker_blas_threads: int | None = None
 _worker_dataset_cache: dict[str, Dataset] = {}
+
+
+def _init_worker(threads: int) -> None:
+    """Pool initializer: share the CPUs among the workers' BLAS threads.
+
+    A forked worker inherits the parent's BLAS thread count, so `threads`
+    workers would each run that many BLAS threads on the same CPUs.
+    """
+    global _worker_blas_threads
+    try:
+        ncpu = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        ncpu = os.cpu_count() or 1
+    _worker_blas_threads = blas.cap_threads(max(1, ncpu // threads))
 
 
 def _load_dataset_cached(path: str) -> Dataset:
@@ -395,14 +426,19 @@ def _trial_worker(payload: tuple) -> dict:
                 f"{path} was simulated from a different config than repeat {r} "
                 "of this sweep"
             )
-    return _run_trial(trial_index, cfg, overrides, datasets, trial_dir)
+    return _run_trial(trial_index, cfg, overrides, datasets, trial_dir, _worker_blas_threads)
 
 
 def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -> dict:
     """Grid search ranked by validation MSE; test truth is read only for the
     winner, after selection. Returns the summary document (also written to
     out_dir/summary.json). A non-empty out_dir is refused unless force is
-    set; the datasets are always written anew."""
+    set; the datasets are always written anew.
+
+    With threads > 1, trials run in that many forked worker processes, and
+    each worker lowers its BLAS thread count to max(1, ncpu // threads); the
+    calling process keeps its own. One line per finished trial goes to
+    stderr."""
     spec.validate()
     if threads < 1:
         raise ConfigError("threads must be >= 1")
@@ -435,14 +471,21 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
             records.append(
                 _run_trial(i, cfg, overrides, datasets, os.path.join(trials_root, f"trial_{i:04d}"))
             )
+            _print_progress(records[-1], len(records), len(points))
     else:
         payloads = [
             (i, spec.base.to_dict(), overrides, dataset_dirs,
              os.path.join(trials_root, f"trial_{i:04d}"))
             for i, overrides in enumerate(points)
         ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_trial_worker, payloads))
+        with ProcessPoolExecutor(
+            max_workers=threads, initializer=_init_worker, initargs=(threads,)
+        ) as pool:
+            futures = [pool.submit(_trial_worker, payload) for payload in payloads]
+            for future in as_completed(futures):
+                records.append(future.result())
+                _print_progress(records[-1], len(records), len(points))
+        records.sort(key=lambda rec: rec["trial"])
 
     ok = [r for r in records if r["status"] == "ok"]
     if not ok:
@@ -465,6 +508,7 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
     )
     write_json_atomic(os.path.join(out_dir, "winner_record.json"), winner_record.to_dict())
 
+    blas_counts = {rec["blas_threads"] for rec in records}
     summary = {
         "schema_version": RECORD_SCHEMA_VERSION,
         "n_trials": len(records),
@@ -483,6 +527,9 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
             ],
         },
         "test_truth_reads_before_selection": audit_reads,
+        # the workers' read-back BLAS thread count; null for a serial sweep or
+        # when no worker could cap it
+        "blas_threads_per_worker": None if None in blas_counts else max(blas_counts),
         "wall_clock_s": time.perf_counter() - t0,
     }
     write_json_atomic(os.path.join(out_dir, "summary.json"), summary)
@@ -509,6 +556,8 @@ def render_eval_report(report: EvalReport) -> str:
         )
         if zs.get("head_z_trained") is False:
             lines.append(f"  head {zs['z']} received no training updates")
+    if report.untrained_heads:
+        lines.append(f"heads never updated in training: {report.untrained_heads}")
     return "\n".join(lines)
 
 

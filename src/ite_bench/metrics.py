@@ -102,6 +102,9 @@ class EvalReport:
     # {"z", "epsilon_zs", "sqrt_pehe_zs", "head_z_trained"}; head_z_trained
     # is None when the model carries no per-head update record
     zero_shot: dict | None = None
+    # ascending indices of the heads that training never updated; None when
+    # the model carries no per-head update record
+    untrained_heads: list[int] | None = None
 
     def validate(self) -> "EvalReport":
         if self.n_eval < 1:
@@ -138,6 +141,7 @@ class EvalReport:
             sqrt_pehe=float(doc["sqrt_pehe"]),
             per_pair=per_pair,
             zero_shot=doc.get("zero_shot"),
+            untrained_heads=doc.get("untrained_heads"),
         ).validate()
 
 
@@ -151,6 +155,7 @@ def evaluate_model(
 
     The zero-shot block records whether head z was trained: when it was
     not, column z is the mean of the trained heads (predict_all_outcomes).
+    Every report lists the heads that training never updated.
     """
     if model.k != dataset.k:
         raise ShapeError(f"model has {model.k} heads, dataset has {dataset.k} treatments")
@@ -177,6 +182,10 @@ def evaluate_model(
         sqrt_pehe=result.root,
         per_pair=result.per_pair,
         zero_shot=zs,
+        untrained_heads=(
+            None if model.head_updates is None
+            else [t for t, n in enumerate(model.head_updates) if n == 0]
+        ),
     ).validate()
 
 

@@ -54,6 +54,10 @@ from .simulate import Dataset
 
 CHECKPOINT_SCHEMA_VERSION = "2"
 VARIANTS = ("joint", "tarnet")
+# the relative val-MSE decrease that resets early stopping's patience count
+# (see train); with any decrease counting, the decayed learning rate's tiny
+# steps kept resetting it, and no fit at the default schedule ever stopped
+EARLY_STOP_MIN_REL_DECREASE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -545,7 +549,10 @@ def train(
     Every epoch reshuffles the training split (the last short batch is
     kept), steps with the scheduled learning rate, then measures factual
     MSE on the validation split in eval mode. The returned model is the
-    best-validation snapshot; ties keep the earliest epoch. Heads that
+    best-validation snapshot; ties keep the earliest epoch. Training stops
+    after cfg.patience epochs in a row without a decrease of more than
+    EARLY_STOP_MIN_REL_DECREASE (relative) below the validation MSE at the
+    last reset of that count; patience == epochs_max never stops. Heads that
     receive no samples in a batch are left untouched by that step, and the
     snapshot's head_updates counts the steps each head received.
     """
@@ -574,7 +581,8 @@ def train(
     best_model = dataclasses.replace(model)
     best_epoch: int | None = None
     best_val = np.inf
-    epochs_since_best = 0
+    reset_val = np.inf
+    epochs_since_reset = 0
     n_tr = x_tr.shape[0]
 
     for epoch in range(cfg.epochs_max):
@@ -627,10 +635,12 @@ def train(
             best_val = val_mse
             best_model = dataclasses.replace(model)
             best_epoch = epoch
-            epochs_since_best = 0
+        if val_mse < reset_val * (1.0 - EARLY_STOP_MIN_REL_DECREASE):
+            reset_val = val_mse
+            epochs_since_reset = 0
         else:
-            epochs_since_best += 1
-            if epochs_since_best >= cfg.patience:
+            epochs_since_reset += 1
+            if epochs_since_reset >= cfg.patience:
                 break
 
     return TrainedModel(

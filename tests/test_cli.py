@@ -227,6 +227,37 @@ def test_evaluate_zero_model_matches_library(tmp_path, capsys):
     assert report.zero_shot["z"] == 1
 
 
+def test_plain_evaluate_lists_heads_never_updated(tmp_path, capsys):
+    from ite_bench.experiments import ExperimentConfig
+    from ite_bench.model import save_checkpoint, train
+
+    ds_dir = simulate_small(capsys, tmp_path / "ds")
+    ds = load_dataset(ds_dir)
+    cfg = ExperimentConfig.from_dict(
+        {**ZERO_MODEL_CONFIG, "model": {**ZERO_MODEL_CONFIG["model"], "init": "glorot"},
+         "train": {"epochs_max": 2, "batch_size": 32}}
+    )
+    listed = {}
+    for name, fit_ds in (("all", ds), ("held-out", ds.without_treatment_in_fit(2))):
+        ckpt = tmp_path / name / "checkpoint.json"
+        ckpt.parent.mkdir()
+        save_checkpoint(ckpt, train(fit_ds, cfg.shape, cfg.train, "joint"))
+        report_path = tmp_path / name / "report.json"
+        code, stdout, err = run(
+            capsys, "evaluate", "--dataset", str(ds_dir), "--checkpoint", str(ckpt),
+            "--out", str(report_path),
+        )
+        assert code == 0, err
+        doc = json.loads(report_path.read_text())
+        assert doc["zero_shot"] is None
+        assert EvalReport.from_dict(doc).untrained_heads == doc["untrained_heads"]
+        listed[name] = (doc["untrained_heads"], stdout)
+    assert listed["all"][0] == []
+    assert "never updated" not in listed["all"][1]
+    assert listed["held-out"][0] == [2]
+    assert "heads never updated in training: [2]" in listed["held-out"][1].splitlines()
+
+
 def test_evaluate_splits_differ(tmp_path, capsys):
     ds = simulate_small(capsys, tmp_path / "ds")
     out = tmp_path / "run"

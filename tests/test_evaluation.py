@@ -179,6 +179,9 @@ def test_eval_report_round_trip():
     assert back.zero_shot == report.zero_shot
     assert back.zero_shot["z"] == 2
     assert back.zero_shot["head_z_trained"] is False  # freshly built: no updates
+    assert back.untrained_heads == report.untrained_heads == [0, 1, 2]
+    bare = dataclasses.replace(model, head_updates=None)
+    assert evaluate_model(bare, ds, split="test").untrained_heads is None
 
 
 def test_eval_report_validate_catches_inconsistency():

@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ite_bench import blas
 from ite_bench.errors import ConfigError, DataError
 from ite_bench.metrics import EvalReport
 from ite_bench.model import ModelShape, TrainConfig
@@ -224,6 +226,9 @@ def test_run_sweep_selects_on_validation_only(tmp_path):
     assert (out / "datasets" / "rep0" / "manifest.json").exists()
     assert json.loads((out / "summary.json").read_text())["winner"] == summary["winner"]
     assert summary["winner"]["head_z_trained"] == [None, None]
+    # a serial sweep runs in the calling process and caps nothing
+    assert record["blas_threads"] is None
+    assert summary["blas_threads_per_worker"] is None
 
 
 def test_zero_shot_sweep_summary_lists_head_z_trained_per_repeat(tmp_path):
@@ -265,6 +270,93 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
         serial["winner"]["test_sqrt_pehe"]["mean"]
         == parallel["winner"]["test_sqrt_pehe"]["mean"]
     )
+
+
+def _numpy_blas_is_openblas() -> bool:
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 can only print its config
+        return True
+    return "openblas" in str(name).lower()
+
+
+requires_openblas = pytest.mark.skipif(
+    not _numpy_blas_is_openblas(), reason="numpy is built against a BLAS other than OpenBLAS"
+)
+
+
+def _cpu_count() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _trial_records(out, n):
+    return [
+        json.loads((out / "trials" / f"trial_{i:04d}" / "record.json").read_text())
+        for i in range(n)
+    ]
+
+
+@requires_openblas
+def test_parallel_sweep_caps_blas_threads_in_workers_only(tmp_path):
+    get, set_ = blas.openblas_controls()
+    before = get()
+    cap = max(1, _cpu_count() // 2)
+    out = tmp_path / "sweep"
+    try:
+        # one thread above the cap, so that a capped parent would show
+        set_(cap + 1)
+        summary = run_sweep(sweep_spec(), out, threads=2)
+        assert get() == cap + 1
+    finally:
+        set_(before)
+    assert [rec["blas_threads"] for rec in _trial_records(out, 2)] == [cap, cap]
+    assert summary["blas_threads_per_worker"] == cap
+    assert json.loads((out / "summary.json").read_text())["blas_threads_per_worker"] == cap
+
+
+@requires_openblas
+def test_blas_cap_never_raises_a_lower_count(tmp_path, monkeypatch):
+    get, set_ = blas.openblas_controls()
+    parent = get()
+    try:
+        set_(1)
+        assert blas.cap_threads(4) == 1
+        # workers inherit the lowered count; with 8 CPUs their cap would be 4
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+        )
+        summary = run_sweep(sweep_spec(), tmp_path / "sweep", threads=2)
+        assert summary["blas_threads_per_worker"] == 1
+    finally:
+        set_(parent)
+    assert get() == parent
+
+
+def test_sweep_without_openblas_runs_uncapped(tmp_path, monkeypatch):
+    monkeypatch.setattr(blas, "openblas_controls", lambda: None)
+    assert blas.cap_threads(1) is None
+    out = tmp_path / "sweep"
+    summary = run_sweep(sweep_spec(), out, threads=2)
+    assert [t["status"] for t in summary["trials"]] == ["ok", "ok"]
+    assert [rec["blas_threads"] for rec in _trial_records(out, 2)] == [None, None]
+    assert summary["blas_threads_per_worker"] is None
+    assert strict_json((out / "summary.json").read_text())["blas_threads_per_worker"] is None
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_prints_one_progress_line_per_trial(tmp_path, capsys, threads):
+    spec = sweep_spec()
+    spec = SweepSpec(spec.base, {"train.base_lr": [0.05, 0.1, 0.2]}).validate()
+    summary = run_sweep(spec, tmp_path / "sweep", threads=threads)
+    pattern = r"sweep: trial (\d) ok, mean val mse (\S+), \d+\.\d\d s \((\d) of 3 done\)"
+    lines = [re.fullmatch(pattern, line) for line in capsys.readouterr().err.splitlines()]
+    assert all(lines) and len(lines) == 3
+    assert [int(m[3]) for m in lines] == [1, 2, 3]
+    # in the order trials finish; the summary stays in trial order
+    assert sorted(int(m[1]) for m in lines) == [0, 1, 2]
+    assert [t["trial"] for t in summary["trials"]] == [0, 1, 2]
+    for m in lines:
+        assert m[2] == f"{summary['trials'][int(m[1])]['mean_val_mse']:.6g}"
 
 
 def test_reused_sweep_dir_is_refused_and_force_rewrites_datasets(tmp_path):

@@ -11,6 +11,7 @@ from ite_bench.errors import (
 )
 from ite_bench.mmd import (
     KernelSpec,
+    _balance,
     median_heuristic,
     mmd2_biased,
     mmd2_gradient,
@@ -346,3 +347,60 @@ def test_clamped_pair_drops_out_of_a_larger_batch():
     np.testing.assert_allclose(grads[0], ga / 3.0, rtol=0, atol=1e-14)
     np.testing.assert_allclose(grads[1], ga[::-1] / 3.0, rtol=0, atol=1e-14)
     np.testing.assert_allclose(grads[2], 2.0 * gb / 3.0, rtol=0, atol=1e-14)
+
+
+# --- the product-kernel factorization when psi is constant per group ---
+
+
+def factorized_reference(phis, psis, bandwidth):
+    """Loss and stacked gradient of the mean MMD^2 over pairs of groups whose
+    rows are [phi_i, psi_a], from the k x k psi-kernel and the phi-Gram alone:
+    k([phi, psi_a], [phi', psi_b]) = k(phi, phi') * k(psi_a, psi_b), so the
+    block means are K_psi times the phi-Gram block means."""
+    k = len(phis)
+    s2 = bandwidth * bandwidth
+    psi_d2 = np.sum((psis[:, None, :] - psis[None, :, :]) ** 2, axis=2)
+    k_psi = np.exp(-psi_d2 / (2.0 * s2))
+    blocks = [
+        np.hstack([phi, np.repeat(psi[None, :], len(phi), axis=0)])
+        for phi, psi in zip(phis, psis)
+    ]
+    n_pairs = k * (k - 1) // 2
+    loss = 0.0
+    grads = [np.zeros_like(blk) for blk in blocks]
+    phi_gram = [[None] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(k):
+            d2 = np.sum((phis[a][:, None, :] - phis[b][None, :, :]) ** 2, axis=2)
+            phi_gram[a][b] = np.exp(-d2 / (2.0 * s2))
+    means = k_psi * np.array([[phi_gram[a][b].mean() for b in range(k)] for a in range(k)])
+    for a in range(k):
+        for b in range(a + 1, k):
+            loss += (means[a, a] + means[b, b] - 2.0 * means[a, b]) / n_pairs
+    for a in range(k):
+        for b in range(k):
+            # d loss / d M_ab: k - 1 pairs hold M_aa, and pair (a, b) holds
+            # M_ab twice; the gradient of M_ab with respect to row i of a is
+            # the block mean of K_psi[a, b] * G_phi[i, j] * (z_j - z_i) / s2
+            coef = (k - 1 if a == b else -1) * 2.0 / n_pairs
+            weights = coef * k_psi[a, b] * phi_gram[a][b] / (len(blocks[a]) * len(blocks[b]))
+            grads[a] += (weights @ blocks[b] - weights.sum(axis=1)[:, None] * blocks[a]) / s2
+    return loss, np.vstack(grads)
+
+
+@pytest.mark.parametrize("bandwidth", [0.8, 2.5, None])
+def test_balance_factorizes_when_psi_is_constant_per_group(bandwidth):
+    rng = np.random.default_rng(23)
+    phis = [rng.normal(size=(n, 6)) + 0.1 * a for a, n in enumerate((3, 7, 1, 5))]
+    psis = rng.normal(size=(4, 3))
+    blocks = [
+        np.hstack([phi, np.repeat(psi[None, :], len(phi), axis=0)])
+        for phi, psi in zip(phis, psis)
+    ]
+    if bandwidth is None:
+        bandwidth = median_heuristic(np.vstack(blocks))
+    loss, grad = _balance(blocks, KernelSpec(bandwidth))
+    ref_loss, ref_grad = factorized_reference(phis, psis, bandwidth)
+    assert ref_loss > 0.0
+    assert abs(loss - ref_loss) <= 1e-12
+    np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)

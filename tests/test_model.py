@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 
@@ -501,6 +502,41 @@ def test_early_stopping_counts_epochs_without_improvement():
     trained = train(ds, small_shape(init="zeros"), cfg)
     assert trained.history.n_epochs() == 1 + 3
     assert trained.best_epoch == 0
+
+
+def _scripted_val_mse(monkeypatch, ds, values):
+    """Make epoch e's validation MSE values[e] (the last value repeats)."""
+    _, _, y_val = ds.observed("val")
+    epochs = itertools.count()
+
+    def predictions(*_args):
+        return y_val + math.sqrt(values[min(next(epochs), len(values) - 1)])
+
+    monkeypatch.setattr(model_module, "factual_predictions", predictions)
+
+
+@pytest.mark.parametrize(
+    "values, epochs_max, patience, epochs, best",
+    [
+        # each decrease is under 1e-3 relative: only epoch 0 resets the count,
+        # while the snapshot still follows the strict minimum
+        ([1.0, 0.9998, 0.9996, 0.9994], 50, 3, 4, 3),
+        # 0.9989 is 1.1e-3 below 1.0 and 0.9975 is 1.4e-3 below 0.9989
+        ([1.0, 0.9995, 0.9989, 0.9985, 0.998, 0.9975], 50, 3, 6 + 3, 5),
+        # patience == epochs_max never stops
+        ([1.0], 7, 7, 7, 0),
+    ],
+)
+def test_early_stopping_needs_a_relative_decrease(
+    monkeypatch, values, epochs_max, patience, epochs, best
+):
+    assert model_module.EARLY_STOP_MIN_REL_DECREASE == 1e-3
+    ds = small_dataset(n=120)
+    _scripted_val_mse(monkeypatch, ds, values)
+    trained = train(ds, small_shape(), quick_train_cfg(epochs_max=epochs_max, patience=patience))
+    assert trained.history.n_epochs() == epochs
+    assert trained.best_epoch == best
+    assert trained.best_val_mse == pytest.approx(values[best], rel=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
