@@ -21,7 +21,6 @@ from .metrics import (
     evaluate_model,
     ite_matrix,
     pehe,
-    run_zero_shot_protocol,
     zero_shot_pehe,
 )
 from .mmd import (

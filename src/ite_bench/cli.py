@@ -20,6 +20,7 @@ from .experiments import (
     render_report_table,
     report_table_csv,
     run_sweep,
+    usable_cpus,
     write_json_atomic,
 )
 from .metrics import EvalReport, evaluate_model
@@ -43,7 +44,7 @@ def _default_threads() -> int:
         if value < 1:
             raise ConfigError("ITE_BENCH_THREADS must be >= 1")
         return value
-    return os.cpu_count() or 1
+    return usable_cpus()
 
 
 def _load_json(path) -> dict:
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-trials", type=int, dest="max_trials",
                    help="random subsample of the grid (deterministic in --seed)")
     p.add_argument("--threads", type=int,
-                   help="worker processes; default ITE_BENCH_THREADS or cpu count")
+                   help="worker processes; default ITE_BENCH_THREADS or the usable CPU count")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_sweep)
 

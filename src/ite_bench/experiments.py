@@ -9,7 +9,6 @@ prove that selection never touched test-set truth.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import blas
 from .errors import ConfigError, DataError, TrainingDiverged
-from .metrics import EvalReport, evaluate_model, run_zero_shot_protocol
+from .metrics import EvalReport, evaluate_model
 from .model import (
     ModelShape,
     TrainConfig,
@@ -205,6 +204,15 @@ def _repeat_sim(base: ExperimentConfig, r: int) -> SimConfig:
     return replace(base.sim, seed=base.sim.seed + r)
 
 
+def _fit_repeat(cfg: ExperimentConfig, ds: Dataset, r: int) -> TrainedModel:
+    """Repeat r's fit: train.seed + r, and with cfg.zero_shot set, every
+    sample of that treatment dropped from the training and validation
+    splits, so neither the gradient steps nor model selection see it."""
+    if cfg.zero_shot is not None:
+        ds = ds.without_treatment_in_fit(cfg.zero_shot)
+    return train(ds, cfg.shape, replace(cfg.train, seed=cfg.train.seed + r), cfg.variant)
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     datasets: list[Dataset] | None = None,
@@ -213,8 +221,8 @@ def run_experiment(
     """Train and evaluate cfg.repeats times.
 
     Repeat r simulates with sim.seed + r (unless datasets are supplied) and
-    trains with train.seed + r. With cfg.zero_shot set, each repeat runs
-    the hold-out-and-retrain protocol instead of a plain fit.
+    fits with _fit_repeat. The test split then scores every treatment, and
+    with cfg.zero_shot set also the pairs that involve the held-out one.
     """
     cfg.validate()
     t0 = time.perf_counter()
@@ -227,15 +235,10 @@ def run_experiment(
             ds = datasets[r]
         else:
             ds = simulate_dataset(_repeat_sim(cfg, r))
-        train_cfg = replace(cfg.train, seed=cfg.train.seed + r)
-        if cfg.zero_shot is not None:
-            report, trained = run_zero_shot_protocol(
-                ds, cfg.shape, train_cfg, cfg.zero_shot, cfg.variant
-            )
-        else:
-            trained = train(ds, cfg.shape, train_cfg, cfg.variant)
-            report = evaluate_model(trained.model, ds, split="test")
-        reports.append(report)
+        trained = _fit_repeat(cfg, ds, r)
+        reports.append(
+            evaluate_model(trained.model, ds, split="test", zero_shot_z=cfg.zero_shot)
+        )
         if out_dir:
             ckpt = os.path.join(out_dir, f"checkpoint_rep{r}.json")
             save_checkpoint(ckpt, trained)
@@ -329,6 +332,10 @@ def default_search_grid() -> dict[str, list]:
     }
 
 
+def _test_truth_reads(datasets: list[Dataset]) -> int:
+    return sum(ds.truth_reads.get("test", 0) for ds in datasets)
+
+
 def _trial_val_mse(trained: TrainedModel) -> float:
     return math.inf if trained.best_val_mse is None else trained.best_val_mse
 
@@ -342,21 +349,19 @@ def _run_trial(
     blas_threads: int | None = None,
 ) -> dict:
     """Train one configuration on every repeat dataset; never touches test truth.
-    blas_threads is the BLAS thread count the trial ran with, when capped."""
+    blas_threads is the BLAS thread count the trial ran with, when capped.
+    The record's test_truth_reads counts the test-truth reads the trial made,
+    which the parent cannot see in a pool worker's own copies of the data."""
     os.makedirs(trial_dir, exist_ok=True)
     t0 = time.perf_counter()
+    reads_before = _test_truth_reads(datasets)
     val_mse: list[float] = []
     checkpoints: list[str] = []
     status = "ok"
     message = ""
     try:
         for r, ds in enumerate(datasets):
-            train_cfg = replace(cfg.train, seed=cfg.train.seed + r)
-            if cfg.zero_shot is not None:
-                fit_ds = ds.without_treatment_in_fit(cfg.zero_shot)
-            else:
-                fit_ds = ds
-            trained = train(fit_ds, cfg.shape, train_cfg, cfg.variant)
+            trained = _fit_repeat(cfg, ds, r)
             val_mse.append(_trial_val_mse(trained))
             ckpt = os.path.join(trial_dir, f"checkpoint_rep{r}.json")
             save_checkpoint(ckpt, trained)
@@ -375,6 +380,7 @@ def _run_trial(
         "checkpoints": checkpoints,
         "wall_clock_s": time.perf_counter() - t0,
         "blas_threads": blas_threads,
+        "test_truth_reads": _test_truth_reads(datasets) - reads_before,
     }
     write_json_atomic(os.path.join(trial_dir, "record.json"), record)
     return record
@@ -395,6 +401,15 @@ _worker_blas_threads: int | None = None
 _worker_dataset_cache: dict[str, Dataset] = {}
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _init_worker(threads: int) -> None:
     """Pool initializer: share the CPUs among the workers' BLAS threads.
 
@@ -402,11 +417,7 @@ def _init_worker(threads: int) -> None:
     workers would each run that many BLAS threads on the same CPUs.
     """
     global _worker_blas_threads
-    try:
-        ncpu = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        ncpu = os.cpu_count() or 1
-    _worker_blas_threads = blas.cap_threads(max(1, ncpu // threads))
+    _worker_blas_threads = blas.cap_threads(max(1, usable_cpus() // threads))
 
 
 def _load_dataset_cached(path: str) -> Dataset:
@@ -463,6 +474,8 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
     if spec.max_trials is not None and spec.max_trials < len(points):
         points = random.Random(spec.seed).sample(points, spec.max_trials)
 
+    # test truth read so far; each trial record adds the reads it made
+    audit_reads = _test_truth_reads(datasets)
     trials_root = os.path.join(out_dir, "trials")
     records: list[dict] = []
     if threads == 1:
@@ -493,7 +506,7 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
     winner = min(ok, key=lambda r: (r["mean_val_mse"], r["trial"]))
 
     # selection is now frozen; count how often test truth was read so far
-    audit_reads = sum(ds.truth_reads.get("test", 0) for ds in datasets)
+    audit_reads += sum(rec["test_truth_reads"] for rec in records)
 
     winner_cfg = apply_overrides(spec.base, winner["overrides"])
     reports = []

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .model import ModelShape, OutcomeModel, TrainConfig, TrainedModel, predict_all_outcomes, train
+from .model import OutcomeModel, predict_all_outcomes
 from .simulate import Dataset
 
 REPORT_SCHEMA_VERSION = "1"
@@ -188,21 +188,3 @@ def evaluate_model(
         ),
     ).validate()
 
-
-def run_zero_shot_protocol(
-    dataset: Dataset,
-    shape: ModelShape,
-    cfg: TrainConfig,
-    z: int,
-    variant: str = "joint",
-) -> tuple[EvalReport, TrainedModel]:
-    """Hold out every fitted sample of treatment z, train, then score all
-    treatments (including z) on the test split.
-
-    Both the training and validation splits are filtered, so neither the
-    gradient steps nor model selection ever see treatment z.
-    """
-    filtered = dataset.without_treatment_in_fit(z)
-    trained = train(filtered, shape, cfg, variant)
-    report = evaluate_model(trained.model, dataset, split="test", zero_shot_z=z)
-    return report, trained

@@ -52,7 +52,7 @@ from .nn import (
 )
 from .simulate import Dataset
 
-CHECKPOINT_SCHEMA_VERSION = "2"
+CHECKPOINT_SCHEMA_VERSION = "3"
 VARIANTS = ("joint", "tarnet")
 # the relative val-MSE decrease that resets early stopping's patience count
 # (see train); with any decrease counting, the decayed learning rate's tiny
@@ -79,7 +79,6 @@ class ModelShape:
     head_width: int = 32
     activation: str = "elu"
     dropout_rate: float = 0.1
-    init: str = "glorot"  # "glorot" | "zeros"
 
     def validate(self) -> "ModelShape":
         for name in (
@@ -98,8 +97,6 @@ class ModelShape:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
-        if self.init not in ("glorot", "zeros"):
-            raise ConfigError(f"init must be 'glorot' or 'zeros', got {self.init!r}")
         return self
 
     def _dims(self, n_layers: int, width: int, d_in: int, d_out: int) -> list[int]:
@@ -569,7 +566,6 @@ def train(
     model = build_model(
         dataset.d, dataset.k, shape, variant,
         treat_input_dim=t_emb.shape[1], rng=np.random.default_rng(s_init),
-        scheme=shape.init,
     )
     order_rng = np.random.default_rng(s_order)
     drop_rng = np.random.default_rng(s_drop)
@@ -621,7 +617,11 @@ def train(
                 degenerate += 1
             n_batches += 1
 
-        val_hat = factual_predictions(model, x_val, t_val, t_emb)
+        try:
+            # the last step's weights can overflow the validation forward
+            val_hat = factual_predictions(model, x_val, t_val, t_emb)
+        except NumericError as exc:
+            raise TrainingDiverged(epoch, batch_index, history) from exc
         val_mse = float(np.mean((val_hat - y_val) ** 2)) if y_val.size else np.inf
         history.loss.append(float(sums[0] / n_batches))
         history.mse.append(float(sums[1] / n_batches))
@@ -758,8 +758,7 @@ def load_checkpoint(path) -> TrainedModel:
                 f"needs {model.theta.size} float64 values"
             )
         model.theta[:] = vec
-        # null, or absent, for a model that carries no record
-        counts = doc.get("head_updates")
+        counts = doc["head_updates"]  # null for a model that carries no record
         model.head_updates = None if counts is None else tuple(int(n) for n in counts)
         model.validate()
         cfg = TrainConfig.from_dict(doc["train_config"], path="checkpoint.train_config")

@@ -187,7 +187,8 @@ class Dataset:
         """Copy with treatment z's samples dropped from train and val splits.
 
         Test rows are untouched, so held-out evaluation still covers all
-        treatments including z.
+        treatments including z. The copy shares this dataset's truth_reads,
+        so a read through either one is audited.
         """
         if not 0 <= z < self.k:
             raise ConfigError(f"treatment index {z} out of range 0..{self.k - 1}")
@@ -205,7 +206,7 @@ class Dataset:
             new_splits[name] = idx[self.t_obs[idx] != z]
         if new_splits["train"].size == 0:
             raise DataError(f"excluding treatment {z} empties the training split")
-        return dataclasses.replace(self, splits=new_splits, truth_reads={})
+        return dataclasses.replace(self, splits=new_splits)
 
     def validate(self) -> "Dataset":
         n, d, k = self.n, self.d, self.k

@@ -44,10 +44,10 @@ from gradcheck import (
     flatten_params,
     unflatten_params,
 )
+from ite_bench.experiments import ExperimentConfig, _fit_repeat
 from ite_bench.metrics import (
     evaluate_model,
     pehe,
-    run_zero_shot_protocol,
     zero_shot_pehe,
 )
 from ite_bench.mmd import (
@@ -472,7 +472,13 @@ def test_07_desk_scale_zero_shot():
         y_true = ds.Y_expected[ds.splits["test"]]
         scores["null"].append(zero_shot_pehe(np.zeros_like(y_true), y_true, z).root)
         for variant in ("joint", "tarnet"):
-            rep, trained = run_zero_shot_protocol(ds, DESK_SHAPE, DESK_TRAIN, z, variant)
+            cfg = ExperimentConfig(
+                sim=desk_sim_config(seed), shape=DESK_SHAPE, train=DESK_TRAIN,
+                variant=variant, zero_shot=z,
+            )
+            # run_experiment's repeat 0: fit without z, then score every treatment
+            trained = _fit_repeat(cfg, ds, 0)
+            rep = evaluate_model(trained.model, ds, split="test", zero_shot_z=z)
             # The held-out head never receives an update, every other head
             # does, and the report says so.
             norms = np.array(trained.history.head_grad_norms)

@@ -33,13 +33,14 @@ def dir_digest(path):
     return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
+# with the zero_init fixture, `train` on this config writes the all-zero model
 ZERO_MODEL_CONFIG = {
     "sim": {"n": 80, "d": 4, "k": 3, "seed": 4},
     "model": {
         "cov_layers": 1, "cov_width": 4, "cov_out": 3,
         "treat_layers": 1, "treat_width": 4, "treat_out": 2,
         "head_layers": 1, "head_width": 4,
-        "dropout_rate": 0.0, "init": "zeros",
+        "dropout_rate": 0.0,
     },
     "train": {"epochs_max": 0, "batch_size": 32},
 }
@@ -201,7 +202,7 @@ def test_train_missing_dataset(tmp_path, capsys):
 # --- evaluate ---
 
 
-def test_evaluate_zero_model_matches_library(tmp_path, capsys):
+def test_evaluate_zero_model_matches_library(tmp_path, capsys, zero_init):
     ds_dir = simulate_small(capsys, tmp_path / "ds")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(ZERO_MODEL_CONFIG))
@@ -234,8 +235,7 @@ def test_plain_evaluate_lists_heads_never_updated(tmp_path, capsys):
     ds_dir = simulate_small(capsys, tmp_path / "ds")
     ds = load_dataset(ds_dir)
     cfg = ExperimentConfig.from_dict(
-        {**ZERO_MODEL_CONFIG, "model": {**ZERO_MODEL_CONFIG["model"], "init": "glorot"},
-         "train": {"epochs_max": 2, "batch_size": 32}}
+        {**ZERO_MODEL_CONFIG, "train": {"epochs_max": 2, "batch_size": 32}}
     )
     listed = {}
     for name, fit_ds in (("all", ds), ("held-out", ds.without_treatment_in_fit(2))):
@@ -441,6 +441,60 @@ def test_sweep_env_thread_override_is_validated(tmp_path, capsys, monkeypatch):
     )
     assert code == 2
     assert "ITE_BENCH_THREADS" in err
+
+
+def test_default_threads_count_only_the_cpus_this_process_may_use(monkeypatch):
+    from ite_bench import cli
+
+    monkeypatch.delenv("ITE_BENCH_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cli._default_threads() == 1
+
+
+def test_model_init_is_refused_in_a_config_and_a_grid(tmp_path, capsys):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {**ZERO_MODEL_CONFIG, "model": {**ZERO_MODEL_CONFIG["model"], "init": "glorot"}}
+    ))
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+        "--config", str(cfg_path),
+    )
+    assert code == 2
+    assert "init" in err
+    doc = sweep_config_doc()
+    doc["grid"] = {"model.init": ["glorot", "zeros"]}
+    cfg_path.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys, "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+        "--threads", "1",
+    )
+    assert code == 2
+    assert "model.init" in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_records_a_trial_whose_validation_overflows_as_diverged(
+    tmp_path, capsys, threads
+):
+    # at base_lr 0.2 the last step's weights overflow the validation forward
+    doc = {
+        "base": {"sim": {"n": 300, "d": 6, "k": 3, "seed": 2},
+                 "train": {"epochs_max": 3, "batch_size": 64}},
+        "grid": {"train.base_lr": [0.05, 0.1, 0.2]},
+    }
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, _, err = run(
+        capsys, "sweep", "--config", str(cfg), "--out", str(out), "--threads", threads
+    )
+    assert code == 0, err
+    summary = json.loads((out / "summary.json").read_text())
+    assert [t["status"] for t in summary["trials"]] == ["ok", "ok", "diverged"]
+    assert summary["winner"]["trial"] in (0, 1)
 
 
 def test_sweep_single_point_matches_run_experiment(tmp_path, capsys):

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from ite_bench.errors import ConfigError, DataError, ShapeError
+from ite_bench.experiments import ExperimentConfig, _fit_repeat, run_experiment
 from ite_bench.metrics import (
     EvalReport,
     evaluate_model,
     ite_matrix,
     pehe,
-    run_zero_shot_protocol,
     zero_shot_pehe,
 )
 from ite_bench.cli import main
-from ite_bench.model import ModelShape, TrainConfig, build_model, save_checkpoint
+from ite_bench.model import ModelShape, TrainConfig, build_model
 from ite_bench.simulate import SimConfig, save_dataset, simulate_dataset
 
 
@@ -223,11 +223,18 @@ def test_evaluate_model_error_paths():
 # --- zero-shot protocol ---
 
 
-def test_protocol_zero_model_matches_direct_computation():
+def zero_shot_fit(ds, shape, cfg, z, variant="joint"):
+    """run_experiment's repeat 0 with treatment z held out of fitting: the
+    fit, and the test report that scores every treatment."""
+    exp = ExperimentConfig(shape=shape, train=cfg, variant=variant, zero_shot=z)
+    trained = _fit_repeat(exp, ds, 0)
+    return evaluate_model(trained.model, ds, split="test", zero_shot_z=z), trained
+
+
+def test_protocol_zero_model_matches_direct_computation(zero_init):
     ds = simulate_dataset(SimConfig(n=300, d=5, k=3, seed=6))
-    shape = dataclasses.replace(tiny_shape(), init="zeros")
     cfg = TrainConfig(alpha=1.0, beta=0.5, epochs_max=0, batch_size=64)
-    report, trained = run_zero_shot_protocol(ds, shape, cfg, z=1)
+    report, trained = zero_shot_fit(ds, tiny_shape(), cfg, z=1)
     assert trained.best_epoch is None
     y_true = ds.Y_expected[ds.splits["test"]]
     expected = pehe(np.zeros_like(y_true), y_true)
@@ -244,7 +251,7 @@ def test_held_out_head_receives_no_gradient_updates(variant):
     cfg = TrainConfig(
         alpha=1.0, beta=0.5, epochs_max=3, batch_size=32, base_lr=0.05, seed=3
     )
-    report, trained = run_zero_shot_protocol(ds, tiny_shape(), cfg, z=2, variant=variant)
+    report, trained = zero_shot_fit(ds, tiny_shape(), cfg, z=2, variant=variant)
     norms = np.asarray(trained.history.head_grad_norms)
     assert norms.shape == (3, 3)
     assert not norms[:, 2].any()  # held-out head: zero gradient updates
@@ -257,13 +264,17 @@ def test_held_out_head_receives_no_gradient_updates(variant):
 @pytest.mark.parametrize("variant", ["joint", "tarnet"])
 def test_evaluate_cli_on_checkpoint_matches_protocol(tmp_path, capsys, variant):
     ds = simulate_dataset(SimConfig(n=300, d=5, k=3, seed=8))
-    cfg = TrainConfig(epochs_max=3, batch_size=32, base_lr=0.05, seed=3)
-    report, trained = run_zero_shot_protocol(ds, tiny_shape(), cfg, z=1, variant=variant)
+    cfg = ExperimentConfig(
+        sim=ds.config, shape=tiny_shape(),
+        train=TrainConfig(epochs_max=3, batch_size=32, base_lr=0.05, seed=3),
+        variant=variant, zero_shot=1,
+    )
+    record = run_experiment(cfg, datasets=[ds], out_dir=tmp_path / "run")
+    report = record.per_seed[0]
     save_dataset(ds, tmp_path / "ds")
-    save_checkpoint(tmp_path / "checkpoint.json", trained)
     code = main([
         "evaluate", "--dataset", str(tmp_path / "ds"),
-        "--checkpoint", str(tmp_path / "checkpoint.json"),
+        "--checkpoint", str(tmp_path / "run" / "checkpoint_rep0.json"),
         "--zero-shot", "1", "--out", str(tmp_path / "report.json"),
     ])
     assert code == 0
@@ -278,7 +289,7 @@ def test_protocol_error_paths():
     ds = simulate_dataset(SimConfig(n=200, d=5, k=2, seed=9))
     cfg = TrainConfig(epochs_max=1)
     with pytest.raises(ConfigError):
-        run_zero_shot_protocol(ds, tiny_shape(), cfg, z=5)
+        zero_shot_fit(ds, tiny_shape(), cfg, z=5)
     # rewire observed treatments so treatment 1 never appears in fitting splits
     t = ds.t_obs.copy()
     for split in ("train", "val"):
@@ -290,4 +301,4 @@ def test_protocol_error_paths():
         config=None,
     )
     with pytest.raises(DataError):
-        run_zero_shot_protocol(missing, tiny_shape(), cfg, z=1)
+        zero_shot_fit(missing, tiny_shape(), cfg, z=1)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ite_bench import blas
+from ite_bench import blas, experiments
 from ite_bench.errors import ConfigError, DataError
 from ite_bench.metrics import EvalReport
 from ite_bench.model import ModelShape, TrainConfig
@@ -223,6 +223,7 @@ def test_run_sweep_selects_on_validation_only(tmp_path):
         record = json.loads((trial_dir / "record.json").read_text())
         assert record["status"] == "ok"
         assert len(record["checkpoints"]) == 2
+        assert record["test_truth_reads"] == 0
     assert (out / "datasets" / "rep0" / "manifest.json").exists()
     assert json.loads((out / "summary.json").read_text())["winner"] == summary["winner"]
     assert summary["winner"]["head_z_trained"] == [None, None]
@@ -341,6 +342,26 @@ def test_sweep_without_openblas_runs_uncapped(tmp_path, monkeypatch):
     assert [rec["blas_threads"] for rec in _trial_records(out, 2)] == [None, None]
     assert summary["blas_threads_per_worker"] is None
     assert strict_json((out / "summary.json").read_text())["blas_threads_per_worker"] is None
+
+
+@pytest.mark.parametrize("zero_shot", [None, 0])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_truth_read_audit_counts_reads_in_every_fit(tmp_path, monkeypatch, threads, zero_shot):
+    fit = experiments.train
+
+    def peeking_train(ds, *args):
+        ds.expected_outcomes("test")
+        return fit(ds, *args)
+
+    # forked workers inherit the patch; zero-shot fits get held-out copies
+    monkeypatch.setattr(experiments, "train", peeking_train)
+    spec = sweep_spec()
+    spec = SweepSpec(replace(spec.base, zero_shot=zero_shot), spec.grid).validate()
+    out = tmp_path / "sweep"
+    summary = run_sweep(spec, out, threads=threads)
+    # one read per fit: 2 trials x 2 repeats
+    assert [rec["test_truth_reads"] for rec in _trial_records(out, 2)] == [2, 2]
+    assert summary["test_truth_reads_before_selection"] == 4
 
 
 @pytest.mark.parametrize("threads", [1, 2])

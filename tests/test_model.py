@@ -488,7 +488,7 @@ def test_training_is_deterministic():
     )
 
 
-def test_early_stopping_counts_epochs_without_improvement():
+def test_early_stopping_counts_epochs_without_improvement(zero_init):
     # a zero model over zero-valued training targets never produces a
     # gradient, so validation error is flat: epoch 0 sets the best and the
     # run stops after exactly `patience` further epochs
@@ -499,7 +499,7 @@ def test_early_stopping_counts_epochs_without_improvement():
     samp[np.arange(ds.n), ds.t_obs] = y_flat
     ds = dataclasses.replace(ds, y_factual=y_flat, Y_sampled=samp, config=None)
     cfg = quick_train_cfg(alpha=1.0, beta=0.0, epochs_max=50, patience=3)
-    trained = train(ds, small_shape(init="zeros"), cfg)
+    trained = train(ds, small_shape(), cfg)
     assert trained.history.n_epochs() == 1 + 3
     assert trained.best_epoch == 0
 
@@ -614,10 +614,13 @@ def test_checkpoint_keeps_head_update_record(tmp_path):
         predict_all_outcomes(trained.model, x, ds.T_emb),
         predict_all_outcomes(loaded.model, x, ds.T_emb),
     )
-    # a checkpoint written before the record existed loads without one
+    # every header of this schema carries the record: one without it is
+    # refused, and null loads a model without a record
     doc = json.loads(path.read_text())
-    del doc["head_updates"]
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({k: v for k, v in doc.items() if k != "head_updates"}))
+    with pytest.raises(ConfigError, match="head_updates"):
+        load_checkpoint(path)
+    path.write_text(json.dumps({**doc, "head_updates": None}))
     old = load_checkpoint(path)
     assert old.model.head_updates is None
     bare = dataclasses.replace(trained.model, head_updates=None)
@@ -656,7 +659,7 @@ def _strict_json(text):
 def test_checkpoint_is_a_header_plus_a_parameter_vector(tmp_path):
     trained, path, sidecar = _saved_checkpoint(tmp_path)
     doc = _strict_json(path.read_text())
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     assert doc["params_sha256"] == hashlib.sha256(sidecar.read_bytes()).hexdigest()
     # the header never names its sidecar, which is derived from its own path
     assert "model.npy" not in path.read_text()
@@ -729,6 +732,14 @@ def test_checkpoint_refuses_npy_header_path_and_old_schema(tmp_path):
     path.write_text(json.dumps({**doc, "schema_version": "1"}))
     with pytest.raises(ConfigError, match="re-run"):
         load_checkpoint(path)
+    # schema 2 recorded the shape's init, which schema 3 does not have
+    old_shape = {**doc["shape"], "init": "glorot"}
+    path.write_text(json.dumps({**doc, "schema_version": "2", "shape": old_shape}))
+    with pytest.raises(ConfigError, match="re-run `ite-bench train`"):
+        load_checkpoint(path)
+    path.write_text(json.dumps({**doc, "shape": old_shape}))
+    with pytest.raises(ConfigError, match="init"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_header_refuses_non_finite_values(tmp_path):
@@ -765,7 +776,7 @@ def test_model_shape_validation():
     with pytest.raises(ConfigError):
         ModelShape(activation="relu").validate()
     with pytest.raises(ConfigError):
-        ModelShape(init="uniform").validate()
+        ModelShape.from_dict({"init": "glorot"})
     with pytest.raises(ConfigError):
         ModelShape.from_dict({"cov_layers": 2, "bogus": 3})
     shape = small_shape()

@@ -482,6 +482,10 @@ def test_holdout_removes_treatment_from_fitting_splits():
     assert held.truth_reads == {}
     # original is untouched
     assert (ds.t_obs[ds.splits["train"]] == 1).any()
+    # but shares the truth-read audit with the copy, both ways
+    held.expected_outcomes("test")
+    ds.expected_outcomes("val")
+    assert ds.truth_reads == held.truth_reads == {"test": 1, "val": 1}
 
 
 def test_holdout_error_paths():
