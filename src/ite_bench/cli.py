@@ -67,7 +67,10 @@ def cmd_simulate(args) -> int:
         if value is not None:
             updates[name] = value
     if args.kappa is not None:
-        parts = [float(v) for v in args.kappa.split(",")]
+        try:
+            parts = [float(v) for v in args.kappa.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--kappa must be numbers separated by commas: {exc}") from exc
         updates["kappa"] = parts[0] if len(parts) == 1 else tuple(parts)
     if args.centroid_method is not None:
         updates["centroid_method"] = args.centroid_method

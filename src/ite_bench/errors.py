@@ -6,7 +6,10 @@ the most specific class that applies.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import numbers
+import typing
 
 
 class ConfigError(ValueError):
@@ -56,3 +59,43 @@ def load_json_object(path, error: type[Exception]) -> dict:
     if not isinstance(doc, dict):
         raise error(f"{path} is not a JSON object")
     return doc
+
+
+def _matches(value, hint) -> bool:
+    """Whether value has the declared type hint. An int counts as a float,
+    and a bool counts as neither."""
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    if hint is float:
+        return isinstance(value, numbers.Real)
+    if hint is int:
+        return isinstance(value, numbers.Integral)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:  # tuple[X, ...]
+        return isinstance(value, tuple) and all(_matches(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _matches(k, args[0]) and _matches(v, args[1]) for k, v in value.items()
+        )
+    if args:  # a union such as int | None
+        return any(_matches(value, arg) for arg in args)
+    return isinstance(value, hint)
+
+
+def config_from_dict(cls, doc, path: str, **built):
+    """cls(**doc, **built) for a config dataclass. doc must be an object
+    whose keys name fields of cls other than those in built, each with a
+    value of the field's declared type; anything else raises ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must be an object, got {doc!r}")
+    hints = typing.get_type_hints(cls)
+    known = {f.name for f in dataclasses.fields(cls)} - set(built)
+    extra = set(doc) - known
+    if extra:
+        raise ConfigError(f"{path}: unknown fields {sorted(extra)}")
+    for name, value in doc.items():
+        hint = hints[name]
+        if not _matches(value, hint):
+            expect = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ConfigError(f"{path}.{name} must be {expect}, got {value!r}")
+    return cls(**doc, **built)

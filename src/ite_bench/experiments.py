@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import random
 import sys
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import blas
-from .errors import ConfigError, DataError, TrainingDiverged
+from .errors import ConfigError, DataError, TrainingDiverged, config_from_dict
 from .metrics import EvalReport, evaluate_model
 from .model import (
     ModelShape,
@@ -33,6 +34,7 @@ from .model import (
     save_checkpoint,
     train,
 )
+# load_dataset is unused here, but perfbench/tracing.py binds experiments.load_dataset
 from .simulate import Dataset, SimConfig, load_dataset, save_dataset, simulate_dataset
 
 RECORD_SCHEMA_VERSION = "1"
@@ -97,20 +99,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict, path: str = "config") -> "ExperimentConfig":
-        known = {"sim", "model", "train", "variant", "repeats", "zero_shot", "label"}
-        extra = set(doc) - known
-        if extra:
-            raise ConfigError(f"{path}: unknown fields {sorted(extra)}")
-        cfg = ExperimentConfig(
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path} must be an object, got {doc!r}")
+        # the "model" section fills the shape field
+        rest = {key: value for key, value in doc.items() if key not in ("sim", "model", "train")}
+        return config_from_dict(
+            ExperimentConfig, rest, path,
             sim=SimConfig.from_dict(doc.get("sim", {}), path=f"{path}.sim"),
             shape=ModelShape.from_dict(doc.get("model", {}), path=f"{path}.model"),
             train=TrainConfig.from_dict(doc.get("train", {}), path=f"{path}.train"),
-            variant=doc.get("variant", "joint"),
-            repeats=int(doc.get("repeats", 1)),
-            zero_shot=doc.get("zero_shot"),
-            label=doc.get("label"),
-        )
-        return cfg.validate()
+        ).validate()
 
 
 def config_hash(doc: dict) -> str:
@@ -276,18 +274,11 @@ class SweepSpec:
 
     @staticmethod
     def from_dict(doc: dict) -> "SweepSpec":
-        known = {"base", "grid", "max_trials", "seed"}
-        extra = set(doc) - known
-        if extra:
-            raise ConfigError(f"sweep config: unknown fields {sorted(extra)}")
         if "base" not in doc or "grid" not in doc:
             raise ConfigError("sweep config needs 'base' and 'grid'")
-        return SweepSpec(
-            base=ExperimentConfig.from_dict(doc["base"], path="base"),
-            grid=dict(doc["grid"]),
-            max_trials=doc.get("max_trials"),
-            seed=int(doc.get("seed", 0)),
-        ).validate()
+        rest = {key: value for key, value in doc.items() if key != "base"}
+        base = ExperimentConfig.from_dict(doc["base"], path="base")
+        return config_from_dict(SweepSpec, rest, "sweep config", base=base).validate()
 
 
 def expand_grid(grid: dict[str, list]) -> list[dict]:
@@ -341,17 +332,20 @@ def _trial_val_mse(trained: TrainedModel) -> float:
 
 
 def _run_trial(
-    trial_index: int,
-    cfg: ExperimentConfig,
-    overrides: dict,
+    i: int,
+    cfgs: list[ExperimentConfig],
+    points: list[dict],
     datasets: list[Dataset],
-    trial_dir,
+    trials_root: str,
     blas_threads: int | None = None,
 ) -> dict:
-    """Train one configuration on every repeat dataset; never touches test truth.
+    """Train trial i, the config cfgs[i] of grid point points[i], on every
+    repeat dataset and write its record; never touches test truth.
     blas_threads is the BLAS thread count the trial ran with, when capped.
     The record's test_truth_reads counts the test-truth reads the trial made,
     which the parent cannot see in a pool worker's own copies of the data."""
+    cfg = cfgs[i]
+    trial_dir = os.path.join(trials_root, f"trial_{i:04d}")
     os.makedirs(trial_dir, exist_ok=True)
     t0 = time.perf_counter()
     reads_before = _test_truth_reads(datasets)
@@ -370,8 +364,8 @@ def _run_trial(
         status = "diverged"
         message = str(exc)
     record = {
-        "trial": trial_index,
-        "overrides": overrides,
+        "trial": i,
+        "overrides": points[i],
         "config_hash": config_hash(cfg.to_dict()),
         "status": status,
         "message": message,
@@ -396,9 +390,9 @@ def _print_progress(record: dict, done: int, total: int) -> None:
     )
 
 
-# set in each pool worker by _init_worker; the parent process keeps None
+# set in each pool worker by _init_worker; the parent process keeps these
 _worker_blas_threads: int | None = None
-_worker_dataset_cache: dict[str, Dataset] = {}
+_worker_trials: tuple = ()  # _run_trial's arguments after the trial index
 
 
 def usable_cpus() -> int:
@@ -410,50 +404,61 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _init_worker(threads: int) -> None:
-    """Pool initializer: share the CPUs among the workers' BLAS threads.
+def _init_worker(threads: int, trials: tuple) -> None:
+    """Pool initializer: keep the sweep's trials, and share the CPUs among
+    the workers' BLAS threads.
 
-    A forked worker inherits the parent's BLAS thread count, so `threads`
-    workers would each run that many BLAS threads on the same CPUs.
+    The pool forks, so `trials` (configs and datasets) arrives as the
+    parent's memory, neither pickled nor read back from disk. A forked worker
+    also inherits the parent's BLAS thread count, so `threads` workers would
+    each run that many BLAS threads on the same CPUs.
     """
-    global _worker_blas_threads
+    global _worker_blas_threads, _worker_trials
+    _worker_trials = trials
     _worker_blas_threads = blas.cap_threads(max(1, usable_cpus() // threads))
 
 
-def _load_dataset_cached(path: str) -> Dataset:
-    if path not in _worker_dataset_cache:
-        _worker_dataset_cache[path] = load_dataset(path)
-    return _worker_dataset_cache[path]
+def _worker_trial(i: int) -> dict:
+    return _run_trial(i, *_worker_trials, _worker_blas_threads)
 
 
-def _trial_worker(payload: tuple) -> dict:
-    trial_index, base_doc, overrides, dataset_dirs, trial_dir = payload
-    base = ExperimentConfig.from_dict(base_doc)
-    cfg = apply_overrides(base, overrides)
-    datasets = [_load_dataset_cached(p) for p in dataset_dirs]
-    for r, (path, ds) in enumerate(zip(dataset_dirs, datasets)):
-        if ds.config != _repeat_sim(base, r):
-            raise DataError(
-                f"{path} was simulated from a different config than repeat {r} "
-                "of this sweep"
-            )
-    return _run_trial(trial_index, cfg, overrides, datasets, trial_dir, _worker_blas_threads)
+def _finished_trials(trials: tuple, n: int, threads: int):
+    """Yield the records of trials 0..n-1 as they finish, run in this
+    process or in `threads` forked workers."""
+    if threads == 1:
+        for i in range(n):
+            yield _run_trial(i, *trials)
+        return
+    with ProcessPoolExecutor(
+        max_workers=threads, mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker, initargs=(threads, trials),
+    ) as pool:
+        for future in as_completed([pool.submit(_worker_trial, i) for i in range(n)]):
+            yield future.result()
 
 
 def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -> dict:
     """Grid search ranked by validation MSE; test truth is read only for the
     winner, after selection. Returns the summary document (also written to
-    out_dir/summary.json). A non-empty out_dir is refused unless force is
-    set; the datasets are always written anew.
+    out_dir/summary.json). Every trial's config is resolved before out_dir
+    is touched, so an invalid grid point writes nothing. A non-empty out_dir
+    is refused unless force is set; the datasets are always written anew.
 
-    With threads > 1, trials run in that many forked worker processes, and
-    each worker lowers its BLAS thread count to max(1, ncpu // threads); the
-    calling process keeps its own. One line per finished trial goes to
-    stderr."""
+    With threads > 1, trials run in that many forked worker processes, which
+    train on the parent's in-memory datasets; each worker lowers its BLAS
+    thread count to max(1, ncpu // threads), and the calling process keeps
+    its own. One line per finished trial goes to stderr."""
     spec.validate()
     if threads < 1:
         raise ConfigError("threads must be >= 1")
+    if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigError("threads > 1 needs the fork start method, which this platform lacks")
     t0 = time.perf_counter()
+    points = expand_grid(spec.grid)
+    if spec.max_trials is not None and spec.max_trials < len(points):
+        points = random.Random(spec.seed).sample(points, spec.max_trials)
+    cfgs = [apply_overrides(spec.base, overrides) for overrides in points]
+
     os.makedirs(out_dir, exist_ok=True)
     if os.listdir(out_dir) and not force:
         raise DataError(
@@ -462,43 +467,19 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
 
     # one dataset per repeat, shared by every trial
     datasets: list[Dataset] = []
-    dataset_dirs: list[str] = []
     for r in range(spec.base.repeats):
-        ds_dir = os.path.join(out_dir, "datasets", f"rep{r}")
         ds = simulate_dataset(_repeat_sim(spec.base, r))
-        save_dataset(ds, ds_dir, force=True)
+        save_dataset(ds, os.path.join(out_dir, "datasets", f"rep{r}"), force=True)
         datasets.append(ds)
-        dataset_dirs.append(ds_dir)
-
-    points = expand_grid(spec.grid)
-    if spec.max_trials is not None and spec.max_trials < len(points):
-        points = random.Random(spec.seed).sample(points, spec.max_trials)
 
     # test truth read so far; each trial record adds the reads it made
     audit_reads = _test_truth_reads(datasets)
-    trials_root = os.path.join(out_dir, "trials")
+    trials = (cfgs, points, datasets, os.path.join(out_dir, "trials"))
     records: list[dict] = []
-    if threads == 1:
-        for i, overrides in enumerate(points):
-            cfg = apply_overrides(spec.base, overrides)
-            records.append(
-                _run_trial(i, cfg, overrides, datasets, os.path.join(trials_root, f"trial_{i:04d}"))
-            )
-            _print_progress(records[-1], len(records), len(points))
-    else:
-        payloads = [
-            (i, spec.base.to_dict(), overrides, dataset_dirs,
-             os.path.join(trials_root, f"trial_{i:04d}"))
-            for i, overrides in enumerate(points)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker, initargs=(threads,)
-        ) as pool:
-            futures = [pool.submit(_trial_worker, payload) for payload in payloads]
-            for future in as_completed(futures):
-                records.append(future.result())
-                _print_progress(records[-1], len(records), len(points))
-        records.sort(key=lambda rec: rec["trial"])
+    for record in _finished_trials(trials, len(points), threads):
+        records.append(record)
+        _print_progress(record, len(records), len(points))
+    records.sort(key=lambda rec: rec["trial"])
 
     ok = [r for r in records if r["status"] == "ok"]
     if not ok:
@@ -508,7 +489,7 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
     # selection is now frozen; count how often test truth was read so far
     audit_reads += sum(rec["test_truth_reads"] for rec in records)
 
-    winner_cfg = apply_overrides(spec.base, winner["overrides"])
+    winner_cfg = cfgs[winner["trial"]]
     reports = []
     for r, ds in enumerate(datasets):
         trained = load_checkpoint(winner["checkpoints"][r])

@@ -37,6 +37,7 @@ from .errors import (
     NumericError,
     ShapeError,
     TrainingDiverged,
+    config_from_dict,
     load_json_object,
 )
 from .mmd import KernelSpec, treatment_regularization_loss
@@ -116,15 +117,7 @@ class ModelShape:
 
     @staticmethod
     def from_dict(doc: dict, path: str = "model") -> "ModelShape":
-        known = {f.name for f in dataclasses.fields(ModelShape)}
-        extra = set(doc) - known
-        if extra:
-            raise ConfigError(f"{path}: unknown fields {sorted(extra)}")
-        try:
-            shape = ModelShape(**doc)
-        except TypeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        return shape.validate()
+        return config_from_dict(ModelShape, doc, path).validate()
 
 
 @dataclass(eq=False)
@@ -311,15 +304,7 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(doc: dict, path: str = "train") -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(TrainConfig)}
-        extra = set(doc) - known
-        if extra:
-            raise ConfigError(f"{path}: unknown fields {sorted(extra)}")
-        try:
-            cfg = TrainConfig(**doc)
-        except TypeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        return cfg.validate()
+        return config_from_dict(TrainConfig, doc, path).validate()
 
 
 class Batch(NamedTuple):

@@ -31,6 +31,7 @@ from .errors import (
     InsufficientDataError,
     NumericError,
     ShapeError,
+    config_from_dict,
     load_json_object,
 )
 
@@ -119,17 +120,9 @@ class SimConfig:
 
     @staticmethod
     def from_dict(doc: dict, path: str = "sim") -> "SimConfig":
-        known = {f.name for f in dataclasses.fields(SimConfig)}
-        extra = set(doc) - known
-        if extra:
-            raise ConfigError(f"{path}: unknown fields {sorted(extra)}")
-        kwargs = dict(doc)
-        if isinstance(kwargs.get("kappa"), list):
-            kwargs["kappa"] = tuple(float(v) for v in kwargs["kappa"])
-        try:
-            return SimConfig(**kwargs).validate()
-        except TypeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        if isinstance(doc, dict) and isinstance(doc.get("kappa"), list):
+            doc = {**doc, "kappa": tuple(doc["kappa"])}
+        return config_from_dict(SimConfig, doc, path).validate()
 
 
 @dataclass(eq=False)

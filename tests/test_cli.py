@@ -464,15 +464,75 @@ def test_model_init_is_refused_in_a_config_and_a_grid(tmp_path, capsys):
     )
     assert code == 2
     assert "init" in err
+    # every trial's config is checked before the sweep writes anything, so
+    # the corrected config runs on the same --out without --force
+    out = tmp_path / "o"
     doc = sweep_config_doc()
-    doc["grid"] = {"model.init": ["glorot", "zeros"]}
+    argv = ("sweep", "--config", str(cfg_path), "--out", str(out), "--threads")
+    for grid, name in (
+        ({"model.init": ["glorot", "zeros"]}, "model.init"),
+        ({"train.batch_size": [1]}, "batch_size"),
+    ):
+        doc["grid"] = grid
+        cfg_path.write_text(json.dumps(doc))
+        for threads in ("1", "2"):
+            code, _, err = run(capsys, *argv, threads)
+            assert code == 2
+            assert name in err
+            assert not out.exists()
+    doc["grid"] = {"train.batch_size": [16, 32]}
     cfg_path.write_text(json.dumps(doc))
-    code, _, err = run(
-        capsys, "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
-        "--threads", "1",
-    )
-    assert code == 2
-    assert "model.init" in err
+    code, _, err = run(capsys, *argv, "2")
+    assert code == 0, err
+
+
+def _with(doc, updates):
+    """doc with updates applied, merging one level into its sections."""
+    merged = dict(doc)
+    for key, value in updates.items():
+        merged[key] = {**doc.get(key, {}), **value} if isinstance(value, dict) else value
+    return merged
+
+
+WRONG_TYPES = [
+    ("train", {"repeats": "x"}, (), "repeats"),
+    ("train", {"repeats": 1.5}, (), "repeats"),
+    ("train", {"zero_shot": "1"}, (), "zero_shot"),
+    ("train", {"train": {"batch_size": "128"}}, (), "batch_size"),
+    ("train", {"train": {"batch_size": 2.5}}, (), "batch_size"),
+    ("train", {"train": {"seed": 1.5}}, (), "seed"),
+    ("train", {"train": {"bandwidth": "x"}}, (), "bandwidth"),
+    ("train", {"train": {"epochs_max": True}}, (), "epochs_max"),
+    ("train", {"model": {"cov_width": 2.5}}, (), "cov_width"),
+    ("simulate", {"sim": {"n": 200.5}}, (), "sim.n"),
+    ("simulate", {"sim": {"seed": "3"}}, (), "seed"),
+    ("simulate", {}, ("--kappa", "abc"), "kappa"),
+    ("sweep", {"grid": ["x"]}, (), "grid"),
+    ("sweep", {"max_trials": "3"}, (), "max_trials"),
+    ("sweep", {"seed": 1.5}, (), "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, updates, flags, name", WRONG_TYPES,
+    ids=[f"{c} {json.dumps(u) if u else ' '.join(f)}" for c, u, f, _ in WRONG_TYPES],
+)
+def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, updates, flags, name):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out), *flags]
+    if command == "sweep":
+        doc = _with(sweep_config_doc(), updates)
+        argv += ["--threads", "1"]
+    else:
+        doc = _with(ZERO_MODEL_CONFIG, updates)
+    if command == "train":
+        argv += ["--dataset", str(simulate_small(capsys, tmp_path / "ds"))]
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run(capsys, *argv)
+    assert code == 2, err
+    assert name in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

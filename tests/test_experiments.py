@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ite_bench import blas, experiments
+from ite_bench import blas, experiments, simulate
 from ite_bench.errors import ConfigError, DataError
 from ite_bench.metrics import EvalReport
 from ite_bench.model import ModelShape, TrainConfig
@@ -23,11 +23,10 @@ from ite_bench.experiments import (
     render_report_table,
     report_table_csv,
     run_experiment,
-    _trial_worker,
     run_sweep,
     write_json_atomic,
 )
-from ite_bench.simulate import SimConfig, save_dataset, simulate_dataset
+from ite_bench.simulate import SimConfig
 
 
 def tiny_experiment(**kw):
@@ -400,18 +399,31 @@ def test_reused_sweep_dir_is_refused_and_force_rewrites_datasets(tmp_path):
     assert manifest["config"]["seed"] == sim.seed
 
 
-def test_trial_worker_refuses_dataset_from_another_config(tmp_path):
-    spec = sweep_spec()
-    ds_dir = tmp_path / "rep0"
-    save_dataset(simulate_dataset(spec.base.sim), ds_dir)
-    manifest_path = ds_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["config"]["seed"] += 1
-    manifest_path.write_text(json.dumps(manifest))
-    payload = (0, spec.base.to_dict(), {}, [str(ds_dir)], str(tmp_path / "trial"))
-    with pytest.raises(DataError, match="different config"):
-        _trial_worker(payload)
-    assert not (tmp_path / "trial" / "record.json").exists()
+def test_parallel_sweep_trains_on_the_parent_datasets_without_reading_them(
+    tmp_path, monkeypatch
+):
+    serial = run_sweep(sweep_spec(), tmp_path / "serial", threads=1)
+
+    def refuse(path):
+        raise AssertionError(f"a sweep read {path} back from disk")
+
+    # forked workers inherit the patch
+    monkeypatch.setattr(experiments, "load_dataset", refuse)
+    monkeypatch.setattr(simulate, "load_dataset", refuse)
+    parallel = run_sweep(sweep_spec(), tmp_path / "parallel", threads=2)
+    noise = ("wall_clock_s", "blas_threads_per_worker")
+    assert {k: v for k, v in parallel.items() if k not in noise} == {
+        k: v for k, v in serial.items() if k not in noise
+    }
+
+
+def test_parallel_sweep_without_fork_is_a_config_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        experiments.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
+    with pytest.raises(ConfigError, match="fork"):
+        run_sweep(sweep_spec(), tmp_path / "sweep", threads=2)
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_max_trials_subsample_is_deterministic(tmp_path):
