@@ -23,14 +23,7 @@ from .metrics import (
     pehe,
     zero_shot_pehe,
 )
-from .mmd import (
-    KernelSpec,
-    median_heuristic,
-    mmd2_biased,
-    mmd2_gradient,
-    rbf_kernel,
-    treatment_regularization_loss,
-)
+from .mmd import treatment_regularization_loss
 from .model import (
     Batch,
     ModelShape,

@@ -24,7 +24,7 @@ from .experiments import (
     write_json_atomic,
 )
 from .metrics import EvalReport, evaluate_model
-from .model import TrainConfig, load_checkpoint, save_checkpoint, train
+from .model import VARIANTS, TrainConfig, load_checkpoint, save_checkpoint, train
 from .simulate import SimConfig, load_dataset, save_dataset, simulate_dataset
 
 EXIT_OK = 0
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory for checkpoint and history")
-    p.add_argument("--variant", choices=["joint", "tarnet"])
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs-max", type=int, dest="epochs_max")
     p.add_argument("--alpha", type=float)

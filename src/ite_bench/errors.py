@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import typing
 
@@ -82,10 +83,18 @@ def _matches(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+def _finite(value) -> bool:
+    """False for a NaN or infinite float, or a tuple that holds one."""
+    if isinstance(value, tuple):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def config_from_dict(cls, doc, path: str, **built):
     """cls(**doc, **built) for a config dataclass. doc must be an object
     whose keys name fields of cls other than those in built, each with a
-    value of the field's declared type; anything else raises ConfigError."""
+    value of the field's declared type and no NaN or infinite float;
+    anything else raises ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be an object, got {doc!r}")
     hints = typing.get_type_hints(cls)
@@ -98,4 +107,6 @@ def config_from_dict(cls, doc, path: str, **built):
         if not _matches(value, hint):
             expect = hint.__name__ if isinstance(hint, type) else str(hint)
             raise ConfigError(f"{path}.{name} must be {expect}, got {value!r}")
+        if not _finite(value):
+            raise ConfigError(f"{path}.{name} must be finite, got {value!r}")
     return cls(**doc, **built)

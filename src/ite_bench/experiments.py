@@ -27,6 +27,7 @@ from . import blas
 from .errors import ConfigError, DataError, TrainingDiverged, config_from_dict
 from .metrics import EvalReport, evaluate_model
 from .model import (
+    VARIANTS,
     ModelShape,
     TrainConfig,
     TrainedModel,
@@ -73,8 +74,8 @@ class ExperimentConfig:
         self.sim.validate()
         self.shape.validate()
         self.train.validate()
-        if self.variant not in ("joint", "tarnet"):
-            raise ConfigError(f"variant must be 'joint' or 'tarnet', got {self.variant!r}")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         if self.zero_shot is not None and not 0 <= self.zero_shot < self.sim.k:

@@ -19,38 +19,12 @@ counts as exactly 0, in the loss and in the gradient alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, NumericError, ShapeError
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """RBF kernel configuration; bandwidth None means median heuristic."""
-
-    bandwidth: float | None = None
-
-    def validate(self) -> "KernelSpec":
-        if self.bandwidth is not None and not self.bandwidth > 0.0:
-            raise ConfigError("kernel bandwidth must be positive")
-        return self
-
-
-def _as_samples(x, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2:
-        raise ShapeError(f"{name} must be a matrix of sample rows, got ndim={a.ndim}")
-    if a.shape[0] < 1:
-        raise InsufficientDataError(f"{name} must contain at least one sample")
-    if not np.isfinite(a).all():
-        raise NumericError(f"non-finite values in {name}")
-    return a
+from .errors import ConfigError, NumericError, ShapeError
 
 
 def _sqdist(x: np.ndarray) -> np.ndarray:
@@ -63,18 +37,6 @@ def _sqdist(x: np.ndarray) -> np.ndarray:
     d2 += sq[:, None]
     d2 += sq[None, :]
     return np.maximum(d2, 0.0, out=d2)
-
-
-def rbf_kernel(u, v, bandwidth: float) -> float:
-    """k(u, v) = exp(-||u - v||^2 / (2 * bandwidth^2)) for two vectors."""
-    if not bandwidth > 0.0:
-        raise ConfigError("kernel bandwidth must be positive")
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ShapeError(f"kernel inputs differ in dimension: {u.shape} vs {v.shape}")
-    diff = u - v
-    return float(np.exp(-(diff @ diff) / (2.0 * bandwidth * bandwidth)))
 
 
 def _median_distance(d2: np.ndarray) -> float:
@@ -99,18 +61,10 @@ def _upper_flat_index(n: int) -> np.ndarray:
     return index
 
 
-def median_heuristic(samples) -> float:
-    """Median pairwise Euclidean distance; falls back to 1.0 when it is zero."""
-    x = _as_samples(samples, "samples")
-    if x.shape[0] < 2:
-        raise InsufficientDataError("median heuristic needs at least two samples")
-    return _median_distance(_sqdist(x))
-
-
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _balance(blocks: list[np.ndarray], kernel: KernelSpec) -> tuple[float, np.ndarray]:
+def _balance(blocks: list[np.ndarray], bandwidth: float | None) -> tuple[float, np.ndarray]:
     """Mean clamped MMD^2 over all pairs of non-empty sample blocks.
 
     Returns the loss and its gradient with respect to the stacked samples.
@@ -118,7 +72,7 @@ def _balance(blocks: list[np.ndarray], kernel: KernelSpec) -> tuple[float, np.nd
     z = np.vstack(blocks)
     sizes = [blk.shape[0] for blk in blocks]
     gram = _sqdist(z)
-    bw = kernel.bandwidth if kernel.bandwidth is not None else _median_distance(gram)
+    bw = bandwidth if bandwidth is not None else _median_distance(gram)
     s2 = bw * bw
     gram *= -0.5 / s2
     np.exp(gram, out=gram)
@@ -144,46 +98,19 @@ def _balance(blocks: list[np.ndarray], kernel: KernelSpec) -> tuple[float, np.nd
     return loss, grad
 
 
-def _check_pair(group_a, group_b) -> list[np.ndarray]:
-    a = _as_samples(group_a, "group_a")
-    b = _as_samples(group_b, "group_b")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(
-            f"groups differ in embedding dimension: {a.shape[1]} vs {b.shape[1]}"
-        )
-    return [a, b]
-
-
-def mmd2_biased(group_a, group_b, kernel: KernelSpec = KernelSpec()) -> float:
-    """Biased V-statistic estimate of MMD^2, clamped at zero against roundoff."""
-    return _balance(_check_pair(group_a, group_b), kernel.validate())[0]
-
-
-def mmd2_gradient(
-    group_a, group_b, kernel: KernelSpec = KernelSpec()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of mmd2_biased w.r.t. every sample in both groups.
-
-    A median-heuristic bandwidth is treated as a constant.
-    """
-    blocks = _check_pair(group_a, group_b)
-    grad = _balance(blocks, kernel.validate())[1]
-    m = blocks[0].shape[0]
-    return grad[:m], grad[m:]
-
-
 def treatment_regularization_loss(
     groups: Mapping[int, np.ndarray],
-    kernel: KernelSpec = KernelSpec(),
+    bandwidth: float | None = None,
 ) -> tuple[float, dict[int, np.ndarray]]:
     """Mean MMD^2 over all unordered pairs of non-empty groups.
 
     Returns (loss, gradients keyed like groups). Fewer than two non-empty
     groups is a degenerate batch, not an error: loss 0 with zero gradients.
-    The median-heuristic bandwidth, when used, is computed once over the
+    bandwidth None means the median heuristic, computed once over the
     union of all non-empty groups.
     """
-    kernel.validate()
+    if bandwidth is not None and not bandwidth > 0.0:
+        raise ConfigError("kernel bandwidth must be positive")
     arrays: dict[int, np.ndarray] = {}
     for key in sorted(groups):
         arr = np.asarray(groups[key], dtype=np.float64)
@@ -200,7 +127,7 @@ def treatment_regularization_loss(
         if not np.isfinite(arrays[key]).all():
             raise NumericError(f"non-finite values in group {key}")
 
-    loss, grad = _balance([arrays[key] for key in present], kernel)
+    loss, grad = _balance([arrays[key] for key in present], bandwidth)
     grads = {}
     start = 0
     for key, arr in arrays.items():

@@ -40,7 +40,7 @@ from .errors import (
     config_from_dict,
     load_json_object,
 )
-from .mmd import KernelSpec, treatment_regularization_loss
+from .mmd import treatment_regularization_loss
 from .nn import (
     ACTIVATIONS,
     Gradients,
@@ -267,10 +267,6 @@ class TrainConfig:
     bandwidth: float | None = None  # None -> per-batch median heuristic
     seed: int = 0
 
-    @property
-    def kernel(self) -> KernelSpec:
-        return KernelSpec(self.bandwidth)
-
     def lr_at(self, epoch: int) -> float:
         """Step-decay schedule: base_lr * lr_decay ** floor(epoch / scheduler_step)."""
         if epoch < 0:
@@ -296,7 +292,8 @@ class TrainConfig:
             raise ConfigError("scheduler_step must be >= 1")
         if self.weight_decay < 0.0:
             raise ConfigError("weight_decay must be >= 0")
-        self.kernel.validate()
+        if self.bandwidth is not None and not self.bandwidth > 0.0:
+            raise ConfigError("kernel bandwidth must be positive")
         return self
 
     def to_dict(self) -> dict:
@@ -405,7 +402,7 @@ def batch_loss(
     if joint:
         groups = {t: head_in[rows] for t, rows in enumerate(rows_by_t) if rows.size > 0}
         n_groups = len(groups)
-        balance, bal_grads = treatment_regularization_loss(groups, cfg.kernel)
+        balance, bal_grads = treatment_regularization_loss(groups, cfg.bandwidth)
         for t, rows in enumerate(rows_by_t):
             if rows.size > 0:
                 d_head_in[rows] += cfg.beta * bal_grads[t]

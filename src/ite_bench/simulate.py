@@ -582,11 +582,14 @@ def load_dataset(dataset_dir) -> Dataset:
                 f"{np.dtype(dtype)} {shape}"
             )
         arrays[name] = arr
-    cfg = (
-        SimConfig.from_dict(manifest["config"], path="manifest.config")
-        if manifest.get("config")
-        else None
-    )
+    try:
+        cfg = (
+            SimConfig.from_dict(manifest["config"], path="manifest.config")
+            if manifest.get("config")
+            else None
+        )
+    except ConfigError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from exc
     try:
         splits = {
             name: np.asarray(manifest["splits"][name], dtype=np.int64)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -316,12 +317,24 @@ def test_evaluate_malformed_checkpoint_header_exits_2(tmp_path, capsys, header):
     assert "checkpoint.json" in err
 
 
-@pytest.mark.parametrize(
-    "manifest", ['{"schema_version": ', "[1]"], ids=["truncated", "not-an-object"]
-)
+MALFORMED_MANIFESTS = {
+    "truncated": lambda doc: '{"schema_version": ',
+    "not-an-object": lambda doc: "[1]",
+    "config-wrong-type": lambda doc: json.dumps(
+        {**doc, "config": {**doc["config"], "seed": "3"}}
+    ),
+    "config-unknown-field": lambda doc: json.dumps(
+        {**doc, "config": {**doc["config"], "colour": "red"}}
+    ),
+    "config-not-an-object": lambda doc: json.dumps({**doc, "config": 5}),
+}
+
+
+@pytest.mark.parametrize("manifest", MALFORMED_MANIFESTS.values(), ids=MALFORMED_MANIFESTS)
 def test_train_malformed_manifest_exits_3(tmp_path, capsys, manifest):
     ds = simulate_small(capsys, tmp_path / "ds")
-    (ds / "manifest.json").write_text(manifest)
+    path = ds / "manifest.json"
+    path.write_text(manifest(json.loads(path.read_text())))
     code, _, err = run(capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run"))
     assert code == 3
     assert "manifest.json" in err
@@ -510,6 +523,17 @@ WRONG_TYPES = [
     ("sweep", {"grid": ["x"]}, (), "grid"),
     ("sweep", {"max_trials": "3"}, (), "max_trials"),
     ("sweep", {"seed": 1.5}, (), "seed"),
+    # JSON and argparse both accept NaN and infinities
+    ("train", {"train": {"base_lr": math.nan}}, (), "base_lr"),
+    ("train", {"train": {"alpha": math.nan}}, (), "alpha"),
+    ("train", {"train": {"beta": math.nan}}, (), "beta"),
+    ("train", {"train": {"weight_decay": math.inf}}, (), "weight_decay"),
+    ("train", {"train": {"base_lr": math.inf}}, (), "base_lr"),
+    ("train", {"train": {"bandwidth": math.inf}}, (), "bandwidth"),
+    ("train", {}, ("--lr", "nan"), "base_lr"),
+    ("simulate", {"sim": {"mu_sd": math.nan}}, (), "mu_sd"),
+    ("simulate", {}, ("--kappa", "1,inf,2"), "kappa"),
+    ("sweep", {"grid": {"train.base_lr": [0.05, math.nan]}}, (), "base_lr"),
 ]
 
 
@@ -535,6 +559,7 @@ def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, updates, fl
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sweep_records_a_trial_whose_validation_overflows_as_diverged(
     tmp_path, capsys, threads

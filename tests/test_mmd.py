@@ -3,60 +3,37 @@ import math
 import numpy as np
 import pytest
 
-from ite_bench.errors import (
-    ConfigError,
-    InsufficientDataError,
-    NumericError,
-    ShapeError,
-)
+from ite_bench.errors import ConfigError, NumericError, ShapeError
 from ite_bench.mmd import (
-    KernelSpec,
     _balance,
-    median_heuristic,
-    mmd2_biased,
-    mmd2_gradient,
-    rbf_kernel,
+    _median_distance,
+    _sqdist,
     treatment_regularization_loss,
 )
 
 from gradcheck import central_difference
 
-UNIT_BW = KernelSpec(bandwidth=1.0)
-
-
-def test_rbf_kernel_closed_forms():
-    assert rbf_kernel([0.0], [1.0], 1.0) == pytest.approx(math.exp(-0.5), abs=1e-15)
-    assert rbf_kernel([2.0, -1.0], [2.0, -1.0], 0.3) == 1.0
-    # ||u - v|| = 5, bandwidth 5 -> exp(-25 / 50)
-    assert rbf_kernel([0.0, 0.0], [3.0, 4.0], 5.0) == pytest.approx(
-        math.exp(-0.5), abs=1e-15
-    )
-    with pytest.raises(ConfigError):
-        rbf_kernel([0.0], [1.0], 0.0)
-    with pytest.raises(ShapeError):
-        rbf_kernel([0.0], [1.0, 2.0], 1.0)
-
 
 def test_mmd2_two_singletons_closed_form():
-    value = mmd2_biased([[0.0]], [[1.0]], UNIT_BW)
+    value = treatment_regularization_loss({0: [[0.0]], 1: [[1.0]]}, 1.0)[0]
     assert value == pytest.approx(2.0 - 2.0 * math.exp(-0.5), abs=1e-9)
 
 
 def test_mmd2_identical_groups_is_zero():
     x = np.random.default_rng(0).normal(size=(7, 3))
-    assert mmd2_biased(x, x.copy(), KernelSpec(0.7)) == 0.0
-    assert mmd2_biased(x, x.copy()) == 0.0  # median heuristic path
+    assert treatment_regularization_loss({0: x, 1: x.copy()}, 0.7)[0] == 0.0
+    # median heuristic path
+    assert treatment_regularization_loss({0: x, 1: x.copy()})[0] == 0.0
 
 
 def test_mmd2_symmetry_and_permutation_invariance():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(6, 2))
     b = rng.normal(size=(9, 2)) + 0.5
-    spec = KernelSpec(1.3)
-    forward = mmd2_biased(a, b, spec)
-    assert abs(forward - mmd2_biased(b, a, spec)) <= 1e-12
+    forward = treatment_regularization_loss({0: a, 1: b}, 1.3)[0]
+    assert abs(forward - treatment_regularization_loss({0: b, 1: a}, 1.3)[0]) <= 1e-12
     perm = rng.permutation(6)
-    assert abs(forward - mmd2_biased(a[perm], b, spec)) <= 1e-12
+    assert abs(forward - treatment_regularization_loss({0: a[perm], 1: b}, 1.3)[0]) <= 1e-12
 
 
 def test_mmd2_nonnegative_on_random_groups():
@@ -64,54 +41,53 @@ def test_mmd2_nonnegative_on_random_groups():
     for _ in range(25):
         a = rng.normal(size=(rng.integers(1, 8), 2))
         b = rng.normal(size=(rng.integers(1, 8), 2))
-        assert mmd2_biased(a, b, KernelSpec(0.9)) >= 0.0
+        assert treatment_regularization_loss({0: a, 1: b}, 0.9)[0] >= 0.0
 
 
 def test_mmd2_bias_shrinks_with_sample_size():
     # both groups drawn from the same distribution: the V-statistic's own
     # bias dominates and decays as the groups grow
-    spec = KernelSpec(1.0)
     rng = np.random.default_rng(42)
     values = []
     for n in (10, 100, 1000):
         a = rng.normal(size=(n, 2))
         b = rng.normal(size=(n, 2))
-        values.append(mmd2_biased(a, b, spec))
+        values.append(treatment_regularization_loss({0: a, 1: b}, 1.0)[0])
     assert values[0] > values[1] > values[2]
 
 
 def test_mmd2_input_checks():
     with pytest.raises(ShapeError):
-        mmd2_biased(np.zeros((3, 2)), np.zeros((3, 4)), UNIT_BW)
-    with pytest.raises(InsufficientDataError):
-        mmd2_biased(np.zeros((0, 2)), np.zeros((3, 2)), UNIT_BW)
+        treatment_regularization_loss({0: np.zeros((3, 2)), 1: np.zeros((3, 4))}, 1.0)
     with pytest.raises(NumericError):
-        mmd2_biased(np.array([[np.nan]]), np.zeros((3, 1)), UNIT_BW)
-    with pytest.raises(ConfigError):
-        mmd2_biased([[0.0]], [[1.0]], KernelSpec(-1.0))
+        treatment_regularization_loss({0: np.array([[np.nan]]), 1: np.zeros((3, 1))}, 1.0)
+    for bandwidth in (-1.0, 0.0, math.nan):
+        with pytest.raises(ConfigError):
+            treatment_regularization_loss({0: [[0.0]], 1: [[1.0]]}, bandwidth)
 
 
 def test_median_heuristic_values():
     # pairwise distances of {0, 1, 3} are {1, 2, 3} -> median 2
-    assert median_heuristic([0.0, 1.0, 3.0]) == pytest.approx(2.0, abs=1e-12)
-    assert median_heuristic(np.ones((5, 3))) == 1.0  # all-zero distances fall back
-    with pytest.raises(InsufficientDataError):
-        median_heuristic([[1.0]])
+    x = np.array([[0.0], [1.0], [3.0]])
+    assert _median_distance(_sqdist(x)) == pytest.approx(2.0, abs=1e-12)
+    # all-zero distances fall back
+    assert _median_distance(_sqdist(np.ones((5, 3)))) == 1.0
 
 
 def test_median_heuristic_even_pair_count():
     # pairwise distances of {0, 1, 3, 7} are {1, 2, 3, 4, 6, 7} -> median 3.5
-    assert median_heuristic([0.0, 1.0, 3.0, 7.0]) == 3.5
+    assert _median_distance(_sqdist(np.array([[0.0], [1.0], [3.0], [7.0]]))) == 3.5
     rng = np.random.default_rng(4)
     for n in (5, 6, 40):
         x = rng.normal(size=(n, 3))
         rows, cols = np.triu_indices(n, k=1)
         expected = np.median(np.linalg.norm(x[rows] - x[cols], axis=1))
-        assert median_heuristic(x) == pytest.approx(expected, rel=1e-12)
+        assert _median_distance(_sqdist(x)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gradient_two_singletons_closed_form():
-    ga, gb = mmd2_gradient([[0.0]], [[1.0]], UNIT_BW)
+    _, grads = treatment_regularization_loss({0: [[0.0]], 1: [[1.0]]}, 1.0)
+    ga, gb = grads[0], grads[1]
     expected = 2.0 * math.exp(-0.5)
     assert ga.shape == (1, 1) and gb.shape == (1, 1)
     # moving the lone a-sample toward b decreases the discrepancy, so the
@@ -126,17 +102,16 @@ def test_gradient_matches_finite_differences(dim, sizes):
     rng = np.random.default_rng(dim * 100 + sizes[0] * 10 + sizes[1])
     a = rng.normal(size=(sizes[0], dim))
     b = rng.normal(size=(sizes[1], dim)) + 1.0  # offset keeps the value off the clamp
-    spec = KernelSpec(0.8)
-    ga, gb = mmd2_gradient(a, b, spec)
+    _, grads = treatment_regularization_loss({0: a, 1: b}, 0.8)
 
     def value_from(flat):
         a2 = flat[: a.size].reshape(a.shape)
         b2 = flat[a.size :].reshape(b.shape)
-        return mmd2_biased(a2, b2, spec)
+        return treatment_regularization_loss({0: a2, 1: b2}, 0.8)[0]
 
     flat = np.concatenate([a.ravel(), b.ravel()])
     fd = central_difference(value_from, flat)
-    analytic = np.concatenate([ga.ravel(), gb.ravel()])
+    analytic = np.concatenate([grads[0].ravel(), grads[1].ravel()])
     np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
 
 
@@ -146,16 +121,16 @@ def test_gradient_median_heuristic_is_straight_through():
     rng = np.random.default_rng(13)
     a = rng.normal(size=(4, 2))
     b = rng.normal(size=(5, 2)) + 0.7
-    bw = median_heuristic(np.vstack([a, b]))
-    ga_sth, gb_sth = mmd2_gradient(a, b, KernelSpec())
-    ga_fix, gb_fix = mmd2_gradient(a, b, KernelSpec(bw))
-    np.testing.assert_array_equal(ga_sth, ga_fix)
-    np.testing.assert_array_equal(gb_sth, gb_fix)
+    bw = _median_distance(_sqdist(np.vstack([a, b])))
+    _, sth = treatment_regularization_loss({0: a, 1: b})
+    _, fix = treatment_regularization_loss({0: a, 1: b}, bw)
+    np.testing.assert_array_equal(sth[0], fix[0])
+    np.testing.assert_array_equal(sth[1], fix[1])
 
 
 def test_regularization_three_singletons_closed_form():
     groups = {0: [[0.0]], 1: [[1.0]], 2: [[2.0]]}
-    loss, grads = treatment_regularization_loss(groups, UNIT_BW)
+    loss, grads = treatment_regularization_loss(groups, 1.0)
     near = 2.0 - 2.0 * math.exp(-0.5)
     far = 2.0 - 2.0 * math.exp(-2.0)
     assert loss == pytest.approx((2.0 * near + far) / 3.0, abs=1e-9)
@@ -172,7 +147,7 @@ def test_regularization_degenerate_batches():
         {0: filled, 1: empty},
         {2: filled},
     ):
-        loss, grads = treatment_regularization_loss(groups, UNIT_BW)
+        loss, grads = treatment_regularization_loss(groups, 1.0)
         assert loss == 0.0
         assert set(grads) == set(groups)
         for key, g in grads.items():
@@ -184,27 +159,27 @@ def test_regularization_skips_empty_groups_in_pair_count():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(5, 2))
     b = rng.normal(size=(6, 2)) + 1.0
-    spec = KernelSpec(1.1)
     loss, grads = treatment_regularization_loss(
-        {0: a, 1: np.zeros((0, 2)), 2: b}, spec
+        {0: a, 1: np.zeros((0, 2)), 2: b}, 1.1
     )
-    assert loss == pytest.approx(mmd2_biased(a, b, spec), abs=1e-12)
-    ga, gb = mmd2_gradient(a, b, spec)
-    np.testing.assert_allclose(grads[0], ga, atol=1e-14)
-    np.testing.assert_allclose(grads[2], gb, atol=1e-14)
+    pair_loss, pair_grads = treatment_regularization_loss({0: a, 1: b}, 1.1)
+    assert loss == pytest.approx(pair_loss, abs=1e-12)
+    np.testing.assert_allclose(grads[0], pair_grads[0], atol=1e-14)
+    np.testing.assert_allclose(grads[2], pair_grads[1], atol=1e-14)
     assert grads[1].shape == (0, 2)
     # the same holds under the median heuristic: empty groups do not feed
     # the bandwidth either
     loss_mh, _ = treatment_regularization_loss({0: a, 1: np.zeros((0, 2)), 2: b})
-    assert loss_mh == pytest.approx(mmd2_biased(a, b), abs=1e-12)
+    assert loss_mh == pytest.approx(
+        treatment_regularization_loss({0: a, 1: b})[0], abs=1e-12
+    )
 
 
 def test_regularization_gradients_match_finite_differences():
     rng = np.random.default_rng(21)
     shapes = {0: (3, 2), 1: (2, 2), 3: (4, 2)}
     groups = {key: rng.normal(size=s) + key for key, s in shapes.items()}
-    spec = KernelSpec(0.9)
-    loss, grads = treatment_regularization_loss(groups, spec)
+    loss, grads = treatment_regularization_loss(groups, 0.9)
     assert loss > 0.0
 
     keys = sorted(groups)
@@ -216,7 +191,7 @@ def test_regularization_gradients_match_finite_differences():
         for k, size in zip(keys, sizes):
             rebuilt[k] = flat[pos : pos + size].reshape(groups[k].shape)
             pos += size
-        return treatment_regularization_loss(rebuilt, spec)[0]
+        return treatment_regularization_loss(rebuilt, 0.9)[0]
 
     flat = np.concatenate([groups[k].ravel() for k in keys])
     fd = central_difference(value_from, flat)
@@ -226,10 +201,10 @@ def test_regularization_gradients_match_finite_differences():
 
 def test_regularization_accepts_flat_sample_vectors():
     loss_flat, grads_flat = treatment_regularization_loss(
-        {0: np.array([0.0, 0.5]), 1: np.array([1.0])}, UNIT_BW
+        {0: np.array([0.0, 0.5]), 1: np.array([1.0])}, 1.0
     )
     loss_col, _ = treatment_regularization_loss(
-        {0: np.array([[0.0], [0.5]]), 1: np.array([[1.0]])}, UNIT_BW
+        {0: np.array([[0.0], [0.5]]), 1: np.array([[1.0]])}, 1.0
     )
     assert loss_flat == loss_col
     assert grads_flat[0].shape == (2, 1)
@@ -238,11 +213,11 @@ def test_regularization_accepts_flat_sample_vectors():
 def test_regularization_rejects_mixed_dimensions_and_nonfinite():
     with pytest.raises(ShapeError):
         treatment_regularization_loss(
-            {0: np.zeros((2, 2)), 1: np.zeros((2, 3))}, UNIT_BW
+            {0: np.zeros((2, 2)), 1: np.zeros((2, 3))}, 1.0
         )
     with pytest.raises(NumericError):
         treatment_regularization_loss(
-            {0: np.array([[np.inf]]), 1: np.zeros((2, 1))}, UNIT_BW
+            {0: np.array([[np.inf]]), 1: np.zeros((2, 1))}, 1.0
         )
 
 
@@ -307,7 +282,7 @@ LAYOUTS = {
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_regularization_matches_three_gram_reference(layout, bandwidth):
     groups = LAYOUTS[layout](np.random.default_rng(len(layout)))
-    loss, grads = treatment_regularization_loss(groups, KernelSpec(bandwidth))
+    loss, grads = treatment_regularization_loss(groups, bandwidth)
     ref_loss, ref_grads = three_gram_reference(groups, bandwidth)
     assert ref_loss > 0.0
     assert abs(loss - ref_loss) <= 1e-12 * ref_loss
@@ -320,14 +295,14 @@ def test_regularization_matches_three_gram_reference(layout, bandwidth):
 @pytest.mark.parametrize("bandwidth", [0.7, None])
 @pytest.mark.parametrize("size", [1, 7, 40])
 def test_clamped_pairs_contribute_no_loss_and_no_gradient(size, bandwidth):
-    spec = KernelSpec(bandwidth)
     rng = np.random.default_rng(size)
     x = rng.normal(size=(size, 3))
     for y in (x.copy(), x[rng.permutation(size)]):
-        assert mmd2_biased(x, y, spec) == 0.0
-        for g in mmd2_gradient(x, y, spec):
+        pair_loss, pair_grads = treatment_regularization_loss({0: x, 1: y}, bandwidth)
+        assert pair_loss == 0.0
+        for g in pair_grads.values():
             assert not g.any()
-        loss, grads = treatment_regularization_loss({0: x, 1: y, 2: x.copy()}, spec)
+        loss, grads = treatment_regularization_loss({0: x, 1: y, 2: x.copy()}, bandwidth)
         assert loss == 0.0
         for g in grads.values():
             assert not g.any()
@@ -340,10 +315,10 @@ def test_clamped_pair_drops_out_of_a_larger_batch():
     x = rng.normal(size=(6, 2))
     far = rng.normal(size=(4, 2)) + 1.5
     groups = {0: x, 1: x[::-1].copy(), 2: far}
-    spec = KernelSpec(1.2)
-    loss, grads = treatment_regularization_loss(groups, spec)
-    assert loss == pytest.approx(2.0 * mmd2_biased(x, far, spec) / 3.0, rel=1e-12)
-    ga, gb = mmd2_gradient(x, far, spec)
+    loss, grads = treatment_regularization_loss(groups, 1.2)
+    pair_loss, pair_grads = treatment_regularization_loss({0: x, 1: far}, 1.2)
+    assert loss == pytest.approx(2.0 * pair_loss / 3.0, rel=1e-12)
+    ga, gb = pair_grads[0], pair_grads[1]
     np.testing.assert_allclose(grads[0], ga / 3.0, rtol=0, atol=1e-14)
     np.testing.assert_allclose(grads[1], ga[::-1] / 3.0, rtol=0, atol=1e-14)
     np.testing.assert_allclose(grads[2], 2.0 * gb / 3.0, rtol=0, atol=1e-14)
@@ -398,8 +373,8 @@ def test_balance_factorizes_when_psi_is_constant_per_group(bandwidth):
         for phi, psi in zip(phis, psis)
     ]
     if bandwidth is None:
-        bandwidth = median_heuristic(np.vstack(blocks))
-    loss, grad = _balance(blocks, KernelSpec(bandwidth))
+        bandwidth = _median_distance(_sqdist(np.vstack(blocks)))
+    loss, grad = _balance(blocks, bandwidth)
     ref_loss, ref_grad = factorized_reference(phis, psis, bandwidth)
     assert ref_loss > 0.0
     assert abs(loss - ref_loss) <= 1e-12
