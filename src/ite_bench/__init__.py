@@ -38,7 +38,6 @@ from .model import (
     train,
 )
 from .nn import (
-    Gradients,
     MlpParams,
     init_mlp,
     mlp_backward,

@@ -112,6 +112,8 @@ def cmd_train(args) -> int:
             train_doc[name] = value
     train_cfg = TrainConfig.from_dict(train_doc)
     variant = args.variant or cfg.variant
+    if cfg.zero_shot is not None:
+        ds = ds.without_treatment_in_fit(cfg.zero_shot)
     trained = train(ds, cfg.shape, train_cfg, variant)
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "checkpoint.json")
@@ -139,10 +141,6 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     ds = load_dataset(args.dataset)
     trained = load_checkpoint(args.checkpoint)
-    if args.zero_shot is not None and not 0 <= args.zero_shot < ds.k:
-        raise ConfigError(
-            f"--zero-shot {args.zero_shot} out of range 0..{ds.k - 1}"
-        )
     report = evaluate_model(
         trained.model, ds, split=args.split, zero_shot_z=args.zero_shot
     )

@@ -43,7 +43,6 @@ from .errors import (
 from .mmd import treatment_regularization_loss
 from .nn import (
     ACTIVATIONS,
-    Gradients,
     MlpParams,
     init_mlp,
     mlp_backward,
@@ -317,11 +316,8 @@ class BatchLossResult:
     mse: float
     balance: float
     grad: np.ndarray  # every parameter's gradient, in the layout of model.theta
-    # views into grad; None for a head without samples, whose gradient is 0
-    cov_grads: Gradients
-    treat_grads: Gradients | None
-    head_grads: tuple[Gradients | None, ...]
-    n_balance_groups: int
+    # samples per head; a head without samples has a zero gradient
+    head_rows: tuple[int, ...]
     predictions: np.ndarray
 
 
@@ -387,32 +383,28 @@ def batch_loss(
 
     # factual loss path: alpha * L1 through the observed heads only
     d_head_in = np.zeros_like(head_in)
-    head_grads: list[Gradients | None] = [None] * model.k
     for t, rows in enumerate(rows_by_t):
         if rows.size == 0:
             continue
         upstream = (cfg.alpha * d_yhat[rows])[:, None]
-        g = mlp_backward(model.heads[t], head_caches[t], upstream, grad_views[t - model.k])
-        head_grads[t] = g
-        d_head_in[rows] += g.input_gradient
+        d_head_in[rows] += mlp_backward(
+            model.heads[t], head_caches[t], upstream, grad_views[t - model.k]
+        )
 
     # balancing path: beta * L2 into the representations, never the heads
     balance = 0.0
-    n_groups = 0
     if joint:
         groups = {t: head_in[rows] for t, rows in enumerate(rows_by_t) if rows.size > 0}
-        n_groups = len(groups)
         balance, bal_grads = treatment_regularization_loss(groups, cfg.bandwidth)
         for t, rows in enumerate(rows_by_t):
             if rows.size > 0:
                 d_head_in[rows] += cfg.beta * bal_grads[t]
 
     d_cov = d_head_in[:, : cov_out.shape[1]]
-    cov_grads = mlp_backward(model.cov_net, cov_cache, d_cov, grad_views[0])
-    treat_grads = None
+    mlp_backward(model.cov_net, cov_cache, d_cov, grad_views[0])
     if joint:
         d_treat = d_head_in[:, cov_out.shape[1] :]
-        treat_grads = mlp_backward(model.treat_net, treat_cache, d_treat, grad_views[1])
+        mlp_backward(model.treat_net, treat_cache, d_treat, grad_views[1])
 
     total = cfg.alpha * mse + cfg.beta * balance
     if not np.isfinite(total):
@@ -422,10 +414,7 @@ def batch_loss(
         mse=mse,
         balance=balance,
         grad=grad,
-        cov_grads=cov_grads,
-        treat_grads=treat_grads,
-        head_grads=tuple(head_grads),
-        n_balance_groups=n_groups,
+        head_rows=tuple(rows.size for rows in rows_by_t),
         predictions=yhat,
     )
 
@@ -460,9 +449,9 @@ class TrainedModel:
     variant: str
 
 
-def _grad_norm(g: Gradients) -> float:
+def _grad_norm(layers: tuple[tuple[np.ndarray, np.ndarray], ...]) -> float:
     return float(
-        np.sqrt(sum(float((gw * gw).sum() + (gb * gb).sum()) for gw, gb in g.layers))
+        np.sqrt(sum(float((gw * gw).sum() + (gb * gb).sum()) for gw, gb in layers))
     )
 
 
@@ -490,9 +479,9 @@ def predict_all_outcomes(
     cols = []
     for t in range(model.k):
         if model.variant == "joint":
-            treat_vec, _ = mlp_forward(model.treat_net, t_emb[t])
+            treat_row, _ = mlp_forward(model.treat_net, t_emb[t : t + 1])
             head_in = np.concatenate(
-                [cov_out, np.broadcast_to(treat_vec, (x.shape[0], treat_vec.shape[0]))],
+                [cov_out, np.broadcast_to(treat_row, (x.shape[0], treat_row.shape[1]))],
                 axis=1,
             )
         else:
@@ -556,6 +545,13 @@ def train(
     # one gradient buffer per fit: a new one per batch raised peak RSS ~10% at
     # search-grid width, where numpy backs large arrays with huge pages
     grad = np.empty_like(model.theta)
+    grad_views = model.views(grad)
+    # each network's (weight, weight gradient) pairs, for weight decay
+    decay_pairs = [
+        [(w, gw) for (w, _), (gw, _) in zip(net, net_grad)]
+        for net, net_grad in zip(model.views(model.theta), grad_views)
+    ]
+    n_rep = len(decay_pairs) - dataset.k  # cov, and treat for joint
     best_model = dataclasses.replace(model)
     best_epoch: int | None = None
     best_val = np.inf
@@ -576,26 +572,22 @@ def train(
             seed = int(drop_rng.integers(2**63))
             try:
                 res = batch_loss(model, batch, cfg, dropout_seed=seed, out=grad)
+                hit = [n > 0 for n in res.head_rows]
+                reached = [True] * n_rep + hit
                 # before the step, which overwrites the gradient
-                for t, g in enumerate(res.head_grads):
-                    if g is not None:
-                        head_norms[t] += _grad_norm(g)
-                pairs = [(model.cov_net, res.cov_grads), (model.treat_net, res.treat_grads)]
-                pairs += zip(model.heads, res.head_grads)
-                decayed = [
-                    (w, gw) for net, g in pairs if g is not None
-                    for (w, _), (gw, _) in zip(net.layers, g.layers)
-                ]
+                for t in np.flatnonzero(hit):
+                    head_norms[t] += _grad_norm(grad_views[n_rep + t])
+                decayed = [p for pairs, r in zip(decay_pairs, reached) if r for p in pairs]
                 sgd_step(model.theta, res.grad, lr, cfg.weight_decay, decayed)
             except TrainingDiverged:
                 raise
             except NumericError as exc:
                 raise TrainingDiverged(epoch, batch_index, history) from exc
             model.head_updates = tuple(
-                n + (g is not None) for n, g in zip(model.head_updates, res.head_grads)
+                n + h for n, h in zip(model.head_updates, hit)
             )
             sums += (res.total, res.mse, res.balance)
-            if variant == "joint" and res.n_balance_groups < 2:
+            if variant == "joint" and sum(hit) < 2:
                 degenerate += 1
             n_batches += 1
 

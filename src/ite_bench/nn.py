@@ -12,7 +12,7 @@ Conventions:
   * a network with L layers applies the hidden activation (and dropout,
     in train mode) after layers 1..L-1; the final layer is affine,
   * weight matrices are stored [out x in], biases [out],
-  * forward accepts a single vector [in] or a batch [B x in].
+  * forward takes a batch only, a matrix [B x in]; one sample is [1 x in].
 """
 
 from __future__ import annotations
@@ -94,14 +94,6 @@ class MlpParams:
         return self
 
 
-@dataclass(frozen=True)
-class Gradients:
-    """Per-layer (dW, db) pairs plus the gradient w.r.t. the network input."""
-
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-    input_gradient: np.ndarray
-
-
 @dataclass
 class ForwardCache:
     """Everything the backward pass needs from one forward pass."""
@@ -109,7 +101,6 @@ class ForwardCache:
     inputs: list[np.ndarray]
     pre_activations: list[np.ndarray]
     dropout_masks: list[np.ndarray | None]
-    squeeze: bool
 
 
 def init_mlp(
@@ -149,7 +140,7 @@ def mlp_forward(
     x: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on x.
+    """Run the network on the batch x, shaped [B x in].
 
     rng=None means eval mode (no dropout). Passing a generator enables
     inverted dropout on hidden activations: kept units are divided by
@@ -157,11 +148,8 @@ def mlp_forward(
     state yields identical masks.
     """
     a = np.asarray(x, dtype=np.float64)
-    squeeze = a.ndim == 1
-    if squeeze:
-        a = a[None, :]
     if a.ndim != 2:
-        raise ShapeError(f"input must be a vector or matrix, got ndim={a.ndim}")
+        raise ShapeError(f"input must be a matrix [B x in], got ndim={a.ndim}")
     if a.shape[1] != params.input_dim:
         raise ShapeError(
             f"input width {a.shape[1]} does not match network input {params.input_dim}"
@@ -189,29 +177,26 @@ def mlp_forward(
                 masks.append(mask)
             else:
                 masks.append(None)
-    out = a[0] if squeeze else a
-    return out, ForwardCache(inputs, pre_acts, masks, squeeze)
+    return a, ForwardCache(inputs, pre_acts, masks)
 
 
 def mlp_backward(
     params: MlpParams,
     cache: ForwardCache,
     upstream_grad: np.ndarray,
-    out: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> Gradients:
+    out: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
     """Exact gradients of sum(upstream_grad * output) w.r.t. parameters and input.
 
-    upstream_grad must match the forward output shape; for batched forwards
-    it carries one row per sample and parameter gradients sum over rows.
-    Parameter gradients go into out, (dW, db) arrays shaped like
-    params.layers (views of a model's gradient vector), or new arrays.
+    upstream_grad carries one row per sample of the forward batch, and
+    parameter gradients sum over rows. They are written into out, (dW, db)
+    arrays shaped like params.layers (in a model, views of its gradient
+    vector). Returns the gradient w.r.t. the input batch.
     """
     n_layers = len(params.layers)
     if len(cache.inputs) != n_layers or len(cache.pre_activations) != n_layers:
         raise ShapeError("cache does not match network depth")
     g = np.asarray(upstream_grad, dtype=np.float64)
-    if cache.squeeze and g.ndim == 1:
-        g = g[None, :]
     batch = cache.inputs[0].shape[0]
     if g.shape != (batch, params.output_dim):
         raise ShapeError(
@@ -219,8 +204,6 @@ def mlp_backward(
             f"({batch}, {params.output_dim})"
         )
 
-    if out is None:
-        out = [(np.empty_like(w), np.empty_like(b)) for w, b in params.layers]
     delta = g  # gradient w.r.t. the current layer's pre-activation
     d_input = None
     for l in range(n_layers - 1, -1, -1):
@@ -237,9 +220,7 @@ def mlp_backward(
                 cache.pre_activations[l - 1], params.hidden_activation
             )
     assert d_input is not None
-    if cache.squeeze:
-        d_input = d_input[0]
-    return Gradients(tuple(out), d_input)
+    return d_input
 
 
 def sgd_step(

@@ -220,6 +220,7 @@ class Dataset:
         for name, arr in (
             ("X", self.X),
             ("Z", self.Z),
+            ("T_emb", self.T_emb),
             ("mu", self.mu),
             ("sigma", self.sigma),
             ("Y_sampled", self.Y_sampled),

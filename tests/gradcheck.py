@@ -32,8 +32,13 @@ def unflatten_params(params, vec):
     return replace(params, layers=tuple(layers))
 
 
-def flatten_grads(grads):
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads.layers])
+def empty_grads(params):
+    """(dW, db) arrays shaped like params.layers, for mlp_backward's out."""
+    return [(np.empty_like(w), np.empty_like(b)) for w, b in params.layers]
+
+
+def flatten_grads(layers):
+    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in layers])
 
 
 def assert_grads_close(analytic, fd, rtol=1e-4, atol=1e-7):

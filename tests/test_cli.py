@@ -193,6 +193,47 @@ def test_train_checks_config_dataset_agreement(tmp_path, capsys):
     assert "dataset has" in err
 
 
+def test_train_config_zero_shot_holds_the_treatment_out(tmp_path, capsys):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "sim": {"n": 80, "d": 4, "k": 3, "seed": 4},
+        "train": {"epochs_max": 2, "batch_size": 32},
+        "zero_shot": 2,
+    }))
+    out = tmp_path / "run"
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(out), "--config", str(cfg_path)
+    )
+    assert code == 0, err
+    counts = json.loads((out / "checkpoint.json").read_text())["head_updates"]
+    assert counts[2] == 0
+    assert counts[0] > 0 and counts[1] > 0
+    code, stdout, err = run(
+        capsys, "evaluate", "--dataset", str(ds),
+        "--checkpoint", str(out / "checkpoint.json"), "--zero-shot", "2",
+    )
+    assert code == 0, err
+    assert "head 2 received no training updates" in stdout
+
+
+@pytest.mark.parametrize("variant", ["joint", "tarnet"])
+def test_train_refuses_non_finite_treatment_embeddings(tmp_path, capsys, variant):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    path = ds / "treatment_embeddings.npy"
+    t_emb = np.load(path)
+    t_emb[1, 0] = np.nan
+    np.save(path, t_emb)
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+        "--variant", variant, "--epochs-max", "1",
+    )
+    assert code == 4
+    assert "T_emb" in err
+    assert "diverged" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_missing_dataset(tmp_path, capsys):
     code, _, _ = run(
         capsys, "train", "--dataset", str(tmp_path / "nope"), "--out", str(tmp_path / "run")

@@ -1,13 +1,15 @@
 import json
 import math
+import multiprocessing
 import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ite_bench import blas, experiments, simulate
+from ite_bench import blas, experiments, model, simulate
 from ite_bench.errors import ConfigError, DataError
 from ite_bench.metrics import EvalReport
 from ite_bench.model import ModelShape, TrainConfig
@@ -330,6 +332,43 @@ def test_blas_cap_never_raises_a_lower_count(tmp_path, monkeypatch):
     finally:
         set_(parent)
     assert get() == parent
+
+
+# hidden width 400: OpenBLAS takes a different GEMM path at 1 and at 2
+# threads for an inner dimension this large (up to 6e-14 apart on Haswell),
+# while the narrow shapes elsewhere in tier-1 agree bit for bit
+WIDE_SHAPE = ModelShape(
+    cov_layers=3, cov_width=400, cov_out=16, head_layers=2, head_width=32,
+    activation="elu", dropout_rate=0.1,
+)
+
+
+def _wide_fit(ds):
+    cfg = TrainConfig(batch_size=300, epochs_max=3, patience=3, seed=5)
+    trained = model.train(ds, WIDE_SHAPE, cfg, "tarnet")
+    return trained.model.theta, trained.history.val_mse, blas.openblas_controls()[0]()
+
+
+@requires_openblas
+@pytest.mark.skipif(experiments.usable_cpus() < 2, reason="needs 2 usable CPUs for 2 BLAS threads")
+def test_fit_agrees_up_to_roundoff_across_blas_thread_counts():
+    ds = simulate.simulate_dataset(SimConfig(n=1000, d=8, k=2, seed=2))
+    get, set_ = blas.openblas_controls()
+    before = get()
+    try:
+        set_(2)
+        # a forked child capped like a sweep worker, then the parent at 2 threads
+        with ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork"),
+            initializer=blas.cap_threads, initargs=(1,),
+        ) as pool:
+            theta_1, val_1, threads_1 = pool.submit(_wide_fit, ds).result()
+        theta_2, val_2, threads_2 = _wide_fit(ds)
+    finally:
+        set_(before)
+    assert (threads_1, threads_2) == (1, 2)
+    np.testing.assert_allclose(theta_1, theta_2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(val_1, val_2, rtol=1e-12, atol=0)
 
 
 def test_sweep_without_openblas_runs_uncapped(tmp_path, monkeypatch):

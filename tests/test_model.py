@@ -27,7 +27,7 @@ from ite_bench.model import (
 from ite_bench.nn import MlpParams, init_mlp, mlp_forward, sgd_step
 from ite_bench.simulate import SimConfig, simulate_dataset
 
-from gradcheck import central_difference, flatten_grads, flatten_params, unflatten_params
+from gradcheck import central_difference, flatten_params, unflatten_params
 
 
 def identity_model(d=2, k=2, variant="joint"):
@@ -191,9 +191,9 @@ def test_perfect_predictor_has_zero_error_terms():
     assert res.mse == 0.0
     assert res.total == pytest.approx(0.5 * res.balance, abs=1e-15)
     assert res.balance > 0.0  # groups still differ in representation space
-    for g in res.head_grads:
-        assert g is not None
-        assert not any(gw.any() or gb.any() for gw, gb in g.layers)
+    assert res.head_rows == (3, 3)
+    for layers in model.views(res.grad)[-model.k :]:
+        assert not any(gw.any() or gb.any() for gw, gb in layers)
 
 
 def test_single_sample_loss_hand_case():
@@ -210,8 +210,10 @@ def test_single_sample_loss_hand_case():
     assert res.total == pytest.approx(4.0, abs=1e-15)
     assert res.mse == pytest.approx(4.0, abs=1e-15)
     # bias gradient of the lone active head: sum over rows of 2/n * resid
-    assert res.head_grads[0].layers[0][1][0] == pytest.approx(-4.0, abs=1e-15)
-    assert res.head_grads[1] is None
+    heads = model.views(res.grad)[-2:]
+    assert heads[0][0][1][0] == pytest.approx(-4.0, abs=1e-15)
+    assert res.head_rows == (2, 0)
+    assert not any(gw.any() or gb.any() for gw, gb in heads[1])
 
 
 def test_loss_composition():
@@ -226,7 +228,7 @@ def test_loss_composition():
     cfg = TrainConfig(alpha=0.7, beta=1.3, bandwidth=0.9)
     res = batch_loss(model, batch, cfg)
     assert res.total == pytest.approx(0.7 * res.mse + 1.3 * res.balance, abs=1e-12)
-    assert res.n_balance_groups == 2
+    assert sum(n > 0 for n in res.head_rows) == 2
 
 
 def test_balance_term_never_touches_head_gradients():
@@ -240,14 +242,13 @@ def test_balance_term_never_touches_head_gradients():
     )
     res_off = batch_loss(model, batch, TrainConfig(alpha=1.0, beta=0.0, bandwidth=1.0))
     res_on = batch_loss(model, batch, TrainConfig(alpha=1.0, beta=5.0, bandwidth=1.0))
-    for g_off, g_on in zip(res_off.head_grads, res_on.head_grads):
-        for (w0, b0), (w1, b1) in zip(g_off.layers, g_on.layers):
+    off, on = model.views(res_off.grad), model.views(res_on.grad)
+    for g_off, g_on in zip(off[-model.k :], on[-model.k :]):
+        for (w0, b0), (w1, b1) in zip(g_off, g_on):
             np.testing.assert_array_equal(w0, w1)
             np.testing.assert_array_equal(b0, b1)
     # the representation networks do feel the balance term
-    assert not np.array_equal(
-        res_off.cov_grads.layers[0][0], res_on.cov_grads.layers[0][0]
-    )
+    assert not np.array_equal(off[0][0][0], on[0][0][0])
 
 
 def test_factual_weight_zero_silences_head_gradients():
@@ -260,10 +261,11 @@ def test_factual_weight_zero_silences_head_gradients():
         rng.normal(size=6),
     )
     res = batch_loss(model, batch, TrainConfig(alpha=0.0, beta=1.0, bandwidth=1.0))
-    for g in res.head_grads:
-        assert not any(gw.any() or gb.any() for gw, gb in g.layers)
-    assert any(gw.any() for gw, _ in res.cov_grads.layers)
-    assert any(gw.any() for gw, _ in res.treat_grads.layers)
+    cov, treat, *heads = model.views(res.grad)
+    for layers in heads:
+        assert not any(gw.any() or gb.any() for gw, gb in layers)
+    assert any(gw.any() for gw, _ in cov)
+    assert any(gw.any() for gw, _ in treat)
 
 
 def test_batch_predictions_match_eval_path_without_dropout():
@@ -312,15 +314,6 @@ def _unflatten_model(model, vec):
     return OutcomeModel(cov, treat, heads, model.variant)
 
 
-def _flatten_loss_grads(model, res):
-    parts = [flatten_grads(res.cov_grads)]
-    if model.treat_net is not None:
-        parts.append(flatten_grads(res.treat_grads))
-    for head, g in zip(model.heads, res.head_grads):
-        parts.append(flatten_grads(g) if g is not None else np.zeros(head.n_params))
-    return np.concatenate(parts)
-
-
 @pytest.mark.parametrize(
     "variant,activation,dropout,seed",
     [
@@ -350,10 +343,10 @@ def test_batch_loss_gradients_match_finite_differences(variant, activation, drop
     def total_from(vec):
         return batch_loss(_unflatten_model(model, vec), batch, cfg, dropout_seed=seed).total
 
+    # fd is laid out by _flatten_model, which is built without model.views,
+    # so agreement also checks that the gradient vector has theta's layout
     fd = central_difference(total_from, _flatten_model(model))
-    np.testing.assert_allclose(_flatten_loss_grads(model, res), fd, rtol=1e-4, atol=1e-7)
-    # the gradient vector has theta's layout
-    np.testing.assert_array_equal(res.grad, _flatten_loss_grads(model, res))
+    np.testing.assert_allclose(res.grad, fd, rtol=1e-4, atol=1e-7)
     np.testing.assert_array_equal(model.theta, _flatten_model(model))
 
 
@@ -387,7 +380,7 @@ def _record_steps(monkeypatch):
 
     def loss(model, batch, cfg, **kw):
         res = real_loss(model, batch, cfg, **kw)
-        steps.append([model, [g is None for g in res.head_grads], None, None])
+        steps.append([model, [n == 0 for n in res.head_rows], None, None])
         return res
 
     def step(theta, grad, *args):

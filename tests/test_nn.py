@@ -18,6 +18,7 @@ from ite_bench.nn import (
 from gradcheck import (
     assert_grads_close,
     central_difference,
+    empty_grads,
     flatten_grads,
     flatten_params,
     unflatten_params,
@@ -34,15 +35,15 @@ def _params(layers, activation="tanh", dropout=0.0):
 
 def test_identity_single_layer_passes_input_through():
     params = _params([(np.eye(3), np.zeros(3))])
-    x = np.array([0.3, -1.7, 2.5])
+    x = np.array([[0.3, -1.7, 2.5]])
     out, _ = mlp_forward(params, x)
     np.testing.assert_array_equal(out, x)
 
 
 def test_zero_weight_tanh_layer_emits_zero():
     params = _params([([[0.0]], [0.0])])
-    out, _ = mlp_forward(params, np.array([5.0]))
-    np.testing.assert_array_equal(out, [0.0])
+    out, _ = mlp_forward(params, np.array([[5.0]]))
+    np.testing.assert_array_equal(out, [[0.0]])
 
 
 def test_two_layer_tanh_matches_hand_computation():
@@ -56,24 +57,27 @@ def test_two_layer_tanh_matches_hand_computation():
     h0 = math.tanh(0.5 * 0.3 + (-0.25) * (-0.8) + 0.1)
     h1 = math.tanh(0.1 * 0.3 + 0.3 * (-0.8) - 0.2)
     expected = 1.5 * h0 - 2.0 * h1 + 0.25
-    out, _ = mlp_forward(params, np.array(x))
-    assert out.shape == (1,)
-    assert abs(out[0] - expected) < 1e-15
+    out, _ = mlp_forward(params, np.array([x]))
+    assert out.shape == (1, 1)
+    assert abs(out[0, 0] - expected) < 1e-15
 
 
 def test_elu_negative_branch_matches_hand_computation():
     params = _params([([[1.0]], [0.0]), ([[2.0]], [0.5])], activation="elu")
-    out, _ = mlp_forward(params, np.array([-1.2]))
+    out, _ = mlp_forward(params, np.array([[-1.2]]))
     expected = 2.0 * (math.exp(-1.2) - 1.0) + 0.5
-    assert abs(out[0] - expected) < 1e-15
+    assert abs(out[0, 0] - expected) < 1e-15
 
 
 def test_forward_validates_input():
     params = init_mlp([3, 2], rng=0)
     with pytest.raises(ShapeError):
-        mlp_forward(params, np.zeros(4))
+        mlp_forward(params, np.zeros((1, 4)))
     with pytest.raises(NumericError):
-        mlp_forward(params, np.array([1.0, np.nan, 0.0]))
+        mlp_forward(params, np.array([[1.0, np.nan, 0.0]]))
+    # a batch only: one sample is a (1, in) matrix, never a bare vector
+    with pytest.raises(ShapeError):
+        mlp_forward(params, np.zeros(3))
 
 
 def test_params_validation_rejects_bad_networks():
@@ -88,14 +92,14 @@ def test_params_validation_rejects_bad_networks():
 
 
 def test_batch_forward_matches_per_row_forward():
-    # BLAS may reorder the sums between matrix and vector products, so the
+    # BLAS may reorder the sums between a 5-row and a 1-row product, so the
     # agreement is up to a few ulps rather than bitwise
     params = init_mlp([4, 6, 3], "elu", rng=7)
     x = np.random.default_rng(1).normal(size=(5, 4))
     batch_out, _ = mlp_forward(params, x)
     for i in range(5):
-        row_out, _ = mlp_forward(params, x[i])
-        np.testing.assert_allclose(batch_out[i], row_out, rtol=1e-12, atol=1e-14)
+        row_out, _ = mlp_forward(params, x[i : i + 1])
+        np.testing.assert_allclose(batch_out[i : i + 1], row_out, rtol=1e-12, atol=1e-14)
 
 
 def test_eval_forward_is_deterministic():
@@ -119,11 +123,11 @@ def test_train_mode_dropout_reproducible_per_seed():
 def test_inverted_dropout_scales_kept_units():
     # one hidden layer, identity-ish weights so the mask is visible directly
     params = _params([(np.eye(4), np.zeros(4)), (np.eye(4), np.zeros(4))], dropout=0.5)
-    x = np.ones(4)
+    x = np.ones((1, 4))
     out, cache = mlp_forward(params, x, np.random.default_rng(0))
     mask = cache.dropout_masks[0]
     assert set(np.unique(mask)).issubset({0.0, 2.0})
-    np.testing.assert_array_equal(out, np.tanh(1.0) * mask[0])
+    np.testing.assert_array_equal(out, np.tanh(1.0) * mask)
 
 
 def test_dropout_expectation_approximates_eval_output():
@@ -134,10 +138,10 @@ def test_dropout_expectation_approximates_eval_output():
     w2 = np.array([[1.2, 0.7, 0.5, 1.0], [0.3, 0.8, -1.1, -0.6]])
     b2 = np.array([0.4, -1.3])
     params = _params([(w1, b1), (w2, b2)], dropout=0.1)
-    x = np.array([0.7, -0.4])
+    x = np.array([[0.7, -0.4]])
     eval_out, _ = mlp_forward(params, x)
     assert np.all(np.abs(eval_out) > 0.2)  # keeps the relative check meaningful
-    total = np.zeros(2)
+    total = np.zeros((1, 2))
     n_draws = 10_000
     rng = np.random.default_rng(123)
     for _ in range(n_draws):
@@ -151,29 +155,31 @@ def test_backward_zero_upstream_gives_zero_gradients():
     params = init_mlp([3, 5, 2], rng=0)
     x = np.random.default_rng(0).normal(size=(4, 3))
     _, cache = mlp_forward(params, x)
-    grads = mlp_backward(params, cache, np.zeros((4, 2)))
-    for gw, gb in grads.layers:
+    grads = [(np.full_like(w, np.nan), np.full_like(b, np.nan)) for w, b in params.layers]
+    d_x = mlp_backward(params, cache, np.zeros((4, 2)), grads)
+    for gw, gb in grads:
         assert not gw.any()
         assert not gb.any()
-    assert not grads.input_gradient.any()
+    assert not d_x.any()
 
 
 def test_backward_scalar_affine_layer():
     # y = w*x + b: dy/dw = x, dy/db = 1, dy/dx = w
     params = _params([([[1.7]], [0.3])])
-    x = np.array([2.5])
+    x = np.array([[2.5]])
     _, cache = mlp_forward(params, x)
-    grads = mlp_backward(params, cache, np.array([1.0]))
-    assert grads.layers[0][0][0, 0] == 2.5
-    assert grads.layers[0][1][0] == 1.0
-    assert grads.input_gradient[0] == 1.7
+    grads = empty_grads(params)
+    d_x = mlp_backward(params, cache, np.array([[1.0]]), grads)
+    assert grads[0][0][0, 0] == 2.5
+    assert grads[0][1][0] == 1.0
+    assert d_x[0, 0] == 1.7
 
 
 def test_backward_rejects_mismatched_upstream():
     params = init_mlp([3, 2], rng=0)
     _, cache = mlp_forward(params, np.zeros((4, 3)))
     with pytest.raises(ShapeError):
-        mlp_backward(params, cache, np.zeros((4, 3)))
+        mlp_backward(params, cache, np.zeros((4, 3)), empty_grads(params))
 
 
 @pytest.mark.parametrize("activation", ["tanh", "elu"])
@@ -189,7 +195,8 @@ def test_gradients_match_finite_differences(activation, dims):
         return float((out @ v).sum())
 
     out, cache = mlp_forward(params, x)
-    grads = mlp_backward(params, cache, np.tile(v, (3, 1)))
+    grads = empty_grads(params)
+    d_x = mlp_backward(params, cache, np.tile(v, (3, 1)), grads)
     fd = central_difference(loss_from, flatten_params(params))
     assert_grads_close(flatten_grads(grads), fd)
 
@@ -198,7 +205,7 @@ def test_gradients_match_finite_differences(activation, dims):
         return float((out @ v).sum())
 
     fd_x = central_difference(loss_from_input, x.ravel())
-    assert_grads_close(grads.input_gradient.ravel(), fd_x)
+    assert_grads_close(d_x.ravel(), fd_x)
 
 
 def test_gradients_match_finite_differences_with_fixed_dropout():
@@ -212,7 +219,8 @@ def test_gradients_match_finite_differences_with_fixed_dropout():
         return float((out @ v).sum())
 
     _, cache = mlp_forward(params, x, np.random.default_rng(5))
-    grads = mlp_backward(params, cache, np.tile(v, (4, 1)))
+    grads = empty_grads(params)
+    mlp_backward(params, cache, np.tile(v, (4, 1)), grads)
     fd = central_difference(loss_from, flatten_params(params))
     assert_grads_close(flatten_grads(grads), fd)
 
