@@ -114,11 +114,12 @@ def cmd_train(args) -> int:
     variant = args.variant or cfg.variant
     if cfg.zero_shot is not None:
         ds = ds.without_treatment_in_fit(cfg.zero_shot)
-    trained = train(ds, cfg.shape, train_cfg, variant)
-    os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "checkpoint.json")
+    # refuse before training, which can take minutes at search-grid width
     if os.path.exists(ckpt_path) and not args.force:
         raise DataError(f"{ckpt_path} exists; pass --force to overwrite")
+    trained = train(ds, cfg.shape, train_cfg, variant)
+    os.makedirs(args.out, exist_ok=True)
     save_checkpoint(ckpt_path, trained)
     write_json_atomic(
         os.path.join(args.out, "history.json"),

@@ -43,6 +43,7 @@ from .errors import (
 from .mmd import treatment_regularization_loss
 from .nn import (
     ACTIVATIONS,
+    ForwardCache,
     MlpParams,
     init_mlp,
     mlp_backward,
@@ -167,6 +168,11 @@ class OutcomeModel:
                 pos = end
             nets.append(tuple(layers))
         return nets
+
+    def forward_caches(self, rows: int) -> list[ForwardCache]:
+        """One ForwardCache per network, in theta's order, for batches of up
+        to rows samples: batch_loss's caches."""
+        return [ForwardCache(net, rows) for net in self._nets()]
 
     @property
     def k(self) -> int:
@@ -335,13 +341,16 @@ def batch_loss(
     *,
     dropout_seed: int | None = None,
     out: np.ndarray | None = None,
+    caches: list[ForwardCache] | None = None,
 ) -> BatchLossResult:
     """Loss and exact parameter gradients for one mini-batch.
 
     dropout_seed=None disables dropout; the same seed reproduces the same
     masks, which is what makes finite-difference checks of this function
     possible with dropout active. The gradient goes into out, a vector
-    shaped like model.theta that is zeroed first, or into a new one.
+    shaped like model.theta, or into a new one; every entry is written.
+    caches (model.forward_caches) hold the networks' intermediates; without
+    them every pass allocates its own.
     """
     xb = np.asarray(batch.x, dtype=np.float64)
     tb = np.asarray(batch.t)
@@ -356,12 +365,16 @@ def batch_loss(
 
     joint = model.variant == "joint"
     grad = np.empty_like(model.theta) if out is None else out
-    grad[:] = 0.0
     grad_views = model.views(grad)  # the heads' are the last k
+    if caches is None:
+        caches = [None] * len(grad_views)
+    head_caches = caches[len(caches) - model.k :]
     rngs = _spawn_rngs(dropout_seed, 2 + model.k)
-    cov_out, cov_cache = mlp_forward(model.cov_net, xb, rngs[0])
+    cov_out, cov_cache = mlp_forward(model.cov_net, xb, rngs[0], caches[0])
     if joint:
-        treat_out, treat_cache = mlp_forward(model.treat_net, batch.t_features, rngs[1])
+        treat_out, treat_cache = mlp_forward(
+            model.treat_net, batch.t_features, rngs[1], caches[1]
+        )
         head_in = np.concatenate([cov_out, treat_out], axis=1)
     else:
         treat_out, treat_cache = None, None
@@ -369,12 +382,16 @@ def batch_loss(
 
     yhat = np.empty(n)
     rows_by_t = [np.flatnonzero(tb == t) for t in range(model.k)]
-    head_caches: dict[int, object] = {}
     for t, rows in enumerate(rows_by_t):
         if rows.size == 0:
+            # the backward passes write every other gradient entry
+            for gw, gb in grad_views[t - model.k]:
+                gw.fill(0.0)
+                gb.fill(0.0)
             continue
-        out, cache = mlp_forward(model.heads[t], head_in[rows], rngs[2 + t])
-        head_caches[t] = cache
+        out, head_caches[t] = mlp_forward(
+            model.heads[t], head_in[rows], rngs[2 + t], head_caches[t]
+        )
         yhat[rows] = out[:, 0]
 
     resid = yhat - yb
@@ -449,10 +466,47 @@ class TrainedModel:
     variant: str
 
 
-def _grad_norm(layers: tuple[tuple[np.ndarray, np.ndarray], ...]) -> float:
-    return float(
-        np.sqrt(sum(float((gw * gw).sum() + (gb * gb).sum()) for gw, gb in layers))
-    )
+def _grad_norm(layers: tuple[tuple[np.ndarray, np.ndarray], ...], scratch: np.ndarray) -> float:
+    """Euclidean norm of a network's gradient; squares go into scratch, a
+    vector at least as long as the largest array."""
+
+    def sum_sq(a: np.ndarray) -> float:
+        sq = np.multiply(a, a, out=scratch[: a.size].reshape(a.shape))
+        return float(sq.sum())
+
+    return float(np.sqrt(sum(sum_sq(gw) + sum_sq(gb) for gw, gb in layers)))
+
+
+def _head_column(
+    model: OutcomeModel,
+    cov_out: np.ndarray,
+    t_emb: np.ndarray,
+    t: int,
+    trained: list[int],
+) -> np.ndarray:
+    """Eval-mode predictions under treatment t for the rows whose covariate
+    representation is cov_out; see predict_all_outcomes."""
+    if model.variant == "joint":
+        treat_row, _ = mlp_forward(model.treat_net, t_emb[t : t + 1])
+        head_in = np.concatenate(
+            [cov_out, np.broadcast_to(treat_row, (cov_out.shape[0], treat_row.shape[1]))],
+            axis=1,
+        )
+    else:
+        head_in = cov_out
+    if t in trained or not trained:
+        return mlp_forward(model.heads[t], head_in)[0][:, 0]
+    outs = [mlp_forward(model.heads[s], head_in)[0][:, 0] for s in trained]
+    return np.mean(outs, axis=0)
+
+
+def _check_t_emb(model: OutcomeModel, t_emb: np.ndarray) -> np.ndarray:
+    t_emb = np.asarray(t_emb, dtype=np.float64)
+    if t_emb.shape[0] != model.k:
+        raise ShapeError(
+            f"t_emb provides {t_emb.shape[0]} treatments, model has {model.k} heads"
+        )
+    return t_emb
 
 
 def predict_all_outcomes(
@@ -468,42 +522,37 @@ def predict_all_outcomes(
     without a head_updates record, or with no trained head, uses every
     head as is.
     """
-    x = np.asarray(x, dtype=np.float64)
-    t_emb = np.asarray(t_emb, dtype=np.float64)
-    if t_emb.shape[0] != model.k:
-        raise ShapeError(
-            f"t_emb provides {t_emb.shape[0]} treatments, model has {model.k} heads"
-        )
+    t_emb = _check_t_emb(model, t_emb)
     trained = [t for t in range(model.k) if model.head_trained(t)]
-    cov_out, _ = mlp_forward(model.cov_net, x)
-    cols = []
-    for t in range(model.k):
-        if model.variant == "joint":
-            treat_row, _ = mlp_forward(model.treat_net, t_emb[t : t + 1])
-            head_in = np.concatenate(
-                [cov_out, np.broadcast_to(treat_row, (x.shape[0], treat_row.shape[1]))],
-                axis=1,
-            )
-        else:
-            head_in = cov_out
-        if t in trained or not trained:
-            out, _ = mlp_forward(model.heads[t], head_in)
-            cols.append(out[:, 0])
-        else:
-            outs = [mlp_forward(model.heads[s], head_in)[0][:, 0] for s in trained]
-            cols.append(np.mean(outs, axis=0))
-    return np.column_stack(cols)
+    cov_out, _ = mlp_forward(model.cov_net, np.asarray(x, dtype=np.float64))
+    return np.column_stack(
+        [_head_column(model, cov_out, t_emb, t, trained) for t in range(model.k)]
+    )
 
 
 def factual_predictions(
     model: OutcomeModel, x: np.ndarray, t_obs: np.ndarray, t_emb: np.ndarray
 ) -> np.ndarray:
-    """Eval-mode prediction at each user's observed treatment.
-
-    Gathered from predict_all_outcomes so the two are bit-identical.
+    """Eval-mode prediction at each user's observed treatment: the column
+    t_obs of predict_all_outcomes, computed by running each head on its own
+    rows only. A head's GEMMs then see fewer rows, so the two agree up to
+    roundoff, not bit for bit.
     """
-    yhat = predict_all_outcomes(model, x, t_emb)
-    return yhat[np.arange(yhat.shape[0]), np.asarray(t_obs)]
+    t_emb = _check_t_emb(model, t_emb)
+    x = np.asarray(x, dtype=np.float64)
+    t_obs = np.asarray(t_obs)
+    if t_obs.shape != (x.shape[0],):
+        raise ShapeError(f"t_obs has shape {t_obs.shape}, expected ({x.shape[0]},)")
+    if t_obs.size and (t_obs.min() < 0 or t_obs.max() >= model.k):
+        raise ShapeError(f"observed treatments must lie in 0..{model.k - 1}")
+    trained = [t for t in range(model.k) if model.head_trained(t)]
+    cov_out, _ = mlp_forward(model.cov_net, x)
+    yhat = np.empty(x.shape[0])
+    for t in range(model.k):
+        rows = np.flatnonzero(t_obs == t)
+        if rows.size:
+            yhat[rows] = _head_column(model, cov_out[rows], t_emb, t, trained)
+    return yhat
 
 
 def train(
@@ -542,22 +591,27 @@ def train(
     drop_rng = np.random.default_rng(s_drop)
 
     history = TrainHistory()
-    # one gradient buffer per fit: a new one per batch raised peak RSS ~10% at
-    # search-grid width, where numpy backs large arrays with huge pages
+    # one gradient buffer and one set of network buffers per fit: a new
+    # gradient per batch raised peak RSS ~10% at search-grid width, where
+    # numpy backs large arrays with huge pages, and per-batch activations
+    # cost more time than the GEMMs that fill them
+    n_tr = x_tr.shape[0]
     grad = np.empty_like(model.theta)
     grad_views = model.views(grad)
+    caches = model.forward_caches(min(cfg.batch_size, n_tr))
     # each network's (weight, weight gradient) pairs, for weight decay
     decay_pairs = [
         [(w, gw) for (w, _), (gw, _) in zip(net, net_grad)]
         for net, net_grad in zip(model.views(model.theta), grad_views)
     ]
     n_rep = len(decay_pairs) - dataset.k  # cov, and treat for joint
+    norm_scratch = np.empty(max(w.size for head in model.heads for w, _ in head.layers))
+    # the improving epochs are copied into this one snapshot's theta
     best_model = dataclasses.replace(model)
     best_epoch: int | None = None
     best_val = np.inf
     reset_val = np.inf
     epochs_since_reset = 0
-    n_tr = x_tr.shape[0]
 
     for epoch in range(cfg.epochs_max):
         lr = cfg.lr_at(epoch)
@@ -571,12 +625,14 @@ def train(
             batch = Batch(x_tr[idx], t_tr[idx], t_emb[t_tr[idx]], y_tr[idx])
             seed = int(drop_rng.integers(2**63))
             try:
-                res = batch_loss(model, batch, cfg, dropout_seed=seed, out=grad)
+                res = batch_loss(
+                    model, batch, cfg, dropout_seed=seed, out=grad, caches=caches
+                )
                 hit = [n > 0 for n in res.head_rows]
                 reached = [True] * n_rep + hit
                 # before the step, which overwrites the gradient
                 for t in np.flatnonzero(hit):
-                    head_norms[t] += _grad_norm(grad_views[n_rep + t])
+                    head_norms[t] += _grad_norm(grad_views[n_rep + t], norm_scratch)
                 decayed = [p for pairs, r in zip(decay_pairs, reached) if r for p in pairs]
                 sgd_step(model.theta, res.grad, lr, cfg.weight_decay, decayed)
             except TrainingDiverged:
@@ -607,7 +663,8 @@ def train(
 
         if val_mse < best_val:
             best_val = val_mse
-            best_model = dataclasses.replace(model)
+            np.copyto(best_model.theta, model.theta)
+            best_model.head_updates = model.head_updates
             best_epoch = epoch
         if val_mse < reset_val * (1.0 - EARLY_STOP_MIN_REL_DECREASE):
             reset_val = val_mse

@@ -12,7 +12,10 @@ Conventions:
   * a network with L layers applies the hidden activation (and dropout,
     in train mode) after layers 1..L-1; the final layer is affine,
   * weight matrices are stored [out x in], biases [out],
-  * forward takes a batch only, a matrix [B x in]; one sample is [1 x in].
+  * forward takes a batch only, a matrix [B x in]; one sample is [1 x in],
+  * forward and backward write every intermediate into a ForwardCache's
+    preallocated buffers; training keeps one cache per network for the
+    whole fit, and a call without one allocates a fresh cache.
 """
 
 from __future__ import annotations
@@ -28,18 +31,27 @@ from .errors import ConfigError, NumericError, ShapeError
 ACTIVATIONS = ("tanh", "elu")
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate(z: np.ndarray, kind: str, out: np.ndarray) -> None:
     if kind == "tanh":
-        return np.tanh(z)
-    # ELU with alpha = 1; expm1 keeps precision near zero
-    return np.where(z > 0.0, z, np.expm1(z))
+        np.tanh(z, out=out)
+        return
+    # ELU with alpha = 1, bit for bit where(z > 0, z, expm1(z)): expm1 keeps
+    # precision near zero, and expm1(min(z, 0)) >= z, so the maximum picks z
+    # only where z > 0
+    np.minimum(z, 0.0, out=out)
+    np.expm1(out, out=out)
+    np.maximum(out, z, out=out)
 
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(z: np.ndarray, kind: str, out: np.ndarray) -> None:
     if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return np.where(z > 0.0, 1.0, np.exp(np.minimum(z, 0.0)))
+        np.tanh(z, out=out)
+        out *= out
+        np.subtract(1.0, out, out=out)
+        return
+    # exp(0) == 1 gives the slope 1 where z > 0
+    np.minimum(z, 0.0, out=out)
+    np.exp(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -94,13 +106,30 @@ class MlpParams:
         return self
 
 
-@dataclass
 class ForwardCache:
-    """Everything the backward pass needs from one forward pass."""
+    """Per-layer buffers for passes of up to `rows` samples through one
+    network, and views of their first n rows holding what the backward pass
+    needs from the last forward pass: each layer's input, pre-activation and
+    dropout mask (None without dropout).
 
-    inputs: list[np.ndarray]
-    pre_activations: list[np.ndarray]
-    dropout_masks: list[np.ndarray | None]
+    A pass through a cache overwrites what the previous pass left in it, so
+    one cache per network serves every batch of a fit without allocating.
+    """
+
+    def __init__(self, params: MlpParams, rows: int) -> None:
+        outs = [w.shape[0] for w, _ in params.layers]
+        self.rows = rows
+        self.shapes = tuple(w.shape for w, _ in params.layers)
+        self._z = [np.empty((rows, m)) for m in outs]
+        self._act = [np.empty((rows, m)) for m in outs[:-1]]
+        self._mask = [np.empty((rows, m)) for m in outs[:-1]]
+        # gradient w.r.t. each layer's input; for layers after the first it
+        # becomes the previous layer's pre-activation gradient in place
+        self._d_in = [np.empty((rows, w.shape[1])) for w, _ in params.layers]
+        self._scratch = np.empty(rows * max(outs[:-1], default=0))
+        self.inputs: list[np.ndarray] = []
+        self.pre_activations: list[np.ndarray] = []
+        self.dropout_masks: list[np.ndarray | None] = []
 
 
 def init_mlp(
@@ -139,6 +168,7 @@ def mlp_forward(
     params: MlpParams,
     x: np.ndarray,
     rng: np.random.Generator | None = None,
+    cache: ForwardCache | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on the batch x, shaped [B x in].
 
@@ -146,6 +176,10 @@ def mlp_forward(
     inverted dropout on hidden activations: kept units are divided by
     (1 - dropout_rate) so eval needs no rescaling. Identical generator
     state yields identical masks.
+
+    The pass writes into cache, a ForwardCache of this network with at least
+    B rows, or into a new one. The returned output is a view of the cache,
+    valid until the next pass through it.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
@@ -156,28 +190,35 @@ def mlp_forward(
         )
     if not np.isfinite(a).all():
         raise NumericError("non-finite network input")
+    n = a.shape[0]
+    if cache is None:
+        cache = ForwardCache(params, n)
+    elif cache.rows < n or cache.shapes != tuple(w.shape for w, _ in params.layers):
+        raise ShapeError(f"cache does not fit a pass of {n} rows through this network")
 
     keep = 1.0 - params.dropout_rate
+    dropout = rng is not None and params.dropout_rate > 0.0
     last = len(params.layers) - 1
-    inputs: list[np.ndarray] = []
-    pre_acts: list[np.ndarray] = []
-    masks: list[np.ndarray | None] = []
+    cache.inputs, cache.pre_activations, cache.dropout_masks = [], [], []
     for l, (w, b) in enumerate(params.layers):
-        inputs.append(a)
-        z = a @ w.T + b
-        pre_acts.append(z)
+        cache.inputs.append(a)
+        z = np.matmul(a, w.T, out=cache._z[l][:n])
+        z += b
+        cache.pre_activations.append(z)
+        mask = None
         if l == last:
             a = z
-            masks.append(None)
         else:
-            a = _activate(z, params.hidden_activation)
-            if rng is not None and params.dropout_rate > 0.0:
-                mask = (rng.random(a.shape) < keep) / keep
-                a = a * mask
-                masks.append(mask)
-            else:
-                masks.append(None)
-    return a, ForwardCache(inputs, pre_acts, masks)
+            a = cache._act[l][:n]
+            _activate(z, params.hidden_activation, a)
+            if dropout:
+                mask = cache._mask[l][:n]
+                rng.random(out=mask)
+                np.less(mask, keep, out=mask)
+                mask /= keep
+                a *= mask
+        cache.dropout_masks.append(mask)
+    return a, cache
 
 
 def mlp_backward(
@@ -191,35 +232,35 @@ def mlp_backward(
     upstream_grad carries one row per sample of the forward batch, and
     parameter gradients sum over rows. They are written into out, (dW, db)
     arrays shaped like params.layers (in a model, views of its gradient
-    vector). Returns the gradient w.r.t. the input batch.
+    vector). Returns the gradient w.r.t. the input batch, a view of the
+    cache valid until the next backward pass through it.
     """
     n_layers = len(params.layers)
     if len(cache.inputs) != n_layers or len(cache.pre_activations) != n_layers:
         raise ShapeError("cache does not match network depth")
     g = np.asarray(upstream_grad, dtype=np.float64)
-    batch = cache.inputs[0].shape[0]
-    if g.shape != (batch, params.output_dim):
+    n = cache.inputs[0].shape[0]
+    if g.shape != (n, params.output_dim):
         raise ShapeError(
             f"upstream gradient shape {g.shape} does not match output "
-            f"({batch}, {params.output_dim})"
+            f"({n}, {params.output_dim})"
         )
 
     delta = g  # gradient w.r.t. the current layer's pre-activation
-    d_input = None
     for l in range(n_layers - 1, -1, -1):
         w, _ = params.layers[l]
         gw, gb = out[l]
         np.matmul(delta.T, cache.inputs[l], out=gw)
         delta.sum(axis=0, out=gb)
-        d_input = delta @ w
+        d_input = np.matmul(delta, w, out=cache._d_in[l][:n])
         if l > 0:
             mask = cache.dropout_masks[l - 1]
             if mask is not None:
-                d_input = d_input * mask
-            delta = d_input * _activate_grad(
-                cache.pre_activations[l - 1], params.hidden_activation
-            )
-    assert d_input is not None
+                d_input *= mask
+            slope = cache._scratch[: d_input.size].reshape(d_input.shape)
+            _activate_grad(cache.pre_activations[l - 1], params.hidden_activation, slope)
+            d_input *= slope
+            delta = d_input
     return d_input
 
 

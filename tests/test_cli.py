@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from ite_bench import cli
 from ite_bench.cli import main
 from ite_bench.metrics import EvalReport, pehe
 from ite_bench.simulate import load_dataset
@@ -179,6 +180,24 @@ def test_train_refuses_overwrite_without_force(tmp_path, capsys):
         "--epochs-max", "1", "--force",
     )
     assert code == 0
+
+
+def test_train_refuses_an_existing_checkpoint_before_training(tmp_path, capsys, monkeypatch):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    out = tmp_path / "run"
+    argv = ["train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "1"]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    before = dir_digest(out)
+
+    def no_training(*_args, **_kwargs):
+        raise AssertionError("train ran before the existing checkpoint was refused")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "exists" in err
+    assert dir_digest(out) == before
 
 
 def test_train_checks_config_dataset_agreement(tmp_path, capsys):

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +351,49 @@ def test_batch_loss_gradients_match_finite_differences(variant, activation, drop
     np.testing.assert_array_equal(model.theta, _flatten_model(model))
 
 
+@pytest.mark.parametrize("variant", ["joint", "tarnet"])
+def test_reused_buffers_write_every_gradient_entry(variant):
+    model = build_model(3, 3, small_shape(dropout_rate=0.2), variant, rng=5)
+    rng = np.random.default_rng(2)
+    t_emb = rng.normal(size=(3, 3))
+    caches = model.forward_caches(8)
+    out = np.empty_like(model.theta)
+    # a full batch without treatment 2, then a short last batch without treatment 0
+    for t, missed in (([0, 1] * 4, 2), ([1, 2, 2], 0)):
+        t = np.array(t)
+        batch = Batch(rng.normal(size=(t.size, 3)), t, t_emb[t], rng.normal(size=t.size))
+        out.fill(np.nan)
+        res = batch_loss(model, batch, TrainConfig(), dropout_seed=9, out=out, caches=caches)
+        fresh = batch_loss(model, batch, TrainConfig(), dropout_seed=9)
+        assert res.grad is out
+        assert out.tobytes() == fresh.grad.tobytes()
+        assert res.head_rows[missed] == 0
+        for gw, gb in model.views(out)[missed - model.k]:
+            assert not gw.any() and not gb.any()  # NaN would count as nonzero
+
+
+def test_second_batch_with_fit_buffers_allocates_under_1_mb():
+    # per-layer temporaries at width 200 and batch 128 are 0.2 MB each
+    shape = ModelShape(
+        cov_layers=3, cov_width=200, treat_layers=3, treat_width=200,
+        head_layers=3, head_width=200,
+    )
+    model = build_model(8, 3, shape, "joint", rng=0)
+    rng = np.random.default_rng(0)
+    t = rng.integers(0, 3, 128)
+    t_emb = rng.normal(size=(3, 8))
+    batch = Batch(rng.normal(size=(128, 8)), t, t_emb[t], rng.normal(size=128))
+    buffers = dict(out=np.empty_like(model.theta), caches=model.forward_caches(128))
+    batch_loss(model, batch, TrainConfig(), dropout_seed=1, **buffers)
+    tracemalloc.start()
+    try:
+        batch_loss(model, batch, TrainConfig(), dropout_seed=2, **buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
 # --- training loop ---
 
 
@@ -566,6 +610,30 @@ def test_factual_predictions_gather_from_full_matrix():
         factual_predictions(model, x, t, ds.T_emb),
         full[np.arange(x.shape[0]), t],
     )
+
+
+@pytest.mark.parametrize("case", ["joint", "tarnet", "zero-shot"])
+def test_factual_predictions_match_the_gathered_matrix_up_to_roundoff(case):
+    ds = small_dataset(n=300)
+    fit = ds.without_treatment_in_fit(1) if case == "zero-shot" else ds
+    variant = "tarnet" if case == "tarnet" else "joint"
+    shape = small_shape(cov_width=40, head_layers=3, head_width=40)
+    trained = train(fit, shape, quick_train_cfg(epochs_max=2), variant).model
+    assert trained.head_trained(1) == (case != "zero-shot")
+    x, t, _ = ds.observed("test")
+    assert (t == 1).any()
+    gathered = predict_all_outcomes(trained, x, ds.T_emb)[np.arange(x.shape[0]), t]
+    factual = factual_predictions(trained, x, t, ds.T_emb)
+    assert np.max(np.abs(factual - gathered)) <= 1e-15 * np.max(np.abs(gathered))
+
+
+def test_factual_predictions_check_observed_treatments():
+    model = build_model(6, 3, small_shape(), "joint", rng=1)
+    x, t_emb = np.zeros((4, 6)), np.zeros((3, 6))
+    with pytest.raises(ShapeError):
+        factual_predictions(model, x, np.array([0, 1, 2, 3]), t_emb)
+    with pytest.raises(ShapeError):
+        factual_predictions(model, x, np.array([0, 1, 2]), t_emb)
 
 
 # --- checkpointing ---

@@ -7,7 +7,10 @@ import pytest
 from ite_bench.errors import ConfigError, NumericError, ShapeError
 from ite_bench.model import OutcomeModel, TrainConfig
 from ite_bench.nn import (
+    ForwardCache,
     MlpParams,
+    _activate,
+    _activate_grad,
     init_mlp,
     mlp_backward,
     mlp_forward,
@@ -223,6 +226,63 @@ def test_gradients_match_finite_differences_with_fixed_dropout():
     mlp_backward(params, cache, np.tile(v, (4, 1)), grads)
     fd = central_difference(loss_from, flatten_params(params))
     assert_grads_close(flatten_grads(grads), fd)
+
+
+def _pass(params, x, upstream, dropout_seed, cache=None):
+    """Forward and backward once; copies of everything the pass produced."""
+    rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+    out, cache = mlp_forward(params, x, rng, cache)
+    out = out.copy()
+    inputs = [a.copy() for a in cache.inputs]
+    masks = [None if m is None else m.copy() for m in cache.dropout_masks]
+    grads = empty_grads(params)
+    d_x = mlp_backward(params, cache, upstream, grads).copy()
+    return out, inputs, masks, grads, d_x, cache
+
+
+@pytest.mark.parametrize("activation", ["tanh", "elu"])
+@pytest.mark.parametrize("dropout_seed", [None, 21])
+def test_reused_cache_matches_fresh_allocation_bit_for_bit(activation, dropout_seed):
+    params = init_mlp([5, 9, 7, 3], activation, dropout_rate=0.3, rng=4)
+    rng = np.random.default_rng(8)
+    cache = ForwardCache(params, 6)
+    # a full batch, then a shorter one through the same buffers
+    for n in (6, 4):
+        x, upstream = rng.normal(size=(n, 5)), rng.normal(size=(n, 3))
+        fresh = _pass(params, x, upstream, dropout_seed)
+        reused = _pass(params, x, upstream, dropout_seed, cache)
+        assert reused[-1] is cache and fresh[-1] is not cache
+        assert fresh[0].shape == reused[0].shape == (n, 3)
+        assert fresh[0].tobytes() == reused[0].tobytes()
+        assert [a.tobytes() for a in fresh[1]] == [a.tobytes() for a in reused[1]]
+        assert [m is None for m in fresh[2]] == [m is None for m in reused[2]]
+        assert [m.tobytes() for m in fresh[2] if m is not None] == [
+            m.tobytes() for m in reused[2] if m is not None
+        ]
+        assert flatten_grads(fresh[3]).tobytes() == flatten_grads(reused[3]).tobytes()
+        assert fresh[4].tobytes() == reused[4].tobytes()
+    assert (dropout_seed is not None) == any(m is not None for m in reused[2])
+
+
+def test_forward_refuses_a_cache_that_does_not_fit():
+    params = init_mlp([3, 4, 2], rng=0)
+    with pytest.raises(ShapeError):
+        mlp_forward(params, np.zeros((5, 3)), cache=ForwardCache(params, 4))
+    with pytest.raises(ShapeError):
+        mlp_forward(params, np.zeros((2, 3)), cache=ForwardCache(init_mlp([3, 5, 2], rng=0), 4))
+
+
+def test_in_place_elu_and_its_slope_equal_the_where_forms():
+    z = np.array([-0.0, 0.0, 1e-300, -1e-300, -745.0, 30.0, -2.5, 0.7])
+    act, slope = np.empty_like(z), np.empty_like(z)
+    _activate(z, "elu", act)
+    _activate_grad(z, "elu", slope)
+    # bytes, so the sign of a zero counts too
+    assert act.tobytes() == np.where(z > 0.0, z, np.expm1(z)).tobytes()
+    assert slope.tobytes() == np.where(z > 0.0, 1.0, np.exp(np.minimum(z, 0.0))).tobytes()
+    t = np.tanh(z)
+    _activate_grad(z, "tanh", slope)
+    assert slope.tobytes() == (1.0 - t * t).tobytes()
 
 
 def _flat(params):
