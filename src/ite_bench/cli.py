@@ -75,7 +75,6 @@ def cmd_simulate(args) -> int:
     if args.centroid_method is not None:
         updates["centroid_method"] = args.centroid_method
     if args.covariate_file is not None:
-        updates["covariate_source"] = "file"
         updates["embedding_file"] = args.covariate_file
     if updates:
         cfg = SimConfig.from_dict({**cfg.to_dict(), **updates})
@@ -179,23 +178,24 @@ def cmd_report(args) -> int:
     for path in args.records:
         doc = _load_json(path)
         kind = doc.get("kind")
-        if kind == "run_record":
-            records.append(RunRecord.from_dict(doc))
-        elif kind == "eval_report":
-            report = EvalReport.from_dict(doc)
-            label = os.path.splitext(os.path.basename(path))[0]
-            records.append(
-                RunRecord(
-                    label=label,
+        if kind not in ("run_record", "eval_report"):
+            raise DataError(f"{path}: not a run record or eval report")
+        try:
+            if kind == "run_record":
+                record = RunRecord.from_dict(doc)
+            else:
+                report = EvalReport.from_dict(doc)
+                record = RunRecord(
+                    label=os.path.splitext(os.path.basename(path))[0],
                     config_hash="",
                     config={},
                     per_seed=[report],
                     aggregate={"sqrt_pehe": {"mean": report.sqrt_pehe, "std": 0.0, "n": 1}},
                     wall_clock_s=0.0,
                 )
-            )
-        else:
-            raise DataError(f"{path}: not a run record or eval report")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed {kind}: {exc!r}") from exc
+        records.append(record)
     print(render_report_table(records))
     if args.csv:
         with open(args.csv, "w") as fh:

@@ -144,7 +144,8 @@ class RunRecord:
         expect = _aggregate(roots)
         got = self.aggregate.get("sqrt_pehe", {})
         for key in ("mean", "std"):
-            if abs(expect[key] - got.get(key, math.nan)) > 1e-10:
+            # a missing or NaN value fails the comparison
+            if not abs(expect[key] - got.get(key, math.nan)) <= 1e-10:
                 raise DataError("aggregate is inconsistent with per-seed reports")
         return self
 

@@ -99,20 +99,25 @@ class EvalReport:
     epsilon_pehe: float
     sqrt_pehe: float
     per_pair: dict[tuple[int, int], float]
-    # {"z", "epsilon_zs", "sqrt_pehe_zs", "head_z_trained"}; head_z_trained
-    # is None when the model carries no per-head update record
+    # {"z", "epsilon_zs", "sqrt_pehe_zs", "head_z_trained"}
     zero_shot: dict | None = None
-    # ascending indices of the heads that training never updated; None when
-    # the model carries no per-head update record
+    # ascending indices of the heads that training never updated; a report
+    # file may hold null here, which no current writer produces
     untrained_heads: list[int] | None = None
 
     def validate(self) -> "EvalReport":
         if self.n_eval < 1:
             raise DataError("report covers no samples")
+        n_pairs = self.k * (self.k - 1) // 2
+        if len(self.per_pair) != n_pairs:
+            raise DataError(
+                f"per_pair holds {len(self.per_pair)} pairs; k={self.k} treatments make {n_pairs}"
+            )
+        # written so that a NaN fails them
         mean_pairs = float(np.mean(list(self.per_pair.values())))
-        if abs(mean_pairs - self.epsilon_pehe) > 1e-10:
+        if not abs(mean_pairs - self.epsilon_pehe) <= 1e-10:
             raise DataError("per-pair errors do not average to epsilon_pehe")
-        if abs(self.sqrt_pehe**2 - self.epsilon_pehe) > 1e-10:
+        if not abs(self.sqrt_pehe**2 - self.epsilon_pehe) <= 1e-10:
             raise DataError("sqrt_pehe is not the square root of epsilon_pehe")
         return self
 
@@ -182,9 +187,6 @@ def evaluate_model(
         sqrt_pehe=result.root,
         per_pair=result.per_pair,
         zero_shot=zs,
-        untrained_heads=(
-            None if model.head_updates is None
-            else [t for t, n in enumerate(model.head_updates) if n == 0]
-        ),
+        untrained_heads=[t for t, n in enumerate(model.head_updates) if n == 0],
     ).validate()
 

@@ -102,7 +102,8 @@ def treatment_regularization_loss(
     groups: Mapping[int, np.ndarray],
     bandwidth: float | None = None,
 ) -> tuple[float, dict[int, np.ndarray]]:
-    """Mean MMD^2 over all unordered pairs of non-empty groups.
+    """Mean MMD^2 over all unordered pairs of non-empty groups, each a
+    matrix of sample rows.
 
     Returns (loss, gradients keyed like groups). Fewer than two non-empty
     groups is a degenerate batch, not an error: loss 0 with zero gradients.
@@ -111,12 +112,10 @@ def treatment_regularization_loss(
     """
     if bandwidth is not None and not bandwidth > 0.0:
         raise ConfigError("kernel bandwidth must be positive")
-    arrays: dict[int, np.ndarray] = {}
-    for key in sorted(groups):
-        arr = np.asarray(groups[key], dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        arrays[key] = arr
+    arrays = {key: np.asarray(groups[key], dtype=np.float64) for key in sorted(groups)}
+    for key, arr in arrays.items():
+        if arr.ndim != 2:
+            raise ShapeError(f"group {key} must be a matrix [n x dim], got ndim={arr.ndim}")
     present = [key for key, arr in arrays.items() if arr.shape[0] > 0]
     if len(present) < 2:
         return 0.0, {key: np.zeros_like(arr) for key, arr in arrays.items()}

@@ -48,12 +48,11 @@ from .nn import (
     init_mlp,
     mlp_backward,
     mlp_forward,
-    params_to_dict,
     sgd_step,
 )
 from .simulate import Dataset
 
-CHECKPOINT_SCHEMA_VERSION = "3"
+CHECKPOINT_SCHEMA_VERSION = "4"
 VARIANTS = ("joint", "tarnet")
 # the relative val-MSE decrease that resets early stopping's patience count
 # (see train); with any decrease counting, the decayed learning rate's tiny
@@ -130,19 +129,20 @@ class OutcomeModel:
     makes their (weight, bias) pairs views of it, so no two models share
     parameters and dataclasses.replace(model) is an independent copy.
 
-    head_updates counts the SGD steps each head has received (None when
-    unknown, e.g. a hand-built model or an older checkpoint). A head with
-    zero updates still holds its random initialization.
+    The variant follows from the networks: "joint" with a treatment network,
+    "tarnet" without. head_updates counts the SGD steps each head has
+    received, all zero unless given. A head with zero updates still holds
+    its random initialization.
     """
 
     cov_net: MlpParams
     treat_net: MlpParams | None
     heads: tuple[MlpParams, ...]
-    variant: str = "joint"
-    head_updates: tuple[int, ...] | None = None
+    head_updates: tuple[int, ...] = field(default=(), kw_only=True)
     theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.head_updates = self.head_updates or (0,) * self.k
         nets = self._nets()
         arrays = [np.ravel(a) for net in nets for layer in net.layers for a in layer]
         self.theta = np.concatenate(arrays, dtype=np.float64)
@@ -175,12 +175,16 @@ class OutcomeModel:
         return [ForwardCache(net, rows) for net in self._nets()]
 
     @property
+    def variant(self) -> str:
+        return "joint" if self.treat_net is not None else "tarnet"
+
+    @property
     def k(self) -> int:
         return len(self.heads)
 
-    def head_trained(self, t: int) -> bool | None:
-        """Whether head t received an update; None without a record."""
-        return None if self.head_updates is None else self.head_updates[t] > 0
+    def head_trained(self, t: int) -> bool:
+        """Whether head t received an update."""
+        return self.head_updates[t] > 0
 
     @property
     def head_input_dim(self) -> int:
@@ -189,12 +193,6 @@ class OutcomeModel:
         )
 
     def validate(self) -> "OutcomeModel":
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.variant == "joint" and self.treat_net is None:
-            raise ConfigError("joint variant requires a treatment network")
-        if self.variant == "tarnet" and self.treat_net is not None:
-            raise ConfigError("tarnet variant must not carry a treatment network")
         if not self.heads:
             raise ConfigError("model needs at least one head")
         self.cov_net.validate()
@@ -209,9 +207,7 @@ class OutcomeModel:
                 )
             if head.output_dim != 1:
                 raise ShapeError(f"head {t} must emit a scalar")
-        if self.head_updates is not None and (
-            len(self.head_updates) != self.k or min(self.head_updates) < 0
-        ):
+        if len(self.head_updates) != self.k or min(self.head_updates) < 0:
             raise ConfigError(
                 f"head_updates must hold {self.k} non-negative counts, "
                 f"got {list(self.head_updates)}"
@@ -255,7 +251,7 @@ def build_model(
         )
         for _ in range(k)
     )
-    return OutcomeModel(cov_net, treat_net, heads, variant, (0,) * k).validate()
+    return OutcomeModel(cov_net, treat_net, heads).validate()
 
 
 @dataclass(frozen=True)
@@ -463,18 +459,6 @@ class TrainedModel:
     best_val_mse: float | None
     config: TrainConfig
     shape: ModelShape
-    variant: str
-
-
-def _grad_norm(layers: tuple[tuple[np.ndarray, np.ndarray], ...], scratch: np.ndarray) -> float:
-    """Euclidean norm of a network's gradient; squares go into scratch, a
-    vector at least as long as the largest array."""
-
-    def sum_sq(a: np.ndarray) -> float:
-        sq = np.multiply(a, a, out=scratch[: a.size].reshape(a.shape))
-        return float(sq.sum())
-
-    return float(np.sqrt(sum(sum_sq(gw) + sum_sq(gb) for gw, gb in layers)))
 
 
 def _head_column(
@@ -519,8 +503,7 @@ def predict_all_outcomes(
     holds only its random initialization, so column t is instead the mean
     of the trained heads evaluated at treatment t's head input,
     [phi(x), psi(t_emb[t])] for joint and phi(x) for tarnet. A model
-    without a head_updates record, or with no trained head, uses every
-    head as is.
+    with no trained head uses every head as is.
     """
     t_emb = _check_t_emb(model, t_emb)
     trained = [t for t in range(model.k) if model.head_trained(t)]
@@ -597,15 +580,16 @@ def train(
     # cost more time than the GEMMs that fill them
     n_tr = x_tr.shape[0]
     grad = np.empty_like(model.theta)
-    grad_views = model.views(grad)
     caches = model.forward_caches(min(cfg.batch_size, n_tr))
     # each network's (weight, weight gradient) pairs, for weight decay
     decay_pairs = [
         [(w, gw) for (w, _), (gw, _) in zip(net, net_grad)]
-        for net, net_grad in zip(model.views(model.theta), grad_views)
+        for net, net_grad in zip(model.views(model.theta), model.views(grad))
     ]
     n_rep = len(decay_pairs) - dataset.k  # cov, and treat for joint
-    norm_scratch = np.empty(max(w.size for head in model.heads for w, _ in head.layers))
+    # the heads' gradients are grad's last k contiguous slices
+    head_sizes = [head.n_params for head in model.heads]
+    head_grads = np.split(grad[grad.size - sum(head_sizes) :], np.cumsum(head_sizes)[:-1])
     # the improving epochs are copied into this one snapshot's theta
     best_model = dataclasses.replace(model)
     best_epoch: int | None = None
@@ -632,7 +616,7 @@ def train(
                 reached = [True] * n_rep + hit
                 # before the step, which overwrites the gradient
                 for t in np.flatnonzero(hit):
-                    head_norms[t] += _grad_norm(grad_views[n_rep + t], norm_scratch)
+                    head_norms[t] += np.sqrt(np.dot(head_grads[t], head_grads[t]))
                 decayed = [p for pairs, r in zip(decay_pairs, reached) if r for p in pairs]
                 sgd_step(model.theta, res.grad, lr, cfg.weight_decay, decayed)
             except TrainingDiverged:
@@ -681,7 +665,6 @@ def train(
         best_val_mse=None if best_epoch is None else float(best_val),
         config=cfg,
         shape=shape,
-        variant=variant,
     )
 
 
@@ -696,17 +679,10 @@ def params_path(path) -> str:
     return os.path.splitext(path)[0] + ".npy"
 
 
-def _network_docs(model: OutcomeModel) -> dict:
-    return {
-        "cov_net": params_to_dict(model.cov_net),
-        "treat_net": params_to_dict(model.treat_net) if model.treat_net is not None else None,
-        "heads": [params_to_dict(h) for h in model.heads],
-    }
-
-
 def checkpoint_dict(trained: TrainedModel, params_sha256: str) -> dict:
     """The checkpoint header. It names no file, so identical runs under
-    different paths write identical headers."""
+    different paths write identical headers. The networks' layers follow
+    from shape, input_dim, treat_input_dim, k and variant."""
     model = trained.model
     return {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
@@ -716,11 +692,8 @@ def checkpoint_dict(trained: TrainedModel, params_sha256: str) -> dict:
         "treat_input_dim": (
             model.treat_net.input_dim if model.treat_net is not None else None
         ),
-        **_network_docs(model),
         "params_sha256": params_sha256,
-        "head_updates": (
-            list(model.head_updates) if model.head_updates is not None else None
-        ),
+        "head_updates": list(model.head_updates),
         "train_config": trained.config.to_dict(),
         "shape": trained.shape.to_dict(),
         "best_epoch": trained.best_epoch,
@@ -765,7 +738,7 @@ def _load_params(sidecar: str, doc: dict) -> np.ndarray:
 
 def load_checkpoint(path) -> TrainedModel:
     """Read a checkpoint into a model built from the header's shape, dims, k
-    and variant; the header's networks must agree with that model."""
+    and variant; the parameter file must hold exactly that model's theta."""
     sidecar = params_path(path)
     doc = load_json_object(path, ConfigError)
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
@@ -780,17 +753,16 @@ def load_checkpoint(path) -> TrainedModel:
             doc["input_dim"], doc["k"], shape, doc["variant"],
             treat_input_dim=doc["treat_input_dim"], scheme="zeros",
         )
-        for key, expect in _network_docs(model).items():
-            if doc[key] != expect:
-                raise ConfigError(f"checkpoint {key} disagrees with its shape: {expect}")
         if vec.dtype != np.float64 or vec.shape != model.theta.shape:
             raise ConfigError(
                 f"{sidecar} holds {vec.dtype} values of shape {vec.shape}; the model "
                 f"needs {model.theta.size} float64 values"
             )
         model.theta[:] = vec
-        counts = doc["head_updates"]  # null for a model that carries no record
-        model.head_updates = None if counts is None else tuple(int(n) for n in counts)
+        counts = doc["head_updates"]
+        if not isinstance(counts, list):
+            raise ConfigError(f"checkpoint head_updates must be a list, got {counts!r}")
+        model.head_updates = tuple(int(n) for n in counts)
         model.validate()
         cfg = TrainConfig.from_dict(doc["train_config"], path="checkpoint.train_config")
     except KeyError as exc:
@@ -804,5 +776,4 @@ def load_checkpoint(path) -> TrainedModel:
         best_val_mse=doc.get("best_val_mse"),
         config=cfg,
         shape=shape,
-        variant=model.variant,
     )

@@ -289,13 +289,3 @@ def sgd_step(
     grad *= lr
     theta -= grad
 
-
-def params_to_dict(params: MlpParams) -> dict:
-    """JSON-ready description: activation, dropout and each layer's [out, in]
-    weight shape. The values live in the model's theta; the bias of a layer
-    has the weight's out size."""
-    return {
-        "layers": [list(w.shape) for w, _ in params.layers],
-        "activation": params.hidden_activation,
-        "dropout_rate": params.dropout_rate,
-    }

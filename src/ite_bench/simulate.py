@@ -1,9 +1,10 @@
 """Semi-synthetic data generation for treatment effect benchmarks.
 
-Covariates are unit-norm user vectors (fresh Gaussian draws or rows read
-from an embedding file). k+1 centroids z_1..z_{k+1} are picked from the
-covariates; the first k double as the treatment feature vectors and the
-last acts as a shared population taste vector. Potential outcomes are
+Covariates are unit-norm user vectors: rows read from an embedding file
+when one is configured, fresh Gaussian draws otherwise. k+1 centroids
+z_1..z_{k+1} are picked from the covariates; the first k double as the
+treatment feature vectors and the last acts as a shared population taste
+vector. Potential outcomes are
 
     y_i^t = c * ytilde_i^t * (x_i . z_t + x_i . z_{k+1}),
 
@@ -35,7 +36,7 @@ from .errors import (
     load_json_object,
 )
 
-DATASET_SCHEMA_VERSION = "2"
+DATASET_SCHEMA_VERSION = "3"
 SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.7, 0.15)  # train, val; test takes the remainder
 SIGMA_FLOOR = 1e-3
@@ -71,8 +72,7 @@ class SimConfig:
     mu_sd: float = 0.15
     sigma_mean: float = 0.10
     sigma_sd: float = 0.05
-    covariate_source: str = "gaussian"  # "gaussian" | "file"
-    embedding_file: str | None = None
+    embedding_file: str | None = None  # CSV of covariate rows; None draws them
     seed: int = 0
 
     def kappa_vector(self) -> np.ndarray:
@@ -104,12 +104,6 @@ class SimConfig:
             raise ConfigError("kappa entries must be positive")
         if self.mu_sd < 0.0 or self.sigma_sd < 0.0:
             raise ConfigError("prior standard deviations must be >= 0")
-        if self.covariate_source not in ("gaussian", "file"):
-            raise ConfigError(
-                f"covariate_source must be 'gaussian' or 'file', got {self.covariate_source!r}"
-            )
-        if self.covariate_source == "file" and not self.embedding_file:
-            raise ConfigError("covariate_source 'file' requires embedding_file")
         return self
 
     def to_dict(self) -> dict:
@@ -335,10 +329,10 @@ def kmeans(
 def generate_covariates(
     cfg: SimConfig, rng: np.random.Generator | int | None = None
 ) -> np.ndarray:
-    """Unit-norm covariate rows, drawn or loaded per cfg.covariate_source."""
+    """Unit-norm covariate rows: the first cfg.n rows of cfg.embedding_file
+    when it is set, Gaussian draws otherwise."""
     cfg.validate()
-    if cfg.covariate_source == "file":
-        assert cfg.embedding_file is not None
+    if cfg.embedding_file is not None:
         if not os.path.exists(cfg.embedding_file):
             raise DataError(f"embedding file not found: {cfg.embedding_file}")
         try:
@@ -520,7 +514,6 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
         raise DataError(
             f"output directory {out_dir} is not empty; pass force=True/--force to overwrite"
         )
-    layout = _dataset_layout(ds.n, ds.d, ds.k)
     manifest = {
         "schema_version": DATASET_SCHEMA_VERSION,
         "n": ds.n,
@@ -528,7 +521,6 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
         "k": ds.k,
         "config": ds.config.to_dict() if ds.config else None,
         "splits": {name: ds.splits[name].tolist() for name in SPLIT_NAMES},
-        "files": {name: fname for name, (fname, _, _) in layout.items()},
     }
     try:
         text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
@@ -544,7 +536,7 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
         "t_obs": ds.t_obs,
         "y_factual": ds.y_factual,
     }
-    for name, (fname, dtype, _) in layout.items():
+    for name, (fname, dtype, _) in _dataset_layout(ds.n, ds.d, ds.k).items():
         np.save(os.path.join(out_dir, fname), np.ascontiguousarray(arrays[name], dtype))
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         fh.write(text)

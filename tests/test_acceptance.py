@@ -166,7 +166,7 @@ def _unflatten_model(model, vec):
     cov = take(model.cov_net)
     treat = take(model.treat_net) if model.treat_net is not None else None
     heads = tuple(take(h) for h in model.heads)
-    return OutcomeModel(cov, treat, heads, model.variant)
+    return OutcomeModel(cov, treat, heads)
 
 
 def _check_batch_loss_gradients(rng, variant, activation, dropout, mask_seed):

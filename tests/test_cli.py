@@ -131,7 +131,7 @@ def test_train_writes_checkpoint_and_history(tmp_path, capsys):
     assert "best epoch" in stdout
     ckpt = json.loads((out / "checkpoint.json").read_text())
     assert ckpt["variant"] == "joint"
-    assert ckpt["treat_net"] is not None
+    assert ckpt["treat_input_dim"] == 4
     hist = json.loads((out / "history.json").read_text())["history"]
     assert len(hist["loss"]) == 2
     # loss decomposes into alpha * mse + beta * balance (defaults 1.0, 0.5)
@@ -149,7 +149,7 @@ def test_train_tarnet_has_no_treatment_network(tmp_path, capsys):
     assert code == 0
     ckpt = json.loads((out / "checkpoint.json").read_text())
     assert ckpt["variant"] == "tarnet"
-    assert ckpt["treat_net"] is None
+    assert ckpt["treat_input_dim"] is None
     hist = json.loads((out / "history.json").read_text())["history"]
     assert hist["balance"] == [0.0]
 
@@ -398,6 +398,31 @@ def test_train_malformed_manifest_exits_3(tmp_path, capsys, manifest):
     code, _, err = run(capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run"))
     assert code == 3
     assert "manifest.json" in err
+
+
+def test_schema_2_dataset_and_schema_3_checkpoint_are_refused(tmp_path, capsys):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    out = tmp_path / "run"
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "1"
+    )
+    assert code == 0, err
+    # schema 3 also stored each network's layer list
+    ckpt = out / "checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    layers = {"layers": [[4, 4]], "activation": "elu", "dropout_rate": 0.1}
+    ckpt.write_text(json.dumps({**doc, "schema_version": "3", "cov_net": layers}))
+    code, _, err = run(capsys, "evaluate", "--dataset", str(ds), "--checkpoint", str(ckpt))
+    assert code == 2
+    assert "re-run `ite-bench train`" in err
+    # schema 2 also listed the array files
+    path = ds / "manifest.json"
+    manifest = json.loads(path.read_text())
+    files = {name: name + ".npy" for name in ("covariates", "t_obs")}
+    path.write_text(json.dumps({**manifest, "schema_version": "2", "files": files}))
+    code, _, err = run(capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run2"))
+    assert code == 3
+    assert "re-run `ite-bench simulate`" in err
 
 
 def test_schema_1_csv_dataset_is_refused(tmp_path, capsys):
@@ -767,3 +792,42 @@ def test_report_cli_error_paths(tmp_path, capsys):
     code, _, err = run(capsys, "report", str(a), str(path_b))
     assert code == 3
     assert "disagree" in err
+
+
+def _run_record_doc(tmp, **changes):
+    return {**json.loads(write_record(tmp / "r.json", "a", [1.0]).read_text()), **changes}
+
+
+def _eval_report_doc(**changes):
+    from ite_bench.metrics import EvalReport
+
+    report = EvalReport(
+        split="test", n_eval=5, k=3, epsilon_pehe=1.0, sqrt_pehe=1.0,
+        per_pair={(1, 0): 1.0, (2, 0): 1.0, (2, 1): 1.0},
+    ).validate()
+    return {**report.to_dict(), **changes}
+
+
+MALFORMED_RECORDS = {
+    "record-without-label": lambda tmp: {
+        k: v for k, v in _run_record_doc(tmp).items() if k != "label"
+    },
+    "record-without-aggregate": lambda tmp: _run_record_doc(tmp, aggregate={}),
+    "record-aggregate-list": lambda tmp: _run_record_doc(tmp, aggregate=[]),
+    "report-pair-key-x": lambda tmp: _eval_report_doc(per_pair={"x": 1.0}),
+    "report-without-pairs": lambda tmp: _eval_report_doc(per_pair={}),
+    "report-of-nans": lambda tmp: _eval_report_doc(
+        epsilon_pehe=math.nan, sqrt_pehe=math.nan,
+        per_pair={"1,0": math.nan, "2,0": math.nan, "2,1": math.nan},
+    ),
+}
+
+
+@pytest.mark.parametrize("make", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS)
+def test_report_refuses_a_malformed_record_or_report(tmp_path, capsys, make):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(make(tmp_path)))
+    code, stdout, err = run(capsys, "report", str(path))
+    assert code == 3, err
+    assert "bad.json" in err
+    assert "+/-" not in stdout

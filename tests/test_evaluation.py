@@ -15,7 +15,7 @@ from ite_bench.metrics import (
     zero_shot_pehe,
 )
 from ite_bench.cli import main
-from ite_bench.model import ModelShape, TrainConfig, build_model
+from ite_bench.model import ModelShape, OutcomeModel, TrainConfig, build_model
 from ite_bench.simulate import SimConfig, save_dataset, simulate_dataset
 
 
@@ -180,8 +180,11 @@ def test_eval_report_round_trip():
     assert back.zero_shot["z"] == 2
     assert back.zero_shot["head_z_trained"] is False  # freshly built: no updates
     assert back.untrained_heads == report.untrained_heads == [0, 1, 2]
-    bare = dataclasses.replace(model, head_updates=None)
-    assert evaluate_model(bare, ds, split="test").untrained_heads is None
+    # a model built without a record counts zero updates for every head
+    bare = OutcomeModel(model.cov_net, model.treat_net, model.heads)
+    assert evaluate_model(bare, ds, split="test").untrained_heads == [0, 1, 2]
+    # a stored null still reads back
+    assert EvalReport.from_dict({**doc, "untrained_heads": None}).untrained_heads is None
 
 
 def test_eval_report_validate_catches_inconsistency():

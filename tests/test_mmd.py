@@ -199,15 +199,15 @@ def test_regularization_gradients_match_finite_differences():
     np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-8)
 
 
-def test_regularization_accepts_flat_sample_vectors():
-    loss_flat, grads_flat = treatment_regularization_loss(
-        {0: np.array([0.0, 0.5]), 1: np.array([1.0])}, 1.0
-    )
-    loss_col, _ = treatment_regularization_loss(
+def test_regularization_refuses_flat_sample_vectors():
+    # groups are matrices of sample rows, as nn's batches are
+    with pytest.raises(ShapeError, match="group 0"):
+        treatment_regularization_loss({0: np.array([0.0, 0.5]), 1: np.array([[1.0]])}, 1.0)
+    loss_col, grads = treatment_regularization_loss(
         {0: np.array([[0.0], [0.5]]), 1: np.array([[1.0]])}, 1.0
     )
-    assert loss_flat == loss_col
-    assert grads_flat[0].shape == (2, 1)
+    assert loss_col > 0.0
+    assert grads[0].shape == (2, 1)
 
 
 def test_regularization_rejects_mixed_dimensions_and_nonfinite():

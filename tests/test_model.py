@@ -40,7 +40,9 @@ def identity_model(d=2, k=2, variant="joint"):
     head_in = 2 * d if variant == "joint" else d
     head = MlpParams(((np.ones((1, head_in)), np.zeros(1)),), "tanh", 0.0)
     treat = eye(d) if variant == "joint" else None
-    return OutcomeModel(eye(d), treat, tuple(head for _ in range(k)), variant).validate()
+    model = OutcomeModel(eye(d), treat, tuple(head for _ in range(k))).validate()
+    assert model.variant == variant
+    return model
 
 
 def small_dataset(seed=1, n=400, k=3):
@@ -112,18 +114,21 @@ def test_untrained_head_column_is_mean_of_trained_heads(variant):
     outs = [mlp_forward(raw.heads[s], head_in)[0][:, 0] for s in (0, 2)]
     np.testing.assert_allclose(yhat[:, 1], (outs[0] + outs[1]) / 2, rtol=0, atol=1e-14)
     assert not np.allclose(yhat[:, 1], base[:, 1])
+    # a model with no trained head uses every head as is, as one with all trained does
+    assert raw.head_updates == (0, 0, 0) and raw.head_trained(1) is False
+    trained = dataclasses.replace(raw, head_updates=(1, 1, 1))
+    np.testing.assert_array_equal(base, predict_all_outcomes(trained, x, t_emb))
 
 
-def test_no_record_or_no_trained_head_uses_every_head():
-    raw = build_model(5, 3, small_shape(), "joint", rng=4)
-    assert raw.head_updates == (0, 0, 0)
-    rng = np.random.default_rng(6)
-    x, t_emb = rng.normal(size=(7, 5)), rng.normal(size=(3, 5))
-    bare = dataclasses.replace(raw, head_updates=None)
-    np.testing.assert_array_equal(
-        predict_all_outcomes(raw, x, t_emb), predict_all_outcomes(bare, x, t_emb)
-    )
-    assert bare.head_trained(1) is None and raw.head_trained(1) is False
+def test_variant_follows_the_networks_and_head_updates_is_keyword_only():
+    joint, tarnet = identity_model(), identity_model(variant="tarnet")
+    assert (joint.variant, tarnet.variant) == ("joint", "tarnet")
+    assert tarnet.head_updates == (0, 0)
+    # the variant is no field: an old positional call cannot store it as the counts
+    with pytest.raises(TypeError):
+        OutcomeModel(tarnet.cov_net, None, tarnet.heads, "tarnet")
+    counted = OutcomeModel(tarnet.cov_net, None, tarnet.heads, head_updates=(3, 0))
+    assert counted.validate().head_trained(0) and not counted.head_trained(1)
 
 
 def test_baseline_ignores_treatment_features():
@@ -145,7 +150,7 @@ def test_model_copies_its_networks_and_theta_drives_predictions():
     head = init_mlp([3, 1], rng=2)
     w_in = cov.layers[0][0].copy()
     # the same head object twice: each head gets its own slice of theta
-    model = OutcomeModel(cov, None, (head, head), "tarnet").validate()
+    model = OutcomeModel(cov, None, (head, head)).validate()
     assert not np.shares_memory(model.theta, cov.layers[0][0])
     assert not np.shares_memory(model.heads[0].layers[0][0], model.heads[1].layers[0][0])
     x, t_emb = np.array([[0.3, -0.7], [1.1, 0.4]]), np.zeros((2, 2))
@@ -161,16 +166,17 @@ def test_model_copies_its_networks_and_theta_drives_predictions():
 
 def test_model_validation():
     good = identity_model()
-    with pytest.raises(ConfigError):
-        OutcomeModel(good.cov_net, None, good.heads, "joint").validate()
-    with pytest.raises(ConfigError):
-        OutcomeModel(good.cov_net, good.treat_net, good.heads, "flavor").validate()
+    # without a treatment network the heads' input is too narrow
+    with pytest.raises(ShapeError):
+        OutcomeModel(good.cov_net, None, good.heads).validate()
     with pytest.raises(ShapeError):
         tarheads = (identity_model(variant="tarnet").heads[0],)
-        OutcomeModel(good.cov_net, good.treat_net, tarheads, "joint").validate()
+        OutcomeModel(good.cov_net, good.treat_net, tarheads).validate()
     for bad in ((1,), (1, -1)):
         with pytest.raises(ConfigError):
             dataclasses.replace(good, head_updates=bad).validate()
+    with pytest.raises(ConfigError, match="variant"):
+        build_model(2, 2, small_shape(), "flavor")
 
 
 # --- batch loss ---
@@ -312,7 +318,7 @@ def _unflatten_model(model, vec):
     cov = take(model.cov_net)
     treat = take(model.treat_net) if model.treat_net is not None else None
     heads = tuple(take(h) for h in model.heads)
-    return OutcomeModel(cov, treat, heads, model.variant)
+    return OutcomeModel(cov, treat, heads)
 
 
 @pytest.mark.parametrize(
@@ -646,7 +652,7 @@ def test_checkpoint_round_trip_preserves_predictions(tmp_path, variant):
     path = tmp_path / "model.json"
     save_checkpoint(path, trained)
     loaded = load_checkpoint(path)
-    assert loaded.variant == variant
+    assert loaded.model.variant == variant
     assert loaded.best_epoch == trained.best_epoch
     assert loaded.config == trained.config
     assert loaded.shape == trained.shape
@@ -656,10 +662,8 @@ def test_checkpoint_round_trip_preserves_predictions(tmp_path, variant):
         predict_all_outcomes(loaded.model, x, ds.T_emb),
     )
     doc = json.loads(path.read_text())
-    if variant == "tarnet":
-        assert doc["treat_net"] is None
-    else:
-        assert doc["treat_net"] is not None
+    assert doc["variant"] == variant
+    assert (doc["treat_input_dim"] is None) == (variant == "tarnet")
 
 
 def test_checkpoint_keeps_head_update_record(tmp_path):
@@ -675,21 +679,13 @@ def test_checkpoint_keeps_head_update_record(tmp_path):
         predict_all_outcomes(trained.model, x, ds.T_emb),
         predict_all_outcomes(loaded.model, x, ds.T_emb),
     )
-    # every header of this schema carries the record: one without it is
-    # refused, and null loads a model without a record
+    # every header of this schema carries the record: one without it, or
+    # with null, is refused
     doc = json.loads(path.read_text())
     path.write_text(json.dumps({k: v for k, v in doc.items() if k != "head_updates"}))
     with pytest.raises(ConfigError, match="head_updates"):
         load_checkpoint(path)
-    path.write_text(json.dumps({**doc, "head_updates": None}))
-    old = load_checkpoint(path)
-    assert old.model.head_updates is None
-    bare = dataclasses.replace(trained.model, head_updates=None)
-    np.testing.assert_array_equal(
-        predict_all_outcomes(old.model, x, ds.T_emb),
-        predict_all_outcomes(bare, x, ds.T_emb),
-    )
-    for bad in (3, ["x", 1, 1]):
+    for bad in (None, 3, ["x", 1, 1], [1, 1]):
         path.write_text(json.dumps({**doc, "head_updates": bad}))
         with pytest.raises(ConfigError):
             load_checkpoint(path)
@@ -720,7 +716,12 @@ def _strict_json(text):
 def test_checkpoint_is_a_header_plus_a_parameter_vector(tmp_path):
     trained, path, sidecar = _saved_checkpoint(tmp_path)
     doc = _strict_json(path.read_text())
-    assert doc["schema_version"] == "3"
+    assert doc["schema_version"] == "4"
+    # the networks' layers follow from shape, dims, k and variant, and are not stored
+    assert set(doc) == {
+        "schema_version", "variant", "k", "input_dim", "treat_input_dim", "params_sha256",
+        "head_updates", "train_config", "shape", "best_epoch", "best_val_mse",
+    }
     assert doc["params_sha256"] == hashlib.sha256(sidecar.read_bytes()).hexdigest()
     # the header never names its sidecar, which is derived from its own path
     assert "model.npy" not in path.read_text()
@@ -730,7 +731,6 @@ def test_checkpoint_is_a_header_plus_a_parameter_vector(tmp_path):
     assert vec.dtype == np.float64
     assert vec.shape == (sum(net.n_params for net in nets),)
     np.testing.assert_array_equal(vec, model.theta)
-    assert doc["cov_net"]["layers"] == [list(w.shape) for w, _ in model.cov_net.layers]
     # cov, treat, then heads; each layer's weight row-major, then its bias
     w0, b0 = model.cov_net.layers[0]
     np.testing.assert_array_equal(vec[: w0.size], w0.ravel())
@@ -767,19 +767,12 @@ def test_checkpoint_rejects_a_tampered_parameter_file(tmp_path):
 
 
 def test_checkpoint_networks_must_agree_with_its_shape(tmp_path):
+    # the header's shape rebuilds the networks, whose size the vector must match
     _, path, _ = _saved_checkpoint(tmp_path)
     doc = json.loads(path.read_text())
-    cov_wide = {**doc["cov_net"], "layers": [[9, 6], [4, 9]]}
-    head_elu = {**doc["heads"][0], "activation": "tanh"}
-    for bad in (
-        {**doc, "cov_net": cov_wide},
-        {**doc, "heads": doc["heads"][:-1]},
-        {**doc, "heads": [head_elu, *doc["heads"][1:]]},
-        {**doc, "shape": {**doc["shape"], "cov_width": 9}},
-    ):
-        path.write_text(json.dumps(bad))
-        with pytest.raises(ConfigError, match="disagrees"):
-            load_checkpoint(path)
+    path.write_text(json.dumps({**doc, "shape": {**doc["shape"], "cov_width": 9}}))
+    with pytest.raises(ConfigError, match="values"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_refuses_npy_header_path_and_old_schema(tmp_path):

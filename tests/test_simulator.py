@@ -48,7 +48,8 @@ def test_file_covariates_normalize_rows(tmp_path):
     rows = np.array([[3.0, 4.0], [0.0, 2.0], [1.0, 1.0], [5.0, 0.0]])
     path = tmp_path / "emb.csv"
     np.savetxt(path, rows, delimiter=",")
-    cfg = SimConfig(n=3, d=2, k=2, covariate_source="file", embedding_file=str(path))
+    # setting embedding_file alone selects the file
+    cfg = SimConfig(n=3, d=2, k=2, embedding_file=str(path))
     x = generate_covariates(cfg)
     # first n rows only, each scaled to unit norm
     np.testing.assert_allclose(x[0], [0.6, 0.8], atol=1e-15)
@@ -57,7 +58,7 @@ def test_file_covariates_normalize_rows(tmp_path):
 
 
 def test_file_covariates_error_paths(tmp_path):
-    cfg = dict(n=3, d=2, k=2, covariate_source="file")
+    cfg = dict(n=3, d=2, k=2)
     with pytest.raises(DataError):
         generate_covariates(SimConfig(embedding_file=str(tmp_path / "nope.csv"), **cfg))
     wrong_width = tmp_path / "w.csv"
@@ -76,8 +77,9 @@ def test_file_covariates_error_paths(tmp_path):
     nonfinite.write_text("1.0,2.0\nnan,1.0\n1.0,1.0\n")
     with pytest.raises(NumericError):
         generate_covariates(SimConfig(embedding_file=str(nonfinite), **cfg))
-    with pytest.raises(ConfigError):
-        SimConfig(embedding_file=None, **cfg).validate()
+    # the file alone selects the source; the former selector is an unknown field
+    with pytest.raises(ConfigError, match="covariate_source"):
+        SimConfig.from_dict({"covariate_source": "file", "embedding_file": str(nonfinite)})
 
 
 # --- kmeans ---
@@ -372,9 +374,14 @@ def test_dataset_directory_holds_npy_arrays(tmp_path):
     ds = simulate_dataset(small_cfg(seed=2))
     save_dataset(ds, tmp_path / "ds")
     manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
-    assert manifest["schema_version"] == "2"
+    assert manifest["schema_version"] == "3"
+    # the array files follow from the schema, so the manifest does not list them
+    assert set(manifest) == {"schema_version", "n", "d", "k", "config", "splits"}
     names = sorted(p.name for p in (tmp_path / "ds").iterdir())
-    assert names == sorted(["manifest.json", *manifest["files"].values()])
+    assert names == sorted([
+        "manifest.json", "covariates.npy", "centroids.npy", "treatment_embeddings.npy",
+        "mu_sigma.npy", "y_sampled.npy", "y_expected.npy", "t_obs.npy", "y_factual.npy",
+    ])
     t_obs = np.load(tmp_path / "ds" / "t_obs.npy", allow_pickle=False)
     assert t_obs.dtype == np.int64
     np.testing.assert_array_equal(t_obs, ds.t_obs)
