@@ -48,6 +48,7 @@ from .simulate import (
     Dataset,
     SimConfig,
     assign_treatments,
+    expected_outcomes,
     generate_covariates,
     kmeans,
     load_dataset,

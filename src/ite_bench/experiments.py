@@ -550,7 +550,7 @@ def render_eval_report(report: EvalReport) -> str:
             f"zero-shot z={zs['z']}: sqrt_pehe_zs={zs['sqrt_pehe_zs']:.6g} "
             f"(epsilon_zs={zs['epsilon_zs']:.6g})"
         )
-        if zs.get("head_z_trained") is False:
+        if not zs["head_z_trained"]:
             lines.append(f"  head {zs['z']} received no training updates")
     if report.untrained_heads:
         lines.append(f"heads never updated in training: {report.untrained_heads}")
@@ -575,7 +575,7 @@ def _report_rows(records: list[RunRecord]) -> list[tuple[str, dict, dict | None,
         agg = _aggregate([r.sqrt_pehe for r in reports])
         zero_shot = [r.zero_shot for r in reports if r.zero_shot is not None]
         zs = _aggregate([z["sqrt_pehe_zs"] for z in zero_shot]) if zero_shot else None
-        untrained = sum(z.get("head_z_trained") is False for z in zero_shot)
+        untrained = sum(not z["head_z_trained"] for z in zero_shot)
         rows.append((label, agg, zs, untrained))
     rows.sort(key=lambda r: (r[1]["mean"], r[0]))
     return rows

@@ -21,6 +21,7 @@ from .model import OutcomeModel, predict_all_outcomes
 from .simulate import Dataset
 
 REPORT_SCHEMA_VERSION = "1"
+ZERO_SHOT_KEYS = {"z", "epsilon_zs", "sqrt_pehe_zs", "head_z_trained"}
 
 
 def _as_outcome_matrix(y, name: str) -> np.ndarray:
@@ -99,8 +100,7 @@ class EvalReport:
     epsilon_pehe: float
     sqrt_pehe: float
     per_pair: dict[tuple[int, int], float]
-    # {"z", "epsilon_zs", "sqrt_pehe_zs", "head_z_trained"}
-    zero_shot: dict | None = None
+    zero_shot: dict | None = None  # keyed by ZERO_SHOT_KEYS
     # ascending indices of the heads that training never updated; a report
     # file may hold null here, which no current writer produces
     untrained_heads: list[int] | None = None
@@ -108,17 +108,38 @@ class EvalReport:
     def validate(self) -> "EvalReport":
         if self.n_eval < 1:
             raise DataError("report covers no samples")
-        n_pairs = self.k * (self.k - 1) // 2
-        if len(self.per_pair) != n_pairs:
+        if set(self.per_pair) != {(a, b) for a in range(self.k) for b in range(a)}:
             raise DataError(
-                f"per_pair holds {len(self.per_pair)} pairs; k={self.k} treatments make {n_pairs}"
+                f"per_pair must hold exactly the pairs (a, b) with 0 <= b < a < k={self.k}, "
+                f"got {sorted(self.per_pair)}"
             )
         # written so that a NaN fails them
         mean_pairs = float(np.mean(list(self.per_pair.values())))
         if not abs(mean_pairs - self.epsilon_pehe) <= 1e-10:
             raise DataError("per-pair errors do not average to epsilon_pehe")
-        if not abs(self.sqrt_pehe**2 - self.epsilon_pehe) <= 1e-10:
+        root = self.sqrt_pehe
+        if not (root >= 0.0 and abs(root * root - self.epsilon_pehe) <= 1e-10):
             raise DataError("sqrt_pehe is not the square root of epsilon_pehe")
+        zs = self.zero_shot
+        if zs is None:
+            return self
+        if not isinstance(zs, dict) or set(zs) != ZERO_SHOT_KEYS:
+            raise DataError(f"zero_shot must hold exactly {sorted(ZERO_SHOT_KEYS)}, got {zs!r}")
+        if type(zs["z"]) is not int or not 0 <= zs["z"] < self.k:
+            raise DataError(f"zero_shot z must be a treatment in 0..{self.k - 1}, got {zs['z']!r}")
+        eps, root = zs["epsilon_zs"], zs["sqrt_pehe_zs"]
+        if not (
+            type(eps) in (int, float) and type(root) in (int, float)
+            and math.isfinite(eps) and root >= 0.0 and abs(root * root - eps) <= 1e-10
+        ):
+            raise DataError(
+                "zero_shot epsilon_zs must be finite and sqrt_pehe_zs its square root, "
+                f"got {eps!r} and {root!r}"
+            )
+        if type(zs["head_z_trained"]) is not bool:
+            raise DataError(
+                f"zero_shot head_z_trained must be true or false, got {zs['head_z_trained']!r}"
+            )
         return self
 
     def to_dict(self) -> dict:

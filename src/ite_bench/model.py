@@ -52,7 +52,7 @@ from .nn import (
 )
 from .simulate import Dataset
 
-CHECKPOINT_SCHEMA_VERSION = "4"
+CHECKPOINT_SCHEMA_VERSION = "5"
 VARIANTS = ("joint", "tarnet")
 # the relative val-MSE decrease that resets early stopping's patience count
 # (see train); with any decrease counting, the decayed learning rate's tiny
@@ -221,12 +221,12 @@ def build_model(
     shape: ModelShape,
     variant: str = "joint",
     *,
-    treat_input_dim: int | None = None,
     rng: np.random.Generator | int | None = None,
     scheme: str = "glorot",
 ) -> OutcomeModel:
-    """Initialize all sub-networks. treat_input_dim defaults to input_dim
-    because the simulator's treatment embeddings live in covariate space."""
+    """Initialize all sub-networks. The treatment network also reads
+    input_dim features: the simulator's treatment embeddings live in
+    covariate space."""
     shape.validate()
     if variant not in VARIANTS:
         raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -240,7 +240,7 @@ def build_model(
     treat_net = None
     if variant == "joint":
         treat_net = init_mlp(
-            shape.treat_dims(treat_input_dim or input_dim),
+            shape.treat_dims(input_dim),
             shape.activation, shape.dropout_rate, rng=gen, scheme=scheme,
         )
     head_input = shape.cov_out + (shape.treat_out if variant == "joint" else 0)
@@ -566,10 +566,7 @@ def train(
 
     ss = np.random.SeedSequence(cfg.seed)
     s_init, s_order, s_drop = ss.spawn(3)
-    model = build_model(
-        dataset.d, dataset.k, shape, variant,
-        treat_input_dim=t_emb.shape[1], rng=np.random.default_rng(s_init),
-    )
+    model = build_model(dataset.d, dataset.k, shape, variant, rng=np.random.default_rng(s_init))
     order_rng = np.random.default_rng(s_order)
     drop_rng = np.random.default_rng(s_drop)
 
@@ -682,16 +679,13 @@ def params_path(path) -> str:
 def checkpoint_dict(trained: TrainedModel, params_sha256: str) -> dict:
     """The checkpoint header. It names no file, so identical runs under
     different paths write identical headers. The networks' layers follow
-    from shape, input_dim, treat_input_dim, k and variant."""
+    from shape, input_dim, k and variant."""
     model = trained.model
     return {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "variant": model.variant,
         "k": model.k,
         "input_dim": model.cov_net.input_dim,
-        "treat_input_dim": (
-            model.treat_net.input_dim if model.treat_net is not None else None
-        ),
         "params_sha256": params_sha256,
         "head_updates": list(model.head_updates),
         "train_config": trained.config.to_dict(),
@@ -749,10 +743,7 @@ def load_checkpoint(path) -> TrainedModel:
     vec = _load_params(sidecar, doc)
     try:
         shape = ModelShape.from_dict(doc["shape"], path="checkpoint.shape")
-        model = build_model(
-            doc["input_dim"], doc["k"], shape, doc["variant"],
-            treat_input_dim=doc["treat_input_dim"], scheme="zeros",
-        )
+        model = build_model(doc["input_dim"], doc["k"], shape, doc["variant"], scheme="zeros")
         if vec.dtype != np.float64 or vec.shape != model.theta.shape:
             raise ConfigError(
                 f"{sidecar} holds {vec.dtype} values of shape {vec.shape}; the model "

@@ -14,7 +14,9 @@ ytilde with mu_t. Observed treatments are drawn from a per-user softmax
 over kappa_t * y_i^t, so larger kappa skews assignment toward treatments
 with larger sampled outcomes.
 
-Datasets round-trip through a directory of .npy arrays plus a JSON manifest.
+A dataset stores only what was drawn; the treatment embeddings, factual
+outcomes and expected outcomes are derived from it. Datasets round-trip
+through a directory of .npy arrays plus a JSON manifest.
 """
 
 from __future__ import annotations
@@ -36,23 +38,22 @@ from .errors import (
     load_json_object,
 )
 
-DATASET_SCHEMA_VERSION = "3"
+DATASET_SCHEMA_VERSION = "4"
 SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.7, 0.15)  # train, val; test takes the remainder
 SIGMA_FLOOR = 1e-3
 
 
-def _dataset_layout(n: int, d: int, k: int) -> dict[str, tuple[str, type, tuple]]:
-    """name -> (file, dtype, shape) of every array in a dataset directory."""
+def _dataset_layout(cfg: SimConfig) -> dict[str, tuple[type, tuple]]:
+    """name -> (dtype, shape) of every array in a dataset directory, each
+    stored as <name>.npy."""
+    n, d, k = cfg.n, cfg.d, cfg.k
     return {
-        "covariates": ("covariates.npy", np.float64, (n, d)),
-        "centroids": ("centroids.npy", np.float64, (k + 1, d)),
-        "treatment_embeddings": ("treatment_embeddings.npy", np.float64, (k, d)),
-        "mu_sigma": ("mu_sigma.npy", np.float64, (k, 2)),
-        "y_sampled": ("y_sampled.npy", np.float64, (n, k)),
-        "y_expected": ("y_expected.npy", np.float64, (n, k)),
-        "t_obs": ("t_obs.npy", np.int64, (n,)),
-        "y_factual": ("y_factual.npy", np.float64, (n,)),
+        "covariates": (np.float64, (n, d)),
+        "centroids": (np.float64, (k + 1, d)),
+        "mu_sigma": (np.float64, (k, 2)),
+        "y_sampled": (np.float64, (n, k)),
+        "t_obs": (np.int64, (n,)),
     }
 
 
@@ -129,28 +130,33 @@ class Dataset:
 
     X: np.ndarray  # (n, d) unit-norm covariates
     Z: np.ndarray  # (k+1, d) centroids
-    T_emb: np.ndarray  # (k, d) treatment feature vectors
     mu: np.ndarray  # (k,)
     sigma: np.ndarray  # (k,)
     Y_sampled: np.ndarray  # (n, k)
-    Y_expected: np.ndarray  # (n, k)
     t_obs: np.ndarray  # (n,) ints in 0..k-1
-    y_factual: np.ndarray  # (n,)
     splits: dict[str, np.ndarray]
-    config: SimConfig | None = None
+    config: SimConfig  # the one source of n, d, k and the outcome scale c
     truth_reads: dict[str, int] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.config.n
 
     @property
     def d(self) -> int:
-        return self.X.shape[1]
+        return self.config.d
 
     @property
     def k(self) -> int:
-        return self.T_emb.shape[0]
+        return self.config.k
+
+    @property
+    def T_emb(self) -> np.ndarray:
+        """(k, d) treatment feature vectors: a read-only view of the first k
+        centroids."""
+        view = self.Z[:-1]
+        view.flags.writeable = False
+        return view
 
     def split_indices(self, split: str) -> np.ndarray:
         if split not in self.splits:
@@ -162,13 +168,16 @@ class Dataset:
 
     def observed(self, split: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         idx = self.split_indices(split)
-        return self.X[idx], self.t_obs[idx], self.y_factual[idx]
+        t = self.t_obs[idx]
+        return self.X[idx], t, self.Y_sampled[idx, t]
 
     def expected_outcomes(self, split: str) -> np.ndarray:
-        """Ground-truth expected potential outcomes; access is audited."""
+        """Ground-truth expected potential outcomes; access is audited. The
+        whole (n, k) matrix is computed and then indexed: a split's rows
+        alone may differ from it in the last bit."""
         idx = self.split_indices(split)
         self.truth_reads[split] = self.truth_reads.get(split, 0) + 1
-        return self.Y_expected[idx]
+        return expected_outcomes(self.X, self.Z, self.mu, self.config.c)[idx]
 
     def without_treatment_in_fit(self, z: int) -> "Dataset":
         """Copy with treatment z's samples dropped from train and val splits.
@@ -197,44 +206,20 @@ class Dataset:
 
     def validate(self) -> "Dataset":
         n, d, k = self.n, self.d, self.k
-        if self.Z.shape != (k + 1, d):
-            raise ShapeError(f"Z must be (k+1, d) = {(k + 1, d)}, got {self.Z.shape}")
-        if self.T_emb.shape != (k, d):
-            raise ShapeError(f"T_emb must be {(k, d)}, got {self.T_emb.shape}")
         for name, arr, shape in (
+            ("X", self.X, (n, d)),
+            ("Z", self.Z, (k + 1, d)),
             ("mu", self.mu, (k,)),
             ("sigma", self.sigma, (k,)),
             ("Y_sampled", self.Y_sampled, (n, k)),
-            ("Y_expected", self.Y_expected, (n, k)),
             ("t_obs", self.t_obs, (n,)),
-            ("y_factual", self.y_factual, (n,)),
         ):
             if arr.shape != shape:
                 raise ShapeError(f"{name} must have shape {shape}, got {arr.shape}")
-        for name, arr in (
-            ("X", self.X),
-            ("Z", self.Z),
-            ("T_emb", self.T_emb),
-            ("mu", self.mu),
-            ("sigma", self.sigma),
-            ("Y_sampled", self.Y_sampled),
-            ("Y_expected", self.Y_expected),
-            ("y_factual", self.y_factual),
-        ):
             if not np.isfinite(arr).all():
                 raise NumericError(f"non-finite values in {name}")
         if self.t_obs.min() < 0 or self.t_obs.max() >= k:
             raise DataError("t_obs entries must lie in 0..k-1")
-        if not np.array_equal(
-            self.y_factual, self.Y_sampled[np.arange(n), self.t_obs]
-        ):
-            raise DataError("y_factual does not match Y_sampled at observed treatments")
-        if self.config is not None:
-            d_all = self.X @ (self.Z[:-1] + self.Z[-1]).T
-            if not np.allclose(
-                self.Y_expected, self.config.c * self.mu * d_all, rtol=0.0, atol=1e-10
-            ):
-                raise DataError("Y_expected is inconsistent with centroids and mu")
         combined = np.concatenate([self.splits[name] for name in SPLIT_NAMES])
         if combined.size != n or not np.array_equal(np.sort(combined), np.arange(n)):
             raise DataError("splits must partition 0..n-1")
@@ -398,6 +383,14 @@ def sample_outcome_params(
     return mu, sigma
 
 
+def expected_outcomes(x: np.ndarray, z: np.ndarray, mu: np.ndarray, c: float) -> np.ndarray:
+    """The (n, k) outcomes c * mu_t * (x_i . z_t + x_i . z_{k+1}), where z
+    stacks the k treatment centroids and the shared one. mu holds the k
+    means; an (n, k) matrix of per-user draws ytilde in its place gives the
+    sampled outcomes."""
+    return c * mu * (x @ (z[:-1] + z[-1]).T)
+
+
 def potential_outcomes(
     x: np.ndarray,
     z: np.ndarray,
@@ -405,8 +398,8 @@ def potential_outcomes(
     sigma: np.ndarray,
     c: float,
     rng: np.random.Generator | int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled and expected outcome matrices, both (n, k)."""
+) -> np.ndarray:
+    """The (n, k) matrix of sampled outcomes."""
     if not c > 0.0:
         raise ConfigError("outcome scale c must be positive")
     x = np.asarray(x, dtype=np.float64)
@@ -417,13 +410,11 @@ def potential_outcomes(
     if z.shape[1] != x.shape[1]:
         raise ShapeError("centroid dimension does not match covariates")
     gen = np.random.default_rng(rng)
-    d_all = x @ (z[:-1] + z[-1]).T  # (n, k): x.z_t + x.z_{k+1}
     ytilde = mu[None, :] + sigma[None, :] * gen.standard_normal((x.shape[0], k))
-    y_sampled = c * ytilde * d_all
-    y_expected = c * mu[None, :] * d_all
-    if not (np.isfinite(y_sampled).all() and np.isfinite(y_expected).all()):
+    y_sampled = expected_outcomes(x, z, ytilde, c)
+    if not np.isfinite(y_sampled).all():
         raise NumericError("non-finite potential outcomes")
-    return y_sampled, y_expected
+    return y_sampled
 
 
 def assignment_probabilities(y_sampled: np.ndarray, kappa: np.ndarray) -> np.ndarray:
@@ -483,24 +474,12 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
         kmeans_tol=cfg.kmeans_tol,
     )
     mu, sigma = sample_outcome_params(cfg, np.random.default_rng(s_prior))
-    y_sampled, y_expected = potential_outcomes(
-        x, z, mu, sigma, cfg.c, np.random.default_rng(s_noise)
-    )
+    y_sampled = potential_outcomes(x, z, mu, sigma, cfg.c, np.random.default_rng(s_noise))
     t_obs = assign_treatments(y_sampled, cfg.kappa_vector(), np.random.default_rng(s_assign))
-    y_factual = y_sampled[np.arange(cfg.n), t_obs]
     splits = _draw_splits(cfg.n, np.random.default_rng(s_split))
     ds = Dataset(
-        X=x,
-        Z=z,
-        T_emb=z[: cfg.k].copy(),
-        mu=mu,
-        sigma=sigma,
-        Y_sampled=y_sampled,
-        Y_expected=y_expected,
-        t_obs=t_obs,
-        y_factual=y_factual,
-        splits=splits,
-        config=cfg,
+        X=x, Z=z, mu=mu, sigma=sigma, Y_sampled=y_sampled, t_obs=t_obs,
+        splits=splits, config=cfg,
     )
     return ds.validate()
 
@@ -516,10 +495,7 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
         )
     manifest = {
         "schema_version": DATASET_SCHEMA_VERSION,
-        "n": ds.n,
-        "d": ds.d,
-        "k": ds.k,
-        "config": ds.config.to_dict() if ds.config else None,
+        "config": ds.config.to_dict(),
         "splits": {name: ds.splits[name].tolist() for name in SPLIT_NAMES},
     }
     try:
@@ -529,22 +505,19 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
     arrays = {
         "covariates": ds.X,
         "centroids": ds.Z,
-        "treatment_embeddings": ds.T_emb,
         "mu_sigma": np.column_stack([ds.mu, ds.sigma]),
         "y_sampled": ds.Y_sampled,
-        "y_expected": ds.Y_expected,
         "t_obs": ds.t_obs,
-        "y_factual": ds.y_factual,
     }
-    for name, (fname, dtype, _) in _dataset_layout(ds.n, ds.d, ds.k).items():
-        np.save(os.path.join(out_dir, fname), np.ascontiguousarray(arrays[name], dtype))
+    for name, (dtype, _) in _dataset_layout(ds.config).items():
+        np.save(os.path.join(out_dir, name + ".npy"), np.ascontiguousarray(arrays[name], dtype))
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         fh.write(text)
 
 
 def load_dataset(dataset_dir) -> Dataset:
     """Read a dataset directory. Every array must have the dtype and shape
-    the manifest implies; nothing is unpickled."""
+    the manifest's config implies; nothing is unpickled."""
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise DataError(f"not a dataset directory (no manifest.json): {dataset_dir}")
@@ -556,13 +529,13 @@ def load_dataset(dataset_dir) -> Dataset:
             "re-run `ite-bench simulate`"
         )
     try:
-        n, d, k = (int(manifest[key]) for key in ("n", "d", "k"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"manifest needs integer n, d and k: {exc}") from exc
+        cfg = SimConfig.from_dict(manifest.get("config"), path="manifest.config")
+    except ConfigError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from exc
 
     arrays = {}
-    for name, (fname, dtype, shape) in _dataset_layout(n, d, k).items():
-        fpath = os.path.join(dataset_dir, fname)
+    for name, (dtype, shape) in _dataset_layout(cfg).items():
+        fpath = os.path.join(dataset_dir, name + ".npy")
         if not os.path.exists(fpath):
             raise DataError(f"dataset file missing: {fpath}")
         try:
@@ -576,14 +549,6 @@ def load_dataset(dataset_dir) -> Dataset:
             )
         arrays[name] = arr
     try:
-        cfg = (
-            SimConfig.from_dict(manifest["config"], path="manifest.config")
-            if manifest.get("config")
-            else None
-        )
-    except ConfigError as exc:
-        raise DataError(f"{manifest_path}: {exc}") from exc
-    try:
         splits = {
             name: np.asarray(manifest["splits"][name], dtype=np.int64)
             for name in SPLIT_NAMES
@@ -593,13 +558,10 @@ def load_dataset(dataset_dir) -> Dataset:
     ds = Dataset(
         X=arrays["covariates"],
         Z=arrays["centroids"],
-        T_emb=arrays["treatment_embeddings"],
         mu=arrays["mu_sigma"][:, 0].copy(),
         sigma=arrays["mu_sigma"][:, 1].copy(),
         Y_sampled=arrays["y_sampled"],
-        Y_expected=arrays["y_expected"],
         t_obs=arrays["t_obs"],
-        y_factual=arrays["y_factual"],
         splits=splits,
         config=cfg,
     )

@@ -182,7 +182,7 @@ def _check_batch_loss_gradients(rng, variant, activation, dropout, mask_seed):
         activation=activation,
         dropout_rate=dropout,
     )
-    model = build_model(3, 2, shape, variant, treat_input_dim=3, rng=rng)
+    model = build_model(3, 2, shape, variant, rng=rng)
     t_emb = rng.standard_normal((2, 3))
     t = np.array([0, 1, 0, 1, 0])
     batch = Batch(
@@ -436,7 +436,7 @@ def test_06_desk_scale_pehe_comparison():
     scores = {"joint": [], "tarnet": [], "null": []}
     for seed in DESK_SIM_SEEDS:
         ds = simulate_dataset(desk_sim_config(seed))
-        y_true = ds.Y_expected[ds.splits["test"]]
+        y_true = ds.expected_outcomes("test")
         scores["null"].append(pehe(np.zeros_like(y_true), y_true).root)
         for variant in ("joint", "tarnet"):
             trained = train(ds, DESK_SHAPE, DESK_TRAIN, variant)
@@ -457,7 +457,7 @@ def test_07_desk_scale_zero_shot():
     for seed in DESK_SIM_SEEDS:
         ds = simulate_dataset(desk_sim_config(seed))
         z = seed % 4
-        y_true = ds.Y_expected[ds.splits["test"]]
+        y_true = ds.expected_outcomes("test")
         scores["null"].append(zero_shot_pehe(np.zeros_like(y_true), y_true, z).root)
         for variant in ("joint", "tarnet"):
             cfg = ExperimentConfig(

@@ -9,6 +9,7 @@ import pytest
 from ite_bench import cli
 from ite_bench.cli import main
 from ite_bench.metrics import EvalReport, pehe
+from ite_bench.model import load_checkpoint
 from ite_bench.simulate import load_dataset
 
 
@@ -53,8 +54,7 @@ ZERO_MODEL_CONFIG = {
 
 def test_simulate_writes_dataset(tmp_path, capsys):
     out = simulate_small(capsys, tmp_path / "ds")
-    for name in ("manifest.json", "covariates.npy", "y_expected.npy", "t_obs.npy",
-                 "y_factual.npy"):
+    for name in ("manifest.json", "covariates.npy", "y_sampled.npy", "t_obs.npy"):
         assert (out / name).exists()
     ds = load_dataset(out)
     assert (ds.n, ds.d, ds.k) == (80, 4, 3)
@@ -131,7 +131,9 @@ def test_train_writes_checkpoint_and_history(tmp_path, capsys):
     assert "best epoch" in stdout
     ckpt = json.loads((out / "checkpoint.json").read_text())
     assert ckpt["variant"] == "joint"
-    assert ckpt["treat_input_dim"] == 4
+    # the treatment network reads embeddings of the covariates' width
+    assert ckpt["input_dim"] == 4
+    assert load_checkpoint(out / "checkpoint.json").model.treat_net.input_dim == 4
     hist = json.loads((out / "history.json").read_text())["history"]
     assert len(hist["loss"]) == 2
     # loss decomposes into alpha * mse + beta * balance (defaults 1.0, 0.5)
@@ -149,7 +151,7 @@ def test_train_tarnet_has_no_treatment_network(tmp_path, capsys):
     assert code == 0
     ckpt = json.loads((out / "checkpoint.json").read_text())
     assert ckpt["variant"] == "tarnet"
-    assert ckpt["treat_input_dim"] is None
+    assert load_checkpoint(out / "checkpoint.json").model.treat_net is None
     hist = json.loads((out / "history.json").read_text())["history"]
     assert hist["balance"] == [0.0]
 
@@ -239,16 +241,17 @@ def test_train_config_zero_shot_holds_the_treatment_out(tmp_path, capsys):
 @pytest.mark.parametrize("variant", ["joint", "tarnet"])
 def test_train_refuses_non_finite_treatment_embeddings(tmp_path, capsys, variant):
     ds = simulate_small(capsys, tmp_path / "ds")
-    path = ds / "treatment_embeddings.npy"
-    t_emb = np.load(path)
-    t_emb[1, 0] = np.nan
-    np.save(path, t_emb)
+    # the treatment embeddings are the first k centroids
+    path = ds / "centroids.npy"
+    z = np.load(path)
+    z[1, 0] = np.nan
+    np.save(path, z)
     code, _, err = run(
         capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
         "--variant", variant, "--epochs-max", "1",
     )
     assert code == 4
-    assert "T_emb" in err
+    assert "non-finite values in Z" in err
     assert "diverged" not in err
     assert not (tmp_path / "run").exists()
 
@@ -283,7 +286,7 @@ def test_evaluate_zero_model_matches_library(tmp_path, capsys, zero_init):
     assert "sqrt_pehe" in stdout
     report = EvalReport.from_dict(json.loads(report_path.read_text()))
     ds = load_dataset(ds_dir)
-    y_true = ds.Y_expected[ds.splits["test"]]
+    y_true = ds.expected_outcomes("test")
     expected = pehe(np.zeros_like(y_true), y_true)
     assert report.epsilon_pehe == pytest.approx(expected.epsilon, abs=1e-12)
     assert report.zero_shot["z"] == 1
@@ -387,6 +390,9 @@ MALFORMED_MANIFESTS = {
         {**doc, "config": {**doc["config"], "colour": "red"}}
     ),
     "config-not-an-object": lambda doc: json.dumps({**doc, "config": 5}),
+    # the config is the one source of n, d and k, so a manifest needs it
+    "config-missing": lambda doc: json.dumps({k: v for k, v in doc.items() if k != "config"}),
+    "config-null": lambda doc: json.dumps({**doc, "config": None}),
 }
 
 
@@ -420,6 +426,31 @@ def test_schema_2_dataset_and_schema_3_checkpoint_are_refused(tmp_path, capsys):
     manifest = json.loads(path.read_text())
     files = {name: name + ".npy" for name in ("covariates", "t_obs")}
     path.write_text(json.dumps({**manifest, "schema_version": "2", "files": files}))
+    code, _, err = run(capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run2"))
+    assert code == 3
+    assert "re-run `ite-bench simulate`" in err
+
+
+def test_schema_3_dataset_and_schema_4_checkpoint_are_refused(tmp_path, capsys):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    out = tmp_path / "run"
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "1"
+    )
+    assert code == 0, err
+    # schema 4 also stored the treatment network's input width
+    ckpt = out / "checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    ckpt.write_text(json.dumps({**doc, "schema_version": "4", "treat_input_dim": 4}))
+    code, _, err = run(capsys, "evaluate", "--dataset", str(ds), "--checkpoint", str(ckpt))
+    assert code == 2
+    assert "re-run `ite-bench train`" in err
+    # schema 3 also stored n, d and k and three derived arrays
+    path = ds / "manifest.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps({**manifest, "schema_version": "3", "n": 80, "d": 4, "k": 3}))
+    for name in ("treatment_embeddings", "y_expected", "y_factual"):
+        np.save(ds / f"{name}.npy", np.zeros(3))
     code, _, err = run(capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run2"))
     assert code == 3
     assert "re-run `ite-bench simulate`" in err
@@ -815,6 +846,11 @@ MALFORMED_RECORDS = {
     "record-without-aggregate": lambda tmp: _run_record_doc(tmp, aggregate={}),
     "record-aggregate-list": lambda tmp: _run_record_doc(tmp, aggregate=[]),
     "report-pair-key-x": lambda tmp: _eval_report_doc(per_pair={"x": 1.0}),
+    # one entry, as k=2 makes, but not the pair (1, 0)
+    "report-pair-out-of-range": lambda tmp: _eval_report_doc(k=2, per_pair={"5,9": 1.0}),
+    "report-zero-shot-without-scores": lambda tmp: _eval_report_doc(zero_shot={"z": 0}),
+    # squaring this root overflows a float
+    "report-root-1e200": lambda tmp: _eval_report_doc(sqrt_pehe=1e200),
     "report-without-pairs": lambda tmp: _eval_report_doc(per_pair={}),
     "report-of-nans": lambda tmp: _eval_report_doc(
         epsilon_pehe=math.nan, sqrt_pehe=math.nan,

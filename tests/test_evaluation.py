@@ -197,8 +197,47 @@ def test_eval_report_validate_catches_inconsistency():
         dataclasses.replace(report, epsilon_pehe=2.0).validate()
     with pytest.raises(DataError):
         dataclasses.replace(report, sqrt_pehe=0.3).validate()
+    # the negative root squares to epsilon too
+    with pytest.raises(DataError):
+        dataclasses.replace(report, sqrt_pehe=-1.0).validate()
     with pytest.raises(DataError):
         dataclasses.replace(report, n_eval=0).validate()
+    # the pairs must be exactly those of k treatments, not just as many
+    for pairs in ({(0, 1): 1.0}, {(9, 5): 1.0}, {(1, 0): 1.0, (2, 0): 1.0}):
+        with pytest.raises(DataError, match="per_pair"):
+            dataclasses.replace(report, per_pair=pairs).validate()
+
+
+ZERO_SHOT = {"z": 1, "epsilon_zs": 0.25, "sqrt_pehe_zs": 0.5, "head_z_trained": False}
+
+
+@pytest.mark.parametrize(
+    "zero_shot",
+    [
+        {"z": 0},
+        {**ZERO_SHOT, "extra": 1},
+        [1, 0.25, 0.5, False],
+        {**ZERO_SHOT, "z": 2},
+        {**ZERO_SHOT, "z": -1},
+        {**ZERO_SHOT, "z": True},
+        {**ZERO_SHOT, "z": 1.0},
+        {**ZERO_SHOT, "epsilon_zs": math.nan, "sqrt_pehe_zs": math.nan},
+        {**ZERO_SHOT, "epsilon_zs": math.inf, "sqrt_pehe_zs": math.inf},
+        {**ZERO_SHOT, "sqrt_pehe_zs": 0.6},
+        {**ZERO_SHOT, "sqrt_pehe_zs": -0.5},
+        {**ZERO_SHOT, "epsilon_zs": "0.25"},
+        {**ZERO_SHOT, "head_z_trained": None},
+        {**ZERO_SHOT, "head_z_trained": 0},
+    ],
+)
+def test_eval_report_validate_checks_the_zero_shot_block(zero_shot):
+    report = EvalReport(
+        split="test", n_eval=10, k=2,
+        epsilon_pehe=1.0, sqrt_pehe=1.0, per_pair={(1, 0): 1.0}, zero_shot=ZERO_SHOT,
+    )
+    report.validate()
+    with pytest.raises(DataError, match="zero_shot"):
+        dataclasses.replace(report, zero_shot=zero_shot).validate()
 
 
 def test_evaluate_model_audits_truth_reads():
@@ -239,7 +278,7 @@ def test_protocol_zero_model_matches_direct_computation(zero_init):
     cfg = TrainConfig(alpha=1.0, beta=0.5, epochs_max=0, batch_size=64)
     report, trained = zero_shot_fit(ds, tiny_shape(), cfg, z=1)
     assert trained.best_epoch is None
-    y_true = ds.Y_expected[ds.splits["test"]]
+    y_true = ds.expected_outcomes("test")
     expected = pehe(np.zeros_like(y_true), y_true)
     assert report.epsilon_pehe == pytest.approx(expected.epsilon, abs=1e-12)
     zs = zero_shot_pehe(np.zeros_like(y_true), y_true, 1)
@@ -297,11 +336,6 @@ def test_protocol_error_paths():
     t = ds.t_obs.copy()
     for split in ("train", "val"):
         t[ds.splits[split]] = 0
-    missing = dataclasses.replace(
-        ds,
-        t_obs=t,
-        y_factual=ds.Y_sampled[np.arange(ds.n), t],
-        config=None,
-    )
+    missing = dataclasses.replace(ds, t_obs=t)
     with pytest.raises(DataError):
         zero_shot_fit(missing, tiny_shape(), cfg, z=1)

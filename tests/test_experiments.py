@@ -134,7 +134,7 @@ def test_make_record_aggregates_mean_and_population_std():
 
 def test_make_record_includes_zero_shot_when_present_everywhere():
     cfg = tiny_experiment(zero_shot=1)
-    zs = {"z": 1, "epsilon_zs": 4.0, "sqrt_pehe_zs": 2.0}
+    zs = {"z": 1, "epsilon_zs": 4.0, "sqrt_pehe_zs": 2.0, "head_z_trained": True}
     record = make_record(cfg, [synthetic_report(1.0, zs=zs)], 0.1)
     assert record.aggregate["sqrt_pehe_zs"] == {"mean": 2.0, "std": 0.0, "n": 1}
 
@@ -554,7 +554,7 @@ def zero_shot_record(label, trained_flags):
 def test_report_tables_mark_untrained_zero_shot_heads():
     records = [
         zero_shot_record("held-out", [False, True, False]),
-        zero_shot_record("trained", [True, None]),
+        zero_shot_record("trained", [True, True]),
         make_labeled_record("plain", [2.0]),
     ]
     rows = {line.split()[0]: line for line in render_report_table(records).splitlines()}

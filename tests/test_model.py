@@ -536,11 +536,9 @@ def test_early_stopping_counts_epochs_without_improvement(zero_init):
     # gradient, so validation error is flat: epoch 0 sets the best and the
     # run stops after exactly `patience` further epochs
     ds = small_dataset(n=80, k=2)
-    y_flat = ds.y_factual.copy()
-    y_flat[ds.splits["train"]] = 0.0
     samp = ds.Y_sampled.copy()
-    samp[np.arange(ds.n), ds.t_obs] = y_flat
-    ds = dataclasses.replace(ds, y_factual=y_flat, Y_sampled=samp, config=None)
+    samp[ds.splits["train"]] = 0.0
+    ds = dataclasses.replace(ds, Y_sampled=samp)
     cfg = quick_train_cfg(alpha=1.0, beta=0.0, epochs_max=50, patience=3)
     trained = train(ds, small_shape(), cfg)
     assert trained.history.n_epochs() == 1 + 3
@@ -595,7 +593,7 @@ def test_divergence_reports_position_and_history():
 
 def test_baseline_training_invariant_to_treatment_embeddings():
     ds = small_dataset(n=200)
-    scaled = dataclasses.replace(ds, T_emb=ds.T_emb * 1000.0, config=None)
+    scaled = dataclasses.replace(ds, Z=ds.Z * 1000.0)
     cfg = quick_train_cfg(epochs_max=2)
     a = train(ds, small_shape(), cfg, variant="tarnet")
     b = train(scaled, small_shape(), cfg, variant="tarnet")
@@ -663,7 +661,7 @@ def test_checkpoint_round_trip_preserves_predictions(tmp_path, variant):
     )
     doc = json.loads(path.read_text())
     assert doc["variant"] == variant
-    assert (doc["treat_input_dim"] is None) == (variant == "tarnet")
+    assert (loaded.model.treat_net is None) == (variant == "tarnet")
 
 
 def test_checkpoint_keeps_head_update_record(tmp_path):
@@ -716,10 +714,10 @@ def _strict_json(text):
 def test_checkpoint_is_a_header_plus_a_parameter_vector(tmp_path):
     trained, path, sidecar = _saved_checkpoint(tmp_path)
     doc = _strict_json(path.read_text())
-    assert doc["schema_version"] == "4"
-    # the networks' layers follow from shape, dims, k and variant, and are not stored
+    assert doc["schema_version"] == "5"
+    # the networks' layers follow from shape, input_dim, k and variant, and are not stored
     assert set(doc) == {
-        "schema_version", "variant", "k", "input_dim", "treat_input_dim", "params_sha256",
+        "schema_version", "variant", "k", "input_dim", "params_sha256",
         "head_updates", "train_config", "shape", "best_epoch", "best_val_mse",
     }
     assert doc["params_sha256"] == hashlib.sha256(sidecar.read_bytes()).hexdigest()
@@ -851,17 +849,9 @@ def test_desk_scale_training_halves_validation_error():
         base_lr=0.1, lr_decay=0.5, scheduler_step=10, seed=9,
     )
     untrained = train(ds, shape, dataclasses.replace(cfg, epochs_max=0), "joint")
-    val = ds.splits["val"]
+    x_val, t_val, y_val = ds.observed("val")
     initial = float(
-        np.mean(
-            (
-                factual_predictions(
-                    untrained.model, ds.X[val], ds.t_obs[val], ds.T_emb
-                )
-                - ds.y_factual[val]
-            )
-            ** 2
-        )
+        np.mean((factual_predictions(untrained.model, x_val, t_val, ds.T_emb) - y_val) ** 2)
     )
     trained = train(ds, shape, cfg, "joint")
     assert trained.best_val_mse <= 0.5 * initial

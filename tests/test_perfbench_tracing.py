@@ -4,31 +4,15 @@ which would crash a traced benchmark run, or when a call bypasses its module
 binding, which would make that layer's traced metrics read 0."""
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
+
+from perfbench_module import load_perfbench
 
 from ite_bench import model
 from ite_bench.simulate import SimConfig, simulate_dataset
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave no bytecode cache under perfbench/
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
-
 
 def test_tracer_wraps_every_binding_and_records_the_training_layers(tmp_path):
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     ds = simulate_dataset(SimConfig(n=120, d=4, k=3, seed=2))
     shape = model.ModelShape(cov_width=8, cov_out=4, treat_width=4, treat_out=3, head_width=4)
     cfg = model.TrainConfig(batch_size=32, epochs_max=1, seed=0)

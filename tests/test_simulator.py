@@ -18,6 +18,7 @@ from ite_bench.simulate import (
     SimConfig,
     assign_treatments,
     assignment_probabilities,
+    expected_outcomes,
     generate_covariates,
     kmeans,
     load_dataset,
@@ -178,16 +179,10 @@ def test_outcome_params_reproducible_from_config_seed():
 
 def test_potential_outcome_hand_case():
     # x.(z_t + z_shared) = 1*(2+3) = 5, so E[y] = 5 * 0.5 * 5 = 12.5
-    y_sampled, y_expected = potential_outcomes(
-        np.array([[1.0]]),
-        np.array([[2.0], [3.0]]),
-        np.array([0.5]),
-        np.array([0.0]),
-        5.0,
-        rng=0,
-    )
-    assert y_expected[0, 0] == 12.5
-    assert y_sampled[0, 0] == 12.5  # sigma 0 removes all noise
+    x, z, mu = np.array([[1.0]]), np.array([[2.0], [3.0]]), np.array([0.5])
+    assert expected_outcomes(x, z, mu, 5.0)[0, 0] == 12.5
+    # sigma 0 removes all noise
+    assert potential_outcomes(x, z, mu, np.array([0.0]), 5.0, rng=0)[0, 0] == 12.5
 
 
 def test_zero_sigma_makes_sampled_equal_expected():
@@ -195,8 +190,9 @@ def test_zero_sigma_makes_sampled_equal_expected():
     x = rng.normal(size=(20, 3))
     z = rng.normal(size=(4, 3))
     mu = rng.normal(size=3)
-    y_sampled, y_expected = potential_outcomes(x, z, mu, np.zeros(3), 5.0, rng=9)
-    np.testing.assert_array_equal(y_sampled, y_expected)
+    np.testing.assert_array_equal(
+        potential_outcomes(x, z, mu, np.zeros(3), 5.0, rng=9), expected_outcomes(x, z, mu, 5.0)
+    )
 
 
 def test_noise_is_centered_with_prior_scale():
@@ -207,7 +203,8 @@ def test_noise_is_centered_with_prior_scale():
     z = rng.normal(size=(4, 4))
     mu = np.array([0.5, 0.4, 0.6])
     sigma = np.array([0.1, 0.2, 0.05])
-    y_sampled, y_expected = potential_outcomes(x, z, mu, sigma, 5.0, rng=21)
+    y_sampled = potential_outcomes(x, z, mu, sigma, 5.0, rng=21)
+    y_expected = expected_outcomes(x, z, mu, 5.0)
     d_all = x @ (z[:-1] + z[-1]).T
     standardized = (y_sampled - y_expected) / (5.0 * sigma[None, :] * d_all)
     bound = 3.5 / math.sqrt(n)
@@ -281,13 +278,16 @@ def test_simulated_dataset_invariants():
     assert ds.X.shape == (1000, 8)
     assert ds.Z.shape == (5, 8)
     np.testing.assert_array_equal(ds.T_emb, ds.Z[:4])
+    assert not ds.T_emb.flags.writeable
     assert len(ds.splits["train"]) == 700
     assert len(ds.splits["val"]) == 150
     assert len(ds.splits["test"]) == 150
     assert sorted(np.concatenate(list(ds.splits.values())).tolist()) == list(range(1000))
-    np.testing.assert_array_equal(
-        ds.y_factual, ds.Y_sampled[np.arange(1000), ds.t_obs]
-    )
+    for split, idx in ds.splits.items():
+        x, t, y = ds.observed(split)
+        np.testing.assert_array_equal(x, ds.X[idx])
+        np.testing.assert_array_equal(t, ds.t_obs[idx])
+        np.testing.assert_array_equal(y, ds.Y_sampled[idx, ds.t_obs[idx]])
     assert set(np.unique(ds.t_obs)) <= set(range(4))
     assert ds.truth_reads == {}
 
@@ -296,7 +296,7 @@ def test_simulation_is_deterministic():
     cfg = small_cfg(seed=33)
     a = simulate_dataset(cfg)
     b = simulate_dataset(cfg)
-    for name in ("X", "Z", "mu", "sigma", "Y_sampled", "Y_expected", "t_obs", "y_factual"):
+    for name in ("X", "Z", "mu", "sigma", "Y_sampled", "t_obs"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     for split in a.splits:
         np.testing.assert_array_equal(a.splits[split], b.splits[split])
@@ -332,7 +332,7 @@ def test_dataset_save_load_round_trip(tmp_path):
     out = tmp_path / "ds"
     save_dataset(ds, out)
     loaded = load_dataset(out)
-    for name in ("X", "Z", "T_emb", "mu", "sigma", "Y_sampled", "Y_expected", "y_factual"):
+    for name in ("X", "Z", "T_emb", "mu", "sigma", "Y_sampled"):
         np.testing.assert_array_equal(
             getattr(ds, name), getattr(loaded, name), err_msg=name
         )
@@ -340,6 +340,7 @@ def test_dataset_save_load_round_trip(tmp_path):
     assert loaded.config == ds.config
     for split in ds.splits:
         np.testing.assert_array_equal(ds.splits[split], loaded.splits[split])
+        np.testing.assert_array_equal(ds.expected_outcomes(split), loaded.expected_outcomes(split))
 
 
 def test_save_refuses_nonempty_dir_without_force(tmp_path):
@@ -374,19 +375,22 @@ def test_dataset_directory_holds_npy_arrays(tmp_path):
     ds = simulate_dataset(small_cfg(seed=2))
     save_dataset(ds, tmp_path / "ds")
     manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
-    assert manifest["schema_version"] == "3"
-    # the array files follow from the schema, so the manifest does not list them
-    assert set(manifest) == {"schema_version", "n", "d", "k", "config", "splits"}
+    assert manifest["schema_version"] == "4"
+    # the array files follow from the schema and n, d, k from the config, so
+    # the manifest lists neither
+    assert set(manifest) == {"schema_version", "config", "splits"}
+    # only what was drawn is stored: the treatment embeddings, factual and
+    # expected outcomes are derived from these
     names = sorted(p.name for p in (tmp_path / "ds").iterdir())
     assert names == sorted([
-        "manifest.json", "covariates.npy", "centroids.npy", "treatment_embeddings.npy",
-        "mu_sigma.npy", "y_sampled.npy", "y_expected.npy", "t_obs.npy", "y_factual.npy",
+        "manifest.json", "covariates.npy", "centroids.npy", "mu_sigma.npy",
+        "y_sampled.npy", "t_obs.npy",
     ])
     t_obs = np.load(tmp_path / "ds" / "t_obs.npy", allow_pickle=False)
     assert t_obs.dtype == np.int64
     np.testing.assert_array_equal(t_obs, ds.t_obs)
-    y = np.load(tmp_path / "ds" / "y_factual.npy", allow_pickle=False)
-    assert y.dtype == np.float64 and y.shape == (ds.n,)
+    y = np.load(tmp_path / "ds" / "y_sampled.npy", allow_pickle=False)
+    assert y.dtype == np.float64 and y.shape == (ds.n, ds.k)
 
 
 @pytest.mark.parametrize(
@@ -395,7 +399,7 @@ def test_dataset_directory_holds_npy_arrays(tmp_path):
         ("covariates.npy", "object"),
         ("covariates.npy", "float32"),
         ("t_obs.npy", "int32"),
-        ("y_factual.npy", "short"),
+        ("t_obs.npy", "short"),
         ("y_sampled.npy", "transposed"),
         ("centroids.npy", "truncated"),
         ("mu_sigma.npy", "missing"),
@@ -453,6 +457,19 @@ def test_truth_read_audit_counter():
     assert ds.truth_reads == {"test": 2, "val": 1}
 
 
+def test_expected_outcomes_are_derived_and_audited():
+    ds = simulate_dataset(small_cfg(seed=7))
+    # the only way to read them from a dataset is the audited accessor
+    assert not hasattr(ds, "Y_expected")
+    full = expected_outcomes(ds.X, ds.Z, ds.mu, ds.config.c)
+    d_all = ds.X @ (ds.Z[:-1] + ds.Z[-1]).T
+    np.testing.assert_array_equal(full, ds.config.c * ds.mu[None, :] * d_all)
+    for split, idx in ds.splits.items():
+        before = ds.truth_reads.get(split, 0)
+        np.testing.assert_array_equal(ds.expected_outcomes(split), full[idx])
+        assert ds.truth_reads[split] == before + 1
+
+
 def _manual_dataset():
     n, d, k = 4, 1, 2
     x = np.array([[1.0], [-1.0], [1.0], [-1.0]])
@@ -464,19 +481,17 @@ def _manual_dataset():
     return Dataset(
         X=x,
         Z=z,
-        T_emb=z[:k].copy(),
         mu=mu,
         sigma=sigma,
         Y_sampled=y,
-        Y_expected=y.copy(),
         t_obs=t_obs,
-        y_factual=y[np.arange(n), t_obs],
         splits={
             "train": np.array([0, 1]),
             "val": np.array([2]),
             "test": np.array([3]),
         },
-    )
+        config=SimConfig(n=n, d=d, k=k),
+    ).validate()
 
 
 def test_holdout_removes_treatment_from_fitting_splits():
@@ -507,17 +522,19 @@ def test_holdout_error_paths():
 
 def test_dataset_validate_catches_corruption():
     ds = simulate_dataset(small_cfg())
-    broken = dataclasses.replace(ds, y_factual=ds.y_factual + 1.0)
-    with pytest.raises(DataError):
-        broken.validate()
     bad_t = ds.t_obs.copy()
     bad_t[0] = 7
     with pytest.raises(DataError):
-        dataclasses.replace(
-            ds, t_obs=bad_t, y_factual=ds.Y_sampled[np.arange(ds.n), bad_t % ds.k]
-        ).validate()
+        dataclasses.replace(ds, t_obs=bad_t).validate()
+    # n, d and k come from the config, and every array must agree with it
     with pytest.raises(ShapeError):
-        dataclasses.replace(ds, T_emb=ds.T_emb[:1]).validate()
+        dataclasses.replace(ds, Z=ds.Z[1:]).validate()
+    with pytest.raises(ShapeError):
+        dataclasses.replace(ds, config=small_cfg(n=61)).validate()
+    bad_z = ds.Z.copy()
+    bad_z[0, 0] = np.nan
+    with pytest.raises(NumericError, match="Z"):
+        dataclasses.replace(ds, Z=bad_z).validate()
 
 
 def test_moderate_scale_smoke():
