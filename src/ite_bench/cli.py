@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, DataError, NumericError, load_json_object
 from .experiments import (
     ExperimentConfig,
     RunRecord,
     SweepSpec,
+    _fit_repeat,
     render_eval_report,
     render_report_table,
     report_table_csv,
@@ -24,7 +26,8 @@ from .experiments import (
     write_json_atomic,
 )
 from .metrics import EvalReport, evaluate_model
-from .model import VARIANTS, TrainConfig, load_checkpoint, save_checkpoint, train
+# train is bound here for perfbench's tracer (perfbench/tracing.py)
+from .model import VARIANTS, TrainConfig, load_checkpoint, save_checkpoint, train  # noqa: F401
 from .simulate import SimConfig, load_dataset, save_dataset, simulate_dataset
 
 EXIT_OK = 0
@@ -109,22 +112,22 @@ def cmd_train(args) -> int:
         value = getattr(args, flag)
         if value is not None:
             train_doc[name] = value
-    train_cfg = TrainConfig.from_dict(train_doc)
-    variant = args.variant or cfg.variant
-    if cfg.zero_shot is not None:
-        ds = ds.without_treatment_in_fit(cfg.zero_shot)
+    cfg = replace(
+        cfg, train=TrainConfig.from_dict(train_doc), variant=args.variant or cfg.variant
+    )
     ckpt_path = os.path.join(args.out, "checkpoint.json")
     # refuse before training, which can take minutes at search-grid width
     if os.path.exists(ckpt_path) and not args.force:
         raise DataError(f"{ckpt_path} exists; pass --force to overwrite")
-    trained = train(ds, cfg.shape, train_cfg, variant)
+    # repeat 0 of an experiment: the same zero-shot filter and seed
+    trained = _fit_repeat(cfg, ds, 0)
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(ckpt_path, trained)
     write_json_atomic(
         os.path.join(args.out, "history.json"),
         {
             "schema_version": "1",
-            "variant": variant,
+            "variant": cfg.variant,
             "best_epoch": trained.best_epoch,
             "best_val_mse": trained.best_val_mse,
             "history": trained.history.to_dict(),
@@ -132,7 +135,7 @@ def cmd_train(args) -> int:
     )
     epochs = trained.history.n_epochs()
     print(
-        f"trained {variant} for {epochs} epochs; best epoch "
+        f"trained {cfg.variant} for {epochs} epochs; best epoch "
         f"{trained.best_epoch} (val mse {trained.best_val_mse}); wrote {ckpt_path}"
     )
     return EXIT_OK

@@ -170,9 +170,17 @@ class OutcomeModel:
         return nets
 
     def forward_caches(self, rows: int) -> list[ForwardCache]:
-        """One ForwardCache per network, in theta's order, for batches of up
-        to rows samples: batch_loss's caches."""
-        return [ForwardCache(net, rows) for net in self._nets()]
+        """ForwardCaches for passes of up to rows samples: one per
+        representation network (cov, then treat for joint), and last one
+        that all heads share, since they have the same layer shapes."""
+        nets = self._nets()
+        return [ForwardCache(net, rows) for net in nets[: len(nets) - self.k + 1]]
+
+    def fit_buffers(self, rows: int) -> "FitBuffers":
+        """A gradient vector, its per-network views and forward_caches(rows),
+        for batches of up to rows samples."""
+        grad = np.empty_like(self.theta)
+        return FitBuffers(grad, self.views(grad), self.forward_caches(rows))
 
     @property
     def variant(self) -> str:
@@ -312,6 +320,14 @@ class Batch(NamedTuple):
     y: np.ndarray  # (B,)
 
 
+class FitBuffers(NamedTuple):
+    """Every buffer batch_loss writes (OutcomeModel.fit_buffers)."""
+
+    grad: np.ndarray  # in the layout of model.theta
+    grad_views: list[tuple[tuple[np.ndarray, np.ndarray], ...]]  # model.views(grad)
+    caches: list[ForwardCache]  # model.forward_caches
+
+
 @dataclass
 class BatchLossResult:
     total: float
@@ -323,11 +339,12 @@ class BatchLossResult:
     predictions: np.ndarray
 
 
-def _spawn_rngs(dropout_seed: int | None, count: int) -> list[np.random.Generator | None]:
+def _dropout_rng(dropout_seed: int | None, i: int) -> np.random.Generator | None:
+    """Network i's dropout generator (cov 0, treat 1, head t 2 + t): child i
+    of SeedSequence(dropout_seed), or None, no dropout, without a seed."""
     if dropout_seed is None:
-        return [None] * count
-    children = np.random.SeedSequence(dropout_seed).spawn(count)
-    return [np.random.default_rng(c) for c in children]
+        return None
+    return np.random.default_rng(np.random.SeedSequence(dropout_seed, spawn_key=(i,)))
 
 
 def batch_loss(
@@ -336,17 +353,15 @@ def batch_loss(
     cfg: TrainConfig,
     *,
     dropout_seed: int | None = None,
-    out: np.ndarray | None = None,
-    caches: list[ForwardCache] | None = None,
+    buffers: FitBuffers | None = None,
 ) -> BatchLossResult:
     """Loss and exact parameter gradients for one mini-batch.
 
     dropout_seed=None disables dropout; the same seed reproduces the same
     masks, which is what makes finite-difference checks of this function
-    possible with dropout active. The gradient goes into out, a vector
-    shaped like model.theta, or into a new one; every entry is written.
-    caches (model.forward_caches) hold the networks' intermediates; without
-    them every pass allocates its own.
+    possible with dropout active. The gradient and the networks'
+    intermediates go into buffers (model.fit_buffers), or into new ones;
+    every gradient entry is written.
     """
     xb = np.asarray(batch.x, dtype=np.float64)
     tb = np.asarray(batch.t)
@@ -360,49 +375,39 @@ def batch_loss(
         raise ShapeError(f"batch treatments must lie in 0..{model.k - 1}")
 
     joint = model.variant == "joint"
-    grad = np.empty_like(model.theta) if out is None else out
-    grad_views = model.views(grad)  # the heads' are the last k
-    if caches is None:
-        caches = [None] * len(grad_views)
-    head_caches = caches[len(caches) - model.k :]
-    rngs = _spawn_rngs(dropout_seed, 2 + model.k)
-    cov_out, cov_cache = mlp_forward(model.cov_net, xb, rngs[0], caches[0])
+    grad, grad_views, caches = buffers if buffers is not None else model.fit_buffers(n)
+    cov_out, cov_cache = mlp_forward(model.cov_net, xb, _dropout_rng(dropout_seed, 0), caches[0])
     if joint:
         treat_out, treat_cache = mlp_forward(
-            model.treat_net, batch.t_features, rngs[1], caches[1]
+            model.treat_net, batch.t_features, _dropout_rng(dropout_seed, 1), caches[1]
         )
         head_in = np.concatenate([cov_out, treat_out], axis=1)
     else:
-        treat_out, treat_cache = None, None
         head_in = cov_out
 
+    # factual loss path: alpha * L1 through the observed heads only. A
+    # head's upstream gradient needs only its own rows' residuals, so each
+    # head runs backward right after forward, and all share one cache.
     yhat = np.empty(n)
+    resid = np.empty(n)
+    d_head_in = np.zeros_like(head_in)
     rows_by_t = [np.flatnonzero(tb == t) for t in range(model.k)]
     for t, rows in enumerate(rows_by_t):
+        head_grad = grad_views[t - model.k]
         if rows.size == 0:
             # the backward passes write every other gradient entry
-            for gw, gb in grad_views[t - model.k]:
+            for gw, gb in head_grad:
                 gw.fill(0.0)
                 gb.fill(0.0)
             continue
-        out, head_caches[t] = mlp_forward(
-            model.heads[t], head_in[rows], rngs[2 + t], head_caches[t]
+        out, head_cache = mlp_forward(
+            model.heads[t], head_in[rows], _dropout_rng(dropout_seed, 2 + t), caches[-1]
         )
         yhat[rows] = out[:, 0]
-
-    resid = yhat - yb
+        resid[rows] = yhat[rows] - yb[rows]
+        upstream = (cfg.alpha * ((2.0 / n) * resid[rows]))[:, None]
+        d_head_in[rows] += mlp_backward(model.heads[t], head_cache, upstream, head_grad)
     mse = float(np.mean(resid * resid))
-    d_yhat = (2.0 / n) * resid
-
-    # factual loss path: alpha * L1 through the observed heads only
-    d_head_in = np.zeros_like(head_in)
-    for t, rows in enumerate(rows_by_t):
-        if rows.size == 0:
-            continue
-        upstream = (cfg.alpha * d_yhat[rows])[:, None]
-        d_head_in[rows] += mlp_backward(
-            model.heads[t], head_caches[t], upstream, grad_views[t - model.k]
-        )
 
     # balancing path: beta * L2 into the representations, never the heads
     balance = 0.0
@@ -467,11 +472,15 @@ def _head_column(
     t_emb: np.ndarray,
     t: int,
     trained: list[int],
+    caches: list[ForwardCache],
 ) -> np.ndarray:
     """Eval-mode predictions under treatment t for the rows whose covariate
-    representation is cov_out; see predict_all_outcomes."""
+    representation is cov_out; see predict_all_outcomes. The passes run
+    through the treatment network's and the heads' caches of
+    model.forward_caches, and the result may be a view of the heads' cache,
+    valid until the next pass through it."""
     if model.variant == "joint":
-        treat_row, _ = mlp_forward(model.treat_net, t_emb[t : t + 1])
+        treat_row, _ = mlp_forward(model.treat_net, t_emb[t : t + 1], cache=caches[1])
         head_in = np.concatenate(
             [cov_out, np.broadcast_to(treat_row, (cov_out.shape[0], treat_row.shape[1]))],
             axis=1,
@@ -479,8 +488,11 @@ def _head_column(
     else:
         head_in = cov_out
     if t in trained or not trained:
-        return mlp_forward(model.heads[t], head_in)[0][:, 0]
-    outs = [mlp_forward(model.heads[s], head_in)[0][:, 0] for s in trained]
+        return mlp_forward(model.heads[t], head_in, cache=caches[-1])[0][:, 0]
+    # copies: each pass overwrites the shared cache
+    outs = [
+        mlp_forward(model.heads[s], head_in, cache=caches[-1])[0][:, 0].copy() for s in trained
+    ]
     return np.mean(outs, axis=0)
 
 
@@ -503,23 +515,33 @@ def predict_all_outcomes(
     holds only its random initialization, so column t is instead the mean
     of the trained heads evaluated at treatment t's head input,
     [phi(x), psi(t_emb[t])] for joint and phi(x) for tarnet. A model
-    with no trained head uses every head as is.
+    with no trained head uses every head as is. All k columns pass through
+    one set of buffers.
     """
     t_emb = _check_t_emb(model, t_emb)
+    x = np.asarray(x, dtype=np.float64)
     trained = [t for t in range(model.k) if model.head_trained(t)]
-    cov_out, _ = mlp_forward(model.cov_net, np.asarray(x, dtype=np.float64))
-    return np.column_stack(
-        [_head_column(model, cov_out, t_emb, t, trained) for t in range(model.k)]
-    )
+    # at least one row: the treatment network runs on one embedding
+    caches = model.forward_caches(max(x.shape[0], 1))
+    cov_out, _ = mlp_forward(model.cov_net, x, cache=caches[0])
+    y_hat = np.empty((x.shape[0], model.k))
+    for t in range(model.k):
+        y_hat[:, t] = _head_column(model, cov_out, t_emb, t, trained, caches)
+    return y_hat
 
 
 def factual_predictions(
-    model: OutcomeModel, x: np.ndarray, t_obs: np.ndarray, t_emb: np.ndarray
+    model: OutcomeModel,
+    x: np.ndarray,
+    t_obs: np.ndarray,
+    t_emb: np.ndarray,
+    caches: list[ForwardCache] | None = None,
 ) -> np.ndarray:
     """Eval-mode prediction at each user's observed treatment: the column
     t_obs of predict_all_outcomes, computed by running each head on its own
     rows only. A head's GEMMs then see fewer rows, so the two agree up to
-    roundoff, not bit for bit.
+    roundoff, not bit for bit. The passes run through caches
+    (model.forward_caches, for at least len(x) rows), or through new ones.
     """
     t_emb = _check_t_emb(model, t_emb)
     x = np.asarray(x, dtype=np.float64)
@@ -529,12 +551,14 @@ def factual_predictions(
     if t_obs.size and (t_obs.min() < 0 or t_obs.max() >= model.k):
         raise ShapeError(f"observed treatments must lie in 0..{model.k - 1}")
     trained = [t for t in range(model.k) if model.head_trained(t)]
-    cov_out, _ = mlp_forward(model.cov_net, x)
+    if caches is None:
+        caches = model.forward_caches(x.shape[0])
+    cov_out, _ = mlp_forward(model.cov_net, x, cache=caches[0])
     yhat = np.empty(x.shape[0])
     for t in range(model.k):
         rows = np.flatnonzero(t_obs == t)
         if rows.size:
-            yhat[rows] = _head_column(model, cov_out[rows], t_emb, t, trained)
+            yhat[rows] = _head_column(model, cov_out[rows], t_emb, t, trained, caches)
     return yhat
 
 
@@ -571,19 +595,17 @@ def train(
     drop_rng = np.random.default_rng(s_drop)
 
     history = TrainHistory()
-    # one gradient buffer and one set of network buffers per fit: a new
-    # gradient per batch raised peak RSS ~10% at search-grid width, where
-    # numpy backs large arrays with huge pages, and per-batch activations
-    # cost more time than the GEMMs that fill them
+    # one gradient and one set of network buffers per fit, shared by the
+    # batches and the validation passes: a new gradient per batch raised
+    # peak RSS ~10% at search-grid width, where numpy backs large arrays
+    # with huge pages, and per-batch activations cost more time than the
+    # GEMMs that fill them
     n_tr = x_tr.shape[0]
-    grad = np.empty_like(model.theta)
-    caches = model.forward_caches(min(cfg.batch_size, n_tr))
-    # each network's (weight, weight gradient) pairs, for weight decay
-    decay_pairs = [
-        [(w, gw) for (w, _), (gw, _) in zip(net, net_grad)]
-        for net, net_grad in zip(model.views(model.theta), model.views(grad))
-    ]
-    n_rep = len(decay_pairs) - dataset.k  # cov, and treat for joint
+    buffers = model.fit_buffers(max(min(cfg.batch_size, n_tr), x_val.shape[0]))
+    grad = buffers.grad
+    # each network's weight views of theta, for weight decay
+    weights = [[w for w, _ in net] for net in model.views(model.theta)]
+    n_rep = len(weights) - dataset.k  # cov, and treat for joint
     # the heads' gradients are grad's last k contiguous slices
     head_sizes = [head.n_params for head in model.heads]
     head_grads = np.split(grad[grad.size - sum(head_sizes) :], np.cumsum(head_sizes)[:-1])
@@ -606,16 +628,14 @@ def train(
             batch = Batch(x_tr[idx], t_tr[idx], t_emb[t_tr[idx]], y_tr[idx])
             seed = int(drop_rng.integers(2**63))
             try:
-                res = batch_loss(
-                    model, batch, cfg, dropout_seed=seed, out=grad, caches=caches
-                )
+                res = batch_loss(model, batch, cfg, dropout_seed=seed, buffers=buffers)
                 hit = [n > 0 for n in res.head_rows]
                 reached = [True] * n_rep + hit
                 # before the step, which overwrites the gradient
                 for t in np.flatnonzero(hit):
                     head_norms[t] += np.sqrt(np.dot(head_grads[t], head_grads[t]))
-                decayed = [p for pairs, r in zip(decay_pairs, reached) if r for p in pairs]
-                sgd_step(model.theta, res.grad, lr, cfg.weight_decay, decayed)
+                decayed = [w for net, r in zip(weights, reached) if r for w in net]
+                sgd_step(model.theta, grad, lr, cfg.weight_decay, decayed)
             except TrainingDiverged:
                 raise
             except NumericError as exc:
@@ -630,7 +650,7 @@ def train(
 
         try:
             # the last step's weights can overflow the validation forward
-            val_hat = factual_predictions(model, x_val, t_val, t_emb)
+            val_hat = factual_predictions(model, x_val, t_val, t_emb, buffers.caches)
         except NumericError as exc:
             raise TrainingDiverged(epoch, batch_index, history) from exc
         val_mse = float(np.mean((val_hat - y_val) ** 2)) if y_val.size else np.inf

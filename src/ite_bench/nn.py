@@ -14,8 +14,11 @@ Conventions:
   * weight matrices are stored [out x in], biases [out],
   * forward takes a batch only, a matrix [B x in]; one sample is [1 x in],
   * forward and backward write every intermediate into a ForwardCache's
-    preallocated buffers; training keeps one cache per network for the
-    whole fit, and a call without one allocates a fresh cache.
+    preallocated buffers, and a call without one allocates a fresh cache.
+    A cache fits every network of its layer shapes, so a model's heads
+    share one; training keeps one cache per representation network and
+    one for all heads for the whole fit, validation included,
+  * sgd_step updates theta in place and allocates nothing.
 """
 
 from __future__ import annotations
@@ -113,7 +116,8 @@ class ForwardCache:
     dropout mask (None without dropout).
 
     A pass through a cache overwrites what the previous pass left in it, so
-    one cache per network serves every batch of a fit without allocating.
+    one cache serves every batch of a fit without allocating, for any
+    network whose layers have these shapes.
     """
 
     def __init__(self, params: MlpParams, rows: int) -> None:
@@ -123,9 +127,11 @@ class ForwardCache:
         self._z = [np.empty((rows, m)) for m in outs]
         self._act = [np.empty((rows, m)) for m in outs[:-1]]
         self._mask = [np.empty((rows, m)) for m in outs[:-1]]
-        # gradient w.r.t. each layer's input; for layers after the first it
-        # becomes the previous layer's pre-activation gradient in place
-        self._d_in = [np.empty((rows, w.shape[1])) for w, _ in params.layers]
+        # gradients w.r.t. layer inputs: the backward pass alternates between
+        # the two, since each layer's becomes the previous layer's
+        # pre-activation gradient in place and is read by the next GEMM
+        width = max(w.shape[1] for w, _ in params.layers)
+        self._d_in = (np.empty(rows * width), np.empty(rows * width))
         self._scratch = np.empty(rows * max(outs[:-1], default=0))
         self.inputs: list[np.ndarray] = []
         self.pre_activations: list[np.ndarray] = []
@@ -252,7 +258,8 @@ def mlp_backward(
         gw, gb = out[l]
         np.matmul(delta.T, cache.inputs[l], out=gw)
         delta.sum(axis=0, out=gb)
-        d_input = np.matmul(delta, w, out=cache._d_in[l][:n])
+        d_buf = cache._d_in[l % 2][: n * w.shape[1]].reshape(n, w.shape[1])
+        d_input = np.matmul(delta, w, out=d_buf)
         if l > 0:
             mask = cache.dropout_masks[l - 1]
             if mask is not None:
@@ -269,23 +276,27 @@ def sgd_step(
     grad: np.ndarray,
     lr: float,
     weight_decay: float,
-    decayed: Sequence[tuple[np.ndarray, np.ndarray]],
+    weights: Sequence[np.ndarray],
 ) -> None:
-    """One in-place SGD update: theta -= lr * grad, after each (w, gw) pair of
-    weight views into theta and grad in decayed adds weight_decay * w to gw.
-    Biases never decay, and a zero gradient outside decayed leaves theta
-    bit-for-bit as it was. grad is overwritten; a non-finite gradient raises
-    NumericError before anything is written."""
+    """One in-place SGD update, theta -= lr * grad after each weight view of
+    theta in weights shrinks by the factor 1 - lr * weight_decay. Biases
+    never decay, and a zero gradient outside weights leaves theta bit for
+    bit as it was. grad is overwritten; a non-finite gradient raises
+    NumericError before anything is written. Nothing is allocated."""
     if lr < 0.0:
         raise ConfigError("lr must be >= 0")
     if weight_decay < 0.0:
         raise ConfigError("weight_decay must be >= 0")
     if grad.shape != theta.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match parameters {theta.shape}")
-    if not np.isfinite(grad).all():
+    # a finite sum of squares proves every entry finite; it overflows for
+    # huge finite entries too, so only then does the exact check run
+    with np.errstate(over="ignore"):
+        sum_sq = np.dot(grad, grad)
+    if not np.isfinite(sum_sq) and not np.isfinite(grad).all():
         raise NumericError("non-finite gradient")
-    for w, gw in decayed:
-        gw += weight_decay * w
     grad *= lr
+    shrink = 1.0 - lr * weight_decay
+    for w in weights:
+        w *= shrink
     theta -= grad
-

@@ -8,6 +8,7 @@ import pytest
 
 from ite_bench import cli
 from ite_bench.cli import main
+from ite_bench.experiments import ExperimentConfig, _fit_repeat
 from ite_bench.metrics import EvalReport, pehe
 from ite_bench.model import load_checkpoint
 from ite_bench.simulate import load_dataset
@@ -195,7 +196,7 @@ def test_train_refuses_an_existing_checkpoint_before_training(tmp_path, capsys, 
     def no_training(*_args, **_kwargs):
         raise AssertionError("train ran before the existing checkpoint was refused")
 
-    monkeypatch.setattr(cli, "train", no_training)
+    monkeypatch.setattr(cli, "_fit_repeat", no_training)
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "exists" in err
@@ -236,6 +237,33 @@ def test_train_config_zero_shot_holds_the_treatment_out(tmp_path, capsys):
     )
     assert code == 0, err
     assert "head 2 received no training updates" in stdout
+
+
+@pytest.mark.parametrize("zero_shot", [None, 1])
+def test_train_fits_repeat_0_of_its_experiment_config(tmp_path, capsys, zero_shot):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    doc = {
+        "sim": {"n": 80, "d": 4, "k": 3, "seed": 4},
+        "train": {"epochs_max": 3, "batch_size": 16, "seed": 5},
+        "variant": "tarnet",
+        "zero_shot": zero_shot,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(out), "--config", str(cfg_path),
+        "--variant", "joint", "--seed", "7", "--lr", "0.05",
+    )
+    assert code == 0, err
+    # the flags override the config's fields
+    doc["variant"] = "joint"
+    doc["train"].update(seed=7, base_lr=0.05)
+    fit = _fit_repeat(ExperimentConfig.from_dict(doc), load_dataset(ds), 0)
+    ckpt = load_checkpoint(out / "checkpoint.json")
+    assert ckpt.model.theta.tobytes() == fit.model.theta.tobytes()
+    assert ckpt.model.head_updates == fit.model.head_updates
+    assert (ckpt.model.head_updates[1] == 0) == (zero_shot == 1)
 
 
 @pytest.mark.parametrize("variant", ["joint", "tarnet"])

@@ -120,6 +120,48 @@ def test_untrained_head_column_is_mean_of_trained_heads(variant):
     np.testing.assert_array_equal(base, predict_all_outcomes(trained, x, t_emb))
 
 
+def _fresh_column(model, cov_out, t_emb, t):
+    """predict_all_outcomes' column t for the rows of cov_out, every pass
+    through buffers of its own."""
+    head_in = cov_out
+    if model.variant == "joint":
+        treat = mlp_forward(model.treat_net, t_emb[t : t + 1])[0]
+        head_in = np.concatenate([cov_out, np.repeat(treat, len(cov_out), axis=0)], axis=1)
+    trained = [s for s in range(model.k) if model.head_trained(s)]
+    if t in trained or not trained:
+        return mlp_forward(model.heads[t], head_in)[0][:, 0]
+    return np.mean([mlp_forward(model.heads[s], head_in)[0][:, 0] for s in trained], axis=0)
+
+
+@pytest.mark.parametrize(
+    "variant, head_updates",
+    [("joint", (1, 2, 1, 3)), ("tarnet", (1, 2, 1, 3)), ("joint", (4, 0, 9, 2))],
+)
+def test_predictions_through_one_buffer_set_equal_fresh_buffers(variant, head_updates):
+    # the last case's column 1 averages three trained heads
+    model = dataclasses.replace(
+        build_model(5, 4, small_shape(dropout_rate=0.2), variant, rng=8),
+        head_updates=head_updates,
+    )
+    rng = np.random.default_rng(3)
+    x, t_emb, t_obs = rng.normal(size=(11, 5)), rng.normal(size=(4, 5)), rng.integers(0, 4, 11)
+    cov_out = mlp_forward(model.cov_net, x)[0]
+    fresh = np.column_stack([_fresh_column(model, cov_out, t_emb, t) for t in range(4)])
+    assert predict_all_outcomes(model, x, t_emb).tobytes() == fresh.tobytes()
+    fresh_factual = np.empty(11)
+    for t in range(4):
+        rows = np.flatnonzero(t_obs == t)
+        fresh_factual[rows] = _fresh_column(model, cov_out[rows], t_emb, t)
+    # validation's buffers: larger than x, and left dirty by a training batch
+    buffers = model.fit_buffers(16)
+    t = rng.integers(0, 4, 16)
+    batch = Batch(rng.normal(size=(16, 5)), t, t_emb[t], rng.normal(size=16))
+    for _ in range(2):
+        batch_loss(model, batch, TrainConfig(), dropout_seed=1, buffers=buffers)
+        shared = factual_predictions(model, x, t_obs, t_emb, buffers.caches)
+        assert shared.tobytes() == fresh_factual.tobytes()
+
+
 def test_variant_follows_the_networks_and_head_updates_is_keyword_only():
     joint, tarnet = identity_model(), identity_model(variant="tarnet")
     assert (joint.variant, tarnet.variant) == ("joint", "tarnet")
@@ -362,14 +404,14 @@ def test_reused_buffers_write_every_gradient_entry(variant):
     model = build_model(3, 3, small_shape(dropout_rate=0.2), variant, rng=5)
     rng = np.random.default_rng(2)
     t_emb = rng.normal(size=(3, 3))
-    caches = model.forward_caches(8)
-    out = np.empty_like(model.theta)
+    buffers = model.fit_buffers(8)
+    out = buffers.grad
     # a full batch without treatment 2, then a short last batch without treatment 0
     for t, missed in (([0, 1] * 4, 2), ([1, 2, 2], 0)):
         t = np.array(t)
         batch = Batch(rng.normal(size=(t.size, 3)), t, t_emb[t], rng.normal(size=t.size))
         out.fill(np.nan)
-        res = batch_loss(model, batch, TrainConfig(), dropout_seed=9, out=out, caches=caches)
+        res = batch_loss(model, batch, TrainConfig(), dropout_seed=9, buffers=buffers)
         fresh = batch_loss(model, batch, TrainConfig(), dropout_seed=9)
         assert res.grad is out
         assert out.tobytes() == fresh.grad.tobytes()
@@ -389,15 +431,37 @@ def test_second_batch_with_fit_buffers_allocates_under_1_mb():
     t = rng.integers(0, 3, 128)
     t_emb = rng.normal(size=(3, 8))
     batch = Batch(rng.normal(size=(128, 8)), t, t_emb[t], rng.normal(size=128))
-    buffers = dict(out=np.empty_like(model.theta), caches=model.forward_caches(128))
-    batch_loss(model, batch, TrainConfig(), dropout_seed=1, **buffers)
+    buffers = model.fit_buffers(128)
+    batch_loss(model, batch, TrainConfig(), dropout_seed=1, buffers=buffers)
     tracemalloc.start()
     try:
-        batch_loss(model, batch, TrainConfig(), dropout_seed=2, **buffers)
+        batch_loss(model, batch, TrainConfig(), dropout_seed=2, buffers=buffers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+def _fit_buffer_bytes(k):
+    """Traced peak of a 2-epoch joint fit at 3x200 widths, less its three
+    theta-sized vectors (live, gradient and best snapshot)."""
+    ds = small_dataset(n=400, k=k)
+    shape = ModelShape(
+        cov_layers=3, cov_width=200, treat_layers=3, treat_width=200,
+        head_layers=3, head_width=200,
+    )
+    tracemalloc.start()
+    try:
+        trained = train(ds, shape, quick_train_cfg(batch_size=128, epochs_max=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - 3 * trained.model.theta.nbytes
+
+
+def test_fit_buffers_do_not_grow_with_the_number_of_heads():
+    # per-head buffers would add ~1.7 MB per head at these widths
+    assert _fit_buffer_bytes(8) == pytest.approx(_fit_buffer_bytes(2), abs=500_000)
 
 
 # --- training loop ---
@@ -496,10 +560,9 @@ def test_sgd_step_leaves_theta_unchanged_on_a_non_finite_gradient():
     res = batch_loss(model, batch, TrainConfig(bandwidth=1.0))
     before = model.theta.copy()
     res.grad[-1] = np.inf
-    nets, grads = model.views(model.theta), model.views(res.grad)
-    decayed = [(w, gw) for a, b in zip(nets, grads) for (w, _), (gw, _) in zip(a, b)]
+    weights = [w for net in model.views(model.theta) for w, _ in net]
     with pytest.raises(NumericError):
-        sgd_step(model.theta, res.grad, 0.1, 1e-4, decayed)
+        sgd_step(model.theta, res.grad, 0.1, 1e-4, weights)
     np.testing.assert_array_equal(model.theta, before)
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,7 +296,7 @@ def _flat(params):
 
 
 def _step(theta, grad, lr, weight_decay, weights):
-    sgd_step(theta, grad, lr, weight_decay, [(theta[s], grad[s]) for s in weights])
+    sgd_step(theta, grad, lr, weight_decay, [theta[s] for s in weights])
 
 
 def test_sgd_step_hand_case():
@@ -329,11 +331,40 @@ def test_weight_decay_strictly_shrinks_nonzero_weights():
 def test_sgd_rejects_nonfinite_gradients():
     theta, weights = _flat(init_mlp([2, 2], rng=0))
     before = theta.copy()
-    bad = np.zeros_like(theta)
-    bad[0] = np.nan
-    with pytest.raises(NumericError):
-        _step(theta, bad, lr=0.1, weight_decay=0.0, weights=weights)
-    np.testing.assert_array_equal(theta, before)
+    for value, where in itertools.product((np.nan, np.inf, -np.inf), (0, -1)):
+        bad = np.full_like(theta, 0.5)
+        bad[where] = value
+        with pytest.raises(NumericError):
+            _step(theta, bad, lr=0.1, weight_decay=0.1, weights=weights)
+        assert theta.tobytes() == before.tobytes()
+
+
+def test_sgd_step_takes_huge_finite_gradients_like_the_unfused_update():
+    # squares of 1e200 overflow the finiteness dot; the entries are finite
+    theta, weights = _flat(init_mlp([3, 4, 2], rng=0))
+    grad = np.full_like(theta, 1e200)
+    grad[1::2] *= -1.0
+    lr, wd = 0.1, 0.01
+    decayed = grad.copy()
+    for s in weights:
+        decayed[s] += wd * theta[s]
+    expect = theta - lr * decayed
+    _step(theta, grad, lr=lr, weight_decay=wd, weights=weights)
+    np.testing.assert_allclose(theta, expect, rtol=1e-15, atol=0.0)
+
+
+def test_sgd_step_allocates_nothing():
+    rng = np.random.default_rng(0)
+    theta, grad = rng.normal(size=1_000_000), rng.normal(size=1_000_000)
+    # ten layers of a 99x1000 weight and a 1000-entry bias
+    weights = [theta[i : i + 99_000].reshape(99, 1000) for i in range(0, theta.size, 100_000)]
+    tracemalloc.start()
+    try:
+        sgd_step(theta, grad, 0.1, 1e-4, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_lr_schedule():
