@@ -20,8 +20,8 @@ from .metrics import (
     EvalReport,
     evaluate_model,
     ite_matrix,
+    pair_mean,
     pehe,
-    zero_shot_pehe,
 )
 from .mmd import treatment_regularization_loss
 from .model import (

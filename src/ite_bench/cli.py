@@ -187,15 +187,13 @@ def cmd_report(args) -> int:
             if kind == "run_record":
                 record = RunRecord.from_dict(doc)
             else:
-                report = EvalReport.from_dict(doc)
                 record = RunRecord(
                     label=os.path.splitext(os.path.basename(path))[0],
-                    config_hash="",
                     config={},
-                    per_seed=[report],
-                    aggregate={"sqrt_pehe": {"mean": report.sqrt_pehe, "std": 0.0, "n": 1}},
-                    wall_clock_s=0.0,
+                    per_seed=[EvalReport.from_dict(doc)],
                 )
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed {kind}: {exc!r}") from exc
         records.append(record)

@@ -38,7 +38,8 @@ from .model import (
 # load_dataset is unused here, but perfbench/tracing.py binds experiments.load_dataset
 from .simulate import Dataset, SimConfig, load_dataset, save_dataset, simulate_dataset
 
-RECORD_SCHEMA_VERSION = "1"
+RECORD_SCHEMA_VERSION = "2"
+RECORD_KEYS = {"kind", "schema_version", "label", "config", "per_seed", "artifacts"}
 SWEEPABLE_SECTIONS = ("model", "train")
 
 
@@ -129,24 +130,34 @@ def _aggregate(values: list[float]) -> dict:
 
 @dataclass
 class RunRecord:
+    """Per-seed test reports of one config; the aggregate derives from them."""
+
     label: str
-    config_hash: str
     config: dict
     per_seed: list[EvalReport]
-    aggregate: dict
-    wall_clock_s: float
     artifacts: list[str] = field(default_factory=list)
+
+    @property
+    def aggregate(self) -> dict:
+        """Mean and population std of sqrt_pehe over the seeds, and of
+        sqrt_pehe_zs when every seed is zero-shot."""
+        aggregate = {"sqrt_pehe": _aggregate([r.sqrt_pehe for r in self.per_seed])}
+        if all(r.zero_shot_z is not None for r in self.per_seed):
+            aggregate["sqrt_pehe_zs"] = _aggregate([r.sqrt_pehe_zs for r in self.per_seed])
+        return aggregate
 
     def validate(self) -> "RunRecord":
         if not self.per_seed:
             raise DataError("run record has no per-seed reports")
-        roots = [r.sqrt_pehe for r in self.per_seed]
-        expect = _aggregate(roots)
-        got = self.aggregate.get("sqrt_pehe", {})
-        for key in ("mean", "std"):
-            # a missing or NaN value fails the comparison
-            if not abs(expect[key] - got.get(key, math.nan)) <= 1e-10:
-                raise DataError("aggregate is inconsistent with per-seed reports")
+        paths = self.artifacts
+        if not (
+            isinstance(self.label, str) and isinstance(self.config, dict)
+            and isinstance(paths, list) and all(isinstance(p, str) for p in paths)
+        ):
+            raise DataError(
+                "run record label must be a string, config an object and artifacts "
+                f"a list of paths, got {self.label!r}, {self.config!r} and {paths!r}"
+            )
         return self
 
     def to_dict(self) -> dict:
@@ -154,11 +165,8 @@ class RunRecord:
             "kind": "run_record",
             "schema_version": RECORD_SCHEMA_VERSION,
             "label": self.label,
-            "config_hash": self.config_hash,
             "config": self.config,
             "per_seed": [r.to_dict() for r in self.per_seed],
-            "aggregate": self.aggregate,
-            "wall_clock_s": self.wall_clock_s,
             "artifacts": self.artifacts,
         }
 
@@ -166,36 +174,26 @@ class RunRecord:
     def from_dict(doc: dict) -> "RunRecord":
         if doc.get("schema_version") != RECORD_SCHEMA_VERSION:
             raise DataError(
-                f"unsupported record schema_version {doc.get('schema_version')!r}"
+                f"unsupported record schema_version {doc.get('schema_version')!r} (this "
+                f"version reads {RECORD_SCHEMA_VERSION!r}); re-run the experiment or sweep"
             )
-        record = RunRecord(
+        if set(doc) != RECORD_KEYS:
+            raise DataError(f"record fields must be {sorted(RECORD_KEYS)}, got {sorted(doc)}")
+        return RunRecord(
             label=doc["label"],
-            config_hash=doc["config_hash"],
             config=doc["config"],
             per_seed=[EvalReport.from_dict(r) for r in doc["per_seed"]],
-            aggregate=doc["aggregate"],
-            wall_clock_s=float(doc.get("wall_clock_s", 0.0)),
-            artifacts=list(doc.get("artifacts", [])),
-        )
-        return record.validate()
+            artifacts=doc["artifacts"],
+        ).validate()
 
 
 def make_record(
-    cfg: ExperimentConfig, reports: list[EvalReport], wall_clock_s: float,
-    artifacts: list[str] | None = None,
+    cfg: ExperimentConfig, reports: list[EvalReport], artifacts: list[str] | None = None
 ) -> RunRecord:
-    aggregate = {"sqrt_pehe": _aggregate([r.sqrt_pehe for r in reports])}
-    if all(r.zero_shot is not None for r in reports):
-        aggregate["sqrt_pehe_zs"] = _aggregate(
-            [r.zero_shot["sqrt_pehe_zs"] for r in reports]
-        )
     return RunRecord(
         label=cfg.effective_label(),
-        config_hash=config_hash(cfg.to_dict()),
         config=cfg.to_dict(),
         per_seed=reports,
-        aggregate=aggregate,
-        wall_clock_s=wall_clock_s,
         artifacts=artifacts or [],
     ).validate()
 
@@ -225,7 +223,6 @@ def run_experiment(
     with cfg.zero_shot set also the pairs that involve the held-out one.
     """
     cfg.validate()
-    t0 = time.perf_counter()
     reports: list[EvalReport] = []
     artifacts: list[str] = []
     if out_dir:
@@ -243,7 +240,7 @@ def run_experiment(
             ckpt = os.path.join(out_dir, f"checkpoint_rep{r}.json")
             save_checkpoint(ckpt, trained)
             artifacts.append(ckpt)
-    return make_record(cfg, reports, time.perf_counter() - t0, artifacts)
+    return make_record(cfg, reports, artifacts)
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +496,12 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
             trained.model, ds, split="test", zero_shot_z=winner_cfg.zero_shot
         )
         reports.append(report)
-    winner_record = make_record(
-        winner_cfg, reports, winner["wall_clock_s"], winner["checkpoints"]
-    )
+    winner_record = make_record(winner_cfg, reports, winner["checkpoints"])
     write_json_atomic(os.path.join(out_dir, "winner_record.json"), winner_record.to_dict())
 
     blas_counts = {rec["blas_threads"] for rec in records}
     summary = {
-        "schema_version": RECORD_SCHEMA_VERSION,
+        "schema_version": "1",
         "n_trials": len(records),
         "trials": [
             {k: rec[k] for k in ("trial", "overrides", "status", "mean_val_mse")}
@@ -518,9 +513,7 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
             "mean_val_mse": winner["mean_val_mse"],
             "test_sqrt_pehe": winner_record.aggregate["sqrt_pehe"],
             # per repeat; null when the sweep is not zero-shot
-            "head_z_trained": [
-                r.zero_shot["head_z_trained"] if r.zero_shot else None for r in reports
-            ],
+            "head_z_trained": [r.head_z_trained for r in reports],
         },
         "test_truth_reads_before_selection": audit_reads,
         # the workers' read-back BLAS thread count; null for a serial sweep or
@@ -544,14 +537,14 @@ def render_eval_report(report: EvalReport) -> str:
     ]
     for (a, b), v in sorted(report.per_pair.items()):
         lines.append(f"  pair ({a},{b}): {v:.6g}")
-    if report.zero_shot is not None:
-        zs = report.zero_shot
+    z = report.zero_shot_z
+    if z is not None:
         lines.append(
-            f"zero-shot z={zs['z']}: sqrt_pehe_zs={zs['sqrt_pehe_zs']:.6g} "
-            f"(epsilon_zs={zs['epsilon_zs']:.6g})"
+            f"zero-shot z={z}: sqrt_pehe_zs={report.sqrt_pehe_zs:.6g} "
+            f"(epsilon_zs={report.epsilon_zs:.6g})"
         )
-        if not zs["head_z_trained"]:
-            lines.append(f"  head {zs['z']} received no training updates")
+        if not report.head_z_trained:
+            lines.append(f"  head {z} received no training updates")
     if report.untrained_heads:
         lines.append(f"heads never updated in training: {report.untrained_heads}")
     return "\n".join(lines)
@@ -573,9 +566,9 @@ def _report_rows(records: list[RunRecord]) -> list[tuple[str, dict, dict | None,
     rows = []
     for label, reports in grouped.items():
         agg = _aggregate([r.sqrt_pehe for r in reports])
-        zero_shot = [r.zero_shot for r in reports if r.zero_shot is not None]
-        zs = _aggregate([z["sqrt_pehe_zs"] for z in zero_shot]) if zero_shot else None
-        untrained = sum(not z["head_z_trained"] for z in zero_shot)
+        zero_shot = [r for r in reports if r.zero_shot_z is not None]
+        zs = _aggregate([r.sqrt_pehe_zs for r in zero_shot]) if zero_shot else None
+        untrained = sum(not r.head_z_trained for r in zero_shot)
         rows.append((label, agg, zs, untrained))
     rows.sort(key=lambda r: (r[1]["mean"], r[0]))
     return rows

@@ -18,10 +18,12 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 from .model import OutcomeModel, predict_all_outcomes
-from .simulate import Dataset
+from .simulate import SPLIT_NAMES, Dataset
 
-REPORT_SCHEMA_VERSION = "1"
-ZERO_SHOT_KEYS = {"z", "epsilon_zs", "sqrt_pehe_zs", "head_z_trained"}
+REPORT_SCHEMA_VERSION = "2"
+REPORT_KEYS = {
+    "kind", "schema_version", "split", "n_eval", "per_pair", "untrained_heads", "zero_shot_z",
+}
 
 
 def _as_outcome_matrix(y, name: str) -> np.ndarray:
@@ -48,6 +50,18 @@ class PeheResult(NamedTuple):
     per_pair: dict[tuple[int, int], float]
 
 
+def pair_mean(
+    per_pair: dict[tuple[int, int], float], z: int | None = None
+) -> tuple[float, float]:
+    """(epsilon, root): the mean of the per-pair errors and its square root,
+    over the pairs that contain treatment z when z is given. The pairs are
+    averaged in sorted (a, b) order, so a report read back from a file, whose
+    keys sort as strings, gives the figures bit for bit."""
+    errors = [v for pair, v in sorted(per_pair.items()) if z is None or z in pair]
+    epsilon = float(np.mean(errors))
+    return epsilon, math.sqrt(epsilon)
+
+
 def pehe(y_hat: np.ndarray, y_true: np.ndarray) -> PeheResult:
     """Precision in estimating heterogeneous effects, averaged over pairs.
 
@@ -63,82 +77,76 @@ def pehe(y_hat: np.ndarray, y_true: np.ndarray) -> PeheResult:
     per_pair = {
         pair: float(np.mean((tau_hat[pair] - tau_true[pair]) ** 2)) for pair in tau_hat
     }
-    epsilon = float(np.mean(list(per_pair.values())))
-    return PeheResult(epsilon, math.sqrt(epsilon), per_pair)
-
-
-class ZeroShotResult(NamedTuple):
-    epsilon: float
-    root: float
-
-
-def zero_shot_pehe(y_hat: np.ndarray, y_true: np.ndarray, z: int) -> ZeroShotResult:
-    """PEHE restricted to the k-1 pairs that involve treatment z."""
-    y_hat = _as_outcome_matrix(y_hat, "y_hat")
-    y_true = _as_outcome_matrix(y_true, "y_true")
-    if y_hat.shape != y_true.shape:
-        raise ShapeError(f"shape mismatch: {y_hat.shape} vs {y_true.shape}")
-    k = y_hat.shape[1]
-    if not 0 <= z < k:
-        raise ConfigError(f"zero-shot treatment {z} out of range 0..{k - 1}")
-    errors = []
-    for a in range(k):
-        if a == z:
-            continue
-        tau_hat = y_hat[:, a] - y_hat[:, z]
-        tau_true = y_true[:, a] - y_true[:, z]
-        errors.append(float(np.mean((tau_hat - tau_true) ** 2)))
-    epsilon = float(np.mean(errors))
-    return ZeroShotResult(epsilon, math.sqrt(epsilon))
+    return PeheResult(*pair_mean(per_pair), per_pair)
 
 
 @dataclass
 class EvalReport:
+    """Per-pair effect errors on one split; every PEHE figure derives from
+    per_pair. zero_shot_z is the treatment held out of fitting, or None."""
+
     split: str
     n_eval: int
-    k: int
-    epsilon_pehe: float
-    sqrt_pehe: float
     per_pair: dict[tuple[int, int], float]
-    zero_shot: dict | None = None  # keyed by ZERO_SHOT_KEYS
-    # ascending indices of the heads that training never updated; a report
-    # file may hold null here, which no current writer produces
-    untrained_heads: list[int] | None = None
+    # ascending indices of the heads that training never updated
+    untrained_heads: list[int]
+    zero_shot_z: int | None = None
+
+    @property
+    def k(self) -> int:
+        return 1 + max(a for a, _ in self.per_pair)
+
+    @property
+    def epsilon_pehe(self) -> float:
+        return pair_mean(self.per_pair)[0]
+
+    @property
+    def sqrt_pehe(self) -> float:
+        return pair_mean(self.per_pair)[1]
+
+    @property
+    def epsilon_zs(self) -> float | None:
+        """PEHE over the k-1 pairs that involve zero_shot_z; None without it."""
+        z = self.zero_shot_z
+        return None if z is None else pair_mean(self.per_pair, z)[0]
+
+    @property
+    def sqrt_pehe_zs(self) -> float | None:
+        z = self.zero_shot_z
+        return None if z is None else pair_mean(self.per_pair, z)[1]
+
+    @property
+    def head_z_trained(self) -> bool | None:
+        z = self.zero_shot_z
+        return None if z is None else z not in self.untrained_heads
 
     def validate(self) -> "EvalReport":
-        if self.n_eval < 1:
-            raise DataError("report covers no samples")
-        if set(self.per_pair) != {(a, b) for a in range(self.k) for b in range(a)}:
+        if self.split not in SPLIT_NAMES:
+            raise DataError(f"report split must be one of {SPLIT_NAMES}, got {self.split!r}")
+        if type(self.n_eval) is not int or self.n_eval < 1:
+            raise DataError(f"report n_eval must be a positive int, got {self.n_eval!r}")
+        pairs = self.per_pair
+        if not pairs or set(pairs) != {(a, b) for a in range(self.k) for b in range(a)}:
             raise DataError(
-                f"per_pair must hold exactly the pairs (a, b) with 0 <= b < a < k={self.k}, "
-                f"got {sorted(self.per_pair)}"
+                "per_pair must hold exactly the pairs (a, b) with 0 <= b < a < k for "
+                f"some k >= 2, got {sorted(pairs)}"
             )
-        # written so that a NaN fails them
-        mean_pairs = float(np.mean(list(self.per_pair.values())))
-        if not abs(mean_pairs - self.epsilon_pehe) <= 1e-10:
-            raise DataError("per-pair errors do not average to epsilon_pehe")
-        root = self.sqrt_pehe
-        if not (root >= 0.0 and abs(root * root - self.epsilon_pehe) <= 1e-10):
-            raise DataError("sqrt_pehe is not the square root of epsilon_pehe")
-        zs = self.zero_shot
-        if zs is None:
-            return self
-        if not isinstance(zs, dict) or set(zs) != ZERO_SHOT_KEYS:
-            raise DataError(f"zero_shot must hold exactly {sorted(ZERO_SHOT_KEYS)}, got {zs!r}")
-        if type(zs["z"]) is not int or not 0 <= zs["z"] < self.k:
-            raise DataError(f"zero_shot z must be a treatment in 0..{self.k - 1}, got {zs['z']!r}")
-        eps, root = zs["epsilon_zs"], zs["sqrt_pehe_zs"]
+        # written so that a NaN fails it
+        if not all(isinstance(v, float) and 0.0 <= v < math.inf for v in pairs.values()):
+            raise DataError(f"per_pair errors must be finite floats >= 0, got {pairs!r}")
+        heads = self.untrained_heads
         if not (
-            type(eps) in (int, float) and type(root) in (int, float)
-            and math.isfinite(eps) and root >= 0.0 and abs(root * root - eps) <= 1e-10
+            isinstance(heads, list) and all(type(t) is int and 0 <= t < self.k for t in heads)
+            and heads == sorted(set(heads))
         ):
             raise DataError(
-                "zero_shot epsilon_zs must be finite and sqrt_pehe_zs its square root, "
-                f"got {eps!r} and {root!r}"
+                f"untrained_heads must list distinct treatments in 0..{self.k - 1} in "
+                f"ascending order, got {heads!r}"
             )
-        if type(zs["head_z_trained"]) is not bool:
+        z = self.zero_shot_z
+        if z is not None and not (type(z) is int and 0 <= z < self.k):
             raise DataError(
-                f"zero_shot head_z_trained must be true or false, got {zs['head_z_trained']!r}"
+                f"zero_shot_z must be null or a treatment in 0..{self.k - 1}, got {z!r}"
             )
         return self
 
@@ -153,21 +161,21 @@ class EvalReport:
     def from_dict(doc: dict) -> "EvalReport":
         if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
             raise DataError(
-                f"unsupported report schema_version {doc.get('schema_version')!r}"
+                f"unsupported report schema_version {doc.get('schema_version')!r} "
+                f"(this version reads {REPORT_SCHEMA_VERSION!r}); re-run `ite-bench evaluate`"
             )
+        if set(doc) != REPORT_KEYS:
+            raise DataError(f"report fields must be {sorted(REPORT_KEYS)}, got {sorted(doc)}")
         per_pair = {}
         for key, v in doc["per_pair"].items():
-            a, b = key.split(",")
-            per_pair[(int(a), int(b))] = float(v)
+            a, b = map(int, key.split(","))
+            # int() also reads "01" and " 1", which would alias the key "1"
+            if key != f"{a},{b}":
+                raise DataError(f"per_pair key {key!r} is not of the form 'a,b'")
+            per_pair[(a, b)] = v
         return EvalReport(
-            split=doc["split"],
-            n_eval=int(doc["n_eval"]),
-            k=int(doc["k"]),
-            epsilon_pehe=float(doc["epsilon_pehe"]),
-            sqrt_pehe=float(doc["sqrt_pehe"]),
-            per_pair=per_pair,
-            zero_shot=doc.get("zero_shot"),
-            untrained_heads=doc.get("untrained_heads"),
+            split=doc["split"], n_eval=doc["n_eval"], per_pair=per_pair,
+            untrained_heads=doc["untrained_heads"], zero_shot_z=doc["zero_shot_z"],
         ).validate()
 
 
@@ -179,35 +187,23 @@ def evaluate_model(
 ) -> EvalReport:
     """Score eval-mode predictions against expected potential outcomes.
 
-    The zero-shot block records whether head z was trained: when it was
-    not, column z is the mean of the trained heads (predict_all_outcomes).
-    Every report lists the heads that training never updated.
+    Every report lists the heads that training never updated; when the
+    zero-shot treatment's head is one of them, column z is the mean of the
+    trained heads (predict_all_outcomes).
     """
     if model.k != dataset.k:
         raise ShapeError(f"model has {model.k} heads, dataset has {dataset.k} treatments")
+    if zero_shot_z is not None and not 0 <= zero_shot_z < dataset.k:
+        raise ConfigError(f"zero-shot treatment {zero_shot_z} out of range 0..{dataset.k - 1}")
     x = dataset.covariates(split)
     if x.shape[0] == 0:
         raise DataError(f"split {split!r} is empty")
     y_true = dataset.expected_outcomes(split)
     y_hat = predict_all_outcomes(model, x, dataset.T_emb)
-    result = pehe(y_hat, y_true)
-    zs = None
-    if zero_shot_z is not None:
-        zres = zero_shot_pehe(y_hat, y_true, zero_shot_z)
-        zs = {
-            "z": int(zero_shot_z),
-            "epsilon_zs": zres.epsilon,
-            "sqrt_pehe_zs": zres.root,
-            "head_z_trained": model.head_trained(zero_shot_z),
-        }
     return EvalReport(
         split=split,
         n_eval=x.shape[0],
-        k=dataset.k,
-        epsilon_pehe=result.epsilon,
-        sqrt_pehe=result.root,
-        per_pair=result.per_pair,
-        zero_shot=zs,
+        per_pair=pehe(y_hat, y_true).per_pair,
         untrained_heads=[t for t, n in enumerate(model.head_updates) if n == 0],
+        zero_shot_z=None if zero_shot_z is None else int(zero_shot_z),
     ).validate()
-

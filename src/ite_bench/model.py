@@ -316,7 +316,6 @@ class TrainConfig:
 class Batch(NamedTuple):
     x: np.ndarray  # (B, d)
     t: np.ndarray  # (B,) ints
-    t_features: np.ndarray  # (B, m) feature vector of the observed treatment
     y: np.ndarray  # (B,)
 
 
@@ -350,12 +349,15 @@ def _dropout_rng(dropout_seed: int | None, i: int) -> np.random.Generator | None
 def batch_loss(
     model: OutcomeModel,
     batch: Batch,
+    t_emb: np.ndarray,
     cfg: TrainConfig,
     *,
     dropout_seed: int | None = None,
     buffers: FitBuffers | None = None,
 ) -> BatchLossResult:
-    """Loss and exact parameter gradients for one mini-batch.
+    """Loss and exact parameter gradients for one mini-batch; t_emb holds
+    the k treatment embeddings, and joint's treatment network sees row
+    t_emb[t] for a sample of treatment t.
 
     dropout_seed=None disables dropout; the same seed reproduces the same
     masks, which is what makes finite-difference checks of this function
@@ -373,13 +375,14 @@ def batch_loss(
         raise ShapeError("batch arrays disagree on length")
     if tb.min() < 0 or tb.max() >= model.k:
         raise ShapeError(f"batch treatments must lie in 0..{model.k - 1}")
+    t_emb = _check_t_emb(model, t_emb)
 
     joint = model.variant == "joint"
     grad, grad_views, caches = buffers if buffers is not None else model.fit_buffers(n)
     cov_out, cov_cache = mlp_forward(model.cov_net, xb, _dropout_rng(dropout_seed, 0), caches[0])
     if joint:
         treat_out, treat_cache = mlp_forward(
-            model.treat_net, batch.t_features, _dropout_rng(dropout_seed, 1), caches[1]
+            model.treat_net, t_emb[tb], _dropout_rng(dropout_seed, 1), caches[1]
         )
         head_in = np.concatenate([cov_out, treat_out], axis=1)
     else:
@@ -625,10 +628,10 @@ def train(
         n_batches = 0
         for batch_index, start in enumerate(range(0, n_tr, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            batch = Batch(x_tr[idx], t_tr[idx], t_emb[t_tr[idx]], y_tr[idx])
+            batch = Batch(x_tr[idx], t_tr[idx], y_tr[idx])
             seed = int(drop_rng.integers(2**63))
             try:
-                res = batch_loss(model, batch, cfg, dropout_seed=seed, buffers=buffers)
+                res = batch_loss(model, batch, t_emb, cfg, dropout_seed=seed, buffers=buffers)
                 hit = [n > 0 for n in res.head_rows]
                 reached = [True] * n_rep + hit
                 # before the step, which overwrites the gradient

@@ -48,8 +48,8 @@ from gradcheck import (
 from ite_bench.experiments import ExperimentConfig, _fit_repeat
 from ite_bench.metrics import (
     evaluate_model,
+    pair_mean,
     pehe,
-    zero_shot_pehe,
 )
 from ite_bench.mmd import treatment_regularization_loss
 from ite_bench.model import (
@@ -185,21 +185,16 @@ def _check_batch_loss_gradients(rng, variant, activation, dropout, mask_seed):
     model = build_model(3, 2, shape, variant, rng=rng)
     t_emb = rng.standard_normal((2, 3))
     t = np.array([0, 1, 0, 1, 0])
-    batch = Batch(
-        x=rng.standard_normal((5, 3)),
-        t=t,
-        t_features=t_emb[t],
-        y=rng.standard_normal(5),
-    )
+    batch = Batch(x=rng.standard_normal((5, 3)), t=t, y=rng.standard_normal(5))
     # Bandwidth held fixed so finite differences see the same constant the
     # analytic gradient treats it as (the median heuristic is not
     # differentiated through).
     cfg = TrainConfig(alpha=1.0, beta=0.5, batch_size=5, bandwidth=0.9, seed=0)
-    res = batch_loss(model, batch, cfg, dropout_seed=mask_seed)
+    res = batch_loss(model, batch, t_emb, cfg, dropout_seed=mask_seed)
 
     def objective(vec):
         return batch_loss(
-            _unflatten_model(model, vec), batch, cfg, dropout_seed=mask_seed
+            _unflatten_model(model, vec), batch, t_emb, cfg, dropout_seed=mask_seed
         ).total
 
     # fd is laid out by _flatten_model, independently of model.views
@@ -297,6 +292,20 @@ def _brute_force_pehe(y_hat, y_true):
     return sum(pair_errors) / len(pair_errors)
 
 
+def _brute_force_zero_shot(y_hat, y_true, z):
+    n, k = len(y_hat), len(y_hat[0])
+    pair_errors = []
+    for a in range(k):
+        if a != z:
+            total = 0.0
+            for i in range(n):
+                tau_hat = y_hat[i][a] - y_hat[i][z]
+                tau = y_true[i][a] - y_true[i][z]
+                total += (tau_hat - tau) ** 2
+            pair_errors.append(total / n)
+    return sum(pair_errors) / len(pair_errors)
+
+
 def test_03_pehe_brute_force():
     rng = np.random.default_rng(33)
     worst_eps = 0.0
@@ -310,15 +319,15 @@ def test_03_pehe_brute_force():
         brute = _brute_force_pehe(y_hat.tolist(), y_true.tolist())
         worst_eps = max(worst_eps, abs(result.epsilon - brute))
         for z in range(k):
-            zs = zero_shot_pehe(y_hat, y_true, z)
-            with_z = [v for (a, b), v in result.per_pair.items() if z in (a, b)]
-            worst_zs = max(worst_zs, abs(zs.epsilon - float(np.mean(with_z))))
+            epsilon_zs = pair_mean(result.per_pair, z)[0]
+            brute_zs = _brute_force_zero_shot(y_hat.tolist(), y_true.tolist(), z)
+            worst_zs = max(worst_zs, abs(epsilon_zs - brute_zs))
     ok = worst_eps <= 1e-12 and worst_zs <= 1e-12
     report(
         3,
         "pehe-brute-force",
         ok,
-        f"100 cases, max err {worst_eps:.1e}, zero-shot cross-check {worst_zs:.1e}",
+        f"100 cases, max err {worst_eps:.1e}, zero-shot max err {worst_zs:.1e}",
     )
     assert worst_eps <= 1e-12
     assert worst_zs <= 1e-12
@@ -458,7 +467,8 @@ def test_07_desk_scale_zero_shot():
         ds = simulate_dataset(desk_sim_config(seed))
         z = seed % 4
         y_true = ds.expected_outcomes("test")
-        scores["null"].append(zero_shot_pehe(np.zeros_like(y_true), y_true, z).root)
+        null = pehe(np.zeros_like(y_true), y_true)
+        scores["null"].append(pair_mean(null.per_pair, z)[1])
         for variant in ("joint", "tarnet"):
             cfg = ExperimentConfig(
                 sim=desk_sim_config(seed), shape=DESK_SHAPE, train=DESK_TRAIN,
@@ -475,8 +485,8 @@ def test_07_desk_scale_zero_shot():
             updates = trained.model.head_updates
             assert updates[z] == 0
             assert all(n > 0 for t, n in enumerate(updates) if t != z)
-            assert rep.zero_shot["head_z_trained"] is False
-            scores[variant].append(rep.zero_shot["sqrt_pehe_zs"])
+            assert rep.head_z_trained is False
+            scores[variant].append(rep.sqrt_pehe_zs)
     _assert_direction(
         7, "desk-scale-zero-shot", scores, "; held-out heads untrained in both"
     )

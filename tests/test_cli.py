@@ -317,7 +317,7 @@ def test_evaluate_zero_model_matches_library(tmp_path, capsys, zero_init):
     y_true = ds.expected_outcomes("test")
     expected = pehe(np.zeros_like(y_true), y_true)
     assert report.epsilon_pehe == pytest.approx(expected.epsilon, abs=1e-12)
-    assert report.zero_shot["z"] == 1
+    assert report.zero_shot_z == 1
 
 
 def test_plain_evaluate_lists_heads_never_updated(tmp_path, capsys):
@@ -341,7 +341,7 @@ def test_plain_evaluate_lists_heads_never_updated(tmp_path, capsys):
         )
         assert code == 0, err
         doc = json.loads(report_path.read_text())
-        assert doc["zero_shot"] is None
+        assert doc["zero_shot_z"] is None
         assert EvalReport.from_dict(doc).untrained_heads == doc["untrained_heads"]
         listed[name] = (doc["untrained_heads"], stdout)
     assert listed["all"][0] == []
@@ -366,7 +366,7 @@ def test_evaluate_splits_differ(tmp_path, capsys):
     val = json.loads(paths["val"].read_text())
     test = json.loads(paths["test"].read_text())
     assert val["split"] == "val" and test["split"] == "test"
-    assert val["epsilon_pehe"] != test["epsilon_pehe"]
+    assert EvalReport.from_dict(val).epsilon_pehe != EvalReport.from_dict(test).epsilon_pehe
 
 
 def test_evaluate_refuses_tampered_or_missing_parameter_file(tmp_path, capsys):
@@ -736,11 +736,11 @@ def test_sweep_single_point_matches_run_experiment(tmp_path, capsys):
         capsys, "sweep", "--config", str(cfg), "--out", str(out), "--threads", "1"
     )
     assert code == 0
-    from ite_bench.experiments import ExperimentConfig, run_experiment
+    from ite_bench.experiments import ExperimentConfig, RunRecord, run_experiment
 
     record = run_experiment(ExperimentConfig.from_dict(doc["base"]))
-    winner = json.loads((out / "winner_record.json").read_text())
-    assert winner["aggregate"]["sqrt_pehe"]["mean"] == pytest.approx(
+    winner = RunRecord.from_dict(json.loads((out / "winner_record.json").read_text()))
+    assert winner.aggregate["sqrt_pehe"]["mean"] == pytest.approx(
         record.aggregate["sqrt_pehe"]["mean"], rel=1e-12
     )
 
@@ -754,22 +754,11 @@ def write_record(path, label, roots):
 
     reports = [
         EvalReport(
-            split="test", n_eval=5, k=2,
-            epsilon_pehe=r * r, sqrt_pehe=r, per_pair={(1, 0): r * r},
+            split="test", n_eval=5, per_pair={(1, 0): r * r}, untrained_heads=[]
         ).validate()
         for r in roots
     ]
-    record = RunRecord(
-        label=label, config_hash="", config={}, per_seed=reports,
-        aggregate={
-            "sqrt_pehe": {
-                "mean": float(np.mean(roots)),
-                "std": float(np.std(roots)),
-                "n": len(roots),
-            }
-        },
-        wall_clock_s=0.0,
-    ).validate()
+    record = RunRecord(label=label, config={}, per_seed=reports).validate()
     path.write_text(json.dumps(record.to_dict()))
     return path
 
@@ -836,15 +825,13 @@ def test_report_cli_error_paths(tmp_path, capsys):
     from ite_bench.experiments import RunRecord
 
     mixed = RunRecord(
-        label="b", config_hash="", config={},
+        label="b", config={},
         per_seed=[
             EvalReport(
-                split="test", n_eval=5, k=3, epsilon_pehe=1.0, sqrt_pehe=1.0,
-                per_pair={(1, 0): 1.0, (2, 0): 1.0, (2, 1): 1.0},
+                split="test", n_eval=5, per_pair={(1, 0): 1.0, (2, 0): 1.0, (2, 1): 1.0},
+                untrained_heads=[],
             ).validate()
         ],
-        aggregate={"sqrt_pehe": {"mean": 1.0, "std": 0.0, "n": 1}},
-        wall_clock_s=0.0,
     )
     path_b = tmp_path / "b.json"
     path_b.write_text(json.dumps(mixed.to_dict()))
@@ -861,8 +848,8 @@ def _eval_report_doc(**changes):
     from ite_bench.metrics import EvalReport
 
     report = EvalReport(
-        split="test", n_eval=5, k=3, epsilon_pehe=1.0, sqrt_pehe=1.0,
-        per_pair={(1, 0): 1.0, (2, 0): 1.0, (2, 1): 1.0},
+        split="test", n_eval=5, per_pair={(1, 0): 1.0, (2, 0): 1.0, (2, 1): 1.0},
+        untrained_heads=[],
     ).validate()
     return {**report.to_dict(), **changes}
 
@@ -871,19 +858,45 @@ MALFORMED_RECORDS = {
     "record-without-label": lambda tmp: {
         k: v for k, v in _run_record_doc(tmp).items() if k != "label"
     },
-    "record-without-aggregate": lambda tmp: _run_record_doc(tmp, aggregate={}),
-    "record-aggregate-list": lambda tmp: _run_record_doc(tmp, aggregate=[]),
+    # a stored aggregate that disagrees with its one seed
+    "record-aggregate-n-7": lambda tmp: _run_record_doc(
+        tmp, aggregate={"sqrt_pehe": {"mean": 1.0, "std": 0.0, "n": 7}}
+    ),
+    "record-schema-1": lambda tmp: _run_record_doc(tmp, schema_version="1"),
+    # a list label cannot key the rows of the table
+    "record-label-list": lambda tmp: _run_record_doc(tmp, label=["a"]),
+    "record-artifacts-string": lambda tmp: _run_record_doc(tmp, artifacts="checkpoint.json"),
     "report-pair-key-x": lambda tmp: _eval_report_doc(per_pair={"x": 1.0}),
+    # "01,0" would read as the pair (1, 0) and replace its error
+    "report-pair-key-01": lambda tmp: _eval_report_doc(
+        per_pair={"1,0": 1.0, "2,0": 1.0, "2,1": 1.0, "01,0": 9.0}
+    ),
     # one entry, as k=2 makes, but not the pair (1, 0)
-    "report-pair-out-of-range": lambda tmp: _eval_report_doc(k=2, per_pair={"5,9": 1.0}),
-    "report-zero-shot-without-scores": lambda tmp: _eval_report_doc(zero_shot={"z": 0}),
-    # squaring this root overflows a float
-    "report-root-1e200": lambda tmp: _eval_report_doc(sqrt_pehe=1e200),
+    "report-pair-out-of-range": lambda tmp: _eval_report_doc(per_pair={"5,9": 1.0}),
     "report-without-pairs": lambda tmp: _eval_report_doc(per_pair={}),
     "report-of-nans": lambda tmp: _eval_report_doc(
-        epsilon_pehe=math.nan, sqrt_pehe=math.nan,
         per_pair={"1,0": math.nan, "2,0": math.nan, "2,1": math.nan},
     ),
+    "report-negative-pair": lambda tmp: _eval_report_doc(
+        per_pair={"1,0": 1.0, "2,0": -0.5, "2,1": 1.0},
+    ),
+    "report-pair-string": lambda tmp: _eval_report_doc(
+        per_pair={"1,0": 1.0, "2,0": "0.25", "2,1": 1.0},
+    ),
+    "report-n-eval-string": lambda tmp: _eval_report_doc(n_eval="10"),
+    "report-n-eval-10.9": lambda tmp: _eval_report_doc(n_eval=10.9),
+    "report-n-eval-true": lambda tmp: _eval_report_doc(n_eval=True),
+    "report-untrained-heads-string": lambda tmp: _eval_report_doc(untrained_heads="01"),
+    # head 7 at k=2
+    "report-untrained-head-7": lambda tmp: _eval_report_doc(
+        per_pair={"1,0": 1.0}, untrained_heads=[7]
+    ),
+    "report-split-bogus": lambda tmp: _eval_report_doc(split="bogus"),
+    "report-schema-1": lambda tmp: {
+        "kind": "eval_report", "schema_version": "1", "split": "test", "n_eval": 5, "k": 2,
+        "epsilon_pehe": 1.0, "sqrt_pehe": 1.0, "per_pair": {"1,0": 1.0}, "zero_shot": None,
+        "untrained_heads": [],
+    },
 }
 
 
@@ -895,3 +908,13 @@ def test_report_refuses_a_malformed_record_or_report(tmp_path, capsys, make):
     assert code == 3, err
     assert "bad.json" in err
     assert "+/-" not in stdout
+
+
+@pytest.mark.parametrize("name", ["record-schema-1", "report-schema-1"])
+def test_report_asks_to_re_run_a_schema_1_file(tmp_path, capsys, name):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(MALFORMED_RECORDS[name](tmp_path)))
+    code, _, err = run(capsys, "report", str(path))
+    assert code == 3
+    assert err.startswith(f"data error: {path}: unsupported")
+    assert "re-run" in err

@@ -12,7 +12,6 @@ from ite_bench.metrics import (
     evaluate_model,
     ite_matrix,
     pehe,
-    zero_shot_pehe,
 )
 from ite_bench.cli import main
 from ite_bench.model import ModelShape, OutcomeModel, TrainConfig, build_model
@@ -120,17 +119,25 @@ def test_constant_column_error_closed_form():
 # --- zero-shot pehe ---
 
 
+def zero_shot_report(y_hat, y_true, z):
+    per_pair = pehe(y_hat, y_true).per_pair
+    return EvalReport("test", len(y_true), per_pair, [], zero_shot_z=z).validate()
+
+
 def test_zero_shot_is_mean_over_pairs_containing_z():
     rng = np.random.default_rng(7)
     y_hat = rng.normal(size=(25, 4))
     y_true = rng.normal(size=(25, 4))
-    per_pair = pehe(y_hat, y_true).per_pair
     for z in range(4):
-        zs = zero_shot_pehe(y_hat, y_true, z)
-        relevant = [v for pair, v in per_pair.items() if z in pair]
+        report = zero_shot_report(y_hat, y_true, z)
+        # the k-1 effects against z, computed from the outcomes
+        relevant = [
+            np.mean(((y_hat[:, a] - y_hat[:, z]) - (y_true[:, a] - y_true[:, z])) ** 2)
+            for a in range(4) if a != z
+        ]
         assert len(relevant) == 3
-        assert abs(zs.epsilon - np.mean(relevant)) <= 1e-12
-        assert abs(zs.root - math.sqrt(zs.epsilon)) <= 1e-15
+        assert abs(report.epsilon_zs - np.mean(relevant)) <= 1e-12
+        assert abs(report.sqrt_pehe_zs - math.sqrt(report.epsilon_zs)) <= 1e-15
 
 
 def test_zero_shot_equals_pehe_for_two_treatments():
@@ -139,7 +146,7 @@ def test_zero_shot_equals_pehe_for_two_treatments():
     y_true = rng.normal(size=(10, 2))
     full = pehe(y_hat, y_true)
     for z in (0, 1):
-        assert zero_shot_pehe(y_hat, y_true, z).epsilon == pytest.approx(
+        assert zero_shot_report(y_hat, y_true, z).epsilon_zs == pytest.approx(
             full.epsilon, abs=1e-15
         )
 
@@ -148,19 +155,22 @@ def test_zero_predictor_zero_shot_closed_form():
     rng = np.random.default_rng(11)
     y_true = rng.normal(size=(40, 3))
     z = 1
-    zs = zero_shot_pehe(np.zeros_like(y_true), y_true, z)
+    report = zero_shot_report(np.zeros_like(y_true), y_true, z)
     expected = np.mean(
         [np.mean((y_true[:, a] - y_true[:, z]) ** 2) for a in (0, 2)]
     )
-    assert zs.epsilon == pytest.approx(float(expected), abs=1e-12)
+    assert report.epsilon_zs == pytest.approx(float(expected), abs=1e-12)
 
 
 def test_zero_shot_range_check():
-    y = np.zeros((3, 3))
-    with pytest.raises(ConfigError):
-        zero_shot_pehe(y, y, 3)
-    with pytest.raises(ConfigError):
-        zero_shot_pehe(y, y, -1)
+    ds = simulate_dataset(SimConfig(n=200, d=5, k=3, seed=4))
+    model = build_model(5, 3, tiny_shape(), "joint", rng=0)
+    for z in (3, -1):
+        with pytest.raises(ConfigError, match="out of range"):
+            evaluate_model(model, ds, zero_shot_z=z)
+        y = np.zeros((3, 3))
+        with pytest.raises(DataError, match="zero_shot_z"):
+            zero_shot_report(y, y, z)
 
 
 # --- reports ---
@@ -172,72 +182,80 @@ def test_eval_report_round_trip():
     report = evaluate_model(model, ds, split="test", zero_shot_z=2)
     doc = json.loads(json.dumps(report.to_dict()))
     assert doc["kind"] == "eval_report"
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     back = EvalReport.from_dict(doc)
     assert back.epsilon_pehe == report.epsilon_pehe
     assert back.per_pair == report.per_pair
-    assert back.zero_shot == report.zero_shot
-    assert back.zero_shot["z"] == 2
-    assert back.zero_shot["head_z_trained"] is False  # freshly built: no updates
+    assert back.zero_shot_z == report.zero_shot_z == 2
+    assert back.head_z_trained is False  # freshly built: no updates
     assert back.untrained_heads == report.untrained_heads == [0, 1, 2]
     # a model built without a record counts zero updates for every head
     bare = OutcomeModel(model.cov_net, model.treat_net, model.heads)
     assert evaluate_model(bare, ds, split="test").untrained_heads == [0, 1, 2]
-    # a stored null still reads back
-    assert EvalReport.from_dict({**doc, "untrained_heads": None}).untrained_heads is None
+    # every report lists its untrained heads: a null is no longer read
+    with pytest.raises(DataError, match="untrained_heads"):
+        EvalReport.from_dict({**doc, "untrained_heads": None})
+
+
+def test_k12_report_round_trip_keeps_every_figure_bit_for_bit():
+    rng = np.random.default_rng(10)
+    y_hat, y_true = rng.normal(size=(9, 12)), rng.normal(size=(9, 12))
+    result = pehe(y_hat, y_true)
+    report = EvalReport("test", 9, result.per_pair, [], zero_shot_z=0).validate()
+    # as write_json_atomic writes it: "10,0" sorts before "2,0"
+    doc = json.loads(json.dumps(report.to_dict(), sort_keys=True))
+    back = EvalReport.from_dict(doc)
+    assert (back.sqrt_pehe, back.epsilon_pehe) == (result.root, result.epsilon)
+    assert back.sqrt_pehe_zs == report.sqrt_pehe_zs
+    assert back.epsilon_zs == report.epsilon_zs
+    # averaged in the file's key order, both figures differ in the last bit
+    in_file_order = list(doc["per_pair"].values())
+    assert math.sqrt(float(np.mean(in_file_order))) != result.root
+    with_0 = [v for key, v in doc["per_pair"].items() if "0" in key.split(",")]
+    assert math.sqrt(float(np.mean(with_0))) != report.sqrt_pehe_zs
 
 
 def test_eval_report_validate_catches_inconsistency():
-    report = EvalReport(
-        split="test", n_eval=10, k=2,
-        epsilon_pehe=1.0, sqrt_pehe=1.0, per_pair={(1, 0): 1.0},
-    )
+    report = EvalReport(split="test", n_eval=10, per_pair={(1, 0): 1.0}, untrained_heads=[])
     report.validate()
-    with pytest.raises(DataError):
-        dataclasses.replace(report, epsilon_pehe=2.0).validate()
-    with pytest.raises(DataError):
-        dataclasses.replace(report, sqrt_pehe=0.3).validate()
-    # the negative root squares to epsilon too
-    with pytest.raises(DataError):
-        dataclasses.replace(report, sqrt_pehe=-1.0).validate()
-    with pytest.raises(DataError):
-        dataclasses.replace(report, n_eval=0).validate()
+    assert (report.k, report.epsilon_pehe, report.sqrt_pehe) == (2, 1.0, 1.0)
+    for bad in (
+        {"n_eval": 0}, {"n_eval": "10"}, {"n_eval": 10.9}, {"n_eval": True},
+        {"split": "bogus"},
+        {"per_pair": {(1, 0): -1.0}}, {"per_pair": {(1, 0): math.nan}},
+        {"per_pair": {(1, 0): math.inf}}, {"per_pair": {(1, 0): "0.25"}},
+        {"per_pair": {(1, 0): 1}}, {"per_pair": {(1, 0): None}},
+        {"untrained_heads": "01"}, {"untrained_heads": [7]}, {"untrained_heads": [1, 0]},
+        {"untrained_heads": [0, 0]}, {"untrained_heads": [True]}, {"untrained_heads": None},
+    ):
+        with pytest.raises(DataError, match=next(iter(bad))):
+            dataclasses.replace(report, **bad).validate()
     # the pairs must be exactly those of k treatments, not just as many
-    for pairs in ({(0, 1): 1.0}, {(9, 5): 1.0}, {(1, 0): 1.0, (2, 0): 1.0}):
+    for pairs in ({}, {(0, 1): 1.0}, {(9, 5): 1.0}, {(1, 0): 1.0, (2, 0): 1.0}):
         with pytest.raises(DataError, match="per_pair"):
             dataclasses.replace(report, per_pair=pairs).validate()
 
 
-ZERO_SHOT = {"z": 1, "epsilon_zs": 0.25, "sqrt_pehe_zs": 0.5, "head_z_trained": False}
-
-
 @pytest.mark.parametrize(
     "zero_shot",
+    # valid at k=2 are null, 0 and 1; a report file can hold every other value here
     [
-        {"z": 0},
-        {**ZERO_SHOT, "extra": 1},
-        [1, 0.25, 0.5, False],
-        {**ZERO_SHOT, "z": 2},
-        {**ZERO_SHOT, "z": -1},
-        {**ZERO_SHOT, "z": True},
-        {**ZERO_SHOT, "z": 1.0},
-        {**ZERO_SHOT, "epsilon_zs": math.nan, "sqrt_pehe_zs": math.nan},
-        {**ZERO_SHOT, "epsilon_zs": math.inf, "sqrt_pehe_zs": math.inf},
-        {**ZERO_SHOT, "sqrt_pehe_zs": 0.6},
-        {**ZERO_SHOT, "sqrt_pehe_zs": -0.5},
-        {**ZERO_SHOT, "epsilon_zs": "0.25"},
-        {**ZERO_SHOT, "head_z_trained": None},
-        {**ZERO_SHOT, "head_z_trained": 0},
+        {"zero_shot_z": z}
+        for z in (2, 3, -1, True, False, 1.0, 0.0, "1", "01", [1], {"z": 1}, math.nan,
+                  math.inf, 1.5)
     ],
 )
 def test_eval_report_validate_checks_the_zero_shot_block(zero_shot):
     report = EvalReport(
-        split="test", n_eval=10, k=2,
-        epsilon_pehe=1.0, sqrt_pehe=1.0, per_pair={(1, 0): 1.0}, zero_shot=ZERO_SHOT,
+        split="test", n_eval=10, per_pair={(1, 0): 0.25}, untrained_heads=[1], zero_shot_z=1,
     )
     report.validate()
-    with pytest.raises(DataError, match="zero_shot"):
-        dataclasses.replace(report, zero_shot=zero_shot).validate()
+    assert (report.epsilon_zs, report.sqrt_pehe_zs, report.head_z_trained) == (0.25, 0.5, False)
+    assert dataclasses.replace(report, zero_shot_z=0).validate().head_z_trained is True
+    plain = dataclasses.replace(report, zero_shot_z=None).validate()
+    assert (plain.epsilon_zs, plain.sqrt_pehe_zs, plain.head_z_trained) == (None, None, None)
+    with pytest.raises(DataError, match="zero_shot_z"):
+        EvalReport.from_dict({**report.to_dict(), **zero_shot})
 
 
 def test_evaluate_model_audits_truth_reads():
@@ -281,9 +299,9 @@ def test_protocol_zero_model_matches_direct_computation(zero_init):
     y_true = ds.expected_outcomes("test")
     expected = pehe(np.zeros_like(y_true), y_true)
     assert report.epsilon_pehe == pytest.approx(expected.epsilon, abs=1e-12)
-    zs = zero_shot_pehe(np.zeros_like(y_true), y_true, 1)
-    assert report.zero_shot["epsilon_zs"] == pytest.approx(zs.epsilon, abs=1e-12)
-    assert report.zero_shot["z"] == 1
+    zs = np.mean([np.mean((y_true[:, a] - y_true[:, 1]) ** 2) for a in (0, 2)])
+    assert report.epsilon_zs == pytest.approx(float(zs), abs=1e-12)
+    assert report.zero_shot_z == 1
     assert report.split == "test"
 
 
@@ -299,8 +317,8 @@ def test_held_out_head_receives_no_gradient_updates(variant):
     assert not norms[:, 2].any()  # held-out head: zero gradient updates
     assert norms[:, 0].all() and norms[:, 1].all()
     assert trained.model.head_updates[2] == 0
-    assert report.zero_shot["z"] == 2
-    assert report.zero_shot["head_z_trained"] is False
+    assert report.zero_shot_z == 2
+    assert report.head_z_trained is False
 
 
 @pytest.mark.parametrize("variant", ["joint", "tarnet"])
@@ -322,9 +340,9 @@ def test_evaluate_cli_on_checkpoint_matches_protocol(tmp_path, capsys, variant):
     assert code == 0
     assert "head 1 received no training updates" in capsys.readouterr().out
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["zero_shot"] == report.zero_shot
-    assert doc["zero_shot"]["head_z_trained"] is False
-    assert doc["sqrt_pehe"] == report.sqrt_pehe
+    assert doc["zero_shot_z"] == 1
+    assert EvalReport.from_dict(doc).head_z_trained is False
+    assert EvalReport.from_dict(doc).sqrt_pehe == report.sqrt_pehe
 
 
 def test_protocol_error_paths():

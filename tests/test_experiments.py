@@ -49,13 +49,11 @@ def tiny_experiment(**kw):
     return ExperimentConfig(**base).validate()
 
 
-def synthetic_report(eps, k=2, zs=None):
+def synthetic_report(eps, k=2, z=None, untrained=()):
     pairs = [(a, b) for a in range(k) for b in range(a)]
     report = EvalReport(
-        split="test", n_eval=10, k=k,
-        epsilon_pehe=eps, sqrt_pehe=eps**0.5,
-        per_pair={p: eps for p in pairs},
-        zero_shot=zs,
+        split="test", n_eval=10, per_pair={p: eps for p in pairs},
+        untrained_heads=list(untrained), zero_shot_z=z,
     )
     return report.validate()
 
@@ -125,31 +123,33 @@ def test_sweep_spec_validation():
 
 def test_make_record_aggregates_mean_and_population_std():
     cfg = tiny_experiment(repeats=2)
-    record = make_record(cfg, [synthetic_report(1.0), synthetic_report(9.0)], 0.5)
+    record = make_record(cfg, [synthetic_report(1.0), synthetic_report(9.0)])
     agg = record.aggregate["sqrt_pehe"]
     assert agg == {"mean": 2.0, "std": 1.0, "n": 2}
     assert "sqrt_pehe_zs" not in record.aggregate
-    assert record.config_hash == config_hash(cfg.to_dict())
+    assert (record.label, record.config) == ("joint", cfg.to_dict())
 
 
 def test_make_record_includes_zero_shot_when_present_everywhere():
     cfg = tiny_experiment(zero_shot=1)
-    zs = {"z": 1, "epsilon_zs": 4.0, "sqrt_pehe_zs": 2.0, "head_z_trained": True}
-    record = make_record(cfg, [synthetic_report(1.0, zs=zs)], 0.1)
+    record = make_record(cfg, [synthetic_report(4.0, z=1)])
     assert record.aggregate["sqrt_pehe_zs"] == {"mean": 2.0, "std": 0.0, "n": 1}
+    # one seed without a zero-shot score drops the zero-shot aggregate
+    mixed = make_record(cfg, [synthetic_report(4.0, z=1), synthetic_report(4.0)])
+    assert set(mixed.aggregate) == {"sqrt_pehe"}
 
 
 def test_run_record_round_trip_and_validation():
-    record = make_record(
-        tiny_experiment(), [synthetic_report(1.0), synthetic_report(9.0)], 0.2
-    )
+    record = make_record(tiny_experiment(), [synthetic_report(1.0), synthetic_report(9.0)])
     doc = json.loads(json.dumps(record.to_dict()))
     back = RunRecord.from_dict(doc)
     assert back.aggregate == record.aggregate
     assert len(back.per_seed) == 2
-    doc["aggregate"]["sqrt_pehe"]["mean"] = 99.0
-    with pytest.raises(DataError):
-        RunRecord.from_dict(doc)
+    # a stored aggregate could disagree with per_seed, so none is read
+    with pytest.raises(DataError, match="fields"):
+        RunRecord.from_dict({**doc, "aggregate": record.aggregate})
+    with pytest.raises(DataError, match="re-run"):
+        RunRecord.from_dict({**doc, "schema_version": "1"})
 
 
 def test_write_json_atomic_leaves_no_temp_file(tmp_path):
@@ -187,7 +187,14 @@ def test_run_experiment_repeats_and_artifacts(tmp_path):
     assert record.label == "joint"
     assert len(record.artifacts) == 2
     assert all(os.path.exists(p) for p in record.artifacts)
-    assert record.wall_clock_s > 0.0
+
+
+def test_identical_experiments_into_one_directory_write_identical_records(tmp_path):
+    cfg = tiny_experiment(repeats=2)
+    for name in ("a.json", "b.json"):
+        record = run_experiment(cfg, out_dir=tmp_path / "runs")
+        write_json_atomic(tmp_path / name, record.to_dict())
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_run_experiment_zero_shot_reports():
@@ -195,7 +202,7 @@ def test_run_experiment_zero_shot_reports():
         alpha=1.0, beta=0.5, batch_size=32, epochs_max=1, base_lr=0.05
     ))
     record = run_experiment(cfg)
-    assert record.per_seed[0].zero_shot["z"] == 0
+    assert record.per_seed[0].zero_shot_z == 0
     assert "sqrt_pehe_zs" in record.aggregate
 
 
@@ -241,6 +248,24 @@ def test_zero_shot_sweep_summary_lists_head_z_trained_per_repeat(tmp_path):
     assert summary["winner"]["head_z_trained"] == [False, False]
     on_disk = json.loads((tmp_path / "sweep" / "summary.json").read_text())
     assert on_disk["winner"]["head_z_trained"] == [False, False]
+
+
+def test_written_record_and_reports_hold_exactly_the_schema_2_keys(tmp_path):
+    spec = sweep_spec()
+    spec = SweepSpec(replace(spec.base, zero_shot=0), spec.grid).validate()
+    run_sweep(spec, tmp_path / "sweep", threads=1)
+    record = json.loads((tmp_path / "sweep" / "winner_record.json").read_text())
+    assert record["schema_version"] == "2"
+    # the aggregate follows from per_seed, so the record stores none
+    assert set(record) == {"kind", "schema_version", "label", "config", "per_seed", "artifacts"}
+    for report in record["per_seed"]:
+        assert report["schema_version"] == "2"
+        # every PEHE figure and k follow from per_pair and zero_shot_z
+        assert set(report) == {
+            "kind", "schema_version", "split", "n_eval", "per_pair", "untrained_heads",
+            "zero_shot_z",
+        }
+        assert report["zero_shot_z"] == 0
 
 
 def test_sweep_artifacts_are_strict_json_without_validation(tmp_path):
@@ -482,22 +507,8 @@ def test_max_trials_subsample_is_deterministic(tmp_path):
 
 
 def make_labeled_record(label, roots, k=2):
-    reports = [synthetic_report(r * r) for r in roots]
-    record = RunRecord(
-        label=label,
-        config_hash="",
-        config={},
-        per_seed=reports,
-        aggregate={
-            "sqrt_pehe": {
-                "mean": float(np.mean(roots)),
-                "std": float(np.std(roots)),
-                "n": len(roots),
-            }
-        },
-        wall_clock_s=0.0,
-    )
-    return record.validate()
+    reports = [synthetic_report(r * r, k=k) for r in roots]
+    return RunRecord(label=label, config={}, per_seed=reports).validate()
 
 
 def test_render_report_table_rows():
@@ -522,10 +533,7 @@ def test_report_table_sorted_ascending_by_mean():
 def test_report_table_rejects_mixed_treatment_counts():
     good = make_labeled_record("a", [1.0], k=2)
     reports = [synthetic_report(1.0, k=3)]
-    other = RunRecord(
-        label="b", config_hash="", config={}, per_seed=reports,
-        aggregate={"sqrt_pehe": {"mean": 1.0, "std": 0.0, "n": 1}}, wall_clock_s=0.0,
-    ).validate()
+    other = RunRecord(label="b", config={}, per_seed=reports).validate()
     with pytest.raises(DataError):
         render_report_table([good, other])
 
@@ -539,16 +547,9 @@ def test_report_table_csv_format():
 
 def zero_shot_record(label, trained_flags):
     reports = [
-        synthetic_report(1.0, zs={
-            "z": 1, "epsilon_zs": 0.25, "sqrt_pehe_zs": 0.5, "head_z_trained": flag,
-        })
-        for flag in trained_flags
+        synthetic_report(0.25, z=1, untrained=[] if flag else [1]) for flag in trained_flags
     ]
-    return RunRecord(
-        label=label, config_hash="", config={}, per_seed=reports,
-        aggregate={"sqrt_pehe": {"mean": 1.0, "std": 0.0, "n": len(reports)}},
-        wall_clock_s=0.0,
-    ).validate()
+    return RunRecord(label=label, config={}, per_seed=reports).validate()
 
 
 def test_report_tables_mark_untrained_zero_shot_heads():

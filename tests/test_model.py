@@ -155,9 +155,9 @@ def test_predictions_through_one_buffer_set_equal_fresh_buffers(variant, head_up
     # validation's buffers: larger than x, and left dirty by a training batch
     buffers = model.fit_buffers(16)
     t = rng.integers(0, 4, 16)
-    batch = Batch(rng.normal(size=(16, 5)), t, t_emb[t], rng.normal(size=16))
+    batch = Batch(rng.normal(size=(16, 5)), t, rng.normal(size=16))
     for _ in range(2):
-        batch_loss(model, batch, TrainConfig(), dropout_seed=1, buffers=buffers)
+        batch_loss(model, batch, t_emb, TrainConfig(), dropout_seed=1, buffers=buffers)
         shared = factual_predictions(model, x, t_obs, t_emb, buffers.caches)
         assert shared.tobytes() == fresh_factual.tobytes()
 
@@ -230,13 +230,13 @@ def perfect_batch(model, n=6, seed=0):
     t = np.array([i % model.k for i in range(n)])
     t_emb = rng.normal(size=(model.k, 2))
     y = factual_predictions(model, x, t, t_emb)
-    return Batch(x, t, t_emb[t], y)
+    return Batch(x, t, y), t_emb
 
 
 def test_perfect_predictor_has_zero_error_terms():
     model = identity_model(d=2, k=2)
-    batch = perfect_batch(model)
-    res = batch_loss(model, batch, TrainConfig(alpha=1.0, beta=0.5, bandwidth=1.0))
+    batch, t_emb = perfect_batch(model)
+    res = batch_loss(model, batch, t_emb, TrainConfig(alpha=1.0, beta=0.5, bandwidth=1.0))
     assert res.mse == 0.0
     assert res.total == pytest.approx(0.5 * res.balance, abs=1e-15)
     assert res.balance > 0.0  # groups still differ in representation space
@@ -249,13 +249,8 @@ def test_single_sample_loss_hand_case():
     # zero model predicts 0, target 2: L1 = 4, dL/db_head = 2*(0-2) = -4
     shape = small_shape(cov_layers=1, cov_out=4, treat_layers=1, treat_out=3, head_layers=1)
     model = build_model(2, 2, shape, "joint", rng=0, scheme="zeros")
-    batch = Batch(
-        np.array([[0.4, -0.1], [0.2, 0.3]]),
-        np.array([0, 0]),
-        np.zeros((2, 2)),
-        np.array([2.0, 2.0]),
-    )
-    res = batch_loss(model, batch, TrainConfig(alpha=1.0, beta=0.0))
+    batch = Batch(np.array([[0.4, -0.1], [0.2, 0.3]]), np.array([0, 0]), np.array([2.0, 2.0]))
+    res = batch_loss(model, batch, np.zeros((2, 2)), TrainConfig(alpha=1.0, beta=0.0))
     assert res.total == pytest.approx(4.0, abs=1e-15)
     assert res.mse == pytest.approx(4.0, abs=1e-15)
     # bias gradient of the lone active head: sum over rows of 2/n * resid
@@ -268,14 +263,9 @@ def test_single_sample_loss_hand_case():
 def test_loss_composition():
     model = build_model(3, 2, small_shape(head_layers=2), "joint", rng=4)
     rng = np.random.default_rng(0)
-    batch = Batch(
-        rng.normal(size=(8, 3)),
-        rng.integers(0, 2, size=8),
-        rng.normal(size=(8, 3)),
-        rng.normal(size=8),
-    )
+    batch = Batch(rng.normal(size=(8, 3)), rng.integers(0, 2, size=8), rng.normal(size=8))
     cfg = TrainConfig(alpha=0.7, beta=1.3, bandwidth=0.9)
-    res = batch_loss(model, batch, cfg)
+    res = batch_loss(model, batch, rng.normal(size=(2, 3)), cfg)
     assert res.total == pytest.approx(0.7 * res.mse + 1.3 * res.balance, abs=1e-12)
     assert sum(n > 0 for n in res.head_rows) == 2
 
@@ -283,14 +273,10 @@ def test_loss_composition():
 def test_balance_term_never_touches_head_gradients():
     model = build_model(3, 3, small_shape(), "joint", rng=9)
     rng = np.random.default_rng(3)
-    batch = Batch(
-        rng.normal(size=(9, 3)),
-        np.array([0, 1, 2] * 3),
-        rng.normal(size=(9, 3)),
-        rng.normal(size=9),
-    )
-    res_off = batch_loss(model, batch, TrainConfig(alpha=1.0, beta=0.0, bandwidth=1.0))
-    res_on = batch_loss(model, batch, TrainConfig(alpha=1.0, beta=5.0, bandwidth=1.0))
+    batch = Batch(rng.normal(size=(9, 3)), np.array([0, 1, 2] * 3), rng.normal(size=9))
+    t_emb = rng.normal(size=(3, 3))
+    res_off = batch_loss(model, batch, t_emb, TrainConfig(alpha=1.0, beta=0.0, bandwidth=1.0))
+    res_on = batch_loss(model, batch, t_emb, TrainConfig(alpha=1.0, beta=5.0, bandwidth=1.0))
     off, on = model.views(res_off.grad), model.views(res_on.grad)
     for g_off, g_on in zip(off[-model.k :], on[-model.k :]):
         for (w0, b0), (w1, b1) in zip(g_off, g_on):
@@ -303,13 +289,9 @@ def test_balance_term_never_touches_head_gradients():
 def test_factual_weight_zero_silences_head_gradients():
     model = build_model(3, 2, small_shape(), "joint", rng=2)
     rng = np.random.default_rng(8)
-    batch = Batch(
-        rng.normal(size=(6, 3)),
-        np.array([0, 1] * 3),
-        rng.normal(size=(6, 3)),
-        rng.normal(size=6),
-    )
-    res = batch_loss(model, batch, TrainConfig(alpha=0.0, beta=1.0, bandwidth=1.0))
+    batch = Batch(rng.normal(size=(6, 3)), np.array([0, 1] * 3), rng.normal(size=6))
+    t_emb = rng.normal(size=(2, 3))
+    res = batch_loss(model, batch, t_emb, TrainConfig(alpha=0.0, beta=1.0, bandwidth=1.0))
     cov, treat, *heads = model.views(res.grad)
     for layers in heads:
         assert not any(gw.any() or gb.any() for gw, gb in layers)
@@ -323,8 +305,8 @@ def test_batch_predictions_match_eval_path_without_dropout():
     t_emb = rng.normal(size=(2, 3))
     x = rng.normal(size=(7, 3))
     t = rng.integers(0, 2, size=7)
-    batch = Batch(x, t, t_emb[t], rng.normal(size=7))
-    res = batch_loss(model, batch, TrainConfig(bandwidth=1.0))
+    batch = Batch(x, t, rng.normal(size=7))
+    res = batch_loss(model, batch, t_emb, TrainConfig(bandwidth=1.0))
     np.testing.assert_allclose(
         res.predictions, factual_predictions(model, x, t, t_emb), atol=1e-12
     )
@@ -332,12 +314,18 @@ def test_batch_predictions_match_eval_path_without_dropout():
 
 def test_batch_loss_input_checks():
     model = identity_model()
-    with pytest.raises(ShapeError):
-        batch_loss(model, Batch(np.zeros((0, 2)), np.zeros(0, int), np.zeros((0, 2)), np.zeros(0)), TrainConfig())
-    with pytest.raises(ShapeError):
-        batch_loss(model, Batch(np.zeros((2, 2)), np.zeros(3, int), np.zeros((2, 2)), np.zeros(2)), TrainConfig())
-    with pytest.raises(ShapeError):
-        batch_loss(model, Batch(np.zeros((2, 2)), np.array([0, 5]), np.zeros((2, 2)), np.zeros(2)), TrainConfig())
+    t_emb = np.zeros((2, 2))
+    for batch in (
+        Batch(np.zeros((0, 2)), np.zeros(0, int), np.zeros(0)),
+        Batch(np.zeros((2, 2)), np.zeros(3, int), np.zeros(2)),
+        Batch(np.zeros((2, 2)), np.array([0, 5]), np.zeros(2)),
+    ):
+        with pytest.raises(ShapeError):
+            batch_loss(model, batch, t_emb, TrainConfig())
+    # one embedding per treatment: k rows, not one per sample
+    with pytest.raises(ShapeError, match="t_emb"):
+        batch_loss(model, Batch(np.zeros((3, 2)), np.array([0, 1, 0]), np.zeros(3)),
+                   np.zeros((3, 2)), TrainConfig())
 
 
 def _flatten_model(model):
@@ -384,13 +372,15 @@ def test_batch_loss_gradients_match_finite_differences(variant, activation, drop
     rng = np.random.default_rng(6)
     t_emb = rng.normal(size=(2, 3))
     t = np.array([0, 1, 0, 1, 0])
-    batch = Batch(rng.normal(size=(5, 3)), t, t_emb[t], rng.normal(size=5))
+    batch = Batch(rng.normal(size=(5, 3)), t, rng.normal(size=5))
     cfg = TrainConfig(alpha=1.0, beta=0.5, bandwidth=0.8)
 
-    res = batch_loss(model, batch, cfg, dropout_seed=seed)
+    res = batch_loss(model, batch, t_emb, cfg, dropout_seed=seed)
 
     def total_from(vec):
-        return batch_loss(_unflatten_model(model, vec), batch, cfg, dropout_seed=seed).total
+        return batch_loss(
+            _unflatten_model(model, vec), batch, t_emb, cfg, dropout_seed=seed
+        ).total
 
     # fd is laid out by _flatten_model, which is built without model.views,
     # so agreement also checks that the gradient vector has theta's layout
@@ -409,10 +399,10 @@ def test_reused_buffers_write_every_gradient_entry(variant):
     # a full batch without treatment 2, then a short last batch without treatment 0
     for t, missed in (([0, 1] * 4, 2), ([1, 2, 2], 0)):
         t = np.array(t)
-        batch = Batch(rng.normal(size=(t.size, 3)), t, t_emb[t], rng.normal(size=t.size))
+        batch = Batch(rng.normal(size=(t.size, 3)), t, rng.normal(size=t.size))
         out.fill(np.nan)
-        res = batch_loss(model, batch, TrainConfig(), dropout_seed=9, buffers=buffers)
-        fresh = batch_loss(model, batch, TrainConfig(), dropout_seed=9)
+        res = batch_loss(model, batch, t_emb, TrainConfig(), dropout_seed=9, buffers=buffers)
+        fresh = batch_loss(model, batch, t_emb, TrainConfig(), dropout_seed=9)
         assert res.grad is out
         assert out.tobytes() == fresh.grad.tobytes()
         assert res.head_rows[missed] == 0
@@ -430,12 +420,12 @@ def test_second_batch_with_fit_buffers_allocates_under_1_mb():
     rng = np.random.default_rng(0)
     t = rng.integers(0, 3, 128)
     t_emb = rng.normal(size=(3, 8))
-    batch = Batch(rng.normal(size=(128, 8)), t, t_emb[t], rng.normal(size=128))
+    batch = Batch(rng.normal(size=(128, 8)), t, rng.normal(size=128))
     buffers = model.fit_buffers(128)
-    batch_loss(model, batch, TrainConfig(), dropout_seed=1, buffers=buffers)
+    batch_loss(model, batch, t_emb, TrainConfig(), dropout_seed=1, buffers=buffers)
     tracemalloc.start()
     try:
-        batch_loss(model, batch, TrainConfig(), dropout_seed=2, buffers=buffers)
+        batch_loss(model, batch, t_emb, TrainConfig(), dropout_seed=2, buffers=buffers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -492,8 +482,8 @@ def _record_steps(monkeypatch):
     steps = []
     real_loss, real_step = model_module.batch_loss, model_module.sgd_step
 
-    def loss(model, batch, cfg, **kw):
-        res = real_loss(model, batch, cfg, **kw)
+    def loss(model, batch, t_emb, cfg, **kw):
+        res = real_loss(model, batch, t_emb, cfg, **kw)
         steps.append([model, [n == 0 for n in res.head_rows], None, None])
         return res
 
@@ -555,9 +545,9 @@ def test_best_epoch_snapshot_is_a_copy(monkeypatch):
 def test_sgd_step_leaves_theta_unchanged_on_a_non_finite_gradient():
     model = build_model(3, 2, small_shape(), "joint", rng=3)
     rng = np.random.default_rng(1)
-    x, t_feat, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 3)), rng.normal(size=6)
-    batch = Batch(x, np.array([0, 1] * 3), t_feat, y)
-    res = batch_loss(model, batch, TrainConfig(bandwidth=1.0))
+    x, t_emb, y = rng.normal(size=(6, 3)), rng.normal(size=(2, 3)), rng.normal(size=6)
+    batch = Batch(x, np.array([0, 1] * 3), y)
+    res = batch_loss(model, batch, t_emb, TrainConfig(bandwidth=1.0))
     before = model.theta.copy()
     res.grad[-1] = np.inf
     weights = [w for net in model.views(model.theta) for w, _ in net]
