@@ -147,10 +147,11 @@ def cmd_evaluate(args) -> int:
     report = evaluate_model(
         trained.model, ds, split=args.split, zero_shot_z=args.zero_shot
     )
-    print(render_eval_report(report))
+    text = render_eval_report(report)
     if args.out:
         write_json_atomic(args.out, report.to_dict())
-        print(f"wrote report to {args.out}")
+        text += f"\nwrote report to {args.out}"
+    print(text)
     return EXIT_OK
 
 
@@ -177,6 +178,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # an eval report stores no label; it is named by its path below the
+    # files' common directory, so runs/joint/report.json and
+    # runs/tarnet/report.json make two rows, joint/report and tarnet/report
+    root = os.path.commonpath([os.path.dirname(os.path.abspath(p)) for p in args.records])
     records: list[RunRecord] = []
     for path in args.records:
         doc = _load_json(path)
@@ -188,7 +193,7 @@ def cmd_report(args) -> int:
                 record = RunRecord.from_dict(doc)
             else:
                 record = RunRecord(
-                    label=os.path.splitext(os.path.basename(path))[0],
+                    label=os.path.splitext(os.path.relpath(os.path.abspath(path), root))[0],
                     config={},
                     per_seed=[EvalReport.from_dict(doc)],
                 )
@@ -197,11 +202,12 @@ def cmd_report(args) -> int:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed {kind}: {exc!r}") from exc
         records.append(record)
-    print(render_report_table(records))
+    table = render_report_table(records)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(report_table_csv(records))
-        print(f"wrote csv to {args.csv}")
+        table += f"\nwrote csv to {args.csv}"
+    print(table)
     return EXIT_OK
 
 
@@ -281,7 +287,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head`). Every command writes its
+        # files before it prints, so only output is lost; stdout goes to
+        # devnull, or the flush at exit would fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

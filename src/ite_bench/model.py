@@ -45,7 +45,7 @@ from .nn import (
     ACTIVATIONS,
     ForwardCache,
     MlpParams,
-    init_mlp,
+    glorot_uniform,
     mlp_backward,
     mlp_forward,
     sgd_step,
@@ -99,17 +99,26 @@ class ModelShape:
             raise ConfigError("dropout_rate must lie in [0, 1)")
         return self
 
-    def _dims(self, n_layers: int, width: int, d_in: int, d_out: int) -> list[int]:
-        return [d_in] + [width] * (n_layers - 1) + [d_out]
+    def network_dims(self, input_dim: int, k: int, variant: str) -> list[list[int]]:
+        """Each network's widths [in, hidden..., out] in theta's order: cov,
+        treat (joint only), then the k heads. The treatment network also
+        reads input_dim features: the simulator's treatment embeddings live
+        in covariate space."""
+        joint = variant == "joint"
+        nets = [(self.cov_layers, self.cov_width, input_dim, self.cov_out)]
+        if joint:
+            nets.append((self.treat_layers, self.treat_width, input_dim, self.treat_out))
+        head_input = self.cov_out + (self.treat_out if joint else 0)
+        nets += [(self.head_layers, self.head_width, head_input, 1)] * k
+        return [[d_in] + [width] * (layers - 1) + [d_out] for layers, width, d_in, d_out in nets]
 
-    def cov_dims(self, d: int) -> list[int]:
-        return self._dims(self.cov_layers, self.cov_width, d, self.cov_out)
-
-    def treat_dims(self, m: int) -> list[int]:
-        return self._dims(self.treat_layers, self.treat_width, m, self.treat_out)
-
-    def head_dims(self, head_input: int) -> list[int]:
-        return self._dims(self.head_layers, self.head_width, head_input, 1)
+    def n_params(self, input_dim: int, k: int, variant: str) -> int:
+        """The length of theta for this shape."""
+        return sum(
+            fan_out * (fan_in + 1)
+            for dims in self.network_dims(input_dim, k, variant)
+            for fan_in, fan_out in zip(dims[:-1], dims[1:])
+        )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -123,48 +132,72 @@ class ModelShape:
 class OutcomeModel:
     """Representation networks plus one regression head per treatment.
 
-    theta holds every parameter in one float64 vector: cov, treat, then the
-    heads, each layer's weight row-major and then its bias (the checkpoint's
-    parameter file). Construction copies the networks into a new theta and
-    makes their (weight, bias) pairs views of it, so no two models share
-    parameters and dataclasses.replace(model) is an independent copy.
+    A model is its shape, input_dim, k, variant and theta, one float64
+    vector that holds every parameter: cov, treat ("joint" only), then the
+    k heads, each layer's weight row-major and then its bias (the
+    checkpoint's parameter file). Construction checks theta against the
+    shape and copies it, so no two models share parameters and
+    dataclasses.replace(model) is an independent copy. cov_net, treat_net
+    (None for "tarnet") and heads are networks whose (weight, bias) pairs
+    are views of theta, with the shape's activation and dropout rate.
 
-    The variant follows from the networks: "joint" with a treatment network,
-    "tarnet" without. head_updates counts the SGD steps each head has
-    received, all zero unless given. A head with zero updates still holds
-    its random initialization.
+    head_updates counts the SGD steps each head has received, all zero
+    unless given. A head with zero updates still holds its random
+    initialization.
     """
 
-    cov_net: MlpParams
-    treat_net: MlpParams | None
-    heads: tuple[MlpParams, ...]
+    shape: ModelShape
+    input_dim: int
+    k: int
+    variant: str
+    theta: np.ndarray = field(repr=False)
     head_updates: tuple[int, ...] = field(default=(), kw_only=True)
-    theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.shape.validate()
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
+        if self.input_dim < 1:
+            raise ConfigError("input_dim must be >= 1")
+        n = self.shape.n_params(self.input_dim, self.k, self.variant)
+        theta = np.asarray(self.theta)
+        if theta.dtype != np.float64 or theta.shape != (n,):
+            raise ConfigError(
+                f"the parameter vector holds {theta.dtype} values of shape {theta.shape}; "
+                f"the model needs {n} float64 values"
+            )
+        if not np.isfinite(theta).all():
+            raise NumericError("non-finite parameters")
+        self.theta = theta.copy()
         self.head_updates = self.head_updates or (0,) * self.k
-        nets = self._nets()
-        arrays = [np.ravel(a) for net in nets for layer in net.layers for a in layer]
-        self.theta = np.concatenate(arrays, dtype=np.float64)
-        views = self.views(self.theta)
-        nets = [dataclasses.replace(net, layers=v) for net, v in zip(nets, views)]
-        self.cov_net, self.heads = nets[0], tuple(nets[len(nets) - self.k :])
-        if self.treat_net is not None:
-            self.treat_net = nets[1]
+        self._nets = tuple(
+            MlpParams(layers, self.shape.activation, self.shape.dropout_rate)
+            for layers in self.views(self.theta)
+        )
 
-    def _nets(self) -> list[MlpParams]:
-        treat = [self.treat_net] if self.treat_net is not None else []
-        return [self.cov_net, *treat, *self.heads]
+    @property
+    def cov_net(self) -> MlpParams:
+        return self._nets[0]
+
+    @property
+    def treat_net(self) -> MlpParams | None:
+        return self._nets[1] if self.variant == "joint" else None
+
+    @property
+    def heads(self) -> tuple[MlpParams, ...]:
+        return self._nets[len(self._nets) - self.k :]
 
     def views(self, vec: np.ndarray) -> list[tuple[tuple[np.ndarray, np.ndarray], ...]]:
         """Each network's (weight, bias) pairs as views of vec, a vector in
         theta's layout: cov, treat (joint only), then the heads."""
         nets, pos = [], 0
-        for net in self._nets():
+        for dims in self.shape.network_dims(self.input_dim, self.k, self.variant):
             layers = []
-            for w, b in net.layers:
-                mid, end = pos + w.size, pos + w.size + b.size
-                layers.append((vec[pos:mid].reshape(w.shape), vec[mid:end].reshape(b.shape)))
+            for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+                mid, end = pos + fan_out * fan_in, pos + fan_out * (fan_in + 1)
+                layers.append((vec[pos:mid].reshape(fan_out, fan_in), vec[mid:end]))
                 pos = end
             nets.append(tuple(layers))
         return nets
@@ -173,8 +206,7 @@ class OutcomeModel:
         """ForwardCaches for passes of up to rows samples: one per
         representation network (cov, then treat for joint), and last one
         that all heads share, since they have the same layer shapes."""
-        nets = self._nets()
-        return [ForwardCache(net, rows) for net in nets[: len(nets) - self.k + 1]]
+        return [ForwardCache(net, rows) for net in self._nets[: len(self._nets) - self.k + 1]]
 
     def fit_buffers(self, rows: int) -> "FitBuffers":
         """A gradient vector, its per-network views and forward_caches(rows),
@@ -182,39 +214,11 @@ class OutcomeModel:
         grad = np.empty_like(self.theta)
         return FitBuffers(grad, self.views(grad), self.forward_caches(rows))
 
-    @property
-    def variant(self) -> str:
-        return "joint" if self.treat_net is not None else "tarnet"
-
-    @property
-    def k(self) -> int:
-        return len(self.heads)
-
     def head_trained(self, t: int) -> bool:
         """Whether head t received an update."""
         return self.head_updates[t] > 0
 
-    @property
-    def head_input_dim(self) -> int:
-        return self.cov_net.output_dim + (
-            self.treat_net.output_dim if self.treat_net is not None else 0
-        )
-
     def validate(self) -> "OutcomeModel":
-        if not self.heads:
-            raise ConfigError("model needs at least one head")
-        self.cov_net.validate()
-        if self.treat_net is not None:
-            self.treat_net.validate()
-        expect = self.head_input_dim
-        for t, head in enumerate(self.heads):
-            head.validate()
-            if head.input_dim != expect:
-                raise ShapeError(
-                    f"head {t} expects input {head.input_dim}, representations emit {expect}"
-                )
-            if head.output_dim != 1:
-                raise ShapeError(f"head {t} must emit a scalar")
         if len(self.head_updates) != self.k or min(self.head_updates) < 0:
             raise ConfigError(
                 f"head_updates must hold {self.k} non-negative counts, "
@@ -230,36 +234,17 @@ def build_model(
     variant: str = "joint",
     *,
     rng: np.random.Generator | int | None = None,
-    scheme: str = "glorot",
 ) -> OutcomeModel:
-    """Initialize all sub-networks. The treatment network also reads
-    input_dim features: the simulator's treatment embeddings live in
-    covariate space."""
+    """A model with zero biases and glorot_uniform weights, drawn from one
+    generator layer by layer in theta's order."""
     shape.validate()
-    if variant not in VARIANTS:
-        raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if k < 1:
-        raise ConfigError("k must be >= 1")
+    theta = np.zeros(shape.n_params(input_dim, k, variant))
+    model = OutcomeModel(shape, input_dim, k, variant, theta)
     gen = np.random.default_rng(rng)
-    cov_net = init_mlp(
-        shape.cov_dims(input_dim), shape.activation, shape.dropout_rate,
-        rng=gen, scheme=scheme,
-    )
-    treat_net = None
-    if variant == "joint":
-        treat_net = init_mlp(
-            shape.treat_dims(input_dim),
-            shape.activation, shape.dropout_rate, rng=gen, scheme=scheme,
-        )
-    head_input = shape.cov_out + (shape.treat_out if variant == "joint" else 0)
-    heads = tuple(
-        init_mlp(
-            shape.head_dims(head_input), shape.activation, shape.dropout_rate,
-            rng=gen, scheme=scheme,
-        )
-        for _ in range(k)
-    )
-    return OutcomeModel(cov_net, treat_net, heads).validate()
+    for layers in model.views(model.theta):
+        for w, _ in layers:
+            glorot_uniform(w, gen)
+    return model
 
 
 @dataclass(frozen=True)
@@ -466,7 +451,6 @@ class TrainedModel:
     best_epoch: int | None
     best_val_mse: float | None
     config: TrainConfig
-    shape: ModelShape
 
 
 def _head_column(
@@ -684,7 +668,6 @@ def train(
         best_epoch=best_epoch,
         best_val_mse=None if best_epoch is None else float(best_val),
         config=cfg,
-        shape=shape,
     )
 
 
@@ -708,11 +691,11 @@ def checkpoint_dict(trained: TrainedModel, params_sha256: str) -> dict:
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "variant": model.variant,
         "k": model.k,
-        "input_dim": model.cov_net.input_dim,
+        "input_dim": model.input_dim,
         "params_sha256": params_sha256,
         "head_updates": list(model.head_updates),
         "train_config": trained.config.to_dict(),
-        "shape": trained.shape.to_dict(),
+        "shape": model.shape.to_dict(),
         "best_epoch": trained.best_epoch,
         "best_val_mse": trained.best_val_mse,
     }
@@ -766,18 +749,13 @@ def load_checkpoint(path) -> TrainedModel:
     vec = _load_params(sidecar, doc)
     try:
         shape = ModelShape.from_dict(doc["shape"], path="checkpoint.shape")
-        model = build_model(doc["input_dim"], doc["k"], shape, doc["variant"], scheme="zeros")
-        if vec.dtype != np.float64 or vec.shape != model.theta.shape:
-            raise ConfigError(
-                f"{sidecar} holds {vec.dtype} values of shape {vec.shape}; the model "
-                f"needs {model.theta.size} float64 values"
-            )
-        model.theta[:] = vec
         counts = doc["head_updates"]
         if not isinstance(counts, list):
             raise ConfigError(f"checkpoint head_updates must be a list, got {counts!r}")
-        model.head_updates = tuple(int(n) for n in counts)
-        model.validate()
+        model = OutcomeModel(
+            shape, doc["input_dim"], doc["k"], doc["variant"], vec,
+            head_updates=tuple(int(n) for n in counts),
+        ).validate()
         cfg = TrainConfig.from_dict(doc["train_config"], path="checkpoint.train_config")
     except KeyError as exc:
         raise ConfigError(f"malformed checkpoint: missing {exc}") from exc
@@ -789,5 +767,4 @@ def load_checkpoint(path) -> TrainedModel:
         best_epoch=doc.get("best_epoch"),
         best_val_mse=doc.get("best_val_mse"),
         config=cfg,
-        shape=shape,
     )

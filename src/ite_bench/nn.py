@@ -138,36 +138,36 @@ class ForwardCache:
         self.dropout_masks: list[np.ndarray | None] = []
 
 
+def glorot_uniform(w: np.ndarray, gen: np.random.Generator) -> None:
+    """Fill the weight matrix w, shaped [out x in], in place with draws from
+    U(-sqrt(6/(in+out)), +sqrt(6/(in+out)))."""
+    fan_out, fan_in = w.shape
+    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    w[...] = gen.uniform(-bound, bound, size=w.shape)
+
+
 def init_mlp(
     dims: Sequence[int],
     hidden_activation: str = "tanh",
     dropout_rate: float = 0.0,
     *,
     rng: np.random.Generator | int | None = None,
-    scheme: str = "glorot",
 ) -> MlpParams:
-    """Build an MLP with the given layer widths.
-
-    dims = [in, h1, ..., out]; "glorot" draws weights from
-    U(-sqrt(6/(fan_in+fan_out)), +sqrt(6/(fan_in+fan_out))), "zeros" sets
-    everything to zero. Biases start at zero either way.
-    """
+    """Build an MLP with the given layer widths, dims = [in, h1, ..., out]:
+    glorot_uniform weights, drawn layer by layer from one generator, and
+    zero biases."""
     if len(dims) < 2:
         raise ConfigError("dims must list at least input and output widths")
     if any(d < 1 for d in dims):
         raise ConfigError("layer widths must be >= 1")
-    if scheme not in ("glorot", "zeros"):
-        raise ConfigError(f"unknown init scheme {scheme!r}")
     gen = np.random.default_rng(rng)
-    layers = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        if scheme == "glorot":
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            w = gen.uniform(-bound, bound, size=(fan_out, fan_in))
-        else:
-            w = np.zeros((fan_out, fan_in))
-        layers.append((w, np.zeros(fan_out)))
-    return MlpParams(tuple(layers), hidden_activation, dropout_rate).validate()
+    layers = tuple(
+        (np.empty((fan_out, fan_in)), np.zeros(fan_out))
+        for fan_in, fan_out in zip(dims[:-1], dims[1:])
+    )
+    for w, _ in layers:
+        glorot_uniform(w, gen)
+    return MlpParams(layers, hidden_activation, dropout_rate).validate()
 
 
 def mlp_forward(

@@ -1,5 +1,3 @@
-import functools
-
 import pytest
 
 from ite_bench import model
@@ -7,7 +5,12 @@ from ite_bench import model
 
 @pytest.fixture
 def zero_init(monkeypatch):
-    """Make train start from all-zero parameters, build_model's "zeros" scheme."""
-    monkeypatch.setattr(
-        model, "build_model", functools.partial(model.build_model, scheme="zeros")
-    )
+    """Make train start from all-zero parameters."""
+    build = model.build_model
+
+    def build_zeros(*args, **kwargs):
+        built = build(*args, **kwargs)
+        built.theta[:] = 0.0
+        return built
+
+    monkeypatch.setattr(model, "build_model", build_zeros)

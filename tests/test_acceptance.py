@@ -33,6 +33,7 @@ those heads see psi(T_emb[z]), so the held-out embedding reaches the score.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,6 @@ from ite_bench.mmd import treatment_regularization_loss
 from ite_bench.model import (
     Batch,
     ModelShape,
-    OutcomeModel,
     TrainConfig,
     batch_loss,
     build_model,
@@ -146,29 +146,6 @@ def _check_mmd_gradients(rng):
     )
 
 
-def _flatten_model(model):
-    parts = [flatten_params(model.cov_net)]
-    if model.treat_net is not None:
-        parts.append(flatten_params(model.treat_net))
-    parts.extend(flatten_params(h) for h in model.heads)
-    return np.concatenate(parts)
-
-
-def _unflatten_model(model, vec):
-    pos = 0
-
-    def take(params):
-        nonlocal pos
-        out = unflatten_params(params, vec[pos : pos + params.n_params])
-        pos += params.n_params
-        return out
-
-    cov = take(model.cov_net)
-    treat = take(model.treat_net) if model.treat_net is not None else None
-    heads = tuple(take(h) for h in model.heads)
-    return OutcomeModel(cov, treat, heads)
-
-
 def _check_batch_loss_gradients(rng, variant, activation, dropout, mask_seed):
     shape = ModelShape(
         cov_layers=2,
@@ -194,11 +171,11 @@ def _check_batch_loss_gradients(rng, variant, activation, dropout, mask_seed):
 
     def objective(vec):
         return batch_loss(
-            _unflatten_model(model, vec), batch, t_emb, cfg, dropout_seed=mask_seed
+            replace(model, theta=vec), batch, t_emb, cfg, dropout_seed=mask_seed
         ).total
 
-    # fd is laid out by _flatten_model, independently of model.views
-    fd = central_difference(objective, _flatten_model(model))
+    # fd perturbs theta itself, so agreement also checks the gradient's layout
+    fd = central_difference(objective, model.theta)
     assert_grads_close(res.grad, fd, rtol=1e-4)
 
 

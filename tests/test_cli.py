@@ -2,12 +2,17 @@ import hashlib
 import json
 import math
 import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ite_bench import cli
 from ite_bench.cli import main
+from ite_bench.errors import NumericError
 from ite_bench.experiments import ExperimentConfig, _fit_repeat
 from ite_bench.metrics import EvalReport, pehe
 from ite_bench.model import load_checkpoint
@@ -388,6 +393,28 @@ def test_evaluate_refuses_tampered_or_missing_parameter_file(tmp_path, capsys):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "checkpoint.npy" in err
+
+
+def test_evaluate_refuses_a_non_finite_parameter_exits_4(tmp_path, capsys):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    out = tmp_path / "run"
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "1"
+    )
+    assert code == 0, err
+    # a NaN recorded under its own sha256: the file is intact, the model is not
+    header, sidecar = out / "checkpoint.json", out / "checkpoint.npy"
+    vec = np.load(sidecar)
+    vec[5] = np.nan
+    np.save(sidecar, vec)
+    doc = json.loads(header.read_text())
+    doc["params_sha256"] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+    header.write_text(json.dumps(doc))
+    with pytest.raises(NumericError, match="non-finite"):
+        load_checkpoint(header)
+    code, _, err = run(capsys, "evaluate", "--dataset", str(ds), "--checkpoint", str(header))
+    assert code == 4
+    assert "numeric error" in err and "non-finite parameters" in err
 
 
 @pytest.mark.parametrize(
@@ -790,6 +817,65 @@ def test_report_cli_accepts_eval_reports(tmp_path, capsys):
     assert code == 0
     assert "solo" in stdout  # labeled by file stem
     assert "(n=1)" in stdout
+
+
+def _quickstart_commands():
+    """The ite-bench commands of the README quickstart, one argv each."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quickstart (CLI)", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ite-bench ")]
+
+
+def test_readme_quickstart_reports_one_row_per_variant(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _quickstart_commands()
+    assert [argv[0] for argv in commands] == [
+        "simulate", "train", "train", "evaluate", "evaluate", "report"
+    ]
+    for argv in commands:
+        if argv[0] == "simulate":
+            argv[argv.index("--n") + 1] = "300"
+        if argv[0] == "train":
+            argv += ["--epochs-max", "1"]
+        code, stdout, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    # one row per run directory, not one row per file name
+    *rows, last = stdout.splitlines()[1:]
+    assert sorted((row.split()[0], row.split()[4]) for row in rows) == [
+        ("joint/report", "(n=1)"), ("tarnet/report", "(n=1)")
+    ]
+    assert last == "wrote csv to runs/summary.csv"
+    csv_rows = (tmp_path / "runs" / "summary.csv").read_text().splitlines()[1:]
+    assert sorted(row.split(",")[0] for row in csv_rows) == ["joint/report", "tarnet/report"]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_evaluate_into_a_closed_pipe_writes_its_report_and_exits_0(tmp_path, capsys, unbuffered):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    out = tmp_path / "run"
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "1"
+    )
+    assert code == 0, err
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    report = tmp_path / "r.json"
+    argv = [
+        sys.executable, "-m", "ite_bench.cli", "evaluate", "--dataset", str(ds),
+        "--checkpoint", str(out / "checkpoint.json"), "--out", str(report),
+    ]
+    # stdout is a pipe whose read end is closed, as after `| head` has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert EvalReport.from_dict(json.loads(report.read_text())).split == "test"
 
 
 def test_report_refuses_a_json_array(tmp_path, capsys):

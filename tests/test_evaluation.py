@@ -190,7 +190,7 @@ def test_eval_report_round_trip():
     assert back.head_z_trained is False  # freshly built: no updates
     assert back.untrained_heads == report.untrained_heads == [0, 1, 2]
     # a model built without a record counts zero updates for every head
-    bare = OutcomeModel(model.cov_net, model.treat_net, model.heads)
+    bare = OutcomeModel(model.shape, model.input_dim, model.k, model.variant, model.theta)
     assert evaluate_model(bare, ds, split="test").untrained_heads == [0, 1, 2]
     # every report lists its untrained heads: a null is no longer read
     with pytest.raises(DataError, match="untrained_heads"):

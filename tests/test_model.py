@@ -25,23 +25,25 @@ from ite_bench.model import (
     save_checkpoint,
     train,
 )
-from ite_bench.nn import MlpParams, init_mlp, mlp_forward, sgd_step
+from ite_bench.nn import mlp_forward, sgd_step
 from ite_bench.simulate import SimConfig, simulate_dataset
 
-from gradcheck import central_difference, flatten_params, unflatten_params
+from gradcheck import central_difference
 
 
 def identity_model(d=2, k=2, variant="joint"):
     """Single affine layers: representations pass inputs through, heads sum."""
-
-    def eye(n):
-        return MlpParams(((np.eye(n), np.zeros(n)),), "tanh", 0.0)
-
-    head_in = 2 * d if variant == "joint" else d
-    head = MlpParams(((np.ones((1, head_in)), np.zeros(1)),), "tanh", 0.0)
-    treat = eye(d) if variant == "joint" else None
-    model = OutcomeModel(eye(d), treat, tuple(head for _ in range(k))).validate()
-    assert model.variant == variant
+    shape = ModelShape(
+        cov_layers=1, cov_out=d, treat_layers=1, treat_out=d, head_layers=1,
+        activation="tanh", dropout_rate=0.0,
+    )
+    model = build_model(d, k, shape, variant, rng=0)
+    model.theta[:] = 0.0
+    for net in (model.cov_net, model.treat_net):
+        if net is not None:
+            net.layers[0][0][...] = np.eye(d)
+    for head in model.heads:
+        head.layers[0][0][...] = 1.0
     return model
 
 
@@ -89,7 +91,8 @@ def test_predict_all_outcomes_identity_columns():
 
 
 def test_zero_initialized_model_predicts_zero():
-    model = build_model(5, 3, small_shape(), "joint", rng=0, scheme="zeros")
+    shape = small_shape()
+    model = OutcomeModel(shape, 5, 3, "joint", np.zeros(shape.n_params(5, 3, "joint")))
     x = np.random.default_rng(0).normal(size=(7, 5))
     yhat = predict_all_outcomes(model, x, np.random.default_rng(1).normal(size=(3, 5)))
     np.testing.assert_array_equal(yhat, np.zeros((7, 3)))
@@ -162,14 +165,16 @@ def test_predictions_through_one_buffer_set_equal_fresh_buffers(variant, head_up
         assert shared.tobytes() == fresh_factual.tobytes()
 
 
-def test_variant_follows_the_networks_and_head_updates_is_keyword_only():
+def test_variant_lays_out_the_networks_and_head_updates_is_keyword_only():
     joint, tarnet = identity_model(), identity_model(variant="tarnet")
-    assert (joint.variant, tarnet.variant) == ("joint", "tarnet")
+    assert joint.treat_net is not None and tarnet.treat_net is None
+    assert [h.input_dim for h in joint.heads + tarnet.heads] == [4, 4, 2, 2]
+    assert joint.theta.size == tarnet.theta.size + joint.treat_net.n_params + 2 * 2
     assert tarnet.head_updates == (0, 0)
-    # the variant is no field: an old positional call cannot store it as the counts
+    # a positional sixth argument cannot be taken for the counts
     with pytest.raises(TypeError):
-        OutcomeModel(tarnet.cov_net, None, tarnet.heads, "tarnet")
-    counted = OutcomeModel(tarnet.cov_net, None, tarnet.heads, head_updates=(3, 0))
+        OutcomeModel(tarnet.shape, 2, 2, "tarnet", tarnet.theta, (3, 0))
+    counted = OutcomeModel(tarnet.shape, 2, 2, "tarnet", tarnet.theta, head_updates=(3, 0))
     assert counted.validate().head_trained(0) and not counted.head_trained(1)
 
 
@@ -187,14 +192,19 @@ def test_baseline_ignores_treatment_features():
     assert not np.array_equal(y1[:, 0], y1[:, 1])
 
 
-def test_model_copies_its_networks_and_theta_drives_predictions():
-    cov = init_mlp([2, 3], rng=1)
-    head = init_mlp([3, 1], rng=2)
-    w_in = cov.layers[0][0].copy()
-    # the same head object twice: each head gets its own slice of theta
-    model = OutcomeModel(cov, None, (head, head)).validate()
-    assert not np.shares_memory(model.theta, cov.layers[0][0])
+def test_model_copies_its_theta_and_theta_drives_predictions():
+    shape = small_shape(cov_layers=1, cov_out=3, head_layers=1, dropout_rate=0.25)
+    vec = build_model(2, 2, shape, "tarnet", rng=1).theta
+    given = vec.copy()
+    model = OutcomeModel(shape, 2, 2, "tarnet", vec)
+    assert not np.shares_memory(model.theta, vec)
+    # each network is a view of its own slice of theta, with the shape's settings
+    assert all(np.shares_memory(net.layers[0][0], model.theta) for net in model.heads)
     assert not np.shares_memory(model.heads[0].layers[0][0], model.heads[1].layers[0][0])
+    settings = {(net.hidden_activation, net.dropout_rate) for net in (model.cov_net, *model.heads)}
+    assert settings == {("elu", 0.25)}
+    copy = dataclasses.replace(model)
+    assert not np.shares_memory(copy.theta, model.theta)
     x, t_emb = np.array([[0.3, -0.7], [1.1, 0.4]]), np.zeros((2, 2))
     before = predict_all_outcomes(model, x, t_emb)
     model.theta[-1] += 1.0  # the bias of the last head's output layer
@@ -202,23 +212,35 @@ def test_model_copies_its_networks_and_theta_drives_predictions():
     np.testing.assert_array_equal(after[:, 0], before[:, 0])
     np.testing.assert_allclose(after[:, 1], before[:, 1] + 1.0, rtol=0, atol=1e-15)
     model.theta[:] = 0.0
-    np.testing.assert_array_equal(cov.layers[0][0], w_in)
+    np.testing.assert_array_equal(vec, given)
+    np.testing.assert_array_equal(predict_all_outcomes(copy, x, t_emb), before)
     np.testing.assert_array_equal(predict_all_outcomes(model, x, t_emb), np.zeros((2, 2)))
 
 
 def test_model_validation():
     good = identity_model()
-    # without a treatment network the heads' input is too narrow
-    with pytest.raises(ShapeError):
-        OutcomeModel(good.cov_net, None, good.heads).validate()
-    with pytest.raises(ShapeError):
-        tarheads = (identity_model(variant="tarnet").heads[0],)
-        OutcomeModel(good.cov_net, good.treat_net, tarheads).validate()
+    # theta must be exactly the shape's float64 parameter count: the tarnet
+    # layout is too short for a joint model
+    tarnet_theta = identity_model(variant="tarnet").theta
+    for bad in (tarnet_theta, good.theta[:-1], np.append(good.theta, 0.0),
+                good.theta.astype(np.float32), good.theta.reshape(1, -1)):
+        with pytest.raises(ConfigError, match="values"):
+            dataclasses.replace(good, theta=bad)
+    for value in (np.nan, np.inf):
+        bad = good.theta.copy()
+        bad[3] = value
+        with pytest.raises(NumericError, match="non-finite"):
+            dataclasses.replace(good, theta=bad)
     for bad in ((1,), (1, -1)):
         with pytest.raises(ConfigError):
             dataclasses.replace(good, head_updates=bad).validate()
     with pytest.raises(ConfigError, match="variant"):
         build_model(2, 2, small_shape(), "flavor")
+    for k, input_dim in ((0, 2), (2, 0)):
+        with pytest.raises(ConfigError):
+            build_model(input_dim, k, small_shape(), "joint")
+    with pytest.raises(ConfigError, match="activation"):
+        dataclasses.replace(good, shape=dataclasses.replace(good.shape, activation="relu"))
 
 
 # --- batch loss ---
@@ -248,7 +270,8 @@ def test_perfect_predictor_has_zero_error_terms():
 def test_single_sample_loss_hand_case():
     # zero model predicts 0, target 2: L1 = 4, dL/db_head = 2*(0-2) = -4
     shape = small_shape(cov_layers=1, cov_out=4, treat_layers=1, treat_out=3, head_layers=1)
-    model = build_model(2, 2, shape, "joint", rng=0, scheme="zeros")
+    model = build_model(2, 2, shape, "joint", rng=0)
+    model.theta[:] = 0.0
     batch = Batch(np.array([[0.4, -0.1], [0.2, 0.3]]), np.array([0, 0]), np.array([2.0, 2.0]))
     res = batch_loss(model, batch, np.zeros((2, 2)), TrainConfig(alpha=1.0, beta=0.0))
     assert res.total == pytest.approx(4.0, abs=1e-15)
@@ -328,29 +351,6 @@ def test_batch_loss_input_checks():
                    np.zeros((3, 2)), TrainConfig())
 
 
-def _flatten_model(model):
-    parts = [flatten_params(model.cov_net)]
-    if model.treat_net is not None:
-        parts.append(flatten_params(model.treat_net))
-    parts.extend(flatten_params(h) for h in model.heads)
-    return np.concatenate(parts)
-
-
-def _unflatten_model(model, vec):
-    pos = 0
-
-    def take(params):
-        nonlocal pos
-        out = unflatten_params(params, vec[pos : pos + params.n_params])
-        pos += params.n_params
-        return out
-
-    cov = take(model.cov_net)
-    treat = take(model.treat_net) if model.treat_net is not None else None
-    heads = tuple(take(h) for h in model.heads)
-    return OutcomeModel(cov, treat, heads)
-
-
 @pytest.mark.parametrize(
     "variant,activation,dropout,seed",
     [
@@ -379,14 +379,13 @@ def test_batch_loss_gradients_match_finite_differences(variant, activation, drop
 
     def total_from(vec):
         return batch_loss(
-            _unflatten_model(model, vec), batch, t_emb, cfg, dropout_seed=seed
+            dataclasses.replace(model, theta=vec), batch, t_emb, cfg, dropout_seed=seed
         ).total
 
-    # fd is laid out by _flatten_model, which is built without model.views,
-    # so agreement also checks that the gradient vector has theta's layout
-    fd = central_difference(total_from, _flatten_model(model))
+    # fd perturbs theta itself, so agreement also checks that the gradient
+    # vector has theta's layout
+    fd = central_difference(total_from, model.theta)
     np.testing.assert_allclose(res.grad, fd, rtol=1e-4, atol=1e-7)
-    np.testing.assert_array_equal(model.theta, _flatten_model(model))
 
 
 @pytest.mark.parametrize("variant", ["joint", "tarnet"])
@@ -706,7 +705,7 @@ def test_checkpoint_round_trip_preserves_predictions(tmp_path, variant):
     assert loaded.model.variant == variant
     assert loaded.best_epoch == trained.best_epoch
     assert loaded.config == trained.config
-    assert loaded.shape == trained.shape
+    assert loaded.model.shape == trained.model.shape
     x = ds.covariates("test")
     np.testing.assert_array_equal(
         predict_all_outcomes(trained.model, x, ds.T_emb),
@@ -886,8 +885,9 @@ def test_model_shape_validation():
         ModelShape.from_dict({"cov_layers": 2, "bogus": 3})
     shape = small_shape()
     assert ModelShape.from_dict(shape.to_dict()) == shape
-    assert shape.cov_dims(6) == [6, 8, 4]
-    assert small_shape(head_layers=1).head_dims(7) == [7, 1]
+    # cov 6 -> 8 -> 4, treat 6 -> 3, then heads on the 4 + 3 joint features
+    assert shape.network_dims(6, 2, "joint") == [[6, 8, 4], [6, 3], [7, 1], [7, 1]]
+    assert shape.network_dims(6, 1, "tarnet") == [[6, 8, 4], [4, 1]]
 
 
 def test_desk_scale_training_halves_validation_error():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ite_bench.errors import ConfigError, NumericError, ShapeError
-from ite_bench.model import OutcomeModel, TrainConfig
+from ite_bench.model import ModelShape, OutcomeModel, TrainConfig, build_model
 from ite_bench.nn import (
     ForwardCache,
     MlpParams,
@@ -389,8 +389,6 @@ def test_glorot_init_bounds_and_zero_biases():
         assert np.all(np.abs(w) <= bound)
         assert w.std() > 0.1 * bound
         assert not b.any()
-    zeros = init_mlp([10, 20, 5], rng=0, scheme="zeros")
-    assert not any(w.any() or b.any() for w, b in zeros.layers)
 
 
 def test_init_seed_reproducible():
@@ -401,26 +399,27 @@ def test_init_seed_reproducible():
 
 
 def test_checkpoint_round_trip_is_exact():
-    params = init_mlp([5, 7, 3], "elu", dropout_rate=0.25, rng=8)
-    head = init_mlp([3, 1], rng=9)
-    model = OutcomeModel(params, None, (head,)).validate()
-    assert model.variant == "tarnet"
-    # theta: cov then heads, each layer's weight row-major, then its bias
-    assert model.theta.shape == (params.n_params + head.n_params,)
-    np.testing.assert_array_equal(model.theta[:35], params.layers[0][0].ravel())
-    np.testing.assert_array_equal(
-        model.theta, np.concatenate([flatten_params(params), flatten_params(head)])
+    shape = ModelShape(
+        cov_layers=2, cov_width=7, cov_out=3, treat_layers=1, treat_out=2,
+        head_layers=2, head_width=4, activation="elu", dropout_rate=0.25,
     )
-    # a zero skeleton of the same layout takes the vector back exactly
-    skeleton = OutcomeModel(
-        init_mlp([5, 7, 3], "elu", dropout_rate=0.25, scheme="zeros"),
-        None,
-        (init_mlp([3, 1], scheme="zeros"),),
-    )
-    skeleton.theta[:] = model.theta
-    assert skeleton.cov_net.hidden_activation == "elu"
-    assert skeleton.cov_net.dropout_rate == 0.25
-    for net, back in ((params, skeleton.cov_net), (head, skeleton.heads[0])):
-        for (w0, b0), (w1, b1) in zip(net.layers, back.layers):
-            np.testing.assert_array_equal(w0, w1)
-            np.testing.assert_array_equal(b0, b1)
+    for variant, dims in (
+        ("tarnet", [[5, 7, 3], [3, 4, 1], [3, 4, 1]]),
+        ("joint", [[5, 7, 3], [5, 2], [5, 4, 1], [5, 4, 1]]),
+    ):
+        model = build_model(5, 2, shape, variant, rng=8)
+        # theta: cov, treat (joint), then heads, each layer's weight row-major,
+        # then its bias; the weights drawn in that order from one generator
+        gen = np.random.default_rng(8)
+        nets = [init_mlp(d, rng=gen) for d in dims]
+        assert model.theta.tobytes() == np.concatenate([flatten_params(n) for n in nets]).tobytes()
+        # a model built from the vector takes it back exactly, with the
+        # shape's activation and dropout rate in every network
+        back = OutcomeModel(shape, 5, 2, variant, model.theta)
+        assert back.theta.tobytes() == model.theta.tobytes()
+        built = [net for net in (back.cov_net, back.treat_net, *back.heads) if net is not None]
+        for net, again in zip(nets, built, strict=True):
+            assert (again.hidden_activation, again.dropout_rate) == ("elu", 0.25)
+            for (w0, b0), (w1, b1) in zip(net.layers, again.layers, strict=True):
+                np.testing.assert_array_equal(w0, w1)
+                np.testing.assert_array_equal(b0, b1)
