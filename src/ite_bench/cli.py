@@ -37,19 +37,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _default_threads() -> int:
-    env = os.environ.get("ITE_BENCH_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"ITE_BENCH_THREADS must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ConfigError("ITE_BENCH_THREADS must be >= 1")
-        return value
-    return usable_cpus()
-
-
 def _load_json(path) -> dict:
     if not os.path.exists(path):
         raise DataError(f"file not found: {path}")
@@ -81,7 +68,6 @@ def cmd_simulate(args) -> int:
         updates["embedding_file"] = args.covariate_file
     if updates:
         cfg = SimConfig.from_dict({**cfg.to_dict(), **updates})
-    cfg.validate()
     ds = simulate_dataset(cfg)
     save_dataset(ds, args.out, force=args.force)
     sizes = {name: len(ds.splits[name]) for name in ("train", "val", "test")}
@@ -157,12 +143,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = SweepSpec.from_dict(_load_json(args.config))
-    if args.seed is not None:
-        spec.seed = args.seed
-    if args.max_trials is not None:
-        spec.max_trials = args.max_trials
-    spec.validate()
-    threads = args.threads if args.threads is not None else _default_threads()
+    flags = {"seed": args.seed, "max_trials": args.max_trials}
+    spec = replace(spec, **{name: v for name, v in flags.items() if v is not None})
+    threads = args.threads if args.threads is not None else usable_cpus()
     summary = run_sweep(spec, args.out, threads=threads, force=args.force)
     winner = summary["winner"]
     print(
@@ -272,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-trials", type=int, dest="max_trials",
                    help="random subsample of the grid (deterministic in --seed)")
     p.add_argument("--threads", type=int,
-                   help="worker processes; default ITE_BENCH_THREADS or the usable CPU count")
+                   help="worker processes; default the number of CPUs this process may use")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_sweep)
 

@@ -83,18 +83,22 @@ def _matches(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _finite(value) -> bool:
-    """False for a NaN or infinite float, or a tuple that holds one."""
-    if isinstance(value, tuple):
-        return all(_finite(v) for v in value)
-    return not isinstance(value, float) or math.isfinite(value)
+def check_finite(cfg) -> None:
+    """Raise ConfigError if a field of the dataclass cfg holds a NaN or
+    infinite float, alone or in a tuple."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        values = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 def config_from_dict(cls, doc, path: str, **built):
-    """cls(**doc, **built) for a config dataclass. doc must be an object
-    whose keys name fields of cls other than those in built, each with a
-    value of the field's declared type and no NaN or infinite float;
-    anything else raises ConfigError."""
+    """cls(**doc, **built) for a config dataclass, whose construction checks
+    the values. doc must be an object whose keys name fields of cls other
+    than those in built, each with a value of the field's declared type;
+    anything else raises ConfigError, as does a value that construction
+    refuses, and every message names the path."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be an object, got {doc!r}")
     hints = typing.get_type_hints(cls)
@@ -107,6 +111,7 @@ def config_from_dict(cls, doc, path: str, **built):
         if not _matches(value, hint):
             expect = hint.__name__ if isinstance(hint, type) else str(hint)
             raise ConfigError(f"{path}.{name} must be {expect}, got {value!r}")
-        if not _finite(value):
-            raise ConfigError(f"{path}.{name} must be finite, got {value!r}")
-    return cls(**doc, **built)
+    try:
+        return cls(**doc, **built)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -9,7 +9,9 @@ prove that selection never touched test-set truth.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -61,7 +63,7 @@ def write_json_atomic(path, doc) -> None:
     os.replace(tmp, path)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     shape: ModelShape = field(default_factory=ModelShape)
@@ -71,10 +73,7 @@ class ExperimentConfig:
     zero_shot: int | None = None
     label: str | None = None
 
-    def validate(self) -> "ExperimentConfig":
-        self.sim.validate()
-        self.shape.validate()
-        self.train.validate()
+    def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.repeats < 1:
@@ -83,7 +82,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"zero_shot treatment {self.zero_shot} out of range 0..{self.sim.k - 1}"
             )
-        return self
 
     def effective_label(self) -> str:
         return self.label if self.label else self.variant
@@ -110,7 +108,7 @@ class ExperimentConfig:
             sim=SimConfig.from_dict(doc.get("sim", {}), path=f"{path}.sim"),
             shape=ModelShape.from_dict(doc.get("model", {}), path=f"{path}.model"),
             train=TrainConfig.from_dict(doc.get("train", {}), path=f"{path}.train"),
-        ).validate()
+        )
 
 
 def config_hash(doc: dict) -> str:
@@ -146,7 +144,7 @@ class RunRecord:
             aggregate["sqrt_pehe_zs"] = _aggregate([r.sqrt_pehe_zs for r in self.per_seed])
         return aggregate
 
-    def validate(self) -> "RunRecord":
+    def __post_init__(self) -> None:
         if not self.per_seed:
             raise DataError("run record has no per-seed reports")
         paths = self.artifacts
@@ -158,7 +156,6 @@ class RunRecord:
                 "run record label must be a string, config an object and artifacts "
                 f"a list of paths, got {self.label!r}, {self.config!r} and {paths!r}"
             )
-        return self
 
     def to_dict(self) -> dict:
         return {
@@ -184,7 +181,7 @@ class RunRecord:
             config=doc["config"],
             per_seed=[EvalReport.from_dict(r) for r in doc["per_seed"]],
             artifacts=doc["artifacts"],
-        ).validate()
+        )
 
 
 def make_record(
@@ -195,7 +192,7 @@ def make_record(
         config=cfg.to_dict(),
         per_seed=reports,
         artifacts=artifacts or [],
-    ).validate()
+    )
 
 
 def _repeat_sim(base: ExperimentConfig, r: int) -> SimConfig:
@@ -222,7 +219,6 @@ def run_experiment(
     fits with _fit_repeat. The test split then scores every treatment, and
     with cfg.zero_shot set also the pairs that involve the held-out one.
     """
-    cfg.validate()
     reports: list[EvalReport] = []
     artifacts: list[str] = []
     if out_dir:
@@ -247,15 +243,14 @@ def run_experiment(
 # sweeps
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     base: ExperimentConfig
     grid: dict[str, list]
     max_trials: int | None = None
     seed: int = 0
 
-    def validate(self) -> "SweepSpec":
-        self.base.validate()
+    def __post_init__(self) -> None:
         if not self.grid:
             raise ConfigError("sweep grid is empty")
         for key, values in self.grid.items():
@@ -269,7 +264,6 @@ class SweepSpec:
                 raise ConfigError(f"grid axis {key!r} must list at least one value")
         if self.max_trials is not None and self.max_trials < 1:
             raise ConfigError("max_trials must be >= 1")
-        return self
 
     @staticmethod
     def from_dict(doc: dict) -> "SweepSpec":
@@ -277,7 +271,7 @@ class SweepSpec:
             raise ConfigError("sweep config needs 'base' and 'grid'")
         rest = {key: value for key, value in doc.items() if key != "base"}
         base = ExperimentConfig.from_dict(doc["base"], path="base")
-        return config_from_dict(SweepSpec, rest, "sweep config", base=base).validate()
+        return config_from_dict(SweepSpec, rest, "sweep config", base=base)
 
 
 def expand_grid(grid: dict[str, list]) -> list[dict]:
@@ -447,7 +441,6 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
     train on the parent's in-memory datasets; each worker lowers its BLAS
     thread count to max(1, ncpu // threads), and the calling process keeps
     its own. One line per finished trial goes to stderr."""
-    spec.validate()
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
@@ -590,11 +583,14 @@ def render_report_table(records: list[RunRecord]) -> str:
 
 
 def report_table_csv(records: list[RunRecord]) -> str:
-    lines = [
-        "label,n,sqrt_pehe_mean,sqrt_pehe_std,sqrt_pehe_zs_mean,sqrt_pehe_zs_std,"
-        "zs_head_untrained_n"
-    ]
+    """The report table as CSV; a label holding a comma or a quote is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([
+        "label", "n", "sqrt_pehe_mean", "sqrt_pehe_std", "sqrt_pehe_zs_mean",
+        "sqrt_pehe_zs_std", "zs_head_untrained_n",
+    ])
     for label, agg, zs, untrained in _report_rows(records):
-        zs_cols = f"{zs['mean']!r},{zs['std']!r},{untrained}" if zs else ",,"
-        lines.append(f"{label},{agg['n']},{agg['mean']!r},{agg['std']!r},{zs_cols}")
-    return "\n".join(lines) + "\n"
+        zs_cols = [zs["mean"], zs["std"], untrained] if zs else ["", "", ""]
+        writer.writerow([label, agg["n"], agg["mean"], agg["std"], *zs_cols])
+    return buf.getvalue()

@@ -83,7 +83,8 @@ def pehe(y_hat: np.ndarray, y_true: np.ndarray) -> PeheResult:
 @dataclass
 class EvalReport:
     """Per-pair effect errors on one split; every PEHE figure derives from
-    per_pair. zero_shot_z is the treatment held out of fitting, or None."""
+    per_pair. zero_shot_z is the treatment held out of fitting, or None.
+    Construction checks every field and raises DataError."""
 
     split: str
     n_eval: int
@@ -120,7 +121,7 @@ class EvalReport:
         z = self.zero_shot_z
         return None if z is None else z not in self.untrained_heads
 
-    def validate(self) -> "EvalReport":
+    def __post_init__(self) -> None:
         if self.split not in SPLIT_NAMES:
             raise DataError(f"report split must be one of {SPLIT_NAMES}, got {self.split!r}")
         if type(self.n_eval) is not int or self.n_eval < 1:
@@ -148,7 +149,6 @@ class EvalReport:
             raise DataError(
                 f"zero_shot_z must be null or a treatment in 0..{self.k - 1}, got {z!r}"
             )
-        return self
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -176,7 +176,7 @@ class EvalReport:
         return EvalReport(
             split=doc["split"], n_eval=doc["n_eval"], per_pair=per_pair,
             untrained_heads=doc["untrained_heads"], zero_shot_z=doc["zero_shot_z"],
-        ).validate()
+        )
 
 
 def evaluate_model(
@@ -206,4 +206,4 @@ def evaluate_model(
         per_pair=pehe(y_hat, y_true).per_pair,
         untrained_heads=[t for t, n in enumerate(model.head_updates) if n == 0],
         zero_shot_z=None if zero_shot_z is None else int(zero_shot_z),
-    ).validate()
+    )

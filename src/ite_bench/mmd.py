@@ -108,10 +108,11 @@ def treatment_regularization_loss(
     Returns (loss, gradients keyed like groups). Fewer than two non-empty
     groups is a degenerate batch, not an error: loss 0 with zero gradients.
     bandwidth None means the median heuristic, computed once over the
-    union of all non-empty groups.
+    union of all non-empty groups. A given bandwidth must be finite and
+    positive: an infinite one makes every kernel value 1 and the loss 0.
     """
-    if bandwidth is not None and not bandwidth > 0.0:
-        raise ConfigError("kernel bandwidth must be positive")
+    if bandwidth is not None and not 0.0 < bandwidth < np.inf:
+        raise ConfigError(f"kernel bandwidth must be finite and positive, got {bandwidth!r}")
     arrays = {key: np.asarray(groups[key], dtype=np.float64) for key in sorted(groups)}
     for key, arr in arrays.items():
         if arr.ndim != 2:

@@ -37,6 +37,7 @@ from .errors import (
     NumericError,
     ShapeError,
     TrainingDiverged,
+    check_finite,
     config_from_dict,
     load_json_object,
 )
@@ -80,7 +81,8 @@ class ModelShape:
     activation: str = "elu"
     dropout_rate: float = 0.1
 
-    def validate(self) -> "ModelShape":
+    def __post_init__(self) -> None:
+        check_finite(self)
         for name in (
             "cov_layers",
             "cov_width",
@@ -97,7 +99,6 @@ class ModelShape:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
-        return self
 
     def network_dims(self, input_dim: int, k: int, variant: str) -> list[list[int]]:
         """Each network's widths [in, hidden..., out] in theta's order: cov,
@@ -125,7 +126,7 @@ class ModelShape:
 
     @staticmethod
     def from_dict(doc: dict, path: str = "model") -> "ModelShape":
-        return config_from_dict(ModelShape, doc, path).validate()
+        return config_from_dict(ModelShape, doc, path)
 
 
 @dataclass(eq=False)
@@ -142,8 +143,8 @@ class OutcomeModel:
     are views of theta, with the shape's activation and dropout rate.
 
     head_updates counts the SGD steps each head has received, all zero
-    unless given. A head with zero updates still holds its random
-    initialization.
+    unless given: k ints >= 0 (a bool is not one), stored as a tuple. A
+    head with zero updates still holds its random initialization.
     """
 
     shape: ModelShape
@@ -154,7 +155,6 @@ class OutcomeModel:
     head_updates: tuple[int, ...] = field(default=(), kw_only=True)
 
     def __post_init__(self) -> None:
-        self.shape.validate()
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.k < 1:
@@ -170,8 +170,17 @@ class OutcomeModel:
             )
         if not np.isfinite(theta).all():
             raise NumericError("non-finite parameters")
+        # only the default (), not an empty list, stands for zero counts
+        counts = (0,) * self.k if self.head_updates == () else self.head_updates
+        if not (
+            isinstance(counts, (tuple, list)) and len(counts) == self.k
+            and all(type(n) is int and n >= 0 for n in counts)
+        ):
+            raise ConfigError(
+                f"head_updates must hold {self.k} non-negative int counts, got {counts!r}"
+            )
         self.theta = theta.copy()
-        self.head_updates = self.head_updates or (0,) * self.k
+        self.head_updates = tuple(counts)
         self._nets = tuple(
             MlpParams(layers, self.shape.activation, self.shape.dropout_rate)
             for layers in self.views(self.theta)
@@ -218,14 +227,6 @@ class OutcomeModel:
         """Whether head t received an update."""
         return self.head_updates[t] > 0
 
-    def validate(self) -> "OutcomeModel":
-        if len(self.head_updates) != self.k or min(self.head_updates) < 0:
-            raise ConfigError(
-                f"head_updates must hold {self.k} non-negative counts, "
-                f"got {list(self.head_updates)}"
-            )
-        return self
-
 
 def build_model(
     input_dim: int,
@@ -237,7 +238,6 @@ def build_model(
 ) -> OutcomeModel:
     """A model with zero biases and glorot_uniform weights, drawn from one
     generator layer by layer in theta's order."""
-    shape.validate()
     theta = np.zeros(shape.n_params(input_dim, k, variant))
     model = OutcomeModel(shape, input_dim, k, variant, theta)
     gen = np.random.default_rng(rng)
@@ -267,7 +267,8 @@ class TrainConfig:
             raise ConfigError("epoch must be >= 0")
         return self.base_lr * self.lr_decay ** (epoch // self.scheduler_step)
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self) -> None:
+        check_finite(self)
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ConfigError("alpha and beta must be >= 0")
         if self.alpha + self.beta <= 0.0:
@@ -288,14 +289,13 @@ class TrainConfig:
             raise ConfigError("weight_decay must be >= 0")
         if self.bandwidth is not None and not self.bandwidth > 0.0:
             raise ConfigError("kernel bandwidth must be positive")
-        return self
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(doc: dict, path: str = "train") -> "TrainConfig":
-        return config_from_dict(TrainConfig, doc, path).validate()
+        return config_from_dict(TrainConfig, doc, path)
 
 
 class Batch(NamedTuple):
@@ -567,8 +567,6 @@ def train(
     receive no samples in a batch are left untouched by that step, and the
     snapshot's head_updates counts the steps each head received.
     """
-    cfg.validate()
-    shape.validate()
     x_tr, t_tr, y_tr = dataset.observed("train")
     x_val, t_val, y_val = dataset.observed("val")
     if x_tr.shape[0] == 0:
@@ -749,18 +747,15 @@ def load_checkpoint(path) -> TrainedModel:
     vec = _load_params(sidecar, doc)
     try:
         shape = ModelShape.from_dict(doc["shape"], path="checkpoint.shape")
-        counts = doc["head_updates"]
-        if not isinstance(counts, list):
-            raise ConfigError(f"checkpoint head_updates must be a list, got {counts!r}")
         model = OutcomeModel(
             shape, doc["input_dim"], doc["k"], doc["variant"], vec,
-            head_updates=tuple(int(n) for n in counts),
-        ).validate()
+            head_updates=doc["head_updates"],
+        )
         cfg = TrainConfig.from_dict(doc["train_config"], path="checkpoint.train_config")
     except KeyError as exc:
-        raise ConfigError(f"malformed checkpoint: missing {exc}") from exc
+        raise ConfigError(f"{path}: malformed checkpoint: missing {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed checkpoint: {exc}") from exc
+        raise ConfigError(f"{path}: malformed checkpoint: {exc}") from exc
     return TrainedModel(
         model=model,
         history=TrainHistory(),

@@ -83,6 +83,8 @@ class MlpParams:
         return sum(w.size + b.size for w, b in self.layers)
 
     def validate(self) -> "MlpParams":
+        """Check the layers from loose arrays (init_mlp). Not run at
+        construction: a model's networks are views that its shape lays out."""
         if not self.layers:
             raise ShapeError("network needs at least one layer")
         if self.hidden_activation not in ACTIVATIONS:

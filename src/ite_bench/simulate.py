@@ -34,6 +34,7 @@ from .errors import (
     InsufficientDataError,
     NumericError,
     ShapeError,
+    check_finite,
     config_from_dict,
     load_json_object,
 )
@@ -84,7 +85,8 @@ class SimConfig:
             raise ConfigError(f"kappa must be a scalar or length-{self.k} vector")
         return kap
 
-    def validate(self) -> "SimConfig":
+    def __post_init__(self) -> None:
+        check_finite(self)
         if self.k < 2:
             raise ConfigError("k must be >= 2 (at least two treatments)")
         if self.n < self.k + 1:
@@ -105,7 +107,6 @@ class SimConfig:
             raise ConfigError("kappa entries must be positive")
         if self.mu_sd < 0.0 or self.sigma_sd < 0.0:
             raise ConfigError("prior standard deviations must be >= 0")
-        return self
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -117,7 +118,7 @@ class SimConfig:
     def from_dict(doc: dict, path: str = "sim") -> "SimConfig":
         if isinstance(doc, dict) and isinstance(doc.get("kappa"), list):
             doc = {**doc, "kappa": tuple(doc["kappa"])}
-        return config_from_dict(SimConfig, doc, path).validate()
+        return config_from_dict(SimConfig, doc, path)
 
 
 @dataclass(eq=False)
@@ -205,6 +206,9 @@ class Dataset:
         return dataclasses.replace(self, splits=new_splits)
 
     def validate(self) -> "Dataset":
+        """Check shapes, finiteness and that the splits partition 0..n-1.
+        Not run at construction: the copy without_treatment_in_fit makes is
+        deliberately not a partition."""
         n, d, k = self.n, self.d, self.k
         for name, arr, shape in (
             ("X", self.X, (n, d)),
@@ -316,7 +320,6 @@ def generate_covariates(
 ) -> np.ndarray:
     """Unit-norm covariate rows: the first cfg.n rows of cfg.embedding_file
     when it is set, Gaussian draws otherwise."""
-    cfg.validate()
     if cfg.embedding_file is not None:
         if not os.path.exists(cfg.embedding_file):
             raise DataError(f"embedding file not found: {cfg.embedding_file}")
@@ -460,7 +463,6 @@ def _draw_splits(n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
 
 def simulate_dataset(cfg: SimConfig) -> Dataset:
     """Run the full generative recipe; deterministic given cfg (incl. seed)."""
-    cfg.validate()
     ss = np.random.SeedSequence(cfg.seed)
     s_cov, s_cent, s_prior, s_noise, s_assign, s_split = ss.spawn(6)
 
@@ -498,10 +500,7 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
         "config": ds.config.to_dict(),
         "splits": {name: ds.splits[name].tolist() for name in SPLIT_NAMES},
     }
-    try:
-        text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ConfigError(f"dataset manifest: {exc}") from exc
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     arrays = {
         "covariates": ds.X,
         "centroids": ds.Z,

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 from ite_bench import cli
 from ite_bench.cli import main
-from ite_bench.errors import NumericError
+from ite_bench.errors import DataError, NumericError
 from ite_bench.experiments import ExperimentConfig, _fit_repeat
 from ite_bench.metrics import EvalReport, pehe
 from ite_bench.model import load_checkpoint
@@ -417,9 +418,16 @@ def test_evaluate_refuses_a_non_finite_parameter_exits_4(tmp_path, capsys):
     assert "numeric error" in err and "non-finite parameters" in err
 
 
-@pytest.mark.parametrize(
-    "header", ['{"schema_version": "2", ', "[]"], ids=["truncated", "not-an-object"]
-)
+MALFORMED_HEADERS = {
+    "truncated": lambda doc: '{"schema_version": "2", ',
+    "not-an-object": lambda doc: "[]",
+    # k = 3 counts, none of them an int: refused, not rounded
+    "head-updates-not-ints": lambda doc: json.dumps({**doc, "head_updates": [1.5, "2", True]}),
+    "head-updates-empty": lambda doc: json.dumps({**doc, "head_updates": []}),
+}
+
+
+@pytest.mark.parametrize("header", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
 def test_evaluate_malformed_checkpoint_header_exits_2(tmp_path, capsys, header):
     ds = simulate_small(capsys, tmp_path / "ds")
     out = tmp_path / "run"
@@ -427,7 +435,8 @@ def test_evaluate_malformed_checkpoint_header_exits_2(tmp_path, capsys, header):
         capsys, "train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "1"
     )
     assert code == 0, err
-    (out / "checkpoint.json").write_text(header)
+    path = out / "checkpoint.json"
+    path.write_text(header(json.loads(path.read_text())))
     code, _, err = run(
         capsys, "evaluate", "--dataset", str(ds), "--checkpoint", str(out / "checkpoint.json")
     )
@@ -616,24 +625,23 @@ def test_sweep_refuses_reused_out_without_force(tmp_path, capsys):
     assert code == 0, err
 
 
-def test_sweep_env_thread_override_is_validated(tmp_path, capsys, monkeypatch):
+def test_default_threads_count_only_the_cpus_this_process_may_use(
+    tmp_path, capsys, monkeypatch
+):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(sweep_config_doc()))
-    monkeypatch.setenv("ITE_BENCH_THREADS", "banana")
-    code, _, err = run(
-        capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "o")
-    )
-    assert code == 2
-    assert "ITE_BENCH_THREADS" in err
+    threads_used = []
 
+    def fake_sweep(spec, out_dir, threads, force):
+        threads_used.append(threads)
+        raise DataError("stopped before any trial")
 
-def test_default_threads_count_only_the_cpus_this_process_may_use(monkeypatch):
-    from ite_bench import cli
-
-    monkeypatch.delenv("ITE_BENCH_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert cli._default_threads() == 1
+    monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+    code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 3
+    assert threads_used == [1]
 
 
 def test_model_init_is_refused_in_a_config_and_a_grid(tmp_path, capsys):
@@ -782,10 +790,10 @@ def write_record(path, label, roots):
     reports = [
         EvalReport(
             split="test", n_eval=5, per_pair={(1, 0): r * r}, untrained_heads=[]
-        ).validate()
+        )
         for r in roots
     ]
-    record = RunRecord(label=label, config={}, per_seed=reports).validate()
+    record = RunRecord(label=label, config={}, per_seed=reports)
     path.write_text(json.dumps(record.to_dict()))
     return path
 
@@ -802,6 +810,18 @@ def test_report_cli_table_and_csv(tmp_path, capsys):
     assert "2.00 +/- 1.00 (n=2)" in lines[1]
     assert lines[1].startswith("joint")
     assert csv_path.read_text().startswith("label,")
+
+
+def test_report_csv_quotes_labels_that_hold_a_comma_or_a_quote(tmp_path, capsys):
+    labels = ['a,b/report', 'say "hi"', "plain"]
+    paths = [write_record(tmp_path / f"r{i}.json", label, [1.0]) for i, label in enumerate(labels)]
+    csv_path = tmp_path / "table.csv"
+    code, _, err = run(capsys, "report", *map(str, paths), "--csv", str(csv_path))
+    assert code == 0, err
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [7] * 4
+    assert sorted(row[0] for row in rows[1:]) == sorted(labels)
 
 
 def test_report_cli_accepts_eval_reports(tmp_path, capsys):
@@ -916,7 +936,7 @@ def test_report_cli_error_paths(tmp_path, capsys):
             EvalReport(
                 split="test", n_eval=5, per_pair={(1, 0): 1.0, (2, 0): 1.0, (2, 1): 1.0},
                 untrained_heads=[],
-            ).validate()
+            )
         ],
     )
     path_b = tmp_path / "b.json"
@@ -936,7 +956,7 @@ def _eval_report_doc(**changes):
     report = EvalReport(
         split="test", n_eval=5, per_pair={(1, 0): 1.0, (2, 0): 1.0, (2, 1): 1.0},
         untrained_heads=[],
-    ).validate()
+    )
     return {**report.to_dict(), **changes}
 
 

@@ -121,7 +121,7 @@ def test_constant_column_error_closed_form():
 
 def zero_shot_report(y_hat, y_true, z):
     per_pair = pehe(y_hat, y_true).per_pair
-    return EvalReport("test", len(y_true), per_pair, [], zero_shot_z=z).validate()
+    return EvalReport("test", len(y_true), per_pair, [], zero_shot_z=z)
 
 
 def test_zero_shot_is_mean_over_pairs_containing_z():
@@ -201,7 +201,7 @@ def test_k12_report_round_trip_keeps_every_figure_bit_for_bit():
     rng = np.random.default_rng(10)
     y_hat, y_true = rng.normal(size=(9, 12)), rng.normal(size=(9, 12))
     result = pehe(y_hat, y_true)
-    report = EvalReport("test", 9, result.per_pair, [], zero_shot_z=0).validate()
+    report = EvalReport("test", 9, result.per_pair, [], zero_shot_z=0)
     # as write_json_atomic writes it: "10,0" sorts before "2,0"
     doc = json.loads(json.dumps(report.to_dict(), sort_keys=True))
     back = EvalReport.from_dict(doc)
@@ -217,7 +217,6 @@ def test_k12_report_round_trip_keeps_every_figure_bit_for_bit():
 
 def test_eval_report_validate_catches_inconsistency():
     report = EvalReport(split="test", n_eval=10, per_pair={(1, 0): 1.0}, untrained_heads=[])
-    report.validate()
     assert (report.k, report.epsilon_pehe, report.sqrt_pehe) == (2, 1.0, 1.0)
     for bad in (
         {"n_eval": 0}, {"n_eval": "10"}, {"n_eval": 10.9}, {"n_eval": True},
@@ -229,11 +228,11 @@ def test_eval_report_validate_catches_inconsistency():
         {"untrained_heads": [0, 0]}, {"untrained_heads": [True]}, {"untrained_heads": None},
     ):
         with pytest.raises(DataError, match=next(iter(bad))):
-            dataclasses.replace(report, **bad).validate()
+            dataclasses.replace(report, **bad)
     # the pairs must be exactly those of k treatments, not just as many
     for pairs in ({}, {(0, 1): 1.0}, {(9, 5): 1.0}, {(1, 0): 1.0, (2, 0): 1.0}):
         with pytest.raises(DataError, match="per_pair"):
-            dataclasses.replace(report, per_pair=pairs).validate()
+            dataclasses.replace(report, per_pair=pairs)
 
 
 @pytest.mark.parametrize(
@@ -249,10 +248,9 @@ def test_eval_report_validate_checks_the_zero_shot_block(zero_shot):
     report = EvalReport(
         split="test", n_eval=10, per_pair={(1, 0): 0.25}, untrained_heads=[1], zero_shot_z=1,
     )
-    report.validate()
     assert (report.epsilon_zs, report.sqrt_pehe_zs, report.head_z_trained) == (0.25, 0.5, False)
-    assert dataclasses.replace(report, zero_shot_z=0).validate().head_z_trained is True
-    plain = dataclasses.replace(report, zero_shot_z=None).validate()
+    assert dataclasses.replace(report, zero_shot_z=0).head_z_trained is True
+    plain = dataclasses.replace(report, zero_shot_z=None)
     assert (plain.epsilon_zs, plain.sqrt_pehe_zs, plain.head_z_trained) == (None, None, None)
     with pytest.raises(DataError, match="zero_shot_z"):
         EvalReport.from_dict({**report.to_dict(), **zero_shot})

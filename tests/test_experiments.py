@@ -46,7 +46,7 @@ def tiny_experiment(**kw):
         ),
     )
     base.update(kw)
-    return ExperimentConfig(**base).validate()
+    return ExperimentConfig(**base)
 
 
 def synthetic_report(eps, k=2, z=None, untrained=()):
@@ -55,7 +55,7 @@ def synthetic_report(eps, k=2, z=None, untrained=()):
         split="test", n_eval=10, per_pair={p: eps for p in pairs},
         untrained_heads=list(untrained), zero_shot_z=z,
     )
-    return report.validate()
+    return report
 
 
 # --- config plumbing ---
@@ -105,15 +105,15 @@ def test_apply_overrides():
 
 def test_sweep_spec_validation():
     base = tiny_experiment()
-    SweepSpec(base, {"train.base_lr": [0.1]}).validate()
+    SweepSpec(base, {"train.base_lr": [0.1]})
     with pytest.raises(ConfigError):
-        SweepSpec(base, {}).validate()
+        SweepSpec(base, {})
     with pytest.raises(ConfigError):
-        SweepSpec(base, {"sim.n": [10]}).validate()
+        SweepSpec(base, {"sim.n": [10]})
     with pytest.raises(ConfigError):
-        SweepSpec(base, {"train.base_lr": []}).validate()
+        SweepSpec(base, {"train.base_lr": []})
     with pytest.raises(ConfigError):
-        SweepSpec(base, {"train.base_lr": [0.1]}, max_trials=0).validate()
+        SweepSpec(base, {"train.base_lr": [0.1]}, max_trials=0)
     with pytest.raises(ConfigError):
         SweepSpec.from_dict({"grid": {"train.alpha": [1.0]}})
 
@@ -213,7 +213,7 @@ def sweep_spec(**kw):
     base = tiny_experiment(repeats=2, train=TrainConfig(
         alpha=1.0, beta=0.5, batch_size=32, epochs_max=1, base_lr=0.05
     ))
-    return SweepSpec(base, {"train.base_lr": [0.05, 0.2]}, **kw).validate()
+    return SweepSpec(base, {"train.base_lr": [0.05, 0.2]}, **kw)
 
 
 def test_run_sweep_selects_on_validation_only(tmp_path):
@@ -242,7 +242,7 @@ def test_run_sweep_selects_on_validation_only(tmp_path):
 
 def test_zero_shot_sweep_summary_lists_head_z_trained_per_repeat(tmp_path):
     spec = sweep_spec()
-    spec = SweepSpec(replace(spec.base, zero_shot=0), spec.grid).validate()
+    spec = SweepSpec(replace(spec.base, zero_shot=0), spec.grid)
     summary = run_sweep(spec, tmp_path / "sweep", threads=1)
     # the held-out head never sees a sample, in either repeat
     assert summary["winner"]["head_z_trained"] == [False, False]
@@ -252,7 +252,7 @@ def test_zero_shot_sweep_summary_lists_head_z_trained_per_repeat(tmp_path):
 
 def test_written_record_and_reports_hold_exactly_the_schema_2_keys(tmp_path):
     spec = sweep_spec()
-    spec = SweepSpec(replace(spec.base, zero_shot=0), spec.grid).validate()
+    spec = SweepSpec(replace(spec.base, zero_shot=0), spec.grid)
     run_sweep(spec, tmp_path / "sweep", threads=1)
     record = json.loads((tmp_path / "sweep" / "winner_record.json").read_text())
     assert record["schema_version"] == "2"
@@ -273,7 +273,7 @@ def test_sweep_artifacts_are_strict_json_without_validation(tmp_path):
     spec = sweep_spec()
     spec = SweepSpec(
         replace(spec.base, train=replace(spec.base.train, epochs_max=0)), spec.grid
-    ).validate()
+    )
     out = tmp_path / "sweep"
     summary = run_sweep(spec, out, threads=1)
     assert summary["winner"]["mean_val_mse"] == math.inf
@@ -419,7 +419,7 @@ def test_truth_read_audit_counts_reads_in_every_fit(tmp_path, monkeypatch, threa
     # forked workers inherit the patch; zero-shot fits get held-out copies
     monkeypatch.setattr(experiments, "train", peeking_train)
     spec = sweep_spec()
-    spec = SweepSpec(replace(spec.base, zero_shot=zero_shot), spec.grid).validate()
+    spec = SweepSpec(replace(spec.base, zero_shot=zero_shot), spec.grid)
     out = tmp_path / "sweep"
     summary = run_sweep(spec, out, threads=threads)
     # one read per fit: 2 trials x 2 repeats
@@ -430,7 +430,7 @@ def test_truth_read_audit_counts_reads_in_every_fit(tmp_path, monkeypatch, threa
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_prints_one_progress_line_per_trial(tmp_path, capsys, threads):
     spec = sweep_spec()
-    spec = SweepSpec(spec.base, {"train.base_lr": [0.05, 0.1, 0.2]}).validate()
+    spec = SweepSpec(spec.base, {"train.base_lr": [0.05, 0.1, 0.2]})
     summary = run_sweep(spec, tmp_path / "sweep", threads=threads)
     pattern = r"sweep: trial (\d) ok, mean val mse (\S+), \d+\.\d\d s \((\d) of 3 done\)"
     lines = [re.fullmatch(pattern, line) for line in capsys.readouterr().err.splitlines()]
@@ -450,7 +450,7 @@ def test_reused_sweep_dir_is_refused_and_force_rewrites_datasets(tmp_path):
     # the same directory with a new simulation seed: trials must not train on
     # the datasets left there by the first sweep
     sim = replace(spec.base.sim, seed=spec.base.sim.seed + 7)
-    reseeded = SweepSpec(replace(spec.base, sim=sim), spec.grid).validate()
+    reseeded = SweepSpec(replace(spec.base, sim=sim), spec.grid)
     with pytest.raises(DataError, match="not empty"):
         run_sweep(reseeded, out, threads=2)
     forced = run_sweep(reseeded, out, threads=2, force=True)
@@ -495,8 +495,8 @@ def test_max_trials_subsample_is_deterministic(tmp_path):
         alpha=1.0, beta=0.5, batch_size=32, epochs_max=1, base_lr=0.05
     ))
     grid = {"train.base_lr": [0.01, 0.05, 0.2], "train.alpha": [0.5, 1.0]}
-    spec_a = SweepSpec(base, grid, max_trials=2, seed=7).validate()
-    spec_b = SweepSpec(base, grid, max_trials=2, seed=7).validate()
+    spec_a = SweepSpec(base, grid, max_trials=2, seed=7)
+    spec_b = SweepSpec(base, grid, max_trials=2, seed=7)
     a = run_sweep(spec_a, tmp_path / "a", threads=1)
     b = run_sweep(spec_b, tmp_path / "b", threads=1)
     assert a["n_trials"] == 2
@@ -508,7 +508,7 @@ def test_max_trials_subsample_is_deterministic(tmp_path):
 
 def make_labeled_record(label, roots, k=2):
     reports = [synthetic_report(r * r, k=k) for r in roots]
-    return RunRecord(label=label, config={}, per_seed=reports).validate()
+    return RunRecord(label=label, config={}, per_seed=reports)
 
 
 def test_render_report_table_rows():
@@ -533,7 +533,7 @@ def test_report_table_sorted_ascending_by_mean():
 def test_report_table_rejects_mixed_treatment_counts():
     good = make_labeled_record("a", [1.0], k=2)
     reports = [synthetic_report(1.0, k=3)]
-    other = RunRecord(label="b", config={}, per_seed=reports).validate()
+    other = RunRecord(label="b", config={}, per_seed=reports)
     with pytest.raises(DataError):
         render_report_table([good, other])
 
@@ -549,7 +549,7 @@ def zero_shot_record(label, trained_flags):
     reports = [
         synthetic_report(0.25, z=1, untrained=[] if flag else [1]) for flag in trained_flags
     ]
-    return RunRecord(label=label, config={}, per_seed=reports).validate()
+    return RunRecord(label=label, config={}, per_seed=reports)
 
 
 def test_report_tables_mark_untrained_zero_shot_heads():

@@ -61,7 +61,7 @@ def test_mmd2_input_checks():
         treatment_regularization_loss({0: np.zeros((3, 2)), 1: np.zeros((3, 4))}, 1.0)
     with pytest.raises(NumericError):
         treatment_regularization_loss({0: np.array([[np.nan]]), 1: np.zeros((3, 1))}, 1.0)
-    for bandwidth in (-1.0, 0.0, math.nan):
+    for bandwidth in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ConfigError):
             treatment_regularization_loss({0: [[0.0]], 1: [[1.0]]}, bandwidth)
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def small_shape(**kw):
         activation="elu", dropout_rate=0.0,
     )
     base.update(kw)
-    return ModelShape(**base).validate()
+    return ModelShape(**base)
 
 
 def quick_train_cfg(**kw):
@@ -68,7 +69,7 @@ def quick_train_cfg(**kw):
         base_lr=0.05, weight_decay=1e-4, seed=0,
     )
     base.update(kw)
-    return TrainConfig(**base).validate()
+    return TrainConfig(**base)
 
 
 # --- forward predictions ---
@@ -175,7 +176,7 @@ def test_variant_lays_out_the_networks_and_head_updates_is_keyword_only():
     with pytest.raises(TypeError):
         OutcomeModel(tarnet.shape, 2, 2, "tarnet", tarnet.theta, (3, 0))
     counted = OutcomeModel(tarnet.shape, 2, 2, "tarnet", tarnet.theta, head_updates=(3, 0))
-    assert counted.validate().head_trained(0) and not counted.head_trained(1)
+    assert counted.head_trained(0) and not counted.head_trained(1)
 
 
 def test_baseline_ignores_treatment_features():
@@ -231,9 +232,11 @@ def test_model_validation():
         bad[3] = value
         with pytest.raises(NumericError, match="non-finite"):
             dataclasses.replace(good, theta=bad)
-    for bad in ((1,), (1, -1)):
-        with pytest.raises(ConfigError):
-            dataclasses.replace(good, head_updates=bad).validate()
+    # k = 2 ints >= 0; a bool, a float or a string is not a count
+    for bad in ((1,), (1, -1), (1.5, 2), (True, 1), ("2", 1), [], "00", None):
+        with pytest.raises(ConfigError, match="head_updates"):
+            dataclasses.replace(good, head_updates=bad)
+    assert dataclasses.replace(good, head_updates=[3, 0]).head_updates == (3, 0)
     with pytest.raises(ConfigError, match="variant"):
         build_model(2, 2, small_shape(), "flavor")
     for k, input_dim in ((0, 2), (2, 0)):
@@ -461,7 +464,7 @@ def test_train_zero_epochs_returns_initial_state():
     assert trained.history.n_epochs() == 0
     assert trained.best_epoch is None
     assert trained.best_val_mse is None
-    assert trained.model.validate() is trained.model
+    dataclasses.replace(trained.model)  # construction checks the model again
 
 
 def test_train_counts_updates_per_head_up_to_the_best_epoch():
@@ -861,24 +864,45 @@ def test_checkpoint_header_refuses_non_finite_values(tmp_path):
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(alpha=-0.1).validate()
+        TrainConfig(alpha=-0.1)
     with pytest.raises(ConfigError):
-        TrainConfig(alpha=0.0, beta=0.0).validate()
+        TrainConfig(alpha=0.0, beta=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(batch_size=1).validate()
+        TrainConfig(batch_size=1)
     with pytest.raises(ConfigError):
-        TrainConfig(patience=0).validate()
+        TrainConfig(patience=0)
+    with pytest.raises(ConfigError, match="batch_size"):
+        dataclasses.replace(TrainConfig(), batch_size=1)
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"alpha": 1.0, "momentum": 0.9})
     cfg = TrainConfig(alpha=0.5, beta=0.25, bandwidth=2.0)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def _float_fields(cls) -> list[str]:
+    """The fields of a config class whose declared type admits a float."""
+    hints = typing.get_type_hints(cls)
+    return [
+        f.name for f in dataclasses.fields(cls)
+        if float in (hints[f.name], *typing.get_args(hints[f.name]))
+    ]
+
+
+@pytest.mark.parametrize("cls", [SimConfig, ModelShape, TrainConfig], ids=lambda c: c.__name__)
+def test_every_float_field_refuses_non_finite_values_at_construction(cls):
+    names = _float_fields(cls)
+    assert names
+    for name in names:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                cls(**{name: value})
+
+
 def test_model_shape_validation():
     with pytest.raises(ConfigError):
-        ModelShape(cov_layers=0).validate()
+        ModelShape(cov_layers=0)
     with pytest.raises(ConfigError):
-        ModelShape(activation="relu").validate()
+        ModelShape(activation="relu")
     with pytest.raises(ConfigError):
         ModelShape.from_dict({"init": "glorot"})
     with pytest.raises(ConfigError):

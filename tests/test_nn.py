@@ -379,7 +379,7 @@ def test_lr_schedule():
     with pytest.raises(ConfigError):
         cfg.lr_at(-1)
     with pytest.raises(ConfigError):
-        TrainConfig(base_lr=0.0).validate()
+        TrainConfig(base_lr=0.0)
 
 
 def test_glorot_init_bounds_and_zero_biases():

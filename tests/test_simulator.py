@@ -33,7 +33,7 @@ from ite_bench.simulate import (
 def small_cfg(**kw):
     base = dict(n=60, d=5, k=3, seed=0)
     base.update(kw)
-    return SimConfig(**base).validate()
+    return SimConfig(**base)
 
 
 # --- covariates ---
@@ -306,13 +306,15 @@ def test_simulation_is_deterministic():
 
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
-        SimConfig(k=1).validate()
+        SimConfig(k=1)
     with pytest.raises(ConfigError):
-        SimConfig(n=4, k=4).validate()
+        SimConfig(n=4, k=4)
     with pytest.raises(ConfigError):
-        SimConfig(kappa=(1.0, 2.0), k=3).validate()
+        SimConfig(kappa=(1.0, 2.0), k=3)
     with pytest.raises(ConfigError):
-        SimConfig(kappa=0.0).validate()
+        SimConfig(kappa=0.0)
+    with pytest.raises(ConfigError, match="kappa must be finite"):
+        SimConfig(kappa=(1.0, math.nan, 1.0, 1.0))
     with pytest.raises(ConfigError):
         SimConfig.from_dict({"n": 10, "bogus": 1})
     with pytest.raises(ConfigError):
@@ -440,12 +442,11 @@ def test_load_refuses_schema_1_csv_directory(tmp_path):
 
 
 def test_manifest_refuses_non_finite_values(tmp_path):
-    # a config the simulator accepts but strict JSON cannot hold
-    ds = simulate_dataset(small_cfg(kmeans_tol=math.inf))
-    with pytest.raises(ConfigError):
-        save_dataset(ds, tmp_path / "ds")
-    # refused before anything is written
-    assert not list((tmp_path / "ds").iterdir())
+    # a config strict JSON cannot hold is refused when it is built, so
+    # nothing is simulated and no directory is made
+    with pytest.raises(ConfigError, match="kmeans_tol"):
+        save_dataset(simulate_dataset(small_cfg(kmeans_tol=math.inf)), tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
 
 
 def test_truth_read_audit_counter():
