@@ -18,6 +18,7 @@ from .experiments import (
     RunRecord,
     SweepSpec,
     _fit_repeat,
+    apply_overrides,
     render_eval_report,
     render_report_table,
     report_table_csv,
@@ -27,8 +28,8 @@ from .experiments import (
 )
 from .metrics import EvalReport, evaluate_model
 # train is bound here for perfbench's tracer (perfbench/tracing.py)
-from .model import VARIANTS, TrainConfig, load_checkpoint, save_checkpoint, train  # noqa: F401
-from .simulate import SimConfig, load_dataset, save_dataset, simulate_dataset
+from .model import VARIANTS, load_checkpoint, save_checkpoint, train  # noqa: F401
+from .simulate import load_dataset, save_dataset, simulate_dataset
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -49,25 +50,24 @@ def _load_experiment_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(_load_json(path))
 
 
+def _flag_overrides(args) -> dict:
+    """The config fields that the given flags set. An override flag's dest
+    is the field it sets: a dotted key (sim.n, train.base_lr) or variant."""
+    return {
+        key: value for key, value in vars(args).items()
+        if ("." in key or key == "variant") and value is not None
+    }
+
+
 def cmd_simulate(args) -> int:
-    cfg = _load_experiment_config(args.config).sim
-    updates = {}
-    for name in ("n", "d", "k", "c", "seed"):
-        value = getattr(args, name)
-        if value is not None:
-            updates[name] = value
-    if args.kappa is not None:
+    overrides = _flag_overrides(args)
+    if "sim.kappa" in overrides:
         try:
-            parts = [float(v) for v in args.kappa.split(",")]
+            parts = [float(v) for v in overrides["sim.kappa"].split(",")]
         except ValueError as exc:
             raise ConfigError(f"--kappa must be numbers separated by commas: {exc}") from exc
-        updates["kappa"] = parts[0] if len(parts) == 1 else tuple(parts)
-    if args.centroid_method is not None:
-        updates["centroid_method"] = args.centroid_method
-    if args.covariate_file is not None:
-        updates["embedding_file"] = args.covariate_file
-    if updates:
-        cfg = SimConfig.from_dict({**cfg.to_dict(), **updates})
+        overrides["sim.kappa"] = parts[0] if len(parts) == 1 else parts
+    cfg = apply_overrides(_load_experiment_config(args.config), overrides).sim
     ds = simulate_dataset(cfg)
     save_dataset(ds, args.out, force=args.force)
     sizes = {name: len(ds.splits[name]) for name in ("train", "val", "test")}
@@ -79,28 +79,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_experiment_config(args.config)
+    cfg = apply_overrides(_load_experiment_config(args.config), _flag_overrides(args))
     ds = load_dataset(args.dataset)
     if args.config is not None and (cfg.sim.d != ds.d or cfg.sim.k != ds.k):
         raise DataError(
             f"config expects d={cfg.sim.d}, k={cfg.sim.k}; dataset has "
             f"d={ds.d}, k={ds.k}"
         )
-    train_doc = cfg.train.to_dict()
-    for flag, name in (
-        ("seed", "seed"),
-        ("epochs_max", "epochs_max"),
-        ("alpha", "alpha"),
-        ("beta", "beta"),
-        ("batch_size", "batch_size"),
-        ("lr", "base_lr"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            train_doc[name] = value
-    cfg = replace(
-        cfg, train=TrainConfig.from_dict(train_doc), variant=args.variant or cfg.variant
-    )
     ckpt_path = os.path.join(args.out, "checkpoint.json")
     # refuse before training, which can take minutes at search-grid width
     if os.path.exists(ckpt_path) and not args.force:
@@ -210,17 +195,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a dataset directory")
-    p.add_argument("--config", help="experiment config JSON (its 'sim' section is used)")
+    p.add_argument("--config", help="experiment config JSON (checked whole; 'sim' is used)")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--force", action="store_true", help="overwrite a non-empty directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--kappa", help="scalar or comma-separated per-treatment values")
-    p.add_argument("--centroid-method", choices=["random", "kmeans"], dest="centroid_method")
-    p.add_argument("--covariate-file", dest="covariate_file",
+    # each override flag's dest is the config field it sets (_flag_overrides)
+    p.add_argument("--seed", type=int, dest="sim.seed")
+    p.add_argument("--n", type=int, dest="sim.n")
+    p.add_argument("--d", type=int, dest="sim.d")
+    p.add_argument("--k", type=int, dest="sim.k")
+    p.add_argument("--c", type=float, dest="sim.c")
+    p.add_argument("--kappa", dest="sim.kappa",
+                   help="scalar or comma-separated per-treatment values")
+    p.add_argument("--centroid-method", choices=["random", "kmeans"],
+                   dest="sim.centroid_method")
+    p.add_argument("--covariate-file", dest="sim.embedding_file",
                    help="CSV of embedding rows to use instead of Gaussian draws")
     p.set_defaults(func=cmd_simulate)
 
@@ -229,12 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory for checkpoint and history")
     p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs-max", type=int, dest="epochs_max")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
+    p.add_argument("--seed", type=int, dest="train.seed")
+    p.add_argument("--epochs-max", type=int, dest="train.epochs_max")
+    p.add_argument("--alpha", type=float, dest="train.alpha")
+    p.add_argument("--beta", type=float, dest="train.beta")
+    p.add_argument("--batch-size", type=int, dest="train.batch_size")
+    p.add_argument("--lr", type=float, dest="train.base_lr")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_train)
 

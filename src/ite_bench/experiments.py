@@ -42,7 +42,6 @@ from .simulate import Dataset, SimConfig, load_dataset, save_dataset, simulate_d
 
 RECORD_SCHEMA_VERSION = "2"
 RECORD_KEYS = {"kind", "schema_version", "label", "config", "per_seed", "artifacts"}
-SWEEPABLE_SECTIONS = ("model", "train")
 
 
 def _finite_or_null(doc):
@@ -254,8 +253,7 @@ class SweepSpec:
         if not self.grid:
             raise ConfigError("sweep grid is empty")
         for key, values in self.grid.items():
-            section = key.split(".", 1)[0]
-            if key != "variant" and section not in SWEEPABLE_SECTIONS:
+            if key != "variant" and key.split(".", 1)[0] not in ("model", "train"):
                 raise ConfigError(
                     f"grid axis {key!r} is not sweepable; use variant, "
                     f"model.<field>, or train.<field>"
@@ -284,18 +282,17 @@ def expand_grid(grid: dict[str, list]) -> list[dict]:
 
 
 def apply_overrides(base: ExperimentConfig, overrides: dict) -> ExperimentConfig:
+    """base with each dotted key ("sim.n", "train.base_lr", "variant") set
+    to its value. The result is rebuilt by ExperimentConfig.from_dict, which
+    checks every field, and an error names the keys."""
     doc = base.to_dict()
     for key, value in overrides.items():
-        if key == "variant":
-            doc["variant"] = value
-            continue
-        section, _, fname = key.partition(".")
-        if not fname or section not in SWEEPABLE_SECTIONS:
-            raise ConfigError(f"cannot apply override {key!r}")
-        if fname not in doc[section]:
-            raise ConfigError(f"override {key!r} names an unknown field")
-        doc[section][fname] = value
-    return ExperimentConfig.from_dict(doc)
+        section, _, name = key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[name] = value
+    try:
+        return ExperimentConfig.from_dict(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"overrides {sorted(overrides)}: {exc}") from exc
 
 
 def default_search_grid() -> dict[str, list]:

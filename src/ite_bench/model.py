@@ -571,6 +571,10 @@ def train(
     x_val, t_val, y_val = dataset.observed("val")
     if x_tr.shape[0] == 0:
         raise ShapeError("training split is empty")
+    # without validation rows no epoch could be selected, and the fit would
+    # return its untrained initialization
+    if x_val.shape[0] == 0:
+        raise ShapeError("validation split is empty")
     t_emb = dataset.T_emb
 
     ss = np.random.SeedSequence(cfg.seed)
@@ -621,8 +625,6 @@ def train(
                     head_norms[t] += np.sqrt(np.dot(head_grads[t], head_grads[t]))
                 decayed = [w for net, r in zip(weights, reached) if r for w in net]
                 sgd_step(model.theta, grad, lr, cfg.weight_decay, decayed)
-            except TrainingDiverged:
-                raise
             except NumericError as exc:
                 raise TrainingDiverged(epoch, batch_index, history) from exc
             model.head_updates = tuple(
@@ -638,7 +640,7 @@ def train(
             val_hat = factual_predictions(model, x_val, t_val, t_emb, buffers.caches)
         except NumericError as exc:
             raise TrainingDiverged(epoch, batch_index, history) from exc
-        val_mse = float(np.mean((val_hat - y_val) ** 2)) if y_val.size else np.inf
+        val_mse = float(np.mean((val_hat - y_val) ** 2))
         history.loss.append(float(sums[0] / n_batches))
         history.mse.append(float(sums[1] / n_batches))
         history.balance.append(float(sums[2] / n_batches))
@@ -752,14 +754,24 @@ def load_checkpoint(path) -> TrainedModel:
             head_updates=doc["head_updates"],
         )
         cfg = TrainConfig.from_dict(doc["train_config"], path="checkpoint.train_config")
+        epoch, mse = doc["best_epoch"], doc["best_val_mse"]
     except KeyError as exc:
         raise ConfigError(f"{path}: malformed checkpoint: missing {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed checkpoint: {exc}") from exc
+    if (epoch, mse) != (None, None) and not (
+        isinstance(epoch, int) and not isinstance(epoch, bool) and epoch >= 0
+        and isinstance(mse, float) and np.isfinite(mse) and mse >= 0.0
+    ):
+        raise ConfigError(
+            f"{path}: malformed checkpoint: best_epoch must be an int >= 0 and "
+            "best_val_mse a finite float >= 0, or both null; got "
+            f"{epoch!r} and {mse!r}"
+        )
     return TrainedModel(
         model=model,
         history=TrainHistory(),
-        best_epoch=doc.get("best_epoch"),
-        best_val_mse=doc.get("best_val_mse"),
+        best_epoch=epoch,
+        best_val_mse=mse,
         config=cfg,
     )

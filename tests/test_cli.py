@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -297,6 +298,71 @@ def test_train_missing_dataset(tmp_path, capsys):
     assert code == 3
 
 
+def test_train_refuses_a_dataset_without_validation_rows(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    code, stdout, err = run(
+        capsys, "simulate", "--out", str(ds), "--n", "3", "--d", "4", "--k", "2", "--seed", "0"
+    )
+    assert code == 0, err
+    assert "'val': 0" in stdout
+    out = tmp_path / "run"
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "3"
+    )
+    assert code == 3
+    assert "validation split is empty" in err
+    assert not out.exists()
+
+
+# the simulate and train arguments that set no config field
+NON_OVERRIDE_DESTS = {"help", "config", "out", "force", "dataset"}
+
+
+def test_every_override_flag_sets_the_config_field_its_dest_names(tmp_path, capsys):
+    defaults = ExperimentConfig().to_dict()
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = {}  # command -> {flag: dest}
+    for command in ("simulate", "train"):
+        actions = [a for a in sub.choices[command]._actions if a.dest not in NON_OVERRIDE_DESTS]
+        for action in actions:
+            section, _, name = action.dest.rpartition(".")
+            assert name in (defaults[section] if section else defaults), action.dest
+        flags[command] = {a.option_strings[0]: a.dest for a in actions}
+    rows = np.random.default_rng(0).normal(size=(100, 5))
+    emb = tmp_path / "emb.csv"
+    np.savetxt(emb, rows, delimiter=",")
+    # a non-default value per field, and the flag text that gives it
+    values = {
+        "sim.seed": (3, "3"), "sim.n": (90, "90"), "sim.d": (5, "5"), "sim.k": (3, "3"),
+        "sim.c": (4.0, "4"), "sim.kappa": ([5.0, 10.0, 20.0], "5,10,20"),
+        "sim.centroid_method": ("kmeans", "kmeans"), "sim.embedding_file": (str(emb), str(emb)),
+        "variant": ("tarnet", "tarnet"), "train.seed": (7, "7"),
+        "train.epochs_max": (2, "2"), "train.alpha": (0.5, "0.5"), "train.beta": (0.25, "0.25"),
+        "train.batch_size": (16, "16"), "train.base_lr": (0.05, "0.05"),
+    }
+    assert set(values) == {*flags["simulate"].values(), *flags["train"].values()}
+    for key, (value, _) in values.items():
+        section, _, name = key.rpartition(".")
+        assert value != (defaults[section][name] if section else defaults[name]), key
+
+    def argv(command):
+        return [part for flag, dest in flags[command].items() for part in (flag, values[dest][1])]
+
+    ds, out = tmp_path / "ds", tmp_path / "run"
+    code, _, err = run(capsys, "simulate", "--out", str(ds), *argv("simulate"))
+    assert code == 0, err
+    config = json.loads((ds / "manifest.json").read_text())["config"]
+    code, _, err = run(capsys, "train", "--dataset", str(ds), "--out", str(out), *argv("train"))
+    assert code == 0, err
+    header = json.loads((out / "checkpoint.json").read_text())
+    stored = {"sim": config, "train": header["train_config"], "": header}
+    for key, (value, _) in values.items():
+        section, _, name = key.rpartition(".")
+        assert stored[section][name] == value, key
+
+
 # --- evaluate ---
 
 
@@ -424,6 +490,17 @@ MALFORMED_HEADERS = {
     # k = 3 counts, none of them an int: refused, not rounded
     "head-updates-not-ints": lambda doc: json.dumps({**doc, "head_updates": [1.5, "2", True]}),
     "head-updates-empty": lambda doc: json.dumps({**doc, "head_updates": []}),
+    # best_epoch an int >= 0 and best_val_mse a finite float >= 0, or both null
+    "best-val-mse-string": lambda doc: json.dumps({**doc, "best_val_mse": "x"}),
+    "best-epoch-list": lambda doc: json.dumps({**doc, "best_epoch": [1]}),
+    "best-epoch-negative": lambda doc: json.dumps({**doc, "best_epoch": -1}),
+    "best-epoch-bool": lambda doc: json.dumps({**doc, "best_epoch": True}),
+    "best-val-mse-negative": lambda doc: json.dumps({**doc, "best_val_mse": -1.0}),
+    "best-val-mse-nan": lambda doc: json.dumps({**doc, "best_val_mse": math.nan}),
+    "best-epoch-null-alone": lambda doc: json.dumps({**doc, "best_epoch": None}),
+    "best-val-mse-missing": lambda doc: json.dumps(
+        {k: v for k, v in doc.items() if k != "best_val_mse"}
+    ),
 }
 
 

@@ -97,10 +97,16 @@ def test_apply_overrides():
     assert out.train.alpha == 0.5
     assert out.variant == "tarnet"
     assert base.shape.cov_width == 4  # base untouched
-    with pytest.raises(ConfigError):
-        apply_overrides(base, {"sim.n": 100})
-    with pytest.raises(ConfigError):
-        apply_overrides(base, {"train.momentum": 0.9})
+    # the CLI's simulate flags set sim fields; a sweep grid refuses them
+    # (test_sweep_spec_validation)
+    assert apply_overrides(base, {"sim.n": 100}).sim.n == 100
+    # the rebuilt config checks every field, and the error names the key
+    for key, value in (
+        ("train.momentum", 0.9), ("model.init", "glorot"), ("sim.n", 1.5),
+        ("train.base_lr", -1.0), ("variant", "x"), ("colour", "red"), ("nets.x", 1),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            apply_overrides(base, {key: value})
 
 
 def test_sweep_spec_validation():

@@ -467,6 +467,26 @@ def test_train_zero_epochs_returns_initial_state():
     dataclasses.replace(trained.model)  # construction checks the model again
 
 
+@pytest.mark.parametrize("case", ["empty", "zero-shot"])
+def test_train_refuses_an_empty_validation_split_before_any_epoch(monkeypatch, case):
+    ds = small_dataset()
+    val = ds.splits["val"]
+    if case == "empty":
+        fit = dataclasses.replace(ds, splits={**ds.splits, "val": val[:0]})
+    else:
+        # every validation row is treatment 0, which the zero-shot filter drops
+        only_0 = dataclasses.replace(ds, splits={**ds.splits, "val": val[ds.t_obs[val] == 0]})
+        fit = only_0.without_treatment_in_fit(0)
+    assert fit.splits["val"].size == 0 and fit.splits["train"].size > 0
+
+    def no_epoch(*_args, **_kwargs):
+        raise AssertionError("an epoch ran without validation rows")
+
+    monkeypatch.setattr(model_module, "batch_loss", no_epoch)
+    with pytest.raises(ShapeError, match="validation split is empty"):
+        train(fit, small_shape(), quick_train_cfg())
+
+
 def test_train_counts_updates_per_head_up_to_the_best_epoch():
     # one batch per epoch covering every treatment: each head steps once
     ds = small_dataset(n=120)
