@@ -288,7 +288,10 @@ def apply_overrides(base: ExperimentConfig, overrides: dict) -> ExperimentConfig
     doc = base.to_dict()
     for key, value in overrides.items():
         section, _, name = key.rpartition(".")
-        (doc.setdefault(section, {}) if section else doc)[name] = value
+        target = doc.setdefault(section, {}) if section else doc
+        if not isinstance(target, dict):
+            raise ConfigError(f"overrides {sorted(overrides)}: {section} is not a section")
+        target[name] = value
     try:
         return ExperimentConfig.from_dict(doc)
     except ConfigError as exc:

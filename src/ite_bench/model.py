@@ -27,7 +27,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -46,10 +46,13 @@ from .nn import (
     ACTIVATIONS,
     ForwardCache,
     MlpParams,
+    MlpStack,
     glorot_uniform,
     mlp_backward,
     mlp_forward,
     sgd_step,
+    stack_backward,
+    stack_forward,
 )
 from .simulate import Dataset
 
@@ -115,11 +118,7 @@ class ModelShape:
 
     def n_params(self, input_dim: int, k: int, variant: str) -> int:
         """The length of theta for this shape."""
-        return sum(
-            fan_out * (fan_in + 1)
-            for dims in self.network_dims(input_dim, k, variant)
-            for fan_in, fan_out in zip(dims[:-1], dims[1:])
-        )
+        return sum(_n_params(dims) for dims in self.network_dims(input_dim, k, variant))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -127,6 +126,24 @@ class ModelShape:
     @staticmethod
     def from_dict(doc: dict, path: str = "model") -> "ModelShape":
         return config_from_dict(ModelShape, doc, path)
+
+
+def _n_params(dims: list[int]) -> int:
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
+def _layer_views(block: np.ndarray, dims: list[int]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (weight, bias) pairs of a network with widths dims, laid out
+    along block's last axis layer by layer, each weight row-major and then
+    its bias, as views of block. Leading axes, one per network of a stack,
+    are kept."""
+    lead = block.shape[:-1]
+    layers, pos = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        mid, end = pos + fan_out * fan_in, pos + fan_out * (fan_in + 1)
+        layers.append((block[..., pos:mid].reshape(*lead, fan_out, fan_in), block[..., mid:end]))
+        pos = end
+    return tuple(layers)
 
 
 @dataclass(eq=False)
@@ -140,7 +157,9 @@ class OutcomeModel:
     shape and copies it, so no two models share parameters and
     dataclasses.replace(model) is an independent copy. cov_net, treat_net
     (None for "tarnet") and heads are networks whose (weight, bias) pairs
-    are views of theta, with the shape's activation and dropout rate.
+    are views of theta, with the shape's activation and dropout rate;
+    head_stack views the k heads, which are theta's last k equal blocks, as
+    one stack.
 
     head_updates counts the SGD steps each head has received, all zero
     unless given: k ints >= 0 (a bool is not one), stored as a tuple. A
@@ -181,10 +200,10 @@ class OutcomeModel:
             )
         self.theta = theta.copy()
         self.head_updates = tuple(counts)
-        self._nets = tuple(
-            MlpParams(layers, self.shape.activation, self.shape.dropout_rate)
-            for layers in self.views(self.theta)
-        )
+        act, rate = self.shape.activation, self.shape.dropout_rate
+        self._head_size = _n_params(self.shape.network_dims(self.input_dim, 1, self.variant)[-1])
+        self._nets = tuple(MlpParams(layers, act, rate) for layers in self.views(self.theta))
+        self._head_stack = MlpStack(self.stack_views(self.theta), act, rate)
 
     @property
     def cov_net(self) -> MlpParams:
@@ -198,30 +217,47 @@ class OutcomeModel:
     def heads(self) -> tuple[MlpParams, ...]:
         return self._nets[len(self._nets) - self.k :]
 
+    @property
+    def head_stack(self) -> MlpStack:
+        return self._head_stack
+
     def views(self, vec: np.ndarray) -> list[tuple[tuple[np.ndarray, np.ndarray], ...]]:
         """Each network's (weight, bias) pairs as views of vec, a vector in
-        theta's layout: cov, treat (joint only), then the heads."""
+        theta's layout: cov, treat (joint only), then the heads, whose pairs
+        are slices of stack_views(vec)."""
+        dims = self.shape.network_dims(self.input_dim, self.k, self.variant)
         nets, pos = [], 0
-        for dims in self.shape.network_dims(self.input_dim, self.k, self.variant):
-            layers = []
-            for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-                mid, end = pos + fan_out * fan_in, pos + fan_out * (fan_in + 1)
-                layers.append((vec[pos:mid].reshape(fan_out, fan_in), vec[mid:end]))
-                pos = end
-            nets.append(tuple(layers))
-        return nets
+        for net_dims in dims[: len(dims) - self.k]:
+            size = _n_params(net_dims)
+            nets.append(_layer_views(vec[pos : pos + size], net_dims))
+            pos += size
+        stack = self.stack_views(vec)
+        return nets + [tuple((w[t], b[t]) for w, b in stack) for t in range(self.k)]
+
+    def head_block(self, vec: np.ndarray) -> np.ndarray:
+        """The heads' part of vec as a [k x head parameters] view: row t
+        is head t's parameters."""
+        size = self._head_size
+        return vec[vec.size - self.k * size :].reshape(self.k, size)
+
+    def stack_views(self, vec: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The heads' (weights [k x out x in], biases [k x out]) pairs as
+        views of vec, in stack order (see nn.MlpStack)."""
+        dims = self.shape.network_dims(self.input_dim, 1, self.variant)[-1]
+        return _layer_views(self.head_block(vec), dims)
 
     def forward_caches(self, rows: int) -> list[ForwardCache]:
         """ForwardCaches for passes of up to rows samples: one per
-        representation network (cov, then treat for joint), and last one
-        that all heads share, since they have the same layer shapes."""
-        return [ForwardCache(net, rows) for net in self._nets[: len(self._nets) - self.k + 1]]
+        representation network (cov, then treat for joint), and last the
+        head stack's, whose x buffer holds a head pass's input."""
+        reps = self._nets[: len(self._nets) - self.k]
+        return [ForwardCache(net, rows) for net in reps] + [ForwardCache(self._head_stack, rows)]
 
     def fit_buffers(self, rows: int) -> "FitBuffers":
-        """A gradient vector, its per-network views and forward_caches(rows),
-        for batches of up to rows samples."""
+        """A gradient vector, its per-network views, its head stack views
+        and forward_caches(rows), for batches of up to rows samples."""
         grad = np.empty_like(self.theta)
-        return FitBuffers(grad, self.views(grad), self.forward_caches(rows))
+        return FitBuffers(grad, self.views(grad), self.stack_views(grad), self.forward_caches(rows))
 
     def head_trained(self, t: int) -> bool:
         """Whether head t received an update."""
@@ -309,6 +345,7 @@ class FitBuffers(NamedTuple):
 
     grad: np.ndarray  # in the layout of model.theta
     grad_views: list[tuple[tuple[np.ndarray, np.ndarray], ...]]  # model.views(grad)
+    head_grads: tuple[tuple[np.ndarray, np.ndarray], ...]  # model.stack_views(grad)
     caches: list[ForwardCache]  # model.forward_caches
 
 
@@ -363,54 +400,64 @@ def batch_loss(
     t_emb = _check_t_emb(model, t_emb)
 
     joint = model.variant == "joint"
-    grad, grad_views, caches = buffers if buffers is not None else model.fit_buffers(n)
+    if buffers is None:
+        buffers = model.fit_buffers(n)
+    caches = buffers.caches
     cov_out, cov_cache = mlp_forward(model.cov_net, xb, _dropout_rng(dropout_seed, 0), caches[0])
     if joint:
         treat_out, treat_cache = mlp_forward(
             model.treat_net, t_emb[tb], _dropout_rng(dropout_seed, 1), caches[1]
         )
-        head_in = np.concatenate([cov_out, treat_out], axis=1)
-    else:
-        head_in = cov_out
 
-    # factual loss path: alpha * L1 through the observed heads only. A
-    # head's upstream gradient needs only its own rows' residuals, so each
-    # head runs backward right after forward, and all share one cache.
+    # all heads run as one pass over the rows sorted by treatment. The sort
+    # is stable, so each head sees its own rows in batch order, and its
+    # GEMMs and dropout masks are bit for bit those of a pass over its rows
+    # alone, with its own generator.
+    order, head_rows, segments = _sorted_segments(tb, model.k)
+    head_cache = caches[-1]
+    head_in = head_cache.x[:n]
+    width = cov_out.shape[1]
+    # mode="clip" skips the copy that the default mode makes of out; the
+    # indices are valid
+    cov_out.take(order, axis=0, out=head_in[:, :width], mode="clip")
+    if joint:
+        treat_out.take(order, axis=0, out=head_in[:, width:], mode="clip")
+    rngs = None
+    if dropout_seed is not None:
+        rngs = [_dropout_rng(dropout_seed, 2 + t) for t, _, _ in segments]
+    out = stack_forward(model.head_stack, head_in, segments, head_cache, rngs)[:, 0]
+
+    # factual loss path: alpha * L1 through the observed heads only, its
+    # mean taken in batch order
+    resid_sorted = out - yb[order]
     yhat = np.empty(n)
+    yhat[order] = out
     resid = np.empty(n)
-    d_head_in = np.zeros_like(head_in)
-    rows_by_t = [np.flatnonzero(tb == t) for t in range(model.k)]
-    for t, rows in enumerate(rows_by_t):
-        head_grad = grad_views[t - model.k]
-        if rows.size == 0:
-            # the backward passes write every other gradient entry
-            for gw, gb in head_grad:
-                gw.fill(0.0)
-                gb.fill(0.0)
-            continue
-        out, head_cache = mlp_forward(
-            model.heads[t], head_in[rows], _dropout_rng(dropout_seed, 2 + t), caches[-1]
-        )
-        yhat[rows] = out[:, 0]
-        resid[rows] = yhat[rows] - yb[rows]
-        upstream = (cfg.alpha * ((2.0 / n) * resid[rows]))[:, None]
-        d_head_in[rows] += mlp_backward(model.heads[t], head_cache, upstream, head_grad)
+    resid[order] = resid_sorted
     mse = float(np.mean(resid * resid))
+    upstream = (cfg.alpha * ((2.0 / n) * resid_sorted))[:, None]
+    # the backward passes write every gradient entry but those of the heads
+    # without samples
+    model.head_block(buffers.grad)[head_rows == 0] = 0.0
+    d_head_in = stack_backward(model.head_stack, head_cache, upstream, buffers.head_grads)
 
     # balancing path: beta * L2 into the representations, never the heads
     balance = 0.0
     if joint:
-        groups = {t: head_in[rows] for t, rows in enumerate(rows_by_t) if rows.size > 0}
+        groups = {t: head_in[start:stop] for t, start, stop in segments}
         balance, bal_grads = treatment_regularization_loss(groups, cfg.bandwidth)
-        for t, rows in enumerate(rows_by_t):
-            if rows.size > 0:
-                d_head_in[rows] += cfg.beta * bal_grads[t]
+        # the groups are read, so head_in takes their gradients, which come
+        # stacked in key order, the order of the sorted rows
+        bal = np.concatenate(list(bal_grads.values()), out=head_in)
+        bal *= cfg.beta
+        d_head_in += bal
+    # one scatter back to batch order, again into head_in
+    d_batch = head_in
+    d_batch[order] = d_head_in
 
-    d_cov = d_head_in[:, : cov_out.shape[1]]
-    mlp_backward(model.cov_net, cov_cache, d_cov, grad_views[0])
+    mlp_backward(model.cov_net, cov_cache, d_batch[:, :width], buffers.grad_views[0])
     if joint:
-        d_treat = d_head_in[:, cov_out.shape[1] :]
-        mlp_backward(model.treat_net, treat_cache, d_treat, grad_views[1])
+        mlp_backward(model.treat_net, treat_cache, d_batch[:, width:], buffers.grad_views[1])
 
     total = cfg.alpha * mse + cfg.beta * balance
     if not np.isfinite(total):
@@ -419,10 +466,23 @@ def batch_loss(
         total=total,
         mse=mse,
         balance=balance,
-        grad=grad,
-        head_rows=tuple(rows.size for rows in rows_by_t),
+        grad=buffers.grad,
+        head_rows=tuple(head_rows.tolist()),
         predictions=yhat,
     )
+
+
+def _sorted_segments(
+    t: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+    """The permutation that sorts rows stably by treatment, the rows per
+    treatment, and the sorted rows' segments (treatment, start, stop), one
+    per treatment present."""
+    order = np.argsort(t, kind="stable")
+    counts = np.bincount(t, minlength=k)
+    stops = np.cumsum(counts).tolist()
+    segments = [(s, stop - m, stop) for s, (m, stop) in enumerate(zip(counts.tolist(), stops)) if m]
+    return order, counts, segments
 
 
 @dataclass
@@ -453,34 +513,43 @@ class TrainedModel:
     config: TrainConfig
 
 
-def _head_column(
+def _head_predictions(
     model: OutcomeModel,
-    cov_out: np.ndarray,
-    t_emb: np.ndarray,
-    t: int,
-    trained: list[int],
-    caches: list[ForwardCache],
+    head_in: np.ndarray,
+    segments: list[tuple[int, int, int]],
+    cache: ForwardCache,
+    out: np.ndarray,
+) -> None:
+    """Eval-mode predictions into out for the rows of head_in: rows
+    start:stop of each segment (t, start, stop) under treatment t. Those
+    come from head t, unless training never updated head t while it updated
+    others (a treatment held out of fitting): head t then holds only its
+    random initialization, so its rows get the mean of the trained heads
+    instead. The passes run through cache, the head stack's ForwardCache."""
+    out[:] = stack_forward(model.head_stack, head_in, segments, cache)[:, 0]
+    trained = np.flatnonzero(model.head_updates).tolist()
+    for t, start, stop in segments:
+        if trained and not model.head_trained(t):
+            # np.mean over a [trained x rows] array, whose order of
+            # summation depends on its shape
+            outs = np.empty((len(trained), stop - start))
+            for j, s in enumerate(trained):
+                outs[j] = stack_forward(
+                    model.head_stack, head_in[start:stop], [(s, 0, stop - start)], cache
+                )[:, 0]
+            out[start:stop] = np.mean(outs, axis=0)
+
+
+def _treatment_rows(
+    model: OutcomeModel, t_emb: np.ndarray, treatments: Iterable[int], cache: ForwardCache
 ) -> np.ndarray:
-    """Eval-mode predictions under treatment t for the rows whose covariate
-    representation is cov_out; see predict_all_outcomes. The passes run
-    through the treatment network's and the heads' caches of
-    model.forward_caches, and the result may be a view of the heads' cache,
-    valid until the next pass through it."""
-    if model.variant == "joint":
-        treat_row, _ = mlp_forward(model.treat_net, t_emb[t : t + 1], cache=caches[1])
-        head_in = np.concatenate(
-            [cov_out, np.broadcast_to(treat_row, (cov_out.shape[0], treat_row.shape[1]))],
-            axis=1,
-        )
-    else:
-        head_in = cov_out
-    if t in trained or not trained:
-        return mlp_forward(model.heads[t], head_in, cache=caches[-1])[0][:, 0]
-    # copies: each pass overwrites the shared cache
-    outs = [
-        mlp_forward(model.heads[s], head_in, cache=caches[-1])[0][:, 0].copy() for s in trained
-    ]
-    return np.mean(outs, axis=0)
+    """Eval-mode treatment representations, row t of a [k x treat_out]
+    array for each t in treatments. Each is a one-row pass: a row of a
+    k-row product differs from it in the last bits."""
+    psi = np.empty((model.k, model.treat_net.output_dim))
+    for t in treatments:
+        psi[t] = mlp_forward(model.treat_net, t_emb[t : t + 1], cache=cache)[0][0]
+    return psi
 
 
 def _check_t_emb(model: OutcomeModel, t_emb: np.ndarray) -> np.ndarray:
@@ -502,18 +571,26 @@ def predict_all_outcomes(
     holds only its random initialization, so column t is instead the mean
     of the trained heads evaluated at treatment t's head input,
     [phi(x), psi(t_emb[t])] for joint and phi(x) for tarnet. A model
-    with no trained head uses every head as is. All k columns pass through
-    one set of buffers.
+    with no trained head uses every head as is. The columns pass one at a
+    time through one set of buffers.
     """
     t_emb = _check_t_emb(model, t_emb)
     x = np.asarray(x, dtype=np.float64)
-    trained = [t for t in range(model.k) if model.head_trained(t)]
+    n = x.shape[0]
     # at least one row: the treatment network runs on one embedding
-    caches = model.forward_caches(max(x.shape[0], 1))
+    caches = model.forward_caches(max(n, 1))
     cov_out, _ = mlp_forward(model.cov_net, x, cache=caches[0])
-    y_hat = np.empty((x.shape[0], model.k))
+    width = cov_out.shape[1]
+    head_in = cov_out
+    if model.variant == "joint":
+        psi = _treatment_rows(model, t_emb, range(model.k), caches[1])
+        head_in = caches[-1].x[:n]
+        head_in[:, :width] = cov_out
+    y_hat = np.empty((n, model.k))
     for t in range(model.k):
-        y_hat[:, t] = _head_column(model, cov_out, t_emb, t, trained, caches)
+        if model.variant == "joint":
+            head_in[:, width:] = psi[t]
+        _head_predictions(model, head_in, [(t, 0, n)], caches[-1], y_hat[:, t])
     return y_hat
 
 
@@ -525,27 +602,34 @@ def factual_predictions(
     caches: list[ForwardCache] | None = None,
 ) -> np.ndarray:
     """Eval-mode prediction at each user's observed treatment: the column
-    t_obs of predict_all_outcomes, computed by running each head on its own
-    rows only. A head's GEMMs then see fewer rows, so the two agree up to
-    roundoff, not bit for bit. The passes run through caches
-    (model.forward_caches, for at least len(x) rows), or through new ones.
+    t_obs of predict_all_outcomes, computed in one head pass over the rows
+    sorted by treatment, each head on its own rows only. A head's GEMMs then
+    see fewer rows, so the two agree up to roundoff, not bit for bit. The
+    passes run through caches (model.forward_caches, for at least len(x)
+    rows), or through new ones.
     """
     t_emb = _check_t_emb(model, t_emb)
     x = np.asarray(x, dtype=np.float64)
     t_obs = np.asarray(t_obs)
-    if t_obs.shape != (x.shape[0],):
-        raise ShapeError(f"t_obs has shape {t_obs.shape}, expected ({x.shape[0]},)")
+    n = x.shape[0]
+    if t_obs.shape != (n,):
+        raise ShapeError(f"t_obs has shape {t_obs.shape}, expected ({n},)")
     if t_obs.size and (t_obs.min() < 0 or t_obs.max() >= model.k):
         raise ShapeError(f"observed treatments must lie in 0..{model.k - 1}")
-    trained = [t for t in range(model.k) if model.head_trained(t)]
     if caches is None:
-        caches = model.forward_caches(x.shape[0])
+        caches = model.forward_caches(n)
     cov_out, _ = mlp_forward(model.cov_net, x, cache=caches[0])
-    yhat = np.empty(x.shape[0])
-    for t in range(model.k):
-        rows = np.flatnonzero(t_obs == t)
-        if rows.size:
-            yhat[rows] = _head_column(model, cov_out[rows], t_emb, t, trained, caches)
+    order, _, segments = _sorted_segments(t_obs, model.k)
+    head_in = caches[-1].x[:n]
+    width = cov_out.shape[1]
+    cov_out.take(order, axis=0, out=head_in[:, :width], mode="clip")
+    if model.variant == "joint":
+        psi = _treatment_rows(model, t_emb, [t for t, _, _ in segments], caches[1])
+        psi.take(t_obs[order], axis=0, out=head_in[:, width:], mode="clip")
+    out = np.empty(n)
+    _head_predictions(model, head_in, segments, caches[-1], out)
+    yhat = np.empty(n)
+    yhat[order] = out
     return yhat
 
 
@@ -595,9 +679,7 @@ def train(
     # each network's weight views of theta, for weight decay
     weights = [[w for w, _ in net] for net in model.views(model.theta)]
     n_rep = len(weights) - dataset.k  # cov, and treat for joint
-    # the heads' gradients are grad's last k contiguous slices
-    head_sizes = [head.n_params for head in model.heads]
-    head_grads = np.split(grad[grad.size - sum(head_sizes) :], np.cumsum(head_sizes)[:-1])
+    head_grad_rows = model.head_block(grad)
     # the improving epochs are copied into this one snapshot's theta
     best_model = dataclasses.replace(model)
     best_epoch: int | None = None
@@ -620,9 +702,10 @@ def train(
                 res = batch_loss(model, batch, t_emb, cfg, dropout_seed=seed, buffers=buffers)
                 hit = [n > 0 for n in res.head_rows]
                 reached = [True] * n_rep + hit
-                # before the step, which overwrites the gradient
-                for t in np.flatnonzero(hit):
-                    head_norms[t] += np.sqrt(np.dot(head_grads[t], head_grads[t]))
+                # before the step, which overwrites the gradient; each head's
+                # dot product is np.dot's, and a head without samples adds 0
+                dots = np.matmul(head_grad_rows[:, None, :], head_grad_rows[:, :, None])
+                head_norms += np.sqrt(dots[:, 0, 0])
                 decayed = [w for net, r in zip(weights, reached) if r for w in net]
                 sgd_step(model.theta, grad, lr, cfg.weight_decay, decayed)
             except NumericError as exc:

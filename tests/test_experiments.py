@@ -107,6 +107,10 @@ def test_apply_overrides():
     ):
         with pytest.raises(ConfigError, match=key):
             apply_overrides(base, {key: value})
+    # a dotted key under a field that holds a value, not a section
+    for key in ("variant.x", "repeats.x", "label.y"):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            apply_overrides(base, {key: 1})
 
 
 def test_sweep_spec_validation():

@@ -26,7 +26,8 @@ from ite_bench.model import (
     save_checkpoint,
     train,
 )
-from ite_bench.nn import mlp_forward, sgd_step
+from ite_bench.mmd import treatment_regularization_loss
+from ite_bench.nn import mlp_backward, mlp_forward, sgd_step
 from ite_bench.simulate import SimConfig, simulate_dataset
 
 from gradcheck import central_difference
@@ -412,6 +413,114 @@ def test_reused_buffers_write_every_gradient_entry(variant):
             assert not gw.any() and not gb.any()  # NaN would count as nonzero
 
 
+def _per_head_batch_loss(model, batch, t_emb, cfg, dropout_seed):
+    """batch_loss as a loop over the heads, every pass through buffers of
+    its own: each head runs forward and backward on its own rows, gathered
+    out of the batch, and scatters its input gradient back."""
+    x, t, y = batch
+    n = t.size
+    grad = np.zeros_like(model.theta)
+    views = model.views(grad)
+
+    def rng(i):
+        return model_module._dropout_rng(dropout_seed, i)
+
+    cov_out, cov_cache = mlp_forward(model.cov_net, x, rng(0))
+    head_in = cov_out
+    if model.variant == "joint":
+        treat_out, treat_cache = mlp_forward(model.treat_net, t_emb[t], rng(1))
+        head_in = np.concatenate([cov_out, treat_out], axis=1)
+    yhat, resid = np.empty(n), np.empty(n)
+    d_head_in = np.zeros_like(head_in)
+    rows_by_t = [np.flatnonzero(t == s) for s in range(model.k)]
+    for s, rows in enumerate(rows_by_t):
+        if rows.size:
+            out, cache = mlp_forward(model.heads[s], head_in[rows], rng(2 + s))
+            yhat[rows] = out[:, 0]
+            resid[rows] = yhat[rows] - y[rows]
+            upstream = (cfg.alpha * ((2.0 / n) * resid[rows]))[:, None]
+            d_head_in[rows] += mlp_backward(model.heads[s], cache, upstream, views[s - model.k])
+    mse = float(np.mean(resid * resid))
+    balance = 0.0
+    if model.variant == "joint":
+        groups = {s: head_in[rows] for s, rows in enumerate(rows_by_t) if rows.size}
+        balance, bal_grads = treatment_regularization_loss(groups, cfg.bandwidth)
+        for s, g in bal_grads.items():
+            d_head_in[rows_by_t[s]] += cfg.beta * g
+    width = cov_out.shape[1]
+    mlp_backward(model.cov_net, cov_cache, d_head_in[:, :width], views[0])
+    if model.variant == "joint":
+        mlp_backward(model.treat_net, treat_cache, d_head_in[:, width:], views[1])
+    total = cfg.alpha * mse + cfg.beta * balance
+    return total, mse, balance, grad, tuple(rows.size for rows in rows_by_t), yhat
+
+
+def _unsorted_treatments(k, seed):
+    """Treatments in shuffled order: head 1 gets no row, head 2 one row."""
+    counts = np.random.default_rng(seed).integers(2, 9, size=k)
+    counts[1], counts[2] = 0, 1
+    return np.random.default_rng(seed + 1).permutation(np.repeat(np.arange(k), counts))
+
+
+@pytest.mark.parametrize("variant", ["joint", "tarnet"])
+@pytest.mark.parametrize("k", [4, 16])
+def test_batch_loss_equals_the_per_head_loop_bit_for_bit(variant, k):
+    shape = small_shape(head_layers=3, head_width=5, dropout_rate=0.2)
+    model = build_model(3, k, shape, variant, rng=k)
+    rng = np.random.default_rng(k)
+    t_emb = rng.normal(size=(k, 3))
+    t = _unsorted_treatments(k, seed=k)
+    assert not np.all(np.diff(t) >= 0)
+    batch = Batch(rng.normal(size=(t.size, 3)), t, rng.normal(size=t.size))
+    cfg = TrainConfig(alpha=0.7, beta=1.3)
+    total, mse, balance, grad, head_rows, yhat = _per_head_batch_loss(
+        model, batch, t_emb, cfg, dropout_seed=11
+    )
+    assert head_rows[1] == 0 and head_rows[2] == 1 and (balance > 0.0) == (variant == "joint")
+    # through fresh buffers, and through fit buffers left dirty by another batch
+    buffers = model.fit_buffers(t.size + 3)
+    other = Batch(rng.normal(size=(t.size + 3, 3)), rng.integers(0, k, t.size + 3),
+                  rng.normal(size=t.size + 3))
+    batch_loss(model, other, t_emb, cfg, dropout_seed=4, buffers=buffers)
+    for res in (
+        batch_loss(model, batch, t_emb, cfg, dropout_seed=11),
+        batch_loss(model, batch, t_emb, cfg, dropout_seed=11, buffers=buffers),
+    ):
+        assert res.grad.tobytes() == grad.tobytes()
+        assert (res.total, res.mse, res.balance) == (total, mse, balance)
+        assert res.predictions.tobytes() == yhat.tobytes()
+        assert res.head_rows == head_rows
+
+
+@pytest.mark.parametrize("variant", ["joint", "tarnet"])
+@pytest.mark.parametrize(
+    "k, untrained", [(4, ()), (4, (1,)), (16, (0, 2, 5, 15)), (16, tuple(range(16)))]
+)
+def test_predictions_equal_the_per_head_loop_bit_for_bit(variant, k, untrained):
+    # untrained heads while others are trained fall back to the trained
+    # heads' mean; with none trained every head is used as is
+    updates = tuple(0 if s in untrained else s + 1 for s in range(k))
+    model = dataclasses.replace(
+        build_model(5, k, small_shape(head_layers=2, dropout_rate=0.2), variant, rng=k),
+        head_updates=updates,
+    )
+    rng = np.random.default_rng(k)
+    t_emb = rng.normal(size=(k, 5))
+    t_obs = _unsorted_treatments(k, seed=k + 7)
+    x = rng.normal(size=(t_obs.size, 5))
+    cov_out = mlp_forward(model.cov_net, x)[0]
+    per_head = np.column_stack([_fresh_column(model, cov_out, t_emb, s) for s in range(k)])
+    assert predict_all_outcomes(model, x, t_emb).tobytes() == per_head.tobytes()
+    per_head_factual = np.empty(t_obs.size)
+    for s in range(k):
+        rows = np.flatnonzero(t_obs == s)
+        per_head_factual[rows] = _fresh_column(model, cov_out[rows], t_emb, s)
+    buffers = model.fit_buffers(t_obs.size)
+    for caches in (None, buffers.caches):
+        factual = factual_predictions(model, x, t_obs, t_emb, caches)
+        assert factual.tobytes() == per_head_factual.tobytes()
+
+
 def test_second_batch_with_fit_buffers_allocates_under_1_mb():
     # per-layer temporaries at width 200 and batch 128 are 0.2 MB each
     shape = ModelShape(
@@ -709,6 +818,9 @@ def test_factual_predictions_match_the_gathered_matrix_up_to_roundoff(case):
 def test_factual_predictions_check_observed_treatments():
     model = build_model(6, 3, small_shape(), "joint", rng=1)
     x, t_emb = np.zeros((4, 6)), np.zeros((3, 6))
+    # no rows: no head pass has a segment
+    assert factual_predictions(model, x[:0], np.zeros(0, int), t_emb).shape == (0,)
+    assert predict_all_outcomes(model, x[:0], t_emb).shape == (0, 3)
     with pytest.raises(ShapeError):
         factual_predictions(model, x, np.array([0, 1, 2, 3]), t_emb)
     with pytest.raises(ShapeError):

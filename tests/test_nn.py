@@ -10,12 +10,15 @@ from ite_bench.model import ModelShape, OutcomeModel, TrainConfig, build_model
 from ite_bench.nn import (
     ForwardCache,
     MlpParams,
+    MlpStack,
     _activate,
     _activate_grad,
     init_mlp,
     mlp_backward,
     mlp_forward,
     sgd_step,
+    stack_backward,
+    stack_forward,
 )
 
 from gradcheck import (
@@ -262,6 +265,42 @@ def test_reused_cache_matches_fresh_allocation_bit_for_bit(activation, dropout_s
         assert flatten_grads(fresh[3]).tobytes() == flatten_grads(reused[3]).tobytes()
         assert fresh[4].tobytes() == reused[4].tobytes()
     assert (dropout_seed is not None) == any(m is not None for m in reused[2])
+
+
+@pytest.mark.parametrize("activation", ["tanh", "elu"])
+@pytest.mark.parametrize("dropout_seed", [None, 5])
+def test_stack_pass_equals_each_network_on_its_own_rows_bit_for_bit(activation, dropout_seed):
+    nets = [init_mlp([4, 6, 5, 2], activation, dropout_rate=0.3, rng=s) for s in range(3)]
+    layers = [zip(*(net.layers[l] for net in nets)) for l in range(3)]
+    stack = MlpStack(tuple(tuple(np.stack(p) for p in pair) for pair in layers), activation, 0.3)
+    rng = np.random.default_rng(2)
+    # network 1 owns no rows and network 0 one row
+    segments = [(0, 0, 1), (2, 1, 8)]
+    x, upstream = rng.normal(size=(8, 4)), rng.normal(size=(8, 2))
+
+    def gen(t):
+        return None if dropout_seed is None else np.random.default_rng([dropout_seed, t])
+
+    cache = ForwardCache(stack, 10)
+    rngs = None if dropout_seed is None else [gen(t) for t, _, _ in segments]
+    out = stack_forward(stack, x, segments, cache, rngs)
+    grads = tuple((np.full_like(w, np.nan), np.full_like(b, np.nan)) for w, b in stack.layers)
+    d_x = stack_backward(stack, cache, upstream, grads)
+    for t, start, stop in segments:
+        own_out, own_cache = mlp_forward(nets[t], x[start:stop], gen(t))
+        own_grads = empty_grads(nets[t])
+        own_d_x = mlp_backward(nets[t], own_cache, upstream[start:stop], own_grads)
+        assert out[start:stop].tobytes() == own_out.tobytes()
+        assert d_x[start:stop].tobytes() == own_d_x.tobytes()
+        for (gw, gb), (own_gw, own_gb) in zip(grads, own_grads):
+            assert gw[t].tobytes() == own_gw.tobytes() and gb[t].tobytes() == own_gb.tobytes()
+    # a network without rows is not written
+    assert all(np.isnan(gw[1]).all() and np.isnan(gb[1]).all() for gw, gb in grads)
+    # in eval mode a network may own several segments, as if each were its own batch
+    split = stack_forward(stack, x, [(2, 0, 3), (0, 3, 5), (2, 5, 8)], cache)
+    assert split[5:].tobytes() == mlp_forward(nets[2], x[5:])[0].tobytes()
+    with pytest.raises(ShapeError):
+        stack_forward(stack, x, segments, ForwardCache(stack, 7))
 
 
 def test_forward_refuses_a_cache_that_does_not_fit():
