@@ -27,7 +27,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .mmd import treatment_regularization_loss
 from .nn import (
     ACTIVATIONS,
     ForwardCache,
-    MlpParams,
     MlpStack,
     glorot_uniform,
     mlp_backward,
@@ -155,11 +154,11 @@ class OutcomeModel:
     k heads, each layer's weight row-major and then its bias (the
     checkpoint's parameter file). Construction checks theta against the
     shape and copies it, so no two models share parameters and
-    dataclasses.replace(model) is an independent copy. cov_net, treat_net
-    (None for "tarnet") and heads are networks whose (weight, bias) pairs
-    are views of theta, with the shape's activation and dropout rate;
-    head_stack views the k heads, which are theta's last k equal blocks, as
-    one stack.
+    dataclasses.replace(model) is an independent copy. Every network is a
+    stack (nn.MlpStack) whose (weights, biases) pairs are views of theta,
+    with the shape's activation and dropout rate: cov_net and treat_net
+    (None for "tarnet") are one-network stacks, and head_stack stacks the k
+    heads, which are theta's last k equal blocks.
 
     head_updates counts the SGD steps each head has received, all zero
     unless given: k ints >= 0 (a bool is not one), stored as a tuple. A
@@ -202,37 +201,32 @@ class OutcomeModel:
         self.head_updates = tuple(counts)
         act, rate = self.shape.activation, self.shape.dropout_rate
         self._head_size = _n_params(self.shape.network_dims(self.input_dim, 1, self.variant)[-1])
-        self._nets = tuple(MlpParams(layers, act, rate) for layers in self.views(self.theta))
-        self._head_stack = MlpStack(self.stack_views(self.theta), act, rate)
+        self._stacks = tuple(MlpStack(layers, act, rate) for layers in self.views(self.theta))
 
     @property
-    def cov_net(self) -> MlpParams:
-        return self._nets[0]
+    def cov_net(self) -> MlpStack:
+        return self._stacks[0]
 
     @property
-    def treat_net(self) -> MlpParams | None:
-        return self._nets[1] if self.variant == "joint" else None
-
-    @property
-    def heads(self) -> tuple[MlpParams, ...]:
-        return self._nets[len(self._nets) - self.k :]
+    def treat_net(self) -> MlpStack | None:
+        return self._stacks[1] if self.variant == "joint" else None
 
     @property
     def head_stack(self) -> MlpStack:
-        return self._head_stack
+        return self._stacks[-1]
 
     def views(self, vec: np.ndarray) -> list[tuple[tuple[np.ndarray, np.ndarray], ...]]:
-        """Each network's (weight, bias) pairs as views of vec, a vector in
-        theta's layout: cov, treat (joint only), then the heads, whose pairs
-        are slices of stack_views(vec)."""
+        """Each network stack's (weights [k x out x in], biases [k x out])
+        pairs as views of vec, a vector in theta's layout: cov and treat
+        (joint only), each a stack of one, then the k heads (see
+        nn.MlpStack)."""
         dims = self.shape.network_dims(self.input_dim, self.k, self.variant)
-        nets, pos = [], 0
+        stacks, pos = [], 0
         for net_dims in dims[: len(dims) - self.k]:
             size = _n_params(net_dims)
-            nets.append(_layer_views(vec[pos : pos + size], net_dims))
+            stacks.append(_layer_views(vec[None, pos : pos + size], net_dims))
             pos += size
-        stack = self.stack_views(vec)
-        return nets + [tuple((w[t], b[t]) for w, b in stack) for t in range(self.k)]
+        return stacks + [_layer_views(self.head_block(vec), dims[-1])]
 
     def head_block(self, vec: np.ndarray) -> np.ndarray:
         """The heads' part of vec as a [k x head parameters] view: row t
@@ -240,24 +234,17 @@ class OutcomeModel:
         size = self._head_size
         return vec[vec.size - self.k * size :].reshape(self.k, size)
 
-    def stack_views(self, vec: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The heads' (weights [k x out x in], biases [k x out]) pairs as
-        views of vec, in stack order (see nn.MlpStack)."""
-        dims = self.shape.network_dims(self.input_dim, 1, self.variant)[-1]
-        return _layer_views(self.head_block(vec), dims)
-
     def forward_caches(self, rows: int) -> list[ForwardCache]:
-        """ForwardCaches for passes of up to rows samples: one per
-        representation network (cov, then treat for joint), and last the
-        head stack's, whose x buffer holds a head pass's input."""
-        reps = self._nets[: len(self._nets) - self.k]
-        return [ForwardCache(net, rows) for net in reps] + [ForwardCache(self._head_stack, rows)]
+        """ForwardCaches for passes of up to rows samples, one per network
+        stack in views' order; the head stack's x buffer holds a head
+        pass's input."""
+        return [ForwardCache(stack, rows) for stack in self._stacks]
 
     def fit_buffers(self, rows: int) -> "FitBuffers":
-        """A gradient vector, its per-network views, its head stack views
-        and forward_caches(rows), for batches of up to rows samples."""
+        """A gradient vector, its stack views and forward_caches(rows), for
+        batches of up to rows samples."""
         grad = np.empty_like(self.theta)
-        return FitBuffers(grad, self.views(grad), self.stack_views(grad), self.forward_caches(rows))
+        return FitBuffers(grad, self.views(grad), self.forward_caches(rows))
 
     def head_trained(self, t: int) -> bool:
         """Whether head t received an update."""
@@ -273,13 +260,14 @@ def build_model(
     rng: np.random.Generator | int | None = None,
 ) -> OutcomeModel:
     """A model with zero biases and glorot_uniform weights, drawn from one
-    generator layer by layer in theta's order."""
+    generator network by network and layer by layer in theta's order."""
     theta = np.zeros(shape.n_params(input_dim, k, variant))
     model = OutcomeModel(shape, input_dim, k, variant, theta)
     gen = np.random.default_rng(rng)
     for layers in model.views(model.theta):
-        for w, _ in layers:
-            glorot_uniform(w, gen)
+        for t in range(layers[0][0].shape[0]):
+            for w, _ in layers:
+                glorot_uniform(w[t], gen)
     return model
 
 
@@ -341,11 +329,12 @@ class Batch(NamedTuple):
 
 
 class FitBuffers(NamedTuple):
-    """Every buffer batch_loss writes (OutcomeModel.fit_buffers)."""
+    """Every buffer batch_loss writes (OutcomeModel.fit_buffers): the
+    gradient, and per network stack its views of the gradient and its
+    ForwardCache."""
 
     grad: np.ndarray  # in the layout of model.theta
     grad_views: list[tuple[tuple[np.ndarray, np.ndarray], ...]]  # model.views(grad)
-    head_grads: tuple[tuple[np.ndarray, np.ndarray], ...]  # model.stack_views(grad)
     caches: list[ForwardCache]  # model.forward_caches
 
 
@@ -388,15 +377,13 @@ def batch_loss(
     every gradient entry is written.
     """
     xb = np.asarray(batch.x, dtype=np.float64)
-    tb = np.asarray(batch.t)
     yb = np.asarray(batch.y, dtype=np.float64)
     n = xb.shape[0]
     if n == 0:
         raise ShapeError("empty batch")
-    if tb.shape != (n,) or yb.shape != (n,):
+    if yb.shape != (n,):
         raise ShapeError("batch arrays disagree on length")
-    if tb.min() < 0 or tb.max() >= model.k:
-        raise ShapeError(f"batch treatments must lie in 0..{model.k - 1}")
+    tb = _check_treatments(model, batch.t, n)
     t_emb = _check_t_emb(model, t_emb)
 
     joint = model.variant == "joint"
@@ -425,7 +412,7 @@ def batch_loss(
     rngs = None
     if dropout_seed is not None:
         rngs = [_dropout_rng(dropout_seed, 2 + t) for t, _, _ in segments]
-    out = stack_forward(model.head_stack, head_in, segments, head_cache, rngs)[:, 0]
+    out = stack_forward(model.head_stack, head_in, segments, head_cache, rngs)[0][:, 0]
 
     # factual loss path: alpha * L1 through the observed heads only, its
     # mean taken in batch order
@@ -439,7 +426,7 @@ def batch_loss(
     # the backward passes write every gradient entry but those of the heads
     # without samples
     model.head_block(buffers.grad)[head_rows == 0] = 0.0
-    d_head_in = stack_backward(model.head_stack, head_cache, upstream, buffers.head_grads)
+    d_head_in = stack_backward(model.head_stack, head_cache, upstream, buffers.grad_views[-1])
 
     # balancing path: beta * L2 into the representations, never the heads
     balance = 0.0
@@ -526,7 +513,7 @@ def _head_predictions(
     others (a treatment held out of fitting): head t then holds only its
     random initialization, so its rows get the mean of the trained heads
     instead. The passes run through cache, the head stack's ForwardCache."""
-    out[:] = stack_forward(model.head_stack, head_in, segments, cache)[:, 0]
+    out[:] = stack_forward(model.head_stack, head_in, segments, cache)[0][:, 0]
     trained = np.flatnonzero(model.head_updates).tolist()
     for t, start, stop in segments:
         if trained and not model.head_trained(t):
@@ -536,20 +523,32 @@ def _head_predictions(
             for j, s in enumerate(trained):
                 outs[j] = stack_forward(
                     model.head_stack, head_in[start:stop], [(s, 0, stop - start)], cache
-                )[:, 0]
+                )[0][:, 0]
             out[start:stop] = np.mean(outs, axis=0)
 
 
 def _treatment_rows(
-    model: OutcomeModel, t_emb: np.ndarray, treatments: Iterable[int], cache: ForwardCache
+    model: OutcomeModel, t_emb: np.ndarray, treatments: Sequence[int], cache: ForwardCache
 ) -> np.ndarray:
     """Eval-mode treatment representations, row t of a [k x treat_out]
-    array for each t in treatments. Each is a one-row pass: a row of a
-    k-row product differs from it in the last bits."""
-    psi = np.empty((model.k, model.treat_net.output_dim))
-    for t in treatments:
-        psi[t] = mlp_forward(model.treat_net, t_emb[t : t + 1], cache=cache)[0][0]
+    array for each t in treatments, from one pass of the treatment network
+    with a one-row segment per treatment: a row of a k-row product differs
+    from a one-row product in the last bits. cache needs a row per
+    treatment."""
+    psi = np.empty((model.k, model.shape.treat_out))
+    rows = [(0, i, i + 1) for i in range(len(treatments))]
+    psi[treatments] = stack_forward(model.treat_net, t_emb[treatments], rows, cache)[0]
     return psi
+
+
+def _check_treatments(model: OutcomeModel, t: np.ndarray, n: int) -> np.ndarray:
+    """t as n integer treatments in 0..k-1, or ShapeError."""
+    t = np.asarray(t)
+    if t.shape != (n,) or t.dtype.kind not in "iu":
+        raise ShapeError(f"treatments must be {n} integers, got {t.dtype} of shape {t.shape}")
+    if n and (t.min() < 0 or t.max() >= model.k):
+        raise ShapeError(f"treatments must lie in 0..{model.k - 1}")
+    return t
 
 
 def _check_t_emb(model: OutcomeModel, t_emb: np.ndarray) -> np.ndarray:
@@ -577,8 +576,8 @@ def predict_all_outcomes(
     t_emb = _check_t_emb(model, t_emb)
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    # at least one row: the treatment network runs on one embedding
-    caches = model.forward_caches(max(n, 1))
+    # the treatment network runs on one row per treatment
+    caches = model.forward_caches(max(n, model.k))
     cov_out, _ = mlp_forward(model.cov_net, x, cache=caches[0])
     width = cov_out.shape[1]
     head_in = cov_out
@@ -610,12 +609,8 @@ def factual_predictions(
     """
     t_emb = _check_t_emb(model, t_emb)
     x = np.asarray(x, dtype=np.float64)
-    t_obs = np.asarray(t_obs)
     n = x.shape[0]
-    if t_obs.shape != (n,):
-        raise ShapeError(f"t_obs has shape {t_obs.shape}, expected ({n},)")
-    if t_obs.size and (t_obs.min() < 0 or t_obs.max() >= model.k):
-        raise ShapeError(f"observed treatments must lie in 0..{model.k - 1}")
+    t_obs = _check_treatments(model, t_obs, n)
     if caches is None:
         caches = model.forward_caches(n)
     cov_out, _ = mlp_forward(model.cov_net, x, cache=caches[0])
@@ -676,9 +671,11 @@ def train(
     n_tr = x_tr.shape[0]
     buffers = model.fit_buffers(max(min(cfg.batch_size, n_tr), x_val.shape[0]))
     grad = buffers.grad
-    # each network's weight views of theta, for weight decay
-    weights = [[w for w, _ in net] for net in model.views(model.theta)]
-    n_rep = len(weights) - dataset.k  # cov, and treat for joint
+    # theta's weight views, for weight decay: every representation weight,
+    # and per head its slices of the head stack's weights
+    *reps, heads = model.views(model.theta)
+    rep_weights = [w for layers in reps for w, _ in layers]
+    head_weights = [[w[t] for w, _ in heads] for t in range(dataset.k)]
     head_grad_rows = model.head_block(grad)
     # the improving epochs are copied into this one snapshot's theta
     best_model = dataclasses.replace(model)
@@ -701,12 +698,11 @@ def train(
             try:
                 res = batch_loss(model, batch, t_emb, cfg, dropout_seed=seed, buffers=buffers)
                 hit = [n > 0 for n in res.head_rows]
-                reached = [True] * n_rep + hit
                 # before the step, which overwrites the gradient; each head's
                 # dot product is np.dot's, and a head without samples adds 0
                 dots = np.matmul(head_grad_rows[:, None, :], head_grad_rows[:, :, None])
                 head_norms += np.sqrt(dots[:, 0, 0])
-                decayed = [w for net, r in zip(weights, reached) if r for w in net]
+                decayed = rep_weights + [w for ws, h in zip(head_weights, hit) if h for w in ws]
                 sgd_step(model.theta, grad, lr, cfg.weight_decay, decayed)
             except NumericError as exc:
                 raise TrainingDiverged(epoch, batch_index, history) from exc

@@ -16,29 +16,32 @@ def central_difference(f, x0, h=1e-4):
     return grad
 
 
-def flatten_params(params):
-    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in params.layers])
+def flatten_params(stack):
+    """A stack's parameters, each layer's weights and then its biases; for a
+    one-network stack that is a model's theta layout."""
+    return flatten_grads(stack.layers)
 
 
-def unflatten_params(params, vec):
+def unflatten_params(stack, vec):
     layers = []
     pos = 0
-    for w, b in params.layers:
+    for w, b in stack.layers:
         new_w = vec[pos : pos + w.size].reshape(w.shape).copy()
         pos += w.size
-        new_b = vec[pos : pos + b.size].copy()
+        new_b = vec[pos : pos + b.size].reshape(b.shape).copy()
         pos += b.size
         layers.append((new_w, new_b))
-    return replace(params, layers=tuple(layers))
+    return replace(stack, layers=tuple(layers))
 
 
-def empty_grads(params):
-    """(dW, db) arrays shaped like params.layers, for mlp_backward's out."""
-    return [(np.empty_like(w), np.empty_like(b)) for w, b in params.layers]
+def empty_grads(stack):
+    """(dW, db) arrays shaped like stack.layers, for the out of
+    stack_backward and mlp_backward."""
+    return [(np.empty_like(w), np.empty_like(b)) for w, b in stack.layers]
 
 
 def flatten_grads(layers):
-    return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in layers])
+    return np.concatenate([np.concatenate([gw.ravel(), gb.ravel()]) for gw, gb in layers])
 
 
 def assert_grads_close(analytic, fd, rtol=1e-4, atol=1e-7):

@@ -141,7 +141,7 @@ def test_train_writes_checkpoint_and_history(tmp_path, capsys):
     assert ckpt["variant"] == "joint"
     # the treatment network reads embeddings of the covariates' width
     assert ckpt["input_dim"] == 4
-    assert load_checkpoint(out / "checkpoint.json").model.treat_net.input_dim == 4
+    assert load_checkpoint(out / "checkpoint.json").model.treat_net.layers[0][0].shape[-1] == 4
     hist = json.loads((out / "history.json").read_text())["history"]
     assert len(hist["loss"]) == 2
     # loss decomposes into alpha * mse + beta * balance (defaults 1.0, 0.5)

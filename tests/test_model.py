@@ -26,11 +26,11 @@ from ite_bench.model import (
     save_checkpoint,
     train,
 )
-from ite_bench.mmd import treatment_regularization_loss
-from ite_bench.nn import mlp_backward, mlp_forward, sgd_step
+from ite_bench.nn import mlp_forward, sgd_step
 from ite_bench.simulate import SimConfig, simulate_dataset
 
 from gradcheck import central_difference
+from per_head import fresh_column, head_pass, per_head_batch_loss
 
 
 def identity_model(d=2, k=2, variant="joint"):
@@ -44,8 +44,7 @@ def identity_model(d=2, k=2, variant="joint"):
     for net in (model.cov_net, model.treat_net):
         if net is not None:
             net.layers[0][0][...] = np.eye(d)
-    for head in model.heads:
-        head.layers[0][0][...] = 1.0
+    model.head_stack.layers[0][0][...] = 1.0
     return model
 
 
@@ -116,26 +115,13 @@ def test_untrained_head_column_is_mean_of_trained_heads(variant):
     if variant == "joint":
         treat = mlp_forward(raw.treat_net, t_emb[1][None, :])[0]
         head_in = np.concatenate([head_in, np.repeat(treat, 7, axis=0)], axis=1)
-    outs = [mlp_forward(raw.heads[s], head_in)[0][:, 0] for s in (0, 2)]
+    outs = [head_pass(raw, s, head_in)[0] for s in (0, 2)]
     np.testing.assert_allclose(yhat[:, 1], (outs[0] + outs[1]) / 2, rtol=0, atol=1e-14)
     assert not np.allclose(yhat[:, 1], base[:, 1])
     # a model with no trained head uses every head as is, as one with all trained does
     assert raw.head_updates == (0, 0, 0) and raw.head_trained(1) is False
     trained = dataclasses.replace(raw, head_updates=(1, 1, 1))
     np.testing.assert_array_equal(base, predict_all_outcomes(trained, x, t_emb))
-
-
-def _fresh_column(model, cov_out, t_emb, t):
-    """predict_all_outcomes' column t for the rows of cov_out, every pass
-    through buffers of its own."""
-    head_in = cov_out
-    if model.variant == "joint":
-        treat = mlp_forward(model.treat_net, t_emb[t : t + 1])[0]
-        head_in = np.concatenate([cov_out, np.repeat(treat, len(cov_out), axis=0)], axis=1)
-    trained = [s for s in range(model.k) if model.head_trained(s)]
-    if t in trained or not trained:
-        return mlp_forward(model.heads[t], head_in)[0][:, 0]
-    return np.mean([mlp_forward(model.heads[s], head_in)[0][:, 0] for s in trained], axis=0)
 
 
 @pytest.mark.parametrize(
@@ -151,12 +137,12 @@ def test_predictions_through_one_buffer_set_equal_fresh_buffers(variant, head_up
     rng = np.random.default_rng(3)
     x, t_emb, t_obs = rng.normal(size=(11, 5)), rng.normal(size=(4, 5)), rng.integers(0, 4, 11)
     cov_out = mlp_forward(model.cov_net, x)[0]
-    fresh = np.column_stack([_fresh_column(model, cov_out, t_emb, t) for t in range(4)])
+    fresh = np.column_stack([fresh_column(model, cov_out, t_emb, t) for t in range(4)])
     assert predict_all_outcomes(model, x, t_emb).tobytes() == fresh.tobytes()
     fresh_factual = np.empty(11)
     for t in range(4):
         rows = np.flatnonzero(t_obs == t)
-        fresh_factual[rows] = _fresh_column(model, cov_out[rows], t_emb, t)
+        fresh_factual[rows] = fresh_column(model, cov_out[rows], t_emb, t)
     # validation's buffers: larger than x, and left dirty by a training batch
     buffers = model.fit_buffers(16)
     t = rng.integers(0, 4, 16)
@@ -170,8 +156,9 @@ def test_predictions_through_one_buffer_set_equal_fresh_buffers(variant, head_up
 def test_variant_lays_out_the_networks_and_head_updates_is_keyword_only():
     joint, tarnet = identity_model(), identity_model(variant="tarnet")
     assert joint.treat_net is not None and tarnet.treat_net is None
-    assert [h.input_dim for h in joint.heads + tarnet.heads] == [4, 4, 2, 2]
-    assert joint.theta.size == tarnet.theta.size + joint.treat_net.n_params + 2 * 2
+    assert [m.head_stack.layers[0][0].shape for m in (joint, tarnet)] == [(2, 1, 4), (2, 1, 2)]
+    treat_size = sum(w.size + b.size for w, b in joint.treat_net.layers)
+    assert joint.theta.size == tarnet.theta.size + treat_size + 2 * 2
     assert tarnet.head_updates == (0, 0)
     # a positional sixth argument cannot be taken for the counts
     with pytest.raises(TypeError):
@@ -201,10 +188,10 @@ def test_model_copies_its_theta_and_theta_drives_predictions():
     model = OutcomeModel(shape, 2, 2, "tarnet", vec)
     assert not np.shares_memory(model.theta, vec)
     # each network is a view of its own slice of theta, with the shape's settings
-    assert all(np.shares_memory(net.layers[0][0], model.theta) for net in model.heads)
-    assert not np.shares_memory(model.heads[0].layers[0][0], model.heads[1].layers[0][0])
-    settings = {(net.hidden_activation, net.dropout_rate) for net in (model.cov_net, *model.heads)}
-    assert settings == {("elu", 0.25)}
+    heads = model.head_stack.layers[0][0]
+    assert np.shares_memory(heads, model.theta) and not np.shares_memory(heads[0], heads[1])
+    nets = (model.cov_net, model.head_stack)
+    assert {(net.hidden_activation, net.dropout_rate) for net in nets} == {("elu", 0.25)}
     copy = dataclasses.replace(model)
     assert not np.shares_memory(copy.theta, model.theta)
     x, t_emb = np.array([[0.3, -0.7], [1.1, 0.4]]), np.zeros((2, 2))
@@ -217,6 +204,22 @@ def test_model_copies_its_theta_and_theta_drives_predictions():
     np.testing.assert_array_equal(vec, given)
     np.testing.assert_array_equal(predict_all_outcomes(copy, x, t_emb), before)
     np.testing.assert_array_equal(predict_all_outcomes(model, x, t_emb), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("variant", ["joint", "tarnet"])
+def test_network_stacks_cover_every_entry_of_theta_once_and_share_its_memory(variant):
+    model = build_model(5, 3, small_shape(head_layers=2), variant, rng=2)
+    # each entry holds its own index, so the views together read each index once
+    model.theta[:] = np.arange(model.theta.size)
+    stacks = [net for net in (model.cov_net, model.treat_net, model.head_stack) if net is not None]
+    arrays = [a for net in stacks for layer in net.layers for a in layer]
+    views = [a for layers in model.views(model.theta) for layer in layers for a in layer]
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in views]
+    assert all(np.shares_memory(a, model.theta) for a in arrays)
+    seen = np.sort(np.concatenate([a.ravel() for a in arrays]))
+    assert seen.tobytes() == model.theta.tobytes()
+    # cov and treat are stacks of one network, the heads a stack of k
+    assert [net.layers[0][0].shape[0] for net in stacks] == [1] * (len(stacks) - 1) + [3]
 
 
 def test_model_validation():
@@ -267,8 +270,7 @@ def test_perfect_predictor_has_zero_error_terms():
     assert res.total == pytest.approx(0.5 * res.balance, abs=1e-15)
     assert res.balance > 0.0  # groups still differ in representation space
     assert res.head_rows == (3, 3)
-    for layers in model.views(res.grad)[-model.k :]:
-        assert not any(gw.any() or gb.any() for gw, gb in layers)
+    assert not any(gw.any() or gb.any() for gw, gb in model.views(res.grad)[-1])
 
 
 def test_single_sample_loss_hand_case():
@@ -281,10 +283,10 @@ def test_single_sample_loss_hand_case():
     assert res.total == pytest.approx(4.0, abs=1e-15)
     assert res.mse == pytest.approx(4.0, abs=1e-15)
     # bias gradient of the lone active head: sum over rows of 2/n * resid
-    heads = model.views(res.grad)[-2:]
-    assert heads[0][0][1][0] == pytest.approx(-4.0, abs=1e-15)
+    heads = model.views(res.grad)[-1]
+    assert heads[0][1][0, 0] == pytest.approx(-4.0, abs=1e-15)
     assert res.head_rows == (2, 0)
-    assert not any(gw.any() or gb.any() for gw, gb in heads[1])
+    assert not any(gw[1].any() or gb[1].any() for gw, gb in heads)
 
 
 def test_loss_composition():
@@ -305,10 +307,9 @@ def test_balance_term_never_touches_head_gradients():
     res_off = batch_loss(model, batch, t_emb, TrainConfig(alpha=1.0, beta=0.0, bandwidth=1.0))
     res_on = batch_loss(model, batch, t_emb, TrainConfig(alpha=1.0, beta=5.0, bandwidth=1.0))
     off, on = model.views(res_off.grad), model.views(res_on.grad)
-    for g_off, g_on in zip(off[-model.k :], on[-model.k :]):
-        for (w0, b0), (w1, b1) in zip(g_off, g_on):
-            np.testing.assert_array_equal(w0, w1)
-            np.testing.assert_array_equal(b0, b1)
+    for (w0, b0), (w1, b1) in zip(off[-1], on[-1]):
+        np.testing.assert_array_equal(w0, w1)
+        np.testing.assert_array_equal(b0, b1)
     # the representation networks do feel the balance term
     assert not np.array_equal(off[0][0][0], on[0][0][0])
 
@@ -353,6 +354,16 @@ def test_batch_loss_input_checks():
     with pytest.raises(ShapeError, match="t_emb"):
         batch_loss(model, Batch(np.zeros((3, 2)), np.array([0, 1, 0]), np.zeros(3)),
                    np.zeros((3, 2)), TrainConfig())
+
+
+def test_non_integer_treatments_are_refused():
+    model, t_emb = identity_model(), np.zeros((2, 2))
+    x = np.zeros((2, 2))
+    for t in (np.array([0.0, 1.0]), np.array([False, True])):
+        with pytest.raises(ShapeError, match="integers"):
+            batch_loss(model, Batch(x, t, np.zeros(2)), t_emb, TrainConfig())
+        with pytest.raises(ShapeError, match="integers"):
+            factual_predictions(model, x, t, t_emb)
 
 
 @pytest.mark.parametrize(
@@ -409,50 +420,8 @@ def test_reused_buffers_write_every_gradient_entry(variant):
         assert res.grad is out
         assert out.tobytes() == fresh.grad.tobytes()
         assert res.head_rows[missed] == 0
-        for gw, gb in model.views(out)[missed - model.k]:
-            assert not gw.any() and not gb.any()  # NaN would count as nonzero
-
-
-def _per_head_batch_loss(model, batch, t_emb, cfg, dropout_seed):
-    """batch_loss as a loop over the heads, every pass through buffers of
-    its own: each head runs forward and backward on its own rows, gathered
-    out of the batch, and scatters its input gradient back."""
-    x, t, y = batch
-    n = t.size
-    grad = np.zeros_like(model.theta)
-    views = model.views(grad)
-
-    def rng(i):
-        return model_module._dropout_rng(dropout_seed, i)
-
-    cov_out, cov_cache = mlp_forward(model.cov_net, x, rng(0))
-    head_in = cov_out
-    if model.variant == "joint":
-        treat_out, treat_cache = mlp_forward(model.treat_net, t_emb[t], rng(1))
-        head_in = np.concatenate([cov_out, treat_out], axis=1)
-    yhat, resid = np.empty(n), np.empty(n)
-    d_head_in = np.zeros_like(head_in)
-    rows_by_t = [np.flatnonzero(t == s) for s in range(model.k)]
-    for s, rows in enumerate(rows_by_t):
-        if rows.size:
-            out, cache = mlp_forward(model.heads[s], head_in[rows], rng(2 + s))
-            yhat[rows] = out[:, 0]
-            resid[rows] = yhat[rows] - y[rows]
-            upstream = (cfg.alpha * ((2.0 / n) * resid[rows]))[:, None]
-            d_head_in[rows] += mlp_backward(model.heads[s], cache, upstream, views[s - model.k])
-    mse = float(np.mean(resid * resid))
-    balance = 0.0
-    if model.variant == "joint":
-        groups = {s: head_in[rows] for s, rows in enumerate(rows_by_t) if rows.size}
-        balance, bal_grads = treatment_regularization_loss(groups, cfg.bandwidth)
-        for s, g in bal_grads.items():
-            d_head_in[rows_by_t[s]] += cfg.beta * g
-    width = cov_out.shape[1]
-    mlp_backward(model.cov_net, cov_cache, d_head_in[:, :width], views[0])
-    if model.variant == "joint":
-        mlp_backward(model.treat_net, treat_cache, d_head_in[:, width:], views[1])
-    total = cfg.alpha * mse + cfg.beta * balance
-    return total, mse, balance, grad, tuple(rows.size for rows in rows_by_t), yhat
+        for gw, gb in model.views(out)[-1]:
+            assert not gw[missed].any() and not gb[missed].any()  # NaN would count as nonzero
 
 
 def _unsorted_treatments(k, seed):
@@ -473,7 +442,7 @@ def test_batch_loss_equals_the_per_head_loop_bit_for_bit(variant, k):
     assert not np.all(np.diff(t) >= 0)
     batch = Batch(rng.normal(size=(t.size, 3)), t, rng.normal(size=t.size))
     cfg = TrainConfig(alpha=0.7, beta=1.3)
-    total, mse, balance, grad, head_rows, yhat = _per_head_batch_loss(
+    total, mse, balance, grad, head_rows, yhat = per_head_batch_loss(
         model, batch, t_emb, cfg, dropout_seed=11
     )
     assert head_rows[1] == 0 and head_rows[2] == 1 and (balance > 0.0) == (variant == "joint")
@@ -509,12 +478,12 @@ def test_predictions_equal_the_per_head_loop_bit_for_bit(variant, k, untrained):
     t_obs = _unsorted_treatments(k, seed=k + 7)
     x = rng.normal(size=(t_obs.size, 5))
     cov_out = mlp_forward(model.cov_net, x)[0]
-    per_head = np.column_stack([_fresh_column(model, cov_out, t_emb, s) for s in range(k)])
+    per_head = np.column_stack([fresh_column(model, cov_out, t_emb, s) for s in range(k)])
     assert predict_all_outcomes(model, x, t_emb).tobytes() == per_head.tobytes()
     per_head_factual = np.empty(t_obs.size)
     for s in range(k):
         rows = np.flatnonzero(t_obs == s)
-        per_head_factual[rows] = _fresh_column(model, cov_out[rows], t_emb, s)
+        per_head_factual[rows] = fresh_column(model, cov_out[rows], t_emb, s)
     buffers = model.fit_buffers(t_obs.size)
     for caches in (None, buffers.caches):
         factual = factual_predictions(model, x, t_obs, t_emb, caches)
@@ -634,9 +603,9 @@ def test_a_head_without_samples_is_untouched_by_the_step(monkeypatch):
     train(small_dataset(n=120), small_shape(), quick_train_cfg(batch_size=4, weight_decay=0.1))
     idle = 0
     for model, missed, before, after in steps:
-        heads = zip(model.views(before)[-model.k :], model.views(after)[-model.k :])
+        heads = zip(model.head_block(before), model.head_block(after))
         for t, (old, new) in enumerate(heads):
-            old, new = (b"".join(a.tobytes() for layer in h for a in layer) for h in (old, new))
+            old, new = old.tobytes(), new.tobytes()
             if missed[t]:
                 idle += 1
                 assert new == old  # bit for bit
@@ -651,10 +620,9 @@ def test_held_out_head_keeps_its_initialization():
     initial = train(ds, small_shape(), dataclasses.replace(cfg, epochs_max=0)).model
     trained = train(ds, small_shape(), cfg).model
     assert trained.head_updates[1] == 0
-    for (w0, b0), (w1, b1) in zip(initial.heads[1].layers, trained.heads[1].layers):
-        np.testing.assert_array_equal(w1, w0)
-        np.testing.assert_array_equal(b1, b0)
-    assert not np.array_equal(trained.heads[0].layers[0][0], initial.heads[0].layers[0][0])
+    before, after = initial.head_block(initial.theta), trained.head_block(trained.theta)
+    np.testing.assert_array_equal(after[1], before[1])
+    assert not np.array_equal(after[0], before[0])
 
 
 def test_best_epoch_snapshot_is_a_copy(monkeypatch):
@@ -912,15 +880,15 @@ def test_checkpoint_is_a_header_plus_a_parameter_vector(tmp_path):
     assert "model.npy" not in path.read_text()
     vec = np.load(sidecar, allow_pickle=False)
     model = trained.model
-    nets = [model.cov_net, model.treat_net, *model.heads]
+    stacks = [model.cov_net, model.treat_net, model.head_stack]
     assert vec.dtype == np.float64
-    assert vec.shape == (sum(net.n_params for net in nets),)
+    assert vec.shape == (sum(w.size + b.size for net in stacks for w, b in net.layers),)
     np.testing.assert_array_equal(vec, model.theta)
     # cov, treat, then heads; each layer's weight row-major, then its bias
-    w0, b0 = model.cov_net.layers[0]
+    w0, b0 = (a[0] for a in model.cov_net.layers[0])
     np.testing.assert_array_equal(vec[: w0.size], w0.ravel())
     np.testing.assert_array_equal(vec[w0.size : w0.size + b0.size], b0)
-    w_last, b_last = model.heads[-1].layers[-1]
+    w_last, b_last = (a[-1] for a in model.head_stack.layers[-1])
     np.testing.assert_array_equal(vec[-b_last.size - w_last.size : -b_last.size], w_last.ravel())
     np.testing.assert_array_equal(vec[-b_last.size :], b_last)
 

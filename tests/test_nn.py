@@ -9,7 +9,6 @@ from ite_bench.errors import ConfigError, NumericError, ShapeError
 from ite_bench.model import ModelShape, OutcomeModel, TrainConfig, build_model
 from ite_bench.nn import (
     ForwardCache,
-    MlpParams,
     MlpStack,
     _activate,
     _activate_grad,
@@ -32,11 +31,9 @@ from gradcheck import (
 
 
 def _params(layers, activation="tanh", dropout=0.0):
-    return MlpParams(
-        tuple((np.asarray(w, dtype=float), np.asarray(b, dtype=float)) for w, b in layers),
-        activation,
-        dropout,
-    ).validate()
+    """A one-network stack of the given (weight, bias) pairs."""
+    arrays = tuple((np.asarray(w, dtype=float), np.asarray(b, dtype=float)) for w, b in layers)
+    return MlpStack(tuple((w[None], b[None]) for w, b in arrays), activation, dropout)
 
 
 def test_identity_single_layer_passes_input_through():
@@ -87,14 +84,10 @@ def test_forward_validates_input():
 
 
 def test_params_validation_rejects_bad_networks():
-    with pytest.raises(ShapeError):
-        _params([(np.eye(3), np.zeros(3)), (np.ones((2, 4)), np.zeros(2))])
     with pytest.raises(ConfigError):
-        MlpParams(((np.eye(2), np.zeros(2)),), "relu").validate()
+        init_mlp([2, 2], "relu")
     with pytest.raises(ConfigError):
-        MlpParams(((np.eye(2), np.zeros(2)),), "tanh", 1.0).validate()
-    with pytest.raises(NumericError):
-        _params([(np.full((2, 2), np.inf), np.zeros(2))])
+        init_mlp([2, 2], "tanh", 1.0)
 
 
 def test_batch_forward_matches_per_row_forward():
@@ -176,8 +169,8 @@ def test_backward_scalar_affine_layer():
     _, cache = mlp_forward(params, x)
     grads = empty_grads(params)
     d_x = mlp_backward(params, cache, np.array([[1.0]]), grads)
-    assert grads[0][0][0, 0] == 2.5
-    assert grads[0][1][0] == 1.0
+    assert grads[0][0][0, 0, 0] == 2.5
+    assert grads[0][1][0, 0] == 1.0
     assert d_x[0, 0] == 1.7
 
 
@@ -272,7 +265,7 @@ def test_reused_cache_matches_fresh_allocation_bit_for_bit(activation, dropout_s
 def test_stack_pass_equals_each_network_on_its_own_rows_bit_for_bit(activation, dropout_seed):
     nets = [init_mlp([4, 6, 5, 2], activation, dropout_rate=0.3, rng=s) for s in range(3)]
     layers = [zip(*(net.layers[l] for net in nets)) for l in range(3)]
-    stack = MlpStack(tuple(tuple(np.stack(p) for p in pair) for pair in layers), activation, 0.3)
+    stack = MlpStack(tuple(tuple(map(np.concatenate, pair)) for pair in layers), activation, 0.3)
     rng = np.random.default_rng(2)
     # network 1 owns no rows and network 0 one row
     segments = [(0, 0, 1), (2, 1, 8)]
@@ -283,7 +276,7 @@ def test_stack_pass_equals_each_network_on_its_own_rows_bit_for_bit(activation, 
 
     cache = ForwardCache(stack, 10)
     rngs = None if dropout_seed is None else [gen(t) for t, _, _ in segments]
-    out = stack_forward(stack, x, segments, cache, rngs)
+    out = stack_forward(stack, x, segments, cache, rngs)[0]
     grads = tuple((np.full_like(w, np.nan), np.full_like(b, np.nan)) for w, b in stack.layers)
     d_x = stack_backward(stack, cache, upstream, grads)
     for t, start, stop in segments:
@@ -293,14 +286,18 @@ def test_stack_pass_equals_each_network_on_its_own_rows_bit_for_bit(activation, 
         assert out[start:stop].tobytes() == own_out.tobytes()
         assert d_x[start:stop].tobytes() == own_d_x.tobytes()
         for (gw, gb), (own_gw, own_gb) in zip(grads, own_grads):
-            assert gw[t].tobytes() == own_gw.tobytes() and gb[t].tobytes() == own_gb.tobytes()
+            assert gw[t].tobytes() == own_gw[0].tobytes() and gb[t].tobytes() == own_gb[0].tobytes()
     # a network without rows is not written
     assert all(np.isnan(gw[1]).all() and np.isnan(gb[1]).all() for gw, gb in grads)
     # in eval mode a network may own several segments, as if each were its own batch
-    split = stack_forward(stack, x, [(2, 0, 3), (0, 3, 5), (2, 5, 8)], cache)
+    split = stack_forward(stack, x, [(2, 0, 3), (0, 3, 5), (2, 5, 8)], cache)[0]
     assert split[5:].tobytes() == mlp_forward(nets[2], x[5:])[0].tobytes()
     with pytest.raises(ShapeError):
         stack_forward(stack, x, segments, ForwardCache(stack, 7))
+    # segments that leave a row out, or overlap, are refused
+    for bad in ([(0, 0, 1), (2, 1, 7)], [(0, 0, 1), (2, 2, 8)], [(0, 0, 3), (2, 2, 8)], []):
+        with pytest.raises(ShapeError, match="tile"):
+            stack_forward(stack, x, bad, cache)
 
 
 def test_forward_refuses_a_cache_that_does_not_fit():
@@ -456,9 +453,10 @@ def test_checkpoint_round_trip_is_exact():
         # shape's activation and dropout rate in every network
         back = OutcomeModel(shape, 5, 2, variant, model.theta)
         assert back.theta.tobytes() == model.theta.tobytes()
-        built = [net for net in (back.cov_net, back.treat_net, *back.heads) if net is not None]
-        for net, again in zip(nets, built, strict=True):
-            assert (again.hidden_activation, again.dropout_rate) == ("elu", 0.25)
-            for (w0, b0), (w1, b1) in zip(net.layers, again.layers, strict=True):
-                np.testing.assert_array_equal(w0, w1)
-                np.testing.assert_array_equal(b0, b1)
+        stacks = [s for s in (back.cov_net, back.treat_net, back.head_stack) if s is not None]
+        built = [(s, t) for s in stacks for t in range(s.layers[0][0].shape[0])]
+        for net, (stack, t) in zip(nets, built, strict=True):
+            assert (stack.hidden_activation, stack.dropout_rate) == ("elu", 0.25)
+            for (w0, b0), (w1, b1) in zip(net.layers, stack.layers, strict=True):
+                np.testing.assert_array_equal(w0[0], w1[t])
+                np.testing.assert_array_equal(b0[0], b1[t])
