@@ -298,24 +298,6 @@ def apply_overrides(base: ExperimentConfig, overrides: dict) -> ExperimentConfig
         raise ConfigError(f"overrides {sorted(overrides)}: {exc}") from exc
 
 
-def default_search_grid() -> dict[str, list]:
-    """The documented search space for the representation models."""
-    return {
-        "model.cov_layers": [4, 6, 8],
-        "model.cov_width": [200, 400, 600],
-        "model.treat_layers": [4, 6, 8],
-        "model.treat_width": [200, 400, 600],
-        "model.head_layers": [4, 6, 8],
-        "model.head_width": [200, 400, 600],
-        "model.activation": ["tanh", "elu"],
-        "train.alpha": [0.5, 1.0],
-        "train.beta": [0.5],
-        "train.batch_size": [256, 512],
-        "train.base_lr": [0.1, 0.01],
-        "train.scheduler_step": [10, 15],
-    }
-
-
 def _test_truth_reads(datasets: list[Dataset]) -> int:
     return sum(ds.truth_reads.get("test", 0) for ds in datasets)
 

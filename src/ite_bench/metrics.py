@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .model import OutcomeModel, predict_all_outcomes
 from .simulate import SPLIT_NAMES, Dataset
 
@@ -189,7 +189,8 @@ def evaluate_model(
 
     Every report lists the heads that training never updated; when the
     zero-shot treatment's head is one of them, column z is the mean of the
-    trained heads (predict_all_outcomes).
+    trained heads (predict_all_outcomes). Non-finite predictions, or finite
+    ones whose squared effect errors overflow, raise NumericError.
     """
     if model.k != dataset.k:
         raise ShapeError(f"model has {model.k} heads, dataset has {dataset.k} treatments")
@@ -199,11 +200,13 @@ def evaluate_model(
     if x.shape[0] == 0:
         raise DataError(f"split {split!r} is empty")
     y_true = dataset.expected_outcomes(split)
-    y_hat = predict_all_outcomes(model, x, dataset.T_emb)
+    per_pair = pehe(predict_all_outcomes(model, x, dataset.T_emb), y_true).per_pair
+    if not all(math.isfinite(v) for v in per_pair.values()):
+        raise NumericError(f"non-finite effect errors {per_pair}")
     return EvalReport(
         split=split,
         n_eval=x.shape[0],
-        per_pair=pehe(y_hat, y_true).per_pair,
+        per_pair=per_pair,
         untrained_heads=[t for t, n in enumerate(model.head_updates) if n == 0],
         zero_shot_z=None if zero_shot_z is None else int(zero_shot_z),
     )

@@ -17,6 +17,11 @@ The "tarnet" variant drops the treatment network: heads consume the
 covariate representation alone, and L2 is identically zero. It cannot use
 treatment embeddings, so it serves as the no-treatment-information
 baseline.
+
+Every network is a stack (nn.MlpStack) of views of one parameter vector,
+laid out stack by stack (ModelShape.network_dims). The k heads are one
+stack, run in one pass over the rows sorted by treatment (_head_pass) that
+training (batch_loss), validation and prediction share.
 """
 
 from __future__ import annotations
@@ -102,22 +107,26 @@ class ModelShape:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
 
-    def network_dims(self, input_dim: int, k: int, variant: str) -> list[list[int]]:
-        """Each network's widths [in, hidden..., out] in theta's order: cov,
-        treat (joint only), then the k heads. The treatment network also
-        reads input_dim features: the simulator's treatment embeddings live
-        in covariate space."""
+    def network_dims(self, input_dim: int, k: int, variant: str) -> list[tuple[int, list[int]]]:
+        """Each network stack's (networks, widths [in, hidden..., out]) in
+        theta's order: cov and treat (joint only), each a stack of one, then
+        the k heads. The treatment network also reads input_dim features:
+        the simulator's treatment embeddings live in covariate space."""
         joint = variant == "joint"
-        nets = [(self.cov_layers, self.cov_width, input_dim, self.cov_out)]
+        stacks = [(1, self.cov_layers, self.cov_width, input_dim, self.cov_out)]
         if joint:
-            nets.append((self.treat_layers, self.treat_width, input_dim, self.treat_out))
+            stacks.append((1, self.treat_layers, self.treat_width, input_dim, self.treat_out))
         head_input = self.cov_out + (self.treat_out if joint else 0)
-        nets += [(self.head_layers, self.head_width, head_input, 1)] * k
-        return [[d_in] + [width] * (layers - 1) + [d_out] for layers, width, d_in, d_out in nets]
+        stacks.append((k, self.head_layers, self.head_width, head_input, 1))
+        return [
+            (nets, [d_in] + [width] * (layers - 1) + [d_out])
+            for nets, layers, width, d_in, d_out in stacks
+        ]
 
     def n_params(self, input_dim: int, k: int, variant: str) -> int:
         """The length of theta for this shape."""
-        return sum(_n_params(dims) for dims in self.network_dims(input_dim, k, variant))
+        dims = self.network_dims(input_dim, k, variant)
+        return sum(nets * _n_params(widths) for nets, widths in dims)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -179,7 +188,13 @@ class OutcomeModel:
             raise ConfigError("k must be >= 1")
         if self.input_dim < 1:
             raise ConfigError("input_dim must be >= 1")
-        n = self.shape.n_params(self.input_dim, self.k, self.variant)
+        # per network stack: its slice of theta, its [networks x parameters]
+        # block shape and its widths; theta holds n values
+        self._layout, n = [], 0
+        for nets, dims in self.shape.network_dims(self.input_dim, self.k, self.variant):
+            size = _n_params(dims)
+            self._layout.append((slice(n, n + nets * size), (nets, size), dims))
+            n += nets * size
         theta = np.asarray(self.theta)
         if theta.dtype != np.float64 or theta.shape != (n,):
             raise ConfigError(
@@ -200,7 +215,6 @@ class OutcomeModel:
         self.theta = theta.copy()
         self.head_updates = tuple(counts)
         act, rate = self.shape.activation, self.shape.dropout_rate
-        self._head_size = _n_params(self.shape.network_dims(self.input_dim, 1, self.variant)[-1])
         self._stacks = tuple(MlpStack(layers, act, rate) for layers in self.views(self.theta))
 
     @property
@@ -220,25 +234,20 @@ class OutcomeModel:
         pairs as views of vec, a vector in theta's layout: cov and treat
         (joint only), each a stack of one, then the k heads (see
         nn.MlpStack)."""
-        dims = self.shape.network_dims(self.input_dim, self.k, self.variant)
-        stacks, pos = [], 0
-        for net_dims in dims[: len(dims) - self.k]:
-            size = _n_params(net_dims)
-            stacks.append(_layer_views(vec[None, pos : pos + size], net_dims))
-            pos += size
-        return stacks + [_layer_views(self.head_block(vec), dims[-1])]
+        return [_layer_views(vec[span].reshape(block), dims) for span, block, dims in self._layout]
 
     def head_block(self, vec: np.ndarray) -> np.ndarray:
         """The heads' part of vec as a [k x head parameters] view: row t
         is head t's parameters."""
-        size = self._head_size
-        return vec[vec.size - self.k * size :].reshape(self.k, size)
+        span, block, _ = self._layout[-1]
+        return vec[span].reshape(block)
 
     def forward_caches(self, rows: int) -> list[ForwardCache]:
-        """ForwardCaches for passes of up to rows samples, one per network
-        stack in views' order; the head stack's x buffer holds a head
+        """ForwardCaches for passes of up to max(rows, k) samples, one per
+        network stack in views' order: the treatment network's eval pass
+        runs on the k embeddings, and the head stack's x buffer holds a head
         pass's input."""
-        return [ForwardCache(stack, rows) for stack in self._stacks]
+        return [ForwardCache(stack, max(rows, self.k)) for stack in self._stacks]
 
     def fit_buffers(self, rows: int) -> "FitBuffers":
         """A gradient vector, its stack views and forward_caches(rows), for
@@ -346,7 +355,6 @@ class BatchLossResult:
     grad: np.ndarray  # every parameter's gradient, in the layout of model.theta
     # samples per head; a head without samples has a zero gradient
     head_rows: tuple[int, ...]
-    predictions: np.ndarray
 
 
 def _dropout_rng(dropout_seed: int | None, i: int) -> np.random.Generator | None:
@@ -391,34 +399,19 @@ def batch_loss(
         buffers = model.fit_buffers(n)
     caches = buffers.caches
     cov_out, cov_cache = mlp_forward(model.cov_net, xb, _dropout_rng(dropout_seed, 0), caches[0])
+    treat_out = None
     if joint:
         treat_out, treat_cache = mlp_forward(
             model.treat_net, t_emb[tb], _dropout_rng(dropout_seed, 1), caches[1]
         )
-
-    # all heads run as one pass over the rows sorted by treatment. The sort
-    # is stable, so each head sees its own rows in batch order, and its
-    # GEMMs and dropout masks are bit for bit those of a pass over its rows
-    # alone, with its own generator.
-    order, head_rows, segments = _sorted_segments(tb, model.k)
-    head_cache = caches[-1]
-    head_in = head_cache.x[:n]
-    width = cov_out.shape[1]
-    # mode="clip" skips the copy that the default mode makes of out; the
-    # indices are valid
-    cov_out.take(order, axis=0, out=head_in[:, :width], mode="clip")
-    if joint:
-        treat_out.take(order, axis=0, out=head_in[:, width:], mode="clip")
-    rngs = None
-    if dropout_seed is not None:
-        rngs = [_dropout_rng(dropout_seed, 2 + t) for t, _, _ in segments]
-    out = stack_forward(model.head_stack, head_in, segments, head_cache, rngs)[0][:, 0]
+    out, order, head_rows, segments = _head_pass(
+        model, tb, cov_out, treat_out, np.arange(n), caches[-1], dropout_seed
+    )
+    head_in = caches[-1].x[:n]
 
     # factual loss path: alpha * L1 through the observed heads only, its
     # mean taken in batch order
     resid_sorted = out - yb[order]
-    yhat = np.empty(n)
-    yhat[order] = out
     resid = np.empty(n)
     resid[order] = resid_sorted
     mse = float(np.mean(resid * resid))
@@ -426,7 +419,7 @@ def batch_loss(
     # the backward passes write every gradient entry but those of the heads
     # without samples
     model.head_block(buffers.grad)[head_rows == 0] = 0.0
-    d_head_in = stack_backward(model.head_stack, head_cache, upstream, buffers.grad_views[-1])
+    d_head_in = stack_backward(model.head_stack, caches[-1], upstream, buffers.grad_views[-1])
 
     # balancing path: beta * L2 into the representations, never the heads
     balance = 0.0
@@ -442,6 +435,7 @@ def batch_loss(
     d_batch = head_in
     d_batch[order] = d_head_in
 
+    width = cov_out.shape[1]
     mlp_backward(model.cov_net, cov_cache, d_batch[:, :width], buffers.grad_views[0])
     if joint:
         mlp_backward(model.treat_net, treat_cache, d_batch[:, width:], buffers.grad_views[1])
@@ -450,26 +444,39 @@ def batch_loss(
     if not np.isfinite(total):
         raise NumericError("non-finite batch loss")
     return BatchLossResult(
-        total=total,
-        mse=mse,
-        balance=balance,
-        grad=buffers.grad,
+        total=total, mse=mse, balance=balance, grad=buffers.grad,
         head_rows=tuple(head_rows.tolist()),
-        predictions=yhat,
     )
 
 
-def _sorted_segments(
-    t: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
-    """The permutation that sorts rows stably by treatment, the rows per
-    treatment, and the sorted rows' segments (treatment, start, stop), one
-    per treatment present."""
+def _head_pass(
+    model: OutcomeModel, t: np.ndarray, phi: np.ndarray, psi: np.ndarray | None,
+    psi_rows: np.ndarray, cache: ForwardCache, dropout_seed: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+    """One pass of the head stack, through its ForwardCache cache, over the
+    rows sorted stably by treatment t. Row i's input, phi[i] joined for
+    joint by psi[psi_rows[i]], is gathered into cache.x in sorted order.
+    Head t draws its masks from _dropout_rng(dropout_seed, 2 + t), so each
+    head's GEMMs and masks are bit for bit those of a pass over its own rows
+    alone. Returns the sorted outputs (a view of cache), the permutation,
+    the rows per treatment and the segments (t, start, stop) of those present."""
+    n = t.shape[0]
     order = np.argsort(t, kind="stable")
-    counts = np.bincount(t, minlength=k)
+    counts = np.bincount(t, minlength=model.k)
     stops = np.cumsum(counts).tolist()
     segments = [(s, stop - m, stop) for s, (m, stop) in enumerate(zip(counts.tolist(), stops)) if m]
-    return order, counts, segments
+    head_in = cache.x[:n]
+    width = phi.shape[1]
+    # mode="clip" skips the copy that the default mode makes of out; the
+    # indices are valid
+    phi.take(order, axis=0, out=head_in[:, :width], mode="clip")
+    if psi is not None:
+        psi.take(psi_rows[order], axis=0, out=head_in[:, width:], mode="clip")
+    rngs = None
+    if dropout_seed is not None:
+        rngs = [_dropout_rng(dropout_seed, 2 + s) for s, _, _ in segments]
+    out = stack_forward(model.head_stack, head_in, segments, cache, rngs)[0][:, 0]
+    return out, order, counts, segments
 
 
 @dataclass
@@ -500,45 +507,40 @@ class TrainedModel:
     config: TrainConfig
 
 
-def _head_predictions(
-    model: OutcomeModel,
-    head_in: np.ndarray,
-    segments: list[tuple[int, int, int]],
-    cache: ForwardCache,
-    out: np.ndarray,
-) -> None:
-    """Eval-mode predictions into out for the rows of head_in: rows
-    start:stop of each segment (t, start, stop) under treatment t. Those
-    come from head t, unless training never updated head t while it updated
-    others (a treatment held out of fitting): head t then holds only its
-    random initialization, so its rows get the mean of the trained heads
-    instead. The passes run through cache, the head stack's ForwardCache."""
-    out[:] = stack_forward(model.head_stack, head_in, segments, cache)[0][:, 0]
+def _eval_heads(
+    model: OutcomeModel, t: np.ndarray, phi: np.ndarray, psi: np.ndarray | None, cache: ForwardCache
+) -> np.ndarray:
+    """Eval-mode predictions under treatments t, in row order, through
+    _head_pass; psi has one row per treatment. A head that training never
+    updated while it updated others (a treatment held out of fitting) holds
+    only its random initialization, so its rows get the mean of the trained
+    heads at their head input. A non-finite prediction raises NumericError."""
+    out, order, _, segments = _head_pass(model, t, phi, psi, t, cache)
+    y_hat = np.empty(t.shape[0])
+    y_hat[order] = out
     trained = np.flatnonzero(model.head_updates).tolist()
-    for t, start, stop in segments:
-        if trained and not model.head_trained(t):
+    for s, start, stop in segments:
+        if trained and not model.head_trained(s):
             # np.mean over a [trained x rows] array, whose order of
             # summation depends on its shape
             outs = np.empty((len(trained), stop - start))
-            for j, s in enumerate(trained):
+            for j, r in enumerate(trained):
                 outs[j] = stack_forward(
-                    model.head_stack, head_in[start:stop], [(s, 0, stop - start)], cache
+                    model.head_stack, cache.x[start:stop], [(r, 0, stop - start)], cache
                 )[0][:, 0]
-            out[start:stop] = np.mean(outs, axis=0)
+            y_hat[order[start:stop]] = np.mean(outs, axis=0)
+    if not np.isfinite(y_hat).all():
+        raise NumericError("non-finite predictions")
+    return y_hat
 
 
-def _treatment_rows(
-    model: OutcomeModel, t_emb: np.ndarray, treatments: Sequence[int], cache: ForwardCache
-) -> np.ndarray:
-    """Eval-mode treatment representations, row t of a [k x treat_out]
-    array for each t in treatments, from one pass of the treatment network
-    with a one-row segment per treatment: a row of a k-row product differs
-    from a one-row product in the last bits. cache needs a row per
-    treatment."""
-    psi = np.empty((model.k, model.shape.treat_out))
-    rows = [(0, i, i + 1) for i in range(len(treatments))]
-    psi[treatments] = stack_forward(model.treat_net, t_emb[treatments], rows, cache)[0]
-    return psi
+def _treatment_rows(model: OutcomeModel, t_emb: np.ndarray, cache: ForwardCache) -> np.ndarray:
+    """Eval-mode treatment representations, a [k x treat_out] view of
+    cache, from one pass of the treatment network with a one-row segment
+    per treatment: a row of a k-row product differs from a one-row product
+    in the last bits."""
+    rows = [(0, t, t + 1) for t in range(model.k)]
+    return stack_forward(model.treat_net, t_emb, rows, cache)[0]
 
 
 def _check_treatments(model: OutcomeModel, t: np.ndarray, n: int) -> np.ndarray:
@@ -570,26 +572,19 @@ def predict_all_outcomes(
     holds only its random initialization, so column t is instead the mean
     of the trained heads evaluated at treatment t's head input,
     [phi(x), psi(t_emb[t])] for joint and phi(x) for tarnet. A model
-    with no trained head uses every head as is. The columns pass one at a
-    time through one set of buffers.
+    with no trained head uses every head as is. phi(x) and psi are computed
+    once, then each column is factual_predictions' head pass with every row
+    under treatment t.
     """
     t_emb = _check_t_emb(model, t_emb)
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    # the treatment network runs on one row per treatment
-    caches = model.forward_caches(max(n, model.k))
-    cov_out, _ = mlp_forward(model.cov_net, x, cache=caches[0])
-    width = cov_out.shape[1]
-    head_in = cov_out
-    if model.variant == "joint":
-        psi = _treatment_rows(model, t_emb, range(model.k), caches[1])
-        head_in = caches[-1].x[:n]
-        head_in[:, :width] = cov_out
+    caches = model.forward_caches(n)
+    phi = mlp_forward(model.cov_net, x, cache=caches[0])[0]
+    psi = _treatment_rows(model, t_emb, caches[1]) if model.variant == "joint" else None
     y_hat = np.empty((n, model.k))
     for t in range(model.k):
-        if model.variant == "joint":
-            head_in[:, width:] = psi[t]
-        _head_predictions(model, head_in, [(t, 0, n)], caches[-1], y_hat[:, t])
+        y_hat[:, t] = _eval_heads(model, np.full(n, t), phi, psi, caches[-1])
     return y_hat
 
 
@@ -613,19 +608,9 @@ def factual_predictions(
     t_obs = _check_treatments(model, t_obs, n)
     if caches is None:
         caches = model.forward_caches(n)
-    cov_out, _ = mlp_forward(model.cov_net, x, cache=caches[0])
-    order, _, segments = _sorted_segments(t_obs, model.k)
-    head_in = caches[-1].x[:n]
-    width = cov_out.shape[1]
-    cov_out.take(order, axis=0, out=head_in[:, :width], mode="clip")
-    if model.variant == "joint":
-        psi = _treatment_rows(model, t_emb, [t for t, _, _ in segments], caches[1])
-        psi.take(t_obs[order], axis=0, out=head_in[:, width:], mode="clip")
-    out = np.empty(n)
-    _head_predictions(model, head_in, segments, caches[-1], out)
-    yhat = np.empty(n)
-    yhat[order] = out
-    return yhat
+    phi = mlp_forward(model.cov_net, x, cache=caches[0])[0]
+    psi = _treatment_rows(model, t_emb, caches[1]) if model.variant == "joint" else None
+    return _eval_heads(model, t_obs, phi, psi, caches[-1])
 
 
 def train(

@@ -39,7 +39,7 @@ from .errors import (
     load_json_object,
 )
 
-DATASET_SCHEMA_VERSION = "4"
+DATASET_SCHEMA_VERSION = "5"
 SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.7, 0.15)  # train, val; test takes the remainder
 SIGMA_FLOOR = 1e-3
@@ -66,8 +66,6 @@ class SimConfig:
     d: int = 32
     k: int = 4
     centroid_method: str = "random"  # "random" | "kmeans"
-    kmeans_iters: int = 50
-    kmeans_tol: float = 1e-6
     c: float = 5.0
     kappa: float | tuple[float, ...] = 10.0
     mu_mean: float = 0.45
@@ -97,10 +95,6 @@ class SimConfig:
             raise ConfigError(
                 f"centroid_method must be 'random' or 'kmeans', got {self.centroid_method!r}"
             )
-        if self.kmeans_iters < 1:
-            raise ConfigError("kmeans_iters must be >= 1")
-        if self.kmeans_tol < 0.0:
-            raise ConfigError("kmeans_tol must be >= 0")
         if not self.c > 0.0:
             raise ConfigError("outcome scale c must be positive")
         if not np.all(self.kappa_vector() > 0.0):
@@ -359,8 +353,6 @@ def select_centroids(
     method: str = "random",
     *,
     rng: np.random.Generator | int | None = None,
-    kmeans_iters: int = 50,
-    kmeans_tol: float = 1e-6,
 ) -> np.ndarray:
     """Pick k+1 centroids: distinct covariate rows or kmeans cluster means."""
     x = np.asarray(x, dtype=np.float64)
@@ -372,7 +364,7 @@ def select_centroids(
         idx = gen.choice(n, size=k + 1, replace=False)
         return x[idx].copy()
     if method == "kmeans":
-        return kmeans(x, k + 1, iters=kmeans_iters, tol=kmeans_tol, rng=gen).centroids
+        return kmeans(x, k + 1, rng=gen).centroids
     raise ConfigError(f"centroid_method must be 'random' or 'kmeans', got {method!r}")
 
 
@@ -467,14 +459,7 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
     s_cov, s_cent, s_prior, s_noise, s_assign, s_split = ss.spawn(6)
 
     x = generate_covariates(cfg, np.random.default_rng(s_cov))
-    z = select_centroids(
-        x,
-        cfg.k,
-        cfg.centroid_method,
-        rng=np.random.default_rng(s_cent),
-        kmeans_iters=cfg.kmeans_iters,
-        kmeans_tol=cfg.kmeans_tol,
-    )
+    z = select_centroids(x, cfg.k, cfg.centroid_method, rng=np.random.default_rng(s_cent))
     mu, sigma = sample_outcome_params(cfg, np.random.default_rng(s_prior))
     y_sampled = potential_outcomes(x, z, mu, sigma, cfg.c, np.random.default_rng(s_noise))
     t_obs = assign_treatments(y_sampled, cfg.kappa_vector(), np.random.default_rng(s_assign))

@@ -33,8 +33,8 @@ def fresh_column(model, cov_out, t_emb, t):
 def per_head_batch_loss(model, batch, t_emb, cfg, dropout_seed):
     """batch_loss as a loop over the heads: each head runs forward and
     backward on its own rows, gathered out of the batch, and scatters its
-    input gradient back. Returns total, mse, balance, the gradient, the rows
-    per head and the predictions."""
+    input gradient back. Returns total, mse, balance, the gradient and the
+    rows per head."""
     x, t, y = batch
     n = t.size
     grad = np.zeros_like(model.theta)
@@ -48,13 +48,13 @@ def per_head_batch_loss(model, batch, t_emb, cfg, dropout_seed):
     if model.variant == "joint":
         treat_out, treat_cache = mlp_forward(model.treat_net, t_emb[t], rng(1))
         head_in = np.concatenate([cov_out, treat_out], axis=1)
-    yhat, resid = np.empty(n), np.empty(n)
+    resid = np.empty(n)
     d_head_in = np.zeros_like(head_in)
     rows_by_t = [np.flatnonzero(t == s) for s in range(model.k)]
     for s, rows in enumerate(rows_by_t):
         if rows.size:
-            yhat[rows], cache = head_pass(model, s, head_in[rows], rng(2 + s))
-            resid[rows] = yhat[rows] - y[rows]
+            out, cache = head_pass(model, s, head_in[rows], rng(2 + s))
+            resid[rows] = out - y[rows]
             upstream = (cfg.alpha * ((2.0 / n) * resid[rows]))[:, None]
             d_head_in[rows] += stack_backward(model.head_stack, cache, upstream, views[-1])
     mse = float(np.mean(resid * resid))
@@ -69,4 +69,4 @@ def per_head_batch_loss(model, batch, t_emb, cfg, dropout_seed):
     if model.variant == "joint":
         mlp_backward(model.treat_net, treat_cache, d_head_in[:, width:], views[1])
     total = cfg.alpha * mse + cfg.beta * balance
-    return total, mse, balance, grad, tuple(rows.size for rows in rows_by_t), yhat
+    return total, mse, balance, grad, tuple(rows.size for rows in rows_by_t)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,8 +18,8 @@ from ite_bench.cli import main
 from ite_bench.errors import DataError, NumericError
 from ite_bench.experiments import ExperimentConfig, _fit_repeat
 from ite_bench.metrics import EvalReport, pehe
-from ite_bench.model import load_checkpoint
-from ite_bench.simulate import load_dataset
+from ite_bench.model import ModelShape, TrainConfig, load_checkpoint, save_checkpoint, train
+from ite_bench.simulate import SimConfig, load_dataset, save_dataset, simulate_dataset
 
 
 def run(capsys, *argv):
@@ -482,6 +483,26 @@ def test_evaluate_refuses_a_non_finite_parameter_exits_4(tmp_path, capsys):
     code, _, err = run(capsys, "evaluate", "--dataset", str(ds), "--checkpoint", str(header))
     assert code == 4
     assert "numeric error" in err and "non-finite parameters" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_evaluate_of_predictions_that_overflow_exits_4(tmp_path, capsys):
+    ds = simulate_dataset(SimConfig(n=200, d=8, k=3, seed=0))
+    save_dataset(ds, tmp_path / "ds")
+    trained = train(ds, ModelShape(), TrainConfig(epochs_max=1), "tarnet")
+    # finite parameters whose head outputs overflow: the last head layer's
+    # weights at +-1e308
+    theta = trained.model.theta.copy()
+    w = trained.model.views(theta)[-1][-1][0]
+    w[...] = np.where(w < 0, -1e308, 1e308)
+    model = dataclasses.replace(trained.model, theta=theta)
+    header = tmp_path / "checkpoint.json"
+    save_checkpoint(header, dataclasses.replace(trained, model=model))
+    code, _, err = run(
+        capsys, "evaluate", "--dataset", str(tmp_path / "ds"), "--checkpoint", str(header)
+    )
+    assert code == 4, err
+    assert "numeric error" in err and "non-finite predictions" in err
 
 
 MALFORMED_HEADERS = {

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ite_bench.errors import ConfigError, DataError, ShapeError
+from ite_bench.errors import ConfigError, DataError, NumericError, ShapeError
 from ite_bench.experiments import ExperimentConfig, _fit_repeat, run_experiment
 from ite_bench.metrics import (
     EvalReport,
@@ -276,6 +276,17 @@ def test_evaluate_model_error_paths():
     )
     with pytest.raises(DataError):
         evaluate_model(model, empty)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_effect_errors_that_overflow_raise_numeric_error():
+    ds = simulate_dataset(SimConfig(n=200, d=5, k=3, seed=4))
+    model = build_model(5, 3, tiny_shape(), "tarnet", rng=0)
+    # head 2's bias: finite predictions near 1e200, whose squared effect
+    # errors overflow
+    model.views(model.theta)[-1][-1][1][2] = 1e200
+    with pytest.raises(NumericError, match="non-finite effect errors"):
+        evaluate_model(model, ds)
 
 
 # --- zero-shot protocol ---

@@ -327,19 +327,6 @@ def test_factual_weight_zero_silences_head_gradients():
     assert any(gw.any() for gw, _ in treat)
 
 
-def test_batch_predictions_match_eval_path_without_dropout():
-    model = build_model(3, 2, small_shape(head_layers=2), "joint", rng=11)
-    rng = np.random.default_rng(4)
-    t_emb = rng.normal(size=(2, 3))
-    x = rng.normal(size=(7, 3))
-    t = rng.integers(0, 2, size=7)
-    batch = Batch(x, t, rng.normal(size=7))
-    res = batch_loss(model, batch, t_emb, TrainConfig(bandwidth=1.0))
-    np.testing.assert_allclose(
-        res.predictions, factual_predictions(model, x, t, t_emb), atol=1e-12
-    )
-
-
 def test_batch_loss_input_checks():
     model = identity_model()
     t_emb = np.zeros((2, 2))
@@ -442,7 +429,7 @@ def test_batch_loss_equals_the_per_head_loop_bit_for_bit(variant, k):
     assert not np.all(np.diff(t) >= 0)
     batch = Batch(rng.normal(size=(t.size, 3)), t, rng.normal(size=t.size))
     cfg = TrainConfig(alpha=0.7, beta=1.3)
-    total, mse, balance, grad, head_rows, yhat = per_head_batch_loss(
+    total, mse, balance, grad, head_rows = per_head_batch_loss(
         model, batch, t_emb, cfg, dropout_seed=11
     )
     assert head_rows[1] == 0 and head_rows[2] == 1 and (balance > 0.0) == (variant == "joint")
@@ -457,7 +444,6 @@ def test_batch_loss_equals_the_per_head_loop_bit_for_bit(variant, k):
     ):
         assert res.grad.tobytes() == grad.tobytes()
         assert (res.total, res.mse, res.balance) == (total, mse, balance)
-        assert res.predictions.tobytes() == yhat.tobytes()
         assert res.head_rows == head_rows
 
 
@@ -795,6 +781,32 @@ def test_factual_predictions_check_observed_treatments():
         factual_predictions(model, x, np.array([0, 1, 2]), t_emb)
 
 
+@pytest.mark.parametrize("variant", ["joint", "tarnet"])
+def test_each_column_is_the_factual_pass_under_one_treatment(variant):
+    # head 1 is untrained, so column 1 is the mean of the trained heads
+    model = dataclasses.replace(
+        build_model(6, 4, small_shape(head_layers=2, dropout_rate=0.2), variant, rng=3),
+        head_updates=(1, 0, 2, 3),
+    )
+    rng = np.random.default_rng(5)
+    x, t_emb = rng.normal(size=(9, 6)), rng.normal(size=(4, 6))
+    full = predict_all_outcomes(model, x, t_emb)
+    for t in range(4):
+        column = factual_predictions(model, x, np.full(9, t), t_emb)
+        assert column.tobytes() == full[:, t].tobytes()
+
+
+def test_validation_with_fewer_rows_than_treatments():
+    # batches of 4 and 5 validation rows size the fit's buffers below k = 16,
+    # and validation runs the treatment network on all 16 embeddings
+    ds = small_dataset(k=16)
+    ds = dataclasses.replace(ds, splits={**ds.splits, "val": ds.splits["val"][:5]})
+    trained = train(ds, small_shape(), quick_train_cfg(batch_size=4, epochs_max=1), "joint")
+    x, t, y = ds.observed("val")
+    val_mse = float(np.mean((factual_predictions(trained.model, x, t, ds.T_emb) - y) ** 2))
+    assert trained.history.val_mse == [val_mse]
+
+
 # --- checkpointing ---
 
 
@@ -1010,8 +1022,8 @@ def test_model_shape_validation():
     shape = small_shape()
     assert ModelShape.from_dict(shape.to_dict()) == shape
     # cov 6 -> 8 -> 4, treat 6 -> 3, then heads on the 4 + 3 joint features
-    assert shape.network_dims(6, 2, "joint") == [[6, 8, 4], [6, 3], [7, 1], [7, 1]]
-    assert shape.network_dims(6, 1, "tarnet") == [[6, 8, 4], [4, 1]]
+    assert shape.network_dims(6, 2, "joint") == [(1, [6, 8, 4]), (1, [6, 3]), (2, [7, 1])]
+    assert shape.network_dims(6, 1, "tarnet") == [(1, [6, 8, 4]), (1, [4, 1])]
 
 
 def test_desk_scale_training_halves_validation_error():

@@ -377,7 +377,7 @@ def test_dataset_directory_holds_npy_arrays(tmp_path):
     ds = simulate_dataset(small_cfg(seed=2))
     save_dataset(ds, tmp_path / "ds")
     manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
-    assert manifest["schema_version"] == "4"
+    assert manifest["schema_version"] == "5"
     # the array files follow from the schema and n, d, k from the config, so
     # the manifest lists neither
     assert set(manifest) == {"schema_version", "config", "splits"}
@@ -441,11 +441,22 @@ def test_load_refuses_schema_1_csv_directory(tmp_path):
         load_dataset(out)
 
 
+def test_load_refuses_a_schema_4_manifest(tmp_path):
+    # schema 4 configs also held kmeans_iters and kmeans_tol
+    save_dataset(simulate_dataset(small_cfg()), tmp_path / "ds")
+    path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    config = {**manifest["config"], "kmeans_iters": 50, "kmeans_tol": 1e-6}
+    path.write_text(json.dumps({**manifest, "schema_version": "4", "config": config}))
+    with pytest.raises(DataError, match="re-run `ite-bench simulate`"):
+        load_dataset(tmp_path / "ds")
+
+
 def test_manifest_refuses_non_finite_values(tmp_path):
     # a config strict JSON cannot hold is refused when it is built, so
     # nothing is simulated and no directory is made
-    with pytest.raises(ConfigError, match="kmeans_tol"):
-        save_dataset(simulate_dataset(small_cfg(kmeans_tol=math.inf)), tmp_path / "ds")
+    with pytest.raises(ConfigError, match="c must be finite"):
+        save_dataset(simulate_dataset(small_cfg(c=math.inf)), tmp_path / "ds")
     assert not (tmp_path / "ds").exists()
 
 
