@@ -61,6 +61,10 @@ from .nn import (
 from .simulate import Dataset
 
 CHECKPOINT_SCHEMA_VERSION = "5"
+CHECKPOINT_KEYS = {
+    "schema_version", "variant", "k", "input_dim", "params_sha256", "head_updates",
+    "train_config", "shape", "best_epoch", "best_val_mse",
+}
 VARIANTS = ("joint", "tarnet")
 # the relative val-MSE decrease that resets early stopping's patience count
 # (see train); with any decrease counting, the decayed learning rate's tiny
@@ -506,6 +510,17 @@ class TrainedModel:
     best_val_mse: float | None
     config: TrainConfig
 
+    def __post_init__(self) -> None:
+        epoch, mse = self.best_epoch, self.best_val_mse
+        if (epoch, mse) != (None, None) and not (
+            isinstance(epoch, int) and not isinstance(epoch, bool) and epoch >= 0
+            and isinstance(mse, float) and np.isfinite(mse) and mse >= 0.0
+        ):
+            raise ConfigError(
+                "best_epoch must be an int >= 0 and best_val_mse a finite float >= 0, "
+                f"or both null; got {epoch!r} and {mse!r}"
+            )
+
 
 def _eval_heads(
     model: OutcomeModel, t: np.ndarray, phi: np.ndarray, psi: np.ndarray | None, cache: ForwardCache
@@ -773,10 +788,7 @@ def save_checkpoint(path, trained: TrainedModel) -> None:
     np.save(buf, trained.model.theta)
     data = buf.getvalue()
     doc = checkpoint_dict(trained, hashlib.sha256(data).hexdigest())
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ConfigError(f"checkpoint header: {exc}") from exc
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(sidecar, "wb") as fh:
         fh.write(data)
     with open(path, "w") as fh:
@@ -810,6 +822,10 @@ def load_checkpoint(path) -> TrainedModel:
             f"unsupported checkpoint schema_version {doc.get('schema_version')!r} "
             f"(this version reads {CHECKPOINT_SCHEMA_VERSION!r}); re-run `ite-bench train`"
         )
+    if set(doc) != CHECKPOINT_KEYS:
+        raise ConfigError(
+            f"{path}: checkpoint fields must be {sorted(CHECKPOINT_KEYS)}, got {sorted(doc)}"
+        )
     vec = _load_params(sidecar, doc)
     try:
         shape = ModelShape.from_dict(doc["shape"], path="checkpoint.shape")
@@ -818,24 +834,6 @@ def load_checkpoint(path) -> TrainedModel:
             head_updates=doc["head_updates"],
         )
         cfg = TrainConfig.from_dict(doc["train_config"], path="checkpoint.train_config")
-        epoch, mse = doc["best_epoch"], doc["best_val_mse"]
-    except KeyError as exc:
-        raise ConfigError(f"{path}: malformed checkpoint: missing {exc}") from exc
+        return TrainedModel(model, TrainHistory(), doc["best_epoch"], doc["best_val_mse"], cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed checkpoint: {exc}") from exc
-    if (epoch, mse) != (None, None) and not (
-        isinstance(epoch, int) and not isinstance(epoch, bool) and epoch >= 0
-        and isinstance(mse, float) and np.isfinite(mse) and mse >= 0.0
-    ):
-        raise ConfigError(
-            f"{path}: malformed checkpoint: best_epoch must be an int >= 0 and "
-            "best_val_mse a finite float >= 0, or both null; got "
-            f"{epoch!r} and {mse!r}"
-        )
-    return TrainedModel(
-        model=model,
-        history=TrainHistory(),
-        best_epoch=epoch,
-        best_val_mse=mse,
-        config=cfg,
-    )

@@ -40,21 +40,22 @@ from .errors import (
 )
 
 DATASET_SCHEMA_VERSION = "5"
+MANIFEST_KEYS = {"schema_version", "config", "splits"}
 SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.7, 0.15)  # train, val; test takes the remainder
 SIGMA_FLOOR = 1e-3
 
 
-def _dataset_layout(cfg: SimConfig) -> dict[str, tuple[type, tuple]]:
-    """name -> (dtype, shape) of every array in a dataset directory, each
-    stored as <name>.npy."""
+def _dataset_layout(cfg: SimConfig) -> dict[str, tuple[str, type, tuple]]:
+    """name -> (Dataset field, dtype, shape) of every array a dataset stores,
+    each as <name>.npy."""
     n, d, k = cfg.n, cfg.d, cfg.k
     return {
-        "covariates": (np.float64, (n, d)),
-        "centroids": (np.float64, (k + 1, d)),
-        "mu_sigma": (np.float64, (k, 2)),
-        "y_sampled": (np.float64, (n, k)),
-        "t_obs": (np.int64, (n,)),
+        "covariates": ("X", np.float64, (n, d)),
+        "centroids": ("Z", np.float64, (k + 1, d)),
+        "mu_sigma": ("mu_sigma", np.float64, (k, 2)),
+        "y_sampled": ("Y_sampled", np.float64, (n, k)),
+        "t_obs": ("t_obs", np.int64, (n,)),
     }
 
 
@@ -117,7 +118,11 @@ class SimConfig:
 
 @dataclass(eq=False)
 class Dataset:
-    """A fully materialized simulation with fixed train/val/test splits.
+    """A fully materialized simulation with train/val/test splits. It checks
+    itself when built: every array has the dtype and shape its config
+    implies and is finite, t_obs lies in 0..k-1, and the splits hold
+    distinct rows of 0..n-1. They need not cover all rows: the copy
+    without_treatment_in_fit makes leaves some out.
 
     truth_reads counts accesses to ground-truth outcome matrices per split;
     model-selection code uses it to prove it never touched test-set truth.
@@ -125,13 +130,36 @@ class Dataset:
 
     X: np.ndarray  # (n, d) unit-norm covariates
     Z: np.ndarray  # (k+1, d) centroids
-    mu: np.ndarray  # (k,)
-    sigma: np.ndarray  # (k,)
+    mu_sigma: np.ndarray  # (k, 2) per-treatment prior draws (mu_t, sigma_t)
     Y_sampled: np.ndarray  # (n, k)
     t_obs: np.ndarray  # (n,) ints in 0..k-1
     splits: dict[str, np.ndarray]
     config: SimConfig  # the one source of n, d, k and the outcome scale c
     truth_reads: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name, (attr, dtype, shape) in _dataset_layout(self.config).items():
+            arr = getattr(self, attr)
+            got = (arr.dtype, arr.shape) if isinstance(arr, np.ndarray) else type(arr)
+            if got != (dtype, shape):
+                raise ShapeError(
+                    f"{attr} ({name}.npy) must be {np.dtype(dtype)} {shape}, got {got}"
+                )
+            if not np.isfinite(arr).all():
+                raise NumericError(f"non-finite values in {attr} ({name}.npy)")
+        if self.t_obs.min() < 0 or self.t_obs.max() >= self.k:
+            raise DataError("t_obs entries must lie in 0..k-1")
+        if not isinstance(self.splits, dict) or set(self.splits) != set(SPLIT_NAMES):
+            raise DataError(f"splits must be exactly {list(SPLIT_NAMES)}")
+        for name, idx in self.splits.items():
+            if not (
+                isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind == "i"
+                and np.all((idx >= 0) & (idx < self.n))
+            ):
+                raise DataError(f"split {name!r} must be a vector of row indices in 0..n-1")
+        rows = np.concatenate([self.splits[name] for name in SPLIT_NAMES])
+        if np.bincount(rows, minlength=self.n).max() > 1:
+            raise DataError("splits must not hold a row twice")
 
     @property
     def n(self) -> int:
@@ -144,6 +172,14 @@ class Dataset:
     @property
     def k(self) -> int:
         return self.config.k
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.mu_sigma[:, 0]
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return self.mu_sigma[:, 1]
 
     @property
     def T_emb(self) -> np.ndarray:
@@ -198,30 +234,6 @@ class Dataset:
         if new_splits["train"].size == 0:
             raise DataError(f"excluding treatment {z} empties the training split")
         return dataclasses.replace(self, splits=new_splits)
-
-    def validate(self) -> "Dataset":
-        """Check shapes, finiteness and that the splits partition 0..n-1.
-        Not run at construction: the copy without_treatment_in_fit makes is
-        deliberately not a partition."""
-        n, d, k = self.n, self.d, self.k
-        for name, arr, shape in (
-            ("X", self.X, (n, d)),
-            ("Z", self.Z, (k + 1, d)),
-            ("mu", self.mu, (k,)),
-            ("sigma", self.sigma, (k,)),
-            ("Y_sampled", self.Y_sampled, (n, k)),
-            ("t_obs", self.t_obs, (n,)),
-        ):
-            if arr.shape != shape:
-                raise ShapeError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise NumericError(f"non-finite values in {name}")
-        if self.t_obs.min() < 0 or self.t_obs.max() >= k:
-            raise DataError("t_obs entries must lie in 0..k-1")
-        combined = np.concatenate([self.splits[name] for name in SPLIT_NAMES])
-        if combined.size != n or not np.array_equal(np.sort(combined), np.arange(n)):
-            raise DataError("splits must partition 0..n-1")
-        return self
 
 
 @dataclass
@@ -369,10 +381,10 @@ def select_centroids(
 
 
 def sample_outcome_params(
-    cfg: SimConfig, rng: np.random.Generator | int | None = None
+    cfg: SimConfig, rng: np.random.Generator | int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw per-treatment (mu, sigma); sigma is clamped below at 1e-3."""
-    gen = np.random.default_rng(cfg.seed if rng is None else rng)
+    gen = np.random.default_rng(rng)
     mu = gen.normal(cfg.mu_mean, cfg.mu_sd, size=cfg.k)
     sigma = np.maximum(gen.normal(cfg.sigma_mean, cfg.sigma_sd, size=cfg.k), SIGMA_FLOOR)
     return mu, sigma
@@ -464,11 +476,10 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
     y_sampled = potential_outcomes(x, z, mu, sigma, cfg.c, np.random.default_rng(s_noise))
     t_obs = assign_treatments(y_sampled, cfg.kappa_vector(), np.random.default_rng(s_assign))
     splits = _draw_splits(cfg.n, np.random.default_rng(s_split))
-    ds = Dataset(
-        X=x, Z=z, mu=mu, sigma=sigma, Y_sampled=y_sampled, t_obs=t_obs,
+    return Dataset(
+        X=x, Z=z, mu_sigma=np.column_stack([mu, sigma]), Y_sampled=y_sampled, t_obs=t_obs,
         splits=splits, config=cfg,
     )
-    return ds.validate()
 
 
 def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
@@ -486,22 +497,16 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
         "splits": {name: ds.splits[name].tolist() for name in SPLIT_NAMES},
     }
     text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
-    arrays = {
-        "covariates": ds.X,
-        "centroids": ds.Z,
-        "mu_sigma": np.column_stack([ds.mu, ds.sigma]),
-        "y_sampled": ds.Y_sampled,
-        "t_obs": ds.t_obs,
-    }
-    for name, (dtype, _) in _dataset_layout(ds.config).items():
-        np.save(os.path.join(out_dir, name + ".npy"), np.ascontiguousarray(arrays[name], dtype))
+    for name, (attr, _, _) in _dataset_layout(ds.config).items():
+        np.save(os.path.join(out_dir, name + ".npy"), np.ascontiguousarray(getattr(ds, attr)))
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         fh.write(text)
 
 
 def load_dataset(dataset_dir) -> Dataset:
-    """Read a dataset directory. Every array must have the dtype and shape
-    the manifest's config implies; nothing is unpickled."""
+    """Read a dataset directory: exactly the manifest's fields, and every
+    array the schema names, which the Dataset checks against the manifest's
+    config; nothing is unpickled. The splits must cover all n rows."""
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise DataError(f"not a dataset directory (no manifest.json): {dataset_dir}")
@@ -512,41 +517,33 @@ def load_dataset(dataset_dir) -> Dataset:
             f"(this version reads {DATASET_SCHEMA_VERSION!r}, .npy arrays); "
             "re-run `ite-bench simulate`"
         )
+    if set(manifest) != MANIFEST_KEYS:
+        raise DataError(
+            f"{manifest_path}: fields must be {sorted(MANIFEST_KEYS)}, got {sorted(manifest)}"
+        )
     try:
-        cfg = SimConfig.from_dict(manifest.get("config"), path="manifest.config")
+        cfg = SimConfig.from_dict(manifest["config"], path="manifest.config")
     except ConfigError as exc:
         raise DataError(f"{manifest_path}: {exc}") from exc
+    splits = manifest["splits"]
+    # each split a list of ints (not bools) that int64 holds
+    if not isinstance(splits, dict) or not all(
+        isinstance(idx, list) and all(type(i) is int and abs(i) < 2**63 for i in idx)
+        for idx in splits.values()
+    ):
+        raise DataError(f"{manifest_path}: splits must map split names to lists of ints")
+    splits = {name: np.array(idx, dtype=np.int64) for name, idx in splits.items()}
 
     arrays = {}
-    for name, (dtype, shape) in _dataset_layout(cfg).items():
+    for name, (attr, _, _) in _dataset_layout(cfg).items():
         fpath = os.path.join(dataset_dir, name + ".npy")
         if not os.path.exists(fpath):
             raise DataError(f"dataset file missing: {fpath}")
         try:
-            arr = np.load(fpath, allow_pickle=False)
+            arrays[attr] = np.load(fpath, allow_pickle=False)
         except (ValueError, EOFError) as exc:
             raise DataError(f"malformed dataset file {fpath}: {exc}") from exc
-        if arr.dtype != dtype or arr.shape != shape:
-            raise DataError(
-                f"{fpath} holds {arr.dtype} {arr.shape}; the manifest implies "
-                f"{np.dtype(dtype)} {shape}"
-            )
-        arrays[name] = arr
-    try:
-        splits = {
-            name: np.asarray(manifest["splits"][name], dtype=np.int64)
-            for name in SPLIT_NAMES
-        }
-    except KeyError as exc:
-        raise DataError(f"manifest is missing split {exc}") from exc
-    ds = Dataset(
-        X=arrays["covariates"],
-        Z=arrays["centroids"],
-        mu=arrays["mu_sigma"][:, 0].copy(),
-        sigma=arrays["mu_sigma"][:, 1].copy(),
-        Y_sampled=arrays["y_sampled"],
-        t_obs=arrays["t_obs"],
-        splits=splits,
-        config=cfg,
-    )
-    return ds.validate()
+    ds = Dataset(**arrays, splits=splits, config=cfg)
+    if sum(idx.size for idx in splits.values()) != cfg.n:
+        raise DataError(f"{manifest_path}: splits must cover all {cfg.n} rows")
+    return ds

@@ -330,7 +330,7 @@ def test_04_simulator_statistics():
     freq_dev = float(np.abs(freqs - 1 / k).max())
 
     cfg = SimConfig(n=10_001, d=2, k=10_000, seed=77)
-    mu, sig = sample_outcome_params(cfg)
+    mu, sig = sample_outcome_params(cfg, rng=77)
     mu_mean_err = abs(float(mu.mean()) - 0.45)
     mu_sd_err = abs(float(mu.std()) - 0.15)
     sig_mean_err = abs(float(sig.mean()) - 0.10)

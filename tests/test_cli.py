@@ -522,6 +522,8 @@ MALFORMED_HEADERS = {
     "best-val-mse-missing": lambda doc: json.dumps(
         {k: v for k, v in doc.items() if k != "best_val_mse"}
     ),
+    # a header holds exactly its fields
+    "unknown-field": lambda doc: json.dumps({**doc, "colour": "red"}),
 }
 
 
@@ -555,6 +557,9 @@ MALFORMED_MANIFESTS = {
     # the config is the one source of n, d and k, so a manifest needs it
     "config-missing": lambda doc: json.dumps({k: v for k, v in doc.items() if k != "config"}),
     "config-null": lambda doc: json.dumps({**doc, "config": None}),
+    # a manifest holds exactly its fields
+    "unknown-field": lambda doc: json.dumps({**doc, "colour": "red"}),
+    "splits-missing": lambda doc: json.dumps({k: v for k, v in doc.items() if k != "splits"}),
 }
 
 
@@ -566,6 +571,37 @@ def test_train_malformed_manifest_exits_3(tmp_path, capsys, manifest):
     code, _, err = run(capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run"))
     assert code == 3
     assert "manifest.json" in err
+
+
+MALFORMED_SPLITS = {
+    # each split is a list of ints: neither rounded, parsed nor flattened
+    "shifted": lambda splits: {**splits, "train": [i + 0.4 for i in splits["train"]]},
+    "strings": lambda splits: {**splits, "train": [str(i) for i in splits["train"]]},
+    "bools": lambda splits: {**splits, "train": [True] + splits["train"][1:]},
+    "nested": lambda splits: {**splits, "train": [splits["train"]]},
+    "a-string": lambda splits: {**splits, "train": "abc"},
+    "a-list": lambda splits: list(splits.values()),
+    "null": lambda splits: None,
+    "extra-split": lambda splits: {**splits, "holdout": []},
+    "huge-index": lambda splits: {**splits, "test": splits["test"] + [2**70]},
+    # in range, but a row twice or a row in no split
+    "row-twice": lambda splits: {**splits, "val": splits["val"] + splits["train"][:1]},
+    "row-missing": lambda splits: {**splits, "test": splits["test"][1:]},
+}
+
+
+@pytest.mark.parametrize("splits", MALFORMED_SPLITS.values(), ids=MALFORMED_SPLITS)
+def test_train_malformed_manifest_splits_exit_3(tmp_path, capsys, splits):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    path = ds / "manifest.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps({**manifest, "splits": splits(manifest["splits"])}))
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+        "--epochs-max", "1",
+    )
+    assert code == 3, err
+    assert "data error" in err
 
 
 def test_schema_2_dataset_and_schema_3_checkpoint_are_refused(tmp_path, capsys):

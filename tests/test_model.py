@@ -963,12 +963,23 @@ def test_checkpoint_refuses_npy_header_path_and_old_schema(tmp_path):
 
 def test_checkpoint_header_refuses_non_finite_values(tmp_path):
     trained, _, _ = _saved_checkpoint(tmp_path)
-    bad = dataclasses.replace(trained, best_val_mse=math.nan)
-    with pytest.raises(ConfigError):
-        save_checkpoint(tmp_path / "bad.json", bad)
-    # nothing is written, not even the parameter file
-    assert not (tmp_path / "bad.json").exists()
-    assert not (tmp_path / "bad.npy").exists()
+    # a trained model with a non-finite header value cannot be built, so
+    # none can be saved
+    with pytest.raises(ConfigError, match="best_val_mse"):
+        dataclasses.replace(trained, best_val_mse=math.nan)
+
+
+@pytest.mark.parametrize(
+    "epoch, mse",
+    [(True, 0.5), (-1, 0.5), (1.0, 0.5), (0, None), (None, 0.5), (0, -0.5), (0, math.inf),
+     (0, 1)],
+)
+def test_trained_model_refuses_an_invalid_best_epoch_or_val_mse(tmp_path, epoch, mse):
+    trained, _, _ = _saved_checkpoint(tmp_path)
+    dataclasses.replace(trained, best_epoch=None, best_val_mse=None)
+    dataclasses.replace(trained, best_epoch=0, best_val_mse=0.0)
+    with pytest.raises(ConfigError, match="best_epoch"):
+        dataclasses.replace(trained, best_epoch=epoch, best_val_mse=mse)
 
 
 # --- config validation ---

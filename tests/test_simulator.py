@@ -166,14 +166,6 @@ def test_sigma_clamped_at_floor():
     np.testing.assert_array_equal(sigma, np.full(3, SIGMA_FLOOR))
 
 
-def test_outcome_params_reproducible_from_config_seed():
-    cfg = small_cfg(seed=11)
-    mu1, s1 = sample_outcome_params(cfg)
-    mu2, s2 = sample_outcome_params(cfg)
-    np.testing.assert_array_equal(mu1, mu2)
-    np.testing.assert_array_equal(s1, s2)
-
-
 # --- potential outcomes ---
 
 
@@ -486,15 +478,13 @@ def _manual_dataset():
     n, d, k = 4, 1, 2
     x = np.array([[1.0], [-1.0], [1.0], [-1.0]])
     z = np.array([[1.0], [0.5], [0.2]])
-    mu = np.array([0.5, 0.4])
-    sigma = np.array([0.1, 0.1])
+    mu_sigma = np.array([[0.5, 0.1], [0.4, 0.1]])
     y = np.arange(n * k, dtype=np.float64).reshape(n, k)
     t_obs = np.array([0, 0, 0, 1])
     return Dataset(
         X=x,
         Z=z,
-        mu=mu,
-        sigma=sigma,
+        mu_sigma=mu_sigma,
         Y_sampled=y,
         t_obs=t_obs,
         splits={
@@ -503,7 +493,7 @@ def _manual_dataset():
             "test": np.array([3]),
         },
         config=SimConfig(n=n, d=d, k=k),
-    ).validate()
+    )
 
 
 def test_holdout_removes_treatment_from_fitting_splits():
@@ -532,21 +522,86 @@ def test_holdout_error_paths():
         ds.without_treatment_in_fit(0)  # would empty the training split
 
 
-def test_dataset_validate_catches_corruption():
-    ds = simulate_dataset(small_cfg())
-    bad_t = ds.t_obs.copy()
-    bad_t[0] = 7
-    with pytest.raises(DataError):
-        dataclasses.replace(ds, t_obs=bad_t).validate()
+def _with_nan(arr):
+    arr = arr.copy()
+    arr.flat[0] = np.nan
+    return arr
+
+
+def _with_first(arr, value):
+    arr = arr.copy()
+    arr[0] = value
+    return arr
+
+
+# name -> (fields that replace a valid dataset's, the error, a message fragment)
+INVALID_DATASET_FIELDS = {
     # n, d and k come from the config, and every array must agree with it
-    with pytest.raises(ShapeError):
-        dataclasses.replace(ds, Z=ds.Z[1:]).validate()
-    with pytest.raises(ShapeError):
-        dataclasses.replace(ds, config=small_cfg(n=61)).validate()
-    bad_z = ds.Z.copy()
-    bad_z[0, 0] = np.nan
-    with pytest.raises(NumericError, match="Z"):
-        dataclasses.replace(ds, Z=bad_z).validate()
+    "X-float32": (lambda ds: {"X": ds.X.astype(np.float32)}, ShapeError, "X"),
+    "t_obs-int32": (lambda ds: {"t_obs": ds.t_obs.astype(np.int32)}, ShapeError, "t_obs"),
+    "t_obs-a-list": (lambda ds: {"t_obs": ds.t_obs.tolist()}, ShapeError, "t_obs"),
+    "Z-one-row-short": (lambda ds: {"Z": ds.Z[1:]}, ShapeError, "Z"),
+    "mu_sigma-transposed": (lambda ds: {"mu_sigma": ds.mu_sigma.T}, ShapeError, "mu_sigma"),
+    "config-n": (lambda ds: {"config": small_cfg(n=61)}, ShapeError, "X"),
+    "Z-nan": (lambda ds: {"Z": _with_nan(ds.Z)}, NumericError, "Z"),
+    "mu_sigma-nan": (lambda ds: {"mu_sigma": _with_nan(ds.mu_sigma)}, NumericError, "mu_sigma"),
+    "Y_sampled-inf": (
+        lambda ds: {"Y_sampled": ds.Y_sampled * np.inf}, NumericError, "Y_sampled"
+    ),
+    "t_obs-k": (lambda ds: {"t_obs": _with_first(ds.t_obs, 3)}, DataError, "t_obs"),
+    "t_obs-negative": (lambda ds: {"t_obs": _with_first(ds.t_obs, -1)}, DataError, "t_obs"),
+    "split-index-n": (
+        lambda ds: {"splits": {**ds.splits, "test": _with_first(ds.splits["test"], 60)}},
+        DataError, "test",
+    ),
+    "split-index-negative": (
+        lambda ds: {"splits": {**ds.splits, "val": _with_first(ds.splits["val"], -1)}},
+        DataError, "val",
+    ),
+    "split-floats": (
+        lambda ds: {"splits": {**ds.splits, "train": ds.splits["train"] + 0.0}},
+        DataError, "train",
+    ),
+    "split-a-matrix": (
+        lambda ds: {"splits": {**ds.splits, "train": ds.splits["train"][None, :]}},
+        DataError, "train",
+    ),
+    "row-in-two-splits": (
+        lambda ds: {"splits": {**ds.splits, "val": ds.splits["train"][:1]}},
+        DataError, "twice",
+    ),
+    "split-missing": (
+        lambda ds: {"splits": {k: v for k, v in ds.splits.items() if k != "test"}},
+        DataError, "exactly",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "bad, error, match", INVALID_DATASET_FIELDS.values(), ids=INVALID_DATASET_FIELDS
+)
+def test_dataset_refuses_invalid_fields_when_built(bad, error, match):
+    ds = simulate_dataset(small_cfg())
+    fields = {f.name: getattr(ds, f.name) for f in dataclasses.fields(ds)}
+    with pytest.raises(error, match=match):
+        Dataset(**{**fields, **bad(ds)})
+    with pytest.raises(error, match=match):
+        dataclasses.replace(ds, **bad(ds))
+
+
+def test_zero_shot_copy_is_a_dataset_but_not_a_saved_one(tmp_path):
+    # a zero-shot copy leaves rows out of its splits on purpose, so it
+    # constructs; a manifest's splits come from outside and must cover all rows
+    held = simulate_dataset(small_cfg()).without_treatment_in_fit(0)
+    save_dataset(held, tmp_path / "ds")
+    with pytest.raises(DataError, match="cover all 60 rows"):
+        load_dataset(tmp_path / "ds")
+
+
+def test_mu_and_sigma_are_the_columns_of_mu_sigma():
+    ds = simulate_dataset(small_cfg(seed=3))
+    np.testing.assert_array_equal(np.column_stack([ds.mu, ds.sigma]), ds.mu_sigma)
+    assert np.shares_memory(ds.mu, ds.mu_sigma) and np.shares_memory(ds.sigma, ds.mu_sigma)
 
 
 def test_moderate_scale_smoke():
