@@ -1,5 +1,5 @@
-"""The thread count of the OpenBLAS that numpy loaded, read and lowered
-through ctypes.
+"""The thread count of the OpenBLAS that numpy loaded, read, lowered and
+restored through ctypes.
 
 Only the standard library is used: the library is found among the files
 mapped into this process (/proc/self/maps) and opened again without
@@ -9,6 +9,7 @@ gives None and leaves the thread count as it was.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 
@@ -49,14 +50,25 @@ def openblas_controls():
     return None
 
 
-def cap_threads(limit: int) -> int | None:
-    """Lower the loaded OpenBLAS's thread count to at most limit (>= 1),
-    never raising it, and return the count read back (None: no OpenBLAS
-    found)."""
+@contextlib.contextmanager
+def threads_capped(limit: int):
+    """Run the block with the loaded OpenBLAS at no more than limit (>= 1)
+    threads: a higher count is lowered, a lower one kept. Yields the count
+    read back, or None when no OpenBLAS is found. The previous count is
+    restored when the block ends, also on an exception or when a generator
+    suspended inside the block is closed.
+
+    A process forked inside the block inherits the capped count, so its
+    OpenBLAS starts no helper thread above it."""
     controls = openblas_controls()
     if controls is None:
-        return None
+        yield None
+        return
     get, set_ = controls
-    if get() > limit:
+    before = get()
+    if before > limit:
         set_(limit)
-    return get()
+    try:
+        yield get()
+    finally:
+        set_(before)

@@ -7,6 +7,7 @@ the most specific class that applies.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -93,6 +94,13 @@ def check_finite(cfg) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    """The declared type of each field of cls, resolved once per class:
+    resolving evaluates every annotation string."""
+    return typing.get_type_hints(cls)
+
+
 def config_from_dict(cls, doc, path: str, **built):
     """cls(**doc, **built) for a config dataclass, whose construction checks
     the values. doc must be an object whose keys name fields of cls other
@@ -101,7 +109,7 @@ def config_from_dict(cls, doc, path: str, **built):
     refuses, and every message names the path."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be an object, got {doc!r}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     known = {f.name for f in dataclasses.fields(cls)} - set(built)
     extra = set(doc) - known
     if extra:

@@ -365,9 +365,9 @@ def _print_progress(record: dict, done: int, total: int) -> None:
     )
 
 
-# set in each pool worker by _init_worker; the parent process keeps these
-_worker_blas_threads: int | None = None
-_worker_trials: tuple = ()  # _run_trial's arguments after the trial index
+# set in each pool worker by _init_worker: _run_trial's arguments after the
+# trial index
+_worker_trials: tuple = ()
 
 
 def usable_cpus() -> int:
@@ -379,34 +379,35 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _init_worker(threads: int, trials: tuple) -> None:
-    """Pool initializer: keep the sweep's trials, and share the CPUs among
-    the workers' BLAS threads.
-
-    The pool forks, so `trials` (configs and datasets) arrives as the
-    parent's memory, neither pickled nor read back from disk. A forked worker
-    also inherits the parent's BLAS thread count, so `threads` workers would
-    each run that many BLAS threads on the same CPUs.
-    """
-    global _worker_blas_threads, _worker_trials
-    _worker_trials = trials
-    _worker_blas_threads = blas.cap_threads(max(1, usable_cpus() // threads))
+def _init_worker(trials: tuple, blas_threads: int | None) -> None:
+    """Pool initializer: keep the sweep's trials and the BLAS thread count
+    the worker inherited. The pool forks, so `trials` (configs and datasets)
+    arrives as the parent's memory, neither pickled nor read back from disk."""
+    global _worker_trials
+    _worker_trials = (*trials, blas_threads)
 
 
 def _worker_trial(i: int) -> dict:
-    return _run_trial(i, *_worker_trials, _worker_blas_threads)
+    return _run_trial(i, *_worker_trials)
 
 
 def _finished_trials(trials: tuple, n: int, threads: int):
     """Yield the records of trials 0..n-1 as they finish, run in this
-    process or in `threads` forked workers."""
+    process or in `threads` forked workers.
+
+    The workers share the CPUs: from before the pool forks until it has shut
+    down, this process's BLAS runs at most max(1, ncpu // threads) threads,
+    a count each worker inherits. A worker forked at a higher count would
+    start a BLAS helper thread on its first call into OpenBLAS, even one that
+    lowers the count, and that thread would stay and spin."""
     if threads == 1:
         for i in range(n):
             yield _run_trial(i, *trials)
         return
-    with ProcessPoolExecutor(
+    cap = max(1, usable_cpus() // threads)
+    with blas.threads_capped(cap) as blas_threads, ProcessPoolExecutor(
         max_workers=threads, mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker, initargs=(threads, trials),
+        initializer=_init_worker, initargs=(trials, blas_threads),
     ) as pool:
         for future in as_completed([pool.submit(_worker_trial, i) for i in range(n)]):
             yield future.result()
@@ -420,9 +421,10 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
     is refused unless force is set; the datasets are always written anew.
 
     With threads > 1, trials run in that many forked worker processes, which
-    train on the parent's in-memory datasets; each worker lowers its BLAS
-    thread count to max(1, ncpu // threads), and the calling process keeps
-    its own. One line per finished trial goes to stderr."""
+    train on the parent's in-memory datasets at a BLAS thread count of at
+    most max(1, ncpu // threads); the calling process runs at that count
+    while the workers live and gets its own count back when they have shut
+    down. One line per finished trial goes to stderr."""
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():

@@ -24,7 +24,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -122,7 +124,9 @@ class Dataset:
     itself when built: every array has the dtype and shape its config
     implies and is finite, t_obs lies in 0..k-1, and the splits hold
     distinct rows of 0..n-1. They need not cover all rows: the copy
-    without_treatment_in_fit makes leaves some out.
+    without_treatment_in_fit makes leaves some out. Once checked, the arrays,
+    the split vectors and the splits mapping are read-only, so the dataset
+    stays as checked; the arrays given are marked in place.
 
     truth_reads counts accesses to ground-truth outcome matrices per split;
     model-selection code uses it to prove it never touched test-set truth.
@@ -133,12 +137,13 @@ class Dataset:
     mu_sigma: np.ndarray  # (k, 2) per-treatment prior draws (mu_t, sigma_t)
     Y_sampled: np.ndarray  # (n, k)
     t_obs: np.ndarray  # (n,) ints in 0..k-1
-    splits: dict[str, np.ndarray]
+    splits: Mapping[str, np.ndarray]
     config: SimConfig  # the one source of n, d, k and the outcome scale c
     truth_reads: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name, (attr, dtype, shape) in _dataset_layout(self.config).items():
+        layout = _dataset_layout(self.config)
+        for name, (attr, dtype, shape) in layout.items():
             arr = getattr(self, attr)
             got = (arr.dtype, arr.shape) if isinstance(arr, np.ndarray) else type(arr)
             if got != (dtype, shape):
@@ -149,7 +154,7 @@ class Dataset:
                 raise NumericError(f"non-finite values in {attr} ({name}.npy)")
         if self.t_obs.min() < 0 or self.t_obs.max() >= self.k:
             raise DataError("t_obs entries must lie in 0..k-1")
-        if not isinstance(self.splits, dict) or set(self.splits) != set(SPLIT_NAMES):
+        if not isinstance(self.splits, Mapping) or set(self.splits) != set(SPLIT_NAMES):
             raise DataError(f"splits must be exactly {list(SPLIT_NAMES)}")
         for name, idx in self.splits.items():
             if not (
@@ -160,6 +165,17 @@ class Dataset:
         rows = np.concatenate([self.splits[name] for name in SPLIT_NAMES])
         if np.bincount(rows, minlength=self.n).max() > 1:
             raise DataError("splits must not hold a row twice")
+        self.splits = MappingProxyType(dict(self.splits))
+        arrays = [getattr(self, attr) for attr, _, _ in layout.values()]
+        for arr in [*arrays, *self.splits.values()]:
+            arr.flags.writeable = False
+
+    def __reduce__(self):
+        """Pickle and copy rebuild the dataset through its constructor, which
+        checks the arrays and marks them read-only again; pickle cannot copy
+        the read-only splits mapping itself."""
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return Dataset, tuple({**fields, "splits": dict(self.splits)}.values())
 
     @property
     def n(self) -> int:
@@ -185,9 +201,7 @@ class Dataset:
     def T_emb(self) -> np.ndarray:
         """(k, d) treatment feature vectors: a read-only view of the first k
         centroids."""
-        view = self.Z[:-1]
-        view.flags.writeable = False
-        return view
+        return self.Z[:-1]
 
     def split_indices(self, split: str) -> np.ndarray:
         if split not in self.splits:

@@ -331,22 +331,108 @@ def _trial_records(out, n):
     ]
 
 
+requires_task_dir = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count OS threads"
+)
+
+
+def _watch_progress(monkeypatch, get) -> list[tuple[int, dict]]:
+    """(the parent's BLAS thread count, the record) at each finished trial."""
+    seen = []
+    print_progress = experiments._print_progress
+
+    def watched(record, done, total):
+        seen.append((get(), record))
+        print_progress(record, done, total)
+
+    monkeypatch.setattr(experiments, "_print_progress", watched)
+    return seen
+
+
 @requires_openblas
-def test_parallel_sweep_caps_blas_threads_in_workers_only(tmp_path):
+def test_parallel_sweep_caps_blas_threads_from_fork_to_shutdown(tmp_path, monkeypatch):
     get, set_ = blas.openblas_controls()
     before = get()
     cap = max(1, _cpu_count() // 2)
+    seen = _watch_progress(monkeypatch, get)
     out = tmp_path / "sweep"
     try:
-        # one thread above the cap, so that a capped parent would show
+        # one thread above the cap, so that both the cap and the restore show
         set_(cap + 1)
         summary = run_sweep(sweep_spec(), out, threads=2)
         assert get() == cap + 1
     finally:
         set_(before)
+    assert [parent for parent, _ in seen] == [cap, cap]
     assert [rec["blas_threads"] for rec in _trial_records(out, 2)] == [cap, cap]
     assert summary["blas_threads_per_worker"] == cap
     assert json.loads((out / "summary.json").read_text())["blas_threads_per_worker"] == cap
+
+
+@requires_openblas
+@requires_task_dir
+def test_sweep_workers_start_without_a_blas_helper_thread(tmp_path, monkeypatch):
+    # 2 CPUs for 2 workers: a cap of 1 on any runner
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    get, set_ = blas.openblas_controls()
+    before = get()
+    seen = _watch_progress(monkeypatch, get)
+    run_trial = experiments._run_trial
+
+    def counted(*args):
+        record = run_trial(*args)
+        # after the trial's BLAS calls, which start any helper thread
+        return {**record, "pid": os.getpid(), "os_threads": len(os.listdir("/proc/self/task"))}
+
+    # installed before the pool forks, so the workers run it
+    monkeypatch.setattr(experiments, "_run_trial", counted)
+    try:
+        set_(2)
+        if get() != 2:
+            pytest.skip("this OpenBLAS cannot run 2 threads")
+        run_sweep(sweep_spec(), tmp_path / "sweep", threads=2)
+        after = get()
+    finally:
+        set_(before)
+    assert all(rec["pid"] != os.getpid() for _, rec in seen)
+    assert [rec["os_threads"] for _, rec in seen] == [1, 1]
+    assert [rec["blas_threads"] for _, rec in seen] == [1, 1]
+    assert [parent for parent, _ in seen] == [1, 1]
+    assert after == 2
+
+
+@requires_openblas
+def test_blas_threads_capped_restores_the_count_on_every_exit(tmp_path, monkeypatch):
+    get, set_ = blas.openblas_controls()
+    before = get()
+
+    def suspended():
+        with blas.threads_capped(1) as got:
+            yield got
+
+    def fail(record, done, total):
+        raise RuntimeError("progress failed")
+
+    try:
+        set_(2)
+        with blas.threads_capped(1) as got:
+            assert got == get() == 1
+        assert get() == 2
+        with pytest.raises(RuntimeError, match="inside"):
+            with blas.threads_capped(1):
+                raise RuntimeError("inside")
+        assert get() == 2
+        gen = suspended()
+        assert next(gen) == get() == 1
+        gen.close()
+        assert get() == 2
+        # a sweep whose caller fails while the pool runs closes the generator
+        monkeypatch.setattr(experiments, "_print_progress", fail)
+        with pytest.raises(RuntimeError, match="progress failed"):
+            run_sweep(sweep_spec(), tmp_path / "sweep", threads=2)
+        assert get() == 2
+    finally:
+        set_(before)
 
 
 @requires_openblas
@@ -355,13 +441,15 @@ def test_blas_cap_never_raises_a_lower_count(tmp_path, monkeypatch):
     parent = get()
     try:
         set_(1)
-        assert blas.cap_threads(4) == 1
+        with blas.threads_capped(4) as got:
+            assert got == 1
         # workers inherit the lowered count; with 8 CPUs their cap would be 4
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
         )
         summary = run_sweep(sweep_spec(), tmp_path / "sweep", threads=2)
         assert summary["blas_threads_per_worker"] == 1
+        assert get() == 1
     finally:
         set_(parent)
     assert get() == parent
@@ -390,10 +478,10 @@ def test_fit_agrees_up_to_roundoff_across_blas_thread_counts():
     before = get()
     try:
         set_(2)
-        # a forked child capped like a sweep worker, then the parent at 2 threads
-        with ProcessPoolExecutor(
-            1, mp_context=multiprocessing.get_context("fork"),
-            initializer=blas.cap_threads, initargs=(1,),
+        # a child forked under the cap, as a sweep worker is, then the parent
+        # at 2 threads
+        with blas.threads_capped(1), ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork")
         ) as pool:
             theta_1, val_1, threads_1 = pool.submit(_wide_fit, ds).result()
         theta_2, val_2, threads_2 = _wide_fit(ds)
@@ -406,7 +494,8 @@ def test_fit_agrees_up_to_roundoff_across_blas_thread_counts():
 
 def test_sweep_without_openblas_runs_uncapped(tmp_path, monkeypatch):
     monkeypatch.setattr(blas, "openblas_controls", lambda: None)
-    assert blas.cap_threads(1) is None
+    with blas.threads_capped(1) as got:
+        assert got is None
     out = tmp_path / "sweep"
     summary = run_sweep(sweep_spec(), out, threads=2)
     assert [t["status"] for t in summary["trials"]] == ["ok", "ok"]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -587,6 +588,48 @@ def test_dataset_refuses_invalid_fields_when_built(bad, error, match):
         Dataset(**{**fields, **bad(ds)})
     with pytest.raises(error, match=match):
         dataclasses.replace(ds, **bad(ds))
+
+
+# name -> a write into a dataset's checked arrays or split vectors
+DATASET_WRITES = {
+    "X": lambda ds: ds.X.__setitem__((0, 0), 2.0),
+    "Z": lambda ds: ds.Z.__setitem__((0, 0), 2.0),
+    "mu_sigma": lambda ds: ds.mu_sigma.__setitem__((0, 1), -1.0),
+    "Y_sampled": lambda ds: ds.Y_sampled.__setitem__((0, 0), np.nan),
+    "t_obs": lambda ds: ds.t_obs.__setitem__(0, 7),
+    "split-train": lambda ds: ds.splits["train"].__setitem__(0, -1),
+    "split-val": lambda ds: ds.splits["val"].__setitem__(0, 10**6),
+    "split-test": lambda ds: ds.splits["test"].__setitem__(0, ds.splits["train"][0]),
+}
+
+
+@pytest.mark.parametrize("write", DATASET_WRITES.values(), ids=DATASET_WRITES)
+@pytest.mark.parametrize("origin", ["simulated", "loaded", "zero-shot-copy", "unpickled"])
+def test_dataset_arrays_are_read_only_once_checked(tmp_path, write, origin):
+    ds = simulate_dataset(small_cfg())
+    if origin == "loaded":
+        save_dataset(ds, tmp_path / "ds")
+        ds = load_dataset(tmp_path / "ds")
+    elif origin == "zero-shot-copy":
+        ds = ds.without_treatment_in_fit(0)
+    elif origin == "unpickled":
+        ds = pickle.loads(pickle.dumps(ds))
+    with pytest.raises(ValueError, match="read-only"):
+        write(ds)
+
+
+def test_dataset_splits_mapping_is_read_only():
+    ds = simulate_dataset(small_cfg())
+    with pytest.raises(TypeError):
+        ds.splits["val"] = ds.splits["train"]
+    with pytest.raises(TypeError):
+        del ds.splits["test"]
+    # a new mapping still builds a checked copy
+    with pytest.raises(DataError, match="twice"):
+        dataclasses.replace(ds, splits={**ds.splits, "val": ds.splits["train"]})
+    # the truth-read audit stays writable
+    ds.expected_outcomes("val")
+    assert ds.truth_reads == {"val": 1}
 
 
 def test_zero_shot_copy_is_a_dataset_but_not_a_saved_one(tmp_path):
