@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, DataError, NumericError, load_json_object
+from .errors import ConfigError, DataError, NumericError, load_json_object, write_json_atomic
 from .experiments import (
     ExperimentConfig,
     RunRecord,
@@ -24,7 +24,6 @@ from .experiments import (
     report_table_csv,
     run_sweep,
     usable_cpus,
-    write_json_atomic,
 )
 from .metrics import EvalReport, evaluate_model
 # train is bound here for perfbench's tracer (perfbench/tracing.py)

@@ -26,7 +26,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import blas
-from .errors import ConfigError, DataError, TrainingDiverged, config_from_dict
+from .errors import (
+    ConfigError,
+    DataError,
+    JsonConfig,
+    TrainingDiverged,
+    check_artifact,
+    write_json_atomic,
+)
 from .metrics import EvalReport, evaluate_model
 from .model import (
     VARIANTS,
@@ -44,28 +51,10 @@ RECORD_SCHEMA_VERSION = "2"
 RECORD_KEYS = {"kind", "schema_version", "label", "config", "per_seed", "artifacts"}
 
 
-def _finite_or_null(doc):
-    if isinstance(doc, float):
-        return doc if math.isfinite(doc) else None
-    if isinstance(doc, dict):
-        return {key: _finite_or_null(value) for key, value in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_finite_or_null(value) for value in doc]
-    return doc
-
-
-def write_json_atomic(path, doc) -> None:
-    """Strict JSON: a NaN or infinite float is written as null."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(_finite_or_null(doc), fh, indent=2, sort_keys=True, allow_nan=False)
-    os.replace(tmp, path)
-
-
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(JsonConfig):
     sim: SimConfig = field(default_factory=SimConfig)
-    shape: ModelShape = field(default_factory=ModelShape)
+    model: ModelShape = field(default_factory=ModelShape)
     train: TrainConfig = field(default_factory=TrainConfig)
     variant: str = "joint"
     repeats: int = 1
@@ -84,30 +73,6 @@ class ExperimentConfig:
 
     def effective_label(self) -> str:
         return self.label if self.label else self.variant
-
-    def to_dict(self) -> dict:
-        return {
-            "sim": self.sim.to_dict(),
-            "model": self.shape.to_dict(),
-            "train": self.train.to_dict(),
-            "variant": self.variant,
-            "repeats": self.repeats,
-            "zero_shot": self.zero_shot,
-            "label": self.label,
-        }
-
-    @staticmethod
-    def from_dict(doc: dict, path: str = "config") -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path} must be an object, got {doc!r}")
-        # the "model" section fills the shape field
-        rest = {key: value for key, value in doc.items() if key not in ("sim", "model", "train")}
-        return config_from_dict(
-            ExperimentConfig, rest, path,
-            sim=SimConfig.from_dict(doc.get("sim", {}), path=f"{path}.sim"),
-            shape=ModelShape.from_dict(doc.get("model", {}), path=f"{path}.model"),
-            train=TrainConfig.from_dict(doc.get("train", {}), path=f"{path}.train"),
-        )
 
 
 def config_hash(doc: dict) -> str:
@@ -168,13 +133,9 @@ class RunRecord:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunRecord":
-        if doc.get("schema_version") != RECORD_SCHEMA_VERSION:
-            raise DataError(
-                f"unsupported record schema_version {doc.get('schema_version')!r} (this "
-                f"version reads {RECORD_SCHEMA_VERSION!r}); re-run the experiment or sweep"
-            )
-        if set(doc) != RECORD_KEYS:
-            raise DataError(f"record fields must be {sorted(RECORD_KEYS)}, got {sorted(doc)}")
+        check_artifact(
+            doc, "record", RECORD_SCHEMA_VERSION, RECORD_KEYS, "the experiment or sweep"
+        )
         return RunRecord(
             label=doc["label"],
             config=doc["config"],
@@ -204,7 +165,7 @@ def _fit_repeat(cfg: ExperimentConfig, ds: Dataset, r: int) -> TrainedModel:
     splits, so neither the gradient steps nor model selection see it."""
     if cfg.zero_shot is not None:
         ds = ds.without_treatment_in_fit(cfg.zero_shot)
-    return train(ds, cfg.shape, replace(cfg.train, seed=cfg.train.seed + r), cfg.variant)
+    return train(ds, cfg.model, replace(cfg.train, seed=cfg.train.seed + r), cfg.variant)
 
 
 def run_experiment(
@@ -243,7 +204,7 @@ def run_experiment(
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(JsonConfig):
     base: ExperimentConfig
     grid: dict[str, list]
     max_trials: int | None = None
@@ -262,14 +223,6 @@ class SweepSpec:
                 raise ConfigError(f"grid axis {key!r} must list at least one value")
         if self.max_trials is not None and self.max_trials < 1:
             raise ConfigError("max_trials must be >= 1")
-
-    @staticmethod
-    def from_dict(doc: dict) -> "SweepSpec":
-        if "base" not in doc or "grid" not in doc:
-            raise ConfigError("sweep config needs 'base' and 'grid'")
-        rest = {key: value for key, value in doc.items() if key != "base"}
-        base = ExperimentConfig.from_dict(doc["base"], path="base")
-        return config_from_dict(SweepSpec, rest, "sweep config", base=base)
 
 
 def expand_grid(grid: dict[str, list]) -> list[dict]:
@@ -399,7 +352,10 @@ def _finished_trials(trials: tuple, n: int, threads: int):
     down, this process's BLAS runs at most max(1, ncpu // threads) threads,
     a count each worker inherits. A worker forked at a higher count would
     start a BLAS helper thread on its first call into OpenBLAS, even one that
-    lowers the count, and that thread would stay and spin."""
+    lowers the count, and that thread would stay and spin.
+
+    A caller that stops early (an error, or an interrupt) closes the
+    generator, which cancels the trials no worker has taken yet."""
     if threads == 1:
         for i in range(n):
             yield _run_trial(i, *trials)
@@ -409,8 +365,11 @@ def _finished_trials(trials: tuple, n: int, threads: int):
         max_workers=threads, mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker, initargs=(trials, blas_threads),
     ) as pool:
-        for future in as_completed([pool.submit(_worker_trial, i) for i in range(n)]):
-            yield future.result()
+        try:
+            for future in as_completed([pool.submit(_worker_trial, i) for i in range(n)]):
+                yield future.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -> dict:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError, check_artifact
 from .model import OutcomeModel, predict_all_outcomes
 from .simulate import SPLIT_NAMES, Dataset
 
@@ -159,13 +159,7 @@ class EvalReport:
 
     @staticmethod
     def from_dict(doc: dict) -> "EvalReport":
-        if doc.get("schema_version") != REPORT_SCHEMA_VERSION:
-            raise DataError(
-                f"unsupported report schema_version {doc.get('schema_version')!r} "
-                f"(this version reads {REPORT_SCHEMA_VERSION!r}); re-run `ite-bench evaluate`"
-            )
-        if set(doc) != REPORT_KEYS:
-            raise DataError(f"report fields must be {sorted(REPORT_KEYS)}, got {sorted(doc)}")
+        check_artifact(doc, "report", REPORT_SCHEMA_VERSION, REPORT_KEYS, "`ite-bench evaluate`")
         per_pair = {}
         for key, v in doc["per_pair"].items():
             a, b = map(int, key.split(","))

@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
-import json
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -39,12 +38,14 @@ import numpy as np
 from .errors import (
     ConfigError,
     DataError,
+    JsonConfig,
     NumericError,
     ShapeError,
     TrainingDiverged,
+    check_artifact,
     check_finite,
-    config_from_dict,
     load_json_object,
+    write_json_atomic,
 )
 from .mmd import treatment_regularization_loss
 from .nn import (
@@ -73,7 +74,7 @@ EARLY_STOP_MIN_REL_DECREASE = 1e-3
 
 
 @dataclass(frozen=True)
-class ModelShape:
+class ModelShape(JsonConfig):
     """Layer counts and widths for the three sub-networks.
 
     *_layers counts weight matrices (so 1 means a single affine map);
@@ -131,13 +132,6 @@ class ModelShape:
         """The length of theta for this shape."""
         dims = self.network_dims(input_dim, k, variant)
         return sum(nets * _n_params(widths) for nets, widths in dims)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(doc: dict, path: str = "model") -> "ModelShape":
-        return config_from_dict(ModelShape, doc, path)
 
 
 def _n_params(dims: list[int]) -> int:
@@ -285,7 +279,7 @@ def build_model(
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonConfig):
     alpha: float = 1.0
     beta: float = 0.5
     batch_size: int = 128
@@ -326,13 +320,6 @@ class TrainConfig:
             raise ConfigError("weight_decay must be >= 0")
         if self.bandwidth is not None and not self.bandwidth > 0.0:
             raise ConfigError("kernel bandwidth must be positive")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(doc: dict, path: str = "train") -> "TrainConfig":
-        return config_from_dict(TrainConfig, doc, path)
 
 
 class Batch(NamedTuple):
@@ -705,7 +692,7 @@ def train(
                 decayed = rep_weights + [w for ws, h in zip(head_weights, hit) if h for w in ws]
                 sgd_step(model.theta, grad, lr, cfg.weight_decay, decayed)
             except NumericError as exc:
-                raise TrainingDiverged(epoch, batch_index, history) from exc
+                raise TrainingDiverged(epoch, batch_index, history, "batch step", exc) from exc
             model.head_updates = tuple(
                 n + h for n, h in zip(model.head_updates, hit)
             )
@@ -718,7 +705,7 @@ def train(
             # the last step's weights can overflow the validation forward
             val_hat = factual_predictions(model, x_val, t_val, t_emb, buffers.caches)
         except NumericError as exc:
-            raise TrainingDiverged(epoch, batch_index, history) from exc
+            raise TrainingDiverged(epoch, batch_index, history, "validation pass", exc) from exc
         val_mse = float(np.mean((val_hat - y_val) ** 2))
         history.loss.append(float(sums[0] / n_batches))
         history.mse.append(float(sums[1] / n_batches))
@@ -783,16 +770,12 @@ def checkpoint_dict(trained: TrainedModel, params_sha256: str) -> dict:
 def save_checkpoint(path, trained: TrainedModel) -> None:
     """Write the model's theta to params_path(path), then the JSON header,
     which records the vector's sha256, to path."""
-    sidecar = params_path(path)
     buf = io.BytesIO()
     np.save(buf, trained.model.theta)
     data = buf.getvalue()
-    doc = checkpoint_dict(trained, hashlib.sha256(data).hexdigest())
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    with open(sidecar, "wb") as fh:
+    with open(params_path(path), "wb") as fh:
         fh.write(data)
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_json_atomic(path, checkpoint_dict(trained, hashlib.sha256(data).hexdigest()))
 
 
 def _load_params(sidecar: str, doc: dict) -> np.ndarray:
@@ -817,15 +800,10 @@ def load_checkpoint(path) -> TrainedModel:
     and variant; the parameter file must hold exactly that model's theta."""
     sidecar = params_path(path)
     doc = load_json_object(path, ConfigError)
-    if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported checkpoint schema_version {doc.get('schema_version')!r} "
-            f"(this version reads {CHECKPOINT_SCHEMA_VERSION!r}); re-run `ite-bench train`"
-        )
-    if set(doc) != CHECKPOINT_KEYS:
-        raise ConfigError(
-            f"{path}: checkpoint fields must be {sorted(CHECKPOINT_KEYS)}, got {sorted(doc)}"
-        )
+    check_artifact(
+        doc, f"checkpoint {path}", CHECKPOINT_SCHEMA_VERSION, CHECKPOINT_KEYS,
+        "`ite-bench train`", ConfigError,
+    )
     vec = _load_params(sidecar, doc)
     try:
         shape = ModelShape.from_dict(doc["shape"], path="checkpoint.shape")

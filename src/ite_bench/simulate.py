@@ -22,7 +22,6 @@ through a directory of .npy arrays plus a JSON manifest.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -34,11 +33,13 @@ from .errors import (
     ConfigError,
     DataError,
     InsufficientDataError,
+    JsonConfig,
     NumericError,
     ShapeError,
+    check_artifact,
     check_finite,
-    config_from_dict,
     load_json_object,
+    write_json_atomic,
 )
 
 DATASET_SCHEMA_VERSION = "5"
@@ -46,6 +47,9 @@ MANIFEST_KEYS = {"schema_version", "config", "splits"}
 SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.7, 0.15)  # train, val; test takes the remainder
 SIGMA_FLOOR = 1e-3
+# kmeans' iteration cap, and the largest centroid move that ends it earlier
+KMEANS_ITERS = 50
+KMEANS_TOL = 1e-6
 
 
 def _dataset_layout(cfg: SimConfig) -> dict[str, tuple[str, type, tuple]]:
@@ -62,7 +66,7 @@ def _dataset_layout(cfg: SimConfig) -> dict[str, tuple[str, type, tuple]]:
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(JsonConfig):
     """Knobs of the simulation. Treatments are indexed 0..k-1 throughout."""
 
     n: int = 2000
@@ -105,28 +109,17 @@ class SimConfig:
         if self.mu_sd < 0.0 or self.sigma_sd < 0.0:
             raise ConfigError("prior standard deviations must be >= 0")
 
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        if not np.isscalar(self.kappa):
-            doc["kappa"] = [float(v) for v in self.kappa]
-        return doc
 
-    @staticmethod
-    def from_dict(doc: dict, path: str = "sim") -> "SimConfig":
-        if isinstance(doc, dict) and isinstance(doc.get("kappa"), list):
-            doc = {**doc, "kappa": tuple(doc["kappa"])}
-        return config_from_dict(SimConfig, doc, path)
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A fully materialized simulation with train/val/test splits. It checks
     itself when built: every array has the dtype and shape its config
     implies and is finite, t_obs lies in 0..k-1, and the splits hold
     distinct rows of 0..n-1. They need not cover all rows: the copy
     without_treatment_in_fit makes leaves some out. Once checked, the arrays,
-    the split vectors and the splits mapping are read-only, so the dataset
-    stays as checked; the arrays given are marked in place.
+    the split vectors and the splits mapping are read-only, and no field can
+    be rebound, so the dataset stays as checked; the arrays given are marked
+    in place.
 
     truth_reads counts accesses to ground-truth outcome matrices per split;
     model-selection code uses it to prove it never touched test-set truth.
@@ -165,7 +158,7 @@ class Dataset:
         rows = np.concatenate([self.splits[name] for name in SPLIT_NAMES])
         if np.bincount(rows, minlength=self.n).max() > 1:
             raise DataError("splits must not hold a row twice")
-        self.splits = MappingProxyType(dict(self.splits))
+        object.__setattr__(self, "splits", MappingProxyType(dict(self.splits)))
         arrays = [getattr(self, attr) for attr, _, _ in layout.values()]
         for arr in [*arrays, *self.splits.values()]:
             arr.flags.writeable = False
@@ -253,9 +246,7 @@ class Dataset:
 @dataclass
 class KMeansResult:
     centroids: np.ndarray
-    labels: np.ndarray
     objective_history: list[float]
-    n_iter: int
 
 
 def _closest_sq(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -268,14 +259,10 @@ def _closest_sq(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def kmeans(
-    x: np.ndarray,
-    n_clusters: int,
-    iters: int = 50,
-    tol: float = 1e-6,
-    *,
-    rng: np.random.Generator | int | None = None,
+    x: np.ndarray, n_clusters: int, *, rng: np.random.Generator | int | None = None
 ) -> KMeansResult:
-    """Lloyd's algorithm with kmeans++ seeding.
+    """Lloyd's algorithm with kmeans++ seeding, for at most KMEANS_ITERS
+    iterations, ending when no centroid moves by KMEANS_TOL or more.
 
     An empty cluster is re-seeded to the point currently farthest from its
     assigned centroid, which keeps the within-cluster sum of squares
@@ -306,9 +293,7 @@ def kmeans(
         closest = np.minimum(closest, _closest_sq(x, centers[j : j + 1])[:, 0])
 
     history: list[float] = []
-    labels = np.zeros(n, dtype=np.int64)
-    n_iter = 0
-    for n_iter in range(1, iters + 1):
+    for _ in range(KMEANS_ITERS):
         d2 = _closest_sq(x, centers)
         labels = d2.argmin(axis=1)
         assigned = d2[np.arange(n), labels]
@@ -327,12 +312,10 @@ def kmeans(
                 new_centers[j] = x[far_order[pos]]
         movement = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
-        if movement < tol:
+        if movement < KMEANS_TOL:
             break
-    d2 = _closest_sq(x, centers)
-    labels = d2.argmin(axis=1)
-    history.append(float(d2[np.arange(n), labels].sum()))
-    return KMeansResult(centers, labels, history, n_iter)
+    history.append(float(_closest_sq(x, centers).min(axis=1).sum()))
+    return KMeansResult(centers, history)
 
 
 def generate_covariates(
@@ -505,16 +488,14 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
         raise DataError(
             f"output directory {out_dir} is not empty; pass force=True/--force to overwrite"
         )
+    for name, (attr, _, _) in _dataset_layout(ds.config).items():
+        np.save(os.path.join(out_dir, name + ".npy"), np.ascontiguousarray(getattr(ds, attr)))
     manifest = {
         "schema_version": DATASET_SCHEMA_VERSION,
         "config": ds.config.to_dict(),
         "splits": {name: ds.splits[name].tolist() for name in SPLIT_NAMES},
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
-    for name, (attr, _, _) in _dataset_layout(ds.config).items():
-        np.save(os.path.join(out_dir, name + ".npy"), np.ascontiguousarray(getattr(ds, attr)))
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        fh.write(text)
+    write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def load_dataset(dataset_dir) -> Dataset:
@@ -525,16 +506,10 @@ def load_dataset(dataset_dir) -> Dataset:
     if not os.path.exists(manifest_path):
         raise DataError(f"not a dataset directory (no manifest.json): {dataset_dir}")
     manifest = load_json_object(manifest_path, DataError)
-    if manifest.get("schema_version") != DATASET_SCHEMA_VERSION:
-        raise DataError(
-            f"unsupported dataset schema_version {manifest.get('schema_version')!r} "
-            f"(this version reads {DATASET_SCHEMA_VERSION!r}, .npy arrays); "
-            "re-run `ite-bench simulate`"
-        )
-    if set(manifest) != MANIFEST_KEYS:
-        raise DataError(
-            f"{manifest_path}: fields must be {sorted(MANIFEST_KEYS)}, got {sorted(manifest)}"
-        )
+    check_artifact(
+        manifest, f"dataset {manifest_path}", DATASET_SCHEMA_VERSION, MANIFEST_KEYS,
+        "`ite-bench simulate`",
+    )
     try:
         cfg = SimConfig.from_dict(manifest["config"], path="manifest.config")
     except ConfigError as exc:

@@ -448,7 +448,7 @@ def test_07_desk_scale_zero_shot():
         scores["null"].append(pair_mean(null.per_pair, z)[1])
         for variant in ("joint", "tarnet"):
             cfg = ExperimentConfig(
-                sim=desk_sim_config(seed), shape=DESK_SHAPE, train=DESK_TRAIN,
+                sim=desk_sim_config(seed), model=DESK_SHAPE, train=DESK_TRAIN,
                 variant=variant, zero_shot=z,
             )
             # run_experiment's repeat 0: fit without z, then score every treatment

@@ -406,7 +406,7 @@ def test_plain_evaluate_lists_heads_never_updated(tmp_path, capsys):
     for name, fit_ds in (("all", ds), ("held-out", ds.without_treatment_in_fit(2))):
         ckpt = tmp_path / name / "checkpoint.json"
         ckpt.parent.mkdir()
-        save_checkpoint(ckpt, train(fit_ds, cfg.shape, cfg.train, "joint"))
+        save_checkpoint(ckpt, train(fit_ds, cfg.model, cfg.train, "joint"))
         report_path = tmp_path / name / "report.json"
         code, stdout, err = run(
             capsys, "evaluate", "--dataset", str(ds_dir), "--checkpoint", str(ckpt),
@@ -836,6 +836,9 @@ WRONG_TYPES = [
     ("sweep", {"grid": ["x"]}, (), "grid"),
     ("sweep", {"max_trials": "3"}, (), "max_trials"),
     ("sweep", {"seed": 1.5}, (), "seed"),
+    # a section of the wrong type is named by its dotted path
+    ("train", {"model": 3}, (), "config.model must be an object"),
+    ("sweep", {"base": {"model": 3}}, (), "config.base.model must be an object"),
     # JSON and argparse both accept NaN and infinities
     ("train", {"train": {"base_lr": math.nan}}, (), "base_lr"),
     ("train", {"train": {"alpha": math.nan}}, (), "alpha"),
@@ -872,6 +875,19 @@ def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, updates, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section", ["base", "grid"])
+def test_sweep_config_without_a_required_section_exits_2(tmp_path, capsys, section):
+    doc = sweep_config_doc()
+    del doc[section]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out", str(out), "--threads", "1")
+    assert code == 2, err
+    assert f"config: missing fields ['{section}']" in err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sweep_records_a_trial_whose_validation_overflows_as_diverged(
@@ -893,6 +909,8 @@ def test_sweep_records_a_trial_whose_validation_overflows_as_diverged(
     summary = json.loads((out / "summary.json").read_text())
     assert [t["status"] for t in summary["trials"]] == ["ok", "ok", "diverged"]
     assert summary["winner"]["trial"] in (0, 1)
+    record = json.loads((out / "trials" / "trial_0002" / "record.json").read_text())
+    assert "(validation pass): non-finite network input" in record["message"]
 
 
 def test_sweep_single_point_matches_run_experiment(tmp_path, capsys):

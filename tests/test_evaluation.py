@@ -295,7 +295,7 @@ def test_effect_errors_that_overflow_raise_numeric_error():
 def zero_shot_fit(ds, shape, cfg, z, variant="joint"):
     """run_experiment's repeat 0 with treatment z held out of fitting: the
     fit, and the test report that scores every treatment."""
-    exp = ExperimentConfig(shape=shape, train=cfg, variant=variant, zero_shot=z)
+    exp = ExperimentConfig(model=shape, train=cfg, variant=variant, zero_shot=z)
     trained = _fit_repeat(exp, ds, 0)
     return evaluate_model(trained.model, ds, split="test", zero_shot_z=z), trained
 
@@ -334,7 +334,7 @@ def test_held_out_head_receives_no_gradient_updates(variant):
 def test_evaluate_cli_on_checkpoint_matches_protocol(tmp_path, capsys, variant):
     ds = simulate_dataset(SimConfig(n=300, d=5, k=3, seed=8))
     cfg = ExperimentConfig(
-        sim=ds.config, shape=tiny_shape(),
+        sim=ds.config, model=tiny_shape(),
         train=TrainConfig(epochs_max=3, batch_size=32, base_lr=0.05, seed=3),
         variant=variant, zero_shot=1,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -33,7 +34,7 @@ from ite_bench.simulate import SimConfig
 def tiny_experiment(**kw):
     base = dict(
         sim=SimConfig(n=80, d=4, k=2, seed=3),
-        shape=ModelShape(
+        model=ModelShape(
             cov_layers=1, cov_width=4, cov_out=3,
             treat_layers=1, treat_width=4, treat_out=2,
             head_layers=1, head_width=4,
@@ -81,6 +82,35 @@ def test_experiment_config_round_trip():
         tiny_experiment(zero_shot=5)
 
 
+# one of each config class, every field off its default where it can be
+CONFIGS = {
+    "SimConfig": SimConfig(n=40, d=3, k=2, kappa=(2.0, 8.0), embedding_file="x.csv", seed=9),
+    "ModelShape": ModelShape(cov_layers=3, activation="tanh", dropout_rate=0.0),
+    "TrainConfig": TrainConfig(alpha=0.5, beta=0.25, bandwidth=2.0),
+    "ExperimentConfig": tiny_experiment(variant="tarnet", repeats=2, zero_shot=1, label="base"),
+    "SweepSpec": SweepSpec(
+        tiny_experiment(), {"train.base_lr": [0.1, 0.2], "variant": ["joint"]},
+        max_trials=1, seed=4,
+    ),
+}
+
+
+@pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS)
+def test_config_json_round_trip(cfg):
+    doc = json.loads(json.dumps(cfg.to_dict()))
+    # to_dict is the JSON document itself: a tuple field is already a list
+    assert doc == cfg.to_dict()
+    assert type(cfg).from_dict(doc) == cfg
+
+
+def test_config_sections_are_named_after_their_fields():
+    assert CONFIGS["SimConfig"].to_dict()["kappa"] == [2.0, 8.0]
+    doc = CONFIGS["SweepSpec"].to_dict()
+    assert set(doc) == {"base", "grid", "max_trials", "seed"}
+    assert set(doc["base"]) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert doc["base"]["model"] == CONFIGS["SweepSpec"].base.model.to_dict()
+
+
 def test_expand_grid_orders_by_sorted_keys():
     points = expand_grid({"b": [1, 2], "a": ["x"]})
     assert points == [{"a": "x", "b": 1}, {"a": "x", "b": 2}]
@@ -91,10 +121,10 @@ def test_apply_overrides():
     out = apply_overrides(
         base, {"model.cov_width": 16, "train.alpha": 0.5, "variant": "tarnet"}
     )
-    assert out.shape.cov_width == 16
+    assert out.model.cov_width == 16
     assert out.train.alpha == 0.5
     assert out.variant == "tarnet"
-    assert base.shape.cov_width == 4  # base untouched
+    assert base.model.cov_width == 4  # base untouched
     # the CLI's simulate flags set sim fields; a sweep grid refuses them
     # (test_sweep_spec_validation)
     assert apply_overrides(base, {"sim.n": 100}).sim.n == 100
@@ -292,6 +322,27 @@ def test_sweep_artifacts_are_strict_json_without_validation(tmp_path):
     on_disk = strict_json((out / "summary.json").read_text())
     assert on_disk["winner"]["mean_val_mse"] is None
     assert all(t["mean_val_mse"] is None for t in on_disk["trials"])
+
+
+def test_a_failed_sweep_cancels_the_trials_no_worker_has_taken(tmp_path, monkeypatch):
+    def fail(record, done, total):
+        raise RuntimeError("progress failed")
+
+    monkeypatch.setattr(experiments, "_print_progress", fail)
+    # trials long enough that no other finishes while the first one's error
+    # unwinds
+    base = tiny_experiment(repeats=2, train=TrainConfig(
+        batch_size=32, epochs_max=20, patience=20, base_lr=0.05
+    ))
+    spec = SweepSpec(base, {"train.base_lr": [0.01, 0.02, 0.03, 0.04],
+                            "variant": ["joint", "tarnet"]})
+    out = tmp_path / "sweep"
+    with pytest.raises(RuntimeError, match="progress failed"):
+        run_sweep(spec, out, threads=2)
+    # the pool queues max_workers + 1 trials ahead of its workers, which
+    # finish them; the others are cancelled
+    written = list((out / "trials").glob("trial_*/record.json"))
+    assert 1 <= len(written) < 8
 
 
 def test_run_sweep_parallel_matches_serial(tmp_path):

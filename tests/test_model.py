@@ -727,6 +727,21 @@ def test_divergence_reports_position_and_history():
     assert err.epoch >= 0
     assert err.batch_index >= 0
     assert isinstance(err.history, TrainHistory)
+    assert f"batch {err.batch_index} (batch step): non-finite" in str(err)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_divergence_in_the_validation_pass_names_its_stage_and_cause():
+    # at base_lr 0.2 the last step's weights overflow the validation forward
+    ds = simulate_dataset(SimConfig(n=300, d=6, k=3, seed=2))
+    cfg = TrainConfig(epochs_max=3, batch_size=64, base_lr=0.2)
+    with pytest.raises(TrainingDiverged) as excinfo:
+        train(ds, ModelShape(), cfg)
+    err = excinfo.value
+    assert str(err) == (
+        "training diverged at epoch 1, batch 3 (validation pass): non-finite network input"
+    )
+    assert (err.epoch, err.batch_index, err.history.n_epochs()) == (1, 3, 1)
 
 
 def test_baseline_training_invariant_to_treatment_embeddings():

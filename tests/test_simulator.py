@@ -314,14 +314,6 @@ def test_config_validation_errors():
         SimConfig.from_dict({"n": "ten"})
 
 
-def test_config_dict_round_trip():
-    cfg = SimConfig(n=40, d=3, k=2, kappa=(2.0, 8.0), seed=9)
-    doc = cfg.to_dict()
-    assert doc["kappa"] == [2.0, 8.0]
-    back = SimConfig.from_dict(doc)
-    assert back == cfg
-
-
 def test_dataset_save_load_round_trip(tmp_path):
     ds = simulate_dataset(small_cfg(seed=2))
     out = tmp_path / "ds"
@@ -616,6 +608,29 @@ def test_dataset_arrays_are_read_only_once_checked(tmp_path, write, origin):
         ds = pickle.loads(pickle.dumps(ds))
     with pytest.raises(ValueError, match="read-only"):
         write(ds)
+
+
+# field -> a value that would skip the dataset's checks if it could be bound
+DATASET_REBINDINGS = {
+    "X": lambda ds: np.zeros_like(ds.X),
+    "Z": lambda ds: np.full_like(ds.Z, np.nan),
+    "mu_sigma": lambda ds: -ds.mu_sigma,
+    "Y_sampled": lambda ds: ds.Y_sampled[:1],
+    "t_obs": lambda ds: np.full(60, 7),
+    "splits": lambda ds: {**ds.splits, "val": ds.splits["train"]},
+    "config": lambda ds: small_cfg(n=10),
+    "truth_reads": lambda ds: {},
+}
+
+
+@pytest.mark.parametrize("name", DATASET_REBINDINGS)
+def test_dataset_fields_cannot_be_rebound(name):
+    assert set(DATASET_REBINDINGS) == {f.name for f in dataclasses.fields(Dataset)}
+    ds = simulate_dataset(small_cfg())
+    before = getattr(ds, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(ds, name, DATASET_REBINDINGS[name](ds))
+    assert getattr(ds, name) is before
 
 
 def test_dataset_splits_mapping_is_read_only():
