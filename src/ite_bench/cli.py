@@ -12,7 +12,14 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, DataError, NumericError, load_json_object, write_json_atomic
+from .errors import (
+    ConfigError,
+    DataError,
+    NumericError,
+    check_out_dir,
+    load_json_object,
+    write_json_atomic,
+)
 from .experiments import (
     ExperimentConfig,
     RunRecord,
@@ -67,6 +74,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"--kappa must be numbers separated by commas: {exc}") from exc
         overrides["sim.kappa"] = parts[0] if len(parts) == 1 else parts
     cfg = apply_overrides(_load_experiment_config(args.config), overrides).sim
+    # refuse before simulating, which kmeans makes slow at large n
+    check_out_dir(args.out, args.force)
     ds = simulate_dataset(cfg)
     save_dataset(ds, args.out, force=args.force)
     sizes = {name: len(ds.splits[name]) for name in ("train", "val", "test")}

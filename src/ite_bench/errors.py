@@ -166,6 +166,15 @@ def check_artifact(
         raise error(f"{what} fields must be {sorted(keys)}, got {sorted(doc)}")
 
 
+def check_out_dir(path, force: bool) -> None:
+    """Refuse (DataError) an output directory that already holds files,
+    unless force."""
+    if os.path.isdir(path) and os.listdir(path) and not force:
+        raise DataError(
+            f"output directory {path} is not empty; pass force=True/--force to overwrite"
+        )
+
+
 def _json_document(doc):
     """doc as strict JSON stores it: a tuple as a list, a NaN or infinite
     float as null."""

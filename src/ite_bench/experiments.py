@@ -32,6 +32,7 @@ from .errors import (
     JsonConfig,
     TrainingDiverged,
     check_artifact,
+    check_out_dir,
     write_json_atomic,
 )
 from .metrics import EvalReport, evaluate_model
@@ -394,11 +395,8 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
         points = random.Random(spec.seed).sample(points, spec.max_trials)
     cfgs = [apply_overrides(spec.base, overrides) for overrides in points]
 
+    check_out_dir(out_dir, force)
     os.makedirs(out_dir, exist_ok=True)
-    if os.listdir(out_dir) and not force:
-        raise DataError(
-            f"output directory {out_dir} is not empty; pass force=True/--force to overwrite"
-        )
 
     # one dataset per repeat, shared by every trial
     datasets: list[Dataset] = []

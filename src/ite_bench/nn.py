@@ -21,6 +21,9 @@ Conventions:
     contiguous rows, and every elementwise step once over all rows,
   * forward and backward write every intermediate into a ForwardCache's
     preallocated buffers, and a call without one allocates a fresh cache.
+    A cache keeps only what backward reads: dropout masks are booleans,
+    and backward writes each hidden layer's input gradient over that
+    layer's input, so one forward pass serves one backward pass.
     A cache fits every stack of its layer shapes; training keeps one per
     stack of the model for the whole fit, validation included,
   * mlp_forward/mlp_backward are the one-segment pass of a one-network
@@ -82,14 +85,17 @@ class MlpStack:
 class ForwardCache:
     """Per-layer buffers for passes of up to `rows` samples through one
     stack of networks, and views of their first n rows holding what the
-    backward pass needs from the last forward pass: each layer's input,
-    pre-activation and dropout mask (None without dropout), and the pass's
-    segments.
+    backward pass reads from the last forward pass: each layer's input,
+    pre-activation and boolean dropout mask (None without dropout), and the
+    pass's segments.
 
     A pass through a cache overwrites what the previous pass left in it, so
     one cache serves every batch of a fit without allocating, for any stack
     whose layers have these shapes. x is a [rows x in] buffer that a caller
-    may assemble a pass's input in; passes only read it.
+    may assemble a pass's input in; passes only read it. The backward pass
+    writes each hidden layer's input gradient over that layer's input, an
+    activation no later step reads, so one forward pass serves one backward
+    pass.
     """
 
     def __init__(self, stack: MlpStack, rows: int) -> None:
@@ -99,14 +105,12 @@ class ForwardCache:
         self.x = np.empty((rows, self.shapes[0][1]))
         self._z = [np.empty((rows, m)) for m in outs]
         self._act = [np.empty((rows, m)) for m in outs[:-1]]
-        self._mask = [np.empty((rows, m)) for m in outs[:-1]]
-        # gradients w.r.t. layer inputs: the backward pass alternates between
-        # the two, since each layer's becomes the previous layer's
-        # pre-activation gradient in place and is read by the next GEMM
-        width = max(fan_in for _, fan_in in self.shapes)
-        self._d_in = (np.empty(rows * width), np.empty(rows * width))
-        # activation slopes in backward and the bias rows in forward: per
-        # layer a [rows x out] view of one buffer
+        self._mask = [np.empty((rows, m), dtype=bool) for m in outs[:-1]]
+        # the gradient w.r.t. the first layer's input, which is the caller's
+        self._d_x = np.empty_like(self.x)
+        # the bias rows and then the dropout draws in forward, the
+        # activation slopes in backward: per layer a [rows x out] view of
+        # one buffer
         scratch = np.empty(rows * max(outs))
         self._scratch = [scratch[: rows * m].reshape(rows, m) for m in outs]
         self.inputs: list[np.ndarray] = []
@@ -180,18 +184,21 @@ def _hidden(
     draws: Sequence[tuple[np.random.Generator, int, int]],
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Layer l's activation of z, with inverted dropout when draws is not
-    empty: each (generator, start, stop) draws the mask of rows start:stop."""
+    empty: each (generator, start, stop) draws the uniforms of rows
+    start:stop, and a unit is kept where its draw lies below 1 - rate."""
     a = cache._act[l][: z.shape[0]]
     _activate(z, stack.hidden_activation, a)
     if not draws:
         return a, None
     keep = 1.0 - stack.dropout_rate
-    mask = cache._mask[l][: z.shape[0]]
+    # the bias rows in this view have been added to z
+    draw = cache._scratch[l][: z.shape[0]]
     for rng, start, stop in draws:
-        rng.random(out=mask[start:stop])
-    np.less(mask, keep, out=mask)
-    mask /= keep
+        rng.random(out=draw[start:stop])
+    mask = cache._mask[l][: z.shape[0]]
+    np.less(draw, keep, out=mask)
     a *= mask
+    a *= 1.0 / keep
     return a, mask
 
 
@@ -260,7 +267,9 @@ def _upstream(
     layers: Sequence[tuple[np.ndarray, np.ndarray]], cache: ForwardCache, upstream_grad: np.ndarray
 ) -> np.ndarray:
     if len(cache.inputs) != len(layers) or len(cache.pre_activations) != len(layers):
-        raise ShapeError("cache does not match network depth")
+        raise ShapeError(
+            "cache holds no forward pass of this network's depth (a backward pass spends it)"
+        )
     g = np.asarray(upstream_grad, dtype=np.float64)
     shape = (cache.inputs[0].shape[0], layers[-1][0].shape[-2])
     if g.shape != shape:
@@ -268,14 +277,15 @@ def _upstream(
     return g
 
 
-def _hidden_grad(cache: ForwardCache, l: int, d_input: np.ndarray, activation: str) -> None:
+def _hidden_grad(cache: ForwardCache, l: int, d_input: np.ndarray, stack: MlpStack) -> None:
     """Turn d_input, the gradient w.r.t. layer l's input, in place into the
     gradient w.r.t. layer l - 1's pre-activation."""
     mask = cache.dropout_masks[l - 1]
     if mask is not None:
         d_input *= mask
+        d_input *= 1.0 / (1.0 - stack.dropout_rate)
     slope = cache._scratch[l - 1][: d_input.shape[0]]
-    _activate_grad(cache.pre_activations[l - 1], activation, slope)
+    _activate_grad(cache.pre_activations[l - 1], stack.hidden_activation, slope)
     d_input *= slope
 
 
@@ -295,20 +305,27 @@ def stack_backward(
     vector). A network owns at most one segment, and a network without one
     is not written. Returns the gradient w.r.t. the input rows, a view of
     the cache valid until the next backward pass through it.
+
+    Once a segment's weight gradient has read a hidden layer's input rows,
+    their gradient is written over them. So the pass empties cache.inputs,
+    and a second backward pass through the same forward pass raises
+    ShapeError instead of reading gradients as activations.
     """
     delta = _upstream(stack.layers, cache, upstream_grad)
     n = delta.shape[0]
+    inputs, cache.inputs = cache.inputs, []
     for l in range(len(stack.layers) - 1, -1, -1):
         w, _ = stack.layers[l]
         gw, gb = out[l]
-        d_input = cache._d_in[l % 2][: n * w.shape[2]].reshape(n, w.shape[2])
+        a = inputs[l]
+        d_input = a if l > 0 else cache._d_x[:n]
         for t, start, stop in cache.segments:
             rows = delta[start:stop]
-            np.matmul(rows.T, cache.inputs[l][start:stop], out=gw[t])
+            np.matmul(rows.T, a[start:stop], out=gw[t])
             np.add.reduce(rows, axis=0, out=gb[t])
             np.matmul(rows, w[t], out=d_input[start:stop])
         if l > 0:
-            _hidden_grad(cache, l, d_input, stack.hidden_activation)
+            _hidden_grad(cache, l, d_input, stack)
             delta = d_input
     return d_input
 

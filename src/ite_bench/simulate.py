@@ -38,6 +38,7 @@ from .errors import (
     ShapeError,
     check_artifact,
     check_finite,
+    check_out_dir,
     load_json_object,
     write_json_atomic,
 )
@@ -249,13 +250,11 @@ class KMeansResult:
     objective_history: list[float]
 
 
-def _closest_sq(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(centers * centers, axis=1)[None, :]
-        - 2.0 * (x @ centers.T)
-    )
-    return np.maximum(d2, 0.0)
+def _sq_dists(xt: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances [clusters x rows] from each center to each row of
+    x, given xt = x.T and x_sq, the rows' squared norms."""
+    d2 = np.add.outer(np.sum(centers * centers, axis=1), x_sq) - 2.0 * (centers @ xt)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def kmeans(
@@ -263,6 +262,10 @@ def kmeans(
 ) -> KMeansResult:
     """Lloyd's algorithm with kmeans++ seeding, for at most KMEANS_ITERS
     iterations, ending when no centroid moves by KMEANS_TOL or more.
+
+    Each iteration is whole-array work: one [clusters x rows] distance
+    matrix, whose first minimum per row is the row's label, and one product
+    of the labels' one-hot matrix with x for every cluster's sum.
 
     An empty cluster is re-seeded to the point currently farthest from its
     assigned centroid, which keeps the within-cluster sum of squares
@@ -279,10 +282,12 @@ def kmeans(
             f"kmeans needs at least {n_clusters} rows, got {n}"
         )
     gen = np.random.default_rng(rng)
+    xt = np.ascontiguousarray(x.T)
+    x_sq = np.sum(x * x, axis=1)
 
     centers = np.empty((n_clusters, x.shape[1]))
     centers[0] = x[gen.integers(n)]
-    closest = _closest_sq(x, centers[:1])[:, 0]
+    closest = _sq_dists(xt, x_sq, centers[:1])[0]
     for j in range(1, n_clusters):
         total = closest.sum()
         if total > 0.0:
@@ -290,31 +295,28 @@ def kmeans(
         else:
             idx = gen.integers(n)
         centers[j] = x[idx]
-        closest = np.minimum(closest, _closest_sq(x, centers[j : j + 1])[:, 0])
+        np.minimum(closest, _sq_dists(xt, x_sq, centers[j : j + 1])[0], out=closest)
 
     history: list[float] = []
+    clusters = np.arange(n_clusters)[:, None]
     for _ in range(KMEANS_ITERS):
-        d2 = _closest_sq(x, centers)
-        labels = d2.argmin(axis=1)
-        assigned = d2[np.arange(n), labels]
+        d2 = _sq_dists(xt, x_sq, centers)
+        labels = d2.argmin(axis=0)
+        assigned = d2.min(axis=0)
         history.append(float(assigned.sum()))
-        new_centers = centers.copy()
-        empty = []
-        for j in range(n_clusters):
-            members = labels == j
-            if members.any():
-                new_centers[j] = x[members].mean(axis=0)
-            else:
-                empty.append(j)
-        if empty:
-            far_order = np.argsort(-assigned)
-            for pos, j in enumerate(empty):
-                new_centers[j] = x[far_order[pos]]
+        one_hot = (labels == clusters).astype(np.float64)
+        new_centers = one_hot @ x
+        counts = np.bincount(labels, minlength=n_clusters)
+        filled = counts > 0
+        new_centers[filled] /= counts[filled, None]
+        empty = np.flatnonzero(~filled)
+        if empty.size:
+            new_centers[empty] = x[np.argsort(-assigned)[: empty.size]]
         movement = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
         centers = new_centers
         if movement < KMEANS_TOL:
             break
-    history.append(float(_closest_sq(x, centers).min(axis=1).sum()))
+    history.append(float(_sq_dists(xt, x_sq, centers).min(axis=0).sum()))
     return KMeansResult(centers, history)
 
 
@@ -482,12 +484,8 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
 def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
     """Write the dataset directory: one .npy file per array, then
     manifest.json, so a directory without a manifest was never completed."""
+    check_out_dir(out_dir, force)
     os.makedirs(out_dir, exist_ok=True)
-    existing = set(os.listdir(out_dir))
-    if existing and not force:
-        raise DataError(
-            f"output directory {out_dir} is not empty; pass force=True/--force to overwrite"
-        )
     for name, (attr, _, _) in _dataset_layout(ds.config).items():
         np.save(os.path.join(out_dir, name + ".npy"), np.ascontiguousarray(getattr(ds, attr)))
     manifest = {

@@ -89,6 +89,25 @@ def test_simulate_force_semantics(tmp_path, capsys):
     assert code == 0
 
 
+def test_simulate_refuses_a_non_empty_out_before_simulating(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def spy(cfg):
+        calls.append(cfg)
+        return simulate_dataset(cfg)
+
+    monkeypatch.setattr(cli, "simulate_dataset", spy)
+    out = tmp_path / "ds"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    argv = ["simulate", "--out", str(out), "--n", "80", "--d", "4", "--k", "3"]
+    code, _, err = run(capsys, *argv)
+    assert (code, calls) == (3, [])
+    assert f"output directory {out} is not empty" in err
+    assert run(capsys, *argv, "--force")[0] == 0
+    assert len(calls) == 1
+
+
 def test_simulate_rejects_bad_config(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--out", str(tmp_path / "ds"), "--k", "1")
     assert code == 2

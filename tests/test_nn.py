@@ -125,8 +125,8 @@ def test_inverted_dropout_scales_kept_units():
     x = np.ones((1, 4))
     out, cache = mlp_forward(params, x, np.random.default_rng(0))
     mask = cache.dropout_masks[0]
-    assert set(np.unique(mask)).issubset({0.0, 2.0})
-    np.testing.assert_array_equal(out, np.tanh(1.0) * mask)
+    assert mask.dtype == bool
+    np.testing.assert_array_equal(out, np.tanh(1.0) * 2.0 * mask)
 
 
 def test_dropout_expectation_approximates_eval_output():
@@ -298,6 +298,30 @@ def test_stack_pass_equals_each_network_on_its_own_rows_bit_for_bit(activation, 
     for bad in ([(0, 0, 1), (2, 1, 7)], [(0, 0, 1), (2, 2, 8)], [(0, 0, 3), (2, 2, 8)], []):
         with pytest.raises(ShapeError, match="tile"):
             stack_forward(stack, x, bad, cache)
+
+
+def test_a_search_grid_stack_cache_holds_only_what_backward_reads():
+    # a 6x400 covariate network at 300 rows, per row: x and the input
+    # gradient (32 + 32 doubles), the pre-activations (5 x 400 + 24 doubles),
+    # the activations and boolean masks (5 x 400 doubles and bytes) and one
+    # scratch layer (400 doubles)
+    cache = ForwardCache(init_mlp([32] + [400] * 5 + [24], "tanh", 0.1, rng=0), 300)
+    buffers = {}
+    for value in vars(cache).values():
+        for a in value if isinstance(value, (list, tuple)) else [value]:
+            if isinstance(a, np.ndarray):
+                base = a if a.base is None else a.base
+                buffers[id(base)] = base.nbytes
+    assert sum(buffers.values()) == 300 * (2 * 32 * 8 + 2024 * 8 + 2000 * 9 + 400 * 8)
+
+
+def test_a_second_backward_through_one_forward_pass_is_refused():
+    params = init_mlp([3, 5, 4, 2], "elu", dropout_rate=0.3, rng=0)
+    x = np.random.default_rng(1).normal(size=(4, 3))
+    _, cache = mlp_forward(params, x, np.random.default_rng(2))
+    mlp_backward(params, cache, np.ones((4, 2)), empty_grads(params))
+    with pytest.raises(ShapeError, match="spends"):
+        mlp_backward(params, cache, np.ones((4, 2)), empty_grads(params))
 
 
 def test_forward_refuses_a_cache_that_does_not_fit():

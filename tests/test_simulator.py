@@ -30,6 +30,8 @@ from ite_bench.simulate import (
     simulate_dataset,
 )
 
+from per_cluster import per_cluster_kmeans
+
 
 def small_cfg(**kw):
     base = dict(n=60, d=5, k=3, seed=0)
@@ -121,6 +123,35 @@ def test_kmeans_handles_duplicate_points():
     assert np.isfinite(result.centroids).all()
     hist = result.objective_history
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
+
+
+KMEANS_CASES = {
+    # desk scale: the simulator's covariates at n=2000, d=32, k=4
+    **{f"desk-{seed}": (generate_covariates(SimConfig(n=2000, d=32, k=4, seed=seed), seed), 5, seed)
+       for seed in range(3)},
+    **{f"normal-{seed}": (np.random.default_rng(seed).normal(size=(120, 4)), 5, seed)
+       for seed in range(10)},
+    # fewer distinct points than clusters: every distance is 0 at the reseed
+    "duplicates": (np.array([[0.0], [0.0], [1.0], [1.0], [1.0]]), 3, 1),
+    # a cluster that Lloyd's update leaves empty takes the farthest point
+    "emptied": (np.array([[2, 2], [3, 0], [1, 0], [2, 3], [2, 0], [2, 0], [3, 3]], float), 3, 1094),
+    "blobs-1d": (np.array([[0.0], [0.1], [0.2], [10.0], [10.1]]), 2, 0),
+}
+
+
+@pytest.mark.parametrize("case", KMEANS_CASES)
+def test_kmeans_equals_the_per_cluster_loop(case):
+    # not bit for bit: a cluster's sum is a BLAS product here and numpy's
+    # row-by-row sum there
+    x, n_clusters, seed = KMEANS_CASES[case]
+    result = kmeans(x, n_clusters, rng=seed)
+    reference, reseeded = per_cluster_kmeans(x, n_clusters, seed)
+    assert reseeded == (case in ("duplicates", "emptied"))
+    assert len(result.objective_history) == len(reference.objective_history)
+    np.testing.assert_allclose(result.centroids, reference.centroids, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        result.objective_history, reference.objective_history, rtol=1e-12, atol=0.0
+    )
 
 
 def test_kmeans_needs_enough_rows():
