@@ -44,16 +44,10 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _load_json(path) -> dict:
-    if not os.path.exists(path):
-        raise DataError(f"file not found: {path}")
-    return load_json_object(path, ConfigError)
-
-
 def _load_experiment_config(path) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
-    return ExperimentConfig.from_dict(_load_json(path))
+    return ExperimentConfig.from_dict(load_json_object(path, ConfigError))
 
 
 def _flag_overrides(args) -> dict:
@@ -135,7 +129,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec.from_dict(_load_json(args.config))
+    spec = SweepSpec.from_dict(load_json_object(args.config, ConfigError))
     flags = {"seed": args.seed, "max_trials": args.max_trials}
     spec = replace(spec, **{name: v for name, v in flags.items() if v is not None})
     threads = args.threads if args.threads is not None else usable_cpus()
@@ -160,7 +154,7 @@ def cmd_report(args) -> int:
     root = os.path.commonpath([os.path.dirname(os.path.abspath(p)) for p in args.records])
     records: list[RunRecord] = []
     for path in args.records:
-        doc = _load_json(path)
+        doc = load_json_object(path, ConfigError)
         kind = doc.get("kind")
         if kind not in ("run_record", "eval_report"):
             raise DataError(f"{path}: not a run record or eval report")

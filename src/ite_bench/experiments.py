@@ -215,7 +215,7 @@ class SweepSpec(JsonConfig):
         if not self.grid:
             raise ConfigError("sweep grid is empty")
         for key, values in self.grid.items():
-            if key != "variant" and key.split(".", 1)[0] not in ("model", "train"):
+            if key != "variant" and not key.startswith(("model.", "train.")):
                 raise ConfigError(
                     f"grid axis {key!r} is not sweepable; use variant, "
                     f"model.<field>, or train.<field>"
@@ -245,6 +245,8 @@ def apply_overrides(base: ExperimentConfig, overrides: dict) -> ExperimentConfig
         target = doc.setdefault(section, {}) if section else doc
         if not isinstance(target, dict):
             raise ConfigError(f"overrides {sorted(overrides)}: {section} is not a section")
+        if isinstance(target.get(name), dict):
+            raise ConfigError(f"overrides {sorted(overrides)}: {key} is a section, not a field")
         target[name] = value
     try:
         return ExperimentConfig.from_dict(doc)

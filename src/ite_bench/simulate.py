@@ -9,7 +9,8 @@ vector. Potential outcomes are
     y_i^t = c * ytilde_i^t * (x_i . z_t + x_i . z_{k+1}),
 
 with ytilde_i^t ~ N(mu_t, sigma_t^2), mu_t ~ N(0.45, 0.15^2) and
-sigma_t ~ N(0.1, 0.05^2) clamped below at 1e-3. Expected outcomes replace
+sigma_t ~ N(0.1, 0.05^2) clamped below at 1e-3: fixed priors, MU_PRIOR and
+SIGMA_PRIOR, that no config changes. Expected outcomes replace
 ytilde with mu_t. Observed treatments are drawn from a per-user softmax
 over kappa_t * y_i^t, so larger kappa skews assignment toward treatments
 with larger sampled outcomes.
@@ -43,10 +44,13 @@ from .errors import (
     write_json_atomic,
 )
 
-DATASET_SCHEMA_VERSION = "5"
+DATASET_SCHEMA_VERSION = "6"
 MANIFEST_KEYS = {"schema_version", "config", "splits"}
 SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.7, 0.15)  # train, val; test takes the remainder
+# (mean, sd) of the per-treatment outcome priors; sigma_t is clamped below
+MU_PRIOR = (0.45, 0.15)
+SIGMA_PRIOR = (0.10, 0.05)
 SIGMA_FLOOR = 1e-3
 # kmeans' iteration cap, and the largest centroid move that ends it earlier
 KMEANS_ITERS = 50
@@ -76,10 +80,6 @@ class SimConfig(JsonConfig):
     centroid_method: str = "random"  # "random" | "kmeans"
     c: float = 5.0
     kappa: float | tuple[float, ...] = 10.0
-    mu_mean: float = 0.45
-    mu_sd: float = 0.15
-    sigma_mean: float = 0.10
-    sigma_sd: float = 0.05
     embedding_file: str | None = None  # CSV of covariate rows; None draws them
     seed: int = 0
 
@@ -107,8 +107,6 @@ class SimConfig(JsonConfig):
             raise ConfigError("outcome scale c must be positive")
         if not np.all(self.kappa_vector() > 0.0):
             raise ConfigError("kappa entries must be positive")
-        if self.mu_sd < 0.0 or self.sigma_sd < 0.0:
-            raise ConfigError("prior standard deviations must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,12 +344,6 @@ def generate_covariates(
     else:
         gen = np.random.default_rng(rng)
         x = gen.standard_normal((cfg.n, cfg.d))
-        # a zero row has measure zero but would break normalization
-        while True:
-            bad = np.flatnonzero((x == 0.0).all(axis=1))
-            if bad.size == 0:
-                break
-            x[bad] = gen.standard_normal((bad.size, cfg.d))
     norms = np.linalg.norm(x, axis=1)
     if (norms == 0.0).any():
         raise DataError("covariate rows must have nonzero norm")
@@ -382,10 +374,11 @@ def select_centroids(
 def sample_outcome_params(
     cfg: SimConfig, rng: np.random.Generator | int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw per-treatment (mu, sigma); sigma is clamped below at 1e-3."""
+    """Draw per-treatment (mu, sigma) from MU_PRIOR and SIGMA_PRIOR; sigma is
+    clamped below at SIGMA_FLOOR."""
     gen = np.random.default_rng(rng)
-    mu = gen.normal(cfg.mu_mean, cfg.mu_sd, size=cfg.k)
-    sigma = np.maximum(gen.normal(cfg.sigma_mean, cfg.sigma_sd, size=cfg.k), SIGMA_FLOOR)
+    mu = gen.normal(*MU_PRIOR, size=cfg.k)
+    sigma = np.maximum(gen.normal(*SIGMA_PRIOR, size=cfg.k), SIGMA_FLOOR)
     return mu, sigma
 
 

@@ -866,7 +866,7 @@ WRONG_TYPES = [
     ("train", {"train": {"base_lr": math.inf}}, (), "base_lr"),
     ("train", {"train": {"bandwidth": math.inf}}, (), "bandwidth"),
     ("train", {}, ("--lr", "nan"), "base_lr"),
-    ("simulate", {"sim": {"mu_sd": math.nan}}, (), "mu_sd"),
+    ("simulate", {"sim": {"c": math.nan}}, (), "c must be finite"),
     ("simulate", {}, ("--kappa", "1,inf,2"), "kappa"),
     ("sweep", {"grid": {"train.base_lr": [0.05, math.nan]}}, (), "base_lr"),
 ]

@@ -132,6 +132,7 @@ def test_apply_overrides():
     for key, value in (
         ("train.momentum", 0.9), ("model.init", "glorot"), ("sim.n", 1.5),
         ("train.base_lr", -1.0), ("variant", "x"), ("colour", "red"), ("nets.x", 1),
+        ("sim", {}), ("model", {}), ("train", {}),
     ):
         with pytest.raises(ConfigError, match=key):
             apply_overrides(base, {key: value})
@@ -146,8 +147,9 @@ def test_sweep_spec_validation():
     SweepSpec(base, {"train.base_lr": [0.1]})
     with pytest.raises(ConfigError):
         SweepSpec(base, {})
-    with pytest.raises(ConfigError):
-        SweepSpec(base, {"sim.n": [10]})
+    for key in ("sim.n", "train", "model"):
+        with pytest.raises(ConfigError, match=key):
+            SweepSpec(base, {key: [{}]})
     with pytest.raises(ConfigError):
         SweepSpec(base, {"train.base_lr": []})
     with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from ite_bench import simulate
 from ite_bench.errors import (
     ConfigError,
     DataError,
@@ -192,9 +193,9 @@ def test_select_centroids_errors():
 # --- outcome priors ---
 
 
-def test_sigma_clamped_at_floor():
-    cfg = small_cfg(sigma_mean=-1.0, sigma_sd=0.01)
-    _, sigma = sample_outcome_params(cfg, rng=0)
+def test_sigma_clamped_at_floor(monkeypatch):
+    monkeypatch.setattr(simulate, "SIGMA_PRIOR", (-1.0, 0.01))
+    _, sigma = sample_outcome_params(small_cfg(), rng=0)
     np.testing.assert_array_equal(sigma, np.full(3, SIGMA_FLOOR))
 
 
@@ -393,7 +394,7 @@ def test_dataset_directory_holds_npy_arrays(tmp_path):
     ds = simulate_dataset(small_cfg(seed=2))
     save_dataset(ds, tmp_path / "ds")
     manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
-    assert manifest["schema_version"] == "5"
+    assert manifest["schema_version"] == "6"
     # the array files follow from the schema and n, d, k from the config, so
     # the manifest lists neither
     assert set(manifest) == {"schema_version", "config", "splits"}
@@ -457,13 +458,20 @@ def test_load_refuses_schema_1_csv_directory(tmp_path):
         load_dataset(out)
 
 
-def test_load_refuses_a_schema_4_manifest(tmp_path):
+@pytest.mark.parametrize("version, removed", [
     # schema 4 configs also held kmeans_iters and kmeans_tol
+    pytest.param("4", {"kmeans_iters": 50, "kmeans_tol": 1e-6}, id="4"),
+    # schema 5 configs also held the outcome priors
+    pytest.param(
+        "5", {"mu_mean": 0.45, "mu_sd": 0.15, "sigma_mean": 0.10, "sigma_sd": 0.05}, id="5"
+    ),
+])
+def test_load_refuses_an_old_schema_manifest(tmp_path, version, removed):
     save_dataset(simulate_dataset(small_cfg()), tmp_path / "ds")
     path = tmp_path / "ds" / "manifest.json"
     manifest = json.loads(path.read_text())
-    config = {**manifest["config"], "kmeans_iters": 50, "kmeans_tol": 1e-6}
-    path.write_text(json.dumps({**manifest, "schema_version": "4", "config": config}))
+    config = {**manifest["config"], **removed}
+    path.write_text(json.dumps({**manifest, "schema_version": version, "config": config}))
     with pytest.raises(DataError, match="re-run `ite-bench simulate`"):
         load_dataset(tmp_path / "ds")
 
