@@ -38,7 +38,6 @@ from .model import (
     train,
 )
 from .nn import (
-    init_mlp,
     mlp_backward,
     mlp_forward,
     sgd_step,

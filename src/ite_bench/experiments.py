@@ -347,25 +347,25 @@ def _worker_trial(i: int) -> dict:
     return _run_trial(i, *_worker_trials)
 
 
-def _finished_trials(trials: tuple, n: int, threads: int):
+def _finished_trials(trials: tuple, n: int, workers: int):
     """Yield the records of trials 0..n-1 as they finish, run in this
-    process or in `threads` forked workers.
+    process or in `workers` forked workers.
 
     The workers share the CPUs: from before the pool forks until it has shut
-    down, this process's BLAS runs at most max(1, ncpu // threads) threads,
+    down, this process's BLAS runs at most max(1, ncpu // workers) threads,
     a count each worker inherits. A worker forked at a higher count would
     start a BLAS helper thread on its first call into OpenBLAS, even one that
     lowers the count, and that thread would stay and spin.
 
     A caller that stops early (an error, or an interrupt) closes the
     generator, which cancels the trials no worker has taken yet."""
-    if threads == 1:
+    if workers == 1:
         for i in range(n):
             yield _run_trial(i, *trials)
         return
-    cap = max(1, usable_cpus() // threads)
+    cap = max(1, usable_cpus() // workers)
     with blas.threads_capped(cap) as blas_threads, ProcessPoolExecutor(
-        max_workers=threads, mp_context=multiprocessing.get_context("fork"),
+        max_workers=workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker, initargs=(trials, blas_threads),
     ) as pool:
         try:
@@ -382,20 +382,23 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
     is touched, so an invalid grid point writes nothing. A non-empty out_dir
     is refused unless force is set; the datasets are always written anew.
 
-    With threads > 1, trials run in that many forked worker processes, which
-    train on the parent's in-memory datasets at a BLAS thread count of at
-    most max(1, ncpu // threads); the calling process runs at that count
+    With threads > 1, trials run in min(threads, trials) forked worker
+    processes, so a one-trial sweep runs serially. The workers train on the
+    parent's in-memory datasets at a BLAS thread count of at most
+    max(1, ncpu // workers); the calling process runs at that count
     while the workers live and gets its own count back when they have shut
     down. One line per finished trial goes to stderr."""
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        raise ConfigError("threads > 1 needs the fork start method, which this platform lacks")
     t0 = time.perf_counter()
     points = expand_grid(spec.grid)
     if spec.max_trials is not None and spec.max_trials < len(points):
         points = random.Random(spec.seed).sample(points, spec.max_trials)
     cfgs = [apply_overrides(spec.base, overrides) for overrides in points]
+    # the pool forks all its workers at once, so no more than there are trials
+    workers = min(threads, len(points))
+    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigError("threads > 1 needs the fork start method, which this platform lacks")
 
     check_out_dir(out_dir, force)
     os.makedirs(out_dir, exist_ok=True)
@@ -411,7 +414,7 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
     audit_reads = _test_truth_reads(datasets)
     trials = (cfgs, points, datasets, os.path.join(out_dir, "trials"))
     records: list[dict] = []
-    for record in _finished_trials(trials, len(points), threads):
+    for record in _finished_trials(trials, len(points), workers):
         records.append(record)
         _print_progress(record, len(records), len(points))
     records.sort(key=lambda rec: rec["trial"])

@@ -264,7 +264,7 @@ def build_model(
     shape: ModelShape,
     variant: str = "joint",
     *,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int,
 ) -> OutcomeModel:
     """A model with zero biases and glorot_uniform weights, drawn from one
     generator network by network and layer by layer in theta's order."""
@@ -320,6 +320,8 @@ class TrainConfig(JsonConfig):
             raise ConfigError("weight_decay must be >= 0")
         if self.bandwidth is not None and not self.bandwidth > 0.0:
             raise ConfigError("kernel bandwidth must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 class Batch(NamedTuple):

@@ -70,7 +70,7 @@ def _activate_grad(z: np.ndarray, kind: str, out: np.ndarray) -> None:
 @dataclass(frozen=True)
 class MlpStack:
     """k fully connected networks of one layer shape, stacked; a single
-    network is a stack of one (init_mlp).
+    network is a stack of one.
 
     layers holds (weights [k x out x in], biases [k x out]) pairs ordered
     input -> output; network t's layers are the pairs' index-t slices. An
@@ -78,8 +78,8 @@ class MlpStack:
     """
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-    hidden_activation: str = "tanh"
-    dropout_rate: float = 0.0
+    hidden_activation: str
+    dropout_rate: float
 
 
 class ForwardCache:
@@ -125,36 +125,6 @@ def glorot_uniform(w: np.ndarray, gen: np.random.Generator) -> None:
     fan_out, fan_in = w.shape
     bound = math.sqrt(6.0 / (fan_in + fan_out))
     w[...] = gen.uniform(-bound, bound, size=w.shape)
-
-
-def init_mlp(
-    dims: Sequence[int],
-    hidden_activation: str = "tanh",
-    dropout_rate: float = 0.0,
-    *,
-    rng: np.random.Generator | int | None = None,
-) -> MlpStack:
-    """Build an MLP with the given layer widths, dims = [in, h1, ..., out],
-    as a one-network stack: glorot_uniform weights, drawn layer by layer
-    from one generator, and zero biases."""
-    if len(dims) < 2:
-        raise ConfigError("dims must list at least input and output widths")
-    if any(d < 1 for d in dims):
-        raise ConfigError("layer widths must be >= 1")
-    if hidden_activation not in ACTIVATIONS:
-        raise ConfigError(
-            f"hidden_activation must be one of {ACTIVATIONS}, got {hidden_activation!r}"
-        )
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ConfigError("dropout_rate must lie in [0, 1)")
-    gen = np.random.default_rng(rng)
-    layers = tuple(
-        (np.empty((1, fan_out, fan_in)), np.zeros((1, fan_out)))
-        for fan_in, fan_out in zip(dims[:-1], dims[1:])
-    )
-    for w, _ in layers:
-        glorot_uniform(w[0], gen)
-    return MlpStack(layers, hidden_activation, dropout_rate)
 
 
 def _pass_input(x: np.ndarray, input_dim: int) -> np.ndarray:
@@ -344,14 +314,8 @@ def mlp_forward(
     return stack_forward(net, x, [(0, 0, n)], cache, None if rng is None else [rng])
 
 
-def mlp_backward(
-    net: MlpStack,
-    cache: ForwardCache,
-    upstream_grad: np.ndarray,
-    out: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """stack_backward through the last mlp_forward pass of net in cache."""
-    return stack_backward(net, cache, upstream_grad, out)
+# stack_backward through the last mlp_forward pass of a one-network stack
+mlp_backward = stack_backward
 
 
 def sgd_step(

@@ -99,6 +99,8 @@ class SimConfig(JsonConfig):
             raise ConfigError("n must be >= k + 1 so that k+1 centroids exist")
         if self.d < 1:
             raise ConfigError("d must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.centroid_method not in ("random", "kmeans"):
             raise ConfigError(
                 f"centroid_method must be 'random' or 'kmeans', got {self.centroid_method!r}"
@@ -256,7 +258,7 @@ def _sq_dists(xt: np.ndarray, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarr
 
 
 def kmeans(
-    x: np.ndarray, n_clusters: int, *, rng: np.random.Generator | int | None = None
+    x: np.ndarray, n_clusters: int, *, rng: np.random.Generator | int
 ) -> KMeansResult:
     """Lloyd's algorithm with kmeans++ seeding, for at most KMEANS_ITERS
     iterations, ending when no centroid moves by KMEANS_TOL or more.
@@ -319,7 +321,7 @@ def kmeans(
 
 
 def generate_covariates(
-    cfg: SimConfig, rng: np.random.Generator | int | None = None
+    cfg: SimConfig, rng: np.random.Generator | int
 ) -> np.ndarray:
     """Unit-norm covariate rows: the first cfg.n rows of cfg.embedding_file
     when it is set, Gaussian draws otherwise."""
@@ -355,7 +357,7 @@ def select_centroids(
     k: int,
     method: str = "random",
     *,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int,
 ) -> np.ndarray:
     """Pick k+1 centroids: distinct covariate rows or kmeans cluster means."""
     x = np.asarray(x, dtype=np.float64)
@@ -396,7 +398,7 @@ def potential_outcomes(
     mu: np.ndarray,
     sigma: np.ndarray,
     c: float,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int,
 ) -> np.ndarray:
     """The (n, k) matrix of sampled outcomes."""
     if not c > 0.0:
@@ -435,7 +437,7 @@ def assignment_probabilities(y_sampled: np.ndarray, kappa: np.ndarray) -> np.nda
 def assign_treatments(
     y_sampled: np.ndarray,
     kappa: np.ndarray,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int,
 ) -> np.ndarray:
     """Draw one observed treatment per user from the softmax probabilities."""
     p = assignment_probabilities(y_sampled, kappa)
@@ -476,9 +478,14 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
 
 def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
     """Write the dataset directory: one .npy file per array, then
-    manifest.json, so a directory without a manifest was never completed."""
+    manifest.json, so a directory without a manifest was never completed.
+    A rewrite removes the old manifest first, so one that stops part way
+    leaves no manifest over a mix of old and new arrays."""
     check_out_dir(out_dir, force)
     os.makedirs(out_dir, exist_ok=True)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
     for name, (attr, _, _) in _dataset_layout(ds.config).items():
         np.save(os.path.join(out_dir, name + ".npy"), np.ascontiguousarray(getattr(ds, attr)))
     manifest = {
@@ -486,7 +493,7 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
         "config": ds.config.to_dict(),
         "splits": {name: ds.splits[name].tolist() for name in SPLIT_NAMES},
     }
-    write_json_atomic(os.path.join(out_dir, "manifest.json"), manifest)
+    write_json_atomic(manifest_path, manifest)
 
 
 def load_dataset(dataset_dir) -> Dataset:

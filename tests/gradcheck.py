@@ -1,8 +1,25 @@
-"""Central finite-difference oracles shared by the gradient tests."""
+"""Central finite-difference oracles shared by the gradient tests, and the
+one-network stacks they differentiate."""
 
 from dataclasses import replace
 
 import numpy as np
+
+from ite_bench.nn import MlpStack, glorot_uniform
+
+
+def glorot_mlp(dims, activation="tanh", dropout_rate=0.0, *, rng):
+    """A one-network stack with layer widths dims = [in, h1, ..., out]:
+    glorot_uniform weights drawn layer by layer from one generator, and zero
+    biases. That is build_model's draw order for each of its networks."""
+    gen = np.random.default_rng(rng)
+    layers = tuple(
+        (np.empty((1, fan_out, fan_in)), np.zeros((1, fan_out)))
+        for fan_in, fan_out in zip(dims[:-1], dims[1:])
+    )
+    for w, _ in layers:
+        glorot_uniform(w[0], gen)
+    return MlpStack(layers, activation, dropout_rate)
 
 
 def central_difference(f, x0, h=1e-4):

@@ -44,6 +44,7 @@ from gradcheck import (
     empty_grads,
     flatten_grads,
     flatten_params,
+    glorot_mlp,
     unflatten_params,
 )
 from ite_bench.experiments import ExperimentConfig, _fit_repeat
@@ -62,7 +63,7 @@ from ite_bench.model import (
     save_checkpoint,
     train,
 )
-from ite_bench.nn import init_mlp, mlp_backward, mlp_forward
+from ite_bench.nn import mlp_backward, mlp_forward
 from ite_bench.simulate import (
     SimConfig,
     assign_treatments,
@@ -106,9 +107,7 @@ def report(n, name, ok, detail):
 
 
 def _check_mlp_gradients(rng, dims, activation, dropout, mask_seed):
-    params = init_mlp(
-        dims, hidden_activation=activation, dropout_rate=dropout, rng=rng
-    )
+    params = glorot_mlp(dims, activation, dropout, rng=rng)
     x = rng.standard_normal((4, dims[0]))
     upstream = rng.standard_normal((4, dims[-1]))
 

@@ -855,6 +855,11 @@ WRONG_TYPES = [
     ("sweep", {"grid": ["x"]}, (), "grid"),
     ("sweep", {"max_trials": "3"}, (), "max_trials"),
     ("sweep", {"seed": 1.5}, (), "seed"),
+    # a generator takes no negative seed
+    ("simulate", {}, ("--seed", "-1"), "config.sim: seed must be >= 0"),
+    ("train", {}, ("--seed", "-5"), "config.train: seed must be >= 0"),
+    ("sweep", {"base": {"sim": {"n": 80, "d": 4, "k": 2, "seed": -1}}}, (),
+     "config.base.sim: seed must be >= 0"),
     # a section of the wrong type is named by its dotted path
     ("train", {"model": 3}, (), "config.model must be an object"),
     ("sweep", {"base": {"model": 3}}, (), "config.base.model must be an object"),

@@ -631,6 +631,32 @@ def test_parallel_sweep_trains_on_the_parent_datasets_without_reading_them(
     }
 
 
+def test_a_sweep_forks_no_more_workers_than_it_has_trials(tmp_path, monkeypatch):
+    pools, caps = [], []
+    capped = blas.threads_capped
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    def spy_cap(limit):
+        caps.append(limit)
+        return capped(limit)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(blas, "threads_capped", spy_cap)
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 6)
+    # the pool starts every worker at the first submit: two trials, two
+    # workers, each at 6 // 2 BLAS threads
+    run_sweep(sweep_spec(), tmp_path / "two", threads=3)
+    assert (pools, caps) == ([2], [3])
+    # one trial runs serially
+    one = run_sweep(sweep_spec(max_trials=1), tmp_path / "one", threads=3)
+    assert (pools, caps) == ([2], [3])
+    assert one["n_trials"] == 1 and one["blas_threads_per_worker"] is None
+
+
 def test_parallel_sweep_without_fork_is_a_config_error(tmp_path, monkeypatch):
     monkeypatch.setattr(
         experiments.multiprocessing, "get_all_start_methods", lambda: ["spawn"]

@@ -242,10 +242,10 @@ def test_model_validation():
             dataclasses.replace(good, head_updates=bad)
     assert dataclasses.replace(good, head_updates=[3, 0]).head_updates == (3, 0)
     with pytest.raises(ConfigError, match="variant"):
-        build_model(2, 2, small_shape(), "flavor")
+        build_model(2, 2, small_shape(), "flavor", rng=0)
     for k, input_dim in ((0, 2), (2, 0)):
         with pytest.raises(ConfigError):
-            build_model(input_dim, k, small_shape(), "joint")
+            build_model(input_dim, k, small_shape(), "joint", rng=0)
     with pytest.raises(ConfigError, match="activation"):
         dataclasses.replace(good, shape=dataclasses.replace(good.shape, activation="relu"))
 
@@ -1041,6 +1041,9 @@ def test_model_shape_validation():
         ModelShape(cov_layers=0)
     with pytest.raises(ConfigError):
         ModelShape(activation="relu")
+    for rate in (-0.1, 1.0):
+        with pytest.raises(ConfigError, match="dropout_rate"):
+            ModelShape(dropout_rate=rate)
     with pytest.raises(ConfigError):
         ModelShape.from_dict({"init": "glorot"})
     with pytest.raises(ConfigError):

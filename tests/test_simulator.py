@@ -55,7 +55,7 @@ def test_file_covariates_normalize_rows(tmp_path):
     np.savetxt(path, rows, delimiter=",")
     # setting embedding_file alone selects the file
     cfg = SimConfig(n=3, d=2, k=2, embedding_file=str(path))
-    x = generate_covariates(cfg)
+    x = generate_covariates(cfg, 0)
     # first n rows only, each scaled to unit norm
     np.testing.assert_allclose(x[0], [0.6, 0.8], atol=1e-15)
     np.testing.assert_allclose(x[1], [0.0, 1.0], atol=1e-15)
@@ -65,23 +65,23 @@ def test_file_covariates_normalize_rows(tmp_path):
 def test_file_covariates_error_paths(tmp_path):
     cfg = dict(n=3, d=2, k=2)
     with pytest.raises(DataError):
-        generate_covariates(SimConfig(embedding_file=str(tmp_path / "nope.csv"), **cfg))
+        generate_covariates(SimConfig(embedding_file=str(tmp_path / "nope.csv"), **cfg), 0)
     wrong_width = tmp_path / "w.csv"
     np.savetxt(wrong_width, np.ones((5, 3)), delimiter=",")
     with pytest.raises(DataError):
-        generate_covariates(SimConfig(embedding_file=str(wrong_width), **cfg))
+        generate_covariates(SimConfig(embedding_file=str(wrong_width), **cfg), 0)
     too_short = tmp_path / "s.csv"
     np.savetxt(too_short, np.ones((2, 2)), delimiter=",")
     with pytest.raises(DataError):
-        generate_covariates(SimConfig(embedding_file=str(too_short), **cfg))
+        generate_covariates(SimConfig(embedding_file=str(too_short), **cfg), 0)
     garbled = tmp_path / "g.csv"
     garbled.write_text("1.0,2.0\nfoo,bar\n1.0,1.0\n")
     with pytest.raises(DataError):
-        generate_covariates(SimConfig(embedding_file=str(garbled), **cfg))
+        generate_covariates(SimConfig(embedding_file=str(garbled), **cfg), 0)
     nonfinite = tmp_path / "n.csv"
     nonfinite.write_text("1.0,2.0\nnan,1.0\n1.0,1.0\n")
     with pytest.raises(NumericError):
-        generate_covariates(SimConfig(embedding_file=str(nonfinite), **cfg))
+        generate_covariates(SimConfig(embedding_file=str(nonfinite), **cfg), 0)
     # the file alone selects the source; the former selector is an unknown field
     with pytest.raises(ConfigError, match="covariate_source"):
         SimConfig.from_dict({"covariate_source": "file", "embedding_file": str(nonfinite)})
@@ -157,9 +157,9 @@ def test_kmeans_equals_the_per_cluster_loop(case):
 
 def test_kmeans_needs_enough_rows():
     with pytest.raises(InsufficientDataError):
-        kmeans(np.zeros((2, 3)), 3)
+        kmeans(np.zeros((2, 3)), 3, rng=0)
     with pytest.raises(ShapeError):
-        kmeans(np.zeros(5), 2)
+        kmeans(np.zeros(5), 2, rng=0)
 
 
 # --- centroid selection ---
@@ -185,9 +185,9 @@ def test_kmeans_centroids_shape():
 def test_select_centroids_errors():
     x = np.eye(3)
     with pytest.raises(InsufficientDataError):
-        select_centroids(x, 3, "random")
+        select_centroids(x, 3, "random", rng=0)
     with pytest.raises(ConfigError):
-        select_centroids(x, 2, "medoids")
+        select_centroids(x, 2, "medoids", rng=0)
 
 
 # --- outcome priors ---
@@ -240,15 +240,15 @@ def test_noise_is_centered_with_prior_scale():
 def test_potential_outcomes_shape_errors():
     with pytest.raises(ShapeError):
         potential_outcomes(
-            np.ones((2, 3)), np.ones((3, 2)), np.ones(2), np.ones(2), 5.0
+            np.ones((2, 3)), np.ones((3, 2)), np.ones(2), np.ones(2), 5.0, 0
         )
     with pytest.raises(ShapeError):
         potential_outcomes(
-            np.ones((2, 2)), np.ones((3, 2)), np.ones(1), np.ones(1), 5.0
+            np.ones((2, 2)), np.ones((3, 2)), np.ones(1), np.ones(1), 5.0, 0
         )
     with pytest.raises(ConfigError):
         potential_outcomes(
-            np.ones((2, 2)), np.ones((3, 2)), np.ones(2), np.ones(2), 0.0
+            np.ones((2, 2)), np.ones((3, 2)), np.ones(2), np.ones(2), 0.0, 0
         )
 
 
@@ -370,6 +370,28 @@ def test_save_refuses_nonempty_dir_without_force(tmp_path):
         save_dataset(ds, out)
     save_dataset(ds, out, force=True)
     assert load_dataset(out).n == ds.n
+
+
+def test_a_forced_rewrite_that_stops_part_way_leaves_no_loadable_dataset(tmp_path, monkeypatch):
+    cfg = SimConfig(n=200, d=4, k=3, seed=0)
+    out = tmp_path / "ds"
+    save_dataset(simulate_dataset(cfg), out)
+    saves = []
+    save = np.save
+
+    def stop_at_the_third_array(path, arr):
+        saves.append(path)
+        if len(saves) == 3:
+            raise OSError("No space left on device")
+        save(path, arr)
+
+    monkeypatch.setattr(np, "save", stop_at_the_third_array)
+    with pytest.raises(OSError):
+        save_dataset(simulate_dataset(dataclasses.replace(cfg, seed=1)), out, force=True)
+    monkeypatch.undo()
+    # seed 1's first arrays over seed 0's others, under no manifest
+    with pytest.raises(DataError, match="no manifest.json"):
+        load_dataset(out)
 
 
 def test_load_rejects_non_dataset_dir(tmp_path):
