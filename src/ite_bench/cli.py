@@ -35,7 +35,7 @@ from .experiments import (
 from .metrics import EvalReport, evaluate_model
 # train is bound here for perfbench's tracer (perfbench/tracing.py)
 from .model import VARIANTS, load_checkpoint, save_checkpoint, train  # noqa: F401
-from .simulate import load_dataset, save_dataset, simulate_dataset
+from .simulate import SPLIT_NAMES, load_dataset, save_dataset, simulate_dataset
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -44,10 +44,9 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _load_experiment_config(path) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig()
-    return ExperimentConfig.from_dict(load_json_object(path, ConfigError))
+def _config_doc(path) -> dict:
+    """The experiment config document at path; none is the empty one."""
+    return {} if path is None else load_json_object(path, ConfigError)
 
 
 def _flag_overrides(args) -> dict:
@@ -67,12 +66,12 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--kappa must be numbers separated by commas: {exc}") from exc
         overrides["sim.kappa"] = parts[0] if len(parts) == 1 else parts
-    cfg = apply_overrides(_load_experiment_config(args.config), overrides).sim
+    cfg = apply_overrides(ExperimentConfig.from_dict(_config_doc(args.config)), overrides).sim
     # refuse before simulating, which kmeans makes slow at large n
     check_out_dir(args.out, args.force)
     ds = simulate_dataset(cfg)
     save_dataset(ds, args.out, force=args.force)
-    sizes = {name: len(ds.splits[name]) for name in ("train", "val", "test")}
+    sizes = {name: len(ds.splits[name]) for name in SPLIT_NAMES}
     print(
         f"wrote dataset to {args.out}: n={ds.n} d={ds.d} k={ds.k} "
         f"seed={cfg.seed} splits={sizes}"
@@ -81,9 +80,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = apply_overrides(_load_experiment_config(args.config), _flag_overrides(args))
+    doc = _config_doc(args.config)
     ds = load_dataset(args.dataset)
-    if args.config is not None and (cfg.sim.d != ds.d or cfg.sim.k != ds.k):
+    # without a sim section the run's sim is the dataset's own, so zero_shot
+    # is checked against the data's k
+    doc.setdefault("sim", ds.config.to_dict())
+    cfg = apply_overrides(ExperimentConfig.from_dict(doc), _flag_overrides(args))
+    if cfg.sim.d != ds.d or cfg.sim.k != ds.k:
         raise DataError(
             f"config expects d={cfg.sim.d}, k={cfg.sim.k}; dataset has "
             f"d={ds.d}, k={ds.k}"
@@ -231,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a checkpoint against ground truth")
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=["train", "val", "test"], default="test")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.add_argument("--zero-shot", type=int, dest="zero_shot",
                    help="also report PEHE restricted to pairs involving this treatment")
     p.add_argument("--out", help="optional path for the report JSON")

@@ -161,34 +161,27 @@ def _repeat_sim(base: ExperimentConfig, r: int) -> SimConfig:
 
 
 def _fit_repeat(cfg: ExperimentConfig, ds: Dataset, r: int) -> TrainedModel:
-    """Repeat r's fit: train.seed + r, and with cfg.zero_shot set, every
-    sample of that treatment dropped from the training and validation
-    splits, so neither the gradient steps nor model selection see it."""
-    if cfg.zero_shot is not None:
-        ds = ds.without_treatment_in_fit(cfg.zero_shot)
-    return train(ds, cfg.model, replace(cfg.train, seed=cfg.train.seed + r), cfg.variant)
+    """Repeat r's fit: train.seed + r, with cfg.zero_shot held out of the
+    training and validation rows."""
+    return train(
+        ds, cfg.model, replace(cfg.train, seed=cfg.train.seed + r), cfg.variant,
+        held_out=cfg.zero_shot,
+    )
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    datasets: list[Dataset] | None = None,
-    out_dir=None,
-) -> RunRecord:
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
     """Train and evaluate cfg.repeats times.
 
-    Repeat r simulates with sim.seed + r (unless datasets are supplied) and
-    fits with _fit_repeat. The test split then scores every treatment, and
-    with cfg.zero_shot set also the pairs that involve the held-out one.
+    Repeat r simulates with sim.seed + r and fits with _fit_repeat. The
+    test split then scores every treatment, and with cfg.zero_shot set also
+    the pairs that involve the held-out one.
     """
     reports: list[EvalReport] = []
     artifacts: list[str] = []
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     for r in range(cfg.repeats):
-        if datasets is not None:
-            ds = datasets[r]
-        else:
-            ds = simulate_dataset(_repeat_sim(cfg, r))
+        ds = simulate_dataset(_repeat_sim(cfg, r))
         trained = _fit_repeat(cfg, ds, r)
         reports.append(
             evaluate_model(trained.model, ds, split="test", zero_shot_z=cfg.zero_shot)

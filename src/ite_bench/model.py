@@ -622,8 +622,14 @@ def train(
     shape: ModelShape,
     cfg: TrainConfig,
     variant: str = "joint",
+    *,
+    held_out: int | None = None,
 ) -> TrainedModel:
     """Mini-batch SGD with per-epoch validation and early stopping.
+
+    With held_out set, that treatment's training and validation rows are
+    dropped, so neither the gradient steps nor model selection see it (the
+    zero-shot protocol); its head then receives no update.
 
     Every epoch reshuffles the training split (the last short batch is
     kept), steps with the scheduled learning rate, then measures factual
@@ -637,6 +643,16 @@ def train(
     """
     x_tr, t_tr, y_tr = dataset.observed("train")
     x_val, t_val, y_val = dataset.observed("val")
+    if held_out is not None:
+        if not 0 <= held_out < dataset.k:
+            raise ConfigError(f"treatment index {held_out} out of range 0..{dataset.k - 1}")
+        keep_tr, keep_val = t_tr != held_out, t_val != held_out
+        if keep_tr.all() and keep_val.all():
+            raise DataError(
+                f"treatment {held_out} has no fitted samples to exclude; nothing is held out"
+            )
+        x_tr, t_tr, y_tr = x_tr[keep_tr], t_tr[keep_tr], y_tr[keep_tr]
+        x_val, t_val, y_val = x_val[keep_val], t_val[keep_val], y_val[keep_val]
     if x_tr.shape[0] == 0:
         raise ShapeError("training split is empty")
     # without validation rows no epoch could be selected, and the fit would

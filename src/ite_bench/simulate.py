@@ -115,12 +115,10 @@ class SimConfig(JsonConfig):
 class Dataset:
     """A fully materialized simulation with train/val/test splits. It checks
     itself when built: every array has the dtype and shape its config
-    implies and is finite, t_obs lies in 0..k-1, and the splits hold
-    distinct rows of 0..n-1. They need not cover all rows: the copy
-    without_treatment_in_fit makes leaves some out. Once checked, the arrays,
-    the split vectors and the splits mapping are read-only, and no field can
-    be rebound, so the dataset stays as checked; the arrays given are marked
-    in place.
+    implies and is finite, t_obs lies in 0..k-1, and the splits hold each
+    row of 0..n-1 exactly once. Once checked, the arrays, the split vectors
+    and the splits mapping are read-only, and no field can be rebound, so
+    the dataset stays as checked; the arrays given are marked in place.
 
     truth_reads counts accesses to ground-truth outcome matrices per split;
     model-selection code uses it to prove it never touched test-set truth.
@@ -157,8 +155,8 @@ class Dataset:
             ):
                 raise DataError(f"split {name!r} must be a vector of row indices in 0..n-1")
         rows = np.concatenate([self.splits[name] for name in SPLIT_NAMES])
-        if np.bincount(rows, minlength=self.n).max() > 1:
-            raise DataError("splits must not hold a row twice")
+        if not (np.bincount(rows, minlength=self.n) == 1).all():
+            raise DataError(f"splits must hold each of the {self.n} rows exactly once")
         object.__setattr__(self, "splits", MappingProxyType(dict(self.splits)))
         arrays = [getattr(self, attr) for attr, _, _ in layout.values()]
         for arr in [*arrays, *self.splits.values()]:
@@ -217,31 +215,6 @@ class Dataset:
         idx = self.split_indices(split)
         self.truth_reads[split] = self.truth_reads.get(split, 0) + 1
         return expected_outcomes(self.X, self.Z, self.mu, self.config.c)[idx]
-
-    def without_treatment_in_fit(self, z: int) -> "Dataset":
-        """Copy with treatment z's samples dropped from train and val splits.
-
-        Test rows are untouched, so held-out evaluation still covers all
-        treatments including z. The copy shares this dataset's truth_reads,
-        so a read through either one is audited.
-        """
-        if not 0 <= z < self.k:
-            raise ConfigError(f"treatment index {z} out of range 0..{self.k - 1}")
-        n_excluded = int(
-            (self.t_obs[self.splits["train"]] == z).sum()
-            + (self.t_obs[self.splits["val"]] == z).sum()
-        )
-        if n_excluded == 0:
-            raise DataError(
-                f"treatment {z} has no fitted samples to exclude; nothing is held out"
-            )
-        new_splits = dict(self.splits)
-        for name in ("train", "val"):
-            idx = self.splits[name]
-            new_splits[name] = idx[self.t_obs[idx] != z]
-        if new_splits["train"].size == 0:
-            raise DataError(f"excluding treatment {z} empties the training split")
-        return dataclasses.replace(self, splits=new_splits)
 
 
 @dataclass
@@ -499,7 +472,7 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
 def load_dataset(dataset_dir) -> Dataset:
     """Read a dataset directory: exactly the manifest's fields, and every
     array the schema names, which the Dataset checks against the manifest's
-    config; nothing is unpickled. The splits must cover all n rows."""
+    config; nothing is unpickled."""
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise DataError(f"not a dataset directory (no manifest.json): {dataset_dir}")
@@ -530,7 +503,7 @@ def load_dataset(dataset_dir) -> Dataset:
             arrays[attr] = np.load(fpath, allow_pickle=False)
         except (ValueError, EOFError) as exc:
             raise DataError(f"malformed dataset file {fpath}: {exc}") from exc
-    ds = Dataset(**arrays, splits=splits, config=cfg)
-    if sum(idx.size for idx in splits.values()) != cfg.n:
-        raise DataError(f"{manifest_path}: splits must cover all {cfg.n} rows")
-    return ds
+    try:
+        return Dataset(**arrays, splits=splits, config=cfg)
+    except DataError as exc:  # the arrays and splits are checked against its config
+        raise type(exc)(f"{manifest_path}: {exc}") from exc

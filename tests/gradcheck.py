@@ -1,5 +1,6 @@
-"""Central finite-difference oracles shared by the gradient tests, and the
-one-network stacks they differentiate."""
+"""Central finite-difference oracles shared by the gradient tests, the
+one-network stacks they differentiate, and the brute-force PEHE reference
+that the metric tests compare against."""
 
 from dataclasses import replace
 
@@ -20,6 +21,21 @@ def glorot_mlp(dims, activation="tanh", dropout_rate=0.0, *, rng):
     for w, _ in layers:
         glorot_uniform(w[0], gen)
     return MlpStack(layers, activation, dropout_rate)
+
+
+def brute_force_pehe(y_hat, y_true):
+    """Triple-loop reference implementation in plain Python floats."""
+    n = len(y_hat)
+    k = len(y_hat[0])
+    pair_errors = []
+    for a in range(k):
+        for b in range(a):
+            total = 0.0
+            for i in range(n):
+                diff = (y_hat[i][a] - y_hat[i][b]) - (y_true[i][a] - y_true[i][b])
+                total += diff * diff
+            pair_errors.append(total / n)
+    return sum(pair_errors) / len(pair_errors)
 
 
 def central_difference(f, x0, h=1e-4):

@@ -40,6 +40,7 @@ import pytest
 
 from gradcheck import (
     assert_grads_close,
+    brute_force_pehe,
     central_difference,
     empty_grads,
     flatten_grads,
@@ -254,20 +255,6 @@ def test_02_mmd_closed_forms():
 # 3. effect-error metric vs brute force
 
 
-def _brute_force_pehe(y_hat, y_true):
-    n, k = len(y_hat), len(y_hat[0])
-    pair_errors = []
-    for a in range(k):
-        for b in range(a):
-            total = 0.0
-            for i in range(n):
-                tau_hat = y_hat[i][a] - y_hat[i][b]
-                tau = y_true[i][a] - y_true[i][b]
-                total += (tau_hat - tau) ** 2
-            pair_errors.append(total / n)
-    return sum(pair_errors) / len(pair_errors)
-
-
 def _brute_force_zero_shot(y_hat, y_true, z):
     n, k = len(y_hat), len(y_hat[0])
     pair_errors = []
@@ -292,7 +279,7 @@ def test_03_pehe_brute_force():
         y_hat = rng.integers(-2, 3, size=(n, k)).astype(float)
         y_true = rng.integers(-2, 3, size=(n, k)).astype(float)
         result = pehe(y_hat, y_true)
-        brute = _brute_force_pehe(y_hat.tolist(), y_true.tolist())
+        brute = brute_force_pehe(y_hat.tolist(), y_true.tolist())
         worst_eps = max(worst_eps, abs(result.epsilon - brute))
         for z in range(k):
             epsilon_zs = pair_mean(result.per_pair, z)[0]

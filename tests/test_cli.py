@@ -242,6 +242,29 @@ def test_train_checks_config_dataset_agreement(tmp_path, capsys):
     assert "dataset has" in err
 
 
+@pytest.mark.parametrize("zero_shot", [None, 5])
+def test_train_config_without_sim_runs_on_the_datasets_own(tmp_path, capsys, zero_shot):
+    # d=8 and k=6 differ from the default SimConfig's, and treatment 5 is
+    # out of its range
+    ds = tmp_path / "ds"
+    code, _, err = run(
+        capsys, "simulate", "--out", str(ds), "--n", "200", "--d", "8", "--k", "6",
+        "--seed", "0",
+    )
+    assert code == 0, err
+    cfg_path = tmp_path / "cfg.json"
+    doc = {"variant": "tarnet", "train": {"epochs_max": 2}}
+    cfg_path.write_text(json.dumps({**doc, "zero_shot": zero_shot}))
+    out = tmp_path / "run"
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(out), "--config", str(cfg_path)
+    )
+    assert code == 0, err
+    counts = json.loads((out / "checkpoint.json").read_text())["head_updates"]
+    assert (counts[5] == 0) == (zero_shot == 5)
+    assert all(counts[:5])
+
+
 def test_train_config_zero_shot_holds_the_treatment_out(tmp_path, capsys):
     ds = simulate_small(capsys, tmp_path / "ds")
     cfg_path = tmp_path / "cfg.json"
@@ -422,10 +445,10 @@ def test_plain_evaluate_lists_heads_never_updated(tmp_path, capsys):
         {**ZERO_MODEL_CONFIG, "train": {"epochs_max": 2, "batch_size": 32}}
     )
     listed = {}
-    for name, fit_ds in (("all", ds), ("held-out", ds.without_treatment_in_fit(2))):
+    for name, held_out in (("all", None), ("held-out", 2)):
         ckpt = tmp_path / name / "checkpoint.json"
         ckpt.parent.mkdir()
-        save_checkpoint(ckpt, train(fit_ds, cfg.model, cfg.train, "joint"))
+        save_checkpoint(ckpt, train(ds, cfg.model, cfg.train, "joint", held_out=held_out))
         report_path = tmp_path / name / "report.json"
         code, stdout, err = run(
             capsys, "evaluate", "--dataset", str(ds_dir), "--checkpoint", str(ckpt),
@@ -935,6 +958,14 @@ def test_sweep_records_a_trial_whose_validation_overflows_as_diverged(
     assert summary["winner"]["trial"] in (0, 1)
     record = json.loads((out / "trials" / "trial_0002" / "record.json").read_text())
     assert "(validation pass): non-finite network input" in record["message"]
+    # with no trial left to select, the sweep fails
+    cfg.write_text(json.dumps({**doc, "grid": {"train.base_lr": [0.2]}}))
+    code, _, err = run(
+        capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "all"),
+        "--threads", threads,
+    )
+    assert code == 3
+    assert "every sweep trial diverged" in err
 
 
 def test_sweep_single_point_matches_run_experiment(tmp_path, capsys):

@@ -17,20 +17,7 @@ from ite_bench.cli import main
 from ite_bench.model import ModelShape, OutcomeModel, TrainConfig, build_model
 from ite_bench.simulate import SimConfig, save_dataset, simulate_dataset
 
-
-def brute_force_pehe(y_hat, y_true):
-    """Triple-loop reference implementation in plain Python floats."""
-    n = len(y_hat)
-    k = len(y_hat[0])
-    pair_errors = []
-    for a in range(k):
-        for b in range(a):
-            total = 0.0
-            for i in range(n):
-                diff = (y_hat[i][a] - y_hat[i][b]) - (y_true[i][a] - y_true[i][b])
-                total += diff * diff
-            pair_errors.append(total / n)
-    return sum(pair_errors) / len(pair_errors)
+from gradcheck import brute_force_pehe
 
 
 def tiny_shape():
@@ -71,6 +58,8 @@ def test_pehe_hand_case():
     assert result.epsilon == 1.0
     assert result.root == 1.0
     assert result.per_pair == {(1, 0): 1.0}
+    with pytest.raises(ShapeError, match="shape mismatch"):
+        pehe([[1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
 
 
 def test_pehe_matches_brute_force_on_random_matrices():
@@ -271,8 +260,9 @@ def test_evaluate_model_error_paths():
     with pytest.raises(ShapeError):
         evaluate_model(wrong_k, ds)
     model = build_model(5, 3, tiny_shape(), "joint", rng=0)
+    val, test = ds.splits["val"], ds.splits["test"]
     empty = dataclasses.replace(
-        ds, splits={**ds.splits, "test": np.array([], dtype=np.int64)}
+        ds, splits={**ds.splits, "val": np.concatenate([val, test]), "test": test[:0]}
     )
     with pytest.raises(DataError):
         evaluate_model(model, empty)
@@ -338,7 +328,7 @@ def test_evaluate_cli_on_checkpoint_matches_protocol(tmp_path, capsys, variant):
         train=TrainConfig(epochs_max=3, batch_size=32, base_lr=0.05, seed=3),
         variant=variant, zero_shot=1,
     )
-    record = run_experiment(cfg, datasets=[ds], out_dir=tmp_path / "run")
+    record = run_experiment(cfg, out_dir=tmp_path / "run")
     report = record.per_seed[0]
     save_dataset(ds, tmp_path / "ds")
     code = main([

@@ -80,6 +80,8 @@ def test_experiment_config_round_trip():
         ExperimentConfig.from_dict({"sim": {}, "typo": 1})
     with pytest.raises(ConfigError):
         tiny_experiment(zero_shot=5)
+    with pytest.raises(ConfigError, match="repeats"):
+        tiny_experiment(repeats=0)
 
 
 # one of each config class, every field off its default where it can be
@@ -142,9 +144,12 @@ def test_apply_overrides():
             apply_overrides(base, {key: 1})
 
 
-def test_sweep_spec_validation():
+def test_sweep_spec_validation(tmp_path):
     base = tiny_experiment()
     SweepSpec(base, {"train.base_lr": [0.1]})
+    with pytest.raises(ConfigError, match="threads"):
+        run_sweep(SweepSpec(base, {"train.base_lr": [0.1]}), tmp_path / "out", threads=0)
+    assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError):
         SweepSpec(base, {})
     for key in ("sim.n", "train", "model"):
@@ -190,6 +195,8 @@ def test_run_record_round_trip_and_validation():
         RunRecord.from_dict({**doc, "aggregate": record.aggregate})
     with pytest.raises(DataError, match="re-run"):
         RunRecord.from_dict({**doc, "schema_version": "1"})
+    with pytest.raises(DataError, match="no per-seed reports"):
+        RunRecord.from_dict({**doc, "per_seed": []})
 
 
 def test_write_json_atomic_leaves_no_temp_file(tmp_path):
@@ -562,11 +569,11 @@ def test_sweep_without_openblas_runs_uncapped(tmp_path, monkeypatch):
 def test_truth_read_audit_counts_reads_in_every_fit(tmp_path, monkeypatch, threads, zero_shot):
     fit = experiments.train
 
-    def peeking_train(ds, *args):
+    def peeking_train(ds, *args, **kwargs):
         ds.expected_outcomes("test")
-        return fit(ds, *args)
+        return fit(ds, *args, **kwargs)
 
-    # forked workers inherit the patch; zero-shot fits get held-out copies
+    # forked workers inherit the patch
     monkeypatch.setattr(experiments, "train", peeking_train)
     spec = sweep_spec()
     spec = SweepSpec(replace(spec.base, zero_shot=zero_shot), spec.grid)

@@ -333,6 +333,7 @@ def test_batch_loss_input_checks():
     for batch in (
         Batch(np.zeros((0, 2)), np.zeros(0, int), np.zeros(0)),
         Batch(np.zeros((2, 2)), np.zeros(3, int), np.zeros(2)),
+        Batch(np.zeros((2, 2)), np.zeros(2, int), np.zeros(3)),
         Batch(np.zeros((2, 2)), np.array([0, 5]), np.zeros(2)),
     ):
         with pytest.raises(ShapeError):
@@ -341,6 +342,14 @@ def test_batch_loss_input_checks():
     with pytest.raises(ShapeError, match="t_emb"):
         batch_loss(model, Batch(np.zeros((3, 2)), np.array([0, 1, 0]), np.zeros(3)),
                    np.zeros((3, 2)), TrainConfig())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_batch_loss_refuses_a_loss_that_overflows():
+    # outcomes of 1e200 square to infinity in the factual MSE
+    batch = Batch(np.zeros((2, 2)), np.array([0, 1]), np.full(2, 1e200))
+    with pytest.raises(NumericError, match="non-finite batch loss"):
+        batch_loss(identity_model(), batch, np.zeros((2, 2)), TrainConfig())
 
 
 def test_non_integer_treatments_are_refused():
@@ -535,20 +544,20 @@ def test_train_zero_epochs_returns_initial_state():
 def test_train_refuses_an_empty_validation_split_before_any_epoch(monkeypatch, case):
     ds = small_dataset()
     val = ds.splits["val"]
-    if case == "empty":
-        fit = dataclasses.replace(ds, splits={**ds.splits, "val": val[:0]})
-    else:
-        # every validation row is treatment 0, which the zero-shot filter drops
-        only_0 = dataclasses.replace(ds, splits={**ds.splits, "val": val[ds.t_obs[val] == 0]})
-        fit = only_0.without_treatment_in_fit(0)
-    assert fit.splits["val"].size == 0 and fit.splits["train"].size > 0
+    # the validation rows the fit may see move to training: all of them, or
+    # with treatment 0 held out, all but treatment 0's
+    keep = np.zeros(val.size, bool) if case == "empty" else ds.t_obs[val] == 0
+    moved = np.concatenate([ds.splits["train"], val[~keep]])
+    fit = dataclasses.replace(ds, splits={**ds.splits, "train": moved, "val": val[keep]})
+    held_out = None if case == "empty" else 0
+    assert (fit.splits["val"].size > 0) == (case == "zero-shot")
 
     def no_epoch(*_args, **_kwargs):
         raise AssertionError("an epoch ran without validation rows")
 
     monkeypatch.setattr(model_module, "batch_loss", no_epoch)
     with pytest.raises(ShapeError, match="validation split is empty"):
-        train(fit, small_shape(), quick_train_cfg())
+        train(fit, small_shape(), quick_train_cfg(), held_out=held_out)
 
 
 def test_train_counts_updates_per_head_up_to_the_best_epoch():
@@ -557,7 +566,7 @@ def test_train_counts_updates_per_head_up_to_the_best_epoch():
     cfg = quick_train_cfg(batch_size=512, epochs_max=4)
     trained = train(ds, small_shape(), cfg)
     assert trained.model.head_updates == (trained.best_epoch + 1,) * 3
-    held_out = train(ds.without_treatment_in_fit(1), small_shape(), cfg)
+    held_out = train(ds, small_shape(), cfg, held_out=1)
     assert held_out.model.head_updates[1] == 0
     assert held_out.model.head_updates[0] > 0 and held_out.model.head_updates[2] > 0
 
@@ -601,10 +610,10 @@ def test_a_head_without_samples_is_untouched_by_the_step(monkeypatch):
 
 
 def test_held_out_head_keeps_its_initialization():
-    ds = small_dataset(n=200).without_treatment_in_fit(1)
+    ds = small_dataset(n=200)
     cfg = quick_train_cfg(weight_decay=0.1)
-    initial = train(ds, small_shape(), dataclasses.replace(cfg, epochs_max=0)).model
-    trained = train(ds, small_shape(), cfg).model
+    initial = train(ds, small_shape(), dataclasses.replace(cfg, epochs_max=0), held_out=1).model
+    trained = train(ds, small_shape(), cfg, held_out=1).model
     assert trained.head_updates[1] == 0
     before, after = initial.head_block(initial.theta), trained.head_block(trained.theta)
     np.testing.assert_array_equal(after[1], before[1])
@@ -772,10 +781,10 @@ def test_factual_predictions_gather_from_full_matrix():
 @pytest.mark.parametrize("case", ["joint", "tarnet", "zero-shot"])
 def test_factual_predictions_match_the_gathered_matrix_up_to_roundoff(case):
     ds = small_dataset(n=300)
-    fit = ds.without_treatment_in_fit(1) if case == "zero-shot" else ds
+    held_out = 1 if case == "zero-shot" else None
     variant = "tarnet" if case == "tarnet" else "joint"
     shape = small_shape(cov_width=40, head_layers=3, head_width=40)
-    trained = train(fit, shape, quick_train_cfg(epochs_max=2), variant).model
+    trained = train(ds, shape, quick_train_cfg(epochs_max=2), variant, held_out=held_out).model
     assert trained.head_trained(1) == (case != "zero-shot")
     x, t, _ = ds.observed("test")
     assert (t == 1).any()
@@ -815,7 +824,10 @@ def test_validation_with_fewer_rows_than_treatments():
     # batches of 4 and 5 validation rows size the fit's buffers below k = 16,
     # and validation runs the treatment network on all 16 embeddings
     ds = small_dataset(k=16)
-    ds = dataclasses.replace(ds, splits={**ds.splits, "val": ds.splits["val"][:5]})
+    val, test = ds.splits["val"], ds.splits["test"]
+    ds = dataclasses.replace(
+        ds, splits={**ds.splits, "val": val[:5], "test": np.concatenate([test, val[5:]])}
+    )
     trained = train(ds, small_shape(), quick_train_cfg(batch_size=4, epochs_max=1), "joint")
     x, t, y = ds.observed("val")
     val_mse = float(np.mean((factual_predictions(trained.model, x, t, ds.T_emb) - y) ** 2))
@@ -848,7 +860,7 @@ def test_checkpoint_round_trip_preserves_predictions(tmp_path, variant):
 
 def test_checkpoint_keeps_head_update_record(tmp_path):
     ds = small_dataset(n=200)
-    trained = train(ds.without_treatment_in_fit(2), small_shape(), quick_train_cfg())
+    trained = train(ds, small_shape(), quick_train_cfg(), held_out=2)
     assert trained.model.head_updates[2] == 0
     path = tmp_path / "model.json"
     save_checkpoint(path, trained)
@@ -944,6 +956,12 @@ def test_checkpoint_rejects_a_tampered_parameter_file(tmp_path):
         path.write_text(json.dumps({**doc, "params_sha256": digest}))
         with pytest.raises(ConfigError, match="values"):
             load_checkpoint(path)
+    # bytes that are no .npy file, recorded under their own sha256
+    sidecar.write_bytes(b"not an array")
+    digest = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+    path.write_text(json.dumps({**doc, "params_sha256": digest}))
+    with pytest.raises(ConfigError, match="malformed checkpoint parameter file"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_networks_must_agree_with_its_shape(tmp_path):
@@ -1001,14 +1019,20 @@ def test_trained_model_refuses_an_invalid_best_epoch_or_val_mse(tmp_path, epoch,
 
 
 def test_train_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(alpha=-0.1)
-    with pytest.raises(ConfigError):
-        TrainConfig(alpha=0.0, beta=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(batch_size=1)
-    with pytest.raises(ConfigError):
-        TrainConfig(patience=0)
+    for bad, match in (
+        ({"alpha": -0.1}, "alpha and beta"),
+        ({"alpha": 0.0, "beta": 0.0}, r"alpha \+ beta"),
+        ({"batch_size": 1}, "batch_size"),
+        ({"epochs_max": -1}, "epochs_max"),
+        ({"patience": 0}, "patience"),
+        ({"lr_decay": 0.0}, "lr_decay"),
+        ({"lr_decay": 1.5}, "lr_decay"),
+        ({"scheduler_step": 0}, "scheduler_step"),
+        ({"weight_decay": -1e-4}, "weight_decay"),
+        ({"bandwidth": 0.0}, "bandwidth"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            TrainConfig(**bad)
     with pytest.raises(ConfigError, match="batch_size"):
         dataclasses.replace(TrainConfig(), batch_size=1)
     with pytest.raises(ConfigError):

@@ -392,6 +392,19 @@ def test_sgd_rejects_nonfinite_gradients():
         assert theta.tobytes() == before.tobytes()
 
 
+def test_sgd_step_refuses_invalid_arguments():
+    theta, weights = _flat(glorot_mlp([2, 2], rng=0))
+    before = theta.copy()
+    for lr, weight_decay, grad, error, match in (
+        (-0.1, 0.1, np.zeros_like(theta), ConfigError, "lr"),
+        (0.1, -0.1, np.zeros_like(theta), ConfigError, "weight_decay"),
+        (0.1, 0.1, np.zeros(theta.size + 1), ShapeError, "gradient shape"),
+    ):
+        with pytest.raises(error, match=match):
+            _step(theta, grad, lr=lr, weight_decay=weight_decay, weights=weights)
+        assert theta.tobytes() == before.tobytes()
+
+
 def test_sgd_step_takes_huge_finite_gradients_like_the_unfused_update():
     # squares of 1e200 overflow the finiteness dot; the entries are finite
     theta, weights = _flat(glorot_mlp([3, 4, 2], rng=0))

@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from ite_bench import model as model_module
 from ite_bench import simulate
 from ite_bench.errors import (
     ConfigError,
@@ -14,6 +15,7 @@ from ite_bench.errors import (
     NumericError,
     ShapeError,
 )
+from ite_bench.model import ModelShape, TrainConfig, train
 from ite_bench.simulate import (
     SIGMA_FLOOR,
     Dataset,
@@ -82,6 +84,10 @@ def test_file_covariates_error_paths(tmp_path):
     nonfinite.write_text("1.0,2.0\nnan,1.0\n1.0,1.0\n")
     with pytest.raises(NumericError):
         generate_covariates(SimConfig(embedding_file=str(nonfinite), **cfg), 0)
+    zero_row = tmp_path / "z.csv"
+    zero_row.write_text("1.0,2.0\n0.0,0.0\n1.0,1.0\n")
+    with pytest.raises(DataError, match="nonzero norm"):
+        generate_covariates(SimConfig(embedding_file=str(zero_row), **cfg), 0)
     # the file alone selects the source; the former selector is an unknown field
     with pytest.raises(ConfigError, match="covariate_source"):
         SimConfig.from_dict({"covariate_source": "file", "embedding_file": str(nonfinite)})
@@ -158,6 +164,8 @@ def test_kmeans_equals_the_per_cluster_loop(case):
 def test_kmeans_needs_enough_rows():
     with pytest.raises(InsufficientDataError):
         kmeans(np.zeros((2, 3)), 3, rng=0)
+    with pytest.raises(ConfigError, match="n_clusters"):
+        kmeans(np.zeros((2, 3)), 0, rng=0)
     with pytest.raises(ShapeError):
         kmeans(np.zeros(5), 2, rng=0)
 
@@ -252,6 +260,14 @@ def test_potential_outcomes_shape_errors():
         )
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_potential_outcomes_that_overflow_are_refused():
+    # the hand case at c = 1e308: 1e308 * 0.5 * 5 overflows
+    x, z = np.array([[1.0]]), np.array([[2.0], [3.0]])
+    with pytest.raises(NumericError, match="non-finite potential outcomes"):
+        potential_outcomes(x, z, np.array([0.5]), np.array([0.0]), 1e308, rng=0)
+
+
 # --- treatment assignment ---
 
 
@@ -330,14 +346,17 @@ def test_simulation_is_deterministic():
 
 
 def test_config_validation_errors():
-    with pytest.raises(ConfigError):
-        SimConfig(k=1)
-    with pytest.raises(ConfigError):
-        SimConfig(n=4, k=4)
-    with pytest.raises(ConfigError):
-        SimConfig(kappa=(1.0, 2.0), k=3)
-    with pytest.raises(ConfigError):
-        SimConfig(kappa=0.0)
+    for bad, match in (
+        ({"k": 1}, "k must be >= 2"),
+        ({"n": 4, "k": 4}, "n must be >= k"),
+        ({"d": 0}, "d must be >= 1"),
+        ({"centroid_method": "spectral"}, "centroid_method"),
+        ({"c": 0.0}, "outcome scale c"),
+        ({"kappa": (1.0, 2.0), "k": 3}, "kappa must be a scalar"),
+        ({"kappa": 0.0}, "kappa entries"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            SimConfig(**bad)
     with pytest.raises(ConfigError, match="kappa must be finite"):
         SimConfig(kappa=(1.0, math.nan, 1.0, 1.0))
     with pytest.raises(ConfigError):
@@ -526,6 +545,10 @@ def test_expected_outcomes_are_derived_and_audited():
         before = ds.truth_reads.get(split, 0)
         np.testing.assert_array_equal(ds.expected_outcomes(split), full[idx])
         assert ds.truth_reads[split] == before + 1
+    reads = dict(ds.truth_reads)
+    with pytest.raises(ConfigError, match="unknown split"):
+        ds.expected_outcomes("holdout")
+    assert ds.truth_reads == reads
 
 
 def _manual_dataset():
@@ -550,30 +573,55 @@ def _manual_dataset():
     )
 
 
-def test_holdout_removes_treatment_from_fitting_splits():
+def _held_out_fit(ds, held_out):
+    """A one-epoch fit of a small model on ds with treatment held_out."""
+    shape = ModelShape(cov_width=8, cov_out=4, treat_width=4, treat_out=3, head_width=4)
+    return train(ds, shape, TrainConfig(epochs_max=1, batch_size=32), held_out=held_out)
+
+
+def test_holdout_removes_treatment_from_fitting_splits(monkeypatch):
     ds = simulate_dataset(SimConfig(n=400, d=6, k=3, seed=1))
-    held = ds.without_treatment_in_fit(1)
-    for split in ("train", "val"):
-        assert not (held.t_obs[held.splits[split]] == 1).any()
-        assert held.splits[split].size < ds.splits[split].size
-    np.testing.assert_array_equal(held.splits["test"], ds.splits["test"])
-    assert held.truth_reads == {}
-    # original is untouched
+    # the treatments of every training batch, and the validation rows scored
+    seen = {"train": [], "val": []}
+    real_loss, real_val = model_module.batch_loss, model_module.factual_predictions
+
+    def loss(model, batch, *args, **kwargs):
+        seen["train"].append(batch.t)
+        return real_loss(model, batch, *args, **kwargs)
+
+    def scored(model, x, t, *args):
+        seen["val"].append((x, t))
+        return real_val(model, x, t, *args)
+
+    monkeypatch.setattr(model_module, "batch_loss", loss)
+    monkeypatch.setattr(model_module, "factual_predictions", scored)
+    trained = _held_out_fit(ds, 1)
+    assert trained.model.head_updates[1] == 0
+    # one epoch: every training row but treatment 1's steps once
+    t_train = ds.t_obs[ds.splits["train"]]
+    fitted = np.concatenate(seen["train"])
+    assert not (fitted == 1).any() and 0 < fitted.size < t_train.size
+    np.testing.assert_array_equal(np.sort(fitted), np.sort(t_train[t_train != 1]))
+    # validation scores the other validation rows, in split order
+    (x_val, t_val), = seen["val"]
+    val = ds.splits["val"]
+    kept = val[ds.t_obs[val] != 1]
+    assert 0 < kept.size < val.size
+    np.testing.assert_array_equal(x_val, ds.X[kept])
+    np.testing.assert_array_equal(t_val, ds.t_obs[kept])
+    # the dataset is untouched, and no truth was read
     assert (ds.t_obs[ds.splits["train"]] == 1).any()
-    # but shares the truth-read audit with the copy, both ways
-    held.expected_outcomes("test")
-    ds.expected_outcomes("val")
-    assert ds.truth_reads == held.truth_reads == {"test": 1, "val": 1}
+    assert ds.truth_reads == {}
 
 
 def test_holdout_error_paths():
     ds = _manual_dataset()
-    with pytest.raises(ConfigError):
-        ds.without_treatment_in_fit(2)
-    with pytest.raises(DataError):
-        ds.without_treatment_in_fit(1)  # only present in test
-    with pytest.raises(DataError):
-        ds.without_treatment_in_fit(0)  # would empty the training split
+    with pytest.raises(ConfigError, match="out of range"):
+        _held_out_fit(ds, 2)
+    with pytest.raises(DataError, match="nothing is held out"):
+        _held_out_fit(ds, 1)  # only present in test
+    with pytest.raises(ShapeError, match="training split is empty"):
+        _held_out_fit(ds, 0)
 
 
 def _with_nan(arr):
@@ -621,8 +669,14 @@ INVALID_DATASET_FIELDS = {
         DataError, "train",
     ),
     "row-in-two-splits": (
-        lambda ds: {"splits": {**ds.splits, "val": ds.splits["train"][:1]}},
-        DataError, "twice",
+        lambda ds: {"splits": {
+            **ds.splits, "val": np.concatenate([ds.splits["val"], ds.splits["train"][:1]])
+        }},
+        DataError, "exactly once",
+    ),
+    "row-in-no-split": (
+        lambda ds: {"splits": {**ds.splits, "test": ds.splits["test"][1:]}},
+        DataError, "exactly once",
     ),
     "split-missing": (
         lambda ds: {"splits": {k: v for k, v in ds.splits.items() if k != "test"}},
@@ -657,14 +711,12 @@ DATASET_WRITES = {
 
 
 @pytest.mark.parametrize("write", DATASET_WRITES.values(), ids=DATASET_WRITES)
-@pytest.mark.parametrize("origin", ["simulated", "loaded", "zero-shot-copy", "unpickled"])
+@pytest.mark.parametrize("origin", ["simulated", "loaded", "unpickled"])
 def test_dataset_arrays_are_read_only_once_checked(tmp_path, write, origin):
     ds = simulate_dataset(small_cfg())
     if origin == "loaded":
         save_dataset(ds, tmp_path / "ds")
         ds = load_dataset(tmp_path / "ds")
-    elif origin == "zero-shot-copy":
-        ds = ds.without_treatment_in_fit(0)
     elif origin == "unpickled":
         ds = pickle.loads(pickle.dumps(ds))
     with pytest.raises(ValueError, match="read-only"):
@@ -701,19 +753,20 @@ def test_dataset_splits_mapping_is_read_only():
     with pytest.raises(TypeError):
         del ds.splits["test"]
     # a new mapping still builds a checked copy
-    with pytest.raises(DataError, match="twice"):
+    with pytest.raises(DataError, match="exactly once"):
         dataclasses.replace(ds, splits={**ds.splits, "val": ds.splits["train"]})
     # the truth-read audit stays writable
     ds.expected_outcomes("val")
     assert ds.truth_reads == {"val": 1}
 
 
-def test_zero_shot_copy_is_a_dataset_but_not_a_saved_one(tmp_path):
-    # a zero-shot copy leaves rows out of its splits on purpose, so it
-    # constructs; a manifest's splits come from outside and must cover all rows
-    held = simulate_dataset(small_cfg()).without_treatment_in_fit(0)
-    save_dataset(held, tmp_path / "ds")
-    with pytest.raises(DataError, match="cover all 60 rows"):
+def test_load_refuses_a_manifest_whose_splits_leave_a_row_out(tmp_path):
+    save_dataset(simulate_dataset(small_cfg()), tmp_path / "ds")
+    path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    splits = {**manifest["splits"], "test": manifest["splits"]["test"][1:]}
+    path.write_text(json.dumps({**manifest, "splits": splits}))
+    with pytest.raises(DataError, match=r"manifest\.json: splits must hold each of the 60 rows"):
         load_dataset(tmp_path / "ds")
 
 
