@@ -1,20 +1,25 @@
-"""Exception hierarchy shared across the package, and the JSON boundary.
+"""Exception hierarchy shared across the package, and the file boundary.
 
 The CLI maps the exceptions onto distinct exit codes, so library code should
-raise the most specific class that applies. Every JSON document passes
-through this module: configs are read and written by JsonConfig, artifacts
-are checked by check_artifact and written by write_json_atomic.
+raise the most specific class that applies. Every artifact passes through
+this module: configs are read and written by JsonConfig, JSON artifacts are
+checked by check_artifact and written by write_json_atomic, and .npy arrays
+are written by write_array and read, against their sha256, by read_array.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
+import io
 import json
 import math
 import numbers
 import os
 import typing
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -197,3 +202,29 @@ def write_json_atomic(path, doc) -> None:
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def write_array(path, arr) -> str:
+    """Write the .npy bytes of arr, made C-contiguous, to path and return
+    their sha256 hex digest, which the artifact's JSON file records."""
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(arr))
+    with open(path, "wb") as fh:
+        fh.write(buf.getbuffer())
+    return hashlib.sha256(buf.getbuffer()).hexdigest()
+
+
+def read_array(path, sha256, error: type[Exception]) -> np.ndarray:
+    """The array write_array wrote to path. A missing file is a DataError;
+    bytes whose digest is not sha256, or that hold no array, raise error,
+    the class whose exit code the CLI gives that artifact. Nothing is unpickled."""
+    if not os.path.exists(path):
+        raise DataError(f"array file missing: {path}; copy it together with its JSON file")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if hashlib.sha256(data).hexdigest() != sha256:
+        raise error(f"{path} does not match the sha256 recorded for it")
+    try:
+        return np.load(io.BytesIO(data), allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise error(f"malformed array file {path}: {exc}") from exc

@@ -27,8 +27,6 @@ training (batch_loss), validation and prediction share.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import io
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -45,6 +43,8 @@ from .errors import (
     check_artifact,
     check_finite,
     load_json_object,
+    read_array,
+    write_array,
     write_json_atomic,
 )
 from .mmd import treatment_regularization_loss
@@ -766,51 +766,25 @@ def params_path(path) -> str:
     return os.path.splitext(path)[0] + ".npy"
 
 
-def checkpoint_dict(trained: TrainedModel, params_sha256: str) -> dict:
-    """The checkpoint header. It names no file, so identical runs under
-    different paths write identical headers. The networks' layers follow
-    from shape, input_dim, k and variant."""
+def save_checkpoint(path, trained: TrainedModel) -> None:
+    """Write the model's theta to params_path(path), then the JSON header,
+    which records the vector's sha256, to path. The header names no file,
+    so identical runs under different paths write identical headers. The
+    networks' layers follow from shape, input_dim, k and variant."""
     model = trained.model
-    return {
+    digest = write_array(params_path(path), model.theta)
+    write_json_atomic(path, {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "variant": model.variant,
         "k": model.k,
         "input_dim": model.input_dim,
-        "params_sha256": params_sha256,
+        "params_sha256": digest,
         "head_updates": list(model.head_updates),
         "train_config": trained.config.to_dict(),
         "shape": model.shape.to_dict(),
         "best_epoch": trained.best_epoch,
         "best_val_mse": trained.best_val_mse,
-    }
-
-
-def save_checkpoint(path, trained: TrainedModel) -> None:
-    """Write the model's theta to params_path(path), then the JSON header,
-    which records the vector's sha256, to path."""
-    buf = io.BytesIO()
-    np.save(buf, trained.model.theta)
-    data = buf.getvalue()
-    with open(params_path(path), "wb") as fh:
-        fh.write(data)
-    write_json_atomic(path, checkpoint_dict(trained, hashlib.sha256(data).hexdigest()))
-
-
-def _load_params(sidecar: str, doc: dict) -> np.ndarray:
-    if not os.path.exists(sidecar):
-        raise DataError(
-            f"checkpoint parameter file missing: {sidecar}; copy it together "
-            "with its header"
-        )
-    with open(sidecar, "rb") as fh:
-        data = fh.read()
-    if hashlib.sha256(data).hexdigest() != doc.get("params_sha256"):
-        raise ConfigError(f"{sidecar} does not match the sha256 its header records")
-    try:
-        vec = np.load(io.BytesIO(data), allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise ConfigError(f"malformed checkpoint parameter file {sidecar}: {exc}") from exc
-    return vec
+    })
 
 
 def load_checkpoint(path) -> TrainedModel:
@@ -822,7 +796,7 @@ def load_checkpoint(path) -> TrainedModel:
         doc, f"checkpoint {path}", CHECKPOINT_SCHEMA_VERSION, CHECKPOINT_KEYS,
         "`ite-bench train`", ConfigError,
     )
-    vec = _load_params(sidecar, doc)
+    vec = read_array(sidecar, doc["params_sha256"], ConfigError)
     try:
         shape = ModelShape.from_dict(doc["shape"], path="checkpoint.shape")
         model = OutcomeModel(

@@ -17,7 +17,7 @@ with larger sampled outcomes.
 
 A dataset stores only what was drawn; the treatment embeddings, factual
 outcomes and expected outcomes are derived from it. Datasets round-trip
-through a directory of .npy arrays plus a JSON manifest.
+through a directory of .npy arrays plus a JSON manifest that records their sha256.
 """
 
 from __future__ import annotations
@@ -41,11 +41,13 @@ from .errors import (
     check_finite,
     check_out_dir,
     load_json_object,
+    read_array,
+    write_array,
     write_json_atomic,
 )
 
-DATASET_SCHEMA_VERSION = "6"
-MANIFEST_KEYS = {"schema_version", "config", "splits"}
+DATASET_SCHEMA_VERSION = "7"
+MANIFEST_KEYS = {"schema_version", "config", "splits", "sha256"}
 SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.7, 0.15)  # train, val; test takes the remainder
 # (mean, sd) of the per-treatment outcome priors; sigma_t is clamped below
@@ -451,7 +453,8 @@ def simulate_dataset(cfg: SimConfig) -> Dataset:
 
 def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
     """Write the dataset directory: one .npy file per array, then
-    manifest.json, so a directory without a manifest was never completed.
+    manifest.json, which records their sha256, so a directory without a
+    manifest was never completed.
     A rewrite removes the old manifest first, so one that stops part way
     leaves no manifest over a mix of old and new arrays."""
     check_out_dir(out_dir, force)
@@ -459,20 +462,22 @@ def save_dataset(ds: Dataset, out_dir, force: bool = False) -> None:
     manifest_path = os.path.join(out_dir, "manifest.json")
     if os.path.exists(manifest_path):
         os.remove(manifest_path)
+    digests = {}
     for name, (attr, _, _) in _dataset_layout(ds.config).items():
-        np.save(os.path.join(out_dir, name + ".npy"), np.ascontiguousarray(getattr(ds, attr)))
+        digests[name] = write_array(os.path.join(out_dir, name + ".npy"), getattr(ds, attr))
     manifest = {
         "schema_version": DATASET_SCHEMA_VERSION,
         "config": ds.config.to_dict(),
         "splits": {name: ds.splits[name].tolist() for name in SPLIT_NAMES},
+        "sha256": digests,
     }
     write_json_atomic(manifest_path, manifest)
 
 
 def load_dataset(dataset_dir) -> Dataset:
     """Read a dataset directory: exactly the manifest's fields, and every
-    array the schema names, which the Dataset checks against the manifest's
-    config; nothing is unpickled."""
+    array the schema names, under the sha256 the manifest records, which the
+    Dataset checks against the manifest's config; nothing is unpickled."""
     manifest_path = os.path.join(dataset_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise DataError(f"not a dataset directory (no manifest.json): {dataset_dir}")
@@ -494,15 +499,15 @@ def load_dataset(dataset_dir) -> Dataset:
         raise DataError(f"{manifest_path}: splits must map split names to lists of ints")
     splits = {name: np.array(idx, dtype=np.int64) for name, idx in splits.items()}
 
-    arrays = {}
-    for name, (attr, _, _) in _dataset_layout(cfg).items():
-        fpath = os.path.join(dataset_dir, name + ".npy")
-        if not os.path.exists(fpath):
-            raise DataError(f"dataset file missing: {fpath}")
-        try:
-            arrays[attr] = np.load(fpath, allow_pickle=False)
-        except (ValueError, EOFError) as exc:
-            raise DataError(f"malformed dataset file {fpath}: {exc}") from exc
+    layout = _dataset_layout(cfg)
+    digests = manifest["sha256"]
+    names_ok = isinstance(digests, dict) and set(digests) == set(layout)
+    if not names_ok or not all(isinstance(digest, str) for digest in digests.values()):
+        raise DataError(f"{manifest_path}: sha256 must map {sorted(layout)} to strings")
+    arrays = {
+        attr: read_array(os.path.join(dataset_dir, name + ".npy"), digests[name], DataError)
+        for name, (attr, _, _) in layout.items()
+    }
     try:
         return Dataset(**arrays, splits=splits, config=cfg)
     except DataError as exc:  # the arrays and splits are checked against its config

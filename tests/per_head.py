@@ -4,7 +4,6 @@ its own rows through buffers of its own."""
 
 import numpy as np
 
-from ite_bench import model as model_module
 from ite_bench.mmd import treatment_regularization_loss
 from ite_bench.nn import mlp_backward, mlp_forward, stack_backward, stack_forward
 
@@ -41,7 +40,9 @@ def per_head_batch_loss(model, batch, t_emb, cfg, dropout_seed):
     views = model.views(grad)
 
     def rng(i):
-        return model_module._dropout_rng(dropout_seed, i)
+        # network i's stream (cov 0, treat 1, head t 2 + t), derived here
+        # rather than through the function under test
+        return np.random.default_rng(np.random.SeedSequence(dropout_seed, spawn_key=(i,)))
 
     cov_out, cov_cache = mlp_forward(model.cov_net, x, rng(0))
     head_in = cov_out

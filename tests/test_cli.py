@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -324,6 +325,10 @@ def test_train_refuses_non_finite_treatment_embeddings(tmp_path, capsys, variant
     z = np.load(path)
     z[1, 0] = np.nan
     np.save(path, z)
+    # recorded under its own sha256, so the Dataset's finiteness check refuses it
+    manifest = json.loads((ds / "manifest.json").read_text())
+    manifest["sha256"]["centroids"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    (ds / "manifest.json").write_text(json.dumps(manifest))
     code, _, err = run(
         capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
         "--variant", variant, "--epochs-max", "1",
@@ -332,6 +337,44 @@ def test_train_refuses_non_finite_treatment_embeddings(tmp_path, capsys, variant
     assert "non-finite values in Z" in err
     assert "diverged" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_a_dataset_holding_arrays_of_another_seed_is_refused(tmp_path, capsys):
+    for seed in (0, 1):
+        code, _, err = run(
+            capsys, "simulate", "--out", str(tmp_path / f"s{seed}"),
+            "--n", "300", "--d", "8", "--k", "3", "--seed", str(seed),
+        )
+        assert code == 0, err
+    for name in ("y_sampled.npy", "t_obs.npy"):
+        shutil.copyfile(tmp_path / "s1" / name, tmp_path / "s0" / name)
+    message = "s0/y_sampled.npy does not match the sha256 recorded for it"
+    with pytest.raises(DataError, match=message):
+        load_dataset(tmp_path / "s0")
+    code, _, err = run(
+        capsys, "train", "--dataset", str(tmp_path / "s0"), "--out", str(tmp_path / "run"),
+        "--epochs-max", "1",
+    )
+    assert code == 3
+    assert message in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name", ["covariates", "centroids", "mu_sigma", "y_sampled", "t_obs"])
+def test_train_refuses_a_dataset_array_with_a_flipped_byte(tmp_path, capsys, name):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    path = ds / f"{name}.npy"
+    data = bytearray(path.read_bytes())
+    data[-8] ^= 0x01  # the lowest byte of the last value
+    path.write_bytes(bytes(data))
+    message = f"{name}.npy does not match the sha256 recorded for it"
+    with pytest.raises(DataError, match=message):
+        load_dataset(ds)
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run"), "--epochs-max", "1"
+    )
+    assert code == 3
+    assert message in err
 
 
 def test_train_missing_dataset(tmp_path, capsys):

@@ -438,22 +438,25 @@ def test_batch_loss_equals_the_per_head_loop_bit_for_bit(variant, k):
     assert not np.all(np.diff(t) >= 0)
     batch = Batch(rng.normal(size=(t.size, 3)), t, rng.normal(size=t.size))
     cfg = TrainConfig(alpha=0.7, beta=1.3)
-    total, mse, balance, grad, head_rows = per_head_batch_loss(
-        model, batch, t_emb, cfg, dropout_seed=11
-    )
-    assert head_rows[1] == 0 and head_rows[2] == 1 and (balance > 0.0) == (variant == "joint")
-    # through fresh buffers, and through fit buffers left dirty by another batch
     buffers = model.fit_buffers(t.size + 3)
     other = Batch(rng.normal(size=(t.size + 3, 3)), rng.integers(0, k, t.size + 3),
                   rng.normal(size=t.size + 3))
-    batch_loss(model, other, t_emb, cfg, dropout_seed=4, buffers=buffers)
-    for res in (
-        batch_loss(model, batch, t_emb, cfg, dropout_seed=11),
-        batch_loss(model, batch, t_emb, cfg, dropout_seed=11, buffers=buffers),
-    ):
-        assert res.grad.tobytes() == grad.tobytes()
-        assert (res.total, res.mse, res.balance) == (total, mse, balance)
-        assert res.head_rows == head_rows
+    # a small seed, and a 63-bit one as train draws them (integers(2**63))
+    for dropout_seed in (11, 2**63 - 2**40 - 7):
+        total, mse, balance, grad, head_rows = per_head_batch_loss(
+            model, batch, t_emb, cfg, dropout_seed=dropout_seed
+        )
+        assert head_rows[1] == 0 and head_rows[2] == 1
+        assert (balance > 0.0) == (variant == "joint")
+        # through fresh buffers, and through fit buffers left dirty by another batch
+        batch_loss(model, other, t_emb, cfg, dropout_seed=4, buffers=buffers)
+        for res in (
+            batch_loss(model, batch, t_emb, cfg, dropout_seed=dropout_seed),
+            batch_loss(model, batch, t_emb, cfg, dropout_seed=dropout_seed, buffers=buffers),
+        ):
+            assert res.grad.tobytes() == grad.tobytes()
+            assert (res.total, res.mse, res.balance) == (total, mse, balance)
+            assert res.head_rows == head_rows
 
 
 @pytest.mark.parametrize("variant", ["joint", "tarnet"])
@@ -960,7 +963,7 @@ def test_checkpoint_rejects_a_tampered_parameter_file(tmp_path):
     sidecar.write_bytes(b"not an array")
     digest = hashlib.sha256(sidecar.read_bytes()).hexdigest()
     path.write_text(json.dumps({**doc, "params_sha256": digest}))
-    with pytest.raises(ConfigError, match="malformed checkpoint parameter file"):
+    with pytest.raises(ConfigError, match="malformed array file"):
         load_checkpoint(path)
 
 

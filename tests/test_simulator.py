@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
@@ -14,6 +15,8 @@ from ite_bench.errors import (
     InsufficientDataError,
     NumericError,
     ShapeError,
+    read_array,
+    write_array,
 )
 from ite_bench.model import ModelShape, TrainConfig, train
 from ite_bench.simulate import (
@@ -431,14 +434,38 @@ class _Tripwire:
         return (_record_unpickling, ())
 
 
+def test_array_codec_checks_the_digest_and_never_unpickles(tmp_path):
+    arr = np.arange(12.0).reshape(3, 4).T
+    path = tmp_path / "a.npy"
+    digest = write_array(path, arr)
+    # np.save's bytes for the C-contiguous array, under their sha256
+    np.save(tmp_path / "b.npy", np.ascontiguousarray(arr))
+    assert path.read_bytes() == (tmp_path / "b.npy").read_bytes()
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    np.testing.assert_array_equal(read_array(path, digest, ConfigError), arr)
+    # the caller's error for bytes that do not match or hold no array, and a
+    # DataError for a missing file, whatever the caller's error
+    for error in (ConfigError, DataError):
+        with pytest.raises(error, match="a.npy does not match the sha256 recorded for it"):
+            read_array(path, "0" * 64, error)
+        UNPICKLED.clear()
+        np.save(path, np.array([_Tripwire()] * 3, dtype=object), allow_pickle=True)
+        own = hashlib.sha256(path.read_bytes()).hexdigest()
+        with pytest.raises(error, match="malformed array file .*a.npy"):
+            read_array(path, own, error)
+        assert not UNPICKLED
+    with pytest.raises(DataError, match="missing.npy; copy it together with its JSON file"):
+        read_array(tmp_path / "missing.npy", digest, ConfigError)
+
+
 def test_dataset_directory_holds_npy_arrays(tmp_path):
     ds = simulate_dataset(small_cfg(seed=2))
     save_dataset(ds, tmp_path / "ds")
     manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
-    assert manifest["schema_version"] == "6"
+    assert manifest["schema_version"] == "7"
     # the array files follow from the schema and n, d, k from the config, so
-    # the manifest lists neither
-    assert set(manifest) == {"schema_version", "config", "splits"}
+    # the manifest lists neither; it records each array's sha256
+    assert set(manifest) == {"schema_version", "config", "splits", "sha256"}
     # only what was drawn is stored: the treatment embeddings, factual and
     # expected outcomes are derived from these
     names = sorted(p.name for p in (tmp_path / "ds").iterdir())
@@ -446,11 +473,25 @@ def test_dataset_directory_holds_npy_arrays(tmp_path):
         "manifest.json", "covariates.npy", "centroids.npy", "mu_sigma.npy",
         "y_sampled.npy", "t_obs.npy",
     ])
+    assert manifest["sha256"] == {
+        name[: -len(".npy")]: hashlib.sha256((tmp_path / "ds" / name).read_bytes()).hexdigest()
+        for name in names if name.endswith(".npy")
+    }
     t_obs = np.load(tmp_path / "ds" / "t_obs.npy", allow_pickle=False)
     assert t_obs.dtype == np.int64
     np.testing.assert_array_equal(t_obs, ds.t_obs)
     y = np.load(tmp_path / "ds" / "y_sampled.npy", allow_pickle=False)
     assert y.dtype == np.float64 and y.shape == (ds.n, ds.k)
+
+
+def _record_digest(dataset_dir, fname):
+    """Record the sha256 of the array file fname in the dataset's manifest,
+    as if the file had been saved with it."""
+    path = dataset_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    digest = hashlib.sha256((dataset_dir / fname).read_bytes()).hexdigest()
+    manifest["sha256"][fname[: -len(".npy")]] = digest
+    path.write_text(json.dumps(manifest))
 
 
 @pytest.mark.parametrize(
@@ -484,10 +525,30 @@ def test_load_refuses_a_malformed_array(tmp_path, fname, bad):
         path.write_bytes(path.read_bytes()[:-8])
     else:
         path.unlink()
-    with pytest.raises(DataError, match=fname):
+    # recorded under its own sha256, so the file's presence, the .npy format
+    # and the Dataset's dtype and shape checks refuse it, not the digest
+    if bad != "missing":
+        _record_digest(out, fname)
+    with pytest.raises(DataError, match=fname) as err:
         load_dataset(out)
+    assert "sha256" not in str(err.value)
     if bad == "object":
         assert not UNPICKLED
+
+
+@pytest.mark.parametrize("digests", [
+    pytest.param(lambda d: {k: v for k, v in d.items() if k != "t_obs"}, id="missing-name"),
+    pytest.param(lambda d: {**d, "y_factual": d["t_obs"]}, id="extra-name"),
+    pytest.param(lambda d: {**d, "t_obs": 0}, id="non-string"),
+    pytest.param(lambda d: sorted(d.values()), id="not-an-object"),
+])
+def test_load_refuses_a_malformed_digest_map(tmp_path, digests):
+    save_dataset(simulate_dataset(small_cfg()), tmp_path / "ds")
+    path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps({**manifest, "sha256": digests(manifest["sha256"])}))
+    with pytest.raises(DataError, match="manifest.json: sha256 must map"):
+        load_dataset(tmp_path / "ds")
 
 
 def test_load_refuses_schema_1_csv_directory(tmp_path):
@@ -506,11 +567,14 @@ def test_load_refuses_schema_1_csv_directory(tmp_path):
     pytest.param(
         "5", {"mu_mean": 0.45, "mu_sd": 0.15, "sigma_mean": 0.10, "sigma_sd": 0.05}, id="5"
     ),
+    # schema 6 recorded no sha256 of its arrays
+    pytest.param("6", {}, id="6"),
 ])
 def test_load_refuses_an_old_schema_manifest(tmp_path, version, removed):
     save_dataset(simulate_dataset(small_cfg()), tmp_path / "ds")
     path = tmp_path / "ds" / "manifest.json"
     manifest = json.loads(path.read_text())
+    del manifest["sha256"]
     config = {**manifest["config"], **removed}
     path.write_text(json.dumps({**manifest, "schema_version": version, "config": config}))
     with pytest.raises(DataError, match="re-run `ite-bench simulate`"):
