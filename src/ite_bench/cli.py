@@ -86,11 +86,13 @@ def cmd_train(args) -> int:
     # is checked against the data's k
     doc.setdefault("sim", ds.config.to_dict())
     cfg = apply_overrides(ExperimentConfig.from_dict(doc), _flag_overrides(args))
-    if cfg.sim.d != ds.d or cfg.sim.k != ds.k:
-        raise DataError(
-            f"config expects d={cfg.sim.d}, k={cfg.sim.k}; dataset has "
-            f"d={ds.d}, k={ds.k}"
-        )
+    ours, theirs = cfg.sim.to_dict(), ds.config.to_dict()
+    differ = [
+        f"{name}={ours[name]!r} (dataset has {theirs[name]!r})"
+        for name in ours if ours[name] != theirs[name]
+    ]
+    if differ:
+        raise DataError(f"config's sim is not the dataset's config: {', '.join(differ)}")
     ckpt_path = os.path.join(args.out, "checkpoint.json")
     # refuse before training, which can take minutes at search-grid width
     if os.path.exists(ckpt_path) and not args.force:
@@ -244,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="sweep config JSON with 'base' and 'grid'")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true",
-                   help="reuse a non-empty directory; its datasets are rewritten")
+                   help="reuse a non-empty directory; the previous sweep's outputs are replaced")
     p.add_argument("--max-trials", type=int, dest="max_trials",
                    help="random subsample of the grid (deterministic in --seed)")
     p.add_argument("--threads", type=int,

@@ -9,15 +9,15 @@ prove that selection never touched test-set truth.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import hashlib
 import io
 import itertools
-import json
 import math
 import multiprocessing
 import os
 import random
+import shutil
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -76,11 +76,6 @@ class ExperimentConfig(JsonConfig):
         return self.label if self.label else self.variant
 
 
-def config_hash(doc: dict) -> str:
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
 def _aggregate(values: list[float]) -> dict:
     arr = np.asarray(values, dtype=np.float64)
     # population standard deviation: a single seed reports std 0
@@ -102,11 +97,13 @@ class RunRecord:
 
     @property
     def aggregate(self) -> dict:
-        """Mean and population std of sqrt_pehe over the seeds, and of
-        sqrt_pehe_zs when every seed is zero-shot."""
+        """Mean and population std of sqrt_pehe over the seeds; when every
+        seed is zero-shot, also of sqrt_pehe_zs, and zs_head_untrained_n,
+        the number of seeds whose head z was never trained."""
         aggregate = {"sqrt_pehe": _aggregate([r.sqrt_pehe for r in self.per_seed])}
         if all(r.zero_shot_z is not None for r in self.per_seed):
             aggregate["sqrt_pehe_zs"] = _aggregate([r.sqrt_pehe_zs for r in self.per_seed])
+            aggregate["zs_head_untrained_n"] = sum(not r.head_z_trained for r in self.per_seed)
         return aggregate
 
     def __post_init__(self) -> None:
@@ -261,11 +258,9 @@ def _run_trial(
     points: list[dict],
     datasets: list[Dataset],
     trials_root: str,
-    blas_threads: int | None = None,
 ) -> dict:
     """Train trial i, the config cfgs[i] of grid point points[i], on every
     repeat dataset and write its record; never touches test truth.
-    blas_threads is the BLAS thread count the trial ran with, when capped.
     The record's test_truth_reads counts the test-truth reads the trial made,
     which the parent cannot see in a pool worker's own copies of the data."""
     cfg = cfgs[i]
@@ -290,14 +285,12 @@ def _run_trial(
     record = {
         "trial": i,
         "overrides": points[i],
-        "config_hash": config_hash(cfg.to_dict()),
         "status": status,
         "message": message,
         "val_mse": val_mse,
         "mean_val_mse": float(np.mean(val_mse)) if val_mse and status == "ok" else None,
         "checkpoints": checkpoints,
         "wall_clock_s": time.perf_counter() - t0,
-        "blas_threads": blas_threads,
         "test_truth_reads": _test_truth_reads(datasets) - reads_before,
     }
     write_json_atomic(os.path.join(trial_dir, "record.json"), record)
@@ -328,12 +321,12 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _init_worker(trials: tuple, blas_threads: int | None) -> None:
-    """Pool initializer: keep the sweep's trials and the BLAS thread count
-    the worker inherited. The pool forks, so `trials` (configs and datasets)
-    arrives as the parent's memory, neither pickled nor read back from disk."""
+def _init_worker(trials: tuple) -> None:
+    """Pool initializer: keep the sweep's trials. The pool forks, so
+    `trials` (configs and datasets) arrives as the parent's memory, neither
+    pickled nor read back from disk."""
     global _worker_trials
-    _worker_trials = (*trials, blas_threads)
+    _worker_trials = trials
 
 
 def _worker_trial(i: int) -> dict:
@@ -342,24 +335,16 @@ def _worker_trial(i: int) -> dict:
 
 def _finished_trials(trials: tuple, n: int, workers: int):
     """Yield the records of trials 0..n-1 as they finish, run in this
-    process or in `workers` forked workers.
-
-    The workers share the CPUs: from before the pool forks until it has shut
-    down, this process's BLAS runs at most max(1, ncpu // workers) threads,
-    a count each worker inherits. A worker forked at a higher count would
-    start a BLAS helper thread on its first call into OpenBLAS, even one that
-    lowers the count, and that thread would stay and spin.
-
-    A caller that stops early (an error, or an interrupt) closes the
-    generator, which cancels the trials no worker has taken yet."""
+    process or in `workers` forked workers. A caller that stops early (an
+    error, or an interrupt) closes the generator, which cancels the trials
+    no worker has taken yet."""
     if workers == 1:
         for i in range(n):
             yield _run_trial(i, *trials)
         return
-    cap = max(1, usable_cpus() // workers)
-    with blas.threads_capped(cap) as blas_threads, ProcessPoolExecutor(
+    with ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker, initargs=(trials, blas_threads),
+        initializer=_init_worker, initargs=(trials,),
     ) as pool:
         try:
             for future in as_completed([pool.submit(_worker_trial, i) for i in range(n)]):
@@ -373,7 +358,8 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
     winner, after selection. Returns the summary document (also written to
     out_dir/summary.json). Every trial's config is resolved before out_dir
     is touched, so an invalid grid point writes nothing. A non-empty out_dir
-    is refused unless force is set; the datasets are always written anew.
+    is refused unless force is set; a forced sweep first removes the
+    datasets, trials, summary and winner record of the sweep before it.
 
     With threads > 1, trials run in min(threads, trials) forked worker
     processes, so a one-trial sweep runs serially. The workers train on the
@@ -394,22 +380,36 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
         raise ConfigError("threads > 1 needs the fork start method, which this platform lacks")
 
     check_out_dir(out_dir, force)
+    for name in ("datasets", "trials", "summary.json", "winner_record.json"):
+        path = os.path.join(out_dir, name)
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+        elif os.path.lexists(path):
+            os.remove(path)
     os.makedirs(out_dir, exist_ok=True)
 
     # one dataset per repeat, shared by every trial
     datasets: list[Dataset] = []
     for r in range(spec.base.repeats):
         ds = simulate_dataset(_repeat_sim(spec.base, r))
-        save_dataset(ds, os.path.join(out_dir, "datasets", f"rep{r}"), force=True)
+        save_dataset(ds, os.path.join(out_dir, "datasets", f"rep{r}"))
         datasets.append(ds)
 
     # test truth read so far; each trial record adds the reads it made
     audit_reads = _test_truth_reads(datasets)
     trials = (cfgs, points, datasets, os.path.join(out_dir, "trials"))
     records: list[dict] = []
-    for record in _finished_trials(trials, len(points), workers):
-        records.append(record)
-        _print_progress(record, len(records), len(points))
+    # capped before the fork: a worker forked at a higher count starts an
+    # OpenBLAS helper thread on its first BLAS call, which stays and spins
+    cap = contextlib.nullcontext()
+    if workers > 1:
+        cap = blas.threads_capped(max(1, usable_cpus() // workers))
+    finished = _finished_trials(trials, len(points), workers)
+    # closing the generator shuts the pool down before the count is restored
+    with cap as blas_threads, contextlib.closing(finished):
+        for record in finished:
+            records.append(record)
+            _print_progress(record, len(records), len(points))
     records.sort(key=lambda rec: rec["trial"])
 
     ok = [r for r in records if r["status"] == "ok"]
@@ -431,7 +431,6 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
     winner_record = make_record(winner_cfg, reports, winner["checkpoints"])
     write_json_atomic(os.path.join(out_dir, "winner_record.json"), winner_record.to_dict())
 
-    blas_counts = {rec["blas_threads"] for rec in records}
     summary = {
         "schema_version": "1",
         "n_trials": len(records),
@@ -448,9 +447,9 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
             "head_z_trained": [r.head_z_trained for r in reports],
         },
         "test_truth_reads_before_selection": audit_reads,
-        # the workers' read-back BLAS thread count; null for a serial sweep or
-        # when no worker could cap it
-        "blas_threads_per_worker": None if None in blas_counts else max(blas_counts),
+        # the count read back after the cap, which every worker inherited;
+        # null for a serial sweep or without OpenBLAS
+        "blas_threads_per_worker": blas_threads,
         "wall_clock_s": time.perf_counter() - t0,
     }
     write_json_atomic(os.path.join(out_dir, "summary.json"), summary)
@@ -482,10 +481,9 @@ def render_eval_report(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def _report_rows(records: list[RunRecord]) -> list[tuple[str, dict, dict | None, int]]:
-    """(label, sqrt_pehe aggregate, zero-shot aggregate or None, number of
-    seeds whose zero-shot score came from an untrained head z), ascending by
-    mean sqrt_pehe."""
+def _report_rows(records: list[RunRecord]) -> list[RunRecord]:
+    """One record per label that holds the seeds of all its records,
+    ascending by mean sqrt_pehe; each row's figures are its aggregate."""
     ks = {report.k for rec in records for report in rec.per_seed}
     if len(ks) > 1:
         raise DataError(
@@ -495,28 +493,26 @@ def _report_rows(records: list[RunRecord]) -> list[tuple[str, dict, dict | None,
     grouped: dict[str, list[EvalReport]] = {}
     for rec in records:
         grouped.setdefault(rec.label, []).extend(rec.per_seed)
-    rows = []
-    for label, reports in grouped.items():
-        agg = _aggregate([r.sqrt_pehe for r in reports])
-        zero_shot = [r for r in reports if r.zero_shot_z is not None]
-        zs = _aggregate([r.sqrt_pehe_zs for r in zero_shot]) if zero_shot else None
-        untrained = sum(not r.head_z_trained for r in zero_shot)
-        rows.append((label, agg, zs, untrained))
-    rows.sort(key=lambda r: (r[1]["mean"], r[0]))
+    # a label's records may hold different configs, so the row holds none
+    rows = [RunRecord(label, {}, reports) for label, reports in grouped.items()]
+    rows.sort(key=lambda row: (row.aggregate["sqrt_pehe"]["mean"], row.label))
     return rows
 
 
 def render_report_table(records: list[RunRecord]) -> str:
-    """One row per label: mean +/- population std of test sqrt_pehe."""
+    """One row per label: mean +/- population std of test sqrt_pehe, and of
+    sqrt_pehe_zs when every seed of the label is zero-shot."""
     rows = _report_rows(records)
-    width = max(len("method"), max((len(r[0]) for r in rows), default=0))
+    width = max(len("method"), max((len(row.label) for row in rows), default=0))
     lines = [f"{'method':<{width}}  sqrt_pehe (mean +/- std over n)"]
-    for label, agg, zs, untrained in rows:
-        line = f"{label:<{width}}  {agg['mean']:.2f} +/- {agg['std']:.2f} (n={agg['n']})"
-        if zs is not None:
+    for row in rows:
+        agg = row.aggregate
+        pehe, zs = agg["sqrt_pehe"], agg.get("sqrt_pehe_zs")
+        line = f"{row.label:<{width}}  {pehe['mean']:.2f} +/- {pehe['std']:.2f} (n={pehe['n']})"
+        if zs:
             line += f"   zero-shot {zs['mean']:.2f} +/- {zs['std']:.2f}"
-        if untrained:
-            line += f"   [head z untrained in {untrained} of {zs['n']} seeds]"
+        if agg.get("zs_head_untrained_n"):
+            line += f"   [head z untrained in {agg['zs_head_untrained_n']} of {zs['n']} seeds]"
         lines.append(line)
     return "\n".join(lines)
 
@@ -529,7 +525,9 @@ def report_table_csv(records: list[RunRecord]) -> str:
         "label", "n", "sqrt_pehe_mean", "sqrt_pehe_std", "sqrt_pehe_zs_mean",
         "sqrt_pehe_zs_std", "zs_head_untrained_n",
     ])
-    for label, agg, zs, untrained in _report_rows(records):
-        zs_cols = [zs["mean"], zs["std"], untrained] if zs else ["", "", ""]
-        writer.writerow([label, agg["n"], agg["mean"], agg["std"], *zs_cols])
+    for row in _report_rows(records):
+        agg = row.aggregate
+        pehe, zs = agg["sqrt_pehe"], agg.get("sqrt_pehe_zs")
+        zs_cols = [zs["mean"], zs["std"], agg["zs_head_untrained_n"]] if zs else ["", "", ""]
+        writer.writerow([row.label, pehe["n"], pehe["mean"], pehe["std"], *zs_cols])
     return buf.getvalue()

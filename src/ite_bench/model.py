@@ -538,15 +538,6 @@ def _eval_heads(
     return y_hat
 
 
-def _treatment_rows(model: OutcomeModel, t_emb: np.ndarray, cache: ForwardCache) -> np.ndarray:
-    """Eval-mode treatment representations, a [k x treat_out] view of
-    cache, from one pass of the treatment network with a one-row segment
-    per treatment: a row of a k-row product differs from a one-row product
-    in the last bits."""
-    rows = [(0, t, t + 1) for t in range(model.k)]
-    return stack_forward(model.treat_net, t_emb, rows, cache)[0]
-
-
 def _check_treatments(model: OutcomeModel, t: np.ndarray, n: int) -> np.ndarray:
     """t as n integer treatments in 0..k-1, or ShapeError."""
     t = np.asarray(t)
@@ -566,6 +557,23 @@ def _check_t_emb(model: OutcomeModel, t_emb: np.ndarray) -> np.ndarray:
     return t_emb
 
 
+def _eval_representations(
+    model: OutcomeModel, x: np.ndarray, t_emb: np.ndarray, caches: list[ForwardCache] | None
+) -> tuple[np.ndarray, np.ndarray | None, list[ForwardCache]]:
+    """Eval-mode phi(x) and, for joint, psi of the k embeddings, each from
+    one pass of its network through caches (model.forward_caches, for at
+    least len(x) rows) or new ones; returns phi, psi and the caches."""
+    t_emb = _check_t_emb(model, t_emb)
+    x = np.asarray(x, dtype=np.float64)
+    if caches is None:
+        caches = model.forward_caches(x.shape[0])
+    phi = mlp_forward(model.cov_net, x, cache=caches[0])[0]
+    psi = None
+    if model.variant == "joint":
+        psi = mlp_forward(model.treat_net, t_emb, cache=caches[1])[0]
+    return phi, psi, caches
+
+
 def predict_all_outcomes(
     model: OutcomeModel, x: np.ndarray, t_emb: np.ndarray
 ) -> np.ndarray:
@@ -580,12 +588,8 @@ def predict_all_outcomes(
     once, then each column is factual_predictions' head pass with every row
     under treatment t.
     """
-    t_emb = _check_t_emb(model, t_emb)
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    caches = model.forward_caches(n)
-    phi = mlp_forward(model.cov_net, x, cache=caches[0])[0]
-    psi = _treatment_rows(model, t_emb, caches[1]) if model.variant == "joint" else None
+    phi, psi, caches = _eval_representations(model, x, t_emb, None)
+    n = phi.shape[0]
     y_hat = np.empty((n, model.k))
     for t in range(model.k):
         y_hat[:, t] = _eval_heads(model, np.full(n, t), phi, psi, caches[-1])
@@ -606,14 +610,8 @@ def factual_predictions(
     passes run through caches (model.forward_caches, for at least len(x)
     rows), or through new ones.
     """
-    t_emb = _check_t_emb(model, t_emb)
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    t_obs = _check_treatments(model, t_obs, n)
-    if caches is None:
-        caches = model.forward_caches(n)
-    phi = mlp_forward(model.cov_net, x, cache=caches[0])[0]
-    psi = _treatment_rows(model, t_emb, caches[1]) if model.variant == "joint" else None
+    phi, psi, caches = _eval_representations(model, x, t_emb, caches)
+    t_obs = _check_treatments(model, t_obs, phi.shape[0])
     return _eval_heads(model, t_obs, phi, psi, caches[-1])
 
 

@@ -21,7 +21,7 @@ def fresh_column(model, cov_out, t_emb, t):
     head is not."""
     head_in = cov_out
     if model.variant == "joint":
-        treat = mlp_forward(model.treat_net, t_emb[t : t + 1])[0]
+        treat = mlp_forward(model.treat_net, t_emb)[0][t : t + 1]
         head_in = np.concatenate([cov_out, np.repeat(treat, len(cov_out), axis=0)], axis=1)
     trained = [s for s in range(model.k) if model.head_trained(s)]
     if t in trained or not trained:

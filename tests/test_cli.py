@@ -243,6 +243,20 @@ def test_train_checks_config_dataset_agreement(tmp_path, capsys):
     assert "dataset has" in err
 
 
+def test_train_refuses_a_sim_that_is_not_the_datasets_config(tmp_path, capsys):
+    ds = simulate_small(capsys, tmp_path / "ds", seed=4)
+    cfg_path = tmp_path / "cfg.json"
+    # the dataset's config in all but the seed
+    cfg_path.write_text(json.dumps({"sim": {"n": 80, "d": 4, "k": 3, "seed": 5}}))
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
+        "--config", str(cfg_path),
+    )
+    assert code == 3
+    assert "seed=5 (dataset has 4)" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("zero_shot", [None, 5])
 def test_train_config_without_sim_runs_on_the_datasets_own(tmp_path, capsys, zero_shot):
     # d=8 and k=6 differ from the default SimConfig's, and treatment 5 is

@@ -19,7 +19,6 @@ from ite_bench.experiments import (
     RunRecord,
     SweepSpec,
     apply_overrides,
-    config_hash,
     expand_grid,
     make_record,
     render_report_table,
@@ -59,14 +58,6 @@ def synthetic_report(eps, k=2, z=None, untrained=()):
 
 
 # --- config plumbing ---
-
-
-def test_config_hash_is_canonical():
-    doc = {"b": 1, "a": {"y": 2, "x": 3}}
-    same = {"a": {"x": 3, "y": 2}, "b": 1}
-    assert config_hash(doc) == config_hash(same)
-    assert len(config_hash(doc)) == 16
-    assert config_hash(doc) != config_hash({**doc, "b": 2})
 
 
 def test_experiment_config_round_trip():
@@ -179,6 +170,9 @@ def test_make_record_includes_zero_shot_when_present_everywhere():
     cfg = tiny_experiment(zero_shot=1)
     record = make_record(cfg, [synthetic_report(4.0, z=1)])
     assert record.aggregate["sqrt_pehe_zs"] == {"mean": 2.0, "std": 0.0, "n": 1}
+    assert record.aggregate["zs_head_untrained_n"] == 0
+    held_out = make_record(cfg, [synthetic_report(4.0, z=1, untrained=[1])] * 2)
+    assert held_out.aggregate["zs_head_untrained_n"] == 2
     # one seed without a zero-shot score drops the zero-shot aggregate
     mixed = make_record(cfg, [synthetic_report(4.0, z=1), synthetic_report(4.0)])
     assert set(mixed.aggregate) == {"sqrt_pehe"}
@@ -279,11 +273,14 @@ def test_run_sweep_selects_on_validation_only(tmp_path):
         assert record["status"] == "ok"
         assert len(record["checkpoints"]) == 2
         assert record["test_truth_reads"] == 0
+        assert set(record) == {
+            "trial", "overrides", "status", "message", "val_mse", "mean_val_mse",
+            "checkpoints", "wall_clock_s", "test_truth_reads",
+        }
     assert (out / "datasets" / "rep0" / "manifest.json").exists()
     assert json.loads((out / "summary.json").read_text())["winner"] == summary["winner"]
     assert summary["winner"]["head_z_trained"] == [None, None]
     # a serial sweep runs in the calling process and caps nothing
-    assert record["blas_threads"] is None
     assert summary["blas_threads_per_worker"] is None
 
 
@@ -424,7 +421,6 @@ def test_parallel_sweep_caps_blas_threads_from_fork_to_shutdown(tmp_path, monkey
     finally:
         set_(before)
     assert [parent for parent, _ in seen] == [cap, cap]
-    assert [rec["blas_threads"] for rec in _trial_records(out, 2)] == [cap, cap]
     assert summary["blas_threads_per_worker"] == cap
     assert json.loads((out / "summary.json").read_text())["blas_threads_per_worker"] == cap
 
@@ -442,7 +438,10 @@ def test_sweep_workers_start_without_a_blas_helper_thread(tmp_path, monkeypatch)
     def counted(*args):
         record = run_trial(*args)
         # after the trial's BLAS calls, which start any helper thread
-        return {**record, "pid": os.getpid(), "os_threads": len(os.listdir("/proc/self/task"))}
+        return {
+            **record, "pid": os.getpid(), "os_threads": len(os.listdir("/proc/self/task")),
+            "worker_blas_threads": get(),
+        }
 
     # installed before the pool forks, so the workers run it
     monkeypatch.setattr(experiments, "_run_trial", counted)
@@ -456,7 +455,7 @@ def test_sweep_workers_start_without_a_blas_helper_thread(tmp_path, monkeypatch)
         set_(before)
     assert all(rec["pid"] != os.getpid() for _, rec in seen)
     assert [rec["os_threads"] for _, rec in seen] == [1, 1]
-    assert [rec["blas_threads"] for _, rec in seen] == [1, 1]
+    assert [rec["worker_blas_threads"] for _, rec in seen] == [1, 1]
     assert [parent for parent, _ in seen] == [1, 1]
     assert after == 2
 
@@ -552,6 +551,43 @@ def test_fit_agrees_up_to_roundoff_across_blas_thread_counts():
     np.testing.assert_allclose(val_1, val_2, rtol=1e-12, atol=0)
 
 
+def test_openblas_controls_is_none_without_the_process_maps(monkeypatch):
+    def refuse(path, *args, **kwargs):
+        raise OSError(f"cannot read {path}")
+
+    # a module-level open in blas shadows the builtin
+    monkeypatch.setattr(blas, "open", refuse, raising=False)
+    assert blas.openblas_controls() is None
+
+
+def _cannot_open(path, mode=0):
+    raise OSError(f"cannot open {path}")
+
+
+@requires_openblas
+@pytest.mark.parametrize(
+    "cdll", [_cannot_open, lambda path, mode=0: object()], ids=["no-open", "no-symbols"]
+)
+def test_openblas_controls_is_none_when_no_mapped_openblas_serves(monkeypatch, cdll):
+    opened = []
+
+    def spy(path, mode=0):
+        opened.append(path)
+        return cdll(path, mode)
+
+    # every mapped OpenBLAS fails to open, or opens without the thread symbols
+    monkeypatch.setattr(blas.ctypes, "CDLL", spy)
+    assert blas.openblas_controls() is None
+    assert opened
+
+
+@pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_an_affinity_mask_is_the_machines_count(monkeypatch, count, usable):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert experiments.usable_cpus() == usable
+
+
 def test_sweep_without_openblas_runs_uncapped(tmp_path, monkeypatch):
     monkeypatch.setattr(blas, "openblas_controls", lambda: None)
     with blas.threads_capped(1) as got:
@@ -559,7 +595,6 @@ def test_sweep_without_openblas_runs_uncapped(tmp_path, monkeypatch):
     out = tmp_path / "sweep"
     summary = run_sweep(sweep_spec(), out, threads=2)
     assert [t["status"] for t in summary["trials"]] == ["ok", "ok"]
-    assert [rec["blas_threads"] for rec in _trial_records(out, 2)] == [None, None]
     assert summary["blas_threads_per_worker"] is None
     assert strict_json((out / "summary.json").read_text())["blas_threads_per_worker"] is None
 
@@ -604,6 +639,7 @@ def test_reused_sweep_dir_is_refused_and_force_rewrites_datasets(tmp_path):
     spec = sweep_spec()
     out = tmp_path / "sweep"
     run_sweep(spec, out, threads=2)
+    (out / "notes.txt").write_text("not the sweep's")
     # the same directory with a new simulation seed: trials must not train on
     # the datasets left there by the first sweep
     sim = replace(spec.base.sim, seed=spec.base.sim.seed + 7)
@@ -618,6 +654,18 @@ def test_reused_sweep_dir_is_refused_and_force_rewrites_datasets(tmp_path):
     assert forced["winner"]["test_sqrt_pehe"] == fresh["winner"]["test_sqrt_pehe"]
     manifest = json.loads((out / "datasets" / "rep0" / "manifest.json").read_text())
     assert manifest["config"]["seed"] == sim.seed
+    # an invalid grid point is refused before anything is removed
+    with pytest.raises(ConfigError):
+        run_sweep(SweepSpec(spec.base, {"train.base_lr": [-1.0]}), out, force=True)
+    assert (out / "trials" / "trial_0001" / "record.json").exists()
+    # a forced sweep with fewer trials and repeats leaves nothing of the last
+    # sweep behind, and no file that is not a sweep's
+    smaller = SweepSpec(replace(reseeded.base, repeats=1), reseeded.grid, max_trials=1)
+    summary = run_sweep(smaller, out, force=True)
+    assert sorted(p.name for p in (out / "trials").iterdir()) == ["trial_0000"]
+    assert sorted(p.name for p in (out / "datasets").iterdir()) == ["rep0"]
+    assert json.loads((out / "summary.json").read_text()) == summary
+    assert (out / "notes.txt").read_text() == "not the sweep's"
 
 
 def test_parallel_sweep_trains_on_the_parent_datasets_without_reading_them(
@@ -756,3 +804,16 @@ def test_report_tables_mark_untrained_zero_shot_heads():
     assert by_label["held-out"][4:] == ["0.5", "0.0", "2"]
     assert by_label["trained"][4:] == ["0.5", "0.0", "0"]
     assert by_label["plain"][4:] == ["", "", ""]
+
+
+def test_report_rows_are_the_aggregate_of_every_seed_of_their_label():
+    # one label, two records: a zero-shot seed whose head z is untrained,
+    # and a seed without a zero-shot score
+    records = [
+        RunRecord("mixed", {}, [synthetic_report(1.0, z=1, untrained=[1])]),
+        RunRecord("mixed", {}, [synthetic_report(4.0)]),
+    ]
+    merged = RunRecord("mixed", {}, [r for rec in records for r in rec.per_seed])
+    assert set(merged.aggregate) == {"sqrt_pehe"}
+    assert render_report_table(records).splitlines()[1] == "mixed   1.50 +/- 0.50 (n=2)"
+    assert report_table_csv(records).splitlines()[1] == "mixed,2,1.5,0.5,,,"
