@@ -2,8 +2,9 @@
 
 The CLI maps the exceptions onto distinct exit codes, so library code should
 raise the most specific class that applies. Every artifact passes through
-this module: configs are read and written by JsonConfig, JSON artifacts are
-checked by check_artifact and written by write_json_atomic, and .npy arrays
+this module: configs are read and written by JsonConfig, check_types checks
+each object's field types when it is built, JSON artifacts are checked by
+check_artifact and written by write_json_atomic, and .npy arrays
 are written by write_array and read, against their sha256, by read_array.
 """
 
@@ -15,9 +16,9 @@ import hashlib
 import io
 import json
 import math
-import numbers
 import os
 import typing
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -73,19 +74,17 @@ def load_json_object(path, error: type[Exception]) -> dict:
 
 
 def _matches(value, hint) -> bool:
-    """Whether value has the declared type hint. An int counts as a float,
-    and a bool counts as neither."""
+    """Whether value has the declared type hint. An int counts as a float; a
+    bool, a NaN or infinite float, or a numpy int (JSON has none) as neither."""
     if isinstance(value, bool) and hint is not bool:
         return False
     if hint is float:
-        return isinstance(value, numbers.Real)
-    if hint is int:
-        return isinstance(value, numbers.Integral)
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is tuple:  # tuple[X, ...]
-        return isinstance(value, tuple) and all(_matches(v, args[0]) for v in value)
-    if origin is dict:
-        return isinstance(value, dict) and all(
+    if origin in (tuple, list):  # tuple[X, ...] or list[X]: every item an X
+        return isinstance(value, origin) and all(_matches(v, args[0]) for v in value)
+    if origin in (dict, Mapping):
+        return isinstance(value, origin) and all(
             _matches(k, args[0]) and _matches(v, args[1]) for k, v in value.items()
         )
     if args:  # a union such as int | None
@@ -93,21 +92,23 @@ def _matches(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def check_finite(cfg) -> None:
-    """Raise ConfigError if a field of the dataclass cfg holds a NaN or
-    infinite float, alone or in a tuple."""
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        values = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            raise ConfigError(f"{f.name} must be finite, got {value!r}")
+# the declared type of each field of a class, resolved once per class:
+# resolving evaluates every annotation string
+_type_hints = functools.cache(typing.get_type_hints)
 
 
-@functools.cache
-def _type_hints(cls) -> dict:
-    """The declared type of each field of cls, resolved once per class:
-    resolving evaluates every annotation string."""
-    return typing.get_type_hints(cls)
+def check_types(obj, error: type[Exception]) -> None:
+    """Raise error unless each field of the dataclass obj holds a value of
+    its declared type (_matches); the message names a NaN or infinite float,
+    alone or in a list or tuple, as not finite."""
+    for f in dataclasses.fields(obj):
+        value, hint = getattr(obj, f.name), _type_hints(type(obj))[f.name]
+        if not _matches(value, hint):
+            values = value if isinstance(value, (list, tuple)) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise error(f"{f.name} must be finite, got {value!r}")
+            expect = str(hint) if typing.get_args(hint) else hint.__name__
+            raise error(f"{f.name} must be {expect}, got {value!r}")
 
 
 class JsonConfig:
@@ -120,11 +121,11 @@ class JsonConfig:
 
     @classmethod
     def from_dict(cls, doc, path: str = "config"):
-        """cls built from doc, whose construction checks the values. doc must
-        be an object whose keys name fields of cls, each required field
-        among them, each with a value of the field's declared type; anything
-        else raises ConfigError, as does a value that construction refuses,
-        and every message names the dotted path."""
+        """cls built from doc. doc must be an object whose keys name fields
+        of cls, each required field among them; a section is built by its
+        own class and a list becomes a tuple where the field takes one.
+        Anything else raises ConfigError, as does a value that construction
+        refuses, and every message names the dotted path."""
         if not isinstance(doc, dict):
             raise ConfigError(f"{path} must be an object, got {doc!r}")
         fields = dataclasses.fields(cls)
@@ -138,17 +139,13 @@ class JsonConfig:
         ]
         if missing:
             raise ConfigError(f"{path}: missing fields {missing}")
-        hints = _type_hints(cls)
         values = {}
         for name, value in doc.items():
-            hint = hints[name]
+            hint = _type_hints(cls)[name]
             if isinstance(hint, type) and issubclass(hint, JsonConfig):
                 value = hint.from_dict(value, f"{path}.{name}")
             elif isinstance(value, list) and _matches(tuple(value), hint):
                 value = tuple(value)
-            if not _matches(value, hint):
-                expect = hint.__name__ if isinstance(hint, type) else str(hint)
-                raise ConfigError(f"{path}.{name} must be {expect}, got {value!r}")
             values[name] = value
         try:
             return cls(**values)
@@ -206,12 +203,15 @@ def write_json_atomic(path, doc) -> None:
 
 def write_array(path, arr) -> str:
     """Write the .npy bytes of arr, made C-contiguous, to path and return
-    their sha256 hex digest, which the artifact's JSON file records."""
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(arr))
+    their sha256 hex digest, read back in 64 KiB blocks, which the
+    artifact's JSON file records."""
     with open(path, "wb") as fh:
-        fh.write(buf.getbuffer())
-    return hashlib.sha256(buf.getbuffer()).hexdigest()
+        np.save(fh, np.ascontiguousarray(arr))
+    sha256 = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(functools.partial(fh.read, 1 << 16), b""):
+            sha256.update(block)
+    return sha256.hexdigest()
 
 
 def read_array(path, sha256, error: type[Exception]) -> np.ndarray:

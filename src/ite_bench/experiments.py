@@ -33,6 +33,7 @@ from .errors import (
     TrainingDiverged,
     check_artifact,
     check_out_dir,
+    check_types,
     write_json_atomic,
 )
 from .metrics import EvalReport, evaluate_model
@@ -63,6 +64,7 @@ class ExperimentConfig(JsonConfig):
     label: str | None = None
 
     def __post_init__(self) -> None:
+        check_types(self, ConfigError)
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.repeats < 1:
@@ -107,17 +109,9 @@ class RunRecord:
         return aggregate
 
     def __post_init__(self) -> None:
+        check_types(self, DataError)
         if not self.per_seed:
             raise DataError("run record has no per-seed reports")
-        paths = self.artifacts
-        if not (
-            isinstance(self.label, str) and isinstance(self.config, dict)
-            and isinstance(paths, list) and all(isinstance(p, str) for p in paths)
-        ):
-            raise DataError(
-                "run record label must be a string, config an object and artifacts "
-                f"a list of paths, got {self.label!r}, {self.config!r} and {paths!r}"
-            )
 
     def to_dict(self) -> dict:
         return {
@@ -197,11 +191,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
 @dataclass(frozen=True)
 class SweepSpec(JsonConfig):
     base: ExperimentConfig
-    grid: dict[str, list]
+    grid: dict[str, list | tuple]
     max_trials: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_types(self, ConfigError)
         if not self.grid:
             raise ConfigError("sweep grid is empty")
         for key, values in self.grid.items():
@@ -210,7 +205,7 @@ class SweepSpec(JsonConfig):
                     f"grid axis {key!r} is not sweepable; use variant, "
                     f"model.<field>, or train.<field>"
                 )
-            if not isinstance(values, (list, tuple)) or not values:
+            if not values:
                 raise ConfigError(f"grid axis {key!r} must list at least one value")
         if self.max_trials is not None and self.max_trials < 1:
             raise ConfigError("max_trials must be >= 1")

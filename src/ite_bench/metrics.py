@@ -16,7 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ShapeError, check_artifact
+from .errors import (
+    ConfigError, DataError, NumericError, ShapeError, _matches, check_artifact, check_types,
+)
 from .model import OutcomeModel, predict_all_outcomes
 from .simulate import SPLIT_NAMES, Dataset
 
@@ -122,9 +124,10 @@ class EvalReport:
         return None if z is None else z not in self.untrained_heads
 
     def __post_init__(self) -> None:
+        check_types(self, DataError)
         if self.split not in SPLIT_NAMES:
             raise DataError(f"report split must be one of {SPLIT_NAMES}, got {self.split!r}")
-        if type(self.n_eval) is not int or self.n_eval < 1:
+        if self.n_eval < 1:
             raise DataError(f"report n_eval must be a positive int, got {self.n_eval!r}")
         pairs = self.per_pair
         if not pairs or set(pairs) != {(a, b) for a in range(self.k) for b in range(a)}:
@@ -132,20 +135,17 @@ class EvalReport:
                 "per_pair must hold exactly the pairs (a, b) with 0 <= b < a < k for "
                 f"some k >= 2, got {sorted(pairs)}"
             )
-        # written so that a NaN fails it
-        if not all(isinstance(v, float) and 0.0 <= v < math.inf for v in pairs.values()):
+        # an int error, which a float field admits, is refused here
+        if not all(isinstance(v, float) and v >= 0.0 for v in pairs.values()):
             raise DataError(f"per_pair errors must be finite floats >= 0, got {pairs!r}")
         heads = self.untrained_heads
-        if not (
-            isinstance(heads, list) and all(type(t) is int and 0 <= t < self.k for t in heads)
-            and heads == sorted(set(heads))
-        ):
+        if not (all(0 <= t < self.k for t in heads) and heads == sorted(set(heads))):
             raise DataError(
                 f"untrained_heads must list distinct treatments in 0..{self.k - 1} in "
                 f"ascending order, got {heads!r}"
             )
         z = self.zero_shot_z
-        if z is not None and not (type(z) is int and 0 <= z < self.k):
+        if z is not None and not 0 <= z < self.k:
             raise DataError(
                 f"zero_shot_z must be null or a treatment in 0..{self.k - 1}, got {z!r}"
             )
@@ -188,6 +188,8 @@ def evaluate_model(
     """
     if model.k != dataset.k:
         raise ShapeError(f"model has {model.k} heads, dataset has {dataset.k} treatments")
+    if not _matches(zero_shot_z, int | None):
+        raise ConfigError(f"zero_shot_z must be an int treatment index, got {zero_shot_z!r}")
     if zero_shot_z is not None and not 0 <= zero_shot_z < dataset.k:
         raise ConfigError(f"zero-shot treatment {zero_shot_z} out of range 0..{dataset.k - 1}")
     x = dataset.covariates(split)
@@ -202,5 +204,5 @@ def evaluate_model(
         n_eval=x.shape[0],
         per_pair=per_pair,
         untrained_heads=[t for t, n in enumerate(model.head_updates) if n == 0],
-        zero_shot_z=None if zero_shot_z is None else int(zero_shot_z),
+        zero_shot_z=zero_shot_z,
     )

@@ -40,8 +40,9 @@ from .errors import (
     NumericError,
     ShapeError,
     TrainingDiverged,
+    _matches,
     check_artifact,
-    check_finite,
+    check_types,
     load_json_object,
     read_array,
     write_array,
@@ -94,7 +95,7 @@ class ModelShape(JsonConfig):
     dropout_rate: float = 0.1
 
     def __post_init__(self) -> None:
-        check_finite(self)
+        check_types(self, ConfigError)
         for name in (
             "cov_layers",
             "cov_width",
@@ -177,9 +178,10 @@ class OutcomeModel:
     k: int
     variant: str
     theta: np.ndarray = field(repr=False)
-    head_updates: tuple[int, ...] = field(default=(), kw_only=True)
+    head_updates: tuple[int, ...] | list[int] = field(default=(), kw_only=True)
 
     def __post_init__(self) -> None:
+        check_types(self, ConfigError)
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.k < 1:
@@ -193,24 +195,20 @@ class OutcomeModel:
             size = _n_params(dims)
             self._layout.append((slice(n, n + nets * size), (nets, size), dims))
             n += nets * size
-        theta = np.asarray(self.theta)
-        if theta.dtype != np.float64 or theta.shape != (n,):
+        if self.theta.dtype != np.float64 or self.theta.shape != (n,):
             raise ConfigError(
-                f"the parameter vector holds {theta.dtype} values of shape {theta.shape}; "
-                f"the model needs {n} float64 values"
+                f"the parameter vector holds {self.theta.dtype} values of shape "
+                f"{self.theta.shape}; the model needs {n} float64 values"
             )
-        if not np.isfinite(theta).all():
+        if not np.isfinite(self.theta).all():
             raise NumericError("non-finite parameters")
         # only the default (), not an empty list, stands for zero counts
         counts = (0,) * self.k if self.head_updates == () else self.head_updates
-        if not (
-            isinstance(counts, (tuple, list)) and len(counts) == self.k
-            and all(type(n) is int and n >= 0 for n in counts)
-        ):
+        if len(counts) != self.k or any(n < 0 for n in counts):
             raise ConfigError(
                 f"head_updates must hold {self.k} non-negative int counts, got {counts!r}"
             )
-        self.theta = theta.copy()
+        self.theta = self.theta.copy()
         self.head_updates = tuple(counts)
         act, rate = self.shape.activation, self.shape.dropout_rate
         self._stacks = tuple(MlpStack(layers, act, rate) for layers in self.views(self.theta))
@@ -268,6 +266,9 @@ def build_model(
 ) -> OutcomeModel:
     """A model with zero biases and glorot_uniform weights, drawn from one
     generator network by network and layer by layer in theta's order."""
+    # sizing theta would fail inside numpy before OutcomeModel checks these
+    if not (_matches(input_dim, int) and _matches(k, int)):
+        raise ConfigError(f"input_dim and k must be ints, got {input_dim!r} and {k!r}")
     theta = np.zeros(shape.n_params(input_dim, k, variant))
     model = OutcomeModel(shape, input_dim, k, variant, theta)
     gen = np.random.default_rng(rng)
@@ -299,7 +300,7 @@ class TrainConfig(JsonConfig):
         return self.base_lr * self.lr_decay ** (epoch // self.scheduler_step)
 
     def __post_init__(self) -> None:
-        check_finite(self)
+        check_types(self, ConfigError)
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ConfigError("alpha and beta must be >= 0")
         if self.alpha + self.beta <= 0.0:
@@ -500,10 +501,11 @@ class TrainedModel:
     config: TrainConfig
 
     def __post_init__(self) -> None:
+        check_types(self, ConfigError)
         epoch, mse = self.best_epoch, self.best_val_mse
+        # an int best_val_mse, which a float field admits, is refused here
         if (epoch, mse) != (None, None) and not (
-            isinstance(epoch, int) and not isinstance(epoch, bool) and epoch >= 0
-            and isinstance(mse, float) and np.isfinite(mse) and mse >= 0.0
+            epoch is not None and epoch >= 0 and isinstance(mse, float) and mse >= 0.0
         ):
             raise ConfigError(
                 "best_epoch must be an int >= 0 and best_val_mse a finite float >= 0, "
@@ -642,6 +644,8 @@ def train(
     x_tr, t_tr, y_tr = dataset.observed("train")
     x_val, t_val, y_val = dataset.observed("val")
     if held_out is not None:
+        if not _matches(held_out, int):
+            raise ConfigError(f"held_out must be an int treatment index, got {held_out!r}")
         if not 0 <= held_out < dataset.k:
             raise ConfigError(f"treatment index {held_out} out of range 0..{dataset.k - 1}")
         keep_tr, keep_val = t_tr != held_out, t_val != held_out

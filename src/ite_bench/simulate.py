@@ -37,8 +37,9 @@ from .errors import (
     JsonConfig,
     NumericError,
     ShapeError,
+    _matches,
     check_artifact,
-    check_finite,
+    check_types,
     check_out_dir,
     load_json_object,
     read_array,
@@ -94,7 +95,7 @@ class SimConfig(JsonConfig):
         return kap
 
     def __post_init__(self) -> None:
-        check_finite(self)
+        check_types(self, ConfigError)
         if self.k < 2:
             raise ConfigError("k must be >= 2 (at least two treatments)")
         if self.n < self.k + 1:
@@ -136,10 +137,11 @@ class Dataset:
     truth_reads: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_types(self, ShapeError)
         layout = _dataset_layout(self.config)
         for name, (attr, dtype, shape) in layout.items():
             arr = getattr(self, attr)
-            got = (arr.dtype, arr.shape) if isinstance(arr, np.ndarray) else type(arr)
+            got = (arr.dtype, arr.shape)
             if got != (dtype, shape):
                 raise ShapeError(
                     f"{attr} ({name}.npy) must be {np.dtype(dtype)} {shape}, got {got}"
@@ -148,13 +150,10 @@ class Dataset:
                 raise NumericError(f"non-finite values in {attr} ({name}.npy)")
         if self.t_obs.min() < 0 or self.t_obs.max() >= self.k:
             raise DataError("t_obs entries must lie in 0..k-1")
-        if not isinstance(self.splits, Mapping) or set(self.splits) != set(SPLIT_NAMES):
+        if set(self.splits) != set(SPLIT_NAMES):
             raise DataError(f"splits must be exactly {list(SPLIT_NAMES)}")
         for name, idx in self.splits.items():
-            if not (
-                isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind == "i"
-                and np.all((idx >= 0) & (idx < self.n))
-            ):
+            if idx.ndim != 1 or idx.dtype.kind != "i" or not np.all((idx >= 0) & (idx < self.n)):
                 raise DataError(f"split {name!r} must be a vector of row indices in 0..n-1")
         rows = np.concatenate([self.splits[name] for name in SPLIT_NAMES])
         if not (np.bincount(rows, minlength=self.n) == 1).all():
@@ -492,17 +491,15 @@ def load_dataset(dataset_dir) -> Dataset:
         raise DataError(f"{manifest_path}: {exc}") from exc
     splits = manifest["splits"]
     # each split a list of ints (not bools) that int64 holds
-    if not isinstance(splits, dict) or not all(
-        isinstance(idx, list) and all(type(i) is int and abs(i) < 2**63 for i in idx)
-        for idx in splits.values()
+    if not _matches(splits, dict[str, list[int]]) or any(
+        abs(i) >= 2**63 for idx in splits.values() for i in idx
     ):
         raise DataError(f"{manifest_path}: splits must map split names to lists of ints")
     splits = {name: np.array(idx, dtype=np.int64) for name, idx in splits.items()}
 
     layout = _dataset_layout(cfg)
     digests = manifest["sha256"]
-    names_ok = isinstance(digests, dict) and set(digests) == set(layout)
-    if not names_ok or not all(isinstance(digest, str) for digest in digests.values()):
+    if not _matches(digests, dict[str, str]) or set(digests) != set(layout):
         raise DataError(f"{manifest_path}: sha256 must map {sorted(layout)} to strings")
     arrays = {
         attr: read_array(os.path.join(dataset_dir, name + ".npy"), digests[name], DataError)

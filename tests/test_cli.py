@@ -929,7 +929,7 @@ WRONG_TYPES = [
     ("train", {"train": {"bandwidth": "x"}}, (), "bandwidth"),
     ("train", {"train": {"epochs_max": True}}, (), "epochs_max"),
     ("train", {"model": {"cov_width": 2.5}}, (), "cov_width"),
-    ("simulate", {"sim": {"n": 200.5}}, (), "sim.n"),
+    ("simulate", {"sim": {"n": 200.5}}, (), "config.sim: n must be int"),
     ("simulate", {"sim": {"seed": "3"}}, (), "seed"),
     ("simulate", {}, ("--kappa", "abc"), "kappa"),
     ("sweep", {"grid": ["x"]}, (), "grid"),

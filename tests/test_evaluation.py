@@ -162,6 +162,17 @@ def test_zero_shot_range_check():
             zero_shot_report(y, y, z)
 
 
+def test_zero_shot_treatment_must_be_an_int():
+    # 1.7 and True once both reported zero_shot_z 1; a numpy int is refused
+    # as a report field would refuse it
+    ds = simulate_dataset(SimConfig(n=200, d=5, k=3, seed=4))
+    model = build_model(5, 3, tiny_shape(), "joint", rng=0)
+    for z in (1.7, True, False, "1", np.int64(1), [1]):
+        with pytest.raises(ConfigError, match="zero_shot_z must be an int treatment index"):
+            evaluate_model(model, ds, zero_shot_z=z)
+    assert evaluate_model(model, ds, zero_shot_z=0).zero_shot_z == 0
+
+
 # --- reports ---
 
 

@@ -75,6 +75,15 @@ def test_experiment_config_round_trip():
         tiny_experiment(repeats=0)
 
 
+def test_experiment_config_refuses_a_bool_zero_shot():
+    # False once compared equal to 0: the experiment held treatment 0 out
+    # and reported zero_shot_z 0
+    for flag in (False, True):
+        with pytest.raises(ConfigError, match=r"zero_shot must be int \| None, got"):
+            tiny_experiment(zero_shot=flag)
+    assert tiny_experiment(zero_shot=0).zero_shot == 0
+
+
 # one of each config class, every field off its default where it can be
 CONFIGS = {
     "SimConfig": SimConfig(n=40, d=3, k=2, kappa=(2.0, 8.0), embedding_file="x.csv", seed=9),

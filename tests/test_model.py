@@ -5,19 +5,24 @@ import itertools
 import json
 import math
 import tracemalloc
+import types
 import typing
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 from ite_bench import model as model_module
 from ite_bench.errors import ConfigError, DataError, NumericError, ShapeError, TrainingDiverged
+from ite_bench.experiments import ExperimentConfig, RunRecord, SweepSpec
+from ite_bench.metrics import EvalReport
 from ite_bench.model import (
     Batch,
     ModelShape,
     OutcomeModel,
     TrainConfig,
     TrainHistory,
+    TrainedModel,
     batch_loss,
     build_model,
     factual_predictions,
@@ -27,7 +32,7 @@ from ite_bench.model import (
     train,
 )
 from ite_bench.nn import mlp_forward, sgd_step
-from ite_bench.simulate import SimConfig, simulate_dataset
+from ite_bench.simulate import Dataset, SimConfig, simulate_dataset
 
 from gradcheck import central_difference
 from per_head import fresh_column, head_pass, per_head_batch_loss
@@ -243,6 +248,10 @@ def test_model_validation():
     assert dataclasses.replace(good, head_updates=[3, 0]).head_updates == (3, 0)
     with pytest.raises(ConfigError, match="variant"):
         build_model(2, 2, small_shape(), "flavor", rng=0)
+    # sizing theta once failed inside numpy with a TypeError
+    for dims in ((4, 2.0), (4.0, 2), (4, True), ("4", 2)):
+        with pytest.raises(ConfigError, match="input_dim and k must be ints"):
+            build_model(*dims, small_shape(), rng=0)
     for k, input_dim in ((0, 2), (2, 0)):
         with pytest.raises(ConfigError):
             build_model(input_dim, k, small_shape(), "joint", rng=0)
@@ -1014,7 +1023,9 @@ def test_trained_model_refuses_an_invalid_best_epoch_or_val_mse(tmp_path, epoch,
     trained, _, _ = _saved_checkpoint(tmp_path)
     dataclasses.replace(trained, best_epoch=None, best_val_mse=None)
     dataclasses.replace(trained, best_epoch=0, best_val_mse=0.0)
-    with pytest.raises(ConfigError, match="best_epoch"):
+    # the type check, which comes first, names an infinite float by its field
+    match = "best_val_mse must be finite" if mse == math.inf else "best_epoch"
+    with pytest.raises(ConfigError, match=match):
         dataclasses.replace(trained, best_epoch=epoch, best_val_mse=mse)
 
 
@@ -1044,23 +1055,70 @@ def test_train_config_validation():
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
-def _float_fields(cls) -> list[str]:
-    """The fields of a config class whose declared type admits a float."""
+# every class that checks its field types when it is built
+TYPE_CHECKED = [
+    SimConfig, ModelShape, TrainConfig, ExperimentConfig, SweepSpec, Dataset, OutcomeModel,
+    TrainedModel, EvalReport, RunRecord,
+]
+
+
+def _valid_instances() -> dict:
+    """A valid instance of each class of TYPE_CHECKED, with the error its
+    construction raises."""
+    ds = simulate_dataset(SimConfig(n=60, d=3, k=2, seed=0))
+    model = build_model(3, 2, small_shape(), rng=0)
+    report = EvalReport("test", 10, {(1, 0): 0.25}, [1], zero_shot_z=1)
+    return {
+        SimConfig: (SimConfig(), ConfigError),
+        ModelShape: (ModelShape(), ConfigError),
+        TrainConfig: (TrainConfig(), ConfigError),
+        ExperimentConfig: (ExperimentConfig(zero_shot=1), ConfigError),
+        SweepSpec: (SweepSpec(ExperimentConfig(), {"variant": ["joint"]}), ConfigError),
+        Dataset: (ds, ShapeError),
+        OutcomeModel: (model, ConfigError),
+        TrainedModel: (TrainedModel(model, TrainHistory(), 0, 0.5, TrainConfig()), ConfigError),
+        EvalReport: (report, DataError),
+        RunRecord: (RunRecord("joint", {}, [report], ["a.json"]), DataError),
+    }
+
+
+def _wrong_values(hint) -> list:
+    """Values whose type the field declared hint does not admit: a bool and
+    a numpy int, which JSON cannot write, for any field; a float for an
+    int, a str, a dict for a section, a list for a tuple and None, each
+    where no member of the hint takes that kind of value."""
+    members = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    kinds = {typing.get_origin(m) or m for m in members}
+    wrong = [True, np.int64(1)]
+    if float not in kinds:
+        wrong.append(1.5)
+    if str not in kinds:
+        wrong.append("1")
+    if not kinds & {dict, Mapping}:
+        wrong.append({"n": 1})
+    if list not in kinds:
+        wrong.append([1.0])
+    if type(None) not in kinds:
+        wrong.append(None)
+    return wrong
+
+
+@pytest.mark.parametrize("cls", TYPE_CHECKED, ids=lambda c: c.__name__)
+def test_every_field_checks_its_type_at_construction(cls):
+    # from Python as from JSON: each field of a value of the wrong type, or
+    # a NaN or infinite float, is refused by the type check that comes first
+    valid, error = _valid_instances()[cls]
+    fields = {f.name: getattr(valid, f.name) for f in dataclasses.fields(cls)}
+    cls(**fields)
     hints = typing.get_type_hints(cls)
-    return [
-        f.name for f in dataclasses.fields(cls)
-        if float in (hints[f.name], *typing.get_args(hints[f.name]))
-    ]
-
-
-@pytest.mark.parametrize("cls", [SimConfig, ModelShape, TrainConfig], ids=lambda c: c.__name__)
-def test_every_float_field_refuses_non_finite_values_at_construction(cls):
-    names = _float_fields(cls)
-    assert names
-    for name in names:
-        for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ConfigError, match=f"{name} must be finite"):
-                cls(**{name: value})
+    for name, hint in hints.items():
+        for value in _wrong_values(hint):
+            with pytest.raises(error, match=f"^{name} must be "):
+                cls(**{**fields, name: value})
+        if float in (hint, *typing.get_args(hint)):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(error, match=f"^{name} must be finite"):
+                    cls(**{**fields, name: value})
 
 
 def test_model_shape_validation():

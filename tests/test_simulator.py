@@ -688,6 +688,15 @@ def test_holdout_error_paths():
         _held_out_fit(ds, 0)
 
 
+def test_held_out_treatment_must_be_an_int():
+    # held_out=True once held treatment 1 out
+    ds = simulate_dataset(SimConfig(n=200, d=6, k=3, seed=1))
+    for held_out in (True, False, 1.0, "1", np.int64(1)):
+        with pytest.raises(ConfigError, match="held_out must be an int treatment index"):
+            _held_out_fit(ds, held_out)
+    assert _held_out_fit(ds, 1).model.head_updates[1] == 0
+
+
 def _with_nan(arr):
     arr = arr.copy()
     arr.flat[0] = np.nan
