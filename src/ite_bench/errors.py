@@ -214,10 +214,19 @@ def write_array(path, arr) -> str:
     return sha256.hexdigest()
 
 
+# the header parsers of the .npy versions np.save writes
+_NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
 def read_array(path, sha256, error: type[Exception]) -> np.ndarray:
-    """The array write_array wrote to path. A missing file is a DataError;
-    bytes whose digest is not sha256, or that hold no array, raise error,
-    the class whose exit code the CLI gives that artifact. Nothing is unpickled."""
+    """The array write_array wrote to path, as a read-only view of the file's
+    bytes: they are read once, hashed, then parsed in place. A missing file
+    is a DataError; bytes whose digest is not sha256, or that hold no
+    array, raise error, the class whose exit code the CLI gives that
+    artifact. Nothing is unpickled."""
     if not os.path.exists(path):
         raise DataError(f"array file missing: {path}; copy it together with its JSON file")
     with open(path, "rb") as fh:
@@ -225,6 +234,14 @@ def read_array(path, sha256, error: type[Exception]) -> np.ndarray:
     if hashlib.sha256(data).hexdigest() != sha256:
         raise error(f"{path} does not match the sha256 recorded for it")
     try:
-        return np.load(io.BytesIO(data), allow_pickle=False)
+        header = io.BytesIO(data)  # shares data's buffer: nothing writes to it
+        version = np.lib.format.read_magic(header)
+        if version not in _NPY_HEADER_READERS:
+            raise ValueError(f".npy format version {version} is not read here")
+        shape, fortran_order, dtype = _NPY_HEADER_READERS[version](header)
+        if dtype.hasobject:
+            raise ValueError(f"{dtype} holds Python objects")
+        flat = np.frombuffer(data, dtype, math.prod(shape), offset=header.tell())
+        return flat.reshape(shape, order="F" if fortran_order else "C")
     except (ValueError, EOFError) as exc:
         raise error(f"malformed array file {path}: {exc}") from exc

@@ -14,13 +14,11 @@ import csv
 import io
 import itertools
 import math
-import multiprocessing
 import os
 import random
 import shutil
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -337,6 +335,10 @@ def _finished_trials(trials: tuple, n: int, workers: int):
         for i in range(n):
             yield _run_trial(i, *trials)
         return
+    # imported here, so a fit or a serial sweep loads no process pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker, initargs=(trials,),
@@ -371,8 +373,11 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
     cfgs = [apply_overrides(spec.base, overrides) for overrides in points]
     # the pool forks all its workers at once, so no more than there are trials
     workers = min(threads, len(points))
-    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        raise ConfigError("threads > 1 needs the fork start method, which this platform lacks")
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ConfigError("threads > 1 needs the fork start method, which this platform lacks")
 
     check_out_dir(out_dir, force)
     for name in ("datasets", "trials", "summary.json", "winner_record.json"):

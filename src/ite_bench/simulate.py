@@ -490,12 +490,17 @@ def load_dataset(dataset_dir) -> Dataset:
     except ConfigError as exc:
         raise DataError(f"{manifest_path}: {exc}") from exc
     splits = manifest["splits"]
-    # each split a list of ints (not bools) that int64 holds
-    if not _matches(splits, dict[str, list[int]]) or any(
-        abs(i) >= 2**63 for idx in splits.values() for i in idx
+    # each split a list of ints (not bools) that int64 holds; one type() test
+    # per index, where _matches would walk its type hint for each of them
+    malformed = DataError(f"{manifest_path}: splits must map split names to lists of ints")
+    if not _matches(splits, dict[str, list]) or not all(
+        type(i) is int for idx in splits.values() for i in idx
     ):
-        raise DataError(f"{manifest_path}: splits must map split names to lists of ints")
-    splits = {name: np.array(idx, dtype=np.int64) for name, idx in splits.items()}
+        raise malformed
+    try:
+        splits = {name: np.array(idx, dtype=np.int64) for name, idx in splits.items()}
+    except OverflowError as exc:  # an index that int64 cannot hold
+        raise malformed from exc
 
     layout = _dataset_layout(cfg)
     digests = manifest["sha256"]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -708,7 +709,7 @@ def test_a_sweep_forks_no_more_workers_than_it_has_trials(tmp_path, monkeypatch)
         caps.append(limit)
         return capped(limit)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(blas, "threads_capped", spy_cap)
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 6)
     # the pool starts every worker at the first submit: two trials, two
@@ -722,9 +723,7 @@ def test_a_sweep_forks_no_more_workers_than_it_has_trials(tmp_path, monkeypatch)
 
 
 def test_parallel_sweep_without_fork_is_a_config_error(tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        experiments.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-    )
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     with pytest.raises(ConfigError, match="fork"):
         run_sweep(sweep_spec(), tmp_path / "sweep", threads=2)
     assert not (tmp_path / "sweep").exists()
