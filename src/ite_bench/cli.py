@@ -94,7 +94,10 @@ def cmd_train(args) -> int:
     if differ:
         raise DataError(f"config's sim is not the dataset's config: {', '.join(differ)}")
     ckpt_path = os.path.join(args.out, "checkpoint.json")
-    # refuse before training, which can take minutes at search-grid width
+    # refuse before training, which can take minutes at search-grid width:
+    # an --out that is not a directory, or one that holds a checkpoint (its
+    # other files are kept, so the emptiness check is forced past)
+    check_out_dir(args.out, force=True)
     if os.path.exists(ckpt_path) and not args.force:
         raise DataError(f"{ckpt_path} exists; pass --force to overwrite")
     # repeat 0 of an experiment: the same zero-shot filter and seed
@@ -103,13 +106,7 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt_path, trained)
     write_json_atomic(
         os.path.join(args.out, "history.json"),
-        {
-            "schema_version": "1",
-            "variant": cfg.variant,
-            "best_epoch": trained.best_epoch,
-            "best_val_mse": trained.best_val_mse,
-            "history": trained.history.to_dict(),
-        },
+        {"schema_version": "2", "history": trained.history.to_dict()},
     )
     epochs = trained.history.n_epochs()
     print(

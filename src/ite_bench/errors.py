@@ -45,7 +45,7 @@ class NumericError(ArithmeticError):
 
 class TrainingDiverged(NumericError):
     """Training met non-finite values, in a batch step or in the validation
-    pass after an epoch's last batch (stage).
+    pass after an epoch's last batch (stage): its predictions or their MSE.
 
     Carries the epoch/batch where divergence was detected and the history
     collected up to that point; the message names the stage and the cause.
@@ -169,8 +169,10 @@ def check_artifact(
 
 
 def check_out_dir(path, force: bool) -> None:
-    """Refuse (DataError) an output directory that already holds files,
-    unless force."""
+    """Refuse (DataError) an output path that is not a directory, and one
+    that already holds files unless force."""
+    if os.path.lexists(path) and not os.path.isdir(path):
+        raise DataError(f"output path {path} exists and is not a directory")
     if os.path.isdir(path) and os.listdir(path) and not force:
         raise DataError(
             f"output directory {path} is not empty; pass force=True/--force to overwrite"

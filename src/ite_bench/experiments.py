@@ -13,7 +13,6 @@ import contextlib
 import csv
 import io
 import itertools
-import math
 import os
 import random
 import shutil
@@ -241,10 +240,6 @@ def _test_truth_reads(datasets: list[Dataset]) -> int:
     return sum(ds.truth_reads.get("test", 0) for ds in datasets)
 
 
-def _trial_val_mse(trained: TrainedModel) -> float:
-    return math.inf if trained.best_val_mse is None else trained.best_val_mse
-
-
 def _run_trial(
     i: int,
     cfgs: list[ExperimentConfig],
@@ -268,7 +263,7 @@ def _run_trial(
     try:
         for r, ds in enumerate(datasets):
             trained = _fit_repeat(cfg, ds, r)
-            val_mse.append(_trial_val_mse(trained))
+            val_mse.append(trained.best_val_mse)
             ckpt = os.path.join(trial_dir, f"checkpoint_rep{r}.json")
             save_checkpoint(ckpt, trained)
             checkpoints.append(ckpt)
@@ -281,7 +276,7 @@ def _run_trial(
         "status": status,
         "message": message,
         "val_mse": val_mse,
-        "mean_val_mse": float(np.mean(val_mse)) if val_mse and status == "ok" else None,
+        "mean_val_mse": float(np.mean(val_mse)) if status == "ok" else None,
         "checkpoints": checkpoints,
         "wall_clock_s": time.perf_counter() - t0,
         "test_truth_reads": _test_truth_reads(datasets) - reads_before,

@@ -307,8 +307,8 @@ class TrainConfig(JsonConfig):
             raise ConfigError("alpha + beta must be positive")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
-        if self.epochs_max < 0:
-            raise ConfigError("epochs_max must be >= 0")
+        if self.epochs_max < 1:
+            raise ConfigError("epochs_max must be >= 1")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
         if self.base_lr <= 0.0:
@@ -496,20 +496,18 @@ class TrainHistory:
 class TrainedModel:
     model: OutcomeModel
     history: TrainHistory
-    best_epoch: int | None
-    best_val_mse: float | None
+    best_epoch: int
+    best_val_mse: float
     config: TrainConfig
 
     def __post_init__(self) -> None:
         check_types(self, ConfigError)
         epoch, mse = self.best_epoch, self.best_val_mse
         # an int best_val_mse, which a float field admits, is refused here
-        if (epoch, mse) != (None, None) and not (
-            epoch is not None and epoch >= 0 and isinstance(mse, float) and mse >= 0.0
-        ):
+        if not (epoch >= 0 and isinstance(mse, float) and mse >= 0.0):
             raise ConfigError(
-                "best_epoch must be an int >= 0 and best_val_mse a finite float >= 0, "
-                f"or both null; got {epoch!r} and {mse!r}"
+                "best_epoch must be an int >= 0 and best_val_mse a finite float >= 0; "
+                f"got {epoch!r} and {mse!r}"
             )
 
 
@@ -633,13 +631,15 @@ def train(
 
     Every epoch reshuffles the training split (the last short batch is
     kept), steps with the scheduled learning rate, then measures factual
-    MSE on the validation split in eval mode. The returned model is the
-    best-validation snapshot; ties keep the earliest epoch. Training stops
-    after cfg.patience epochs in a row without a decrease of more than
-    EARLY_STOP_MIN_REL_DECREASE (relative) below the validation MSE at the
-    last reset of that count; patience == epochs_max never stops. Heads that
-    receive no samples in a batch are left untouched by that step, and the
-    snapshot's head_updates counts the steps each head received.
+    MSE on the validation split in eval mode; a non-finite validation MSE,
+    like a non-finite batch loss, raises TrainingDiverged. The returned
+    model is the best-validation snapshot of at least one epoch; ties keep
+    the earliest epoch. Training stops after cfg.patience epochs in a row
+    without a decrease of more than EARLY_STOP_MIN_REL_DECREASE (relative)
+    below the validation MSE at the last reset of that count; patience ==
+    epochs_max never stops. Heads that receive no samples in a batch are
+    left untouched by that step, and the snapshot's head_updates counts the
+    steps each head received.
     """
     x_tr, t_tr, y_tr = dataset.observed("train")
     x_val, t_val, y_val = dataset.observed("val")
@@ -657,8 +657,7 @@ def train(
         x_val, t_val, y_val = x_val[keep_val], t_val[keep_val], y_val[keep_val]
     if x_tr.shape[0] == 0:
         raise ShapeError("training split is empty")
-    # without validation rows no epoch could be selected, and the fit would
-    # return its untrained initialization
+    # without validation rows no epoch could be selected
     if x_val.shape[0] == 0:
         raise ShapeError("validation split is empty")
     t_emb = dataset.T_emb
@@ -686,7 +685,7 @@ def train(
     head_grad_rows = model.head_block(grad)
     # the improving epochs are copied into this one snapshot's theta
     best_model = dataclasses.replace(model)
-    best_epoch: int | None = None
+    best_epoch = 0
     best_val = np.inf
     reset_val = np.inf
     epochs_since_reset = 0
@@ -722,11 +721,15 @@ def train(
             n_batches += 1
 
         try:
-            # the last step's weights can overflow the validation forward
+            # the last step's weights can overflow the validation forward,
+            # or finite predictions their squared errors
             val_hat = factual_predictions(model, x_val, t_val, t_emb, buffers.caches)
+            with np.errstate(over="ignore"):
+                val_mse = float(np.mean((val_hat - y_val) ** 2))
+            if not np.isfinite(val_mse):
+                raise NumericError("non-finite validation MSE")
         except NumericError as exc:
             raise TrainingDiverged(epoch, batch_index, history, "validation pass", exc) from exc
-        val_mse = float(np.mean((val_hat - y_val) ** 2))
         history.loss.append(float(sums[0] / n_batches))
         history.mse.append(float(sums[1] / n_batches))
         history.balance.append(float(sums[2] / n_batches))
@@ -752,7 +755,7 @@ def train(
         model=best_model,
         history=history,
         best_epoch=best_epoch,
-        best_val_mse=None if best_epoch is None else float(best_val),
+        best_val_mse=float(best_val),
         config=cfg,
     )
 

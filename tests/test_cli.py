@@ -14,13 +14,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ite_bench import cli
+from ite_bench import cli, experiments
 from ite_bench.cli import main
 from ite_bench.errors import DataError, NumericError
 from ite_bench.experiments import ExperimentConfig, _fit_repeat
 from ite_bench.metrics import EvalReport, pehe
-from ite_bench.model import ModelShape, TrainConfig, load_checkpoint, save_checkpoint, train
+from ite_bench.model import (
+    ModelShape,
+    TrainConfig,
+    TrainedModel,
+    TrainHistory,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 from ite_bench.simulate import SimConfig, load_dataset, save_dataset, simulate_dataset
+
+from initial_model import initial_model
 
 
 def run(capsys, *argv):
@@ -46,8 +56,9 @@ def dir_digest(path):
     return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
-# with the zero_init fixture, `train` on this config writes the all-zero model
-ZERO_MODEL_CONFIG = {
+# a small shape on simulate_small's data; with the zero_init fixture,
+# initial_model builds the all-zero model of this shape
+TINY_CONFIG = {
     "sim": {"n": 80, "d": 4, "k": 3, "seed": 4},
     "model": {
         "cov_layers": 1, "cov_width": 4, "cov_out": 3,
@@ -55,7 +66,7 @@ ZERO_MODEL_CONFIG = {
         "head_layers": 1, "head_width": 4,
         "dropout_rate": 0.0,
     },
-    "train": {"epochs_max": 0, "batch_size": 32},
+    "train": {"epochs_max": 1, "batch_size": 32},
 }
 
 
@@ -107,6 +118,33 @@ def test_simulate_refuses_a_non_empty_out_before_simulating(tmp_path, capsys, mo
     assert f"output directory {out} is not empty" in err
     assert run(capsys, *argv, "--force")[0] == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("force", [(), ("--force",)], ids=["", "force"])
+@pytest.mark.parametrize("command", ["simulate", "train", "sweep"])
+def test_a_file_as_out_is_refused_before_any_simulation_or_fit(
+    tmp_path, capsys, monkeypatch, command, force
+):
+    out = tmp_path / "afile"
+    out.write_text("kept")
+    argv = [command, "--out", str(out), *force]
+    if command == "train":
+        argv += ["--dataset", str(simulate_small(capsys, tmp_path / "ds")), "--epochs-max", "1"]
+    if command == "sweep":
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(sweep_config_doc()))
+        argv += ["--config", str(cfg), "--threads", "1"]
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError(f"{command} did work before it refused its --out")
+
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "simulate_dataset", no_work)
+        monkeypatch.setattr(module, "_fit_repeat", no_work)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert f"output path {out} exists and is not a directory" in err
+    assert out.read_text() == "kept"
 
 
 def test_simulate_rejects_bad_config(tmp_path, capsys):
@@ -163,8 +201,15 @@ def test_train_writes_checkpoint_and_history(tmp_path, capsys):
     # the treatment network reads embeddings of the covariates' width
     assert ckpt["input_dim"] == 4
     assert load_checkpoint(out / "checkpoint.json").model.treat_net.layers[0][0].shape[-1] == 4
-    hist = json.loads((out / "history.json").read_text())["history"]
+    doc = json.loads((out / "history.json").read_text())
+    # the variant and best epoch are the checkpoint's, which sits next to it
+    assert doc.keys() == {"schema_version", "history"}
+    assert doc["schema_version"] == "2"
+    hist = doc["history"]
     assert len(hist["loss"]) == 2
+    trained = load_checkpoint(out / "checkpoint.json")
+    assert trained.best_epoch == hist["val_mse"].index(min(hist["val_mse"]))
+    assert trained.best_val_mse == min(hist["val_mse"])
     # loss decomposes into alpha * mse + beta * balance (defaults 1.0, 0.5)
     for loss, mse, bal in zip(hist["loss"], hist["mse"], hist["balance"]):
         assert loss == pytest.approx(1.0 * mse + 0.5 * bal, abs=1e-12)
@@ -186,15 +231,15 @@ def test_train_tarnet_has_no_treatment_network(tmp_path, capsys):
 
 
 def test_train_zero_epochs(tmp_path, capsys):
+    # every fit selects an epoch, so it runs at least one
     ds = simulate_small(capsys, tmp_path / "ds")
     out = tmp_path / "run"
-    code, _, _ = run(
+    code, _, err = run(
         capsys, "train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "0"
     )
-    assert code == 0
-    doc = json.loads((out / "history.json").read_text())
-    assert doc["best_epoch"] is None
-    assert doc["history"]["loss"] == []
+    assert code == 2
+    assert "epochs_max must be >= 1" in err
+    assert not out.exists()
 
 
 def test_train_refuses_overwrite_without_force(tmp_path, capsys):
@@ -468,14 +513,16 @@ def test_every_override_flag_sets_the_config_field_its_dest_names(tmp_path, caps
 
 def test_evaluate_zero_model_matches_library(tmp_path, capsys, zero_init):
     ds_dir = simulate_small(capsys, tmp_path / "ds")
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(ZERO_MODEL_CONFIG))
+    ds = load_dataset(ds_dir)
+    cfg = ExperimentConfig.from_dict(TINY_CONFIG)
+    model = initial_model(ds, cfg.model, cfg.train)
+    assert not model.theta.any()
     out = tmp_path / "run"
-    code, _, err = run(
-        capsys, "train", "--dataset", str(ds_dir), "--out", str(out),
-        "--config", str(cfg_path),
+    out.mkdir()
+    val_mse = float(np.mean(ds.observed("val")[2] ** 2))
+    save_checkpoint(
+        out / "checkpoint.json", TrainedModel(model, TrainHistory(), 0, val_mse, cfg.train)
     )
-    assert code == 0, err
     report_path = tmp_path / "report.json"
     code, stdout, _ = run(
         capsys, "evaluate", "--dataset", str(ds_dir),
@@ -485,7 +532,6 @@ def test_evaluate_zero_model_matches_library(tmp_path, capsys, zero_init):
     assert code == 0
     assert "sqrt_pehe" in stdout
     report = EvalReport.from_dict(json.loads(report_path.read_text()))
-    ds = load_dataset(ds_dir)
     y_true = ds.expected_outcomes("test")
     expected = pehe(np.zeros_like(y_true), y_true)
     assert report.epsilon_pehe == pytest.approx(expected.epsilon, abs=1e-12)
@@ -499,7 +545,7 @@ def test_plain_evaluate_lists_heads_never_updated(tmp_path, capsys):
     ds_dir = simulate_small(capsys, tmp_path / "ds")
     ds = load_dataset(ds_dir)
     cfg = ExperimentConfig.from_dict(
-        {**ZERO_MODEL_CONFIG, "train": {"epochs_max": 2, "batch_size": 32}}
+        {**TINY_CONFIG, "train": {"epochs_max": 2, "batch_size": 32}}
     )
     listed = {}
     for name, held_out in (("all", None), ("held-out", 2)):
@@ -610,7 +656,7 @@ MALFORMED_HEADERS = {
     # k = 3 counts, none of them an int: refused, not rounded
     "head-updates-not-ints": lambda doc: json.dumps({**doc, "head_updates": [1.5, "2", True]}),
     "head-updates-empty": lambda doc: json.dumps({**doc, "head_updates": []}),
-    # best_epoch an int >= 0 and best_val_mse a finite float >= 0, or both null
+    # best_epoch an int >= 0 and best_val_mse a finite float >= 0, never null
     "best-val-mse-string": lambda doc: json.dumps({**doc, "best_val_mse": "x"}),
     "best-epoch-list": lambda doc: json.dumps({**doc, "best_epoch": [1]}),
     "best-epoch-negative": lambda doc: json.dumps({**doc, "best_epoch": -1}),
@@ -618,6 +664,9 @@ MALFORMED_HEADERS = {
     "best-val-mse-negative": lambda doc: json.dumps({**doc, "best_val_mse": -1.0}),
     "best-val-mse-nan": lambda doc: json.dumps({**doc, "best_val_mse": math.nan}),
     "best-epoch-null-alone": lambda doc: json.dumps({**doc, "best_epoch": None}),
+    "best-epoch-and-val-mse-null": lambda doc: json.dumps(
+        {**doc, "best_epoch": None, "best_val_mse": None}
+    ),
     "best-val-mse-missing": lambda doc: json.dumps(
         {k: v for k, v in doc.items() if k != "best_val_mse"}
     ),
@@ -881,7 +930,7 @@ def test_model_init_is_refused_in_a_config_and_a_grid(tmp_path, capsys):
     ds = simulate_small(capsys, tmp_path / "ds")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
-        {**ZERO_MODEL_CONFIG, "model": {**ZERO_MODEL_CONFIG["model"], "init": "glorot"}}
+        {**TINY_CONFIG, "model": {**TINY_CONFIG["model"], "init": "glorot"}}
     ))
     code, _, err = run(
         capsys, "train", "--dataset", str(ds), "--out", str(tmp_path / "run"),
@@ -928,6 +977,8 @@ WRONG_TYPES = [
     ("train", {"train": {"seed": 1.5}}, (), "seed"),
     ("train", {"train": {"bandwidth": "x"}}, (), "bandwidth"),
     ("train", {"train": {"epochs_max": True}}, (), "epochs_max"),
+    # every fit selects an epoch, so it runs at least one
+    ("train", {"train": {"epochs_max": 0}}, (), "config.train: epochs_max must be >= 1"),
     ("train", {"model": {"cov_width": 2.5}}, (), "cov_width"),
     ("simulate", {"sim": {"n": 200.5}}, (), "config.sim: n must be int"),
     ("simulate", {"sim": {"seed": "3"}}, (), "seed"),
@@ -969,7 +1020,7 @@ def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, updates, fl
         doc = _with(sweep_config_doc(), updates)
         argv += ["--threads", "1"]
     else:
-        doc = _with(ZERO_MODEL_CONFIG, updates)
+        doc = _with(TINY_CONFIG, updates)
     if command == "train":
         argv += ["--dataset", str(simulate_small(capsys, tmp_path / "ds"))]
     cfg.write_text(json.dumps(doc))
@@ -1017,6 +1068,71 @@ def test_sweep_records_a_trial_whose_validation_overflows_as_diverged(
     assert "(validation pass): non-finite network input" in record["message"]
     # with no trial left to select, the sweep fails
     cfg.write_text(json.dumps({**doc, "grid": {"train.base_lr": [0.2]}}))
+    code, _, err = run(
+        capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "all"),
+        "--threads", threads,
+    )
+    assert code == 3
+    assert "every sweep trial diverged" in err
+
+
+# a fit on this data and shape at base_lr ~1.45-1.8 (tarnet) or ~1.25-1.9
+# (joint) for one epoch predicts finite validation outcomes whose squared
+# errors overflow, with no forward pass overflowing on the way
+MSE_OVERFLOW_CONFIG = {
+    "sim": {"n": 300, "d": 6, "k": 3, "seed": 2},
+    "model": {
+        "cov_width": 8, "cov_out": 4, "treat_width": 4, "treat_out": 3, "head_width": 4,
+        "dropout_rate": 0.0,
+    },
+    "train": {"epochs_max": 1, "batch_size": 64, "weight_decay": 0.0, "base_lr": 1.6},
+}
+
+
+@pytest.mark.parametrize("variant", ["joint", "tarnet"])
+def test_train_whose_validation_mse_overflows_exits_4(tmp_path, capsys, variant):
+    # no overflow filter: the overflow is handled, so no RuntimeWarning leaks
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**MSE_OVERFLOW_CONFIG, "variant": variant}))
+    ds = tmp_path / "ds"
+    assert run(capsys, "simulate", "--config", str(cfg), "--out", str(ds))[0] == 0
+    out = tmp_path / "run"
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--out", str(out), "--config", str(cfg)
+    )
+    assert code == 4
+    assert (
+        "training diverged at epoch 0, batch 3 (validation pass): non-finite validation MSE"
+        in err
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_records_a_trial_whose_validation_mse_overflows_as_diverged(
+    tmp_path, capsys, threads
+):
+    doc = {
+        "base": {**MSE_OVERFLOW_CONFIG, "variant": "tarnet"},
+        "grid": {"train.base_lr": [1.55, 0.05, 1.7]},
+    }
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, _, err = run(
+        capsys, "sweep", "--config", str(cfg), "--out", str(out), "--threads", threads
+    )
+    assert code == 0, err
+    summary = json.loads((out / "summary.json").read_text())
+    assert [t["status"] for t in summary["trials"]] == ["diverged", "ok", "diverged"]
+    assert summary["winner"]["trial"] == 1
+    assert math.isfinite(summary["winner"]["mean_val_mse"])
+    for trial in (0, 2):
+        record = json.loads((out / "trials" / f"trial_{trial:04d}" / "record.json").read_text())
+        assert "(validation pass): non-finite validation MSE" in record["message"]
+        assert (record["val_mse"], record["mean_val_mse"]) == ([], None)
+    # with no trial left to select, the sweep fails
+    cfg.write_text(json.dumps({**doc, "grid": {"train.base_lr": [1.55, 1.7]}}))
     code, _, err = run(
         capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "all"),
         "--threads", threads,

@@ -18,6 +18,7 @@ from ite_bench.model import ModelShape, OutcomeModel, TrainConfig, build_model
 from ite_bench.simulate import SimConfig, save_dataset, simulate_dataset
 
 from gradcheck import brute_force_pehe
+from initial_model import initial_model
 
 
 def tiny_shape():
@@ -303,9 +304,10 @@ def zero_shot_fit(ds, shape, cfg, z, variant="joint"):
 
 def test_protocol_zero_model_matches_direct_computation(zero_init):
     ds = simulate_dataset(SimConfig(n=300, d=5, k=3, seed=6))
-    cfg = TrainConfig(alpha=1.0, beta=0.5, epochs_max=0, batch_size=64)
-    report, trained = zero_shot_fit(ds, tiny_shape(), cfg, z=1)
-    assert trained.best_epoch is None
+    cfg = TrainConfig(alpha=1.0, beta=0.5, batch_size=64)
+    model = initial_model(ds, tiny_shape(), cfg)
+    assert not model.theta.any()
+    report = evaluate_model(model, ds, split="test", zero_shot_z=1)
     y_true = ds.expected_outcomes("test")
     expected = pehe(np.zeros_like(y_true), y_true)
     assert report.epsilon_pehe == pytest.approx(expected.epsilon, abs=1e-12)

@@ -322,22 +322,33 @@ def test_written_record_and_reports_hold_exactly_the_schema_2_keys(tmp_path):
         assert report["zero_shot_z"] == 0
 
 
-def test_sweep_artifacts_are_strict_json_without_validation(tmp_path):
-    # epochs_max=0 selects no epoch, so every trial's val_mse is infinite
-    spec = sweep_spec()
+def test_sweep_artifacts_are_strict_json_with_a_diverged_trial(tmp_path):
+    # at base_lr 1.6 this fit's validation MSE overflows, a divergence; every
+    # ok trial has selected an epoch, so its val_mse is finite
     spec = SweepSpec(
-        replace(spec.base, train=replace(spec.base.train, epochs_max=0)), spec.grid
+        ExperimentConfig(
+            sim=SimConfig(n=300, d=6, k=3, seed=2),
+            model=ModelShape(
+                cov_width=8, cov_out=4, treat_width=4, treat_out=3, head_width=4,
+                dropout_rate=0.0,
+            ),
+            train=TrainConfig(epochs_max=1, batch_size=64, weight_decay=0.0),
+            repeats=2,
+        ),
+        {"train.base_lr": [0.05, 1.6]},
     )
     out = tmp_path / "sweep"
     summary = run_sweep(spec, out, threads=1)
-    assert summary["winner"]["mean_val_mse"] == math.inf
-    record = strict_json((out / "trials" / "trial_0000" / "record.json").read_text())
-    assert record["status"] == "ok"
-    assert record["val_mse"] == [None, None]
-    assert record["mean_val_mse"] is None
+    assert summary["winner"]["trial"] == 0
+    ok = strict_json((out / "trials" / "trial_0000" / "record.json").read_text())
+    assert ok["status"] == "ok"
+    assert len(ok["val_mse"]) == 2 and all(math.isfinite(v) for v in ok["val_mse"])
+    diverged = strict_json((out / "trials" / "trial_0001" / "record.json").read_text())
+    assert diverged["status"] == "diverged"
+    assert "non-finite validation MSE" in diverged["message"]
+    assert (diverged["val_mse"], diverged["mean_val_mse"]) == ([], None)
     on_disk = strict_json((out / "summary.json").read_text())
-    assert on_disk["winner"]["mean_val_mse"] is None
-    assert all(t["mean_val_mse"] is None for t in on_disk["trials"])
+    assert [t["mean_val_mse"] is None for t in on_disk["trials"]] == [False, True]
 
 
 def test_a_failed_sweep_cancels_the_trials_no_worker_has_taken(tmp_path, monkeypatch):

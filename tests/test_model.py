@@ -35,6 +35,7 @@ from ite_bench.nn import mlp_forward, sgd_step
 from ite_bench.simulate import Dataset, SimConfig, simulate_dataset
 
 from gradcheck import central_difference
+from initial_model import initial_model
 from per_head import fresh_column, head_pass, per_head_batch_loss
 
 
@@ -544,12 +545,24 @@ def test_fit_buffers_do_not_grow_with_the_number_of_heads():
 # --- training loop ---
 
 
-def test_train_zero_epochs_returns_initial_state():
-    trained = train(small_dataset(), small_shape(), quick_train_cfg(epochs_max=0))
-    assert trained.history.n_epochs() == 0
-    assert trained.best_epoch is None
-    assert trained.best_val_mse is None
-    dataclasses.replace(trained.model)  # construction checks the model again
+def test_initial_model_is_the_model_a_fit_starts_from(monkeypatch):
+    ds, cfg = small_dataset(), quick_train_cfg(epochs_max=1, seed=5)
+    thetas = []
+    build = model_module.build_model
+
+    def spy(*args, **kwargs):
+        built = build(*args, **kwargs)
+        thetas.append(built.theta.copy())  # before the fit steps it
+        return built
+
+    monkeypatch.setattr(model_module, "build_model", spy)
+    trained = train(ds, small_shape(), cfg, "tarnet")
+    monkeypatch.undo()
+    start = initial_model(ds, small_shape(), cfg, "tarnet")
+    assert len(thetas) == 1
+    np.testing.assert_array_equal(start.theta, thetas[0])
+    assert start.head_updates == (0, 0, 0)
+    assert not np.array_equal(trained.model.theta, start.theta)
 
 
 @pytest.mark.parametrize("case", ["empty", "zero-shot"])
@@ -624,7 +637,7 @@ def test_a_head_without_samples_is_untouched_by_the_step(monkeypatch):
 def test_held_out_head_keeps_its_initialization():
     ds = small_dataset(n=200)
     cfg = quick_train_cfg(weight_decay=0.1)
-    initial = train(ds, small_shape(), dataclasses.replace(cfg, epochs_max=0), held_out=1).model
+    initial = initial_model(ds, small_shape(), cfg)
     trained = train(ds, small_shape(), cfg, held_out=1).model
     assert trained.head_updates[1] == 0
     before, after = initial.head_block(initial.theta), trained.head_block(trained.theta)
@@ -763,6 +776,31 @@ def test_divergence_in_the_validation_pass_names_its_stage_and_cause():
         "training diverged at epoch 1, batch 3 (validation pass): non-finite network input"
     )
     assert (err.epoch, err.batch_index, err.history.n_epochs()) == (1, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "variant, epochs_max, base_lr, epoch",
+    [("joint", 1, 1.6, 0), ("tarnet", 1, 1.6, 0), ("tarnet", 2, 0.4065, 1)],
+)
+def test_a_validation_mse_that_overflows_is_a_divergence(variant, epochs_max, base_lr, epoch):
+    # on this data and shape a fit at base_lr ~1.25-1.9 (joint) or ~1.45-1.8
+    # (tarnet) for one epoch, or at ~0.404-0.409 for two tarnet epochs,
+    # predicts finite validation outcomes whose squared errors overflow, with
+    # no forward pass overflowing on the way; no overflow filter, since the
+    # overflow is handled and no RuntimeWarning leaks
+    ds = simulate_dataset(SimConfig(n=300, d=6, k=3, seed=2))
+    shape = ModelShape(
+        cov_width=8, cov_out=4, treat_width=4, treat_out=3, head_width=4, dropout_rate=0.0
+    )
+    cfg = TrainConfig(epochs_max=epochs_max, batch_size=64, weight_decay=0.0, base_lr=base_lr)
+    with pytest.raises(TrainingDiverged) as excinfo:
+        train(ds, shape, cfg, variant)
+    err = excinfo.value
+    assert str(err) == (
+        f"training diverged at epoch {epoch}, batch 3 (validation pass): "
+        "non-finite validation MSE"
+    )
+    assert (err.epoch, err.history.n_epochs()) == (epoch, epoch)
 
 
 def test_baseline_training_invariant_to_treatment_embeddings():
@@ -1017,14 +1055,17 @@ def test_checkpoint_header_refuses_non_finite_values(tmp_path):
 @pytest.mark.parametrize(
     "epoch, mse",
     [(True, 0.5), (-1, 0.5), (1.0, 0.5), (0, None), (None, 0.5), (0, -0.5), (0, math.inf),
-     (0, 1)],
+     (0, 1), (None, None)],
 )
 def test_trained_model_refuses_an_invalid_best_epoch_or_val_mse(tmp_path, epoch, mse):
+    # every fit selects an epoch, so neither field is ever null
     trained, _, _ = _saved_checkpoint(tmp_path)
-    dataclasses.replace(trained, best_epoch=None, best_val_mse=None)
     dataclasses.replace(trained, best_epoch=0, best_val_mse=0.0)
-    # the type check, which comes first, names an infinite float by its field
-    match = "best_val_mse must be finite" if mse == math.inf else "best_epoch"
+    # the type check, which comes first, names the first field it refuses
+    # and an infinite float as not finite
+    match = "best_epoch" if epoch != 0 else "best_val_mse"
+    if mse == math.inf:
+        match = "best_val_mse must be finite"
     with pytest.raises(ConfigError, match=match):
         dataclasses.replace(trained, best_epoch=epoch, best_val_mse=mse)
 
@@ -1038,6 +1079,7 @@ def test_train_config_validation():
         ({"alpha": 0.0, "beta": 0.0}, r"alpha \+ beta"),
         ({"batch_size": 1}, "batch_size"),
         ({"epochs_max": -1}, "epochs_max"),
+        ({"epochs_max": 0}, "epochs_max must be >= 1"),
         ({"patience": 0}, "patience"),
         ({"lr_decay": 0.0}, "lr_decay"),
         ({"lr_decay": 1.5}, "lr_decay"),
@@ -1151,10 +1193,10 @@ def test_desk_scale_training_halves_validation_error():
         alpha=1.0, beta=0.5, batch_size=256, epochs_max=15, patience=15,
         base_lr=0.1, lr_decay=0.5, scheduler_step=10, seed=9,
     )
-    untrained = train(ds, shape, dataclasses.replace(cfg, epochs_max=0), "joint")
+    untrained = initial_model(ds, shape, cfg, "joint")
     x_val, t_val, y_val = ds.observed("val")
     initial = float(
-        np.mean((factual_predictions(untrained.model, x_val, t_val, ds.T_emb) - y_val) ** 2)
+        np.mean((factual_predictions(untrained, x_val, t_val, ds.T_emb) - y_val) ** 2)
     )
     trained = train(ds, shape, cfg, "joint")
     assert trained.best_val_mse <= 0.5 * initial
