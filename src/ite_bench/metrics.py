@@ -184,7 +184,8 @@ def evaluate_model(
     Every report lists the heads that training never updated; when the
     zero-shot treatment's head is one of them, column z is the mean of the
     trained heads (predict_all_outcomes). Non-finite predictions, or finite
-    ones whose squared effect errors overflow, raise NumericError.
+    ones whose squared effect errors overflow, raise NumericError, and
+    numpy warns of neither.
     """
     if model.k != dataset.k:
         raise ShapeError(f"model has {model.k} heads, dataset has {dataset.k} treatments")
@@ -195,8 +196,9 @@ def evaluate_model(
     x = dataset.covariates(split)
     if x.shape[0] == 0:
         raise DataError(f"split {split!r} is empty")
-    y_true = dataset.expected_outcomes(split)
-    per_pair = pehe(predict_all_outcomes(model, x, dataset.T_emb), y_true).per_pair
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_true = dataset.expected_outcomes(split)
+        per_pair = pehe(predict_all_outcomes(model, x, dataset.T_emb), y_true).per_pair
     if not all(math.isfinite(v) for v in per_pair.values()):
         raise NumericError(f"non-finite effect errors {per_pair}")
     return EvalReport(

@@ -19,6 +19,7 @@ counts as exactly 0, in the loss and in the gradient alike.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Mapping
 
@@ -62,6 +63,19 @@ def _upper_flat_index(n: int) -> np.ndarray:
 
 
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def check_bandwidth(bandwidth: float) -> None:
+    """ConfigError unless the kernel's factors 0.5 / bandwidth^2 and
+    2 / bandwidth^2 are finite floats: bandwidth finite and above about
+    1.0548e-154. An infinite bandwidth makes every kernel value 1 and the
+    loss 0; a smaller one makes the factors infinite, and the loss NaN."""
+    s2 = bandwidth * bandwidth
+    if not (0.0 < bandwidth < math.inf and s2 > 0.0 and math.isfinite(2.0 / s2)):
+        raise ConfigError(
+            "kernel bandwidth must be finite and above about 1.0548e-154, so that "
+            f"2 / bandwidth**2 is a finite float; got {bandwidth!r}"
+        )
 
 
 def _balance(blocks: list[np.ndarray], bandwidth: float | None) -> tuple[float, np.ndarray]:
@@ -108,11 +122,11 @@ def treatment_regularization_loss(
     Returns (loss, gradients keyed like groups). Fewer than two non-empty
     groups is a degenerate batch, not an error: loss 0 with zero gradients.
     bandwidth None means the median heuristic, computed once over the
-    union of all non-empty groups. A given bandwidth must be finite and
-    positive: an infinite one makes every kernel value 1 and the loss 0.
+    union of all non-empty groups. A given bandwidth must pass
+    check_bandwidth.
     """
-    if bandwidth is not None and not 0.0 < bandwidth < np.inf:
-        raise ConfigError(f"kernel bandwidth must be finite and positive, got {bandwidth!r}")
+    if bandwidth is not None:
+        check_bandwidth(bandwidth)
     arrays = {key: np.asarray(groups[key], dtype=np.float64) for key in sorted(groups)}
     for key, arr in arrays.items():
         if arr.ndim != 2:

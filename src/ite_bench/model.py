@@ -48,7 +48,7 @@ from .errors import (
     write_array,
     write_json_atomic,
 )
-from .mmd import treatment_regularization_loss
+from .mmd import check_bandwidth, treatment_regularization_loss
 from .nn import (
     ACTIVATIONS,
     ForwardCache,
@@ -319,8 +319,8 @@ class TrainConfig(JsonConfig):
             raise ConfigError("scheduler_step must be >= 1")
         if self.weight_decay < 0.0:
             raise ConfigError("weight_decay must be >= 0")
-        if self.bandwidth is not None and not self.bandwidth > 0.0:
-            raise ConfigError("kernel bandwidth must be positive")
+        if self.bandwidth is not None:
+            check_bandwidth(self.bandwidth)
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 
@@ -376,7 +376,8 @@ def batch_loss(
     masks, which is what makes finite-difference checks of this function
     possible with dropout active. The gradient and the networks'
     intermediates go into buffers (model.fit_buffers), or into new ones;
-    every gradient entry is written.
+    every gradient entry is written. numpy warns of no overflow or invalid
+    value here: a non-finite loss raises NumericError.
     """
     xb = np.asarray(batch.x, dtype=np.float64)
     yb = np.asarray(batch.y, dtype=np.float64)
@@ -388,55 +389,58 @@ def batch_loss(
     tb = _check_treatments(model, batch.t, n)
     t_emb = _check_t_emb(model, t_emb)
 
-    joint = model.variant == "joint"
-    if buffers is None:
-        buffers = model.fit_buffers(n)
-    caches = buffers.caches
-    cov_out, cov_cache = mlp_forward(model.cov_net, xb, _dropout_rng(dropout_seed, 0), caches[0])
-    treat_out = None
-    if joint:
-        treat_out, treat_cache = mlp_forward(
-            model.treat_net, t_emb[tb], _dropout_rng(dropout_seed, 1), caches[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        joint = model.variant == "joint"
+        if buffers is None:
+            buffers = model.fit_buffers(n)
+        caches = buffers.caches
+        cov_out, cov_cache = mlp_forward(
+            model.cov_net, xb, _dropout_rng(dropout_seed, 0), caches[0]
         )
-    out, order, head_rows, segments = _head_pass(
-        model, tb, cov_out, treat_out, np.arange(n), caches[-1], dropout_seed
-    )
-    head_in = caches[-1].x[:n]
+        treat_out = None
+        if joint:
+            treat_out, treat_cache = mlp_forward(
+                model.treat_net, t_emb[tb], _dropout_rng(dropout_seed, 1), caches[1]
+            )
+        out, order, head_rows, segments = _head_pass(
+            model, tb, cov_out, treat_out, np.arange(n), caches[-1], dropout_seed
+        )
+        head_in = caches[-1].x[:n]
 
-    # factual loss path: alpha * L1 through the observed heads only, its
-    # mean taken in batch order
-    resid_sorted = out - yb[order]
-    resid = np.empty(n)
-    resid[order] = resid_sorted
-    mse = float(np.mean(resid * resid))
-    upstream = (cfg.alpha * ((2.0 / n) * resid_sorted))[:, None]
-    # the backward passes write every gradient entry but those of the heads
-    # without samples
-    model.head_block(buffers.grad)[head_rows == 0] = 0.0
-    d_head_in = stack_backward(model.head_stack, caches[-1], upstream, buffers.grad_views[-1])
+        # factual loss path: alpha * L1 through the observed heads only, its
+        # mean taken in batch order
+        resid_sorted = out - yb[order]
+        resid = np.empty(n)
+        resid[order] = resid_sorted
+        mse = float(np.mean(resid * resid))
+        upstream = (cfg.alpha * ((2.0 / n) * resid_sorted))[:, None]
+        # the backward passes write every gradient entry but those of the heads
+        # without samples
+        model.head_block(buffers.grad)[head_rows == 0] = 0.0
+        d_head_in = stack_backward(model.head_stack, caches[-1], upstream, buffers.grad_views[-1])
 
-    # balancing path: beta * L2 into the representations, never the heads
-    balance = 0.0
-    if joint:
-        groups = {t: head_in[start:stop] for t, start, stop in segments}
-        balance, bal_grads = treatment_regularization_loss(groups, cfg.bandwidth)
-        # the groups are read, so head_in takes their gradients, which come
-        # stacked in key order, the order of the sorted rows
-        bal = np.concatenate(list(bal_grads.values()), out=head_in)
-        bal *= cfg.beta
-        d_head_in += bal
-    # one scatter back to batch order, again into head_in
-    d_batch = head_in
-    d_batch[order] = d_head_in
+        # balancing path: beta * L2 into the representations, never the heads
+        balance = 0.0
+        if joint:
+            groups = {t: head_in[start:stop] for t, start, stop in segments}
+            balance, bal_grads = treatment_regularization_loss(groups, cfg.bandwidth)
+            # the groups are read, so head_in takes their gradients, which come
+            # stacked in key order, the order of the sorted rows
+            bal = np.concatenate(list(bal_grads.values()), out=head_in)
+            bal *= cfg.beta
+            d_head_in += bal
+        # one scatter back to batch order, again into head_in
+        d_batch = head_in
+        d_batch[order] = d_head_in
 
-    width = cov_out.shape[1]
-    mlp_backward(model.cov_net, cov_cache, d_batch[:, :width], buffers.grad_views[0])
-    if joint:
-        mlp_backward(model.treat_net, treat_cache, d_batch[:, width:], buffers.grad_views[1])
+        width = cov_out.shape[1]
+        mlp_backward(model.cov_net, cov_cache, d_batch[:, :width], buffers.grad_views[0])
+        if joint:
+            mlp_backward(model.treat_net, treat_cache, d_batch[:, width:], buffers.grad_views[1])
 
-    total = cfg.alpha * mse + cfg.beta * balance
-    if not np.isfinite(total):
-        raise NumericError("non-finite batch loss")
+        total = cfg.alpha * mse + cfg.beta * balance
+        if not np.isfinite(total):
+            raise NumericError("non-finite batch loss")
     return BatchLossResult(
         total=total, mse=mse, balance=balance, grad=buffers.grad,
         head_rows=tuple(head_rows.tolist()),
@@ -631,8 +635,10 @@ def train(
 
     Every epoch reshuffles the training split (the last short batch is
     kept), steps with the scheduled learning rate, then measures factual
-    MSE on the validation split in eval mode; a non-finite validation MSE,
-    like a non-finite batch loss, raises TrainingDiverged. The returned
+    MSE on the validation split in eval mode. Non-finite parameters or
+    validation MSE at an epoch's end, like a non-finite batch loss or
+    gradient, raise TrainingDiverged, the only signal: numpy warns of no
+    overflow or invalid value in the epoch loop. The returned
     model is the best-validation snapshot of at least one epoch; ties keep
     the earliest epoch. Training stops after cfg.patience epochs in a row
     without a decrease of more than EARLY_STOP_MIN_REL_DECREASE (relative)
@@ -690,66 +696,72 @@ def train(
     reset_val = np.inf
     epochs_since_reset = 0
 
-    for epoch in range(cfg.epochs_max):
-        lr = cfg.lr_at(epoch)
-        order = order_rng.permutation(n_tr)
-        sums = np.zeros(3)
-        head_norms = np.zeros(dataset.k)
-        degenerate = 0
-        n_batches = 0
-        for batch_index, start in enumerate(range(0, n_tr, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            batch = Batch(x_tr[idx], t_tr[idx], y_tr[idx])
-            seed = int(drop_rng.integers(2**63))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs_max):
+            lr = cfg.lr_at(epoch)
+            order = order_rng.permutation(n_tr)
+            sums = np.zeros(3)
+            head_norms = np.zeros(dataset.k)
+            degenerate = 0
+            n_batches = 0
+            for batch_index, start in enumerate(range(0, n_tr, cfg.batch_size)):
+                idx = order[start : start + cfg.batch_size]
+                batch = Batch(x_tr[idx], t_tr[idx], y_tr[idx])
+                seed = int(drop_rng.integers(2**63))
+                try:
+                    res = batch_loss(model, batch, t_emb, cfg, dropout_seed=seed, buffers=buffers)
+                    hit = [n > 0 for n in res.head_rows]
+                    # before the step, which overwrites the gradient; each head's
+                    # dot product is np.dot's, and a head without samples adds 0.
+                    # A non-finite gradient makes sgd_step raise; a finite one
+                    # whose squares overflow records an infinite norm (JSON null)
+                    dots = np.matmul(head_grad_rows[:, None, :], head_grad_rows[:, :, None])
+                    head_norms += np.sqrt(dots[:, 0, 0])
+                    decayed = rep_weights + [w for ws, h in zip(head_weights, hit) if h for w in ws]
+                    sgd_step(model.theta, grad, lr, cfg.weight_decay, decayed)
+                except NumericError as exc:
+                    raise TrainingDiverged(epoch, batch_index, history, "batch step", exc) from exc
+                model.head_updates = tuple(
+                    n + h for n, h in zip(model.head_updates, hit)
+                )
+                sums += (res.total, res.mse, res.balance)
+                if variant == "joint" and sum(hit) < 2:
+                    degenerate += 1
+                n_batches += 1
+
             try:
-                res = batch_loss(model, batch, t_emb, cfg, dropout_seed=seed, buffers=buffers)
-                hit = [n > 0 for n in res.head_rows]
-                # before the step, which overwrites the gradient; each head's
-                # dot product is np.dot's, and a head without samples adds 0
-                dots = np.matmul(head_grad_rows[:, None, :], head_grad_rows[:, :, None])
-                head_norms += np.sqrt(dots[:, 0, 0])
-                decayed = rep_weights + [w for ws, h in zip(head_weights, hit) if h for w in ws]
-                sgd_step(model.theta, grad, lr, cfg.weight_decay, decayed)
-            except NumericError as exc:
-                raise TrainingDiverged(epoch, batch_index, history, "batch step", exc) from exc
-            model.head_updates = tuple(
-                n + h for n, h in zip(model.head_updates, hit)
-            )
-            sums += (res.total, res.mse, res.balance)
-            if variant == "joint" and sum(hit) < 2:
-                degenerate += 1
-            n_batches += 1
-
-        try:
-            # the last step's weights can overflow the validation forward,
-            # or finite predictions their squared errors
-            val_hat = factual_predictions(model, x_val, t_val, t_emb, buffers.caches)
-            with np.errstate(over="ignore"):
+                # a step can overflow theta while a saturated tanh keeps the
+                # predictions finite; a finite sum proves theta finite without
+                # the exact check's mask. The weights can also overflow the
+                # validation forward, or finite predictions their squared errors
+                if not np.isfinite(model.theta.sum()) and not np.isfinite(model.theta).all():
+                    raise NumericError("non-finite parameters")
+                val_hat = factual_predictions(model, x_val, t_val, t_emb, buffers.caches)
                 val_mse = float(np.mean((val_hat - y_val) ** 2))
-            if not np.isfinite(val_mse):
-                raise NumericError("non-finite validation MSE")
-        except NumericError as exc:
-            raise TrainingDiverged(epoch, batch_index, history, "validation pass", exc) from exc
-        history.loss.append(float(sums[0] / n_batches))
-        history.mse.append(float(sums[1] / n_batches))
-        history.balance.append(float(sums[2] / n_batches))
-        history.val_mse.append(val_mse)
-        history.lr.append(lr)
-        history.head_grad_norms.append([float(v) for v in head_norms])
-        history.degenerate_batches.append(degenerate)
+                if not np.isfinite(val_mse):
+                    raise NumericError("non-finite validation MSE")
+            except NumericError as exc:
+                raise TrainingDiverged(epoch, batch_index, history, "validation pass", exc) from exc
+            history.loss.append(float(sums[0] / n_batches))
+            history.mse.append(float(sums[1] / n_batches))
+            history.balance.append(float(sums[2] / n_batches))
+            history.val_mse.append(val_mse)
+            history.lr.append(lr)
+            history.head_grad_norms.append([float(v) for v in head_norms])
+            history.degenerate_batches.append(degenerate)
 
-        if val_mse < best_val:
-            best_val = val_mse
-            np.copyto(best_model.theta, model.theta)
-            best_model.head_updates = model.head_updates
-            best_epoch = epoch
-        if val_mse < reset_val * (1.0 - EARLY_STOP_MIN_REL_DECREASE):
-            reset_val = val_mse
-            epochs_since_reset = 0
-        else:
-            epochs_since_reset += 1
-            if epochs_since_reset >= cfg.patience:
-                break
+            if val_mse < best_val:
+                best_val = val_mse
+                np.copyto(best_model.theta, model.theta)
+                best_model.head_updates = model.head_updates
+                best_epoch = epoch
+            if val_mse < reset_val * (1.0 - EARLY_STOP_MIN_REL_DECREASE):
+                reset_val = val_mse
+                epochs_since_reset = 0
+            else:
+                epochs_since_reset += 1
+                if epochs_since_reset >= cfg.patience:
+                    break
 
     return TrainedModel(
         model=best_model,

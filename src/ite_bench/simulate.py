@@ -298,7 +298,8 @@ def generate_covariates(
     cfg: SimConfig, rng: np.random.Generator | int
 ) -> np.ndarray:
     """Unit-norm covariate rows: the first cfg.n rows of cfg.embedding_file
-    when it is set, Gaussian draws otherwise."""
+    when it is set, Gaussian draws otherwise. A row whose float64 norm is
+    zero or infinite (its squares underflow or overflow) is a DataError."""
     if cfg.embedding_file is not None:
         if not os.path.exists(cfg.embedding_file):
             raise DataError(f"embedding file not found: {cfg.embedding_file}")
@@ -320,9 +321,14 @@ def generate_covariates(
     else:
         gen = np.random.default_rng(rng)
         x = gen.standard_normal((cfg.n, cfg.d))
-    norms = np.linalg.norm(x, axis=1)
-    if (norms == 0.0).any():
-        raise DataError("covariate rows must have nonzero norm")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    bad = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+    if bad.size:
+        raise DataError(
+            f"covariate row {bad[0]} has norm {norms[bad[0]]} in float64; a row needs "
+            "a finite, nonzero norm to scale to unit norm"
+        )
     return x / norms[:, None]
 
 
@@ -374,7 +380,8 @@ def potential_outcomes(
     c: float,
     rng: np.random.Generator | int,
 ) -> np.ndarray:
-    """The (n, k) matrix of sampled outcomes."""
+    """The (n, k) matrix of sampled outcomes; a non-finite one raises
+    NumericError."""
     if not c > 0.0:
         raise ConfigError("outcome scale c must be positive")
     x = np.asarray(x, dtype=np.float64)
@@ -385,25 +392,31 @@ def potential_outcomes(
     if z.shape[1] != x.shape[1]:
         raise ShapeError("centroid dimension does not match covariates")
     gen = np.random.default_rng(rng)
-    ytilde = mu[None, :] + sigma[None, :] * gen.standard_normal((x.shape[0], k))
-    y_sampled = expected_outcomes(x, z, ytilde, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ytilde = mu[None, :] + sigma[None, :] * gen.standard_normal((x.shape[0], k))
+        y_sampled = expected_outcomes(x, z, ytilde, c)
     if not np.isfinite(y_sampled).all():
         raise NumericError("non-finite potential outcomes")
     return y_sampled
 
 
 def assignment_probabilities(y_sampled: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """Rowwise softmax over kappa_t * y_i^t with max subtraction for stability."""
+    """Rowwise softmax over kappa_t * y_i^t with max subtraction for
+    stability; a non-finite logit (an outcome that is not finite, or a
+    product that overflows) raises NumericError."""
     y = np.asarray(y_sampled, dtype=np.float64)
     kap = np.asarray(kappa, dtype=np.float64)
     if y.ndim != 2 or kap.shape != (y.shape[1],):
         raise ShapeError("kappa must have one entry per treatment column")
     if not np.all(kap > 0.0):
         raise ConfigError("kappa entries must be positive")
-    if not np.isfinite(y).all():
-        raise NumericError("non-finite outcomes in assignment")
-    logits = y * kap[None, :]
-    logits = logits - logits.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = y * kap[None, :]
+        if not np.isfinite(logits).all():
+            raise NumericError("non-finite assignment logits")
+        # a logit far below its row's maximum can overflow to -inf here,
+        # whose probability is then exactly 0
+        logits = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
     return e / e.sum(axis=1, keepdims=True)
 

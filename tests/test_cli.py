@@ -630,7 +630,6 @@ def test_evaluate_refuses_a_non_finite_parameter_exits_4(tmp_path, capsys):
     assert "numeric error" in err and "non-finite parameters" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_evaluate_of_predictions_that_overflow_exits_4(tmp_path, capsys):
     ds = simulate_dataset(SimConfig(n=200, d=8, k=3, seed=0))
     save_dataset(ds, tmp_path / "ds")
@@ -1001,6 +1000,9 @@ WRONG_TYPES = [
     ("train", {"train": {"weight_decay": math.inf}}, (), "weight_decay"),
     ("train", {"train": {"base_lr": math.inf}}, (), "base_lr"),
     ("train", {"train": {"bandwidth": math.inf}}, (), "bandwidth"),
+    # 2 / bandwidth^2 overflows below ~1.0548e-154, and bandwidth^2 is 0 at 1e-200
+    ("train", {"train": {"bandwidth": 1e-155}}, (), "bandwidth must be finite and above"),
+    ("train", {"train": {"bandwidth": 1e-200}}, (), "bandwidth must be finite and above"),
     ("train", {}, ("--lr", "nan"), "base_lr"),
     ("simulate", {"sim": {"c": math.nan}}, (), "c must be finite"),
     ("simulate", {}, ("--kappa", "1,inf,2"), "kappa"),
@@ -1043,7 +1045,6 @@ def test_sweep_config_without_a_required_section_exits_2(tmp_path, capsys, secti
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sweep_records_a_trial_whose_validation_overflows_as_diverged(
     tmp_path, capsys, threads
@@ -1091,7 +1092,6 @@ MSE_OVERFLOW_CONFIG = {
 
 @pytest.mark.parametrize("variant", ["joint", "tarnet"])
 def test_train_whose_validation_mse_overflows_exits_4(tmp_path, capsys, variant):
-    # no overflow filter: the overflow is handled, so no RuntimeWarning leaks
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**MSE_OVERFLOW_CONFIG, "variant": variant}))
     ds = tmp_path / "ds"
@@ -1139,6 +1139,95 @@ def test_sweep_records_a_trial_whose_validation_mse_overflows_as_diverged(
     )
     assert code == 3
     assert "every sweep trial diverged" in err
+
+
+# at base_lr 1.95 (2.0 likewise) the last step's weights overflow a matmul of
+# the validation forward, which then predicts non-finite outcomes
+FORWARD_OVERFLOW_CONFIG = {
+    **MSE_OVERFLOW_CONFIG, "variant": "tarnet",
+    "train": {**MSE_OVERFLOW_CONFIG["train"], "base_lr": 1.95},
+}
+
+
+def run_with_warnings_as_errors(*argv):
+    """The CLI in a new interpreter under -W error::RuntimeWarning, which its
+    forked sweep workers inherit; returns the exit code and stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ite_bench.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+def test_a_fit_whose_forward_overflows_exits_4_with_warnings_as_errors(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FORWARD_OVERFLOW_CONFIG))
+    ds = tmp_path / "ds"
+    assert run(capsys, "simulate", "--config", str(cfg), "--out", str(ds))[0] == 0
+    out = tmp_path / "run"
+    code, err = run_with_warnings_as_errors(
+        "train", "--dataset", str(ds), "--config", str(cfg), "--out", str(out)
+    )
+    assert code == 4, err
+    assert err == (
+        "numeric error: training diverged at epoch 0, batch 3 (validation pass): "
+        "non-finite predictions\n"
+    )
+    assert not out.exists()
+
+
+def test_a_pooled_sweep_whose_trials_all_overflow_exits_3_with_warnings_as_errors(tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(
+        {"base": FORWARD_OVERFLOW_CONFIG, "grid": {"train.base_lr": [1.95, 2.0]}}
+    ))
+    code, err = run_with_warnings_as_errors(
+        "sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "2"
+    )
+    assert code == 3, err
+    assert err.splitlines()[-1] == "data error: every sweep trial diverged; nothing to select"
+    assert "Warning" not in err
+
+
+def test_simulate_whose_assignment_logits_overflow_exits_4(tmp_path, capsys):
+    # kappa 1e308 times outcomes of order 1 overflows the softmax logits
+    out = tmp_path / "ds"
+    code, _, err = run(
+        capsys, "simulate", "--out", str(out),
+        "--n", "200", "--d", "4", "--k", "3", "--kappa", "1e308",
+    )
+    assert code == 4, err
+    assert "numeric error: non-finite assignment logits" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale, norm", [(1e200, "inf"), (1e-200, "0.0")])
+def test_simulate_refuses_a_covariate_row_whose_norm_overflows_or_underflows(
+    tmp_path, capsys, scale, norm
+):
+    rows = np.random.default_rng(0).normal(size=(10, 4))
+    rows[3] = np.array([1.0, 1.0, -1.0, 1.0]) * scale
+    emb = tmp_path / "emb.csv"
+    np.savetxt(emb, rows, delimiter=",")
+    out = tmp_path / "ds"
+    code, _, err = run(
+        capsys, "simulate", "--out", str(out),
+        "--n", "10", "--d", "4", "--k", "3", "--covariate-file", str(emb),
+    )
+    assert code == 3, err
+    assert f"data error: covariate row 3 has norm {norm} in float64" in err
+    assert not out.exists()
+
+
+def test_train_at_a_bandwidth_of_1e_150_exits_0(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_with(TINY_CONFIG, {"train": {"bandwidth": 1e-150}})))
+    ds = simulate_small(capsys, tmp_path / "ds")
+    code, _, err = run(
+        capsys, "train", "--dataset", str(ds), "--config", str(cfg), "--out", str(tmp_path / "run")
+    )
+    assert code == 0, err
 
 
 def test_sweep_single_point_matches_run_experiment(tmp_path, capsys):

@@ -280,7 +280,6 @@ def test_evaluate_model_error_paths():
         evaluate_model(model, empty)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_effect_errors_that_overflow_raise_numeric_error():
     ds = simulate_dataset(SimConfig(n=200, d=5, k=3, seed=4))
     model = build_model(5, 3, tiny_shape(), "tarnet", rng=0)

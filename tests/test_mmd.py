@@ -66,6 +66,19 @@ def test_mmd2_input_checks():
             treatment_regularization_loss({0: [[0.0]], 1: [[1.0]]}, bandwidth)
 
 
+def test_a_bandwidth_too_small_for_the_kernel_is_refused():
+    # 2 / bandwidth^2 is finite down to ~1.0548e-154: at 1e-155 the kernel's
+    # factor is infinite, and at 1e-200 bandwidth^2 is 0
+    groups = {0: [[0.0]], 1: [[1.0]]}
+    for bandwidth in (1e-155, 1e-200, 5e-324):
+        with pytest.raises(ConfigError, match="kernel bandwidth must be finite and above"):
+            treatment_regularization_loss(groups, bandwidth)
+    loss, grads = treatment_regularization_loss(groups, 1e-150)
+    # the kernel between the two points is exp(-5e299) = 0: MMD^2 = 1 + 1 - 0
+    assert loss == 2.0
+    assert all(np.isfinite(g).all() for g in grads.values())
+
+
 def test_median_heuristic_values():
     # pairwise distances of {0, 1, 3} are {1, 2, 3} -> median 2
     x = np.array([[0.0], [1.0], [3.0]])

@@ -354,7 +354,6 @@ def test_batch_loss_input_checks():
                    np.zeros((3, 2)), TrainConfig())
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_batch_loss_refuses_a_loss_that_overflows():
     # outcomes of 1e200 square to infinity in the factual MSE
     batch = Batch(np.zeros((2, 2)), np.array([0, 1]), np.full(2, 1e200))
@@ -752,7 +751,6 @@ def test_early_stopping_needs_a_relative_decrease(
     assert trained.best_val_mse == pytest.approx(values[best], rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_reports_position_and_history():
     cfg = quick_train_cfg(base_lr=1e6, epochs_max=20, patience=20, beta=0.0)
     with pytest.raises(TrainingDiverged) as excinfo:
@@ -764,7 +762,6 @@ def test_divergence_reports_position_and_history():
     assert f"batch {err.batch_index} (batch step): non-finite" in str(err)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_divergence_in_the_validation_pass_names_its_stage_and_cause():
     # at base_lr 0.2 the last step's weights overflow the validation forward
     ds = simulate_dataset(SimConfig(n=300, d=6, k=3, seed=2))
@@ -786,8 +783,7 @@ def test_a_validation_mse_that_overflows_is_a_divergence(variant, epochs_max, ba
     # on this data and shape a fit at base_lr ~1.25-1.9 (joint) or ~1.45-1.8
     # (tarnet) for one epoch, or at ~0.404-0.409 for two tarnet epochs,
     # predicts finite validation outcomes whose squared errors overflow, with
-    # no forward pass overflowing on the way; no overflow filter, since the
-    # overflow is handled and no RuntimeWarning leaks
+    # no forward pass overflowing on the way
     ds = simulate_dataset(SimConfig(n=300, d=6, k=3, seed=2))
     shape = ModelShape(
         cov_width=8, cov_out=4, treat_width=4, treat_out=3, head_width=4, dropout_rate=0.0
@@ -801,6 +797,22 @@ def test_a_validation_mse_that_overflows_is_a_divergence(variant, epochs_max, ba
         "non-finite validation MSE"
     )
     assert (err.epoch, err.history.n_epochs()) == (epoch, epoch)
+
+
+def test_a_step_that_overflows_theta_is_a_divergence(monkeypatch):
+    # a step that leaves a first-layer weight infinite: its tanh unit
+    # saturates at +-1, the predictions stay finite, and the unit's gradient
+    # is 0, so only a check of theta itself sees it
+    real_step = model_module.sgd_step
+
+    def overflowing_step(theta, *args):
+        real_step(theta, *args)
+        theta[0] = np.inf
+
+    monkeypatch.setattr(model_module, "sgd_step", overflowing_step)
+    with pytest.raises(TrainingDiverged) as excinfo:
+        train(small_dataset(), small_shape(activation="tanh"), quick_train_cfg(epochs_max=1))
+    assert str(excinfo.value).endswith("batch 4 (validation pass): non-finite parameters")
 
 
 def test_baseline_training_invariant_to_treatment_embeddings():
@@ -1086,6 +1098,9 @@ def test_train_config_validation():
         ({"scheduler_step": 0}, "scheduler_step"),
         ({"weight_decay": -1e-4}, "weight_decay"),
         ({"bandwidth": 0.0}, "bandwidth"),
+        # 2 / bandwidth^2 overflows below ~1.0548e-154, and bandwidth^2 is 0 at 1e-200
+        ({"bandwidth": 1e-155}, "bandwidth must be finite and above"),
+        ({"bandwidth": 1e-200}, "bandwidth must be finite and above"),
     ):
         with pytest.raises(ConfigError, match=match):
             TrainConfig(**bad)
@@ -1095,6 +1110,7 @@ def test_train_config_validation():
         TrainConfig.from_dict({"alpha": 1.0, "momentum": 0.9})
     cfg = TrainConfig(alpha=0.5, beta=0.25, bandwidth=2.0)
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig(bandwidth=1e-150).bandwidth == 1e-150
 
 
 # every class that checks its field types when it is built

@@ -91,6 +91,13 @@ def test_file_covariates_error_paths(tmp_path):
     zero_row.write_text("1.0,2.0\n0.0,0.0\n1.0,1.0\n")
     with pytest.raises(DataError, match="nonzero norm"):
         generate_covariates(SimConfig(embedding_file=str(zero_row), **cfg), 0)
+    # finite rows whose squares overflow or underflow in float64 have no
+    # unit-norm scaling: refused, not stored as a zero row
+    for scale, norm in ((1e200, "inf"), (1e-200, "0.0")):
+        extreme = tmp_path / "e.csv"
+        np.savetxt(extreme, [[1.0, 2.0], [scale, -scale], [1.0, 1.0]], delimiter=",")
+        with pytest.raises(DataError, match=f"row 1 has norm {norm} in float64"):
+            generate_covariates(SimConfig(embedding_file=str(extreme), **cfg), 0)
     # the file alone selects the source; the former selector is an unknown field
     with pytest.raises(ConfigError, match="covariate_source"):
         SimConfig.from_dict({"covariate_source": "file", "embedding_file": str(nonfinite)})
@@ -263,7 +270,6 @@ def test_potential_outcomes_shape_errors():
         )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_potential_outcomes_that_overflow_are_refused():
     # the hand case at c = 1e308: 1e308 * 0.5 * 5 overflows
     x, z = np.array([[1.0]]), np.array([[2.0], [3.0]])
@@ -311,6 +317,22 @@ def test_assignment_input_checks():
         assignment_probabilities(np.ones((2, 2)), np.ones(3))
     with pytest.raises(NumericError):
         assignment_probabilities(np.array([[np.inf, 0.0]]), np.ones(2))
+
+
+def test_assignment_logits_that_overflow_are_refused():
+    # finite outcomes whose products with kappa overflow: the softmax of an
+    # infinite logit is NaN, which assign_treatments read as treatment 0
+    y = np.array([[0.5, 2.0, -1.0]])
+    with pytest.raises(NumericError, match="non-finite assignment logits"):
+        assignment_probabilities(y, np.full(3, 1e308))
+    with pytest.raises(NumericError, match="non-finite assignment logits"):
+        simulate_dataset(SimConfig(n=200, d=4, k=3, kappa=1e308))
+
+
+def test_a_logit_far_below_its_row_maximum_gets_probability_0():
+    # logits +-1e308 are finite; their difference overflows to -inf
+    p = assignment_probabilities(np.array([[10.0, -10.0]]), np.full(2, 1e307))
+    np.testing.assert_array_equal(p, [[1.0, 0.0]])
 
 
 # --- full simulation ---
