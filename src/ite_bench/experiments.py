@@ -13,6 +13,7 @@ import contextlib
 import csv
 import io
 import itertools
+import math
 import os
 import random
 import shutil
@@ -27,6 +28,7 @@ from .errors import (
     ConfigError,
     DataError,
     JsonConfig,
+    NumericError,
     TrainingDiverged,
     check_artifact,
     check_out_dir,
@@ -76,18 +78,21 @@ class ExperimentConfig(JsonConfig):
 
 
 def _aggregate(values: list[float]) -> dict:
+    """Mean and population std of values (a single seed reports std 0);
+    either one not finite, as when finite values sum past float max, raises
+    NumericError."""
     arr = np.asarray(values, dtype=np.float64)
-    # population standard deviation: a single seed reports std 0
-    return {
-        "mean": float(arr.mean()),
-        "std": float(arr.std()),
-        "n": int(arr.size),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = float(arr.mean()), float(arr.std())
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise NumericError(f"non-finite aggregate of {values}: mean {mean}, std {std}")
+    return {"mean": mean, "std": std, "n": int(arr.size)}
 
 
 @dataclass
 class RunRecord:
-    """Per-seed test reports of one config; the aggregate derives from them."""
+    """Per-seed test reports of one config, an ExperimentConfig document
+    ({} keeps every default); the aggregate derives from the reports."""
 
     label: str
     config: dict
@@ -109,6 +114,10 @@ class RunRecord:
         check_types(self, DataError)
         if not self.per_seed:
             raise DataError("run record has no per-seed reports")
+        try:
+            ExperimentConfig.from_dict(self.config)
+        except ConfigError as exc:
+            raise DataError(f"run record config: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {
@@ -133,19 +142,10 @@ class RunRecord:
         )
 
 
-def make_record(
-    cfg: ExperimentConfig, reports: list[EvalReport], artifacts: list[str] | None = None
-) -> RunRecord:
-    return RunRecord(
-        label=cfg.effective_label(),
-        config=cfg.to_dict(),
-        per_seed=reports,
-        artifacts=artifacts or [],
-    )
-
-
-def _repeat_sim(base: ExperimentConfig, r: int) -> SimConfig:
-    return replace(base.sim, seed=base.sim.seed + r)
+def _repeat_datasets(base: ExperimentConfig) -> list[Dataset]:
+    """One dataset per repeat: repeat r simulates with sim.seed + r."""
+    sim = base.sim
+    return [simulate_dataset(replace(sim, seed=sim.seed + r)) for r in range(base.repeats)]
 
 
 def _fit_repeat(cfg: ExperimentConfig, ds: Dataset, r: int) -> TrainedModel:
@@ -157,28 +157,41 @@ def _fit_repeat(cfg: ExperimentConfig, ds: Dataset, r: int) -> TrainedModel:
     )
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
-    """Train and evaluate cfg.repeats times.
+def _fit_repeats(cfg: ExperimentConfig, datasets: list[Dataset], ckpt_dir):
+    """Yield each repeat's _fit_repeat and the ckpt_dir/checkpoint_rep<r>.json
+    it was saved to, or None without ckpt_dir; a divergence propagates."""
+    for r, ds in enumerate(datasets):
+        trained = _fit_repeat(cfg, ds, r)
+        ckpt = None
+        if ckpt_dir:
+            ckpt = os.path.join(ckpt_dir, f"checkpoint_rep{r}.json")
+            save_checkpoint(ckpt, trained)
+        yield trained, ckpt
 
-    Repeat r simulates with sim.seed + r and fits with _fit_repeat. The
-    test split then scores every treatment, and with cfg.zero_shot set also
-    the pairs that involve the held-out one.
-    """
-    reports: list[EvalReport] = []
-    artifacts: list[str] = []
+
+def _score(cfg: ExperimentConfig, fits, datasets: list[Dataset], artifacts: list) -> RunRecord:
+    """cfg's run record: each repeat's fit scored on its test split, with
+    cfg.zero_shot also on the pairs that involve the held-out treatment."""
+    return RunRecord(
+        label=cfg.effective_label(),
+        config=cfg.to_dict(),
+        per_seed=[
+            evaluate_model(fit.model, ds, split="test", zero_shot_z=cfg.zero_shot)
+            for fit, ds in zip(fits, datasets)
+        ],
+        artifacts=artifacts,
+    )
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
+    """The sweep's dataset, fit and scoring steps for cfg alone, without
+    selection; every repeat's dataset is held at once. With out_dir, the
+    checkpoints saved there are the record's artifacts."""
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    for r in range(cfg.repeats):
-        ds = simulate_dataset(_repeat_sim(cfg, r))
-        trained = _fit_repeat(cfg, ds, r)
-        reports.append(
-            evaluate_model(trained.model, ds, split="test", zero_shot_z=cfg.zero_shot)
-        )
-        if out_dir:
-            ckpt = os.path.join(out_dir, f"checkpoint_rep{r}.json")
-            save_checkpoint(ckpt, trained)
-            artifacts.append(ckpt)
-    return make_record(cfg, reports, artifacts)
+    datasets = _repeat_datasets(cfg)
+    fits, ckpts = zip(*_fit_repeats(cfg, datasets, out_dir))
+    return _score(cfg, fits, datasets, list(ckpts) if out_dir else [])
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +274,8 @@ def _run_trial(
     status = "ok"
     message = ""
     try:
-        for r, ds in enumerate(datasets):
-            trained = _fit_repeat(cfg, ds, r)
+        for trained, ckpt in _fit_repeats(cfg, datasets, trial_dir):
             val_mse.append(trained.best_val_mse)
-            ckpt = os.path.join(trial_dir, f"checkpoint_rep{r}.json")
-            save_checkpoint(ckpt, trained)
             checkpoints.append(ckpt)
     except TrainingDiverged as exc:
         status = "diverged"
@@ -384,11 +394,9 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
     os.makedirs(out_dir, exist_ok=True)
 
     # one dataset per repeat, shared by every trial
-    datasets: list[Dataset] = []
-    for r in range(spec.base.repeats):
-        ds = simulate_dataset(_repeat_sim(spec.base, r))
+    datasets = _repeat_datasets(spec.base)
+    for r, ds in enumerate(datasets):
         save_dataset(ds, os.path.join(out_dir, "datasets", f"rep{r}"))
-        datasets.append(ds)
 
     # test truth read so far; each trial record adds the reads it made
     audit_reads = _test_truth_reads(datasets)
@@ -415,15 +423,8 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
     # selection is now frozen; count how often test truth was read so far
     audit_reads += sum(rec["test_truth_reads"] for rec in records)
 
-    winner_cfg = cfgs[winner["trial"]]
-    reports = []
-    for r, ds in enumerate(datasets):
-        trained = load_checkpoint(winner["checkpoints"][r])
-        report = evaluate_model(
-            trained.model, ds, split="test", zero_shot_z=winner_cfg.zero_shot
-        )
-        reports.append(report)
-    winner_record = make_record(winner_cfg, reports, winner["checkpoints"])
+    fits = [load_checkpoint(ckpt) for ckpt in winner["checkpoints"]]
+    winner_record = _score(cfgs[winner["trial"]], fits, datasets, winner["checkpoints"])
     write_json_atomic(os.path.join(out_dir, "winner_record.json"), winner_record.to_dict())
 
     summary = {
@@ -439,7 +440,7 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
             "mean_val_mse": winner["mean_val_mse"],
             "test_sqrt_pehe": winner_record.aggregate["sqrt_pehe"],
             # per repeat; null when the sweep is not zero-shot
-            "head_z_trained": [r.head_z_trained for r in reports],
+            "head_z_trained": [r.head_z_trained for r in winner_record.per_seed],
         },
         "test_truth_reads_before_selection": audit_reads,
         # the count read back after the cap, which every worker inherited;
@@ -476,9 +477,9 @@ def render_eval_report(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def _report_rows(records: list[RunRecord]) -> list[RunRecord]:
-    """One record per label that holds the seeds of all its records,
-    ascending by mean sqrt_pehe; each row's figures are its aggregate."""
+def _report_rows(records: list[RunRecord]) -> list[list]:
+    """The CSV's rows: per label, the aggregate of the seeds of all its
+    records (zero-shot columns "" unless each is), ascending by mean."""
     ks = {report.k for rec in records for report in rec.per_seed}
     if len(ks) > 1:
         raise DataError(
@@ -488,9 +489,14 @@ def _report_rows(records: list[RunRecord]) -> list[RunRecord]:
     grouped: dict[str, list[EvalReport]] = {}
     for rec in records:
         grouped.setdefault(rec.label, []).extend(rec.per_seed)
-    # a label's records may hold different configs, so the row holds none
-    rows = [RunRecord(label, {}, reports) for label, reports in grouped.items()]
-    rows.sort(key=lambda row: (row.aggregate["sqrt_pehe"]["mean"], row.label))
+    rows = []
+    for label, reports in grouped.items():
+        # a label's records may hold different configs, so the row holds none
+        agg = RunRecord(label, {}, reports).aggregate
+        pehe, zs = agg["sqrt_pehe"], agg.get("sqrt_pehe_zs")
+        zs_cols = [zs["mean"], zs["std"], agg["zs_head_untrained_n"]] if zs else ["", "", ""]
+        rows.append([label, pehe["n"], pehe["mean"], pehe["std"], *zs_cols])
+    rows.sort(key=lambda row: (row[2], row[0]))
     return rows
 
 
@@ -498,16 +504,14 @@ def render_report_table(records: list[RunRecord]) -> str:
     """One row per label: mean +/- population std of test sqrt_pehe, and of
     sqrt_pehe_zs when every seed of the label is zero-shot."""
     rows = _report_rows(records)
-    width = max(len("method"), max((len(row.label) for row in rows), default=0))
+    width = max(len("method"), max((len(row[0]) for row in rows), default=0))
     lines = [f"{'method':<{width}}  sqrt_pehe (mean +/- std over n)"]
-    for row in rows:
-        agg = row.aggregate
-        pehe, zs = agg["sqrt_pehe"], agg.get("sqrt_pehe_zs")
-        line = f"{row.label:<{width}}  {pehe['mean']:.2f} +/- {pehe['std']:.2f} (n={pehe['n']})"
-        if zs:
-            line += f"   zero-shot {zs['mean']:.2f} +/- {zs['std']:.2f}"
-        if agg.get("zs_head_untrained_n"):
-            line += f"   [head z untrained in {agg['zs_head_untrained_n']} of {zs['n']} seeds]"
+    for label, n, mean, std, zs_mean, zs_std, untrained in rows:
+        line = f"{label:<{width}}  {mean:.2f} +/- {std:.2f} (n={n})"
+        if zs_mean != "":
+            line += f"   zero-shot {zs_mean:.2f} +/- {zs_std:.2f}"
+        if untrained:
+            line += f"   [head z untrained in {untrained} of {n} seeds]"
         lines.append(line)
     return "\n".join(lines)
 
@@ -520,9 +524,5 @@ def report_table_csv(records: list[RunRecord]) -> str:
         "label", "n", "sqrt_pehe_mean", "sqrt_pehe_std", "sqrt_pehe_zs_mean",
         "sqrt_pehe_zs_std", "zs_head_untrained_n",
     ])
-    for row in _report_rows(records):
-        agg = row.aggregate
-        pehe, zs = agg["sqrt_pehe"], agg.get("sqrt_pehe_zs")
-        zs_cols = [zs["mean"], zs["std"], agg["zs_head_untrained_n"]] if zs else ["", "", ""]
-        writer.writerow([row.label, pehe["n"], pehe["mean"], pehe["std"], *zs_cols])
+    writer.writerows(_report_rows(records))
     return buf.getvalue()

@@ -60,7 +60,9 @@ def pair_mean(
     averaged in sorted (a, b) order, so a report read back from a file, whose
     keys sort as strings, gives the figures bit for bit."""
     errors = [v for pair, v in sorted(per_pair.items()) if z is None or z in pair]
-    epsilon = float(np.mean(errors))
+    # a sum past float max gives inf, which EvalReport and evaluate_model refuse
+    with np.errstate(over="ignore"):
+        epsilon = float(np.mean(errors))
     return epsilon, math.sqrt(epsilon)
 
 
@@ -135,9 +137,13 @@ class EvalReport:
                 "per_pair must hold exactly the pairs (a, b) with 0 <= b < a < k for "
                 f"some k >= 2, got {sorted(pairs)}"
             )
-        # an int error, which a float field admits, is refused here
-        if not all(isinstance(v, float) and v >= 0.0 for v in pairs.values()):
-            raise DataError(f"per_pair errors must be finite floats >= 0, got {pairs!r}")
+        # an int error, which a float field admits, is refused here; the mean
+        # over all pairs bounds the zero-shot one, so both are finite
+        floats = all(isinstance(v, float) and v >= 0.0 for v in pairs.values())
+        if not (floats and math.isfinite(pair_mean(pairs)[0])):
+            raise DataError(
+                f"per_pair errors must be finite floats >= 0 with a finite mean, got {pairs!r}"
+            )
         heads = self.untrained_heads
         if not (all(0 <= t < self.k for t in heads) and heads == sorted(set(heads))):
             raise DataError(
@@ -184,8 +190,8 @@ def evaluate_model(
     Every report lists the heads that training never updated; when the
     zero-shot treatment's head is one of them, column z is the mean of the
     trained heads (predict_all_outcomes). Non-finite predictions, or finite
-    ones whose squared effect errors overflow, raise NumericError, and
-    numpy warns of neither.
+    ones whose squared effect errors or their mean overflow, raise
+    NumericError, and numpy warns of none of them.
     """
     if model.k != dataset.k:
         raise ShapeError(f"model has {model.k} heads, dataset has {dataset.k} treatments")
@@ -199,8 +205,8 @@ def evaluate_model(
     with np.errstate(over="ignore", invalid="ignore"):
         y_true = dataset.expected_outcomes(split)
         per_pair = pehe(predict_all_outcomes(model, x, dataset.T_emb), y_true).per_pair
-    if not all(math.isfinite(v) for v in per_pair.values()):
-        raise NumericError(f"non-finite effect errors {per_pair}")
+    if not math.isfinite(pair_mean(per_pair)[0]):
+        raise NumericError(f"non-finite effect errors or mean of them {per_pair}")
     return EvalReport(
         split=split,
         n_eval=x.shape[0],

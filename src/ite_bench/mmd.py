@@ -51,7 +51,8 @@ def _median_distance(d2: np.ndarray) -> float:
     med = float(np.sqrt(part[half]))
     if upper.size % 2 == 0:
         med = (float(np.sqrt(part[:half].max())) + med) / 2.0
-    return med if med > 0.0 else 1.0
+    # a median too small (or zero) to be a kernel width falls back to 1.0
+    return med if _usable_width(med) else 1.0
 
 
 @lru_cache(maxsize=16)
@@ -65,13 +66,18 @@ def _upper_flat_index(n: int) -> np.ndarray:
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def check_bandwidth(bandwidth: float) -> None:
-    """ConfigError unless the kernel's factors 0.5 / bandwidth^2 and
-    2 / bandwidth^2 are finite floats: bandwidth finite and above about
-    1.0548e-154. An infinite bandwidth makes every kernel value 1 and the
-    loss 0; a smaller one makes the factors infinite, and the loss NaN."""
+def _usable_width(bandwidth: float) -> bool:
+    """Whether the kernel's factors 0.5 / bandwidth^2 and 2 / bandwidth^2
+    are finite floats: bandwidth finite and above about 1.0548e-154. An
+    infinite bandwidth makes every kernel value 1 and the loss 0; a smaller
+    one makes the factors infinite, and the loss NaN."""
     s2 = bandwidth * bandwidth
-    if not (0.0 < bandwidth < math.inf and s2 > 0.0 and math.isfinite(2.0 / s2)):
+    return 0.0 < bandwidth < math.inf and s2 > 0.0 and math.isfinite(2.0 / s2)
+
+
+def check_bandwidth(bandwidth: float) -> None:
+    """ConfigError unless bandwidth is a usable kernel width (_usable_width)."""
+    if not _usable_width(bandwidth):
         raise ConfigError(
             "kernel bandwidth must be finite and above about 1.0548e-154, so that "
             f"2 / bandwidth**2 is a finite float; got {bandwidth!r}"

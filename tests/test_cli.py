@@ -587,6 +587,22 @@ def test_evaluate_splits_differ(tmp_path, capsys):
     assert EvalReport.from_dict(val).epsilon_pehe != EvalReport.from_dict(test).epsilon_pehe
 
 
+def test_evaluate_into_a_directory_exits_3_and_leaves_no_temporary_file(tmp_path, capsys):
+    ds = simulate_small(capsys, tmp_path / "ds")
+    out = tmp_path / "run"
+    run(capsys, "train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "1")
+    target = tmp_path / "reports"
+    target.mkdir()
+    before = sorted(os.listdir(tmp_path))
+    code, _, err = run(
+        capsys, "evaluate", "--dataset", str(ds), "--checkpoint", str(out / "checkpoint.json"),
+        "--out", str(target),
+    )
+    assert code == 3, err
+    assert sorted(os.listdir(tmp_path)) == before
+    assert os.listdir(target) == []
+
+
 def test_evaluate_refuses_tampered_or_missing_parameter_file(tmp_path, capsys):
     ds = simulate_small(capsys, tmp_path / "ds")
     out = tmp_path / "run"
@@ -1149,12 +1165,16 @@ FORWARD_OVERFLOW_CONFIG = {
 }
 
 
-def run_with_warnings_as_errors(*argv):
+def run_with_warnings_as_errors(*argv, warnings_as_errors=True):
     """The CLI in a new interpreter under -W error::RuntimeWarning, which its
-    forked sweep workers inherit; returns the exit code and stderr."""
+    forked sweep workers inherit, or with warnings_as_errors False under
+    Python's default filters, where a warning is printed and the command
+    goes on; returns the exit code and stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONWARNINGS", None)
+    flags = ["-W", "error::RuntimeWarning"] if warnings_as_errors else []
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ite_bench.cli", *argv],
+        [sys.executable, *flags, "-m", "ite_bench.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     return proc.returncode, proc.stderr
@@ -1240,13 +1260,12 @@ def test_sweep_single_point_matches_run_experiment(tmp_path, capsys):
         capsys, "sweep", "--config", str(cfg), "--out", str(out), "--threads", "1"
     )
     assert code == 0
-    from ite_bench.experiments import ExperimentConfig, RunRecord, run_experiment
+    from ite_bench.experiments import ExperimentConfig, run_experiment
 
     record = run_experiment(ExperimentConfig.from_dict(doc["base"]))
-    winner = RunRecord.from_dict(json.loads((out / "winner_record.json").read_text()))
-    assert winner.aggregate["sqrt_pehe"]["mean"] == pytest.approx(
-        record.aggregate["sqrt_pehe"]["mean"], rel=1e-12
-    )
+    winner = json.loads((out / "winner_record.json").read_text())
+    # the sweep's winner and run_experiment take the same fit and scoring steps
+    assert winner["per_seed"] == [r.to_dict() for r in record.per_seed]
 
 
 # --- report ---
@@ -1493,3 +1512,41 @@ def test_report_asks_to_re_run_a_schema_1_file(tmp_path, capsys, name):
     assert code == 3
     assert err.startswith(f"data error: {path}: unsupported")
     assert "re-run" in err
+
+
+def _alternating_seeds_record_doc(tmp):
+    # sqrt_pehe alternates 0 and ~1.3e154: a finite mean, but the squared
+    # deviations behind the std sum past float max
+    seeds = [_eval_report_doc(per_pair={"1,0": v}) for v in [0.0, 1.7e308] * 3]
+    return _run_record_doc(tmp, per_seed=seeds)
+
+
+# files whose figures overflow, or whose config is no experiment config:
+# (exit code, part of the error message, document)
+UNREPORTABLE_FILES = {
+    "report-pair-mean-overflows": (
+        3, "per_pair errors must be finite floats >= 0 with a finite mean",
+        lambda tmp: _eval_report_doc(per_pair={"1,0": 1e308, "2,0": 1e308, "2,1": 1e308}),
+    ),
+    "record-aggregate-overflows": (4, "non-finite aggregate", _alternating_seeds_record_doc),
+    "record-config-unknown-field": (
+        3, "run record config: config: unknown fields ['anything']",
+        lambda tmp: _run_record_doc(tmp, config={"anything": [1, 2]}),
+    ),
+}
+
+
+@pytest.mark.parametrize("warnings_as_errors", [False, True], ids=["default", "W-error"])
+@pytest.mark.parametrize("name", UNREPORTABLE_FILES)
+def test_report_refuses_figures_that_overflow_and_a_config_that_is_not_one(
+    tmp_path, name, warnings_as_errors
+):
+    code, message, make = UNREPORTABLE_FILES[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(make(tmp_path)))
+    got, err = run_with_warnings_as_errors(
+        "report", str(path), warnings_as_errors=warnings_as_errors
+    )
+    assert got == code, err
+    assert message in err
+    assert "Warning" not in err

@@ -7,8 +7,10 @@ import pytest
 
 from ite_bench.errors import ConfigError, DataError, NumericError, ShapeError
 from ite_bench.experiments import ExperimentConfig, _fit_repeat, run_experiment
+from ite_bench import metrics
 from ite_bench.metrics import (
     EvalReport,
+    PeheResult,
     evaluate_model,
     ite_matrix,
     pehe,
@@ -288,6 +290,19 @@ def test_effect_errors_that_overflow_raise_numeric_error():
     model.views(model.theta)[-1][-1][1][2] = 1e200
     with pytest.raises(NumericError, match="non-finite effect errors"):
         evaluate_model(model, ds)
+
+
+def test_effect_errors_whose_mean_overflows_raise_numeric_error(monkeypatch):
+    # finite per-pair errors whose sum passes float max; real test rows make
+    # each pair's error a mean over rows, which overflows first
+    ds = simulate_dataset(SimConfig(n=200, d=5, k=3, seed=4))
+    model = build_model(5, 3, tiny_shape(), "tarnet", rng=0)
+    per_pair = {(1, 0): 1e308, (2, 0): 1e308, (2, 1): 1e308}
+    monkeypatch.setattr(metrics, "pehe", lambda y_hat, y_true: PeheResult(0.0, 0.0, per_pair))
+    with pytest.raises(NumericError, match="non-finite effect errors or mean of them"):
+        evaluate_model(model, ds)
+    with pytest.raises(DataError, match="with a finite mean"):
+        EvalReport(split="test", n_eval=5, per_pair=per_pair, untrained_heads=[])
 
 
 # --- zero-shot protocol ---

@@ -21,7 +21,6 @@ from ite_bench.experiments import (
     SweepSpec,
     apply_overrides,
     expand_grid,
-    make_record,
     render_report_table,
     report_table_csv,
     run_experiment,
@@ -167,29 +166,31 @@ def test_sweep_spec_validation(tmp_path):
 # --- records ---
 
 
-def test_make_record_aggregates_mean_and_population_std():
+def test_run_record_aggregates_mean_and_population_std():
     cfg = tiny_experiment(repeats=2)
-    record = make_record(cfg, [synthetic_report(1.0), synthetic_report(9.0)])
+    record = RunRecord("joint", cfg.to_dict(), [synthetic_report(1.0), synthetic_report(9.0)])
     agg = record.aggregate["sqrt_pehe"]
     assert agg == {"mean": 2.0, "std": 1.0, "n": 2}
     assert "sqrt_pehe_zs" not in record.aggregate
     assert (record.label, record.config) == ("joint", cfg.to_dict())
 
 
-def test_make_record_includes_zero_shot_when_present_everywhere():
-    cfg = tiny_experiment(zero_shot=1)
-    record = make_record(cfg, [synthetic_report(4.0, z=1)])
+def test_run_record_includes_zero_shot_when_present_everywhere():
+    doc = tiny_experiment(zero_shot=1).to_dict()
+    record = RunRecord("joint", doc, [synthetic_report(4.0, z=1)])
     assert record.aggregate["sqrt_pehe_zs"] == {"mean": 2.0, "std": 0.0, "n": 1}
     assert record.aggregate["zs_head_untrained_n"] == 0
-    held_out = make_record(cfg, [synthetic_report(4.0, z=1, untrained=[1])] * 2)
+    held_out = RunRecord("joint", doc, [synthetic_report(4.0, z=1, untrained=[1])] * 2)
     assert held_out.aggregate["zs_head_untrained_n"] == 2
     # one seed without a zero-shot score drops the zero-shot aggregate
-    mixed = make_record(cfg, [synthetic_report(4.0, z=1), synthetic_report(4.0)])
+    mixed = RunRecord("joint", doc, [synthetic_report(4.0, z=1), synthetic_report(4.0)])
     assert set(mixed.aggregate) == {"sqrt_pehe"}
 
 
 def test_run_record_round_trip_and_validation():
-    record = make_record(tiny_experiment(), [synthetic_report(1.0), synthetic_report(9.0)])
+    record = RunRecord(
+        "joint", tiny_experiment().to_dict(), [synthetic_report(1.0), synthetic_report(9.0)]
+    )
     doc = json.loads(json.dumps(record.to_dict()))
     back = RunRecord.from_dict(doc)
     assert back.aggregate == record.aggregate
@@ -201,6 +202,12 @@ def test_run_record_round_trip_and_validation():
         RunRecord.from_dict({**doc, "schema_version": "1"})
     with pytest.raises(DataError, match="no per-seed reports"):
         RunRecord.from_dict({**doc, "per_seed": []})
+    # the config is an experiment config document; {} leaves every field at its default
+    with pytest.raises(DataError, match="run record config: config: unknown fields"):
+        RunRecord.from_dict({**doc, "config": {"anything": [1, 2]}})
+    with pytest.raises(DataError, match="run record config: config.sim: n must be"):
+        RunRecord.from_dict({**doc, "config": {"sim": {"n": 1}}})
+    assert RunRecord.from_dict({**doc, "config": {}}).config == {}
 
 
 def test_write_json_atomic_leaves_no_temp_file(tmp_path):

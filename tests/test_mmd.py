@@ -87,6 +87,17 @@ def test_median_heuristic_values():
     assert _median_distance(_sqdist(np.ones((5, 3)))) == 1.0
 
 
+def test_a_median_too_small_for_the_kernel_falls_back_to_one():
+    # the median 1e-156 is below the smallest width check_bandwidth admits,
+    # so the kernel factor -0.5 / 1e-312 would be infinite and the loss NaN
+    groups = {0: [[0.0]], 1: [[1e-156]]}
+    assert _median_distance(_sqdist(np.vstack(list(groups.values())))) == 1.0
+    loss, grads = treatment_regularization_loss(groups)
+    # at width 1.0 the two points' kernel value is 1: MMD^2 = 1 + 1 - 2
+    assert loss == 0.0
+    assert all((g == 0.0).all() for g in grads.values())
+
+
 def test_median_heuristic_even_pair_count():
     # pairwise distances of {0, 1, 3, 7} are {1, 2, 3, 4, 6, 7} -> median 3.5
     assert _median_distance(_sqdist(np.array([[0.0], [1.0], [3.0], [7.0]]))) == 3.5
