@@ -156,7 +156,7 @@ def cmd_report(args) -> int:
     root = os.path.commonpath([os.path.dirname(os.path.abspath(p)) for p in args.records])
     records: list[RunRecord] = []
     for path in args.records:
-        doc = load_json_object(path, ConfigError)
+        doc = load_json_object(path, DataError)
         kind = doc.get("kind")
         if kind not in ("run_record", "eval_report"):
             raise DataError(f"{path}: not a run record or eval report")

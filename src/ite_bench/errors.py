@@ -1,10 +1,12 @@
 """Exception hierarchy shared across the package, and the file boundary.
 
-The CLI maps the exceptions onto distinct exit codes, so library code should
-raise the most specific class that applies. Every artifact passes through
-this module: configs are read and written by JsonConfig, check_types checks
-each object's field types when it is built, JSON artifacts are checked by
-check_artifact and written by write_json_atomic, and .npy arrays
+The CLI maps the exceptions onto distinct exit codes by one rule: an invalid
+config (a --config file, a flag, a config built in Python) is a ConfigError,
+any other bad input a DataError, and a non-finite value or a divergence a
+NumericError, also when it is read from a file. Every artifact passes
+through this module: configs are read and written by JsonConfig, check_types
+checks each object's field types when it is built, JSON artifacts are
+checked by check_artifact and written by write_json_atomic, and .npy arrays
 are written by write_array and read, against their sha256, by read_array.
 """
 
@@ -63,11 +65,11 @@ class TrainingDiverged(NumericError):
 
 def load_json_object(path, error: type[Exception]) -> dict:
     """The JSON object in the file at path; invalid JSON or another value
-    raises error, the class whose exit code the CLI gives that file."""
+    raises error: ConfigError for a config file, DataError for any other."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also bytes that are not UTF-8
             raise error(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{path} is not a JSON object")
@@ -154,19 +156,17 @@ class JsonConfig:
             raise ConfigError(f"{path}: {exc}") from exc
 
 
-def check_artifact(
-    doc: dict, what: str, version: str, keys: set, rerun: str, error: type[Exception] = DataError
-) -> None:
-    """Raise error unless doc, the artifact named by what, is at schema
+def check_artifact(doc: dict, what: str, version: str, keys: set, rerun: str) -> None:
+    """Raise DataError unless doc, the artifact named by what, is at schema
     version and holds exactly the fields keys; an old schema's message asks
     to re-run what wrote it (rerun)."""
     if doc.get("schema_version") != version:
-        raise error(
+        raise DataError(
             f"unsupported {what} schema_version {doc.get('schema_version')!r} "
             f"(this version reads {version!r}); re-run {rerun}"
         )
     if set(doc) != keys:
-        raise error(f"{what} fields must be {sorted(keys)}, got {sorted(doc)}")
+        raise DataError(f"{what} fields must be {sorted(keys)}, got {sorted(doc)}")
 
 
 def check_out_dir(path, force: bool) -> None:
@@ -231,18 +231,17 @@ _NPY_HEADER_READERS = {
 }
 
 
-def read_array(path, sha256, error: type[Exception]) -> np.ndarray:
+def read_array(path, sha256) -> np.ndarray:
     """The array write_array wrote to path, as a read-only view of the file's
-    bytes: they are read once, hashed, then parsed in place. A missing file
-    is a DataError; bytes whose digest is not sha256, or that hold no
-    array, raise error, the class whose exit code the CLI gives that
-    artifact. Nothing is unpickled."""
+    bytes: they are read once, hashed, then parsed in place. A missing file,
+    bytes whose digest is not sha256 and bytes that hold no array are a
+    DataError. Nothing is unpickled."""
     if not os.path.exists(path):
         raise DataError(f"array file missing: {path}; copy it together with its JSON file")
     with open(path, "rb") as fh:
         data = fh.read()
     if hashlib.sha256(data).hexdigest() != sha256:
-        raise error(f"{path} does not match the sha256 recorded for it")
+        raise DataError(f"{path} does not match the sha256 recorded for it")
     try:
         header = io.BytesIO(data)  # shares data's buffer: nothing writes to it
         version = np.lib.format.read_magic(header)
@@ -254,4 +253,4 @@ def read_array(path, sha256, error: type[Exception]) -> np.ndarray:
         flat = np.frombuffer(data, dtype, math.prod(shape), offset=header.tell())
         return flat.reshape(shape, order="F" if fortran_order else "C")
     except (ValueError, EOFError) as exc:
-        raise error(f"malformed array file {path}: {exc}") from exc
+        raise DataError(f"malformed array file {path}: {exc}") from exc

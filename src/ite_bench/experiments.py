@@ -280,13 +280,23 @@ def _run_trial(
     except TrainingDiverged as exc:
         status = "diverged"
         message = str(exc)
+    mean_val_mse = None
+    if status == "ok":
+        # finite MSEs whose sum overflows: a divergence, as a fit's own
+        # validation MSE that overflows is
+        with np.errstate(over="ignore"):
+            mean_val_mse = float(np.mean(val_mse))
+        if not math.isfinite(mean_val_mse):
+            status = "diverged"
+            message = f"mean validation MSE over the repeats overflows: {val_mse}"
+            mean_val_mse = None
     record = {
         "trial": i,
         "overrides": points[i],
         "status": status,
         "message": message,
         "val_mse": val_mse,
-        "mean_val_mse": float(np.mean(val_mse)) if status == "ok" else None,
+        "mean_val_mse": mean_val_mse,
         "checkpoints": checkpoints,
         "wall_clock_s": time.perf_counter() - t0,
         "test_truth_reads": _test_truth_reads(datasets) - reads_before,
@@ -417,7 +427,7 @@ def run_sweep(spec: SweepSpec, out_dir, threads: int = 1, force: bool = False) -
 
     ok = [r for r in records if r["status"] == "ok"]
     if not ok:
-        raise DataError("every sweep trial diverged; nothing to select")
+        raise NumericError("every sweep trial diverged; nothing to select")
     winner = min(ok, key=lambda r: (r["mean_val_mse"], r["trial"]))
 
     # selection is now frozen; count how often test truth was read so far

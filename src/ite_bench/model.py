@@ -806,14 +806,14 @@ def save_checkpoint(path, trained: TrainedModel) -> None:
 
 def load_checkpoint(path) -> TrainedModel:
     """Read a checkpoint into a model built from the header's shape, dims, k
-    and variant; the parameter file must hold exactly that model's theta."""
+    and variant; the sidecar must hold exactly that model's theta. A refused
+    header or sidecar is a DataError, a non-finite theta a NumericError."""
     sidecar = params_path(path)
-    doc = load_json_object(path, ConfigError)
+    doc = load_json_object(path, DataError)
     check_artifact(
-        doc, f"checkpoint {path}", CHECKPOINT_SCHEMA_VERSION, CHECKPOINT_KEYS,
-        "`ite-bench train`", ConfigError,
+        doc, f"checkpoint {path}", CHECKPOINT_SCHEMA_VERSION, CHECKPOINT_KEYS, "`ite-bench train`"
     )
-    vec = read_array(sidecar, doc["params_sha256"], ConfigError)
+    vec = read_array(sidecar, doc["params_sha256"])
     try:
         shape = ModelShape.from_dict(doc["shape"], path="checkpoint.shape")
         model = OutcomeModel(
@@ -823,4 +823,4 @@ def load_checkpoint(path) -> TrainedModel:
         cfg = TrainConfig.from_dict(doc["train_config"], path="checkpoint.train_config")
         return TrainedModel(model, TrainHistory(), doc["best_epoch"], doc["best_val_mse"], cfg)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: malformed checkpoint: {exc}") from exc
+        raise DataError(f"{path}: malformed checkpoint: {exc}") from exc

@@ -298,15 +298,22 @@ def generate_covariates(
     cfg: SimConfig, rng: np.random.Generator | int
 ) -> np.ndarray:
     """Unit-norm covariate rows: the first cfg.n rows of cfg.embedding_file
-    when it is set, Gaussian draws otherwise. A row whose float64 norm is
-    zero or infinite (its squares underflow or overflow) is a DataError."""
+    when it is set, Gaussian draws otherwise. A file without rows, and a row
+    whose float64 norm is zero or infinite (its squares underflow or
+    overflow), is a DataError."""
     if cfg.embedding_file is not None:
         if not os.path.exists(cfg.embedding_file):
             raise DataError(f"embedding file not found: {cfg.embedding_file}")
         try:
-            rows = np.loadtxt(cfg.embedding_file, delimiter=",", ndmin=2, dtype=np.float64)
-        except ValueError as exc:
+            with open(cfg.embedding_file) as fh:
+                lines = fh.readlines()
+            # loadtxt warns on a file without data rows and reads it as width 1
+            has_rows = any(line.split("#", 1)[0].strip() for line in lines)
+            rows = np.loadtxt(lines, delimiter=",", ndmin=2, dtype=np.float64) if has_rows else None
+        except ValueError as exc:  # also bytes that do not decode
             raise DataError(f"malformed embedding file {cfg.embedding_file}: {exc}") from exc
+        if rows is None:
+            raise DataError(f"embedding file {cfg.embedding_file} holds no rows")
         if rows.shape[1] != cfg.d:
             raise DataError(
                 f"embedding file has width {rows.shape[1]}, config expects d={cfg.d}"
@@ -520,7 +527,7 @@ def load_dataset(dataset_dir) -> Dataset:
     if not _matches(digests, dict[str, str]) or set(digests) != set(layout):
         raise DataError(f"{manifest_path}: sha256 must map {sorted(layout)} to strings")
     arrays = {
-        attr: read_array(os.path.join(dataset_dir, name + ".npy"), digests[name], DataError)
+        attr: read_array(os.path.join(dataset_dir, name + ".npy"), digests[name])
         for name, (attr, _, _) in layout.items()
     }
     try:

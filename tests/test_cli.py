@@ -616,7 +616,7 @@ def test_evaluate_refuses_tampered_or_missing_parameter_file(tmp_path, capsys):
     sidecar.write_bytes(bytes(data))
     argv = ("evaluate", "--dataset", str(ds), "--checkpoint", str(out / "checkpoint.json"))
     code, _, err = run(capsys, *argv)
-    assert code == 2
+    assert code == 3
     assert "sha256" in err
     sidecar.unlink()
     code, _, err = run(capsys, *argv)
@@ -691,7 +691,7 @@ MALFORMED_HEADERS = {
 
 
 @pytest.mark.parametrize("header", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
-def test_evaluate_malformed_checkpoint_header_exits_2(tmp_path, capsys, header):
+def test_evaluate_malformed_checkpoint_header_exits_3(tmp_path, capsys, header):
     ds = simulate_small(capsys, tmp_path / "ds")
     out = tmp_path / "run"
     code, _, err = run(
@@ -703,7 +703,7 @@ def test_evaluate_malformed_checkpoint_header_exits_2(tmp_path, capsys, header):
     code, _, err = run(
         capsys, "evaluate", "--dataset", str(ds), "--checkpoint", str(out / "checkpoint.json")
     )
-    assert code == 2
+    assert code == 3
     assert "checkpoint.json" in err
 
 
@@ -780,7 +780,7 @@ def test_schema_2_dataset_and_schema_3_checkpoint_are_refused(tmp_path, capsys):
     layers = {"layers": [[4, 4]], "activation": "elu", "dropout_rate": 0.1}
     ckpt.write_text(json.dumps({**doc, "schema_version": "3", "cov_net": layers}))
     code, _, err = run(capsys, "evaluate", "--dataset", str(ds), "--checkpoint", str(ckpt))
-    assert code == 2
+    assert code == 3
     assert "re-run `ite-bench train`" in err
     # schema 2 also listed the array files
     path = ds / "manifest.json"
@@ -804,7 +804,7 @@ def test_schema_3_dataset_and_schema_4_checkpoint_are_refused(tmp_path, capsys):
     doc = json.loads(ckpt.read_text())
     ckpt.write_text(json.dumps({**doc, "schema_version": "4", "treat_input_dim": 4}))
     code, _, err = run(capsys, "evaluate", "--dataset", str(ds), "--checkpoint", str(ckpt))
-    assert code == 2
+    assert code == 3
     assert "re-run `ite-bench train`" in err
     # schema 3 also stored n, d and k and three derived arrays
     path = ds / "manifest.json"
@@ -1089,7 +1089,7 @@ def test_sweep_records_a_trial_whose_validation_overflows_as_diverged(
         capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "all"),
         "--threads", threads,
     )
-    assert code == 3
+    assert code == 4
     assert "every sweep trial diverged" in err
 
 
@@ -1153,7 +1153,7 @@ def test_sweep_records_a_trial_whose_validation_mse_overflows_as_diverged(
         capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "all"),
         "--threads", threads,
     )
-    assert code == 3
+    assert code == 4
     assert "every sweep trial diverged" in err
 
 
@@ -1197,7 +1197,7 @@ def test_a_fit_whose_forward_overflows_exits_4_with_warnings_as_errors(tmp_path,
     assert not out.exists()
 
 
-def test_a_pooled_sweep_whose_trials_all_overflow_exits_3_with_warnings_as_errors(tmp_path):
+def test_a_pooled_sweep_whose_trials_all_overflow_exits_4_with_warnings_as_errors(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(
         {"base": FORWARD_OVERFLOW_CONFIG, "grid": {"train.base_lr": [1.95, 2.0]}}
@@ -1205,8 +1205,8 @@ def test_a_pooled_sweep_whose_trials_all_overflow_exits_3_with_warnings_as_error
     code, err = run_with_warnings_as_errors(
         "sweep", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "2"
     )
-    assert code == 3, err
-    assert err.splitlines()[-1] == "data error: every sweep trial diverged; nothing to select"
+    assert code == 4, err
+    assert err.splitlines()[-1] == "numeric error: every sweep trial diverged; nothing to select"
     assert "Warning" not in err
 
 
@@ -1390,7 +1390,7 @@ def test_report_refuses_a_json_array(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[]")
     code, _, err = run(capsys, "report", str(path))
-    assert code == 2
+    assert code == 3
     assert "not a JSON object" in err
 
 
@@ -1550,3 +1550,145 @@ def test_report_refuses_figures_that_overflow_and_a_config_that_is_not_one(
     assert got == code, err
     assert message in err
     assert "Warning" not in err
+
+
+
+# --- one exit-code rule ---
+
+
+# each bad input's name: its exit code and a function that, given the test's
+# directory and a trained run's dataset and checkpoint header, breaks one
+# input and returns the command that reads it
+BAD_INPUTS = {}
+
+
+def bad_input(code):
+    def register(make):
+        BAD_INPUTS[make.__name__.replace("_", "-")] = (code, make)
+        return make
+    return register
+
+
+def _evaluate(ds, ckpt):
+    return ("evaluate", "--dataset", str(ds), "--checkpoint", str(ckpt))
+
+
+def _flip_last_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x80
+    path.write_bytes(bytes(data))
+
+
+# 2: a config, from a file or a flag
+
+
+@bad_input(2)
+def config_not_json(tmp, ds, ckpt):
+    (tmp / "cfg.json").write_text("{")
+    return ("simulate", "--config", str(tmp / "cfg.json"), "--out", str(tmp / "ds2"))
+
+
+@bad_input(2)
+def flag_out_of_range(tmp, ds, ckpt):
+    return ("train", "--dataset", str(ds), "--out", str(tmp / "run2"), "--epochs-max", "0")
+
+
+# 3: any other input file
+
+
+@bad_input(3)
+def dataset_array_tampered(tmp, ds, ckpt):
+    _flip_last_byte(ds / "covariates.npy")
+    return ("train", "--dataset", str(ds), "--out", str(tmp / "run2"))
+
+
+@bad_input(3)
+def checkpoint_sidecar_tampered(tmp, ds, ckpt):
+    _flip_last_byte(ckpt.with_suffix(".npy"))
+    return _evaluate(ds, ckpt)
+
+
+@bad_input(3)
+def checkpoint_sidecar_missing(tmp, ds, ckpt):
+    ckpt.with_suffix(".npy").unlink()
+    return _evaluate(ds, ckpt)
+
+
+@bad_input(3)
+def checkpoint_header_not_json(tmp, ds, ckpt):
+    ckpt.write_text("{")
+    return _evaluate(ds, ckpt)
+
+
+@bad_input(3)
+def eval_report_not_json(tmp, ds, ckpt):
+    (tmp / "report.json").write_text("{")
+    return ("report", str(tmp / "report.json"))
+
+
+@bad_input(3)
+def eval_report_not_utf8(tmp, ds, ckpt):
+    (tmp / "report.json").write_bytes(b"\xff{}")
+    return ("report", str(tmp / "report.json"))
+
+
+@bad_input(3)
+def run_record_empty(tmp, ds, ckpt):
+    (tmp / "record.json").write_text("{}")
+    return ("report", str(tmp / "record.json"))
+
+
+@bad_input(3)
+def covariate_csv_empty(tmp, ds, ckpt):
+    (tmp / "emb.csv").write_text("")
+    return (
+        "simulate", "--out", str(tmp / "ds2"), "--n", "10", "--d", "3", "--k", "2",
+        "--covariate-file", str(tmp / "emb.csv"),
+    )
+
+
+# 4: a non-finite value, also one read from a file, or a divergence
+
+
+@bad_input(4)
+def checkpoint_sidecar_nan(tmp, ds, ckpt):
+    # a NaN recorded under its own sha256: the file is intact, the model is not
+    sidecar = ckpt.with_suffix(".npy")
+    vec = np.load(sidecar)
+    vec[5] = np.nan
+    np.save(sidecar, vec)
+    doc = json.loads(ckpt.read_text())
+    ckpt.write_text(json.dumps(
+        {**doc, "params_sha256": hashlib.sha256(sidecar.read_bytes()).hexdigest()}
+    ))
+    return _evaluate(ds, ckpt)
+
+
+@bad_input(4)
+def sweep_all_diverged(tmp, ds, ckpt):
+    cfg = tmp / "sweep.json"
+    cfg.write_text(json.dumps(
+        {"base": FORWARD_OVERFLOW_CONFIG, "grid": {"train.base_lr": [1.95, 2.0]}}
+    ))
+    return ("sweep", "--config", str(cfg), "--out", str(tmp / "sweep"), "--threads", "1")
+
+
+EXIT_LABELS = {2: "config error", 3: "data error", 4: "numeric error"}
+
+
+# any warning, such as numpy's on an empty CSV, fails the command (exit 1)
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_each_kind_of_bad_input_gives_its_exit_code(tmp_path, capsys, name):
+    code, make = BAD_INPUTS[name]
+    ds = simulate_small(capsys, tmp_path / "ds")
+    out = tmp_path / "run"
+    got, _, err = run(capsys, "train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "1")
+    assert got == 0, err
+    got, _, err = run(capsys, *make(tmp_path, ds, out / "checkpoint.json"))
+    assert got == code, err
+    # the last line on stderr names the class of the failure; only a
+    # sweep's progress lines come before it
+    *progress, last = err.splitlines()
+    assert last.startswith(EXIT_LABELS[code] + ": "), err
+    assert all(line.startswith("sweep: trial ") for line in progress), err

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ite_bench import blas, experiments, model, simulate
-from ite_bench.errors import ConfigError, DataError
+from ite_bench.errors import ConfigError, DataError, NumericError
 from ite_bench.metrics import EvalReport
 from ite_bench.model import ModelShape, TrainConfig
 from ite_bench.experiments import (
@@ -356,6 +356,34 @@ def test_sweep_artifacts_are_strict_json_with_a_diverged_trial(tmp_path):
     assert (diverged["val_mse"], diverged["mean_val_mse"]) == ([], None)
     on_disk = strict_json((out / "summary.json").read_text())
     assert [t["mean_val_mse"] is None for t in on_disk["trials"]] == [False, True]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_trial_whose_mean_validation_mse_overflows_is_diverged(tmp_path, monkeypatch, threads):
+    fit = experiments._fit_repeat
+
+    def overflowing(lrs):
+        # each repeat's MSE finite, their sum not, at the base_lr in lrs
+        def fit_repeat(cfg, ds, r):
+            trained = fit(cfg, ds, r)
+            return replace(trained, best_val_mse=1.7e308) if cfg.train.base_lr in lrs else trained
+        return fit_repeat
+
+    monkeypatch.setattr(experiments, "_fit_repeat", overflowing({0.05}))
+    out = tmp_path / "sweep"
+    summary = run_sweep(sweep_spec(), out, threads=threads)
+    # the overflowing trial 0 neither wins by its index nor has a mean
+    assert [t["status"] for t in summary["trials"]] == ["diverged", "ok"]
+    assert summary["winner"]["trial"] == 1
+    assert math.isfinite(summary["winner"]["mean_val_mse"])
+    record = strict_json((out / "trials" / "trial_0000" / "record.json").read_text())
+    assert record["message"] == (
+        "mean validation MSE over the repeats overflows: [1.7e+308, 1.7e+308]"
+    )
+    assert (record["val_mse"], record["mean_val_mse"]) == ([1.7e308, 1.7e308], None)
+    monkeypatch.setattr(experiments, "_fit_repeat", overflowing({0.05, 0.2}))
+    with pytest.raises(NumericError, match="every sweep trial diverged"):
+        run_sweep(sweep_spec(), tmp_path / "all", threads=threads)
 
 
 def test_a_failed_sweep_cancels_the_trials_no_worker_has_taken(tmp_path, monkeypatch):

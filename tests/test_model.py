@@ -937,18 +937,18 @@ def test_checkpoint_keeps_head_update_record(tmp_path):
     # with null, is refused
     doc = json.loads(path.read_text())
     path.write_text(json.dumps({k: v for k, v in doc.items() if k != "head_updates"}))
-    with pytest.raises(ConfigError, match="head_updates"):
+    with pytest.raises(DataError, match="head_updates"):
         load_checkpoint(path)
     for bad in (None, 3, ["x", 1, 1], [1, 1]):
         path.write_text(json.dumps({**doc, "head_updates": bad}))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError):
             load_checkpoint(path)
 
 
 def test_checkpoint_rejects_unknown_schema(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"schema_version": "99"}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         load_checkpoint(path)
 
 
@@ -1000,10 +1000,10 @@ def test_checkpoint_rejects_a_tampered_parameter_file(tmp_path):
     flipped = bytearray(good)
     flipped[-3] ^= 0x01
     sidecar.write_bytes(bytes(flipped))
-    with pytest.raises(ConfigError, match="sha256"):
+    with pytest.raises(DataError, match="sha256"):
         load_checkpoint(path)
     sidecar.write_bytes(good[:-8])
-    with pytest.raises(ConfigError, match="sha256"):
+    with pytest.raises(DataError, match="sha256"):
         load_checkpoint(path)
     sidecar.unlink()
     with pytest.raises(DataError, match="model.npy"):
@@ -1016,13 +1016,13 @@ def test_checkpoint_rejects_a_tampered_parameter_file(tmp_path):
         np.save(sidecar, bad)
         digest = hashlib.sha256(sidecar.read_bytes()).hexdigest()
         path.write_text(json.dumps({**doc, "params_sha256": digest}))
-        with pytest.raises(ConfigError, match="values"):
+        with pytest.raises(DataError, match="values"):
             load_checkpoint(path)
     # bytes that are no .npy file, recorded under their own sha256
     sidecar.write_bytes(b"not an array")
     digest = hashlib.sha256(sidecar.read_bytes()).hexdigest()
     path.write_text(json.dumps({**doc, "params_sha256": digest}))
-    with pytest.raises(ConfigError, match="malformed array file"):
+    with pytest.raises(DataError, match="malformed array file"):
         load_checkpoint(path)
 
 
@@ -1031,7 +1031,7 @@ def test_checkpoint_networks_must_agree_with_its_shape(tmp_path):
     _, path, _ = _saved_checkpoint(tmp_path)
     doc = json.loads(path.read_text())
     path.write_text(json.dumps({**doc, "shape": {**doc["shape"], "cov_width": 9}}))
-    with pytest.raises(ConfigError, match="values"):
+    with pytest.raises(DataError, match="values"):
         load_checkpoint(path)
 
 
@@ -1044,15 +1044,15 @@ def test_checkpoint_refuses_npy_header_path_and_old_schema(tmp_path):
         load_checkpoint(tmp_path / "model.npy")
     doc = json.loads(path.read_text())
     path.write_text(json.dumps({**doc, "schema_version": "1"}))
-    with pytest.raises(ConfigError, match="re-run"):
+    with pytest.raises(DataError, match="re-run"):
         load_checkpoint(path)
     # schema 2 recorded the shape's init, which schema 3 does not have
     old_shape = {**doc["shape"], "init": "glorot"}
     path.write_text(json.dumps({**doc, "schema_version": "2", "shape": old_shape}))
-    with pytest.raises(ConfigError, match="re-run `ite-bench train`"):
+    with pytest.raises(DataError, match="re-run `ite-bench train`"):
         load_checkpoint(path)
     path.write_text(json.dumps({**doc, "shape": old_shape}))
-    with pytest.raises(ConfigError, match="init"):
+    with pytest.raises(DataError, match="init"):
         load_checkpoint(path)
 
 

@@ -71,6 +71,12 @@ def test_file_covariates_error_paths(tmp_path):
     cfg = dict(n=3, d=2, k=2)
     with pytest.raises(DataError):
         generate_covariates(SimConfig(embedding_file=str(tmp_path / "nope.csv"), **cfg), 0)
+    # no data rows: refused as such, with no loadtxt warning, not as width 1
+    for name, text in (("e.csv", ""), ("c.csv", "# a comment\n\n")):
+        empty = tmp_path / name
+        empty.write_text(text)
+        with pytest.raises(DataError, match=f"embedding file .*{name} holds no rows"):
+            generate_covariates(SimConfig(embedding_file=str(empty), **cfg), 0)
     wrong_width = tmp_path / "w.csv"
     np.savetxt(wrong_width, np.ones((5, 3)), delimiter=",")
     with pytest.raises(DataError):
@@ -83,6 +89,10 @@ def test_file_covariates_error_paths(tmp_path):
     garbled.write_text("1.0,2.0\nfoo,bar\n1.0,1.0\n")
     with pytest.raises(DataError):
         generate_covariates(SimConfig(embedding_file=str(garbled), **cfg), 0)
+    undecodable = tmp_path / "u.csv"
+    undecodable.write_bytes(b"1.0,2.0\n\xff,1.0\n1.0,1.0\n")
+    with pytest.raises(DataError, match="malformed embedding file"):
+        generate_covariates(SimConfig(embedding_file=str(undecodable), **cfg), 0)
     nonfinite = tmp_path / "n.csv"
     nonfinite.write_text("1.0,2.0\nnan,1.0\n1.0,1.0\n")
     with pytest.raises(NumericError):
@@ -464,20 +474,19 @@ def test_array_codec_checks_the_digest_and_never_unpickles(tmp_path):
     np.save(tmp_path / "b.npy", np.ascontiguousarray(arr))
     assert path.read_bytes() == (tmp_path / "b.npy").read_bytes()
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
-    np.testing.assert_array_equal(read_array(path, digest, ConfigError), arr)
-    # the caller's error for bytes that do not match or hold no array, and a
-    # DataError for a missing file, whatever the caller's error
-    for error in (ConfigError, DataError):
-        with pytest.raises(error, match="a.npy does not match the sha256 recorded for it"):
-            read_array(path, "0" * 64, error)
-        UNPICKLED.clear()
-        np.save(path, np.array([_Tripwire()] * 3, dtype=object), allow_pickle=True)
-        own = hashlib.sha256(path.read_bytes()).hexdigest()
-        with pytest.raises(error, match="malformed array file .*a.npy"):
-            read_array(path, own, error)
-        assert not UNPICKLED
+    np.testing.assert_array_equal(read_array(path, digest), arr)
+    # a DataError for bytes that do not match or hold no array, and for a
+    # missing file
+    with pytest.raises(DataError, match="a.npy does not match the sha256 recorded for it"):
+        read_array(path, "0" * 64)
+    UNPICKLED.clear()
+    np.save(path, np.array([_Tripwire()] * 3, dtype=object), allow_pickle=True)
+    own = hashlib.sha256(path.read_bytes()).hexdigest()
+    with pytest.raises(DataError, match="malformed array file .*a.npy"):
+        read_array(path, own)
+    assert not UNPICKLED
     with pytest.raises(DataError, match="missing.npy; copy it together with its JSON file"):
-        read_array(tmp_path / "missing.npy", digest, ConfigError)
+        read_array(tmp_path / "missing.npy", digest)
 
 
 def test_dataset_directory_holds_npy_arrays(tmp_path):
