@@ -19,6 +19,7 @@ from .errors import (
     check_out_dir,
     load_json_object,
     write_json_atomic,
+    write_text_atomic,
 )
 from .experiments import (
     ExperimentConfig,
@@ -176,8 +177,7 @@ def cmd_report(args) -> int:
         records.append(record)
     table = render_report_table(records)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report_table_csv(records))
+        write_text_atomic(args.csv, report_table_csv(records))
         table += f"\nwrote csv to {args.csv}"
     print(table)
     return EXIT_OK

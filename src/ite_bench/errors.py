@@ -5,9 +5,10 @@ config (a --config file, a flag, a config built in Python) is a ConfigError,
 any other bad input a DataError, and a non-finite value or a divergence a
 NumericError, also when it is read from a file. Every artifact passes
 through this module: configs are read and written by JsonConfig, check_types
-checks each object's field types when it is built, JSON artifacts are
-checked by check_artifact and written by write_json_atomic, and .npy arrays
-are written by write_array and read, against their sha256, by read_array.
+checks each object's field types and bounds when it is built, JSON artifacts
+are checked by check_artifact, every text file is written by
+write_text_atomic (JSON through write_json_atomic), and .npy arrays are
+written by write_array and read, against their sha256, by read_array.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import typing
 from collections.abc import Mapping
@@ -64,13 +66,16 @@ class TrainingDiverged(NumericError):
 
 
 def load_json_object(path, error: type[Exception]) -> dict:
-    """The JSON object in the file at path; invalid JSON or another value
-    raises error: ConfigError for a config file, DataError for any other."""
-    with open(path) as fh:
-        try:
+    """The JSON object in the file at path; a file that cannot be read,
+    invalid JSON or another value raises error: ConfigError for a config
+    file, DataError for any other."""
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except ValueError as exc:  # also bytes that are not UTF-8
-            raise error(f"{path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise error(f"{path} cannot be read: {exc.strerror}") from exc
+    except ValueError as exc:  # also bytes that are not UTF-8
+        raise error(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{path} is not a JSON object")
     return doc
@@ -99,19 +104,46 @@ def _matches(value, hint) -> bool:
 # resolving evaluates every annotation string
 _type_hints = functools.cache(typing.get_type_hints)
 
+_COMPARISONS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+@functools.cache
+def _bounds(cls) -> dict[str, tuple]:
+    """The bounds each field of cls declares beside its type, once per
+    class: a comparison with a number, as in Annotated[int, ">= 1"], or a
+    tuple of the values allowed, as in Annotated[str, VARIANTS]."""
+    return {
+        name: hint.__metadata__
+        for name, hint in typing.get_type_hints(cls, include_extras=True).items()
+        if typing.get_origin(hint) is typing.Annotated
+    }
+
 
 def check_types(obj, error: type[Exception]) -> None:
     """Raise error unless each field of the dataclass obj holds a value of
-    its declared type (_matches); the message names a NaN or infinite float,
-    alone or in a list or tuple, as not finite."""
+    its declared type (_matches) within its declared bounds (_bounds), which
+    hold for each entry of a list or tuple and do not apply to None. The
+    message names a NaN or infinite float, alone or in a list or tuple, as
+    not finite, and a value out of bounds as <field> must be <bound>."""
+    hints, bounds = _type_hints(type(obj)), _bounds(type(obj))
     for f in dataclasses.fields(obj):
-        value, hint = getattr(obj, f.name), _type_hints(type(obj))[f.name]
+        value, hint = getattr(obj, f.name), hints[f.name]
+        values = value if isinstance(value, (list, tuple)) else (value,)
         if not _matches(value, hint):
-            values = value if isinstance(value, (list, tuple)) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise error(f"{f.name} must be finite, got {value!r}")
             expect = str(hint) if typing.get_args(hint) else hint.__name__
             raise error(f"{f.name} must be {expect}, got {value!r}")
+        if value is None:
+            continue
+        for bound in bounds.get(f.name, ()):
+            if isinstance(bound, tuple):
+                if not all(v in bound for v in values):
+                    raise error(f"{f.name} must be one of {bound}, got {value!r}")
+            else:
+                op, limit = bound.split()
+                if not all(_COMPARISONS[op](v, float(limit)) for v in values):
+                    raise error(f"{f.name} must be {bound}, got {value!r}")
 
 
 class JsonConfig:
@@ -193,12 +225,18 @@ def _json_document(doc):
 
 
 def write_json_atomic(path, doc) -> None:
-    """Write doc as strict JSON to a temporary file, then rename it to path,
-    so a crash leaves the old file or none, never a torn one; a write or
-    rename that fails removes the temporary file and re-raises."""
+    """Write doc as strict JSON through write_text_atomic."""
     # one write of the whole text: json.dump writes token by token, which
     # took 1.6 ms longer on a 2,000-row dataset manifest (2-CPU VM)
-    text = json.dumps(_json_document(doc), indent=2, sort_keys=True, allow_nan=False)
+    write_text_atomic(
+        path, json.dumps(_json_document(doc), indent=2, sort_keys=True, allow_nan=False)
+    )
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write text to a temporary file, then rename it to path, so a crash
+    leaves the old file or none, never a torn one; a write or rename that
+    fails removes the temporary file and re-raises."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as fh:

@@ -20,6 +20,7 @@ import shutil
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
@@ -57,17 +58,13 @@ class ExperimentConfig(JsonConfig):
     sim: SimConfig = field(default_factory=SimConfig)
     model: ModelShape = field(default_factory=ModelShape)
     train: TrainConfig = field(default_factory=TrainConfig)
-    variant: str = "joint"
-    repeats: int = 1
+    variant: Annotated[str, VARIANTS] = "joint"
+    repeats: Annotated[int, ">= 1"] = 1
     zero_shot: int | None = None
     label: str | None = None
 
     def __post_init__(self) -> None:
         check_types(self, ConfigError)
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
         if self.zero_shot is not None and not 0 <= self.zero_shot < self.sim.k:
             raise ConfigError(
                 f"zero_shot treatment {self.zero_shot} out of range 0..{self.sim.k - 1}"
@@ -202,7 +199,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunRecord:
 class SweepSpec(JsonConfig):
     base: ExperimentConfig
     grid: dict[str, list | tuple]
-    max_trials: int | None = None
+    max_trials: Annotated[int | None, ">= 1"] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -217,8 +214,6 @@ class SweepSpec(JsonConfig):
                 )
             if not values:
                 raise ConfigError(f"grid axis {key!r} must list at least one value")
-        if self.max_trials is not None and self.max_trials < 1:
-            raise ConfigError("max_trials must be >= 1")
 
 
 def expand_grid(grid: dict[str, list]) -> list[dict]:

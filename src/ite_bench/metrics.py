@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
@@ -90,8 +90,8 @@ class EvalReport:
     per_pair. zero_shot_z is the treatment held out of fitting, or None.
     Construction checks every field and raises DataError."""
 
-    split: str
-    n_eval: int
+    split: Annotated[str, SPLIT_NAMES]
+    n_eval: Annotated[int, ">= 1"]
     per_pair: dict[tuple[int, int], float]
     # ascending indices of the heads that training never updated
     untrained_heads: list[int]
@@ -127,10 +127,6 @@ class EvalReport:
 
     def __post_init__(self) -> None:
         check_types(self, DataError)
-        if self.split not in SPLIT_NAMES:
-            raise DataError(f"report split must be one of {SPLIT_NAMES}, got {self.split!r}")
-        if self.n_eval < 1:
-            raise DataError(f"report n_eval must be a positive int, got {self.n_eval!r}")
         pairs = self.per_pair
         if not pairs or set(pairs) != {(a, b) for a in range(self.k) for b in range(a)}:
             raise DataError(

@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Annotated, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,35 +83,19 @@ class ModelShape(JsonConfig):
     dimensions fed to the heads.
     """
 
-    cov_layers: int = 2
-    cov_width: int = 48
-    cov_out: int = 24
-    treat_layers: int = 2
-    treat_width: int = 32
-    treat_out: int = 12
-    head_layers: int = 2
-    head_width: int = 32
-    activation: str = "elu"
-    dropout_rate: float = 0.1
+    cov_layers: Annotated[int, ">= 1"] = 2
+    cov_width: Annotated[int, ">= 1"] = 48
+    cov_out: Annotated[int, ">= 1"] = 24
+    treat_layers: Annotated[int, ">= 1"] = 2
+    treat_width: Annotated[int, ">= 1"] = 32
+    treat_out: Annotated[int, ">= 1"] = 12
+    head_layers: Annotated[int, ">= 1"] = 2
+    head_width: Annotated[int, ">= 1"] = 32
+    activation: Annotated[str, ACTIVATIONS] = "elu"
+    dropout_rate: Annotated[float, ">= 0", "< 1"] = 0.1
 
     def __post_init__(self) -> None:
         check_types(self, ConfigError)
-        for name in (
-            "cov_layers",
-            "cov_width",
-            "cov_out",
-            "treat_layers",
-            "treat_width",
-            "treat_out",
-            "head_layers",
-            "head_width",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must lie in [0, 1)")
 
     def network_dims(self, input_dim: int, k: int, variant: str) -> list[tuple[int, list[int]]]:
         """Each network stack's (networks, widths [in, hidden..., out]) in
@@ -174,20 +158,16 @@ class OutcomeModel:
     """
 
     shape: ModelShape
-    input_dim: int
-    k: int
-    variant: str
+    input_dim: Annotated[int, ">= 1"]
+    k: Annotated[int, ">= 1"]
+    variant: Annotated[str, VARIANTS]
     theta: np.ndarray = field(repr=False)
-    head_updates: tuple[int, ...] | list[int] = field(default=(), kw_only=True)
+    head_updates: Annotated[tuple[int, ...] | list[int], ">= 0"] = field(
+        default=(), kw_only=True
+    )
 
     def __post_init__(self) -> None:
         check_types(self, ConfigError)
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.input_dim < 1:
-            raise ConfigError("input_dim must be >= 1")
         # per network stack: its slice of theta, its [networks x parameters]
         # block shape and its widths; theta holds n values
         self._layout, n = [], 0
@@ -204,10 +184,8 @@ class OutcomeModel:
             raise NumericError("non-finite parameters")
         # only the default (), not an empty list, stands for zero counts
         counts = (0,) * self.k if self.head_updates == () else self.head_updates
-        if len(counts) != self.k or any(n < 0 for n in counts):
-            raise ConfigError(
-                f"head_updates must hold {self.k} non-negative int counts, got {counts!r}"
-            )
+        if len(counts) != self.k:
+            raise ConfigError(f"head_updates must hold {self.k} counts, got {counts!r}")
         self.theta = self.theta.copy()
         self.head_updates = tuple(counts)
         act, rate = self.shape.activation, self.shape.dropout_rate
@@ -281,17 +259,17 @@ def build_model(
 
 @dataclass(frozen=True)
 class TrainConfig(JsonConfig):
-    alpha: float = 1.0
-    beta: float = 0.5
-    batch_size: int = 128
-    epochs_max: int = 100
-    patience: int = 10
-    base_lr: float = 0.1
-    lr_decay: float = 0.1
-    scheduler_step: int = 10
-    weight_decay: float = 1e-4
+    alpha: Annotated[float, ">= 0"] = 1.0
+    beta: Annotated[float, ">= 0"] = 0.5
+    batch_size: Annotated[int, ">= 2"] = 128
+    epochs_max: Annotated[int, ">= 1"] = 100
+    patience: Annotated[int, ">= 1"] = 10
+    base_lr: Annotated[float, "> 0"] = 0.1
+    lr_decay: Annotated[float, "> 0", "<= 1"] = 0.1
+    scheduler_step: Annotated[int, ">= 1"] = 10
+    weight_decay: Annotated[float, ">= 0"] = 1e-4
     bandwidth: float | None = None  # None -> per-batch median heuristic
-    seed: int = 0
+    seed: Annotated[int, ">= 0"] = 0
 
     def lr_at(self, epoch: int) -> float:
         """Step-decay schedule: base_lr * lr_decay ** floor(epoch / scheduler_step)."""
@@ -301,28 +279,10 @@ class TrainConfig(JsonConfig):
 
     def __post_init__(self) -> None:
         check_types(self, ConfigError)
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ConfigError("alpha and beta must be >= 0")
         if self.alpha + self.beta <= 0.0:
             raise ConfigError("alpha + beta must be positive")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2")
-        if self.epochs_max < 1:
-            raise ConfigError("epochs_max must be >= 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.base_lr <= 0.0:
-            raise ConfigError("base_lr must be positive")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ConfigError("lr_decay must lie in (0, 1]")
-        if self.scheduler_step < 1:
-            raise ConfigError("scheduler_step must be >= 1")
-        if self.weight_decay < 0.0:
-            raise ConfigError("weight_decay must be >= 0")
         if self.bandwidth is not None:
             check_bandwidth(self.bandwidth)
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
 
 
 class Batch(NamedTuple):
@@ -500,19 +460,15 @@ class TrainHistory:
 class TrainedModel:
     model: OutcomeModel
     history: TrainHistory
-    best_epoch: int
-    best_val_mse: float
+    best_epoch: Annotated[int, ">= 0"]
+    best_val_mse: Annotated[float, ">= 0"]
     config: TrainConfig
 
     def __post_init__(self) -> None:
         check_types(self, ConfigError)
-        epoch, mse = self.best_epoch, self.best_val_mse
         # an int best_val_mse, which a float field admits, is refused here
-        if not (epoch >= 0 and isinstance(mse, float) and mse >= 0.0):
-            raise ConfigError(
-                "best_epoch must be an int >= 0 and best_val_mse a finite float >= 0; "
-                f"got {epoch!r} and {mse!r}"
-            )
+        if not isinstance(self.best_val_mse, float):
+            raise ConfigError(f"best_val_mse must be a float, got {self.best_val_mse!r}")
 
 
 def _eval_heads(

@@ -27,6 +27,7 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import Annotated
 
 import numpy as np
 
@@ -78,13 +79,13 @@ class SimConfig(JsonConfig):
     """Knobs of the simulation. Treatments are indexed 0..k-1 throughout."""
 
     n: int = 2000
-    d: int = 32
-    k: int = 4
-    centroid_method: str = "random"  # "random" | "kmeans"
-    c: float = 5.0
-    kappa: float | tuple[float, ...] = 10.0
+    d: Annotated[int, ">= 1"] = 32
+    k: Annotated[int, ">= 2"] = 4  # at least two treatments
+    centroid_method: Annotated[str, ("random", "kmeans")] = "random"
+    c: Annotated[float, "> 0"] = 5.0
+    kappa: Annotated[float | tuple[float, ...], "> 0"] = 10.0
     embedding_file: str | None = None  # CSV of covariate rows; None draws them
-    seed: int = 0
+    seed: Annotated[int, ">= 0"] = 0
 
     def kappa_vector(self) -> np.ndarray:
         if np.isscalar(self.kappa):
@@ -96,22 +97,9 @@ class SimConfig(JsonConfig):
 
     def __post_init__(self) -> None:
         check_types(self, ConfigError)
-        if self.k < 2:
-            raise ConfigError("k must be >= 2 (at least two treatments)")
         if self.n < self.k + 1:
             raise ConfigError("n must be >= k + 1 so that k+1 centroids exist")
-        if self.d < 1:
-            raise ConfigError("d must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.centroid_method not in ("random", "kmeans"):
-            raise ConfigError(
-                f"centroid_method must be 'random' or 'kmeans', got {self.centroid_method!r}"
-            )
-        if not self.c > 0.0:
-            raise ConfigError("outcome scale c must be positive")
-        if not np.all(self.kappa_vector() > 0.0):
-            raise ConfigError("kappa entries must be positive")
+        self.kappa_vector()  # refuses a tuple whose length is not k
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -16,8 +17,8 @@ import pytest
 
 from ite_bench import cli, experiments
 from ite_bench.cli import main
-from ite_bench.errors import DataError, NumericError
-from ite_bench.experiments import ExperimentConfig, _fit_repeat
+from ite_bench.errors import DataError
+from ite_bench.experiments import ExperimentConfig, SweepSpec, _fit_repeat
 from ite_bench.metrics import EvalReport, pehe
 from ite_bench.model import (
     ModelShape,
@@ -601,49 +602,6 @@ def test_evaluate_into_a_directory_exits_3_and_leaves_no_temporary_file(tmp_path
     assert code == 3, err
     assert sorted(os.listdir(tmp_path)) == before
     assert os.listdir(target) == []
-
-
-def test_evaluate_refuses_tampered_or_missing_parameter_file(tmp_path, capsys):
-    ds = simulate_small(capsys, tmp_path / "ds")
-    out = tmp_path / "run"
-    code, _, err = run(
-        capsys, "train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "1"
-    )
-    assert code == 0, err
-    sidecar = out / "checkpoint.npy"
-    data = bytearray(sidecar.read_bytes())
-    data[-1] ^= 0x80
-    sidecar.write_bytes(bytes(data))
-    argv = ("evaluate", "--dataset", str(ds), "--checkpoint", str(out / "checkpoint.json"))
-    code, _, err = run(capsys, *argv)
-    assert code == 3
-    assert "sha256" in err
-    sidecar.unlink()
-    code, _, err = run(capsys, *argv)
-    assert code == 3
-    assert "checkpoint.npy" in err
-
-
-def test_evaluate_refuses_a_non_finite_parameter_exits_4(tmp_path, capsys):
-    ds = simulate_small(capsys, tmp_path / "ds")
-    out = tmp_path / "run"
-    code, _, err = run(
-        capsys, "train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "1"
-    )
-    assert code == 0, err
-    # a NaN recorded under its own sha256: the file is intact, the model is not
-    header, sidecar = out / "checkpoint.json", out / "checkpoint.npy"
-    vec = np.load(sidecar)
-    vec[5] = np.nan
-    np.save(sidecar, vec)
-    doc = json.loads(header.read_text())
-    doc["params_sha256"] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
-    header.write_text(json.dumps(doc))
-    with pytest.raises(NumericError, match="non-finite"):
-        load_checkpoint(header)
-    code, _, err = run(capsys, "evaluate", "--dataset", str(ds), "--checkpoint", str(header))
-    assert code == 4
-    assert "numeric error" in err and "non-finite parameters" in err
 
 
 def test_evaluate_of_predictions_that_overflow_exits_4(tmp_path, capsys):
@@ -1312,6 +1270,23 @@ def test_report_csv_quotes_labels_that_hold_a_comma_or_a_quote(tmp_path, capsys)
     assert sorted(row[0] for row in rows[1:]) == sorted(labels)
 
 
+def test_a_csv_write_whose_rename_fails_exits_3_and_keeps_the_previous_table(
+    tmp_path, capsys, monkeypatch
+):
+    record = write_record(tmp_path / "joint.json", "joint", [1.0])
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_bytes(b"previous table\n")
+
+    def fail(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, _, err = run(capsys, "report", str(record), "--csv", str(csv_path))
+    assert code == 3, err
+    assert csv_path.read_bytes() == b"previous table\n"
+    assert sorted(os.listdir(tmp_path)) == ["joint.json", "table.csv"]
+
+
 def test_report_cli_accepts_eval_reports(tmp_path, capsys):
     ds = simulate_small(capsys, tmp_path / "ds")
     out = tmp_path / "run"
@@ -1333,6 +1308,25 @@ def _quickstart_commands():
     block = readme.split("## Quickstart (CLI)", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("ite-bench ")]
+
+
+def _readme_json_block(after: str):
+    """The first JSON block of README.md after the text after, parsed."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(readme.split(after, 1)[1].split("```json", 1)[1].split("```", 1)[0])
+
+
+def test_readme_config_examples_match_the_dataclasses():
+    # the experiment config shows every key at its default
+    doc = _readme_json_block("every key has the default shown by the dataclasses")
+    assert doc == ExperimentConfig(label="demo").to_dict()
+    # the documented search space builds a sweep, and a sample of its points
+    # resolves as run_sweep resolves them
+    spec = SweepSpec.from_dict(_readme_json_block("The search space documented"))
+    points = experiments.expand_grid(spec.grid)
+    assert len(points) == 23_328
+    for overrides in random.Random(spec.seed).sample(points, spec.max_trials):
+        experiments.apply_overrides(spec.base, overrides)
 
 
 def test_readme_quickstart_reports_one_row_per_variant(tmp_path, capsys, monkeypatch):
@@ -1556,15 +1550,16 @@ def test_report_refuses_figures_that_overflow_and_a_config_that_is_not_one(
 # --- one exit-code rule ---
 
 
-# each bad input's name: its exit code and a function that, given the test's
-# directory and a trained run's dataset and checkpoint header, breaks one
-# input and returns the command that reads it
+# each bad input's name: its exit code, a text that the last line on stderr
+# holds, and a function that, given the test's directory and a trained
+# run's dataset and checkpoint header, breaks one input and returns the
+# command that reads it
 BAD_INPUTS = {}
 
 
-def bad_input(code):
+def bad_input(code, text=""):
     def register(make):
-        BAD_INPUTS[make.__name__.replace("_", "-")] = (code, make)
+        BAD_INPUTS[make.__name__.replace("_", "-")] = (code, text, make)
         return make
     return register
 
@@ -1588,6 +1583,16 @@ def config_not_json(tmp, ds, ckpt):
     return ("simulate", "--config", str(tmp / "cfg.json"), "--out", str(tmp / "ds2"))
 
 
+@bad_input(2, "No such file or directory")
+def config_missing(tmp, ds, ckpt):
+    return ("simulate", "--config", str(tmp / "missing.json"), "--out", str(tmp / "ds2"))
+
+
+@bad_input(2, "Is a directory")
+def config_is_a_directory(tmp, ds, ckpt):
+    return ("sweep", "--config", str(tmp), "--out", str(tmp / "sweep"), "--threads", "1")
+
+
 @bad_input(2)
 def flag_out_of_range(tmp, ds, ckpt):
     return ("train", "--dataset", str(ds), "--out", str(tmp / "run2"), "--epochs-max", "0")
@@ -1602,13 +1607,13 @@ def dataset_array_tampered(tmp, ds, ckpt):
     return ("train", "--dataset", str(ds), "--out", str(tmp / "run2"))
 
 
-@bad_input(3)
+@bad_input(3, "sha256")
 def checkpoint_sidecar_tampered(tmp, ds, ckpt):
     _flip_last_byte(ckpt.with_suffix(".npy"))
     return _evaluate(ds, ckpt)
 
 
-@bad_input(3)
+@bad_input(3, "checkpoint.npy")
 def checkpoint_sidecar_missing(tmp, ds, ckpt):
     ckpt.with_suffix(".npy").unlink()
     return _evaluate(ds, ckpt)
@@ -1650,7 +1655,7 @@ def covariate_csv_empty(tmp, ds, ckpt):
 # 4: a non-finite value, also one read from a file, or a divergence
 
 
-@bad_input(4)
+@bad_input(4, "non-finite parameters")
 def checkpoint_sidecar_nan(tmp, ds, ckpt):
     # a NaN recorded under its own sha256: the file is intact, the model is not
     sidecar = ckpt.with_suffix(".npy")
@@ -1680,7 +1685,7 @@ EXIT_LABELS = {2: "config error", 3: "data error", 4: "numeric error"}
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", BAD_INPUTS)
 def test_each_kind_of_bad_input_gives_its_exit_code(tmp_path, capsys, name):
-    code, make = BAD_INPUTS[name]
+    code, text, make = BAD_INPUTS[name]
     ds = simulate_small(capsys, tmp_path / "ds")
     out = tmp_path / "run"
     got, _, err = run(capsys, "train", "--dataset", str(ds), "--out", str(out), "--epochs-max", "1")
@@ -1691,4 +1696,5 @@ def test_each_kind_of_bad_input_gives_its_exit_code(tmp_path, capsys, name):
     # sweep's progress lines come before it
     *progress, last = err.splitlines()
     assert last.startswith(EXIT_LABELS[code] + ": "), err
+    assert text in last, err
     assert all(line.startswith("sweep: trial ") for line in progress), err

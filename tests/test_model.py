@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import types
 import typing
@@ -1024,6 +1025,14 @@ def test_checkpoint_rejects_a_tampered_parameter_file(tmp_path):
     path.write_text(json.dumps({**doc, "params_sha256": digest}))
     with pytest.raises(DataError, match="malformed array file"):
         load_checkpoint(path)
+    # a NaN recorded under its own sha256: the file is intact, the model is not
+    nan = vec.copy()
+    nan[5] = np.nan
+    np.save(sidecar, nan)
+    digest = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+    path.write_text(json.dumps({**doc, "params_sha256": digest}))
+    with pytest.raises(NumericError, match="non-finite"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_networks_must_agree_with_its_shape(tmp_path):
@@ -1086,17 +1095,9 @@ def test_trained_model_refuses_an_invalid_best_epoch_or_val_mse(tmp_path, epoch,
 
 
 def test_train_config_validation():
+    # the single-field bounds are test_each_field_refuses_a_value_out_of_its_bound's
     for bad, match in (
-        ({"alpha": -0.1}, "alpha and beta"),
         ({"alpha": 0.0, "beta": 0.0}, r"alpha \+ beta"),
-        ({"batch_size": 1}, "batch_size"),
-        ({"epochs_max": -1}, "epochs_max"),
-        ({"epochs_max": 0}, "epochs_max must be >= 1"),
-        ({"patience": 0}, "patience"),
-        ({"lr_decay": 0.0}, "lr_decay"),
-        ({"lr_decay": 1.5}, "lr_decay"),
-        ({"scheduler_step": 0}, "scheduler_step"),
-        ({"weight_decay": -1e-4}, "weight_decay"),
         ({"bandwidth": 0.0}, "bandwidth"),
         # 2 / bandwidth^2 overflows below ~1.0548e-154, and bandwidth^2 is 0 at 1e-200
         ({"bandwidth": 1e-155}, "bandwidth must be finite and above"),
@@ -1104,8 +1105,6 @@ def test_train_config_validation():
     ):
         with pytest.raises(ConfigError, match=match):
             TrainConfig(**bad)
-    with pytest.raises(ConfigError, match="batch_size"):
-        dataclasses.replace(TrainConfig(), batch_size=1)
     with pytest.raises(ConfigError):
         TrainConfig.from_dict({"alpha": 1.0, "momentum": 0.9})
     cfg = TrainConfig(alpha=0.5, beta=0.25, bandwidth=2.0)
@@ -1179,14 +1178,88 @@ def test_every_field_checks_its_type_at_construction(cls):
                     cls(**{**fields, name: value})
 
 
+# the float nearest 0 from above, and those nearest 1 from either side
+TINY, BELOW_ONE, ABOVE_ONE = math.ulp(0.0), math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+LAYER_FIELDS = [
+    "cov_layers", "cov_width", "cov_out", "treat_layers", "treat_width", "treat_out",
+    "head_layers", "head_width",
+]
+# (class, field, declared bound): the value at its edge, which it accepts,
+# and the nearest value it refuses; a list or tuple field's bound holds for
+# each entry
+BOUNDS = {
+    **{(ModelShape, name, ">= 1"): (1, 0) for name in LAYER_FIELDS},
+    (ModelShape, "activation", ("tanh", "elu")): ("tanh", "relu"),
+    (ModelShape, "dropout_rate", ">= 0"): (0.0, -TINY),
+    (ModelShape, "dropout_rate", "< 1"): (BELOW_ONE, 1.0),
+    (OutcomeModel, "input_dim", ">= 1"): (1, 0),
+    (OutcomeModel, "k", ">= 1"): (1, 0),
+    (OutcomeModel, "variant", ("joint", "tarnet")): ("tarnet", "dragonnet"),
+    (OutcomeModel, "head_updates", ">= 0"): ((0, 0), (3, -1)),
+    (TrainConfig, "alpha", ">= 0"): (0.0, -TINY),
+    (TrainConfig, "beta", ">= 0"): (0.0, -TINY),
+    (TrainConfig, "batch_size", ">= 2"): (2, 1),
+    (TrainConfig, "epochs_max", ">= 1"): (1, 0),
+    (TrainConfig, "patience", ">= 1"): (1, 0),
+    (TrainConfig, "base_lr", "> 0"): (TINY, 0.0),
+    (TrainConfig, "lr_decay", "> 0"): (TINY, 0.0),
+    (TrainConfig, "lr_decay", "<= 1"): (1.0, ABOVE_ONE),
+    (TrainConfig, "scheduler_step", ">= 1"): (1, 0),
+    (TrainConfig, "weight_decay", ">= 0"): (0.0, -TINY),
+    (TrainConfig, "seed", ">= 0"): (0, -1),
+    (TrainedModel, "best_epoch", ">= 0"): (0, -1),
+    (TrainedModel, "best_val_mse", ">= 0"): (0.0, -TINY),
+    (SimConfig, "d", ">= 1"): (1, 0),
+    (SimConfig, "k", ">= 2"): (2, 1),
+    (SimConfig, "centroid_method", ("random", "kmeans")): ("kmeans", "spectral"),
+    (SimConfig, "c", "> 0"): (TINY, 0.0),
+    (SimConfig, "kappa", "> 0"): ((10.0, 10.0, 10.0, TINY), (10.0, 10.0, 10.0, 0.0)),
+    (SimConfig, "seed", ">= 0"): (0, -1),
+    (ExperimentConfig, "variant", ("joint", "tarnet")): ("tarnet", "dragonnet"),
+    (ExperimentConfig, "repeats", ">= 1"): (1, 0),
+    (SweepSpec, "max_trials", ">= 1"): (1, 0),
+    (EvalReport, "split", ("train", "val", "test")): ("train", "holdout"),
+    (EvalReport, "n_eval", ">= 1"): (1, 0),
+}
+
+
+def test_bounds_table_covers_every_declared_bound():
+    declared = {
+        (cls, name, bound)
+        for cls in TYPE_CHECKED
+        for name, hint in typing.get_type_hints(cls, include_extras=True).items()
+        if typing.get_origin(hint) is typing.Annotated
+        for bound in hint.__metadata__
+    }
+    assert declared == set(BOUNDS)
+
+
+@pytest.mark.parametrize(
+    "cls, name, bound", BOUNDS, ids=lambda v: v.__name__ if isinstance(v, type) else str(v)
+)
+def test_each_field_refuses_a_value_out_of_its_bound(cls, name, bound):
+    # construction checks each bound after the field's type, with the
+    # class's own error: the edge value passes, the nearest one past it not
+    ok, bad = BOUNDS[cls, name, bound]
+    valid, error = _valid_instances()[cls]
+    fields = {f.name: getattr(valid, f.name) for f in dataclasses.fields(cls)}
+
+    def build(value):
+        changed = {**fields, name: value}
+        if cls is OutcomeModel and name != "head_updates":
+            # theta's length and the head count follow input_dim, k and variant
+            dims = (changed["input_dim"], changed["k"], changed["variant"])
+            changed.update(theta=np.zeros(changed["shape"].n_params(*dims)), head_updates=())
+        return cls(**changed)
+
+    assert getattr(build(ok), name) == ok
+    expect = f"one of {bound}" if isinstance(bound, tuple) else bound
+    with pytest.raises(error, match=f"^{re.escape(f'{name} must be {expect}, got ')}"):
+        build(bad)
+
+
 def test_model_shape_validation():
-    with pytest.raises(ConfigError):
-        ModelShape(cov_layers=0)
-    with pytest.raises(ConfigError):
-        ModelShape(activation="relu")
-    for rate in (-0.1, 1.0):
-        with pytest.raises(ConfigError, match="dropout_rate"):
-            ModelShape(dropout_rate=rate)
+    # the single-field bounds are test_each_field_refuses_a_value_out_of_its_bound's
     with pytest.raises(ConfigError):
         ModelShape.from_dict({"init": "glorot"})
     with pytest.raises(ConfigError):
